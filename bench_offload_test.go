@@ -2,8 +2,7 @@
 // each offload mode as sessions scale. Full mode pays video decode +
 // extraction + tracking; split mode enters the tracker at pose
 // prediction with client-extracted keypoints; shadow mode only warms
-// the motion model. The headline e2e-p50-ms is what cmd/benchdiff
-// tracks across PRs.
+// the motion model. The headline is e2e-p50-ms.
 package slamshare_test
 
 import (

@@ -386,8 +386,8 @@ func BenchmarkPersistCheckpoint(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	st := mgr.Stats().CheckpointLat.Stats()
-	b.ReportMetric(float64(st.Mean.Microseconds())/1000, "checkpoint-ms")
+	mean := mgr.Stats().CheckpointLat.Snapshot().Mean()
+	b.ReportMetric(float64(mean.Microseconds())/1000, "checkpoint-ms")
 }
 
 // BenchmarkPersistRecovery measures rebuilding the map from disk:

@@ -131,7 +131,7 @@ func BenchmarkMultiClientTracking(b *testing.B) {
 				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 				sort.Slice(e2e, func(i, j int) bool { return e2e[i] < e2e[j] })
 				// The track.total p50 IS the benchmark's headline: it
-				// overrides wall ns/op so benchdiff records and diffs it.
+				// overrides wall ns/op.
 				b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "ns/op")
 				b.ReportMetric(float64(lat[int(float64(len(lat))*0.9)].Nanoseconds()), "p90-ns/frame")
 				b.ReportMetric(float64(e2e[len(e2e)/2].Nanoseconds()), "e2e-p50-ns")

@@ -13,12 +13,11 @@ import (
 	"time"
 
 	"slamshare"
-	"slamshare/internal/overload"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7007", "server address")
-	addrsFlag := flag.String("addrs", "", "comma-separated replicated front addresses; enables session-token failover (overrides -addr)")
+	addrsFlag := flag.String("addrs", "", "comma-separated replicated front addresses to fail over between (overrides -addr)")
 	seqName := flag.String("seq", "MH04", "sequence: MH04, MH05, V202, TUM-fr1, KITTI-00, KITTI-05, CITY-00, CITY-01")
 	stereo := flag.Bool("stereo", true, "use the stereo rig")
 	id := flag.Uint("id", 1, "client id (unique per device)")
@@ -59,42 +58,31 @@ func main() {
 	for i := 0; i < *frames && i < seq.FrameCount(); i += *stride {
 		idxs = append(idxs, i)
 	}
-	start := time.Now()
-	if *addrsFlag != "" {
-		// Failover mode: dial the replicated-front list, resume by
-		// session token on a dead front. RunTCPResumable owns its
-		// connections, so -delay/-mbps shaping does not apply here.
-		var fronts []string
-		for _, a := range strings.Split(*addrsFlag, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				fronts = append(fronts, a)
-			}
+	// One dial path: -addr is a one-entry -addrs, and every connection
+	// the dialer returns is shaped, so shaping and failover compose.
+	if *addrsFlag == "" {
+		*addrsFlag = *addr
+	}
+	var addrs []string
+	for _, a := range strings.Split(*addrsFlag, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
 		}
-		log.Printf("client %d replaying %s (%s), %d frames over fronts %v",
-			*id, seq.Name, mode, len(idxs), fronts)
-		pol := overload.Backoff{Base: 100, Factor: 2, Max: 2000, Jitter: 0.2, Seed: int64(*id)}
-		if err := dev.RunTCPResumable(fronts, idxs, pol); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		raw, err := net.Dial("tcp", *addr)
+	}
+	dialAddr := slamshare.AddrDialer(addrs...)
+	dial := func() (net.Conn, error) {
+		raw, err := dialAddr()
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
-		conn := slamshare.ShapeConn(raw, slamshare.NetemConfig{
-			Delay:        *delay,
-			BandwidthBps: *mbps * 1e6,
-		})
-		defer conn.Close()
-		log.Printf("client %d replaying %s (%s), %d frames over %s (delay %v, cap %.1f Mbit/s)",
-			*id, seq.Name, mode, len(idxs), *addr, *delay, *mbps)
-		run := dev.RunTCP
-		if adaptive {
-			run = dev.RunTCPAdaptive
-		}
-		if err := run(conn, idxs); err != nil {
-			log.Fatal(err)
-		}
+		return slamshare.ShapeConn(raw, slamshare.NetemConfig{Delay: *delay, BandwidthBps: *mbps * 1e6}), nil
+	}
+	log.Printf("client %d replaying %s (%s), %d frames over %v (delay %v, cap %.1f Mbit/s)",
+		*id, seq.Name, mode, len(idxs), addrs, *delay, *mbps)
+	start := time.Now()
+	pol := slamshare.RetryPolicy{Base: 100, Factor: 2, Max: 2000, Jitter: 0.2, MaxAttempts: 10, Seed: int64(*id)}
+	if err := dev.Run(dial, idxs, pol); err != nil {
+		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
 

@@ -41,13 +41,13 @@ func main() {
 			log.Fatal(err)
 		}
 		conn := slamshare.ShapeConn(raw, slamshare.NetemConfig{Delay: delay})
-		defer conn.Close()
 		dev := slamshare.NewDevice(id, seq)
 		idxs := make([]int, frames)
 		for i := range idxs {
 			idxs[i] = i
 		}
-		if err := dev.RunTCP(conn, idxs); err != nil {
+		// Run closes the connection it is handed.
+		if err := dev.Run(slamshare.ConnDialer(conn), idxs, slamshare.RetryPolicy{}); err != nil {
 			log.Fatalf("vehicle %d: %v", id, err)
 		}
 		return dev

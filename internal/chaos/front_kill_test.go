@@ -176,7 +176,7 @@ func TestClusterFrontKill(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			pol := overload.Backoff{Base: 50, Factor: 2, Max: 1000, Jitter: 0.2, Seed: int64(w.id)}
-			if err := w.cl.RunTCPResumable(frontAddrs, frames, pol); err != nil {
+			if err := w.cl.Run(client.AddrDialer(frontAddrs...), frames, pol); err != nil {
 				w.err = err
 				bar.leave()
 			}

@@ -101,7 +101,7 @@ func runAdaptiveFlapClient(addr string, o flapClient) (*flapStats, error) {
 					return
 				}
 				if pm.HasEcho {
-					// RunTCPAdaptive folds echoes via its own reader; this
+					// Client.Run folds echoes via its own reader; this
 					// manual loop only needs the answer accounting.
 					_ = pm.EchoNanos
 				}

@@ -7,8 +7,6 @@
 package client
 
 import (
-	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -20,7 +18,6 @@ import (
 	"slamshare/internal/metrics"
 	"slamshare/internal/obs"
 	"slamshare/internal/offload"
-	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 	"slamshare/internal/video"
 )
@@ -29,19 +26,24 @@ import (
 type Client struct {
 	ID  uint32
 	Seq *dataset.Sequence
-	// Pace, when positive, spaces RunTCPAdaptive's uplinks by this
-	// interval — a real device sends at camera rate, it does not
-	// firehose the socket. Set before the run starts.
+	// Pace is the device's camera clock. Zero means there is none and
+	// Run is a closed loop: the next frame is built once the previous
+	// one is answered. Positive makes Run an open loop that spaces its
+	// uplinks by this interval without waiting for answers, up to
+	// maxInFlight unanswered ones. Set before the run starts.
 	Pace time.Duration
 	// Obs, when non-nil, records a "client.encode" span per built
 	// frame (the device's whole per-frame compute: IMU integration +
 	// video encoding), completing the end-to-end frame trace the
 	// server-side stages continue.
 	Obs *obs.Tracer
-	// OnAnswer, when non-nil, is called by RunTCPResumable after each
-	// awaited frame's answer is applied — chaos harnesses use it to
-	// keep concurrent sessions in lockstep. Set before the run starts;
-	// it runs on the socket loop goroutine and may block.
+	// OnAnswer, when non-nil, is called by Run once per settled answer
+	// — the first answer to an uplink it is still waiting on, after the
+	// answer is applied and before the uplink leaves the ledger. Chaos
+	// harnesses use it to keep concurrent sessions in lockstep. Set
+	// before the run starts; it runs on Run's reader goroutine and may
+	// block (no further downlink is read, and in a closed loop no
+	// further frame is built, until it returns).
 	OnAnswer func(frameIdx uint32, tracked, shed bool)
 
 	stEncode  *obs.Stage
@@ -60,25 +62,25 @@ type Client struct {
 	lastFrame int
 	upBytes   int64
 
-	// Adaptive-offloading state (EnableAdaptive): the QoS class and
-	// capabilities advertised in the hello, the current mode as
+	// Adaptive-offloading state: the QoS class and capabilities
+	// advertised in the hello (EnableAdaptive; the zero values are a
+	// headset that can only run full offload), the current mode as
 	// commanded by the server's ModeSwitch downlinks, the on-device
 	// extractor split mode runs, and the RTT estimate folded from
 	// echoed pose timestamps. forced pins the mode against server
 	// switches (the -mode flag / A-B experiments).
-	adaptive bool
-	qos      offload.QoS
-	caps     offload.Caps
-	mode     offload.Mode
-	epoch    uint32
-	forced   bool
-	ex       *feature.Extractor
-	rttEWMA  float64 // nanoseconds
-	modeLog  []ModeEvent
+	qos     offload.QoS
+	caps    offload.Caps
+	mode    offload.Mode
+	epoch   uint32
+	forced  bool
+	ex      *feature.Extractor
+	rttEWMA float64 // nanoseconds
+	modeLog []ModeEvent
 
-	// Resumable-session state (RunTCPResumable): the raw session token
-	// from the most recent answered pose, presented to whichever front
-	// the client lands on after a reconnect; tokenLog records the
+	// Resumable-session state: the raw session token from the most
+	// recent answered pose, presented to whichever front the client
+	// lands on after a redial; tokenLog records the
 	// distinct (epoch, shard, mode) states observed, in order, for
 	// failover assertions; answers counts pose answers per frame index
 	// as observed on the live socket (the exactly-once evidence).
@@ -171,12 +173,6 @@ func (c *Client) ShedPoses() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.shed
-}
-
-func (c *Client) noteShed() {
-	c.mu.Lock()
-	c.shed++
-	c.mu.Unlock()
 }
 
 // Reconnect prepares the device for a fresh server session (e.g.
@@ -382,80 +378,12 @@ func (c *Client) frameToMM(frameIdx int) int {
 	return -1
 }
 
-// RunTCP drives the full socket loop against a SLAM-Share server for
-// the given frame indices: it sends a hello, streams frames, and
-// applies pose answers as they return. Answers are consumed
-// asynchronously, so added network delay shows up exactly as in §4.2.2
-// (IMU covers the gap).
-func (c *Client) RunTCP(conn net.Conn, frames []int) error {
-	hello := protocol.HelloMsg{
-		ClientID: c.ID,
-		Mode:     c.Seq.Rig.Mode,
-		HasRig:   true,
-		Intr:     c.Seq.Rig.Intr,
-		Baseline: c.Seq.Rig.Baseline,
-	}
-	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
-		return err
-	}
-	errCh := make(chan error, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			mt, payload, err := protocol.ReadMessage(conn)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if mt != protocol.TypePose {
-				continue
-			}
-			pm, err := protocol.DecodePoseMsg(payload)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if pm.Shed {
-				c.noteShed()
-			}
-			c.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
-			if int(pm.FrameIdx) == frames[len(frames)-1] {
-				errCh <- nil
-				return
-			}
-		}
-	}()
-	for _, i := range frames {
-		msg := c.BuildFrame(i)
-		if err := protocol.WriteMessage(conn, protocol.TypeFrame, msg.Encode()); err != nil {
-			return fmt.Errorf("client: send frame %d: %w", i, err)
-		}
-	}
-	<-done
-	select {
-	case err := <-errCh:
-		if err != nil {
-			return err
-		}
-	default:
-	}
-	_ = protocol.WriteMessage(conn, protocol.TypeBye, nil)
-	return nil
-}
-
 // ReencodeFrame refreshes a built frame's video payloads after
-// Reconnect, for callers that resend an already-built frame on a
-// fresh connection: the new stream must open with intra frames, but
-// the IMU state was already advanced by BuildFrame and must not move
-// again.
-func (c *Client) ReencodeFrame(msg *protocol.FrameMsg, i int) { c.reencode(msg, i) }
-
-// reencode refreshes a built frame's video payloads after an encoder
-// reset: the new stream must open with intra frames, but the motion
-// model and trajectory were already advanced by BuildFrame and must
-// not move again.
-func (c *Client) reencode(msg *protocol.FrameMsg, i int) {
+// Reconnect, for resending an already-built frame on a fresh
+// connection: the new stream must open with intra frames, but the
+// motion model and trajectory were already advanced by BuildFrame and
+// must not move again.
+func (c *Client) ReencodeFrame(msg *protocol.FrameMsg, i int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	left, right := c.Seq.StereoFrame(i)
@@ -463,113 +391,6 @@ func (c *Client) reencode(msg *protocol.FrameMsg, i int) {
 	if right != nil {
 		msg.VideoRight = c.encR.Encode(right)
 	}
-}
-
-// awaitPose reads pose answers until the one for frameIdx arrives,
-// applying every answer (and counting shed ones) along the way.
-func (c *Client) awaitPose(conn net.Conn, frameIdx uint32) error {
-	for {
-		mt, payload, err := protocol.ReadMessage(conn)
-		if err != nil {
-			return err
-		}
-		if mt != protocol.TypePose {
-			continue
-		}
-		pm, err := protocol.DecodePoseMsg(payload)
-		if err != nil {
-			return err
-		}
-		if pm.Shed {
-			c.noteShed()
-		}
-		c.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
-		if pm.FrameIdx == frameIdx {
-			return nil
-		}
-	}
-}
-
-// RunTCPReconnect drives the socket loop in lockstep (one frame sent,
-// its answer awaited) and survives connection loss: on any socket
-// error it redials with the jittered backoff policy, restarts the
-// video streams, and resumes from the first unanswered frame. The
-// retry budget (pol.MaxAttempts, 0 = unbounded) spans consecutive
-// failures; any successfully answered frame resets it. Delays are
-// read as milliseconds.
-func (c *Client) RunTCPReconnect(dial func() (net.Conn, error), frames []int, pol overload.Backoff) error {
-	hello := protocol.HelloMsg{
-		ClientID: c.ID,
-		Mode:     c.Seq.Rig.Mode,
-		HasRig:   true,
-		Intr:     c.Seq.Rig.Intr,
-		Baseline: c.Seq.Rig.Baseline,
-	}
-	var conn net.Conn
-	closeConn := func() {
-		if conn != nil {
-			conn.Close()
-			conn = nil
-		}
-	}
-	defer closeConn()
-	attempt := 0
-	connect := func() error {
-		closeConn()
-		for {
-			if pol.Exhausted(attempt) {
-				return fmt.Errorf("client %d: reconnect retries exhausted after %d attempts", c.ID, attempt)
-			}
-			nc, err := dial()
-			if err == nil {
-				if err = protocol.WriteMessage(nc, protocol.TypeHello, hello.Encode()); err == nil {
-					conn = nc
-					// Fresh server session, fresh decoders: restart the
-					// video streams intra.
-					c.Reconnect()
-					return nil
-				}
-				nc.Close()
-			}
-			time.Sleep(pol.DelayDuration(uint64(c.ID), attempt))
-			attempt++
-		}
-	}
-	if err := connect(); err != nil {
-		return err
-	}
-	for _, i := range frames {
-		msg := c.BuildFrame(i)
-		for {
-			err := protocol.WriteMessage(conn, protocol.TypeFrame, msg.Encode())
-			if err == nil {
-				err = c.awaitPose(conn, uint32(i))
-			}
-			if err == nil {
-				attempt = 0
-				break
-			}
-			if cerr := connect(); cerr != nil {
-				return cerr
-			}
-			// The frame was built once (IMU state advanced); only its
-			// video needs re-encoding for the new stream.
-			c.reencode(msg, i)
-		}
-	}
-	_ = protocol.WriteMessage(conn, protocol.TypeBye, nil)
-	return nil
-}
-
-// LastToken returns a copy of the most recent session token, nil
-// before the first tokened answer.
-func (c *Client) LastToken() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lastToken == nil {
-		return nil
-	}
-	return append([]byte(nil), c.lastToken...)
 }
 
 // SessionTokens returns the distinct session states observed through
@@ -585,9 +406,9 @@ func (c *Client) SessionTokens() []protocol.SessionTokenMsg {
 }
 
 // AnswerCounts returns how many pose answers arrived per frame index
-// on the live socket. RunTCPResumable only resends a frame it has no
-// answer for, so every count must be exactly one — the client-side
-// proof of the exactly-once guarantee.
+// on the live socket. Run only resends an uplink still on its ledger,
+// so every count must be exactly one — the client-side proof of the
+// exactly-once guarantee.
 func (c *Client) AnswerCounts() map[uint32]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -615,171 +436,17 @@ func (c *Client) noteToken(raw []byte) {
 	}
 }
 
-func (c *Client) noteAnswer(idx uint32) {
+// noteAnswer counts one pose answer for frame idx, shed or not.
+func (c *Client) noteAnswer(idx uint32, shed bool) {
 	c.mu.Lock()
 	if c.answers == nil {
 		c.answers = make(map[uint32]int)
 	}
 	c.answers[idx]++
-	c.mu.Unlock()
-}
-
-// awaitPoseResumable reads downlinks until the pose for frameIdx
-// arrives: poses are applied (tokens captured, echoes folded, answers
-// counted), mode switches applied.
-func (c *Client) awaitPoseResumable(conn net.Conn, frameIdx uint32) error {
-	for {
-		mt, payload, err := protocol.ReadMessage(conn)
-		if err != nil {
-			return err
-		}
-		switch mt {
-		case protocol.TypeModeSwitch:
-			if ms, err := protocol.DecodeModeSwitchMsg(payload); err == nil {
-				c.ApplyModeSwitch(ms)
-			}
-		case protocol.TypePose:
-			pm, err := protocol.DecodePoseMsg(payload)
-			if err != nil {
-				return err
-			}
-			if pm.HasEcho {
-				c.noteEcho(pm.EchoNanos, time.Now())
-			}
-			if pm.Shed {
-				c.noteShed()
-			}
-			if pm.Token != nil {
-				c.noteToken(pm.Token)
-			}
-			c.noteAnswer(pm.FrameIdx)
-			c.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
-			if pm.FrameIdx == frameIdx {
-				if c.OnAnswer != nil {
-					c.OnAnswer(pm.FrameIdx, pm.Tracked, pm.Shed)
-				}
-				return nil
-			}
-		}
-	}
-}
-
-// RunTCPResumable drives the socket loop against a list of redundant
-// front addresses in lockstep, surviving the death of the front
-// itself: the hello advertises CapResume (plus whatever EnableAdaptive
-// armed), so every answered pose carries a session token; on any
-// socket error the client rotates through the address list with
-// jittered backoff, replays the hello, presents the stored token —
-// letting the surviving front adopt the session with its routing
-// state, offload mode, and handoff epoch intact — and resumes from the
-// first unanswered frame. Delays are read as milliseconds;
-// pol.MaxAttempts (0 = unbounded) spans consecutive failures and any
-// answered frame resets it.
-func (c *Client) RunTCPResumable(addrs []string, frames []int, pol overload.Backoff) error {
-	if len(addrs) == 0 {
-		return fmt.Errorf("client %d: no front addresses", c.ID)
-	}
-	c.mu.Lock()
-	hello := protocol.HelloMsg{
-		ClientID: c.ID,
-		Mode:     c.Seq.Rig.Mode,
-		HasRig:   true,
-		Intr:     c.Seq.Rig.Intr,
-		Baseline: c.Seq.Rig.Baseline,
-		HasQoS:   true,
-		QoS:      byte(c.qos),
-		Caps:     byte(c.caps) | protocol.CapResume,
+	if shed {
+		c.shed++
 	}
 	c.mu.Unlock()
-	var conn net.Conn
-	closeConn := func() {
-		if conn != nil {
-			conn.Close()
-			conn = nil
-		}
-	}
-	defer closeConn()
-	attempt := 0
-	next := 0
-	connect := func() error {
-		closeConn()
-		for {
-			if pol.Exhausted(attempt) {
-				return fmt.Errorf("client %d: front retries exhausted after %d attempts", c.ID, attempt)
-			}
-			addr := addrs[next%len(addrs)]
-			next++
-			nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-			if err == nil {
-				err = protocol.WriteMessage(nc, protocol.TypeHello, hello.Encode())
-				if err == nil {
-					if tok := c.LastToken(); tok != nil {
-						err = protocol.WriteMessage(nc, protocol.TypeSessionToken, tok)
-					}
-				}
-				if err == nil {
-					conn = nc
-					// Fresh front, fresh transcoder: restart the video
-					// stream intra.
-					c.Reconnect()
-					return nil
-				}
-				nc.Close()
-			}
-			time.Sleep(pol.DelayDuration(uint64(c.ID), attempt))
-			attempt++
-		}
-	}
-	if err := connect(); err != nil {
-		return err
-	}
-	now := func() uint64 { return uint64(time.Now().UnixNano()) }
-	for _, i := range frames {
-		// Build once (the IMU state advances exactly once per frame) in
-		// whatever mode the session is in; a reconnect only re-encodes
-		// the video onto the restarted stream.
-		var mt byte
-		var payload []byte
-		var fmsg *protocol.FrameMsg
-		switch c.OffloadMode() {
-		case offload.ModeSplit:
-			msg := c.BuildKeypointFrame(i)
-			msg.SentNanos, msg.RTTNanos = now(), uint64(c.RTTEstimate())
-			mt, payload = protocol.TypeKeypoint, msg.Encode()
-			c.addUplink(len(payload))
-		case offload.ModeShadow:
-			msg := c.BuildSync(i)
-			msg.SentNanos, msg.RTTNanos = now(), uint64(c.RTTEstimate())
-			mt, payload = protocol.TypeKeypoint, msg.Encode()
-			c.addUplink(len(payload))
-		default:
-			fmsg = c.BuildFrame(i)
-			fmsg.SentNanos, fmsg.RTTNanos = now(), uint64(c.RTTEstimate())
-			mt, payload = protocol.TypeFrame, fmsg.Encode()
-		}
-		for {
-			err := protocol.WriteMessage(conn, mt, payload)
-			if err == nil {
-				err = c.awaitPoseResumable(conn, uint32(i))
-			}
-			if err == nil {
-				attempt = 0
-				break
-			}
-			if cerr := connect(); cerr != nil {
-				return cerr
-			}
-			if fmsg != nil {
-				c.reencode(fmsg, i)
-				payload = fmsg.Encode()
-			}
-		}
-		if c.Pace > 0 {
-			time.Sleep(c.Pace)
-		}
-	}
-	_ = protocol.WriteMessage(conn, protocol.TypeBye, nil)
-	return nil
 }
 
 // Mode returns the client's camera mode.
@@ -811,14 +478,12 @@ func (c *Client) UseImageTransfer() {
 	c.encR.GOP = 1
 }
 
-// EnableAdaptive arms adaptive offloading: the hello advertises the
-// QoS class and mode capabilities, pose answers are echo-stamped for
-// RTT measurement, and the server may switch the session between
-// full, split, and shadow modes at runtime.
+// EnableAdaptive sets the QoS class and mode capabilities the hello
+// advertises: with CapSplit and/or CapShadow the server may switch the
+// session between full, split, and shadow modes at runtime.
 func (c *Client) EnableAdaptive(qos offload.QoS, caps offload.Caps) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.adaptive = true
 	c.qos = qos
 	c.caps = caps
 	if c.ex == nil && caps&offload.CapSplit != 0 {
@@ -882,9 +547,8 @@ func (c *Client) noteEcho(echoNanos uint64, now time.Time) {
 
 // ApplyModeSwitch applies a server mode-switch downlink. Epochs
 // increment on every switch, so a stale or reordered command is
-// discarded; a forced mode ignores switches entirely. RunTCPAdaptive
-// calls this itself; custom socket loops call it for TypeModeSwitch
-// downlinks.
+// discarded; a forced mode ignores switches entirely. Run calls this
+// itself; custom socket loops call it for TypeModeSwitch downlinks.
 func (c *Client) ApplyModeSwitch(m *protocol.ModeSwitchMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -912,105 +576,4 @@ func (c *Client) addUplink(n int) {
 	c.mu.Lock()
 	c.upBytes += int64(n)
 	c.mu.Unlock()
-}
-
-// RunTCPAdaptive drives the socket loop with adaptive offloading: the
-// hello carries the QoS class and capabilities from EnableAdaptive,
-// every uplink is send-stamped (the server echoes the stamp on its
-// pose so the client measures RTT and reports it back), and the
-// uplink format follows the server's mode switches frame by frame —
-// encoded video in full mode, extracted keypoints in split mode, and
-// IMU-only sync pings in shadow mode.
-func (c *Client) RunTCPAdaptive(conn net.Conn, frames []int) error {
-	c.mu.Lock()
-	hello := protocol.HelloMsg{
-		ClientID: c.ID,
-		Mode:     c.Seq.Rig.Mode,
-		HasRig:   true,
-		Intr:     c.Seq.Rig.Intr,
-		Baseline: c.Seq.Rig.Baseline,
-		HasQoS:   true,
-		QoS:      byte(c.qos),
-		Caps:     byte(c.caps),
-	}
-	c.mu.Unlock()
-	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
-		return err
-	}
-	errCh := make(chan error, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			mt, payload, err := protocol.ReadMessage(conn)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			switch mt {
-			case protocol.TypePose:
-				pm, err := protocol.DecodePoseMsg(payload)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if pm.HasEcho {
-					c.noteEcho(pm.EchoNanos, time.Now())
-				}
-				if pm.Shed {
-					c.noteShed()
-				}
-				c.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
-				if int(pm.FrameIdx) == frames[len(frames)-1] {
-					errCh <- nil
-					return
-				}
-			case protocol.TypeModeSwitch:
-				ms, err := protocol.DecodeModeSwitchMsg(payload)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				c.ApplyModeSwitch(ms)
-			}
-		}
-	}()
-	for _, i := range frames {
-		var mt byte
-		var payload []byte
-		now := func() uint64 { return uint64(time.Now().UnixNano()) }
-		rtt := uint64(c.RTTEstimate())
-		switch c.OffloadMode() {
-		case offload.ModeSplit:
-			msg := c.BuildKeypointFrame(i)
-			msg.SentNanos, msg.RTTNanos = now(), rtt
-			mt, payload = protocol.TypeKeypoint, msg.Encode()
-			c.addUplink(len(payload))
-		case offload.ModeShadow:
-			msg := c.BuildSync(i)
-			msg.SentNanos, msg.RTTNanos = now(), rtt
-			mt, payload = protocol.TypeKeypoint, msg.Encode()
-			c.addUplink(len(payload))
-		default:
-			msg := c.BuildFrame(i)
-			msg.SentNanos, msg.RTTNanos = now(), rtt
-			mt, payload = protocol.TypeFrame, msg.Encode()
-		}
-		if err := protocol.WriteMessage(conn, mt, payload); err != nil {
-			return fmt.Errorf("client: send frame %d: %w", i, err)
-		}
-		if c.Pace > 0 {
-			time.Sleep(c.Pace)
-		}
-	}
-	<-done
-	select {
-	case err := <-errCh:
-		if err != nil {
-			return err
-		}
-	default:
-	}
-	_ = protocol.WriteMessage(conn, protocol.TypeBye, nil)
-	return nil
 }

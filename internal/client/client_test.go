@@ -1,15 +1,11 @@
 package client
 
 import (
-	"fmt"
-	"net"
 	"testing"
 
 	"slamshare/internal/camera"
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
-	"slamshare/internal/overload"
-	"slamshare/internal/server"
 )
 
 func TestBuildFrameBasics(t *testing.T) {
@@ -104,98 +100,6 @@ func TestDisplacedClientAnchor(t *testing.T) {
 	// Both rotated by yaw about world Z: their Z components agree.
 	if zPlain.Z-zDisp.Z > 1e-9 {
 		t.Error("displacement broke gravity alignment")
-	}
-}
-
-// failingConn closes the underlying connection on its nth write,
-// simulating a link that dies mid-session.
-type failingConn struct {
-	net.Conn
-	writes int
-	failAt int
-}
-
-func (f *failingConn) Write(p []byte) (int, error) {
-	f.writes++
-	if f.failAt > 0 && f.writes >= f.failAt {
-		f.Conn.Close()
-		return 0, fmt.Errorf("injected link failure on write %d", f.writes)
-	}
-	return f.Conn.Write(p)
-}
-
-// A connection that dies mid-run must not end the session: the client
-// redials with backoff, restarts its video streams intra, and resumes
-// from the first unanswered frame — every frame sent exactly once
-// through BuildFrame (the IMU chain must not fork).
-func TestRunTCPReconnect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full system test")
-	}
-	srv, err := server.New(server.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go srv.Serve(l)
-
-	seq := dataset.V202(camera.Stereo)
-	c := New(3, seq)
-	dials := 0
-	dial := func() (net.Conn, error) {
-		dials++
-		nc, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			return nil, err
-		}
-		if dials == 1 {
-			// Hello costs 2 writes, each frame 2 more: the link dies on
-			// the 6th frame.
-			return &failingConn{Conn: nc, failAt: 12}, nil
-		}
-		return nc, nil
-	}
-	pol := overload.Backoff{Base: 5, Factor: 2, Max: 50, Jitter: 0.2, MaxAttempts: 10, Seed: 42}
-	frames := make([]int, 15)
-	for i := range frames {
-		frames[i] = i
-	}
-	if err := c.RunTCPReconnect(dial, frames, pol); err != nil {
-		t.Fatal(err)
-	}
-	if dials < 2 {
-		t.Fatalf("dials = %d, the injected failure never forced a reconnect", dials)
-	}
-	if got := c.FramesSent(); got != len(frames) {
-		t.Errorf("FramesSent = %d, want %d (frames must be built exactly once)", got, len(frames))
-	}
-	if got := len(c.Trajectory()); got != len(frames) {
-		t.Errorf("trajectory has %d samples, want %d", got, len(frames))
-	}
-	t.Logf("reconnected after dial 1 died; %d dials total", dials)
-}
-
-// Exhausting the retry budget surfaces an error instead of spinning.
-func TestRunTCPReconnectExhaustsBudget(t *testing.T) {
-	seq := dataset.V202(camera.Stereo)
-	c := New(4, seq)
-	dials := 0
-	dial := func() (net.Conn, error) {
-		dials++
-		return nil, fmt.Errorf("no route")
-	}
-	pol := overload.Backoff{Base: 0.1, Factor: 1, Max: 1, MaxAttempts: 3, Seed: 7}
-	err := c.RunTCPReconnect(dial, []int{0}, pol)
-	if err == nil {
-		t.Fatal("unreachable server reported success")
-	}
-	if dials != 3 {
-		t.Errorf("dials = %d, want exactly MaxAttempts = 3", dials)
 	}
 }
 

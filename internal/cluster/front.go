@@ -362,7 +362,7 @@ func (f *Front) serveSession(client net.Conn) {
 	}()
 
 	// Uplink pump: one goroutine owns the client read side.
-	up := make(chan message, 64)
+	up := make(chan message, protocol.UplinkWindow)
 	go func() {
 		defer close(up)
 		for {

@@ -1,6 +1,7 @@
 // Package metrics implements the paper's evaluation metrics:
 // absolute trajectory error (cumulative and short-term, Appendix C),
-// latency statistics, and the CPU busy-time meters behind Fig. 13.
+// counters and gauges, and the CPU busy-time meters behind Fig. 13.
+// Latency distributions live in internal/obs.
 package metrics
 
 import (
@@ -156,65 +157,6 @@ func ShortTermSeries(est, truth Trajectory, step, window float64) []CumulativePo
 		})
 	}
 	return out
-}
-
-// LatencyStats summarizes a set of durations.
-type LatencyStats struct {
-	N                   int
-	Mean, P50, P90, P99 time.Duration
-	Min, Max, Total     time.Duration
-}
-
-// Latencies collects duration samples; safe for concurrent use.
-type Latencies struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-// Add records one sample.
-func (l *Latencies) Add(d time.Duration) {
-	l.mu.Lock()
-	l.samples = append(l.samples, d)
-	l.mu.Unlock()
-}
-
-// Stats computes summary statistics.
-func (l *Latencies) Stats() LatencyStats {
-	l.mu.Lock()
-	s := make([]time.Duration, len(l.samples))
-	copy(s, l.samples)
-	l.mu.Unlock()
-	if len(s) == 0 {
-		return LatencyStats{}
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	var total time.Duration
-	for _, d := range s {
-		total += d
-	}
-	idx := func(q float64) time.Duration {
-		// Nearest rank: the value whose 1-based rank is ceil(q*N). The
-		// previous floor indexing int(q*(N-1)) under-reported upper
-		// quantiles for small N (P99 of two samples returned the min).
-		i := int(math.Ceil(q*float64(len(s)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
-	}
-	return LatencyStats{
-		N:     len(s),
-		Mean:  total / time.Duration(len(s)),
-		P50:   idx(0.50),
-		P90:   idx(0.90),
-		P99:   idx(0.99),
-		Min:   s[0],
-		Max:   s[len(s)-1],
-		Total: total,
-	}
 }
 
 // CPUMeter accumulates busy time of a component against wall-clock

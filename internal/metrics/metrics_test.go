@@ -120,78 +120,6 @@ func TestShortTermSeries(t *testing.T) {
 	}
 }
 
-func TestLatencies(t *testing.T) {
-	var l Latencies
-	if s := l.Stats(); s.N != 0 {
-		t.Error("empty stats nonzero")
-	}
-	for i := 1; i <= 100; i++ {
-		l.Add(time.Duration(i) * time.Millisecond)
-	}
-	s := l.Stats()
-	if s.N != 100 {
-		t.Errorf("N = %d", s.N)
-	}
-	if s.Min != time.Millisecond || s.Max != 100*time.Millisecond {
-		t.Errorf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if s.Mean != 50500*time.Microsecond {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if s.P50 < 45*time.Millisecond || s.P50 > 55*time.Millisecond {
-		t.Errorf("p50 = %v", s.P50)
-	}
-	if s.P99 < 95*time.Millisecond {
-		t.Errorf("p99 = %v", s.P99)
-	}
-}
-
-// TestLatenciesQuantileNearestRank pins the nearest-rank semantics the
-// floor indexing int(q*(N-1)) got wrong for small N: P99 of two
-// samples must be the max, not the min.
-func TestLatenciesQuantileNearestRank(t *testing.T) {
-	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
-	cases := []struct {
-		name          string
-		samples       []int
-		p50, p90, p99 int
-	}{
-		{"N=1", []int{7}, 7, 7, 7},
-		{"N=2", []int{1, 9}, 1, 9, 9},
-		{"N=4", []int{1, 2, 4, 8}, 2, 8, 8},
-		{"N=100", seqInts(1, 100), 50, 90, 99},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var l Latencies
-			for _, v := range tc.samples {
-				l.Add(ms(v))
-			}
-			s := l.Stats()
-			if s.P50 != ms(tc.p50) {
-				t.Errorf("P50 = %v, want %v", s.P50, ms(tc.p50))
-			}
-			if s.P90 != ms(tc.p90) {
-				t.Errorf("P90 = %v, want %v", s.P90, ms(tc.p90))
-			}
-			if s.P99 != ms(tc.p99) {
-				t.Errorf("P99 = %v, want %v", s.P99, ms(tc.p99))
-			}
-			if s.P50 > s.P90 || s.P90 > s.P99 || s.P99 > s.Max {
-				t.Errorf("quantiles not monotone: %+v", s)
-			}
-		})
-	}
-}
-
-func seqInts(lo, hi int) []int {
-	out := make([]int, 0, hi-lo+1)
-	for v := lo; v <= hi; v++ {
-		out = append(out, v)
-	}
-	return out
-}
-
 func TestCPUMeter(t *testing.T) {
 	m := NewCPUMeter()
 	m.Add(30 * time.Millisecond)

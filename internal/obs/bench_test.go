@@ -50,7 +50,7 @@ func BenchmarkStageObserve(b *testing.B) {
 }
 
 // BenchmarkHistogramObserve isolates the histogram cost (no clock, no
-// ring) — the price of replacing metrics.Latencies on the hot path.
+// ring) — what recording a latency on the hot path costs.
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram("bench")
 	b.ReportAllocs()

@@ -204,8 +204,8 @@ func (s HistogramSnapshot) Summary() Summary {
 	}
 }
 
-// Summary is the latency digest of one histogram — the replacement for
-// the sort-on-read metrics.LatencyStats in server/session stats.
+// Summary is the latency digest of one histogram, as server/session
+// stats report it.
 type Summary struct {
 	N                   int64
 	Mean, P50, P90, P99 time.Duration

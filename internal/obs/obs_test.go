@@ -47,8 +47,7 @@ func TestBucketRelativeError(t *testing.T) {
 }
 
 // TestHistogramQuantiles is the table-driven nearest-rank coverage the
-// issue asks for: N=1,2,4,100 (mirrored for metrics.Latencies in
-// internal/metrics).
+// quantile rule is pinned by: N=1,2,4,100.
 func TestHistogramQuantiles(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -59,8 +58,8 @@ func TestHistogramQuantiles(t *testing.T) {
 		{"N=1 p50", []time.Duration{5 * time.Millisecond}, 0.50, 5 * time.Millisecond},
 		{"N=1 p99", []time.Duration{5 * time.Millisecond}, 0.99, 5 * time.Millisecond},
 		{"N=2 p50", []time.Duration{1 * time.Millisecond, 9 * time.Millisecond}, 0.50, 1 * time.Millisecond},
-		// Nearest rank: ceil(0.99*2)=2 -> the max, not the min (the old
-		// metrics.Latencies floor indexing returned P50 here).
+		// Nearest rank: ceil(0.99*2)=2 -> the max, not the min (floor
+		// indexing int(q*(N-1)) would return P50 here).
 		{"N=2 p99", []time.Duration{1 * time.Millisecond, 9 * time.Millisecond}, 0.99, 9 * time.Millisecond},
 		{"N=4 p50", []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond}, 0.50, 2 * time.Millisecond},
 		{"N=4 p99", []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond}, 0.99, 8 * time.Millisecond},

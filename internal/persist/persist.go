@@ -41,13 +41,16 @@ const DefaultCheckpointEvery = 30 * time.Second
 // evaluation reads: checkpoint duration, journal throughput, replay
 // time, and the recovery-time ATE delta.
 type Stats struct {
-	Checkpoints      metrics.Counter
-	CheckpointBytes  metrics.Counter
-	JournalRecords   metrics.Counter
-	JournalBytes     metrics.Counter
-	ReplayedRecords  metrics.Counter
-	CheckpointLat    metrics.Latencies
-	ReplayLat        metrics.Latencies
+	Checkpoints     metrics.Counter
+	CheckpointBytes metrics.Counter
+	JournalRecords  metrics.Counter
+	JournalBytes    metrics.Counter
+	ReplayedRecords metrics.Counter
+	// CheckpointLat times completed checkpoints (the persist.checkpoint
+	// stage of Options.Obs also spans failed ones); ReplayLat times
+	// journal replays at recovery.
+	CheckpointLat    *obs.Histogram
+	ReplayLat        *obs.Histogram
 	RecoveryATEDelta metrics.Gauge
 }
 
@@ -89,7 +92,10 @@ func Open(opts Options, m *smap.Map, anchors *holo.Registry, lastSeq uint64, loc
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	stats := &Stats{}
+	stats := &Stats{
+		CheckpointLat: obs.NewHistogram("persist.checkpoint"),
+		ReplayLat:     obs.NewHistogram("persist.replay"),
+	}
 	j, err := openJournal(opts.Dir, lastSeq, opts.Fsync, stats)
 	if err != nil {
 		return nil, err
@@ -187,7 +193,7 @@ func (mgr *Manager) CheckpointNow() error {
 	}
 	mgr.stats.Checkpoints.Inc()
 	mgr.stats.CheckpointBytes.Add(int64(n))
-	mgr.stats.CheckpointLat.Add(time.Since(t0))
+	mgr.stats.CheckpointLat.Observe(time.Since(t0))
 	mgr.prune(seq)
 	return nil
 }

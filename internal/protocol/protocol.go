@@ -48,6 +48,13 @@ const (
 // experiments produce).
 const MaxMessageSize = 64 << 20
 
+// UplinkWindow is how many uplinks one device session may have
+// unanswered at once: the depth of a server's (or front's)
+// per-connection inbound queue, and therefore the bound on an open-loop
+// client's ledger — a device that keeps within it never blocks the
+// socket reader at the other end.
+const UplinkWindow = 64
+
 // ErrTooLarge is returned for messages beyond MaxMessageSize.
 var ErrTooLarge = errors.New("protocol: message too large")
 

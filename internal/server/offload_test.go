@@ -12,6 +12,7 @@ import (
 	"slamshare/internal/dataset"
 	"slamshare/internal/obs"
 	"slamshare/internal/offload"
+	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 )
 
@@ -151,21 +152,23 @@ func TestSplitSpanTraceSkipsStages(t *testing.T) {
 }
 
 // TestAdaptiveSessionDowngradesOverTCP drives the full adaptive wire
-// path: a drone-class client with aggressive thresholds is pushed off
-// full offload by its own uplink backlog, receives the ModeSwitch
-// downlink, and switches its uplink format mid-run.
+// path: a drone-class client is pushed off full offload by the RTT it
+// reports, receives the ModeSwitch downlink, and switches its uplink
+// format mid-run.
 func TestAdaptiveSessionDowngradesOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full system test")
 	}
 	cfg := DefaultConfig()
-	// Any backlog at all downgrades, and the dwell outlasts the run so
-	// the downgrade sticks: every frame after it must arrive as a
-	// keypoint upload.
+	// Any measured RTT at all downgrades — the trigger is the first
+	// uplink sent after the first echoed answer, not a backlog that only
+	// forms when the sender happens to outrun the server — and load
+	// never does. The dwell outlasts the run so the downgrade sticks:
+	// every frame built after it must arrive as a keypoint upload.
 	cfg.Offload = offload.Config{
-		SplitLoad:  0.5,
-		ShadowLoad: 100,
-		SplitRTT:   time.Hour,
+		SplitLoad:  1e6,
+		ShadowLoad: 1e6,
+		SplitRTT:   time.Nanosecond,
 		Hysteresis: time.Minute,
 	}
 	srv, err := New(cfg)
@@ -177,20 +180,20 @@ func TestAdaptiveSessionDowngradesOverTCP(t *testing.T) {
 
 	seq := dataset.MH04(camera.Stereo)
 	cl := client.New(3, seq)
-	// Camera-rate pacing: without it the firehose sender finishes
-	// before the first ModeSwitch downlink arrives.
+	// Camera-rate pacing: an open loop, so the switch lands with frames
+	// in flight, and 1.8 s of sender sleep in which the server answers
+	// the handful of frames the trigger needs.
 	cl.Pace = 30 * time.Millisecond
 	cl.EnableAdaptive(offload.QoSDrone, offload.CapSplit|offload.CapShadow)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	frames := make([]int, 60)
 	for i := range frames {
 		frames[i] = i
 	}
-	if err := cl.RunTCPAdaptive(conn, frames); err != nil {
+	if err := cl.Run(client.ConnDialer(conn), frames, overload.Backoff{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.NetStats().ModeSwitches.Load(); got == 0 {

@@ -443,7 +443,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: persist: %w", err)
 		}
 		pmgr.Stats().ReplayedRecords.Add(int64(rec.ReplayedRecords))
-		pmgr.Stats().ReplayLat.Add(rec.ReplayTime)
+		pmgr.Stats().ReplayLat.Observe(rec.ReplayTime)
 	}
 	s := &Server{
 		cfg:            cfg,
@@ -1200,7 +1200,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// shedding, and the per-message deadlines evict idle connections
 	// and frozen peers (a peer that sends a partial message and stalls
 	// used to wedge this goroutine forever).
-	in := make(chan inbound, 64)
+	in := make(chan inbound, protocol.UplinkWindow)
 	rdErr := make(chan error, 1)
 	done := make(chan struct{})
 	defer close(done)
@@ -1231,36 +1231,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		return protocol.WriteMessage(conn, mt, payload) == nil
 	}
-	writePose := func(pm protocol.PoseMsg) bool {
-		if !writeMsg(protocol.TypePose, pm.Encode()) {
-			return false
-		}
-		// The answer left this process, so the client (or its front) may
-		// hold it: advance the shard-side resume watermark the adoption
-		// probe reads. Shed answers count — the client's ledger treats
-		// them as answered too.
-		if sess != nil {
-			s.noteAnswered(sess.ID, pm.FrameIdx, byte(sess.OffloadMode()))
-		}
-		return true
-	}
-	// echo stamps the client's send time onto the reply so the client
-	// can measure round-trip time (RTT = receive time - echoed stamp).
-	// Only adaptive sessions get the extended PoseMsg; legacy clients
-	// would reject the longer encoding.
-	echo := func(pm protocol.PoseMsg, sent uint64) protocol.PoseMsg {
-		if sess != nil && sess.ctrl != nil && sent != 0 {
-			pm.HasEcho = true
-			pm.EchoNanos = sent
-		}
-		return pm
-	}
 	// maybeSwitchMode runs one offload-policy step after a frame is
 	// answered and pushes a mode switch downlink when the controller
 	// moves. Inputs: client-reported RTT, trackpool pressure, and this
 	// connection's own uplink backlog. Returns false on a dead socket.
 	maybeSwitchMode := func(backlog int) bool {
-		if sess == nil || sess.ctrl == nil {
+		if sess.ctrl == nil {
 			return true
 		}
 		din := offload.Inputs{RTT: time.Duration(sess.rttNanos), Backlog: backlog}
@@ -1284,6 +1260,25 @@ func (s *Server) serveConn(conn net.Conn) {
 			Reason:    reason,
 			SentNanos: uint64(time.Now().UnixNano()),
 		}).Encode())
+	}
+	// answer sends the one pose every uplink gets and then runs the
+	// policy step. sent is the uplink's send stamp: adaptive sessions get
+	// it echoed so the client can measure round-trip time (legacy
+	// clients would reject the longer encoding).
+	answer := func(pm protocol.PoseMsg, sent uint64) bool {
+		if sess.ctrl != nil && sent != 0 {
+			pm.HasEcho = true
+			pm.EchoNanos = sent
+		}
+		if !writeMsg(protocol.TypePose, pm.Encode()) {
+			return false
+		}
+		// The answer left this process, so the client (or its front) may
+		// hold it: advance the shard-side resume watermark the adoption
+		// probe reads. Shed answers count — the client's ledger treats
+		// them as answered too.
+		s.noteAnswered(sess.ID, pm.FrameIdx, byte(sess.OffloadMode()))
+		return maybeSwitchMode(len(in))
 	}
 
 	// peer is set once the connection identifies itself as a cluster
@@ -1347,112 +1342,71 @@ func (s *Server) serveConn(conn net.Conn) {
 				sess.ConfigureOffload(offload.QoS(hello.QoS), offload.Caps(hello.Caps))
 			}
 			s.net.SessionsOpened.Inc()
-		case protocol.TypeFrame:
+		case protocol.TypeFrame, protocol.TypeKeypoint:
+			// One uplink path for all three offload modes: video frame
+			// (full), keypoint frame (split), sync ping (shadow).
 			if sess == nil {
 				return
 			}
-			msg, err := protocol.DecodeFrameMsg(m.payload)
+			var fm *protocol.FrameMsg
+			var km *protocol.KeypointMsg
+			var idx uint32
+			var stamp float64
+			var sent, rtt uint64
+			var err error
+			if m.mt == protocol.TypeFrame {
+				if fm, err = protocol.DecodeFrameMsg(m.payload); err == nil {
+					idx, stamp, sent, rtt = fm.FrameIdx, fm.Stamp, fm.SentNanos, fm.RTTNanos
+				}
+			} else if km, err = protocol.DecodeKeypointMsg(m.payload); err == nil {
+				idx, stamp, sent, rtt = km.FrameIdx, km.Stamp, km.SentNanos, km.RTTNanos
+			}
 			if err != nil {
 				s.net.FramesRejected.Inc()
 				return
 			}
-			sess.lag.Note(msg.Stamp)
-			if msg.RTTNanos != 0 {
-				sess.rttNanos = msg.RTTNanos
+			sess.lag.Note(stamp)
+			if rtt != 0 {
+				sess.rttNanos = rtt
 			}
-			// Deadline-aware shedding (process-latest): when the frames
-			// queued behind this one represent more wall-clock lag than
-			// the budget, answer it immediately with a Shed pose — the
-			// client's IMU dead-reckoning covers the gap (Alg. 1) — and
-			// spend the tracking time on a fresher frame. Frames are
-			// only shed while tracking is OK: during initialization and
-			// relocalization every frame is keyframe-critical.
-			if len(in) > 0 && sess.lag.ShouldShed(len(in)) &&
-				sess.tracker.State() == tracking.OK {
-				sess.ShedFrame(msg)
-				s.net.FramesShed.Inc()
-				if !writePose(echo(protocol.PoseMsg{
-					FrameIdx: msg.FrameIdx, Pose: geom.IdentitySE3(), Shed: true,
-				}, msg.SentNanos)) {
-					return
-				}
-				if !maybeSwitchMode(len(in)) {
-					return
-				}
-				continue
-			}
-			res, err := sess.HandleFrame(msg)
-			if err != nil {
-				return
-			}
-			pm := echo(protocol.PoseMsg{
-				FrameIdx: msg.FrameIdx, Pose: res.Pose, Tracked: res.Tracked,
-			}, msg.SentNanos)
-			if !writePose(pm) {
-				return
-			}
-			if !maybeSwitchMode(len(in)) {
-				return
-			}
-		case protocol.TypeKeypoint:
-			if sess == nil {
-				return
-			}
-			msg, err := protocol.DecodeKeypointMsg(m.payload)
-			if err != nil {
-				s.net.FramesRejected.Inc()
-				return
-			}
-			sess.lag.Note(msg.Stamp)
-			if msg.RTTNanos != 0 {
-				sess.rttNanos = msg.RTTNanos
-			}
-			// Shadow-mode sync ping: absorb the IMU delta, answer with a
-			// Shed pose (the client is tracking locally and only needs
-			// the echo for its RTT estimate), and run the policy so the
-			// session can be upgraded once load clears.
-			if msg.Flags&protocol.KeypointSyncOnly != 0 {
-				sess.HandleSync(msg)
-				if !writePose(echo(protocol.PoseMsg{
-					FrameIdx: msg.FrameIdx, Pose: geom.IdentitySE3(), Shed: true,
-				}, msg.SentNanos)) {
-					return
-				}
-				if !maybeSwitchMode(len(in)) {
-					return
-				}
-				continue
-			}
-			// Split-mode frames shed by the same wall-clock budget as
-			// full ones — no decoders to feed here, just the motion
-			// model so the next tracked frame's prior spans the gap.
-			if len(in) > 0 && sess.lag.ShouldShed(len(in)) &&
-				sess.tracker.State() == tracking.OK {
-				if sess.mmReady {
-					sess.mm.ApproxPoseUpdateMM(msg.Delta)
+			// Untracked answers carry no pose: the client keeps
+			// dead-reckoning on its IMU (Alg. 1) and only needs the echo.
+			pm := protocol.PoseMsg{FrameIdx: idx, Pose: geom.IdentitySE3(), Shed: true}
+			switch {
+			case km != nil && km.Flags&protocol.KeypointSyncOnly != 0:
+				// Shadow-mode sync ping: absorb the IMU delta; the policy
+				// step after the answer can upgrade the session once load
+				// clears.
+				sess.HandleSync(km)
+			case len(in) > 0 && sess.lag.ShouldShed(len(in)) &&
+				sess.tracker.State() == tracking.OK:
+				// Deadline-aware shedding (process-latest): the uplinks
+				// queued behind this one represent more wall-clock lag
+				// than the budget, so spend the tracking time on a fresher
+				// one. Only while tracking is OK: during initialization
+				// and relocalization every frame is keyframe-critical. The
+				// stream side effects still happen — video decoders see
+				// every frame, and the motion model integrates the delta
+				// so the next tracked frame's prior spans the gap.
+				if fm != nil {
+					sess.ShedFrame(fm)
+				} else if sess.mmReady {
+					sess.mm.ApproxPoseUpdateMM(km.Delta)
 				}
 				s.net.FramesShed.Inc()
-				if !writePose(echo(protocol.PoseMsg{
-					FrameIdx: msg.FrameIdx, Pose: geom.IdentitySE3(), Shed: true,
-				}, msg.SentNanos)) {
+			default:
+				var res Result
+				if fm != nil {
+					res, err = sess.HandleFrame(fm)
+				} else {
+					res, err = sess.HandleKeypoints(km)
+				}
+				if err != nil {
 					return
 				}
-				if !maybeSwitchMode(len(in)) {
-					return
-				}
-				continue
+				pm = protocol.PoseMsg{FrameIdx: idx, Pose: res.Pose, Tracked: res.Tracked}
 			}
-			res, err := sess.HandleKeypoints(msg)
-			if err != nil {
-				return
-			}
-			pm := echo(protocol.PoseMsg{
-				FrameIdx: msg.FrameIdx, Pose: res.Pose, Tracked: res.Tracked,
-			}, msg.SentNanos)
-			if !writePose(pm) {
-				return
-			}
-			if !maybeSwitchMode(len(in)) {
+			if !answer(pm, sent) {
 				return
 			}
 		case protocol.TypeBye:

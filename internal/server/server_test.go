@@ -10,6 +10,7 @@ import (
 	"slamshare/internal/dataset"
 	"slamshare/internal/metrics"
 	"slamshare/internal/netem"
+	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 )
 
@@ -200,7 +201,6 @@ func TestServeOverTCPWithNetem(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := netem.Wrap(raw, netem.DelayOnly(5e6)) // 5 ms each way
-	defer conn.Close()
 
 	seq := dataset.MH04(camera.Stereo)
 	cl := client.New(7, seq)
@@ -208,7 +208,7 @@ func TestServeOverTCPWithNetem(t *testing.T) {
 	for i := range frames {
 		frames[i] = i
 	}
-	if err := cl.RunTCP(conn, frames); err != nil {
+	if err := cl.Run(client.ConnDialer(conn), frames, overload.Backoff{}); err != nil {
 		t.Fatal(err)
 	}
 	ate := metrics.ATE(cl.Trajectory(), truthTrajectory(seq, 40, 1))

@@ -43,6 +43,7 @@ import (
 	"slamshare/internal/netem"
 	"slamshare/internal/obs"
 	"slamshare/internal/offload"
+	"slamshare/internal/overload"
 	"slamshare/internal/persist"
 	"slamshare/internal/protocol"
 	"slamshare/internal/server"
@@ -305,7 +306,7 @@ type Session = server.Session
 type SessionResult = server.Result
 
 // OpenSession registers a device with the server for in-process use
-// (experiments, tests); networked devices use Device.RunTCP instead.
+// (experiments, tests); networked devices use Device.Run instead.
 func (s *EdgeServer) OpenSession(clientID uint32, rig Rig) (*Session, error) {
 	return s.inner.OpenSession(clientID, rig)
 }
@@ -314,8 +315,27 @@ func (s *EdgeServer) OpenSession(clientID uint32, rig Rig) (*Session, error) {
 func (s *EdgeServer) CloseSession(clientID uint32) { s.inner.CloseSession(clientID) }
 
 // Device is a SLAM-Share client device replaying a sequence: IMU
-// integration + video encoding on-device, SLAM on the server.
+// integration + video encoding on-device, SLAM on the server. Its one
+// socket loop is Device.Run(dial, frames, retry): hello, uplinks in the
+// session's offload mode, pose and mode-switch downlinks, and — when
+// the dialer can redial — reconnect and session resume.
 type Device = client.Client
+
+// Dialer supplies Device.Run with connections; RetryPolicy is the
+// jittered backoff (delays in milliseconds) it redials under. The zero
+// RetryPolicy retries immediately and without bound.
+type (
+	Dialer      = client.Dialer
+	RetryPolicy = overload.Backoff
+)
+
+// ConnDialer runs a session over one already-open (e.g. shaped)
+// connection; the session ends with the link.
+func ConnDialer(conn net.Conn) Dialer { return client.ConnDialer(conn) }
+
+// AddrDialer dials TCP addresses in rotation: one server, or a list of
+// replicated fronts of which any survivor can adopt the session.
+func AddrDialer(addrs ...string) Dialer { return client.AddrDialer(addrs...) }
 
 // NewDevice creates a device for a sequence, anchored at the
 // sequence's initial ground-truth pose.
@@ -334,8 +354,9 @@ func NewDisplacedDevice(id uint32, seq *Sequence, yaw float64, offset Vec3) *Dev
 // Adaptive offloading re-exports: per-session negotiation of how much
 // of the SLAM pipeline runs on the edge server (full video upload,
 // split keypoint upload, or shadow map-only sync), driven by measured
-// RTT, server load and the session's QoS class. Enable on a Device
-// with EnableAdaptive + RunTCPAdaptive, or pin a mode with ForceMode.
+// RTT, server load and the session's QoS class. Advertise a Device's
+// class and capabilities with EnableAdaptive, or pin a mode with
+// ForceMode, before Device.Run.
 type (
 	// OffloadMode is a session's offload mode; higher is more degraded.
 	OffloadMode = offload.Mode
