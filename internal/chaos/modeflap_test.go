@@ -217,8 +217,12 @@ func TestModeFlapUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqs[name] = HalfRes(s)
+		seqs[name] = s
 	}
+	// A Sequence renders for one caller at a time (its renderer caches
+	// patches in a plain map), so every client gets its own over the
+	// shared, read-only world.
+	halfRes := func(name string) *dataset.Sequence { return HalfRes(seqs[name]) }
 
 	classes := []offload.QoS{
 		offload.QoSHeadset, offload.QoSHeadset,
@@ -252,7 +256,7 @@ func TestModeFlapUnderLoad(t *testing.T) {
 				slow: 250 * time.Millisecond, fast: 2 * time.Millisecond,
 			})
 			outcomes <- outcome{st, err}
-		}(uint32(idx+1), qos, seqs[name])
+		}(uint32(idx+1), qos, halfRes(name))
 	}
 	wg.Wait()
 	close(outcomes)

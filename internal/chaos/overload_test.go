@@ -176,8 +176,12 @@ func TestOverloadScenario(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqs[name] = HalfRes(s)
+		seqs[name] = s
 	}
+	// A Sequence renders for one caller at a time (its renderer caches
+	// patches in a plain map), so every client gets its own over the
+	// shared, read-only world.
+	halfRes := func(name string) *dataset.Sequence { return HalfRes(seqs[name]) }
 
 	type outcome struct {
 		st  *burstStats
@@ -195,12 +199,12 @@ func TestOverloadScenario(t *testing.T) {
 			defer wg.Done()
 			st, err := runBurstClient(addr, id, seq, 40, 2, 4)
 			outcomes <- outcome{st, err}
-		}(id, seqs[name])
+		}(id, halfRes(name))
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st, err := runLockstepClient(addr, poisonerID, seqs["MH05"], 40, 2)
+		st, err := runLockstepClient(addr, poisonerID, halfRes("MH05"), 40, 2)
 		outcomes <- outcome{st, err}
 	}()
 	wg.Wait()

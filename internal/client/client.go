@@ -217,10 +217,7 @@ func (c *Client) BuildFrame(i int) *protocol.FrameMsg {
 		// this cost).
 		c.encMeter.Time(func() {
 			left, right := c.Seq.StereoFrame(i)
-			msg.Video = c.encL.Encode(left)
-			if right != nil {
-				msg.VideoRight = c.encR.Encode(right)
-			}
+			msg.Video, msg.VideoRight = video.EncodeStereo(c.encL, c.encR, left, right)
 		})
 	})
 	c.upBytes += int64(len(msg.Video) + len(msg.VideoRight))
@@ -387,10 +384,7 @@ func (c *Client) ReencodeFrame(msg *protocol.FrameMsg, i int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	left, right := c.Seq.StereoFrame(i)
-	msg.Video = c.encL.Encode(left)
-	if right != nil {
-		msg.VideoRight = c.encR.Encode(right)
-	}
+	msg.Video, msg.VideoRight = video.EncodeStereo(c.encL, c.encR, left, right)
 }
 
 // SessionTokens returns the distinct session states observed through

@@ -575,10 +575,7 @@ func (s *session) capLedger() {
 // shard-connection encoders and returns the refreshed wire payload.
 func (s *session) transcode(p *pendingFrame) []byte {
 	fm := p.fm
-	fm.Video = s.encL.Encode(p.left)
-	if p.right != nil {
-		fm.VideoRight = s.encR.Encode(p.right)
-	}
+	fm.Video, fm.VideoRight = video.EncodeStereo(s.encL, s.encR, p.left, p.right)
 	return fm.Encode()
 }
 

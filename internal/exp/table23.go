@@ -126,11 +126,7 @@ func Table3(w io.Writer) ([]Table3Row, error) {
 		for i := 0; i < n; i++ {
 			left, right := seq.StereoFrame(i)
 			t0 := time.Now()
-			payload := enc.Encode(left)
-			var payloadR []byte
-			if right != nil {
-				payloadR = encR.Encode(right)
-			}
+			payload, payloadR := video.EncodeStereo(enc, encR, left, right)
 			encDur += time.Since(t0)
 			vidBytes += len(payload) + len(payloadR)
 			t1 := time.Now()

@@ -23,11 +23,8 @@ func buildRawFrame(seq *dataset.Sequence, encL, encR *video.Encoder, i int, prio
 		ClientID: 1,
 		FrameIdx: uint32(i),
 		Stamp:    seq.FrameTime(i),
-		Video:    encL.Encode(left),
 	}
-	if right != nil {
-		msg.VideoRight = encR.Encode(right)
-	}
+	msg.Video, msg.VideoRight = video.EncodeStereo(encL, encR, left, right)
 	if prior {
 		msg.Prior = seq.GroundTruth(i).Inverse()
 		msg.HasPrior = true
@@ -79,10 +76,8 @@ func TestHandleFrameErrorCounters(t *testing.T) {
 	}
 	blank := left.Clone()
 	blank.Fill(128)
-	lostMsg := &protocol.FrameMsg{
-		ClientID: 1, FrameIdx: 1, Stamp: seq.FrameTime(1),
-		Video: encL.Encode(blank), VideoRight: encR.Encode(blank),
-	}
+	lostMsg := &protocol.FrameMsg{ClientID: 1, FrameIdx: 1, Stamp: seq.FrameTime(1)}
+	lostMsg.Video, lostMsg.VideoRight = video.EncodeStereo(encL, encR, blank, blank)
 	res, err := sess.HandleFrame(lostMsg)
 	if err != nil {
 		t.Fatal(err)

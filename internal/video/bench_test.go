@@ -5,6 +5,7 @@ import (
 
 	"slamshare/internal/camera"
 	"slamshare/internal/dataset"
+	"slamshare/internal/img"
 )
 
 // BenchmarkCodecRoundTrip measures the steady-state per-frame cost of
@@ -45,4 +46,65 @@ func BenchmarkEncodeImage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		EncodeImage(f)
 	}
+}
+
+// mh04Stereo renders the first n stereo frames (every second dataset
+// frame, as the sessions send them) of MH04 at 752x480: the input the
+// device and the front actually encode.
+func mh04Stereo(n int) (lefts, rights []*img.Gray) {
+	seq := dataset.MH04(camera.Stereo)
+	for i := 0; i < n; i++ {
+		l, r := seq.StereoFrame(2 * i)
+		lefts, rights = append(lefts, l), append(rights, r)
+	}
+	return lefts, rights
+}
+
+// benchFrames is below the GOP, so after the priming intra frame every
+// measured frame is a P-frame.
+const benchFrames = 12
+
+var benchPayload []byte
+
+// benchPFrames times encode(k) over frames 1..benchFrames-1, round and
+// round; before each round prime (untimed) restarts the stream and
+// encodes frame 0.
+func benchPFrames(b *testing.B, prime func(), encode func(k int) []byte) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 1 + i%(benchFrames-1)
+		if k == 1 {
+			b.StopTimer()
+			prime()
+			b.StartTimer()
+		}
+		benchPayload = encode(k)
+	}
+}
+
+// BenchmarkEncodeEye measures one eye's P-frame encode on the real
+// input; its B/op is the guard for the pre-sized payload buffer.
+func BenchmarkEncodeEye(b *testing.B) {
+	lefts, _ := mh04Stereo(benchFrames)
+	enc := NewEncoder()
+	benchPFrames(b, func() {
+		enc.Reset()
+		enc.Encode(lefts[0])
+	}, func(k int) []byte { return enc.Encode(lefts[k]) })
+}
+
+// BenchmarkEncodeStereo measures a stereo pair's P-frames, the two
+// eyes overlapped as the client and the front run them.
+func BenchmarkEncodeStereo(b *testing.B) {
+	lefts, rights := mh04Stereo(benchFrames)
+	encL, encR := NewEncoder(), NewEncoder()
+	benchPFrames(b, func() {
+		encL.Reset()
+		encR.Reset()
+		EncodeStereo(encL, encR, lefts[0], rights[0])
+	}, func(k int) []byte {
+		l, _ := EncodeStereo(encL, encR, lefts[k], rights[k])
+		return l
+	})
 }

@@ -64,7 +64,21 @@ func putBuf(p *[]byte) { scratchPool.Put(p) }
 // EncodeImage compresses a single frame independently (the image-
 // transfer baseline): horizontal-predictor filtering + DEFLATE,
 // PNG-style.
-func EncodeImage(f *img.Gray) []byte {
+func EncodeImage(f *img.Gray) []byte { return encodeImage(f, 0) }
+
+// newPayload starts a payload: its 9-byte header, in a buffer with room
+// for an eighth more than prevLen, the length of the stream's previous
+// payload of this kind (0 if there was none) — so a stream in steady
+// state does not grow every payload by doubling.
+func newPayload(kind byte, w, h, prevLen int) *bytes.Buffer {
+	header := make([]byte, 9, 9+prevLen+prevLen/8)
+	header[0] = kind
+	binary.LittleEndian.PutUint32(header[1:], uint32(w))
+	binary.LittleEndian.PutUint32(header[5:], uint32(h))
+	return bytes.NewBuffer(header)
+}
+
+func encodeImage(f *img.Gray, prevLen int) []byte {
 	fp := getBuf(len(f.Pix))
 	filtered := *fp
 	for y := 0; y < f.H; y++ {
@@ -76,14 +90,9 @@ func EncodeImage(f *img.Gray) []byte {
 			prev = v
 		}
 	}
-	var buf bytes.Buffer
-	header := make([]byte, 9)
-	header[0] = frameIntra
-	binary.LittleEndian.PutUint32(header[1:], uint32(f.W))
-	binary.LittleEndian.PutUint32(header[5:], uint32(f.H))
-	buf.Write(header)
+	buf := newPayload(frameIntra, f.W, f.H, prevLen)
 	zw := deflFast.Get().(*flate.Writer)
-	zw.Reset(&buf)
+	zw.Reset(buf)
 	zw.Write(filtered)
 	zw.Close()
 	deflFast.Put(zw)
@@ -123,6 +132,10 @@ type Encoder struct {
 	spare *img.Gray
 	mvs   []byte
 	diff  []byte
+
+	// Lengths of the stream's previous intra and inter payloads, which
+	// size the next one's buffer.
+	intraLen, interLen int
 }
 
 // NewEncoder returns an encoder with the experiment defaults
@@ -155,7 +168,8 @@ func (e *Encoder) Encode(f *img.Gray) []byte {
 		e.recon.W != f.W || e.recon.H != f.H
 	e.count++
 	if isIntra {
-		data := EncodeImage(f)
+		data := encodeImage(f, e.intraLen)
+		e.intraLen = len(data)
 		if e.recon != nil && e.recon.W == f.W && e.recon.H == f.H {
 			copy(e.recon.Pix, f.Pix)
 		} else {
@@ -214,19 +228,34 @@ func (e *Encoder) Encode(f *img.Gray) []byte {
 		mvs[i] -= mvs[i-2]
 		mvs[i+1] -= mvs[i-1]
 	}
-	var buf bytes.Buffer
-	header := make([]byte, 9)
-	header[0] = frameInter
-	binary.LittleEndian.PutUint32(header[1:], uint32(w))
-	binary.LittleEndian.PutUint32(header[5:], uint32(h))
-	buf.Write(header)
+	buf := newPayload(frameInter, w, h, e.interLen)
 	zw := deflDefault.Get().(*flate.Writer)
-	zw.Reset(&buf)
+	zw.Reset(buf)
 	zw.Write(mvs)
 	zw.Write(diff)
 	zw.Close()
 	deflDefault.Put(zw)
+	e.interLen = buf.Len()
 	return buf.Bytes()
+}
+
+// EncodeStereo encodes one stereo pair on its two streams at the same
+// time — the streams share no state, like the per-camera hardware
+// encoder sessions of the paper's devices — and returns when both
+// payloads are complete. A nil right image (a mono rig) encodes the
+// left eye on the caller and returns a nil right payload.
+func EncodeStereo(encL, encR *Encoder, left, right *img.Gray) (l, r []byte) {
+	if right == nil {
+		return encL.Encode(left), nil
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r = encR.Encode(right)
+	}()
+	l = encL.Encode(left)
+	<-done
+	return l, r
 }
 
 // globalMotion estimates the dominant integer translation between the
@@ -270,41 +299,125 @@ func globalMotion(prev, cur *img.Gray) (int, int) {
 	return bestDX * ds, bestDY * ds
 }
 
-// bestMV finds the block motion vector minimizing SAD, trying the
-// global predictor, zero motion, and a local refinement window.
+// mvLimit clamps motion vectors so they fit the byte they are coded in.
+const mvLimit = 60
+
+// bestMV finds the block motion vector minimizing SAD, trying zero
+// motion, the global predictor, and up to two rounds of local
+// refinement around the best so far.
+//
+// Each vector is scored once. One that lost scored at least the best
+// of its time, and the best only falls; a tie keeps the earlier vector
+// because the comparison is strict. So scoring it again can never
+// change the outcome, and a map of the window the two rounds can reach
+// (2*mvRange around the first centre) skips where they overlap without
+// touching the order in which the rest are tried.
 func bestMV(prev, cur *img.Gray, x0, y0, gx, gy int) (int, int) {
-	type cand struct{ dx, dy int }
-	best := cand{0, 0}
+	bx, by := 0, 0
 	bestSAD := blockSAD(prev, cur, x0, y0, 0, 0, 1<<30)
-	try := func(dx, dy int) {
-		if dx < -60 || dx > 60 || dy < -60 || dy > 60 {
-			return
-		}
-		if s := blockSAD(prev, cur, x0, y0, dx, dy, bestSAD); s < bestSAD {
-			bestSAD = s
-			best = cand{dx, dy}
+	inRange := func(dx, dy int) bool {
+		return dx >= -mvLimit && dx <= mvLimit && dy >= -mvLimit && dy <= mvLimit
+	}
+	if inRange(gx, gy) {
+		if s := blockSAD(prev, cur, x0, y0, gx, gy, bestSAD); s < bestSAD {
+			bestSAD, bx, by = s, gx, gy
 		}
 	}
-	try(gx, gy)
-	// Refine around the current best.
-	for r := 0; r < 2; r++ {
-		b := best
-		for dy := -mvRange; dy <= mvRange; dy++ {
-			for dx := -mvRange; dx <= mvRange; dx++ {
-				try(b.dx+dx, b.dy+dy)
+	const span = 4*mvRange + 1
+	var seen [span * span]bool
+	ox, oy := bx-2*mvRange, by-2*mvRange // the window's corner
+	// first records a vector and reports whether it is new. Only the
+	// two starting vectors can lie outside the window.
+	first := func(dx, dy int) bool {
+		i, j := dx-ox, dy-oy
+		if i < 0 || i >= span || j < 0 || j >= span {
+			return true
+		}
+		was := seen[j*span+i]
+		seen[j*span+i] = true
+		return !was
+	}
+	first(0, 0)
+	first(gx, gy)
+	for r := 0; r < 2 && bestSAD > 0; r++ {
+		cx, cy := bx, by
+		for dy := cy - mvRange; dy <= cy+mvRange; dy++ {
+			for dx := cx - mvRange; dx <= cx+mvRange; dx++ {
+				if !first(dx, dy) || !inRange(dx, dy) {
+					continue
+				}
+				if s := blockSAD(prev, cur, x0, y0, dx, dy, bestSAD); s < bestSAD {
+					if s == 0 {
+						return dx, dy // nothing scores below zero
+					}
+					bestSAD, bx, by = s, dx, dy
+				}
 			}
 		}
-		if b == best {
+		if cx == bx && cy == by {
 			break
 		}
 	}
-	return best.dx, best.dy
+	return bx, by
+}
+
+// interior reports whether the block at (x0, y0) — a block origin, so
+// never negative — lies inside a and its displacement by (dx, dy)
+// inside b. It holds for all but the border ring of blocks, and it is
+// the condition under which a block row is eight contiguous bytes in
+// both images.
+func interior(a, b *img.Gray, x0, y0, dx, dy int) bool {
+	sx, sy := x0+dx, y0+dy
+	return x0+blockSize <= a.W && y0+blockSize <= a.H &&
+		sx >= 0 && sy >= 0 && sx+blockSize <= b.W && sy+blockSize <= b.H
+}
+
+// sad8 returns the sum of the absolute differences of the eight bytes
+// of a and b, four bytes at a time: the even bytes, then the odd ones,
+// each in a 16-bit lane with room for a biased subtraction.
+func sad8(a, b uint64) int {
+	const (
+		lo   = 0x00ff00ff00ff00ff
+		ones = 0x0001000100010001
+	)
+	// 0x100 + a - b in every lane; the bias keeps a lane from borrowing
+	// from its neighbour and leaves bit 8 clear exactly where a < b.
+	e := a&lo + ones<<8 - b&lo
+	o := a>>8&lo + ones<<8 - b>>8&lo
+	ne := ^e >> 8 & ones
+	no := ^o >> 8 & ones
+	// In those lanes 0x1ff - d + 1 = 0x100 + b - a, so every lane of x
+	// is 0x200 plus two absolute differences (<= 0x3fe), and one
+	// multiply adds the four lanes into the top one.
+	x := (e ^ ne*0x1ff) + (o ^ no*0x1ff) + ne + no
+	return int(x*ones>>48) - blockSize*0x100
 }
 
 // blockSAD computes the sum of absolute differences of the block at
 // (x0, y0) in cur against prev displaced by (dx, dy), aborting early
 // past limit. Out-of-bounds reference pixels are treated as 0.
 func blockSAD(prev, cur *img.Gray, x0, y0, dx, dy, limit int) int {
+	if !interior(cur, prev, x0, y0, dx, dy) {
+		return blockSADRef(prev, cur, x0, y0, dx, dy, limit)
+	}
+	co, po := y0*cur.W+x0, (y0+dy)*prev.W+x0+dx
+	sad := 0
+	for r := 0; r < blockSize; r++ {
+		sad += sad8(binary.LittleEndian.Uint64(prev.Pix[po:po+8:po+8]),
+			binary.LittleEndian.Uint64(cur.Pix[co:co+8:co+8]))
+		if sad > limit {
+			return sad
+		}
+		co += cur.W
+		po += prev.W
+	}
+	return sad
+}
+
+// blockSADRef is blockSAD pixel by pixel: the path for border blocks
+// and references that leave the image, and the oracle the fast path is
+// tested against.
+func blockSADRef(prev, cur *img.Gray, x0, y0, dx, dy, limit int) int {
 	sad := 0
 	for y := y0; y < y0+blockSize && y < cur.H; y++ {
 		sy := y + dy
@@ -329,6 +442,21 @@ func blockSAD(prev, cur *img.Gray, x0, y0, dx, dy, limit int) int {
 
 // copyBlock writes the motion-compensated prediction of one block.
 func copyBlock(dst, src *img.Gray, x0, y0, dx, dy int) {
+	if !interior(dst, src, x0, y0, dx, dy) {
+		copyBlockRef(dst, src, x0, y0, dx, dy)
+		return
+	}
+	do, so := y0*dst.W+x0, (y0+dy)*src.W+x0+dx
+	for r := 0; r < blockSize; r++ {
+		copy(dst.Pix[do:do+blockSize], src.Pix[so:so+blockSize])
+		do += dst.W
+		so += src.W
+	}
+}
+
+// copyBlockRef is copyBlock pixel by pixel, zero-filling what the
+// reference does not cover.
+func copyBlockRef(dst, src *img.Gray, x0, y0, dx, dy int) {
 	for y := y0; y < y0+blockSize && y < dst.H; y++ {
 		sy := y + dy
 		for x := x0; x < x0+blockSize && x < dst.W; x++ {
@@ -340,16 +468,6 @@ func copyBlock(dst, src *img.Gray, x0, y0, dx, dy int) {
 			dst.Pix[y*dst.W+x] = pv
 		}
 	}
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Decoder reconstructs the frame stream produced by an Encoder.
@@ -377,6 +495,14 @@ func (d *Decoder) Decode(data []byte) (*img.Gray, error) {
 	return f, nil
 }
 
+// DEFLATE cannot expand its input more than 1032:1 (a 258-byte match
+// costs at least two bits), so a header that declares more than that,
+// plus a little slack, is lying about its payload.
+const (
+	maxInflate   = 1032
+	inflateSlack = 64
+)
+
 // decodePayload parses either frame kind. For inter frames, prev must
 // be the current reconstruction.
 func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
@@ -388,6 +514,26 @@ func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
 	h := int(binary.LittleEndian.Uint32(data[5:]))
 	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 {
 		return nil, 0, fmt.Errorf("%w: bad dimensions %dx%d", ErrCorrupt, w, h)
+	}
+	// The inflated size the header promises, checked against what the
+	// payload can deliver before anything is allocated for it: both
+	// ends of the uplink decode bytes straight off the network.
+	bw := (w + blockSize - 1) / blockSize
+	bh := (h + blockSize - 1) / blockSize
+	var plane int
+	switch kind {
+	case frameIntra:
+		plane = w * h
+	case frameInter:
+		if prev == nil || prev.W != w || prev.H != h {
+			return nil, 0, fmt.Errorf("%w: inter frame without reference", ErrCorrupt)
+		}
+		plane = bw*bh*2 + 2*w*h
+	default:
+		return nil, 0, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
+	}
+	if int64(plane) > maxInflate*int64(len(data)-9)+inflateSlack {
+		return nil, 0, fmt.Errorf("%w: %d payload bytes cannot inflate to %dx%d", ErrCorrupt, len(data)-9, w, h)
 	}
 	zr := inflPool.Get().(io.ReadCloser)
 	zr.(flate.Resetter).Reset(bytes.NewReader(data[9:]), nil)
@@ -414,12 +560,7 @@ func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
 			}
 		}
 	case frameInter:
-		if prev == nil || prev.W != w || prev.H != h {
-			return nil, 0, fmt.Errorf("%w: inter frame without reference", ErrCorrupt)
-		}
-		bw := (w + blockSize - 1) / blockSize
-		bh := (h + blockSize - 1) / blockSize
-		pp := getBuf(bw*bh*2 + 2*w*h)
+		pp := getBuf(plane)
 		defer putBuf(pp)
 		payload := *pp
 		if _, err := io.ReadFull(zr, payload); err != nil {
@@ -442,8 +583,6 @@ func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
 			d := int(int16(binary.LittleEndian.Uint16(raw[2*i:])))
 			out.Pix[i] = byte(int(out.Pix[i]) + d)
 		}
-	default:
-		return nil, 0, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
 	}
 	return out, kind, nil
 }

@@ -1,6 +1,11 @@
 package video
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"sync"
 	"testing"
 
 	"slamshare/internal/camera"
@@ -25,6 +30,22 @@ func TestImageRoundTripLossless(t *testing.T) {
 	}
 }
 
+// maxAbsDiff returns the largest per-pixel difference of two images of
+// one size.
+func maxAbsDiff(a, b *img.Gray) int {
+	worst := 0
+	for j := range a.Pix {
+		d := int(a.Pix[j]) - int(b.Pix[j])
+		if d < 0 {
+			d = -d
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
 func TestVideoRoundTripBounded(t *testing.T) {
 	seq := dataset.V202(camera.Mono)
 	enc := NewEncoder()
@@ -36,17 +57,7 @@ func TestVideoRoundTripBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Deadzone quantization bounds per-pixel error by the deadzone.
-		var worst int
-		for j := range f.Pix {
-			d := int(f.Pix[j]) - int(got.Pix[j])
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-		if worst > enc.Deadzone {
+		if worst := maxAbsDiff(f, got); worst > enc.Deadzone {
 			t.Fatalf("frame %d: error %d exceeds deadzone %d", i, worst, enc.Deadzone)
 		}
 	}
@@ -117,6 +128,49 @@ func TestDecoderErrors(t *testing.T) {
 	if _, err := fresh.Decode(inter); err == nil {
 		t.Error("inter without reference accepted")
 	}
+
+	// A header may not claim more pixels than its payload can inflate
+	// to, and the claim must be refused before it is allocated: a bare
+	// 16384x16384 header would otherwise cost 256 MiB.
+	header := func(kind byte, w, h uint32) []byte {
+		b := make([]byte, 9)
+		b[0] = kind
+		binary.LittleEndian.PutUint32(b[1:], w)
+		binary.LittleEndian.PutUint32(b[5:], h)
+		return b
+	}
+	bomb := header(frameIntra, 1<<14, 1<<14)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := NewDecoder().Decode(bomb)
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("bare 16384x16384 header: err = %v, want ErrCorrupt", err)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Errorf("bare 16384x16384 header allocated %d bytes before it was refused", got)
+	}
+	// The same with a real but far too short DEFLATE stream behind it,
+	// intra and (against a decoder that holds a reference) inter.
+	small := EncodeImage(img.New(64, 64))
+	big := append(header(frameIntra, 4096, 4096), small[9:]...)
+	if _, err := NewDecoder().Decode(big); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("4096x4096 header on a 64x64 stream: err = %v, want ErrCorrupt", err)
+	}
+	ref := NewDecoder()
+	flat := img.New(2048, 2048)
+	enc2 := NewEncoder()
+	if _, err := ref.Decode(enc2.Encode(flat)); err != nil {
+		t.Fatalf("flat 2048x2048 intra frame refused: %v", err)
+	}
+	if _, err := ref.Decode(append(header(frameInter, 2048, 2048), inter[9:]...)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("2048x2048 inter header on a 64x64 stream: err = %v, want ErrCorrupt", err)
+	}
+	// The best case the codec itself produces — a flat image, which
+	// DEFLATE shrinks close to its 1032:1 limit — still decodes.
+	if _, err := ref.Decode(enc2.Encode(flat)); err != nil {
+		t.Errorf("flat 2048x2048 inter frame refused: %v", err)
+	}
 }
 
 func TestEncoderReintraAfterResize(t *testing.T) {
@@ -139,4 +193,72 @@ func TestStreamStats(t *testing.T) {
 	if (StreamStats{}).BitrateMbps(30) != 0 {
 		t.Error("empty stream bitrate nonzero")
 	}
+}
+
+func TestEncodeStereo(t *testing.T) {
+	// Two eyes at once must be two serial encodes, byte for byte, over
+	// a stream that crosses from the intra frame into P-frames.
+	seq := dataset.MH04(camera.Stereo)
+	encL, encR := NewEncoder(), NewEncoder()
+	serL, serR := NewEncoder(), NewEncoder()
+	for i := 0; i < 12; i++ {
+		left, right := seq.StereoFrame(i)
+		l, r := EncodeStereo(encL, encR, left, right)
+		if wl, wr := serL.Encode(left), serR.Encode(right); !bytes.Equal(l, wl) || !bytes.Equal(r, wr) {
+			t.Fatalf("frame %d: EncodeStereo differs from two serial Encode calls", i)
+		}
+	}
+}
+
+func TestEncodeStereoMono(t *testing.T) {
+	f := dataset.V202(camera.Mono).Frame(0)
+	encL, encR := NewEncoder(), NewEncoder()
+	before := runtime.NumGoroutine()
+	l, r := EncodeStereo(encL, encR, f, nil)
+	if r != nil {
+		t.Errorf("mono: right payload of %d bytes, want nil", len(r))
+	}
+	if !bytes.Equal(l, NewEncoder().Encode(f)) {
+		t.Error("mono: left payload differs from Encode")
+	}
+	if encR.count != 0 {
+		t.Error("mono: the right stream advanced")
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("mono: %d goroutines before, %d after", before, after)
+	}
+}
+
+func TestEncodeStereoConcurrentSessions(t *testing.T) {
+	// Two sessions encoding and decoding at once share only the pools;
+	// run under -race.
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			seq := dataset.V202(camera.Stereo) // a Sequence renders for one caller at a time
+			encL, encR := NewEncoder(), NewEncoder()
+			decL, decR := NewDecoder(), NewDecoder()
+			for i := 0; i < 4; i++ {
+				left, right := seq.StereoFrame(2*i + s)
+				l, r := EncodeStereo(encL, encR, left, right)
+				for _, c := range []struct {
+					dec     *Decoder
+					payload []byte
+					want    *img.Gray
+				}{{decL, l, left}, {decR, r, right}} {
+					got, err := c.dec.Decode(c.payload)
+					if err != nil {
+						t.Errorf("session %d frame %d: %v", s, i, err)
+						return
+					}
+					if d := maxAbsDiff(c.want, got); d > encL.Deadzone {
+						t.Errorf("session %d frame %d: error %d exceeds deadzone", s, i, d)
+					}
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
 }
