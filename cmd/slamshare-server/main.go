@@ -11,59 +11,49 @@ import (
 	"time"
 
 	"slamshare"
+	"slamshare/internal/gpu"
+	"slamshare/internal/server"
 )
 
 func main() {
+	// Every knob is a field of server.Config: the flags bind straight
+	// onto it. A zero value takes the default server.New fills in; where
+	// a negative value means something, the flag says what.
+	cfg := server.DefaultConfig()
 	addr := flag.String("addr", "127.0.0.1:7007", "listen address")
 	debugAddr := flag.String("debug-addr", "", "serve live observability (/debug/vars, /debug/spans, /debug/pprof/) on this address (empty = disabled)")
 	gpuLanes := flag.Int("gpu-lanes", 8, "simulated GPU lanes (0 = CPU only)")
-	lanesPerClient := flag.Int("lanes-per-client", 4, "GSlice lanes per client session (only without batched tracking)")
-	trackWorkers := flag.Int("track-workers", 0, "batched tracking pool workers shared by all sessions (0 = GOMAXPROCS, negative = disable batching)")
+	flag.IntVar(&cfg.LanesPerClient, "lanes-per-client", 4, "GSlice lanes per client session (only without batched tracking)")
+	flag.IntVar(&cfg.TrackWorkers, "track-workers", 0, "batched tracking pool workers shared by all sessions (0 = GOMAXPROCS, negative = disable batching)")
 	shmGB := flag.Int64("shm-gb", 2, "shared-memory budget in GiB")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for durable map checkpoints + journal (empty = no persistence)")
-	checkpointEvery := flag.Duration("checkpoint-every", 30*time.Second, "background checkpoint interval")
-	fsyncJournal := flag.Bool("fsync-journal", false, "fsync every journal batch")
-	maxSessions := flag.Int("max-sessions", 0, "admission ceiling on concurrent device sessions (0 = default 64, negative = unlimited)")
-	maxMerges := flag.Int("max-merges", 0, "ceiling on concurrent map merges (0 = default 2, negative = unlimited)")
-	shedBudget := flag.Duration("shed-budget", 0, "per-session backlog budget before stale frames are shed (0 = shedding disabled)")
-	idleTimeout := flag.Duration("idle-timeout", 0, "evict connections idle this long (0 = default 2m, negative = never)")
-	readTimeout := flag.Duration("read-timeout", 0, "evict peers stalled mid-message this long (0 = default 30s, negative = never)")
-	frameDeadline := flag.Duration("frame-deadline", 0, "per-frame tracking budget; over it, frames skip refinement (0 = no deadline)")
-	maxMapKF := flag.Int("max-map-kf", 0, "resident keyframe budget; past it the lifecycle manager culls redundant keyframes (0 = unbounded)")
-	evictAfter := flag.Uint64("evict-after", 0, "evict map regions untouched for this many handled frames to disk, reloading on demand (0 = never; needs -checkpoint-dir)")
-	splitLoad := flag.Float64("split-load", 0, "server load at which full-offload sessions degrade to split keypoint upload (0 = policy default 2)")
-	shadowLoad := flag.Float64("shadow-load", 0, "server load at which split sessions degrade to shadow map-only sync; headsets are exempt (0 = policy default 6)")
-	splitRTT := flag.Duration("split-rtt", 0, "RTT beyond which full offload degrades to split regardless of load (0 = policy default 150ms)")
-	modeHysteresis := flag.Duration("mode-hysteresis", 0, "minimum dwell between offload mode switches (0 = policy default 2s)")
-	reservedSlots := flag.Int("reserved-slots", 0, "tracking-pool admission slots held back for headset (QoS 0) frames (0 = none)")
+	flag.StringVar(&cfg.Persist.Dir, "checkpoint-dir", "", "directory for durable map checkpoints + journal (empty = no persistence)")
+	flag.DurationVar(&cfg.Persist.CheckpointEvery, "checkpoint-every", 30*time.Second, "background checkpoint interval")
+	flag.BoolVar(&cfg.Persist.Fsync, "fsync-journal", false, "fsync every journal batch")
+	flag.IntVar(&cfg.Overload.MaxSessions, "max-sessions", 0, "admission ceiling on concurrent device sessions (0 = default 64, negative = unlimited)")
+	flag.IntVar(&cfg.Overload.MaxMergesInFlight, "max-merges", 0, "ceiling on concurrent map merges (0 = default 2, negative = unlimited)")
+	flag.DurationVar(&cfg.Overload.ShedBudget, "shed-budget", 0, "per-session backlog budget before stale frames are shed (0 = shedding disabled)")
+	flag.DurationVar(&cfg.Overload.IdleTimeout, "idle-timeout", 0, "evict connections idle this long (0 = default 2m, negative = never)")
+	flag.DurationVar(&cfg.Overload.ReadTimeout, "read-timeout", 0, "evict peers stalled mid-message this long (0 = default 30s, negative = never)")
+	flag.DurationVar(&cfg.TrackCfg.FrameDeadline, "frame-deadline", 0, "per-frame tracking budget; over it, frames skip refinement (0 = no deadline)")
+	flag.IntVar(&cfg.Lifecycle.MaxKeyFrames, "max-map-kf", 0, "resident keyframe budget; past it the lifecycle manager culls redundant keyframes (0 = unbounded)")
+	flag.Uint64Var(&cfg.Lifecycle.EvictAfter, "evict-after", 0, "evict map regions untouched for this many handled frames to disk, reloading on demand (0 = never; needs -checkpoint-dir)")
+	flag.Float64Var(&cfg.Offload.SplitLoad, "split-load", 0, "server load at which full-offload sessions degrade to split keypoint upload (0 = policy default 2)")
+	flag.Float64Var(&cfg.Offload.ShadowLoad, "shadow-load", 0, "server load at which split sessions degrade to shadow map-only sync; headsets are exempt (0 = policy default 6)")
+	flag.DurationVar(&cfg.Offload.SplitRTT, "split-rtt", 0, "RTT beyond which full offload degrades to split regardless of load (0 = policy default 150ms)")
+	flag.DurationVar(&cfg.Offload.Hysteresis, "mode-hysteresis", 0, "minimum dwell between offload mode switches (0 = policy default 2s)")
+	flag.IntVar(&cfg.TrackReservedSlots, "reserved-slots", 0, "tracking-pool admission slots held back for headset (QoS 0) frames (0 = none)")
 	shardID := flag.Uint("shard-id", 0, "cluster shard ID (used with slamshare-front; 0 is a valid ID)")
-	shardToken := flag.Uint64("shard-token", 0, "shared secret authenticating shard-to-shard and front-to-shard messages")
+	flag.Uint64Var(&cfg.Shard.Token, "shard-token", 0, "shared secret authenticating shard-to-shard and front-to-shard messages")
 	flag.Parse()
 
-	srv, err := slamshare.NewEdgeServer(slamshare.ServerOptions{
-		GPULanes:           *gpuLanes,
-		LanesPerClient:     *lanesPerClient,
-		TrackWorkers:       *trackWorkers,
-		ShmCapacity:        *shmGB << 30,
-		CheckpointDir:      *checkpointDir,
-		CheckpointEvery:    *checkpointEvery,
-		FsyncJournal:       *fsyncJournal,
-		MaxSessions:        *maxSessions,
-		MaxMergesInFlight:  *maxMerges,
-		ShedBudget:         *shedBudget,
-		IdleTimeout:        *idleTimeout,
-		ReadTimeout:        *readTimeout,
-		FrameDeadline:      *frameDeadline,
-		MaxMapKF:           *maxMapKF,
-		EvictAfter:         *evictAfter,
-		SplitLoad:          *splitLoad,
-		ShadowLoad:         *shadowLoad,
-		SplitRTT:           *splitRTT,
-		ModeHysteresis:     *modeHysteresis,
-		TrackReservedSlots: *reservedSlots,
-		ShardID:            uint32(*shardID),
-		ShardToken:         *shardToken,
-	})
+	if *gpuLanes > 0 {
+		gcfg := gpu.DefaultConfig()
+		gcfg.Lanes = *gpuLanes
+		cfg.GPU = gpu.NewDevice(gcfg)
+	}
+	cfg.RegionCapacity = *shmGB << 30
+	cfg.Shard.ID = uint32(*shardID)
+	srv, err := server.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +61,7 @@ func main() {
 
 	if rec := srv.Recovery(); rec != nil {
 		log.Printf("recovered map from %s: %d keyframes, %d map points (checkpoint seq %d + %d journal records in %v)",
-			*checkpointDir, srv.GlobalMap().NKeyFrames(), srv.GlobalMap().NMapPoints(),
+			cfg.Persist.Dir, srv.Global().NKeyFrames(), srv.Global().NMapPoints(),
 			rec.CheckpointSeq, rec.ReplayedRecords, rec.ReplayTime.Round(time.Millisecond))
 	}
 
@@ -100,7 +90,7 @@ func main() {
 		defer ticker.Stop()
 		lastMerges := 0
 		for range ticker.C {
-			g := srv.GlobalMap()
+			g := srv.Global()
 			reports := srv.MergeReports()
 			log.Printf("global map: %d keyframes, %d map points, %d merges",
 				g.NKeyFrames(), g.NMapPoints(), len(reports))

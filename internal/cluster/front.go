@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -542,12 +541,9 @@ func (s *session) uplink(m message) bool {
 	}
 	if m.mt == protocol.TypeKeypoint {
 		// Split-mode frames carry no video; forward verbatim but track
-		// them for the exactly-once answer guarantee. FrameMsg and
-		// KeypointMsg both open with ClientID then FrameIdx.
+		// them for the exactly-once answer guarantee.
 		p := pendingFrame{mt: m.mt, payload: m.payload}
-		if len(m.payload) >= 8 {
-			p.idx = binary.LittleEndian.Uint32(m.payload[4:8])
-		}
+		p.idx, _ = protocol.PeekFrameIdx(m.mt, m.payload)
 		s.unacked = append(s.unacked, p)
 		return s.forwardPending()
 	}
@@ -604,10 +600,9 @@ func (s *session) downlink(m message) bool {
 	s.connGot = true
 	switch m.mt {
 	case protocol.TypePose:
-		// PoseMsg opens with FrameIdx; settle the matching ledger entry
-		// (not the head — a reconnect replay can answer out of order).
-		if len(m.payload) >= 4 {
-			idx := binary.LittleEndian.Uint32(m.payload[:4])
+		// Settle the matching ledger entry (not the head — a reconnect
+		// replay can answer out of order).
+		if idx, ok := protocol.PeekFrameIdx(m.mt, m.payload); ok {
 			s.settle(idx)
 			if s.caps&protocol.CapResume != 0 {
 				if tagged := s.attachToken(m.payload, idx); tagged != nil {

@@ -5,8 +5,7 @@
 // needed by pose optimization, bundle adjustment and Horn alignment.
 //
 // All types are plain value types with no hidden allocation so they can
-// live inside shared-memory arenas (see internal/shm) and be copied
-// freely between goroutines.
+// be copied freely between the goroutines that share the global map.
 package geom
 
 import "math"

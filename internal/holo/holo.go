@@ -9,13 +9,13 @@
 package holo
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 
+	"slamshare/internal/codec"
 	"slamshare/internal/geom"
 )
 
@@ -184,26 +184,18 @@ func (r *Registry) Encode() []byte {
 		anchors = append(anchors, a)
 	}
 	sort.Slice(anchors, func(i, j int) bool { return anchors[i].ID < anchors[j].ID })
-	var buf []byte
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	u64(uint64(len(anchors)))
-	u64(r.next)
+	var w codec.Writer
+	w.U64(uint64(len(anchors)))
+	w.U64(r.next)
 	for _, a := range anchors {
-		u64(a.ID)
-		u64(uint64(len(a.Label)))
-		buf = append(buf, a.Label...)
-		f64(a.Pose.R.W)
-		f64(a.Pose.R.X)
-		f64(a.Pose.R.Y)
-		f64(a.Pose.R.Z)
-		f64(a.Pose.T.X)
-		f64(a.Pose.T.Y)
-		f64(a.Pose.T.Z)
-		u64(uint64(a.Owner))
-		f64(a.Stamp)
+		w.U64(a.ID)
+		w.U64(uint64(len(a.Label)))
+		w.B = append(w.B, a.Label...)
+		w.Pose(a.Pose)
+		w.U64(uint64(a.Owner))
+		w.F64(a.Stamp)
 	}
-	return buf
+	return w.B
 }
 
 // EncodeAnchors serializes a bare anchor list — the boundary-exchange
@@ -261,45 +253,34 @@ func (r *Registry) OwnedBy(owner uint32) []Anchor {
 	return out
 }
 
+// Limits a registry payload may claim before it is called corrupt.
+const (
+	maxAnchors  = 1 << 20
+	maxLabelLen = 1 << 16
+)
+
 // Decode reconstructs a registry serialized by Encode.
 func Decode(data []byte) (*Registry, error) {
-	off := 0
-	u64 := func() uint64 {
-		if off+8 > len(data) {
-			off = len(data) + 1
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v
-	}
-	f64 := func() float64 { return math.Float64frombits(u64()) }
-	n := u64()
-	next := u64()
-	if off > len(data) || n > 1<<20 {
+	rd := codec.NewReader(data)
+	n := rd.U64()
+	next := rd.U64()
+	if rd.Err() != nil || n > maxAnchors {
 		return nil, ErrCorrupt
 	}
 	r := NewRegistry()
 	r.next = next
 	for i := uint64(0); i < n; i++ {
 		a := &Anchor{}
-		a.ID = u64()
-		ln := u64()
-		if off > len(data) || off+int(ln) > len(data) || ln > 1<<16 {
+		a.ID = rd.U64()
+		ln := rd.U64()
+		if ln > maxLabelLen {
 			return nil, ErrCorrupt
 		}
-		a.Label = string(data[off : off+int(ln)])
-		off += int(ln)
-		a.Pose.R.W = f64()
-		a.Pose.R.X = f64()
-		a.Pose.R.Y = f64()
-		a.Pose.R.Z = f64()
-		a.Pose.T.X = f64()
-		a.Pose.T.Y = f64()
-		a.Pose.T.Z = f64()
-		a.Owner = uint32(u64())
-		a.Stamp = f64()
-		if off > len(data) {
+		a.Label = string(rd.Raw(int(ln)))
+		a.Pose = rd.Pose()
+		a.Owner = uint32(rd.U64())
+		a.Stamp = rd.F64()
+		if rd.Err() != nil {
 			return nil, ErrCorrupt
 		}
 		r.anchors[a.ID] = a

@@ -98,6 +98,12 @@ type Report struct {
 // adjustment and essential-graph optimization applied. The persistence
 // layer (internal/persist) implements it to make merges replayable
 // after a crash; a nil Journal disables the notifications.
+//
+// One ordering rule: a record handed to the Journal is sequenced after
+// the observer records of every map mutation that happened before the
+// call, and before those of every mutation after it. The merger calls
+// with no map stripe lock held, which is what lets an implementation
+// wait for the observer queue to drain.
 type Journal interface {
 	// MergeApplied marks a merge boundary: the similarity transform
 	// that carried the client map into global coordinates, and how many
@@ -415,9 +421,11 @@ func (mg *Merger) Merge(cmap *smap.Map) (rep Report, err error) {
 	rep.Insert = time.Since(ti)
 
 	// Fuse duplicate points: each inlier pair collapses the client
-	// point into the global point. The fuse record must precede the
-	// erase record the fuse emits, so replay redirects the bindings
-	// before the point disappears.
+	// point into the global point. The journal orders each record it is
+	// handed directly after every map mutation made before the call
+	// (see the Journal contract), so the fuse record lands after the
+	// staged insert's records and before the erase the fuse emits:
+	// replay finds both points, redirects the bindings, then erases.
 	tf := time.Now()
 	for _, pair := range al.Pairs {
 		if mg.Journal != nil {

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -10,11 +9,11 @@ import (
 	"strconv"
 	"strings"
 
+	"slamshare/internal/bow"
+	"slamshare/internal/codec"
 	"slamshare/internal/holo"
 	"slamshare/internal/smap"
 	"slamshare/internal/wire"
-
-	"slamshare/internal/bow"
 )
 
 // Checkpoint file layout:
@@ -45,22 +44,20 @@ func checkpointPath(dir string, seq uint64) string {
 // fsync, rename. A crash mid-write leaves no partial checkpoint behind
 // under the durable name.
 func writeCheckpoint(dir string, seq uint64, mapBlob, holoBlob []byte) (int, error) {
-	buf := make([]byte, 0, 4+1+8+4+len(mapBlob)+4+len(holoBlob)+4)
-	buf = binary.LittleEndian.AppendUint32(buf, ckptMagic)
-	buf = append(buf, ckptVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mapBlob)))
-	buf = append(buf, mapBlob...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(holoBlob)))
-	buf = append(buf, holoBlob...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	w := codec.Writer{B: make([]byte, 0, 4+1+8+4+len(mapBlob)+4+len(holoBlob)+4)}
+	w.U32(ckptMagic)
+	w.U8(ckptVersion)
+	w.U64(seq)
+	w.Bytes(mapBlob)
+	w.Bytes(holoBlob)
+	w.U32(crc32.ChecksumIEEE(w.B))
 
 	tmp, err := os.CreateTemp(dir, "checkpoint-*.tmp")
 	if err != nil {
 		return 0, err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(w.B); err != nil {
 		tmp.Close()
 		return 0, err
 	}
@@ -74,7 +71,7 @@ func writeCheckpoint(dir string, seq uint64, mapBlob, holoBlob []byte) (int, err
 	if err := os.Rename(tmp.Name(), checkpointPath(dir, seq)); err != nil {
 		return 0, err
 	}
-	return len(buf), nil
+	return len(w.B), nil
 }
 
 // readCheckpoint validates and decodes one checkpoint file.
@@ -86,40 +83,34 @@ func readCheckpoint(path string, voc *bow.Vocabulary) (m *smap.Map, anchors *hol
 	if len(data) < 4+1+8+4+4+4 || len(data) > maxCheckpointBytes {
 		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: bad size %d", ErrCorrupt, filepath.Base(path), len(data))
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
+	body, tail := data[:len(data)-4], codec.NewReader(data[len(data)-4:])
+	if crc32.ChecksumIEEE(body) != tail.U32() {
 		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: crc mismatch", ErrCorrupt, filepath.Base(path))
 	}
-	if binary.LittleEndian.Uint32(body) != ckptMagic {
+	r := codec.NewReader(body)
+	if r.U32() != ckptMagic {
 		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: bad magic", ErrCorrupt, filepath.Base(path))
 	}
-	if body[4] != ckptVersion {
-		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: version %d", wire.ErrVersion, filepath.Base(path), body[4])
+	if v := r.U8(); v != ckptVersion {
+		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: version %d", wire.ErrVersion, filepath.Base(path), v)
 	}
-	seq = binary.LittleEndian.Uint64(body[5:])
-	off := 4 + 1 + 8
-	mapLen := int(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
-	if mapLen < 0 || off+mapLen > len(body) {
+	seq = r.U64()
+	mapBlob := r.Bytes(len(body))
+	if r.Err() != nil {
 		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: map blob overruns file", ErrCorrupt, filepath.Base(path))
 	}
-	m, err = wire.DecodeMap(body[off:off+mapLen], voc)
+	m, err = wire.DecodeMap(mapBlob, voc)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("checkpoint %s: %w", filepath.Base(path), err)
 	}
-	off += mapLen
-	if off+4 > len(body) {
-		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: missing anchor section", ErrCorrupt, filepath.Base(path))
+	holoBlob := r.Bytes(len(body))
+	if r.Err() != nil {
+		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: anchor blob missing or overruns file", ErrCorrupt, filepath.Base(path))
 	}
-	holoLen := int(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
-	if holoLen < 0 || off+holoLen > len(body) {
-		return nil, nil, 0, fmt.Errorf("%w: checkpoint %s: anchor blob overruns file", ErrCorrupt, filepath.Base(path))
-	}
-	if holoLen == 0 {
+	if len(holoBlob) == 0 {
 		// Sessions without an anchor registry checkpoint an empty blob.
 		anchors = holo.NewRegistry()
-	} else if anchors, err = holo.Decode(body[off : off+holoLen]); err != nil {
+	} else if anchors, err = holo.Decode(holoBlob); err != nil {
 		return nil, nil, 0, fmt.Errorf("checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return m, anchors, seq, nil

@@ -16,15 +16,14 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"slamshare/internal/codec"
 	"slamshare/internal/geom"
 	"slamshare/internal/obs"
 	"slamshare/internal/smap"
@@ -46,6 +45,14 @@ var ErrCorrupt = errors.New("persist: corrupt file")
 // hot path never blocks on encoding or I/O. A torn tail (crash
 // mid-write) fails the CRC and replay stops there — exactly the WAL
 // contract.
+//
+// Ordering: the journal has one ordered producer. Entity records reach
+// it through the map's observer queue; the records the merger, the
+// shard importer and the lifecycle manager write directly (fuse, pose
+// correction, merge / import / eviction markers) first wait for every
+// observer event enqueued before them (barrier). A record therefore
+// never overtakes the mutations that preceded it on the live map, and
+// replaying the journal in sequence order rebuilds the live map.
 const (
 	journalMagic        = 0x534C574A // "SLWJ"
 	journalVersion byte = 1
@@ -84,6 +91,8 @@ type Journal struct {
 	dir   string
 	fsync bool
 	stats *Stats
+	// m is the journaled map; barrier drains its observer queue.
+	m *smap.Map
 	// stWAL, when non-nil, records a "wal.append" span per drained
 	// batch (seq = latest record sequence covered by the batch). The
 	// spans live on the writer goroutine: the hot-path append only
@@ -107,11 +116,12 @@ type Journal struct {
 
 // openJournal starts a new journal file in dir whose records continue
 // from lastSeq.
-func openJournal(dir string, lastSeq uint64, fsync bool, stats *Stats) (*Journal, error) {
+func openJournal(dir string, lastSeq uint64, fsync bool, stats *Stats, m *smap.Map) (*Journal, error) {
 	j := &Journal{
 		dir:   dir,
 		fsync: fsync,
 		stats: stats,
+		m:     m,
 		seq:   lastSeq,
 		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
@@ -135,11 +145,11 @@ func (j *Journal) openFileLocked(baseSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	var hdr [journalHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], journalMagic)
-	hdr[4] = journalVersion
-	binary.LittleEndian.PutUint64(hdr[5:], baseSeq)
-	if _, err := f.Write(hdr[:]); err != nil {
+	hdr := codec.Writer{B: make([]byte, 0, journalHeaderBytes)}
+	hdr.U32(journalMagic)
+	hdr.U8(journalVersion)
+	hdr.U64(baseSeq)
+	if _, err := f.Write(hdr.B); err != nil {
 		f.Close()
 		return err
 	}
@@ -170,16 +180,17 @@ func (j *Journal) append(op byte, body []byte) {
 		return
 	}
 	j.seq++
-	n := uint32(8 + 1 + len(body))
-	var rec [recordHeaderBytes]byte
-	binary.LittleEndian.PutUint32(rec[0:], n)
-	binary.LittleEndian.PutUint64(rec[8:], j.seq)
-	rec[16] = op
-	crc := crc32.ChecksumIEEE(rec[8:])
-	crc = crc32.Update(crc, crc32.IEEETable, body)
-	binary.LittleEndian.PutUint32(rec[4:], crc)
-	j.pending = append(j.pending, rec[:]...)
-	j.pending = append(j.pending, body...)
+	// The CRC covers what follows it: sequence, op, body.
+	covered := codec.Writer{B: make([]byte, 0, 8+1)}
+	covered.U64(j.seq)
+	covered.U8(op)
+	crc := crc32.Update(crc32.ChecksumIEEE(covered.B), crc32.IEEETable, body)
+	w := codec.Writer{B: j.pending}
+	w.U32(uint32(len(covered.B) + len(body)))
+	w.U32(crc)
+	w.Raw(covered.B)
+	w.Raw(body)
+	j.pending = w.B
 	j.mu.Unlock()
 	if j.stats != nil {
 		j.stats.JournalRecords.Inc()
@@ -303,63 +314,10 @@ func (j *Journal) close() error {
 	return err
 }
 
-// ---- encoding helpers ----
-
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-func appendPose(b []byte, p geom.SE3) []byte {
-	b = appendF64(b, p.R.W)
-	b = appendF64(b, p.R.X)
-	b = appendF64(b, p.R.Y)
-	b = appendF64(b, p.R.Z)
-	return appendVec3(b, p.T)
-}
-func appendVec3(b []byte, v geom.Vec3) []byte {
-	b = appendF64(b, v.X)
-	b = appendF64(b, v.Y)
-	return appendF64(b, v.Z)
-}
-
-type byteReader struct {
-	buf []byte
-	off int
-	err bool
-}
-
-func (r *byteReader) u32() uint32 {
-	if r.err || r.off+4 > len(r.buf) {
-		r.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-func (r *byteReader) u64() uint64 {
-	if r.err || r.off+8 > len(r.buf) {
-		r.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *byteReader) pose() geom.SE3 {
-	var p geom.SE3
-	p.R.W = r.f64()
-	p.R.X = r.f64()
-	p.R.Y = r.f64()
-	p.R.Z = r.f64()
-	p.T = r.vec3()
-	return p
-}
-func (r *byteReader) vec3() geom.Vec3 {
-	return geom.Vec3{X: r.f64(), Y: r.f64(), Z: r.f64()}
-}
+// barrier sequences a directly written record after every observer
+// event the map enqueued before it (see the ordering note above). The
+// caller must hold no map stripe lock.
+func (j *Journal) barrier() { j.m.FlushEvents() }
 
 // ---- smap.Observer ----
 
@@ -370,18 +328,27 @@ func (j *Journal) KeyFrameAdded(kf *smap.KeyFrame) { j.append(opKeyFrame, wire.E
 func (j *Journal) MapPointAdded(mp *smap.MapPoint) { j.append(opMapPoint, wire.EncodeMapPoint(mp)) }
 
 // KeyFrameErased journals a keyframe cull.
-func (j *Journal) KeyFrameErased(id smap.ID) { j.append(opEraseKeyFrame, appendU64(nil, id)) }
+func (j *Journal) KeyFrameErased(id smap.ID) { j.appendIDs(opEraseKeyFrame, id) }
 
 // MapPointErased journals a map-point cull.
-func (j *Journal) MapPointErased(id smap.ID) { j.append(opEraseMapPoint, appendU64(nil, id)) }
+func (j *Journal) MapPointErased(id smap.ID) { j.appendIDs(opEraseMapPoint, id) }
+
+// appendIDs journals a record whose body is a fixed list of IDs.
+func (j *Journal) appendIDs(op byte, ids ...smap.ID) {
+	w := codec.Writer{B: make([]byte, 0, 8*len(ids))}
+	for _, id := range ids {
+		w.U64(id)
+	}
+	j.append(op, w.B)
+}
 
 // ObservationAdded journals a keypoint-to-map-point binding.
 func (j *Journal) ObservationAdded(kfID, mpID smap.ID, kpIdx int) {
-	b := make([]byte, 0, 20)
-	b = appendU64(b, kfID)
-	b = appendU64(b, mpID)
-	b = appendU32(b, uint32(kpIdx))
-	j.append(opObservation, b)
+	w := codec.Writer{B: make([]byte, 0, 20)}
+	w.U64(kfID)
+	w.U64(mpID)
+	w.U32(uint32(kpIdx))
+	j.append(opObservation, w.B)
 }
 
 // ---- merge.Journal ----
@@ -389,25 +356,20 @@ func (j *Journal) ObservationAdded(kfID, mpID smap.ID, kpIdx int) {
 // MergeApplied journals a merge boundary (informational: the transform
 // and insert sizes; the inserted entities follow as their own records).
 func (j *Journal) MergeApplied(tf geom.Sim3, insertedKFs, insertedMPs int) {
-	b := make([]byte, 0, 8*8+8)
-	b = appendF64(b, tf.R.W)
-	b = appendF64(b, tf.R.X)
-	b = appendF64(b, tf.R.Y)
-	b = appendF64(b, tf.R.Z)
-	b = appendVec3(b, tf.T)
-	b = appendF64(b, tf.S)
-	b = appendU32(b, uint32(insertedKFs))
-	b = appendU32(b, uint32(insertedMPs))
-	j.append(opMerge, b)
+	w := codec.Writer{B: make([]byte, 0, 8*8+8)}
+	w.Pose(geom.SE3{R: tf.R, T: tf.T})
+	w.F64(tf.S)
+	w.U32(uint32(insertedKFs))
+	w.U32(uint32(insertedMPs))
+	j.barrier()
+	j.append(opMerge, w.B)
 }
 
 // PointsFused journals a duplicate-point fusion; replay redirects the
 // client point's bindings to the global point before erasing it.
 func (j *Journal) PointsFused(clientPt, globalPt smap.ID) {
-	b := make([]byte, 0, 16)
-	b = appendU64(b, clientPt)
-	b = appendU64(b, globalPt)
-	j.append(opFuse, b)
+	j.barrier()
+	j.appendIDs(opFuse, clientPt, globalPt)
 }
 
 // ---- cross-shard import brackets ----
@@ -419,10 +381,11 @@ func (j *Journal) PointsFused(clientPt, globalPt smap.ID) {
 // durable, recovery rolls the whole import back by discarding the
 // journal from this record on (see Recover's import horizon).
 func (j *Journal) ShardImportBegin(epoch uint64, client uint32) {
-	b := make([]byte, 0, 12)
-	b = appendU64(b, epoch)
-	b = appendU32(b, client)
-	j.append(opShardImport, b)
+	w := codec.Writer{B: make([]byte, 0, 12)}
+	w.U64(epoch)
+	w.U32(client)
+	j.barrier()
+	j.append(opShardImport, w.B)
 }
 
 // ShardImportEnd journals the end of a cross-shard boundary import,
@@ -431,29 +394,33 @@ func (j *Journal) ShardImportBegin(epoch uint64, client uint32) {
 // journals its own compensating erase/restore records), so recovery
 // must NOT discard them.
 func (j *Journal) ShardImportEnd(epoch uint64, committed bool) {
-	b := make([]byte, 0, 9)
-	b = appendU64(b, epoch)
-	if committed {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	j.append(opShardImportEnd, b)
+	w := codec.Writer{B: make([]byte, 0, 9)}
+	w.U64(epoch)
+	w.Bool(committed)
+	j.barrier()
+	j.append(opShardImportEnd, w.B)
 }
 
 // PosesCorrected journals the post-adjustment poses of a merge's seam
 // BA and essential-graph optimization.
 func (j *Journal) PosesCorrected(kfPoses map[smap.ID]geom.SE3, mpPositions map[smap.ID]geom.Vec3) {
-	b := make([]byte, 0, 8+len(kfPoses)*64+len(mpPositions)*32)
-	b = appendU32(b, uint32(len(kfPoses)))
+	w := codec.Writer{B: make([]byte, 0, 8+len(kfPoses)*poseEntryBytes+len(mpPositions)*posEntryBytes)}
+	w.U32(uint32(len(kfPoses)))
 	for id, p := range kfPoses {
-		b = appendU64(b, id)
-		b = appendPose(b, p)
+		w.U64(id)
+		w.Pose(p)
 	}
-	b = appendU32(b, uint32(len(mpPositions)))
+	w.U32(uint32(len(mpPositions)))
 	for id, v := range mpPositions {
-		b = appendU64(b, id)
-		b = appendVec3(b, v)
+		w.U64(id)
+		w.Vec3(v)
 	}
-	j.append(opPoses, b)
+	j.barrier()
+	j.append(opPoses, w.B)
 }
+
+// Entry sizes of an opPoses body: an ID with a pose or a position.
+const (
+	poseEntryBytes = 8 + 7*8
+	posEntryBytes  = 8 + 3*8
+)

@@ -96,7 +96,7 @@ func Open(opts Options, m *smap.Map, anchors *holo.Registry, lastSeq uint64, loc
 		CheckpointLat: obs.NewHistogram("persist.checkpoint"),
 		ReplayLat:     obs.NewHistogram("persist.replay"),
 	}
-	j, err := openJournal(opts.Dir, lastSeq, opts.Fsync, stats)
+	j, err := openJournal(opts.Dir, lastSeq, opts.Fsync, stats, m)
 	if err != nil {
 		return nil, err
 	}

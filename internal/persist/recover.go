@@ -1,12 +1,12 @@
 package persist
 
 import (
-	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"time"
 
 	"slamshare/internal/bow"
+	"slamshare/internal/codec"
 	"slamshare/internal/holo"
 	"slamshare/internal/smap"
 	"slamshare/internal/wire"
@@ -152,42 +152,15 @@ type importHorizon struct {
 func scanImportHorizon(dir string, journals []uint64) (importHorizon, bool) {
 	var open *importHorizon
 	for idx, base := range journals {
-		data, err := os.ReadFile(journalPath(dir, base))
-		if err != nil {
-			break
-		}
-		if len(data) < journalHeaderBytes ||
-			binary.LittleEndian.Uint32(data) != journalMagic || data[4] != journalVersion {
-			break
-		}
-		off := journalHeaderBytes
-		clean := true
-		for off+recordHeaderBytes <= len(data) {
-			n := int(binary.LittleEndian.Uint32(data[off:]))
-			if n < 9 || n > maxRecordBytes || off+8+n > len(data) {
-				clean = false
-				break
-			}
-			crc := binary.LittleEndian.Uint32(data[off+4:])
-			payload := data[off+8 : off+8+n]
-			if crc32.ChecksumIEEE(payload) != crc {
-				clean = false
-				break
-			}
-			seq := binary.LittleEndian.Uint64(payload)
-			body := payload[9:]
-			switch payload[8] {
+		clean := forEachRecord(journalPath(dir, base), func(off int64, seq uint64, op byte, body []byte) {
+			switch op {
 			case opShardImport:
-				h := importHorizon{seq: seq, fileIdx: idx, off: int64(off)}
-				if len(body) >= 8 {
-					h.epoch = binary.LittleEndian.Uint64(body)
-				}
-				open = &h
+				r := codec.NewReader(body)
+				open = &importHorizon{seq: seq, epoch: r.U64(), fileIdx: idx, off: off}
 			case opShardImportEnd:
 				open = nil
 			}
-			off += 8 + n
-		}
+		})
 		if !clean {
 			break // replay stops here too; an earlier open bracket still counts
 		}
@@ -198,51 +171,62 @@ func scanImportHorizon(dir string, journals []uint64) (importHorizon, bool) {
 	return *open, true
 }
 
-// replayJournal applies one journal file's records with seq beyond the
-// checkpoint. Returns false if it hit a corrupt record (replay must
-// stop — later files would have sequence gaps).
-func replayJournal(path string, rec *Recovery) bool {
+// forEachRecord walks one journal file, handing fn each valid record
+// with its byte offset in the file. It stops at the first torn or
+// corrupt record and reports whether the file ended cleanly — if not,
+// everything after it is suspect (later files would have sequence
+// gaps).
+func forEachRecord(path string, fn func(off int64, seq uint64, op byte, body []byte)) (clean bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false
 	}
-	if len(data) < journalHeaderBytes ||
-		binary.LittleEndian.Uint32(data) != journalMagic || data[4] != journalVersion {
+	r := codec.NewReader(data)
+	magic, version := r.U32(), r.U8()
+	r.U64() // base sequence; the file name carries it too
+	if r.Err() != nil || magic != journalMagic || version != journalVersion {
 		return false
 	}
-	off := journalHeaderBytes
-	for off+recordHeaderBytes <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if n < 9 || n > maxRecordBytes || off+8+n > len(data) {
-			return false // torn tail
+	for r.Len() >= recordHeaderBytes {
+		off := r.Offset()
+		n, crc := int(r.U32()), r.U32()
+		if n < 8+1 || n > maxRecordBytes {
+			return false
 		}
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		payload := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(payload) != crc {
+		covered := r.Raw(n)
+		if r.Err() != nil || crc32.ChecksumIEEE(covered) != crc {
 			return false // torn or corrupt record
 		}
-		seq := binary.LittleEndian.Uint64(payload)
-		op := payload[8]
-		body := payload[9:]
-		off += 8 + n
+		rec := codec.NewReader(covered)
+		fn(int64(off), rec.U64(), rec.U8(), covered[8+1:])
+	}
+	return r.Len() == 0
+}
+
+// replayJournal applies one journal file's records with seq beyond the
+// checkpoint. Returns false if it hit a corrupt record (replay must
+// stop).
+func replayJournal(path string, rec *Recovery) bool {
+	return forEachRecord(path, func(_ int64, seq uint64, op byte, body []byte) {
 		if seq <= rec.CheckpointSeq {
-			continue // already in the checkpoint snapshot
+			return // already in the checkpoint snapshot
 		}
 		applyRecord(rec, op, body)
 		if seq > rec.LastSeq {
 			rec.LastSeq = seq
 		}
 		rec.ReplayedRecords++
-	}
-	return off == len(data)
+	})
 }
 
 // applyRecord replays one journal record onto the map. All operations
 // are idempotent or tolerant of missing entities, because the
 // checkpoint snapshot may already include mutations journaled just
-// after the snapshot's sequence point.
+// after the snapshot's sequence point. A record whose body is short is
+// skipped.
 func applyRecord(rec *Recovery, op byte, body []byte) {
 	m := rec.Map
+	r := codec.NewReader(body)
 	switch op {
 	case opKeyFrame:
 		if kf, _, err := wire.DecodeKeyFrame(body); err == nil {
@@ -253,27 +237,32 @@ func applyRecord(rec *Recovery, op byte, body []byte) {
 			m.AddMapPoint(mp)
 		}
 	case opEraseKeyFrame:
-		if len(body) >= 8 {
-			m.EraseKeyFrame(binary.LittleEndian.Uint64(body))
+		if id := r.U64(); r.Err() == nil {
+			m.EraseKeyFrame(id)
 		}
 	case opEraseMapPoint:
-		if len(body) >= 8 {
-			m.EraseMapPoint(binary.LittleEndian.Uint64(body))
+		if id := r.U64(); r.Err() == nil {
+			m.EraseMapPoint(id)
 		}
 	case opObservation:
-		r := &byteReader{buf: body}
-		kfID, mpID, kpIdx := r.u64(), r.u64(), int(r.u32())
-		if !r.err {
+		kfID, mpID, kpIdx := r.U64(), r.U64(), int(r.U32())
+		if r.Err() == nil {
 			_ = m.AddObservation(kfID, mpID, kpIdx) // entities may be gone
 		}
 	case opFuse:
-		r := &byteReader{buf: body}
-		from, to := r.u64(), r.u64()
-		if !r.err {
+		from, to := r.U64(), r.U64()
+		if r.Err() == nil {
 			applyFuse(m, from, to)
 		}
 	case opPoses:
-		applyPoses(m, body)
+		// A pose-graph correction: overwrite keyframe poses and map
+		// point positions with the optimized values.
+		for n := r.Count(poseEntryBytes); n > 0; n-- {
+			m.SetKeyFramePose(r.U64(), r.Pose())
+		}
+		for n := r.Count(posEntryBytes); n > 0; n-- {
+			m.SetMapPointPos(r.U64(), r.Vec3())
+		}
 	case opMerge:
 		// Informational boundary marker; the inserted entities and
 		// corrections follow as their own records.
@@ -286,22 +275,17 @@ func applyRecord(rec *Recovery, op byte, body []byte) {
 		// The erases were journaled as their own records (the map is
 		// already compact); this marker restores the evicted-region set
 		// so the lifecycle manager can serve reloads after the restart.
-		r := &byteReader{buf: body}
-		id := r.u64()
-		nkf := int(r.u32())
-		if r.err || nkf < 0 || nkf > (len(body)-r.off)/8 {
-			return
+		id := r.U64()
+		kfIDs := make([]smap.ID, r.Count(8))
+		for i := range kfIDs {
+			kfIDs[i] = r.U64()
 		}
-		kfIDs := make([]smap.ID, 0, nkf)
-		for i := 0; i < nkf; i++ {
-			kfIDs = append(kfIDs, r.u64())
-		}
-		if !r.err {
+		if r.Err() == nil {
 			rec.EvictedRegions[id] = kfIDs
 		}
 	case opReloadRegion:
-		if len(body) >= 8 {
-			delete(rec.EvictedRegions, binary.LittleEndian.Uint64(body))
+		if id := r.U64(); r.Err() == nil {
+			delete(rec.EvictedRegions, id)
 		}
 	}
 }
@@ -311,28 +295,4 @@ func applyRecord(rec *Recovery, op byte, body []byte) {
 // it. The subsequent journaled erase record becomes a no-op.
 func applyFuse(m *smap.Map, from, to smap.ID) {
 	m.FusePoint(from, to)
-}
-
-// applyPoses replays a pose-graph correction: overwrite keyframe poses
-// and map point positions with the optimized values.
-func applyPoses(m *smap.Map, body []byte) {
-	r := &byteReader{buf: body}
-	nkf := int(r.u32())
-	for i := 0; i < nkf && !r.err; i++ {
-		id := r.u64()
-		p := r.pose()
-		if r.err {
-			return
-		}
-		m.SetKeyFramePose(id, p)
-	}
-	nmp := int(r.u32())
-	for i := 0; i < nmp && !r.err; i++ {
-		id := r.u64()
-		v := r.vec3()
-		if r.err {
-			return
-		}
-		m.SetMapPointPos(id, v)
-	}
 }

@@ -141,6 +141,7 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 	// Kill: flush the journal (the records were appended before the
 	// crash) and abandon the server. Close writes no checkpoint, so the
 	// on-disk state is exactly a mid-merge crash: journal only.
+	live := captureMapState(srv1.Global())
 	srv1.Close()
 
 	// ---- Restart and recover. ----
@@ -166,6 +167,14 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 		t.Fatalf("restored map: %d keyframes / %d points, want %d / %d",
 			gotKFs, gotMPs, wantKFs, wantMPs)
 	}
+
+	// Replay equals live: the journal holds two merges (staged inserts,
+	// fuses, seam corrections), and replaying it must rebuild the map
+	// the live server had at the kill, not merely one of the same size.
+	if rep := srv2.Global().CheckInvariants(); !rep.OK() {
+		t.Errorf("recovered map violates invariants: %s", rep.Summary())
+	}
+	live.assertEqual(t, captureMapState(srv2.Global()))
 
 	// ---- Returning client resumes by relocalization. ----
 	sessA2, err := srv2.OpenSession(1, devA.Seq.Rig)
@@ -214,6 +223,80 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 	}
 	t.Logf("recovery: %d records in %v; ATE %.3f m (ref %.3f m, delta %+.3f m); %d/%d tracked",
 		rec.ReplayedRecords, rec.ReplayTime, recATE, refATE, delta, tracked, frames)
+}
+
+// mapState is what the journal promises to rebuild: which entities
+// exist, each keyframe's pose and its keypoint-to-map-point bindings.
+type mapState struct {
+	kfPose map[smap.ID]geom.SE3
+	kfBind map[smap.ID][]smap.ID
+	mps    map[smap.ID]bool
+}
+
+func captureMapState(m *smap.Map) mapState {
+	st := mapState{kfPose: map[smap.ID]geom.SE3{}, kfBind: map[smap.ID][]smap.ID{}, mps: map[smap.ID]bool{}}
+	for _, kf := range m.KeyFrames() {
+		st.kfPose[kf.ID], st.kfBind[kf.ID], _ = m.KeyFrameState(kf.ID)
+	}
+	for _, mp := range m.MapPoints() {
+		st.mps[mp.ID] = true
+	}
+	return st
+}
+
+// assertEqual compares the live map at the kill with its replay. The
+// entity sets and every live binding must match exactly. Two things
+// the journal does not carry are allowed for, and only those: local
+// BA on the shared map refines keyframe poses in place (centimetres)
+// and detaches outlier observations, so a replayed pose may sit within
+// a refinement step of the live one and the replay may keep a binding
+// the live map dropped — never lose or redirect one it still had.
+func (live mapState) assertEqual(t *testing.T, rec mapState) {
+	t.Helper()
+	const refineDist, refineAngle = 0.25, 0.01 // metres, radians
+	for id := range live.mps {
+		if !rec.mps[id] {
+			t.Errorf("map point %d lost in replay", id)
+		}
+	}
+	for id := range rec.mps {
+		if !live.mps[id] {
+			t.Errorf("map point %d resurrected by replay", id)
+		}
+	}
+	if len(rec.kfPose) != len(live.kfPose) {
+		t.Errorf("replay rebuilt %d keyframes, live map had %d", len(rec.kfPose), len(live.kfPose))
+	}
+	refined, stale := 0, 0
+	for id, want := range live.kfPose {
+		got, ok := rec.kfPose[id]
+		if !ok {
+			t.Errorf("keyframe %d lost in replay", id)
+			continue
+		}
+		if got != want {
+			refined++
+			if dT, dR := got.T.Dist(want.T), got.R.AngleTo(want.R); dT > refineDist || dR > refineAngle {
+				t.Errorf("keyframe %d: replayed pose off the live one by %.3f m / %.4f rad", id, dT, dR)
+			}
+		}
+		wb, gb := live.kfBind[id], rec.kfBind[id]
+		if len(gb) != len(wb) {
+			t.Errorf("keyframe %d: %d bindings replayed, live had %d", id, len(gb), len(wb))
+			continue
+		}
+		for i := range wb {
+			switch {
+			case gb[i] == wb[i]:
+			case wb[i] == 0:
+				stale++
+			default:
+				t.Errorf("keyframe %d keypoint %d: replay binds %d, live map %d", id, i, gb[i], wb[i])
+			}
+		}
+	}
+	t.Logf("replay vs live: %d keyframes, %d map points; %d poses refined and %d outlier bindings detached by unjournaled local BA",
+		len(live.kfPose), len(live.mps), refined, stale)
 }
 
 // ---- lifecycle records in the WAL ----

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"slamshare/internal/codec"
 	"slamshare/internal/smap"
 )
 
@@ -69,21 +70,23 @@ func ListRegions(dir string) ([]uint64, error) {
 // lifecycle manager's evicted-region set and serve reloads after a
 // restart.
 func (j *Journal) RegionEvicted(id uint64, kfIDs, mpIDs []smap.ID) {
-	b := make([]byte, 0, 8+4+len(kfIDs)*8+4+len(mpIDs)*8)
-	b = appendU64(b, id)
-	b = appendU32(b, uint32(len(kfIDs)))
+	w := codec.Writer{B: make([]byte, 0, 8+4+len(kfIDs)*8+4+len(mpIDs)*8)}
+	w.U64(id)
+	w.U32(uint32(len(kfIDs)))
 	for _, kf := range kfIDs {
-		b = appendU64(b, kf)
+		w.U64(kf)
 	}
-	b = appendU32(b, uint32(len(mpIDs)))
+	w.U32(uint32(len(mpIDs)))
 	for _, mp := range mpIDs {
-		b = appendU64(b, mp)
+		w.U64(mp)
 	}
-	j.append(opEvictRegion, b)
+	j.barrier()
+	j.append(opEvictRegion, w.B)
 }
 
 // RegionReloaded journals that a region returned to memory; the
 // re-inserted entities follow as their own records.
 func (j *Journal) RegionReloaded(id uint64) {
-	j.append(opReloadRegion, appendU64(nil, id))
+	j.barrier()
+	j.appendIDs(opReloadRegion, id)
 }

@@ -5,15 +5,14 @@
 package protocol
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"time"
 
 	"slamshare/internal/camera"
+	"slamshare/internal/codec"
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
 	"slamshare/internal/imu"
@@ -58,36 +57,51 @@ const UplinkWindow = 64
 // ErrTooLarge is returned for messages beyond MaxMessageSize.
 var ErrTooLarge = errors.New("protocol: message too large")
 
+// headerLen is the stream framing ahead of every payload: the type
+// byte and the payload's u32 length.
+const headerLen = 1 + 4
+
 // WriteMessage frames one message onto w.
 func WriteMessage(w io.Writer, msgType byte, payload []byte) error {
 	if len(payload) > MaxMessageSize {
 		return ErrTooLarge
 	}
-	var hdr [5]byte
-	hdr[0] = msgType
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := codec.Writer{B: make([]byte, 0, headerLen)}
+	hdr.U8(msgType)
+	hdr.U32(uint32(len(payload)))
+	if _, err := w.Write(hdr.B); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// ReadMessage reads one framed message from r.
-func ReadMessage(r io.Reader) (msgType byte, payload []byte, err error) {
-	var hdr [5]byte
+// readHeader reads one message header and returns a payload buffer of
+// the announced (bounded) size for the caller to fill.
+func readHeader(r io.Reader) (msgType byte, payload []byte, err error) {
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	h := codec.NewReader(hdr[:])
+	msgType = h.U8()
+	n := h.U32()
 	if n > MaxMessageSize {
 		return 0, nil, ErrTooLarge
 	}
-	payload = make([]byte, n)
+	return msgType, make([]byte, n), nil
+}
+
+// ReadMessage reads one framed message from r.
+func ReadMessage(r io.Reader) (msgType byte, payload []byte, err error) {
+	msgType, payload, err = readHeader(r)
+	if err != nil {
+		return 0, nil, err
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return msgType, payload, nil
 }
 
 // ReadMessageDeadlines reads one framed message from a connection with
@@ -107,23 +121,18 @@ func ReadMessageDeadlines(c net.Conn, idle, stall time.Duration) (msgType byte, 
 	if err := setDeadline(idle); err != nil {
 		return 0, nil, err
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+	msgType, payload, err = readHeader(c)
+	if err != nil {
 		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > MaxMessageSize {
-		return 0, nil, ErrTooLarge
 	}
 	if err := setDeadline(stall); err != nil {
 		return 0, nil, err
 	}
-	payload = make([]byte, n)
 	if _, err := io.ReadFull(c, payload); err != nil {
 		return 0, nil, err
 	}
 	c.SetReadDeadline(time.Time{})
-	return hdr[0], payload, nil
+	return msgType, payload, nil
 }
 
 // Hello capability bits: offload modes the client can run locally. A
@@ -184,70 +193,73 @@ const (
 
 // Encode serializes the hello message.
 func (m *HelloMsg) Encode() []byte {
-	buf := make([]byte, 0, 5+1+6*8+2*4+3)
-	buf = binary.LittleEndian.AppendUint32(buf, m.ClientID)
-	buf = append(buf, byte(m.Mode))
+	w := codec.Writer{B: make([]byte, 0, 5+1+6*8+2*4+3)}
+	w.U32(m.ClientID)
+	w.U8(byte(m.Mode))
 	if m.HasRig {
-		buf = append(buf, helloBlockRig)
-		for _, v := range []float64{m.Intr.Fx, m.Intr.Fy, m.Intr.Cx, m.Intr.Cy} {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Intr.Width))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Intr.Height))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Baseline))
+		w.U8(helloBlockRig)
+		w.F64(m.Intr.Fx)
+		w.F64(m.Intr.Fy)
+		w.F64(m.Intr.Cx)
+		w.F64(m.Intr.Cy)
+		w.U32(uint32(m.Intr.Width))
+		w.U32(uint32(m.Intr.Height))
+		w.F64(m.Baseline)
 	}
 	if m.HasQoS {
-		buf = append(buf, helloBlockQoS, m.QoS, m.Caps)
+		w.U8(helloBlockQoS)
+		w.U8(m.QoS)
+		w.U8(m.Caps)
 	}
-	return buf
+	return w.B
 }
 
 // DecodeHelloMsg reverses HelloMsg.Encode, accepting the legacy
 // 5-byte form, the calibration-extended form, and the QoS-extended
 // form (in any combination, tags ascending).
 func DecodeHelloMsg(data []byte) (*HelloMsg, error) {
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &HelloMsg{}
-	m.ClientID = r.u32()
-	m.Mode = camera.Mode(r.u8())
-	if r.err != nil {
-		return nil, r.err
+	m.ClientID = r.U32()
+	m.Mode = camera.Mode(r.U8())
+	if r.Err() != nil {
+		return nil, errShort
 	}
-	if r.off == len(data) {
+	if r.Len() == 0 {
 		return m, nil // legacy hello: no extensions
 	}
-	flag := r.u8()
+	flag := r.U8()
 	if flag == helloBlockRig {
 		m.HasRig = true
-		m.Intr.Fx = r.f64()
-		m.Intr.Fy = r.f64()
-		m.Intr.Cx = r.f64()
-		m.Intr.Cy = r.f64()
-		m.Intr.Width = int(r.u32())
-		m.Intr.Height = int(r.u32())
-		m.Baseline = r.f64()
-		if r.err != nil {
-			return nil, r.err
+		m.Intr.Fx = r.F64()
+		m.Intr.Fy = r.F64()
+		m.Intr.Cx = r.F64()
+		m.Intr.Cy = r.F64()
+		m.Intr.Width = int(r.U32())
+		m.Intr.Height = int(r.U32())
+		m.Baseline = r.F64()
+		if r.Err() != nil {
+			return nil, errShort
 		}
-		if r.off == len(data) {
+		if r.Len() == 0 {
 			return m, nil
 		}
-		flag = r.u8()
+		flag = r.U8()
 	}
 	if flag != helloBlockQoS {
 		return nil, fmt.Errorf("protocol: bad hello calibration flag %d", flag)
 	}
 	m.HasQoS = true
-	m.QoS = r.u8()
-	m.Caps = r.u8()
-	if r.err != nil {
-		return nil, r.err
+	m.QoS = r.U8()
+	m.Caps = r.U8()
+	if r.Err() != nil {
+		return nil, errShort
 	}
 	if m.QoS > 2 {
 		return nil, fmt.Errorf("protocol: bad hello qos class %d", m.QoS)
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in hello", len(data)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("protocol: %d trailing bytes in hello", r.Len())
 	}
 	return m, nil
 }
@@ -277,84 +289,89 @@ type FrameMsg struct {
 	RTTNanos  uint64
 }
 
+// errShort reports a message that ends before its fields do, or whose
+// counts and lengths claim more than the payload holds.
+var errShort = errors.New("protocol: short message")
+
+// writeDelta writes the 11-float IMU delta every uplink carries.
+func writeDelta(w *codec.Writer, d *imu.FrameDelta) {
+	w.Pose(geom.SE3{R: d.RotDelta, T: d.PosDelta})
+	w.Vec3(d.VelDelta)
+	w.F64(d.DT)
+}
+
+func readDelta(r *codec.Reader, d *imu.FrameDelta) {
+	p := r.Pose()
+	d.RotDelta, d.PosDelta = p.R, p.T
+	d.VelDelta = r.Vec3()
+	d.DT = r.F64()
+}
+
+// writePrior writes the optional pose prior: a flag byte, then the
+// 7-float pose when the flag is 1.
+func writePrior(w *codec.Writer, has bool, p geom.SE3) {
+	w.Bool(has)
+	if has {
+		w.Pose(p)
+	}
+}
+
+// readPrior reverses writePrior and returns the flag byte, which the
+// strict decoders validate.
+func readPrior(r *codec.Reader, has *bool, p *geom.SE3) (flag byte) {
+	if flag = r.U8(); flag == 1 {
+		*has = true
+		*p = r.Pose()
+	}
+	return flag
+}
+
+// PeekFrameIdx returns the frame index a payload opens with, for
+// routers that forward payloads without decoding them: FrameMsg and
+// KeypointMsg open with ClientID then FrameIdx, PoseMsg with FrameIdx.
+func PeekFrameIdx(msgType byte, payload []byte) (idx uint32, ok bool) {
+	r := codec.NewReader(payload)
+	if msgType != TypePose {
+		r.U32()
+	}
+	idx = r.U32()
+	return idx, r.Err() == nil
+}
+
 // Encode serializes the frame message.
 func (m *FrameMsg) Encode() []byte {
-	buf := make([]byte, 0, 16+len(m.Video)+len(m.VideoRight)+100)
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
-	u32(m.ClientID)
-	u32(m.FrameIdx)
-	f64(m.Stamp)
-	f64(m.Delta.RotDelta.W)
-	f64(m.Delta.RotDelta.X)
-	f64(m.Delta.RotDelta.Y)
-	f64(m.Delta.RotDelta.Z)
-	f64(m.Delta.PosDelta.X)
-	f64(m.Delta.PosDelta.Y)
-	f64(m.Delta.PosDelta.Z)
-	f64(m.Delta.VelDelta.X)
-	f64(m.Delta.VelDelta.Y)
-	f64(m.Delta.VelDelta.Z)
-	f64(m.Delta.DT)
-	u32(uint32(len(m.Video)))
-	buf = append(buf, m.Video...)
-	u32(uint32(len(m.VideoRight)))
-	buf = append(buf, m.VideoRight...)
-	if m.HasPrior {
-		buf = append(buf, 1)
-		f64(m.Prior.R.W)
-		f64(m.Prior.R.X)
-		f64(m.Prior.R.Y)
-		f64(m.Prior.R.Z)
-		f64(m.Prior.T.X)
-		f64(m.Prior.T.Y)
-		f64(m.Prior.T.Z)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, m.SentNanos)
-	buf = binary.LittleEndian.AppendUint64(buf, m.RTTNanos)
-	return buf
+	w := codec.Writer{B: make([]byte, 0, 16+len(m.Video)+len(m.VideoRight)+100)}
+	w.U32(m.ClientID)
+	w.U32(m.FrameIdx)
+	w.F64(m.Stamp)
+	writeDelta(&w, &m.Delta)
+	w.Bytes(m.Video)
+	w.Bytes(m.VideoRight)
+	writePrior(&w, m.HasPrior, m.Prior)
+	w.U64(m.SentNanos)
+	w.U64(m.RTTNanos)
+	return w.B
 }
 
 // DecodeFrameMsg reverses FrameMsg.Encode.
 func DecodeFrameMsg(data []byte) (*FrameMsg, error) {
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &FrameMsg{}
-	m.ClientID = r.u32()
-	m.FrameIdx = r.u32()
-	m.Stamp = r.f64()
-	m.Delta.RotDelta.W = r.f64()
-	m.Delta.RotDelta.X = r.f64()
-	m.Delta.RotDelta.Y = r.f64()
-	m.Delta.RotDelta.Z = r.f64()
-	m.Delta.PosDelta.X = r.f64()
-	m.Delta.PosDelta.Y = r.f64()
-	m.Delta.PosDelta.Z = r.f64()
-	m.Delta.VelDelta.X = r.f64()
-	m.Delta.VelDelta.Y = r.f64()
-	m.Delta.VelDelta.Z = r.f64()
-	m.Delta.DT = r.f64()
-	m.Video = r.bytes()
-	m.VideoRight = r.bytes()
-	if flag := r.u8(); flag == 1 {
-		m.HasPrior = true
-		m.Prior.R.W = r.f64()
-		m.Prior.R.X = r.f64()
-		m.Prior.R.Y = r.f64()
-		m.Prior.R.Z = r.f64()
-		m.Prior.T.X = r.f64()
-		m.Prior.T.Y = r.f64()
-		m.Prior.T.Z = r.f64()
-	}
+	m.ClientID = r.U32()
+	m.FrameIdx = r.U32()
+	m.Stamp = r.F64()
+	readDelta(&r, &m.Delta)
+	m.Video = r.Bytes(MaxMessageSize)
+	m.VideoRight = r.Bytes(MaxMessageSize)
+	readPrior(&r, &m.HasPrior, &m.Prior)
 	// Timing tail (absent from legacy senders; decoders have always
 	// ignored trailing bytes here, so appending is safe).
-	if r.err == nil && len(data)-r.off >= 16 {
-		m.SentNanos = r.u64()
-		m.RTTNanos = r.u64()
+	if r.Len() >= 16 {
+		m.SentNanos = r.U64()
+		m.RTTNanos = r.U64()
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, errShort
 	}
 	return m, nil
 }
@@ -396,30 +413,24 @@ const maxPoseTokenLen = 4096
 
 // Encode serializes the pose message.
 func (m *PoseMsg) Encode() []byte {
-	buf := make([]byte, 0, poseMsgLegacyLen+1)
-	buf = binary.LittleEndian.AppendUint32(buf, m.FrameIdx)
-	mat := m.Pose.Mat4()
-	for _, v := range mat {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	w := codec.Writer{B: make([]byte, 0, poseMsgLegacyLen+1)}
+	w.U32(m.FrameIdx)
+	for _, v := range m.Pose.Mat4() {
+		w.F64(v)
 	}
-	if m.Tracked {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	w.Bool(m.Tracked)
 	if m.Shed {
-		buf = append(buf, 1)
+		w.U8(1)
 	}
 	if m.HasEcho {
-		buf = append(buf, 2)
-		buf = binary.LittleEndian.AppendUint64(buf, m.EchoNanos)
+		w.U8(2)
+		w.U64(m.EchoNanos)
 	}
 	if m.Token != nil {
-		buf = append(buf, 3)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Token)))
-		buf = append(buf, m.Token...)
+		w.U8(3)
+		w.Bytes(m.Token)
 	}
-	return buf
+	return w.B
 }
 
 // DecodePoseMsg reverses PoseMsg.Encode: the legacy fixed-length body
@@ -432,105 +443,35 @@ func DecodePoseMsg(data []byte) (*PoseMsg, error) {
 	if len(data) < poseMsgLegacyLen {
 		return nil, fmt.Errorf("protocol: bad pose message length %d", len(data))
 	}
+	r := codec.NewReader(data)
 	m := &PoseMsg{}
-	m.FrameIdx = binary.LittleEndian.Uint32(data)
+	m.FrameIdx = r.U32()
 	var mat geom.Mat4
 	for i := range mat {
-		mat[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[4+8*i:]))
+		mat[i] = r.F64()
 	}
 	m.Pose = geom.SE3FromMat4(mat)
-	m.Tracked = data[4+16*8] == 1
-	off, prev := poseMsgLegacyLen, byte(0)
-	for off < len(data) {
-		flag := data[off]
+	m.Tracked = r.U8() == 1
+	for prev := byte(0); r.Len() > 0; {
+		flag := r.U8()
 		if flag <= prev || flag > 3 {
 			return nil, fmt.Errorf("protocol: bad pose tail flag %d", flag)
 		}
 		prev = flag
-		off++
 		switch flag {
 		case 1:
 			m.Shed = true
 		case 2:
-			if off+8 > len(data) {
-				return nil, errors.New("protocol: short pose echo tail")
-			}
 			m.HasEcho = true
-			m.EchoNanos = binary.LittleEndian.Uint64(data[off:])
-			off += 8
+			m.EchoNanos = r.U64()
 		case 3:
-			if off+4 > len(data) {
-				return nil, errors.New("protocol: short pose token tail")
-			}
-			n := int(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-			if n < 0 || n > maxPoseTokenLen || off+n > len(data) {
-				return nil, fmt.Errorf("protocol: pose token length %d exceeds payload", n)
-			}
-			m.Token = data[off : off+n : off+n]
-			off += n
+			m.Token = r.Bytes(maxPoseTokenLen)
+		}
+		if r.Err() != nil {
+			return nil, fmt.Errorf("protocol: short pose tail %d", flag)
 		}
 	}
 	return m, nil
-}
-
-type byteReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *byteReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.err = errors.New("protocol: short message")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *byteReader) f64() float64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.err = errors.New("protocol: short message")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *byteReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.err = errors.New("protocol: short message")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *byteReader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.err = errors.New("protocol: short message")
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *byteReader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		if r.err == nil {
-			r.err = errors.New("protocol: short message")
-		}
-		return nil
-	}
-	out := r.buf[r.off : r.off+n]
-	r.off += n
-	return out
 }
 
 // KeypointMsg flag bits.
@@ -572,122 +513,73 @@ type KeypointMsg struct {
 
 // Encode serializes the keypoint message.
 func (m *KeypointMsg) Encode() []byte {
-	buf := make([]byte, 0, 4+4+8+11*8+1+16+4+len(m.Kps)*keypointWireBytes+1+7*8)
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	u32(m.ClientID)
-	u32(m.FrameIdx)
-	f64(m.Stamp)
-	f64(m.Delta.RotDelta.W)
-	f64(m.Delta.RotDelta.X)
-	f64(m.Delta.RotDelta.Y)
-	f64(m.Delta.RotDelta.Z)
-	f64(m.Delta.PosDelta.X)
-	f64(m.Delta.PosDelta.Y)
-	f64(m.Delta.PosDelta.Z)
-	f64(m.Delta.VelDelta.X)
-	f64(m.Delta.VelDelta.Y)
-	f64(m.Delta.VelDelta.Z)
-	f64(m.Delta.DT)
-	buf = append(buf, m.Flags)
-	u64(m.SentNanos)
-	u64(m.RTTNanos)
-	u32(uint32(len(m.Kps)))
+	w := codec.Writer{B: make([]byte, 0, 4+4+8+11*8+1+16+4+len(m.Kps)*keypointWireBytes+1+7*8)}
+	w.U32(m.ClientID)
+	w.U32(m.FrameIdx)
+	w.F64(m.Stamp)
+	writeDelta(&w, &m.Delta)
+	w.U8(m.Flags)
+	w.U64(m.SentNanos)
+	w.U64(m.RTTNanos)
+	w.U32(uint32(len(m.Kps)))
 	for i := range m.Kps {
 		kp := &m.Kps[i]
-		f64(kp.X)
-		f64(kp.Y)
-		u32(uint32(int32(kp.Level)))
-		f64(kp.Angle)
-		f64(kp.Score)
-		d := kp.Desc.Bytes()
-		buf = append(buf, d[:]...)
-		f64(kp.Right)
-		f64(kp.Depth)
+		w.F64(kp.X)
+		w.F64(kp.Y)
+		w.U32(uint32(int32(kp.Level)))
+		w.F64(kp.Angle)
+		w.F64(kp.Score)
+		for _, word := range kp.Desc {
+			w.U64(word)
+		}
+		w.F64(kp.Right)
+		w.F64(kp.Depth)
 	}
-	if m.HasPrior {
-		buf = append(buf, 1)
-		f64(m.Prior.R.W)
-		f64(m.Prior.R.X)
-		f64(m.Prior.R.Y)
-		f64(m.Prior.R.Z)
-		f64(m.Prior.T.X)
-		f64(m.Prior.T.Y)
-		f64(m.Prior.T.Z)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
+	writePrior(&w, m.HasPrior, m.Prior)
+	return w.B
 }
 
 // DecodeKeypointMsg reverses KeypointMsg.Encode. Unlike FrameMsg this
 // is strict: trailing bytes are an error.
 func DecodeKeypointMsg(data []byte) (*KeypointMsg, error) {
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &KeypointMsg{}
-	m.ClientID = r.u32()
-	m.FrameIdx = r.u32()
-	m.Stamp = r.f64()
-	m.Delta.RotDelta.W = r.f64()
-	m.Delta.RotDelta.X = r.f64()
-	m.Delta.RotDelta.Y = r.f64()
-	m.Delta.RotDelta.Z = r.f64()
-	m.Delta.PosDelta.X = r.f64()
-	m.Delta.PosDelta.Y = r.f64()
-	m.Delta.PosDelta.Z = r.f64()
-	m.Delta.VelDelta.X = r.f64()
-	m.Delta.VelDelta.Y = r.f64()
-	m.Delta.VelDelta.Z = r.f64()
-	m.Delta.DT = r.f64()
-	m.Flags = r.u8()
-	m.SentNanos = r.u64()
-	m.RTTNanos = r.u64()
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n < 0 || n*keypointWireBytes > len(data)-r.off {
-		return nil, fmt.Errorf("protocol: keypoint count %d exceeds payload", n)
+	m.ClientID = r.U32()
+	m.FrameIdx = r.U32()
+	m.Stamp = r.F64()
+	readDelta(&r, &m.Delta)
+	m.Flags = r.U8()
+	m.SentNanos = r.U64()
+	m.RTTNanos = r.U64()
+	n := r.Count(keypointWireBytes)
+	if r.Err() != nil {
+		return nil, errShort
 	}
 	if n > 0 {
 		m.Kps = make([]feature.Keypoint, n)
 	}
-	for i := 0; i < n; i++ {
+	for i := range m.Kps {
 		kp := &m.Kps[i]
-		kp.X = r.f64()
-		kp.Y = r.f64()
-		kp.Level = int(int32(r.u32()))
-		kp.Angle = r.f64()
-		kp.Score = r.f64()
-		var d [feature.DescriptorBytes]byte
-		if r.err == nil && r.off+feature.DescriptorBytes <= len(data) {
-			copy(d[:], data[r.off:])
-			r.off += feature.DescriptorBytes
-		} else if r.err == nil {
-			r.err = errors.New("protocol: short message")
+		kp.X = r.F64()
+		kp.Y = r.F64()
+		kp.Level = int(int32(r.U32()))
+		kp.Angle = r.F64()
+		kp.Score = r.F64()
+		for j := range kp.Desc {
+			kp.Desc[j] = r.U64()
 		}
-		kp.Desc = feature.DescriptorFromBytes(d)
-		kp.Right = r.f64()
-		kp.Depth = r.f64()
+		kp.Right = r.F64()
+		kp.Depth = r.F64()
 	}
-	if flag := r.u8(); flag == 1 {
-		m.HasPrior = true
-		m.Prior.R.W = r.f64()
-		m.Prior.R.X = r.f64()
-		m.Prior.R.Y = r.f64()
-		m.Prior.R.Z = r.f64()
-		m.Prior.T.X = r.f64()
-		m.Prior.T.Y = r.f64()
-		m.Prior.T.Z = r.f64()
-	} else if flag != 0 && r.err == nil {
+	flag := readPrior(&r, &m.HasPrior, &m.Prior)
+	if r.Err() != nil {
+		return nil, errShort
+	}
+	if flag > 1 {
 		return nil, fmt.Errorf("protocol: bad keypoint prior flag %d", flag)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in keypoint message", len(data)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("protocol: %d trailing bytes in keypoint message", r.Len())
 	}
 	return m, nil
 }
@@ -713,12 +605,12 @@ const modeSwitchLen = 1 + 4 + 1
 
 // Encode serializes the mode-switch message.
 func (m *ModeSwitchMsg) Encode() []byte {
-	buf := make([]byte, 0, modeSwitchLen+8)
-	buf = append(buf, m.Mode)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Epoch)
-	buf = append(buf, m.Reason)
-	buf = binary.LittleEndian.AppendUint64(buf, m.SentNanos)
-	return buf
+	w := codec.Writer{B: make([]byte, 0, modeSwitchLen+8)}
+	w.U8(m.Mode)
+	w.U32(m.Epoch)
+	w.U8(m.Reason)
+	w.U64(m.SentNanos)
+	return w.B
 }
 
 // DecodeModeSwitchMsg reverses ModeSwitchMsg.Encode. The 8-byte
@@ -728,15 +620,16 @@ func DecodeModeSwitchMsg(data []byte) (*ModeSwitchMsg, error) {
 	if len(data) != modeSwitchLen && len(data) != modeSwitchLen+8 {
 		return nil, fmt.Errorf("protocol: bad mode switch length %d", len(data))
 	}
+	r := codec.NewReader(data)
 	m := &ModeSwitchMsg{}
-	m.Mode = data[0]
+	m.Mode = r.U8()
 	if m.Mode > 2 {
 		return nil, fmt.Errorf("protocol: bad offload mode %d", m.Mode)
 	}
-	m.Epoch = binary.LittleEndian.Uint32(data[1:])
-	m.Reason = data[5]
-	if len(data) == modeSwitchLen+8 {
-		m.SentNanos = binary.LittleEndian.Uint64(data[6:])
+	m.Epoch = r.U32()
+	m.Reason = r.U8()
+	if r.Len() > 0 {
+		m.SentNanos = r.U64()
 	}
 	return m, nil
 }

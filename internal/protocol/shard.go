@@ -12,10 +12,10 @@
 package protocol
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 
+	"slamshare/internal/codec"
 	"slamshare/internal/geom"
 )
 
@@ -64,26 +64,23 @@ const shardHelloLen = 1 + 4 + 8
 
 // Encode serializes the shard hello.
 func (m *ShardHelloMsg) Encode() []byte {
-	buf := make([]byte, 0, shardHelloLen)
-	buf = append(buf, m.Role)
-	buf = appendU32p(buf, m.SenderID)
-	buf = appendU64p(buf, m.Token)
-	return buf
+	w := codec.Writer{B: make([]byte, 0, shardHelloLen)}
+	w.U8(m.Role)
+	w.U32(m.SenderID)
+	w.U64(m.Token)
+	return w.B
 }
 
 // DecodeShardHelloMsg reverses ShardHelloMsg.Encode. Exact-length with
 // a validated role byte, so a device payload never parses as a peer.
 func DecodeShardHelloMsg(data []byte) (*ShardHelloMsg, error) {
-	if len(data) != shardHelloLen {
-		return nil, fmt.Errorf("protocol: bad shard hello length %d", len(data))
-	}
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &ShardHelloMsg{}
-	m.Role = r.u8()
-	m.SenderID = r.u32()
-	m.Token = r.u64()
-	if r.err != nil {
-		return nil, r.err
+	m.Role = r.U8()
+	m.SenderID = r.U32()
+	m.Token = r.U64()
+	if !r.Done() {
+		return nil, fmt.Errorf("protocol: bad shard hello length %d", len(data))
 	}
 	if m.Role < ShardRoleFront || m.Role > ShardRoleAdmin {
 		return nil, fmt.Errorf("protocol: bad shard hello role %d", m.Role)
@@ -128,41 +125,38 @@ type HandoffMsg struct {
 
 // Encode serializes the handoff message.
 func (m *HandoffMsg) Encode() []byte {
-	buf := make([]byte, 0, 1+4+8+4+4+4+len(m.Reason))
-	buf = append(buf, m.Phase)
-	buf = appendU32p(buf, m.ClientID)
-	buf = appendU64p(buf, m.Epoch)
-	buf = appendU32p(buf, m.FromShard)
-	buf = appendU32p(buf, m.ToShard)
-	buf = appendU32p(buf, uint32(len(m.Reason)))
-	buf = append(buf, m.Reason...)
-	return buf
+	w := codec.Writer{B: make([]byte, 0, 1+4+8+4+4+4+len(m.Reason))}
+	w.U8(m.Phase)
+	w.U32(m.ClientID)
+	w.U64(m.Epoch)
+	w.U32(m.FromShard)
+	w.U32(m.ToShard)
+	w.String(m.Reason)
+	return w.B
 }
 
 // DecodeHandoffMsg reverses HandoffMsg.Encode. Strict: the phase byte
 // must be canonical, the reason length gated, and no trailing bytes.
 func DecodeHandoffMsg(data []byte) (*HandoffMsg, error) {
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &HandoffMsg{}
-	m.Phase = r.u8()
-	m.ClientID = r.u32()
-	m.Epoch = r.u64()
-	m.FromShard = r.u32()
-	m.ToShard = r.u32()
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
+	m.Phase = r.U8()
+	m.ClientID = r.U32()
+	m.Epoch = r.U64()
+	m.FromShard = r.U32()
+	m.ToShard = r.U32()
+	if r.Err() != nil {
+		return nil, errShort
 	}
 	if m.Phase < HandoffBegin || m.Phase > HandoffCommitAck {
 		return nil, fmt.Errorf("protocol: bad handoff phase %d", m.Phase)
 	}
-	if n > maxHandoffReason || n > len(data)-r.off {
-		return nil, fmt.Errorf("protocol: handoff reason length %d exceeds payload", n)
+	m.Reason = string(r.Bytes(maxHandoffReason))
+	if r.Err() != nil {
+		return nil, errors.New("protocol: handoff reason length exceeds payload")
 	}
-	m.Reason = string(data[r.off : r.off+n])
-	r.off += n
-	if r.off != len(data) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in handoff", len(data)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("protocol: %d trailing bytes in handoff", r.Len())
 	}
 	return m, nil
 }
@@ -182,15 +176,13 @@ type BoundaryRegionMsg struct {
 
 // Encode serializes the boundary-region message.
 func (m *BoundaryRegionMsg) Encode() []byte {
-	buf := make([]byte, 0, 4+8+8+4+len(m.Region)+4+len(m.Anchors))
-	buf = appendU32p(buf, m.ClientID)
-	buf = appendU64p(buf, m.Epoch)
-	buf = appendU64p(buf, m.RegionID)
-	buf = appendU32p(buf, uint32(len(m.Region)))
-	buf = append(buf, m.Region...)
-	buf = appendU32p(buf, uint32(len(m.Anchors)))
-	buf = append(buf, m.Anchors...)
-	return buf
+	w := codec.Writer{B: make([]byte, 0, 4+8+8+4+len(m.Region)+4+len(m.Anchors))}
+	w.U32(m.ClientID)
+	w.U64(m.Epoch)
+	w.U64(m.RegionID)
+	w.Bytes(m.Region)
+	w.Bytes(m.Anchors)
+	return w.B
 }
 
 // DecodeBoundaryRegionMsg reverses BoundaryRegionMsg.Encode. Both blob
@@ -198,18 +190,18 @@ func (m *BoundaryRegionMsg) Encode() []byte {
 // bytes are an error; the blobs' own CRCs are checked by their
 // decoders, not here.
 func DecodeBoundaryRegionMsg(data []byte) (*BoundaryRegionMsg, error) {
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &BoundaryRegionMsg{}
-	m.ClientID = r.u32()
-	m.Epoch = r.u64()
-	m.RegionID = r.u64()
-	m.Region = r.bytes()
-	m.Anchors = r.bytes()
-	if r.err != nil {
-		return nil, r.err
+	m.ClientID = r.U32()
+	m.Epoch = r.U64()
+	m.RegionID = r.U64()
+	m.Region = r.Bytes(MaxMessageSize)
+	m.Anchors = r.Bytes(MaxMessageSize)
+	if r.Err() != nil {
+		return nil, errShort
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in boundary region", len(data)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("protocol: %d trailing bytes in boundary region", r.Len())
 	}
 	return m, nil
 }
@@ -250,13 +242,13 @@ const shardControlLen = 1 + 8
 
 // Encode serializes the control probe.
 func (m *ShardControlMsg) Encode() []byte {
-	buf := make([]byte, 0, shardControlLen+4)
-	buf = append(buf, m.Op)
-	buf = appendU64p(buf, m.Token)
+	w := codec.Writer{B: make([]byte, 0, shardControlLen+4)}
+	w.U8(m.Op)
+	w.U64(m.Token)
 	if m.Op == ShardOpResume {
-		buf = appendU32p(buf, m.ClientID)
+		w.U32(m.ClientID)
 	}
-	return buf
+	return w.B
 }
 
 // DecodeShardControlMsg reverses ShardControlMsg.Encode. The length is
@@ -265,24 +257,18 @@ func DecodeShardControlMsg(data []byte) (*ShardControlMsg, error) {
 	if len(data) != shardControlLen && len(data) != shardControlLen+4 {
 		return nil, fmt.Errorf("protocol: bad shard control length %d", len(data))
 	}
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &ShardControlMsg{}
-	m.Op = r.u8()
-	m.Token = r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
+	m.Op = r.U8()
+	m.Token = r.U64()
 	if m.Op < ShardOpPing || m.Op > ShardOpResume {
 		return nil, fmt.Errorf("protocol: bad shard control op %d", m.Op)
 	}
 	if m.Op == ShardOpResume {
-		m.ClientID = r.u32()
-		if r.err != nil {
-			return nil, r.err
-		}
+		m.ClientID = r.U32()
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in shard control", len(data)-r.off)
+	if !r.Done() {
+		return nil, fmt.Errorf("protocol: shard control op %d has length %d", m.Op, len(data))
 	}
 	return m, nil
 }
@@ -336,55 +322,46 @@ type ShardStatusMsg struct {
 
 // Encode serializes the status answer.
 func (m *ShardStatusMsg) Encode() []byte {
-	buf := make([]byte, 0, 2+4+4+len(m.KFIDs)*8+4+len(m.Anchors)*anchorStateBytes+6*8)
-	buf = append(buf, m.Op)
-	if m.OK {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendU32p(buf, uint32(len(m.Violations)))
+	w := codec.Writer{B: make([]byte, 0, 2+4+4+len(m.KFIDs)*8+4+len(m.Anchors)*anchorStateBytes+6*8)}
+	w.U8(m.Op)
+	w.Bool(m.OK)
+	w.U32(uint32(len(m.Violations)))
 	for _, v := range m.Violations {
-		buf = appendU32p(buf, uint32(len(v)))
-		buf = append(buf, v...)
+		w.String(v)
 	}
-	buf = appendU32p(buf, uint32(len(m.KFIDs)))
+	w.U32(uint32(len(m.KFIDs)))
 	for _, id := range m.KFIDs {
-		buf = appendU64p(buf, id)
+		w.U64(id)
 	}
-	buf = appendU32p(buf, uint32(len(m.Anchors)))
+	w.U32(uint32(len(m.Anchors)))
 	for _, a := range m.Anchors {
-		buf = appendU64p(buf, a.ID)
-		buf = appendPoseP(buf, a.Pose)
+		w.U64(a.ID)
+		w.Pose(a.Pose)
 	}
-	buf = appendU64p(buf, m.Stats.KeyFrames)
-	buf = appendU64p(buf, m.Stats.MapPoints)
-	buf = appendU64p(buf, m.Stats.Sessions)
-	buf = appendU64p(buf, m.Stats.ImportsInFlight)
-	buf = appendU64p(buf, m.Stats.Imports)
-	buf = appendU64p(buf, m.Stats.ImportRollbacks)
-	buf = appendU64p(buf, m.Stats.ImportsStalled)
-	if m.ResumeKnown {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendU32p(buf, m.ResumeFrame)
-	buf = appendU64p(buf, m.ResumeEpoch)
-	buf = append(buf, m.ResumeMode)
-	return buf
+	w.U64(m.Stats.KeyFrames)
+	w.U64(m.Stats.MapPoints)
+	w.U64(m.Stats.Sessions)
+	w.U64(m.Stats.ImportsInFlight)
+	w.U64(m.Stats.Imports)
+	w.U64(m.Stats.ImportRollbacks)
+	w.U64(m.Stats.ImportsStalled)
+	w.Bool(m.ResumeKnown)
+	w.U32(m.ResumeFrame)
+	w.U64(m.ResumeEpoch)
+	w.U8(m.ResumeMode)
+	return w.B
 }
 
 // DecodeShardStatusMsg reverses ShardStatusMsg.Encode. Every count is
 // gated against the bytes remaining, the OK flag must be canonical,
 // and trailing bytes are an error.
 func DecodeShardStatusMsg(data []byte) (*ShardStatusMsg, error) {
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &ShardStatusMsg{}
-	m.Op = r.u8()
-	okFlag := r.u8()
-	if r.err != nil {
-		return nil, r.err
+	m.Op = r.U8()
+	okFlag := r.U8()
+	if r.Err() != nil {
+		return nil, errShort
 	}
 	if m.Op < ShardOpPing || m.Op > ShardOpResume {
 		return nil, fmt.Errorf("protocol: bad shard status op %d", m.Op)
@@ -393,52 +370,39 @@ func DecodeShardStatusMsg(data []byte) (*ShardStatusMsg, error) {
 		return nil, fmt.Errorf("protocol: bad shard status ok flag %d", okFlag)
 	}
 	m.OK = okFlag == 1
-	nv := int(r.u32())
-	if r.err != nil || nv > maxStatusViolations || nv*4 > len(data)-r.off {
+	nv := r.Count(4)
+	if r.Err() != nil || nv > maxStatusViolations {
 		return nil, fmt.Errorf("protocol: shard status violation count %d exceeds payload", nv)
 	}
 	for i := 0; i < nv; i++ {
-		ln := int(r.u32())
-		if r.err != nil || ln > maxStatusViolationLen || ln > len(data)-r.off {
-			return nil, fmt.Errorf("protocol: shard status violation length exceeds payload")
-		}
-		m.Violations = append(m.Violations, string(data[r.off:r.off+ln]))
-		r.off += ln
+		m.Violations = append(m.Violations, string(r.Bytes(maxStatusViolationLen)))
 	}
-	nk := int(r.u32())
-	if r.err != nil || nk*8 > len(data)-r.off {
-		return nil, fmt.Errorf("protocol: shard status keyframe count %d exceeds payload", nk)
-	}
-	if nk > 0 {
+	if nk := r.Count(8); nk > 0 {
 		m.KFIDs = make([]uint64, nk)
 		for i := range m.KFIDs {
-			m.KFIDs[i] = r.u64()
+			m.KFIDs[i] = r.U64()
 		}
 	}
-	na := int(r.u32())
-	if r.err != nil || na*anchorStateBytes > len(data)-r.off {
-		return nil, fmt.Errorf("protocol: shard status anchor count %d exceeds payload", na)
-	}
-	if na > 0 {
+	if na := r.Count(anchorStateBytes); na > 0 {
 		m.Anchors = make([]AnchorState, na)
 		for i := range m.Anchors {
-			m.Anchors[i].ID = r.u64()
-			m.Anchors[i].Pose = readPoseP(r)
+			m.Anchors[i].ID = r.U64()
+			m.Anchors[i].Pose = r.Pose()
 		}
 	}
-	m.Stats.KeyFrames = r.u64()
-	m.Stats.MapPoints = r.u64()
-	m.Stats.Sessions = r.u64()
-	m.Stats.ImportsInFlight = r.u64()
-	m.Stats.Imports = r.u64()
-	m.Stats.ImportRollbacks = r.u64()
-	m.Stats.ImportsStalled = r.u64()
-	knownFlag := r.u8()
-	m.ResumeFrame = r.u32()
-	m.ResumeEpoch = r.u64()
-	m.ResumeMode = r.u8()
-	if r.err != nil {
-		return nil, r.err
+	m.Stats.KeyFrames = r.U64()
+	m.Stats.MapPoints = r.U64()
+	m.Stats.Sessions = r.U64()
+	m.Stats.ImportsInFlight = r.U64()
+	m.Stats.Imports = r.U64()
+	m.Stats.ImportRollbacks = r.U64()
+	m.Stats.ImportsStalled = r.U64()
+	knownFlag := r.U8()
+	m.ResumeFrame = r.U32()
+	m.ResumeEpoch = r.U64()
+	m.ResumeMode = r.U8()
+	if r.Err() != nil {
+		return nil, errShort
 	}
 	if knownFlag > 1 {
 		return nil, fmt.Errorf("protocol: bad shard status resume flag %d", knownFlag)
@@ -447,44 +411,8 @@ func DecodeShardStatusMsg(data []byte) (*ShardStatusMsg, error) {
 	if m.ResumeMode > 2 {
 		return nil, fmt.Errorf("protocol: bad shard status resume mode %d", m.ResumeMode)
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in shard status", len(data)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("protocol: %d trailing bytes in shard status", r.Len())
 	}
 	return m, nil
-}
-
-// ---- little-endian append helpers (shard messages) ----
-
-func appendU32p(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64p(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendF64p(b []byte, v float64) []byte {
-	return appendU64p(b, math.Float64bits(v))
-}
-
-func appendPoseP(b []byte, p geom.SE3) []byte {
-	b = appendF64p(b, p.R.W)
-	b = appendF64p(b, p.R.X)
-	b = appendF64p(b, p.R.Y)
-	b = appendF64p(b, p.R.Z)
-	b = appendF64p(b, p.T.X)
-	b = appendF64p(b, p.T.Y)
-	return appendF64p(b, p.T.Z)
-}
-
-func readPoseP(r *byteReader) geom.SE3 {
-	var p geom.SE3
-	p.R.W = r.f64()
-	p.R.X = r.f64()
-	p.R.Y = r.f64()
-	p.R.Z = r.f64()
-	p.T.X = r.f64()
-	p.T.Y = r.f64()
-	p.T.Z = r.f64()
-	return p
 }

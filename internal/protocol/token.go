@@ -1,9 +1,9 @@
 package protocol
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"slamshare/internal/codec"
 )
 
 // TypeSessionToken carries a resumable session token: downlink from a
@@ -51,55 +51,52 @@ type SessionTokenMsg struct {
 
 // Encode serializes the token.
 func (m *SessionTokenMsg) Encode() []byte {
-	buf := make([]byte, 0, 4+4+8+1+4+8+4+len(m.Marks)*8)
-	buf = binary.LittleEndian.AppendUint32(buf, m.ClientID)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Shard)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-	buf = append(buf, m.Mode)
-	buf = binary.LittleEndian.AppendUint32(buf, m.ModeEpoch)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.PosX))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Marks)))
+	w := codec.Writer{B: make([]byte, 0, 4+4+8+1+4+8+4+len(m.Marks)*8)}
+	w.U32(m.ClientID)
+	w.U32(m.Shard)
+	w.U64(m.Epoch)
+	w.U8(m.Mode)
+	w.U32(m.ModeEpoch)
+	w.F64(m.PosX)
+	w.U32(uint32(len(m.Marks)))
 	for _, mk := range m.Marks {
-		buf = binary.LittleEndian.AppendUint32(buf, mk.Shard)
-		buf = binary.LittleEndian.AppendUint32(buf, mk.MaxFrame)
+		w.U32(mk.Shard)
+		w.U32(mk.MaxFrame)
 	}
-	return buf
+	return w.B
 }
 
 // DecodeSessionTokenMsg reverses Encode. Strict: the mark count is
 // gated against both the payload and maxTokenMarks, the mode must be
 // a defined offload mode, and trailing bytes are an error.
 func DecodeSessionTokenMsg(data []byte) (*SessionTokenMsg, error) {
-	r := &byteReader{buf: data}
+	r := codec.NewReader(data)
 	m := &SessionTokenMsg{}
-	m.ClientID = r.u32()
-	m.Shard = r.u32()
-	m.Epoch = r.u64()
-	m.Mode = r.u8()
-	m.ModeEpoch = r.u32()
-	m.PosX = r.f64()
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
+	m.ClientID = r.U32()
+	m.Shard = r.U32()
+	m.Epoch = r.U64()
+	m.Mode = r.U8()
+	m.ModeEpoch = r.U32()
+	m.PosX = r.F64()
+	if r.Err() != nil {
+		return nil, errShort
 	}
 	if m.Mode > 2 {
 		return nil, fmt.Errorf("protocol: bad token mode %d", m.Mode)
 	}
-	if n < 0 || n > maxTokenMarks || n*8 > len(data)-r.off {
+	n := r.Count(8)
+	if r.Err() != nil || n > maxTokenMarks {
 		return nil, fmt.Errorf("protocol: token mark count %d exceeds payload", n)
 	}
 	if n > 0 {
 		m.Marks = make([]ShardMark, n)
 	}
-	for i := 0; i < n; i++ {
-		m.Marks[i].Shard = r.u32()
-		m.Marks[i].MaxFrame = r.u32()
+	for i := range m.Marks {
+		m.Marks[i].Shard = r.U32()
+		m.Marks[i].MaxFrame = r.U32()
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in session token", len(data)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("protocol: %d trailing bytes in session token", r.Len())
 	}
 	return m, nil
 }

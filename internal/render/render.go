@@ -14,6 +14,8 @@
 package render
 
 import (
+	"sync"
+
 	"slamshare/internal/camera"
 	"slamshare/internal/geom"
 	"slamshare/internal/img"
@@ -63,7 +65,10 @@ type Renderer struct {
 	Rig   camera.Rig
 	Cfg   Config
 
-	patches map[uint64][]byte // appearance cache keyed by landmark seed
+	// patches caches landmark appearance by seed. Clients replaying one
+	// Sequence share its Renderer, so the cache is guarded.
+	mu      sync.RWMutex
+	patches map[uint64][]byte
 }
 
 // New returns a renderer.
@@ -133,12 +138,15 @@ func (r *Renderer) Truth(pose geom.SE3) []Projection {
 // random intensity cells with a guaranteed FAST-corner structure at the
 // center (dark center pixel inside a bright radius-3 ring).
 func (r *Renderer) patch(seed uint64) []byte {
-	if p, ok := r.patches[seed]; ok {
+	r.mu.RLock()
+	p, ok := r.patches[seed]
+	r.mu.RUnlock()
+	if ok {
 		return p
 	}
 	rad := r.Cfg.PatchRadius
 	side := 2*rad + 1
-	p := make([]byte, side*side)
+	p = make([]byte, side*side)
 	cell := r.Cfg.CellSize
 	if cell < 1 {
 		cell = 3
@@ -179,7 +187,10 @@ func (r *Renderer) patch(seed uint64) []byte {
 		set(o[0], o[1], 235)
 	}
 	set(0, 0, 10)
+	// A racing miss computed the same bytes; either copy serves.
+	r.mu.Lock()
 	r.patches[seed] = p
+	r.mu.Unlock()
 	return p
 }
 

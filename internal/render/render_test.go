@@ -1,7 +1,9 @@
 package render
 
 import (
+	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"slamshare/internal/camera"
@@ -240,5 +242,38 @@ func TestPatchCacheReuse(t *testing.T) {
 	}
 	if n == 0 {
 		t.Error("patch cache unused")
+	}
+}
+
+// TestRenderConcurrent renders through one Renderer from 4 goroutines,
+// as clients replaying one dataset.Sequence do (they share its cached
+// Renderer). Run under -race; the frames must equal a serial render.
+func TestRenderConcurrent(t *testing.T) {
+	shared, pose := testRenderer()
+	serial, _ := testRenderer()
+	const workers, frames = 4, 3
+	var wg sync.WaitGroup
+	got := make([][]*img.Gray, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for f := 0; f < frames; f++ {
+				p := pose
+				p.T.X += 0.5 * float64(f)
+				got[w] = append(got[w], shared.Render(p, uint64(f)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for f := 0; f < frames; f++ {
+		p := pose
+		p.T.X += 0.5 * float64(f)
+		want := serial.Render(p, uint64(f))
+		for w := range got {
+			if !bytes.Equal(got[w][f].Pix, want.Pix) {
+				t.Errorf("worker %d frame %d differs from the serial render", w, f)
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package server implements the SLAM-Share edge server (Fig. 3): an
-// orchestrator that allocates the shared-memory region holding the
-// global map, per-client SLAM processes (tracking + local mapping)
-// that attach to it, a GPU shared across clients GSlice-style, and the
-// merge process M that folds each client's map into the global map.
+// orchestrator that owns the global map, per-client SLAM processes
+// (tracking + local mapping) that share it by pointer — goroutines on
+// one *smap.Map are the zero-copy, zero-serialization contract the
+// paper gets from a shared-memory region — a GPU shared across clients
+// GSlice-style, and the merge process M that folds each client's map
+// into the global map.
 package server
 
 import (
@@ -31,7 +33,6 @@ import (
 	"slamshare/internal/overload"
 	"slamshare/internal/persist"
 	"slamshare/internal/protocol"
-	"slamshare/internal/shm"
 	"slamshare/internal/smap"
 	"slamshare/internal/tracking"
 	"slamshare/internal/trackpool"
@@ -41,11 +42,9 @@ import (
 
 // Config parameterizes the server.
 type Config struct {
-	// RegionName is the shared-memory segment name; empty picks a
-	// unique name.
-	RegionName string
-	// RegionCapacity is the shared-memory budget (default 2 GiB, as in
-	// §4.3.2).
+	// RegionCapacity is the global map's byte budget (default 2 GiB,
+	// the shared-memory region size of §4.3.2). A keyframe whose
+	// footprint no longer fits is counted as a mapper rejection.
 	RegionCapacity int64
 	// GPU is the accelerator shared by all client processes; nil runs
 	// every stage on the CPU (the ORB-SLAM3 baseline configuration of
@@ -208,18 +207,15 @@ func DefaultConfig() Config {
 	}
 }
 
-var regionSeq struct {
-	sync.Mutex
-	n int
-}
-
 // Server is the SLAM-Share edge server.
 type Server struct {
 	cfg    Config
 	voc    *bow.Vocabulary
-	region *shm.Region
 	global *smap.Map
-	// gmu is the named shareable mutex serializing compound global-map
+	// regionUsed is the keyframe footprint charged against
+	// cfg.RegionCapacity so far.
+	regionUsed atomic.Int64
+	// gmu is the shareable mutex serializing compound global-map
 	// operations: merges (multi-step transform + insert + fuse + BA)
 	// and checkpoint snapshots. Per-entity reads and writes do NOT take
 	// it — the map's internal striped locks make those safe — so N
@@ -309,8 +305,8 @@ type NetStats struct {
 	// TrackLost counts frames the tracker processed but could not
 	// localize.
 	TrackLost metrics.Counter
-	// KFRejected counts keyframes whose shared-memory reservation
-	// failed (region exhausted) — the mapper-rejection path.
+	// KFRejected counts keyframes whose footprint no longer fit
+	// Config.RegionCapacity — the mapper-rejection path.
 	KFRejected metrics.Counter
 	// MergeRollbacks counts merge attempts undone by pre-commit
 	// invariant validation; MergeQuarantines counts sessions barred
@@ -381,9 +377,8 @@ func (s *Server) resumeStateFor(clientID uint32) (resumeState, bool) {
 	return resumeState{}, false
 }
 
-// New creates the server: it allocates the shared-memory region,
-// places an empty global map in it, and publishes it for client
-// processes to attach.
+// New creates the server around an empty (or, with persistence, the
+// recovered) global map that every session will share.
 func New(cfg Config) (*Server, error) {
 	if cfg.RegionCapacity == 0 {
 		cfg.RegionCapacity = 2 << 30
@@ -406,16 +401,8 @@ func New(cfg Config) (*Server, error) {
 	// Persistence spans (WAL drains, checkpoint rotations) report into
 	// the same tracer as the frame pipeline.
 	cfg.Persist.Obs = tracer
-	name := cfg.RegionName
-	if name == "" {
-		regionSeq.Lock()
-		regionSeq.n++
-		name = fmt.Sprintf("slamshare-%d-%d", time.Now().UnixNano(), regionSeq.n)
-		regionSeq.Unlock()
-	}
-	region, err := shm.Create(name, cfg.RegionCapacity)
-	if err != nil {
-		return nil, err
+	if cfg.RegionCapacity < 0 {
+		return nil, fmt.Errorf("server: invalid region capacity %d", cfg.RegionCapacity)
 	}
 
 	// With persistence enabled the global map is recovered from disk
@@ -423,23 +410,19 @@ func New(cfg Config) (*Server, error) {
 	// manager journals every mutation from here on.
 	global := smap.NewMap(voc)
 	anchors := holo.NewRegistry()
+	gmu := new(sync.RWMutex)
 	var rec *persist.Recovery
 	var pmgr *persist.Manager
 	if cfg.Persist.Dir != "" {
+		var err error
 		rec, err = persist.Recover(cfg.Persist.Dir, voc)
 		if err != nil {
-			shm.Unlink(region.Name())
 			return nil, fmt.Errorf("server: recover: %w", err)
 		}
 		global = rec.Map
 		anchors = rec.Anchors
-	}
-	region.Publish("globalmap", global)
-	gmu := region.NamedMutex("globalmap")
-	if cfg.Persist.Dir != "" {
 		pmgr, err = persist.Open(cfg.Persist, global, anchors, rec.LastSeq, gmu)
 		if err != nil {
-			shm.Unlink(region.Name())
 			return nil, fmt.Errorf("server: persist: %w", err)
 		}
 		pmgr.Stats().ReplayedRecords.Add(int64(rec.ReplayedRecords))
@@ -448,7 +431,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg,
 		voc:            voc,
-		region:         region,
 		global:         global,
 		gmu:            gmu,
 		anchors:        anchors,
@@ -606,9 +588,9 @@ func (s *Server) Obs() *obs.Tracer { return s.obs }
 // /debug/pprof/. Mount it on a side listener, never the client port.
 func (s *Server) DebugHandler() http.Handler { return obs.Handler(s.obs) }
 
-// Close releases the shared-memory region name and, when persistence
-// is enabled, flushes and closes the journal (without a final
-// checkpoint, so restart always exercises recovery).
+// Close stops the tracking pool and, when persistence is enabled,
+// flushes and closes the journal (without a final checkpoint, so
+// restart always exercises recovery).
 func (s *Server) Close() {
 	if s.pmgr != nil {
 		s.pmgr.Close()
@@ -619,7 +601,6 @@ func (s *Server) Close() {
 		// batches.
 		s.tpool.Close()
 	}
-	shm.Unlink(s.region.Name())
 }
 
 // TrackPool returns the shared batched tracking service, or nil when
@@ -643,8 +624,8 @@ func (s *Server) Global() *smap.Map { return s.global }
 // Lifecycle returns the map-lifecycle manager, or nil when disabled.
 func (s *Server) Lifecycle() *lifecycle.Manager { return s.lm }
 
-// Region returns the shared-memory region (for capacity accounting).
-func (s *Server) Region() *shm.Region { return s.region }
+// Region returns the bytes of Config.RegionCapacity in use.
+func (s *Server) Region() int64 { return s.regionUsed.Load() }
 
 // MergeReports returns the merge timing breakdowns recorded so far
 // (the SLAM-Share column of Table 4).
@@ -657,7 +638,7 @@ func (s *Server) MergeReports() []merge.Report {
 }
 
 // Session is one client's server-side process (Process A/B in Fig. 3):
-// it attaches the shared region, decodes the client's video, tracks
+// it shares the global map, decodes the client's video, tracks
 // with the GPU slice, maps locally, and hands its map to the merge
 // process.
 type Session struct {
@@ -707,15 +688,14 @@ type Session struct {
 	trackHist *obs.Histogram
 	stages    tracking.Stages
 	frames    int
-	kfBytes   int64 // shared-memory accounting of this client's inserts
 
 	// Traj records the server-side pose estimates (camera centers).
 	Traj metrics.Trajectory
 }
 
-// OpenSession registers a client process. Each session attaches the
-// shared-memory region and a stream on the shared tracking pool (or
-// its own GPU slice when the pool is disabled).
+// OpenSession registers a client process. Each session gets a stream
+// on the shared tracking pool (or its own GPU slice when the pool is
+// disabled).
 func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) {
 	// Admission control: beyond the session ceiling the server refuses
 	// outright (typed overload.ErrOverloaded) instead of degrading
@@ -730,9 +710,6 @@ func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) 
 			s.gate.ReleaseSession()
 		}
 	}()
-	if _, err := shm.Attach(s.region.Name()); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.sessions[clientID]; ok {
@@ -938,12 +915,12 @@ func (sess *Session) completeFrame(tr tracking.Result, stamp float64) Result {
 
 	if tr.NewKF != nil {
 		sess.mapper.ProcessKeyFrame(tr.NewKF)
-		// Account the keyframe's footprint against the 2 GiB region.
+		// Account the keyframe's footprint against the region budget.
+		srv := sess.srv
 		sz := int64(len(tr.NewKF.Keypoints))*80 + 4096
-		if _, err := sess.srv.region.Alloc(sz); err == nil {
-			sess.kfBytes += sz
-		} else {
-			sess.srv.net.KFRejected.Inc()
+		if srv.regionUsed.Add(sz) > srv.cfg.RegionCapacity {
+			srv.regionUsed.Add(-sz)
+			srv.net.KFRejected.Inc()
 		}
 	}
 

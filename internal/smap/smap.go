@@ -224,8 +224,9 @@ type localScratch struct {
 
 // Map is a SLAM map: keyframes + map points + covisibility + a BoW
 // index for place recognition. It is safe for concurrent use; the
-// shared global map of the paper is one Map value living in a shared
-// memory region (internal/shm) accessed by all client processes.
+// shared global map of the paper is one Map value every client
+// process (a session goroutine) reaches by pointer — the paper's
+// shared-memory region, with nothing serialized and nothing copied.
 // See the package comment for the locking model.
 type Map struct {
 	voc *bow.Vocabulary

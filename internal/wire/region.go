@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
+	"slamshare/internal/codec"
 	"slamshare/internal/smap"
 )
 
@@ -26,20 +26,13 @@ const minRegionBytes = 4 + 1 + 8 + 4 + 4 + 4
 // cluster's keyframes, and the map points observed only inside the
 // cluster.
 func EncodeRegion(id uint64, kfs []*smap.KeyFrame, mps []*smap.MapPoint) []byte {
-	w := &writer{buf: make([]byte, 0, 1<<16)}
-	w.u32(regionMagic)
-	w.u8(FormatVersion)
-	w.u64(id)
-	w.u32(uint32(len(kfs)))
-	for _, kf := range kfs {
-		appendKeyFrame(w, kf)
-	}
-	w.u32(uint32(len(mps)))
-	for _, mp := range mps {
-		appendMapPoint(w, mp)
-	}
-	w.u32(crc32.ChecksumIEEE(w.buf))
-	return w.buf
+	w := codec.Writer{B: make([]byte, 0, 1<<16)}
+	w.U32(regionMagic)
+	w.U8(FormatVersion)
+	w.U64(id)
+	appendEntities(&w, kfs, mps)
+	w.U32(crc32.ChecksumIEEE(w.B))
+	return w.B
 }
 
 // DecodeRegion reverses EncodeRegion. It returns an error — never
@@ -51,41 +44,20 @@ func DecodeRegion(data []byte) (id uint64, kfs []*smap.KeyFrame, mps []*smap.Map
 		return 0, nil, nil, fmt.Errorf("%w: region too short (%d bytes)", ErrCorrupt, len(data))
 	}
 	body := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != want {
+	tail := codec.NewReader(data[len(data)-4:])
+	if crc32.ChecksumIEEE(body) != tail.U32() {
 		return 0, nil, nil, fmt.Errorf("%w: region checksum mismatch", ErrCorrupt)
 	}
-	r := &reader{buf: body}
-	if err := r.checkHeader(regionMagic); err != nil {
+	r := codec.NewReader(body)
+	if err := checkHeader(&r, regionMagic); err != nil {
 		return 0, nil, nil, err
 	}
-	id = r.u64()
-	nkf, ok := r.count(minKeyFrameBytes)
-	if !ok {
-		return 0, nil, nil, ErrCorrupt
-	}
-	kfs = make([]*smap.KeyFrame, 0, nkf)
-	for i := 0; i < nkf; i++ {
-		kf, err := readKeyFrame(r)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		kfs = append(kfs, kf)
-	}
-	nmp, ok := r.count(minMapPointBytes)
-	if !ok {
-		return 0, nil, nil, ErrCorrupt
-	}
-	mps = make([]*smap.MapPoint, 0, nmp)
-	for i := 0; i < nmp; i++ {
-		mp, err := readMapPoint(r)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		mps = append(mps, mp)
-	}
-	if r.err != nil {
-		return 0, nil, nil, r.err
+	id = r.U64()
+	err = readEntities(&r,
+		func(kf *smap.KeyFrame) { kfs = append(kfs, kf) },
+		func(mp *smap.MapPoint) { mps = append(mps, mp) })
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	return id, kfs, mps, nil
 }

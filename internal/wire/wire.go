@@ -13,13 +13,13 @@
 package wire
 
 import (
-	"encoding/binary"
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"slamshare/internal/bow"
+	"slamshare/internal/codec"
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
 	"slamshare/internal/smap"
@@ -52,259 +52,157 @@ const (
 	minObsBytes      = 8 + 4
 )
 
-type writer struct {
-	buf []byte
-	// Scratch key slices for canonical (sorted-key) map emission,
-	// reused across entities to keep EncodeMap allocation-flat.
-	scr32 []uint32
-	scr64 []uint64
-}
-
-func (w *writer) u8(v byte) { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-func (w *writer) u64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) f32(v float64) {
-	w.u32(math.Float32bits(float32(v)))
-}
-func (w *writer) pose(p geom.SE3) {
-	w.f64(p.R.W)
-	w.f64(p.R.X)
-	w.f64(p.R.Y)
-	w.f64(p.R.Z)
-	w.f64(p.T.X)
-	w.f64(p.T.Y)
-	w.f64(p.T.Z)
-}
-func (w *writer) vec3(v geom.Vec3) {
-	w.f64(v.X)
-	w.f64(v.Y)
-	w.f64(v.Z)
-}
-
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.err = ErrCorrupt
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.err = ErrCorrupt
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.err = ErrCorrupt
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) f32() float64 { return float64(math.Float32frombits(r.u32())) }
-func (r *reader) pose() geom.SE3 {
-	var p geom.SE3
-	p.R.W = r.f64()
-	p.R.X = r.f64()
-	p.R.Y = r.f64()
-	p.R.Z = r.f64()
-	p.T.X = r.f64()
-	p.T.Y = r.f64()
-	p.T.Z = r.f64()
-	return p
-}
-func (r *reader) vec3() geom.Vec3 {
-	return geom.Vec3{X: r.f64(), Y: r.f64(), Z: r.f64()}
-}
-
-// count reads an element count and validates it against the remaining
-// input: at least minBytes per element must still be present, so a
-// corrupt count can never drive an over-allocation.
-func (r *reader) count(minBytes int) (int, bool) {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > (len(r.buf)-r.off)/minBytes {
-		r.err = ErrCorrupt
-		return 0, false
-	}
-	return n, true
+// keyScratch holds key slices for canonical (sorted-key) map emission,
+// reused across entities to keep EncodeMap allocation-flat.
+type keyScratch struct {
+	u32 []uint32
+	u64 []uint64
 }
 
 // checkHeader consumes and validates a magic + version header.
-func (r *reader) checkHeader(magic uint32) error {
-	if r.u32() != magic || r.err != nil {
+func checkHeader(r *codec.Reader, magic uint32) error {
+	if r.U32() != magic || r.Err() != nil {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := r.u8(); r.err != nil || v != FormatVersion {
+	if v := r.U8(); r.Err() != nil || v != FormatVersion {
 		return fmt.Errorf("%w: got %d, want %d", ErrVersion, v, FormatVersion)
 	}
 	return nil
 }
 
-func appendKeyFrame(w *writer, kf *smap.KeyFrame) {
-	w.u64(kf.ID)
-	w.u32(uint32(kf.Client))
-	w.f64(kf.Stamp)
-	w.u32(uint32(kf.FrameIdx))
-	w.pose(kf.Tcw)
-	w.u32(uint32(len(kf.Keypoints)))
+func writeDesc(w *codec.Writer, d feature.Descriptor) {
+	for _, word := range d {
+		w.U64(word)
+	}
+}
+
+func readDesc(r *codec.Reader) (d feature.Descriptor) {
+	for i := range d {
+		d[i] = r.U64()
+	}
+	return d
+}
+
+func appendKeyFrame(w *codec.Writer, sc *keyScratch, kf *smap.KeyFrame) {
+	w.U64(kf.ID)
+	w.U32(uint32(kf.Client))
+	w.F64(kf.Stamp)
+	w.U32(uint32(kf.FrameIdx))
+	w.Pose(kf.Tcw)
+	w.U32(uint32(len(kf.Keypoints)))
 	for i, kp := range kf.Keypoints {
-		w.f32(kp.X)
-		w.f32(kp.Y)
-		w.u32(uint32(kp.Level))
-		w.f32(kp.Angle)
-		w.f32(kp.Score)
-		w.f32(kp.Right)
-		w.f32(kp.Depth)
-		b := kp.Desc.Bytes()
-		w.buf = append(w.buf, b[:]...)
-		w.u64(kf.MapPoints[i])
+		w.F32(kp.X)
+		w.F32(kp.Y)
+		w.U32(uint32(kp.Level))
+		w.F32(kp.Angle)
+		w.F32(kp.Score)
+		w.F32(kp.Right)
+		w.F32(kp.Depth)
+		writeDesc(w, kp.Desc)
+		w.U64(kf.MapPoints[i])
 	}
 	// Map-valued fields are emitted in sorted key order so the same
 	// map state always encodes to the same bytes — what lets crash
 	// recovery be verified byte-for-byte and checkpoints be diffed.
-	words := w.scr32[:0]
+	words := sc.u32[:0]
 	for wid := range kf.Bow {
 		words = append(words, uint32(wid))
 	}
 	slices.Sort(words)
-	w.scr32 = words
-	w.u32(uint32(len(words)))
+	sc.u32 = words
+	w.U32(uint32(len(words)))
 	for _, wid := range words {
-		w.u32(wid)
-		w.f32(kf.Bow[bow.WordID(wid)])
+		w.U32(wid)
+		w.F32(kf.Bow[bow.WordID(wid)])
 	}
-	conns := w.scr64[:0]
+	conns := sc.u64[:0]
 	for id := range kf.Conns {
 		conns = append(conns, id)
 	}
 	slices.Sort(conns)
-	w.scr64 = conns
-	w.u32(uint32(len(conns)))
+	sc.u64 = conns
+	w.U32(uint32(len(conns)))
 	for _, id := range conns {
-		w.u64(id)
-		w.u32(uint32(kf.Conns[id]))
+		w.U64(id)
+		w.U32(uint32(kf.Conns[id]))
 	}
 }
 
-func readKeyFrame(r *reader) (*smap.KeyFrame, error) {
+func readKeyFrame(r *codec.Reader) (*smap.KeyFrame, error) {
 	kf := &smap.KeyFrame{}
-	kf.ID = r.u64()
-	kf.Client = int(r.u32())
-	kf.Stamp = r.f64()
-	kf.FrameIdx = int(r.u32())
-	kf.Tcw = r.pose()
-	nkp, ok := r.count(minKeypointBytes)
-	if !ok {
-		return nil, ErrCorrupt
-	}
+	kf.ID = r.U64()
+	kf.Client = int(r.U32())
+	kf.Stamp = r.F64()
+	kf.FrameIdx = int(r.U32())
+	kf.Tcw = r.Pose()
+	nkp := r.Count(minKeypointBytes)
 	kf.Keypoints = make([]feature.Keypoint, nkp)
 	kf.MapPoints = make([]smap.ID, nkp)
 	for i := 0; i < nkp; i++ {
 		kp := &kf.Keypoints[i]
-		kp.X = r.f32()
-		kp.Y = r.f32()
-		kp.Level = int(r.u32())
-		kp.Angle = r.f32()
-		kp.Score = r.f32()
-		kp.Right = r.f32()
-		kp.Depth = r.f32()
-		if r.off+feature.DescriptorBytes > len(r.buf) {
-			return nil, ErrCorrupt
-		}
-		var db [feature.DescriptorBytes]byte
-		copy(db[:], r.buf[r.off:])
-		r.off += feature.DescriptorBytes
-		kp.Desc = feature.DescriptorFromBytes(db)
-		kf.MapPoints[i] = r.u64()
+		kp.X = r.F32()
+		kp.Y = r.F32()
+		kp.Level = int(r.U32())
+		kp.Angle = r.F32()
+		kp.Score = r.F32()
+		kp.Right = r.F32()
+		kp.Depth = r.F32()
+		kp.Desc = readDesc(r)
+		kf.MapPoints[i] = r.U64()
 	}
-	nbow, ok := r.count(minBowBytes)
-	if !ok {
-		return nil, ErrCorrupt
-	}
+	nbow := r.Count(minBowBytes)
 	kf.Bow = make(bow.Vec, nbow)
 	for i := 0; i < nbow; i++ {
-		wid := bow.WordID(r.u32())
-		kf.Bow[wid] = r.f32()
+		wid := bow.WordID(r.U32())
+		kf.Bow[wid] = r.F32()
 	}
-	nconn, ok := r.count(minConnBytes)
-	if !ok {
-		return nil, ErrCorrupt
-	}
+	nconn := r.Count(minConnBytes)
 	kf.Conns = make(map[smap.ID]int, nconn)
 	for i := 0; i < nconn; i++ {
-		id := r.u64()
-		kf.Conns[id] = int(r.u32())
+		id := r.U64()
+		kf.Conns[id] = int(r.U32())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, ErrCorrupt
 	}
 	return kf, nil
 }
 
-func appendMapPoint(w *writer, mp *smap.MapPoint) {
-	w.u64(mp.ID)
-	w.u32(uint32(mp.Client))
-	w.vec3(mp.Pos)
-	b := mp.Desc.Bytes()
-	w.buf = append(w.buf, b[:]...)
-	w.vec3(mp.Normal)
-	w.u64(mp.RefKF)
-	obs := w.scr64[:0]
+func appendMapPoint(w *codec.Writer, sc *keyScratch, mp *smap.MapPoint) {
+	w.U64(mp.ID)
+	w.U32(uint32(mp.Client))
+	w.Vec3(mp.Pos)
+	writeDesc(w, mp.Desc)
+	w.Vec3(mp.Normal)
+	w.U64(mp.RefKF)
+	obs := sc.u64[:0]
 	for kfID := range mp.Obs {
 		obs = append(obs, kfID)
 	}
 	slices.Sort(obs)
-	w.scr64 = obs
-	w.u32(uint32(len(obs)))
+	sc.u64 = obs
+	w.U32(uint32(len(obs)))
 	for _, kfID := range obs {
-		w.u64(kfID)
-		w.u32(uint32(mp.Obs[kfID]))
+		w.U64(kfID)
+		w.U32(uint32(mp.Obs[kfID]))
 	}
 }
 
-func readMapPoint(r *reader) (*smap.MapPoint, error) {
+func readMapPoint(r *codec.Reader) (*smap.MapPoint, error) {
 	mp := &smap.MapPoint{Obs: make(map[smap.ID]int)}
-	mp.ID = r.u64()
-	mp.Client = int(r.u32())
-	mp.Pos = r.vec3()
-	if r.err != nil || r.off+feature.DescriptorBytes > len(r.buf) {
-		return nil, ErrCorrupt
-	}
-	var db [feature.DescriptorBytes]byte
-	copy(db[:], r.buf[r.off:])
-	r.off += feature.DescriptorBytes
-	mp.Desc = feature.DescriptorFromBytes(db)
-	mp.Normal = r.vec3()
-	mp.RefKF = r.u64()
-	nobs, ok := r.count(minObsBytes)
-	if !ok {
-		return nil, ErrCorrupt
-	}
+	mp.ID = r.U64()
+	mp.Client = int(r.U32())
+	mp.Pos = r.Vec3()
+	mp.Desc = readDesc(r)
+	mp.Normal = r.Vec3()
+	mp.RefKF = r.U64()
+	nobs := r.Count(minObsBytes)
 	for i := 0; i < nobs; i++ {
-		kfID := r.u64()
-		mp.Obs[kfID] = int(r.u32())
+		kfID := r.U64()
+		mp.Obs[kfID] = int(r.U32())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, ErrCorrupt
 	}
 	return mp, nil
 }
@@ -313,38 +211,77 @@ func readMapPoint(r *reader) (*smap.MapPoint, error) {
 // descriptors, BoW vector, bindings, covisibility) — a journal record
 // payload for the persistence layer.
 func EncodeKeyFrame(kf *smap.KeyFrame) []byte {
-	w := &writer{buf: make([]byte, 0, 256+len(kf.Keypoints)*(minKeypointBytes+4))}
-	appendKeyFrame(w, kf)
-	return w.buf
+	w := codec.Writer{B: make([]byte, 0, 256+len(kf.Keypoints)*(minKeypointBytes+4))}
+	appendKeyFrame(&w, &keyScratch{}, kf)
+	return w.B
 }
 
 // DecodeKeyFrame reconstructs a keyframe serialized by EncodeKeyFrame
 // and reports the number of bytes consumed.
 func DecodeKeyFrame(data []byte) (*smap.KeyFrame, int, error) {
-	r := &reader{buf: data}
-	kf, err := readKeyFrame(r)
+	r := codec.NewReader(data)
+	kf, err := readKeyFrame(&r)
 	if err != nil {
 		return nil, 0, err
 	}
-	return kf, r.off, nil
+	return kf, r.Offset(), nil
 }
 
 // EncodeMapPoint serializes one map point.
 func EncodeMapPoint(mp *smap.MapPoint) []byte {
-	w := &writer{buf: make([]byte, 0, minMapPointBytes+len(mp.Obs)*minObsBytes)}
-	appendMapPoint(w, mp)
-	return w.buf
+	w := codec.Writer{B: make([]byte, 0, minMapPointBytes+len(mp.Obs)*minObsBytes)}
+	appendMapPoint(&w, &keyScratch{}, mp)
+	return w.B
 }
 
 // DecodeMapPoint reconstructs a map point serialized by EncodeMapPoint
 // and reports the number of bytes consumed.
 func DecodeMapPoint(data []byte) (*smap.MapPoint, int, error) {
-	r := &reader{buf: data}
-	mp, err := readMapPoint(r)
+	r := codec.NewReader(data)
+	mp, err := readMapPoint(&r)
 	if err != nil {
 		return nil, 0, err
 	}
-	return mp, r.off, nil
+	return mp, r.Offset(), nil
+}
+
+// appendEntities writes the two counted entity lists every container
+// (whole map, evicted region) carries after its header.
+func appendEntities(w *codec.Writer, kfs []*smap.KeyFrame, mps []*smap.MapPoint) {
+	var sc keyScratch
+	w.U32(uint32(len(kfs)))
+	for _, kf := range kfs {
+		appendKeyFrame(w, &sc, kf)
+	}
+	w.U32(uint32(len(mps)))
+	for _, mp := range mps {
+		appendMapPoint(w, &sc, mp)
+	}
+}
+
+// readEntities reverses appendEntities, handing each entity to the
+// caller as it is decoded.
+func readEntities(r *codec.Reader, addKF func(*smap.KeyFrame), addMP func(*smap.MapPoint)) error {
+	nkf := r.Count(minKeyFrameBytes)
+	for k := 0; k < nkf; k++ {
+		kf, err := readKeyFrame(r)
+		if err != nil {
+			return err
+		}
+		addKF(kf)
+	}
+	nmp := r.Count(minMapPointBytes)
+	for k := 0; k < nmp; k++ {
+		mp, err := readMapPoint(r)
+		if err != nil {
+			return err
+		}
+		addMP(mp)
+	}
+	if r.Err() != nil {
+		return ErrCorrupt
+	}
+	return nil
 }
 
 // EncodeMap serializes a map: keyframes (poses, keypoints with
@@ -352,67 +289,29 @@ func DecodeMapPoint(data []byte) (*smap.MapPoint, int, error) {
 // (positions, descriptors, observations) — everything the baseline
 // must ship to the server for merging.
 func EncodeMap(m *smap.Map) []byte {
-	w := &writer{buf: make([]byte, 0, 1<<20)}
-	w.u32(mapMagic)
-	w.u8(FormatVersion)
-	kfs := m.KeyFrames()
+	w := codec.Writer{B: make([]byte, 0, 1<<20)}
+	w.U32(mapMagic)
+	w.U8(FormatVersion)
 	mps := m.MapPoints()
 	// KeyFrames() is already deterministic (insertion order); the map
 	// points come out of the stripes unordered, so sort them by ID to
 	// keep the whole-map encoding canonical.
-	slices.SortFunc(mps, func(a, b *smap.MapPoint) int {
-		if a.ID < b.ID {
-			return -1
-		}
-		if a.ID > b.ID {
-			return 1
-		}
-		return 0
-	})
-	w.u32(uint32(len(kfs)))
-	for _, kf := range kfs {
-		appendKeyFrame(w, kf)
-	}
-	w.u32(uint32(len(mps)))
-	for _, mp := range mps {
-		appendMapPoint(w, mp)
-	}
-	return w.buf
+	slices.SortFunc(mps, func(a, b *smap.MapPoint) int { return cmp.Compare(a.ID, b.ID) })
+	appendEntities(&w, m.KeyFrames(), mps)
+	return w.B
 }
 
 // DecodeMap reconstructs a map serialized by EncodeMap, using voc for
 // the new map's BoW index. It returns an error — never panics, never
 // over-allocates — on truncated, corrupt, or version-mismatched input.
 func DecodeMap(data []byte, voc *bow.Vocabulary) (*smap.Map, error) {
-	r := &reader{buf: data}
-	if err := r.checkHeader(mapMagic); err != nil {
+	r := codec.NewReader(data)
+	if err := checkHeader(&r, mapMagic); err != nil {
 		return nil, err
 	}
 	m := smap.NewMap(voc)
-	nkf, ok := r.count(minKeyFrameBytes)
-	if !ok {
-		return nil, ErrCorrupt
-	}
-	for k := 0; k < nkf; k++ {
-		kf, err := readKeyFrame(r)
-		if err != nil {
-			return nil, err
-		}
-		m.AddKeyFrame(kf)
-	}
-	nmp, ok := r.count(minMapPointBytes)
-	if !ok {
-		return nil, ErrCorrupt
-	}
-	for k := 0; k < nmp; k++ {
-		mp, err := readMapPoint(r)
-		if err != nil {
-			return nil, err
-		}
-		m.AddMapPoint(mp)
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := readEntities(&r, m.AddKeyFrame, m.AddMapPoint); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -425,30 +324,29 @@ func MapSize(m *smap.Map) int { return len(EncodeMap(m)) }
 // to clients (the paper: "a small 4x4 matrix"), with the frame index
 // it answers.
 func EncodePose(frameIdx int, pose geom.SE3) []byte {
-	w := &writer{buf: make([]byte, 0, 4+1+8+16*8)}
-	w.u32(poseMagic)
-	w.u8(FormatVersion)
-	w.u64(uint64(frameIdx))
-	m := pose.Mat4()
-	for _, v := range m {
-		w.f64(v)
+	w := codec.Writer{B: make([]byte, 0, 4+1+8+16*8)}
+	w.U32(poseMagic)
+	w.U8(FormatVersion)
+	w.U64(uint64(frameIdx))
+	for _, v := range pose.Mat4() {
+		w.F64(v)
 	}
-	return w.buf
+	return w.B
 }
 
 // DecodePose reverses EncodePose.
 func DecodePose(data []byte) (frameIdx int, pose geom.SE3, err error) {
-	r := &reader{buf: data}
-	if err := r.checkHeader(poseMagic); err != nil {
+	r := codec.NewReader(data)
+	if err := checkHeader(&r, poseMagic); err != nil {
 		return 0, geom.SE3{}, err
 	}
-	frameIdx = int(r.u64())
+	frameIdx = int(r.U64())
 	var m geom.Mat4
 	for i := range m {
-		m[i] = r.f64()
+		m[i] = r.F64()
 	}
-	if r.err != nil {
-		return 0, geom.SE3{}, r.err
+	if r.Err() != nil {
+		return 0, geom.SE3{}, ErrCorrupt
 	}
 	return frameIdx, geom.SE3FromMat4(m), nil
 }

@@ -7,8 +7,10 @@
 //
 // # Architecture
 //
-// An EdgeServer owns the shared global map (in a shared-memory region,
-// see internal/shm) and one Session per connected device. Devices
+// An EdgeServer owns the shared global map (one smap.Map every session
+// goroutine reaches by pointer: the paper's shared-memory region with
+// its zero-copy, zero-serialization contract) and one Session per
+// connected device. Devices
 // (Device) integrate their IMU for short-horizon pose prediction
 // (Algorithm 1 of the paper), encode camera frames as video, and
 // stream them to the server; the server tracks each frame against the
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"slamshare/internal/baseline"
 	"slamshare/internal/camera"
@@ -91,95 +92,20 @@ func LoadSequence(name string, mode Mode) (*Sequence, error) {
 	return dataset.ByName(name, mode)
 }
 
-// ServerOptions configures an EdgeServer.
+// ServerOptions configures an in-process EdgeServer. Everything else
+// keeps server.DefaultConfig's value; the slamshare-server command
+// binds its flags onto that struct directly.
 type ServerOptions struct {
 	// GPULanes enables the simulated accelerator with that many lanes
 	// (0 = CPU only, the ORB-SLAM3 configuration).
 	GPULanes int
-	// LanesPerClient is each session's GSlice share of the GPU. It
-	// applies only when batched tracking is disabled (TrackWorkers < 0).
-	LanesPerClient int
-	// TrackWorkers sizes the shared batched tracking service: all
-	// sessions' extraction and local-search batches drain through one
-	// deadline-aware worker pool (0 = enabled with GOMAXPROCS workers,
-	// the default; > 0 = that many workers; < 0 = disabled, per-session
-	// fan-out).
-	TrackWorkers int
-	// MergeAfterKFs triggers the first merge attempt once a client's
-	// local map has this many keyframes.
-	MergeAfterKFs int
-	// ShmCapacity is the shared-memory budget in bytes (default 2 GiB).
+	// ShmCapacity is the global map's byte budget (default 2 GiB).
 	ShmCapacity int64
 	// CheckpointDir enables durable persistence: the global map is
 	// recovered from this directory on startup (latest checkpoint +
 	// journal replay) and journaled + checkpointed while running.
 	// Empty disables persistence.
 	CheckpointDir string
-	// CheckpointEvery is the background snapshot interval (0 = 30 s
-	// default, negative disables periodic checkpoints).
-	CheckpointEvery time.Duration
-	// FsyncJournal syncs every journal batch to disk.
-	FsyncJournal bool
-	// MaxSessions caps concurrently open device sessions; opens beyond
-	// it fail fast with an overload error (0 = default, negative =
-	// unlimited).
-	MaxSessions int
-	// MaxMergesInFlight caps concurrent map merges (0 = default,
-	// negative = unlimited).
-	MaxMergesInFlight int
-	// ShedBudget is the per-session backlog budget: when the frames
-	// queued behind the current one represent more wall-clock lag than
-	// this, stale frames are answered with a Shed pose instead of being
-	// tracked (0 = shedding disabled).
-	ShedBudget time.Duration
-	// IdleTimeout evicts a connection with no uplink traffic for this
-	// long (0 = default, negative = no eviction).
-	IdleTimeout time.Duration
-	// ReadTimeout bounds the mid-message stall a peer is allowed
-	// before eviction (0 = default, negative = unbounded).
-	ReadTimeout time.Duration
-	// FrameDeadline is the tracking-time budget per frame; frames over
-	// it skip local-map refinement and reuse the motion-model pose
-	// (0 = no deadline).
-	FrameDeadline time.Duration
-	// MaxMapKF bounds the resident keyframe count of the global map:
-	// past it, the lifecycle manager culls redundant keyframes and
-	// sparsifies dead map points in the background (0 = unbounded, the
-	// map grows forever).
-	MaxMapKF int
-	// EvictAfter is the age, in handled frames across all sessions,
-	// after which an untouched region of the map is serialized to disk
-	// (next to the checkpoints) and dropped from memory, transparently
-	// reloading when a session relocalizes into it (0 = never evict).
-	// Eviction needs CheckpointDir for the region files.
-	EvictAfter uint64
-	// SplitLoad is the server load (queued frames per tracking worker
-	// plus session backlog) at which a full-offload session is
-	// downgraded to split (client-side keypoint extraction). 0 uses
-	// the policy default.
-	SplitLoad float64
-	// ShadowLoad is the load at which a split session is downgraded to
-	// shadow (map-only sync; headsets are exempt). 0 uses the default.
-	ShadowLoad float64
-	// SplitRTT is the measured round-trip time beyond which full
-	// offload degrades to split regardless of load. 0 uses the default.
-	SplitRTT time.Duration
-	// ModeHysteresis is the minimum dwell between offload mode
-	// switches. 0 uses the default.
-	ModeHysteresis time.Duration
-	// TrackReservedSlots holds back admission slots in the tracking
-	// pool for QoS-0 (headset) frames, so a headset frame at a
-	// saturated pool never waits out a lower-class frame in service
-	// (0 = no reservation).
-	TrackReservedSlots int
-	// ShardID and ShardToken run the server as one shard of a
-	// spatially partitioned cluster: peers and front routers presenting
-	// the token may exchange boundary regions, ownership handoffs and
-	// admin probes with it. Standalone servers leave both zero (shard
-	// messages still answer, which is what lets a cluster grow out of
-	// a single server).
-	ShardID    uint32
-	ShardToken uint64
 }
 
 // EdgeServer is the SLAM-Share edge server.
@@ -187,7 +113,7 @@ type EdgeServer struct {
 	inner *server.Server
 }
 
-// NewEdgeServer creates a server with the shared-memory global map.
+// NewEdgeServer creates a server with an empty shared global map.
 func NewEdgeServer(opts ServerOptions) (*EdgeServer, error) {
 	cfg := server.DefaultConfig()
 	if opts.GPULanes > 0 {
@@ -195,64 +121,10 @@ func NewEdgeServer(opts ServerOptions) (*EdgeServer, error) {
 		gcfg.Lanes = opts.GPULanes
 		cfg.GPU = gpu.NewDevice(gcfg)
 	}
-	if opts.LanesPerClient > 0 {
-		cfg.LanesPerClient = opts.LanesPerClient
-	}
-	cfg.TrackWorkers = opts.TrackWorkers
-	if opts.MergeAfterKFs > 0 {
-		cfg.MergeAfterKFs = opts.MergeAfterKFs
-	}
 	if opts.ShmCapacity > 0 {
 		cfg.RegionCapacity = opts.ShmCapacity
 	}
-	if opts.MaxSessions != 0 {
-		cfg.Overload.MaxSessions = opts.MaxSessions
-	}
-	if opts.MaxMergesInFlight != 0 {
-		cfg.Overload.MaxMergesInFlight = opts.MaxMergesInFlight
-	}
-	if opts.ShedBudget > 0 {
-		cfg.Overload.ShedBudget = opts.ShedBudget
-	}
-	if opts.IdleTimeout != 0 {
-		cfg.Overload.IdleTimeout = opts.IdleTimeout
-	}
-	if opts.ReadTimeout != 0 {
-		cfg.Overload.ReadTimeout = opts.ReadTimeout
-	}
-	if opts.FrameDeadline > 0 {
-		cfg.TrackCfg.FrameDeadline = opts.FrameDeadline
-	}
-	if opts.CheckpointDir != "" {
-		cfg.Persist = persist.Options{
-			Dir:             opts.CheckpointDir,
-			CheckpointEvery: opts.CheckpointEvery,
-			Fsync:           opts.FsyncJournal,
-		}
-	}
-	if opts.MaxMapKF > 0 {
-		cfg.Lifecycle.MaxKeyFrames = opts.MaxMapKF
-	}
-	if opts.EvictAfter > 0 {
-		cfg.Lifecycle.EvictAfter = opts.EvictAfter
-	}
-	if opts.SplitLoad > 0 {
-		cfg.Offload.SplitLoad = opts.SplitLoad
-	}
-	if opts.ShadowLoad > 0 {
-		cfg.Offload.ShadowLoad = opts.ShadowLoad
-	}
-	if opts.SplitRTT > 0 {
-		cfg.Offload.SplitRTT = opts.SplitRTT
-	}
-	if opts.ModeHysteresis > 0 {
-		cfg.Offload.Hysteresis = opts.ModeHysteresis
-	}
-	if opts.TrackReservedSlots > 0 {
-		cfg.TrackReservedSlots = opts.TrackReservedSlots
-	}
-	cfg.Shard.ID = opts.ShardID
-	cfg.Shard.Token = opts.ShardToken
+	cfg.Persist.Dir = opts.CheckpointDir
 	s, err := server.New(cfg)
 	if err != nil {
 		return nil, err
@@ -260,7 +132,7 @@ func NewEdgeServer(opts ServerOptions) (*EdgeServer, error) {
 	return &EdgeServer{inner: s}, nil
 }
 
-// Close releases the server's shared-memory region.
+// Close stops the server and, with persistence, closes its journal.
 func (s *EdgeServer) Close() { s.inner.Close() }
 
 // GlobalMap returns the shared global map.
