@@ -87,7 +87,6 @@ func BenchmarkMultiClientTracking(b *testing.B) {
 						if pool != nil {
 							s.st = pool.NewStream()
 							ex.Par = s.st
-							tr.SearchPar = s.st
 						}
 						ses[si] = s
 					}

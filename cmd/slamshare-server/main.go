@@ -5,13 +5,13 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"time"
 
 	"slamshare"
-	"slamshare/internal/gpu"
 	"slamshare/internal/server"
 )
 
@@ -22,9 +22,7 @@ func main() {
 	cfg := server.DefaultConfig()
 	addr := flag.String("addr", "127.0.0.1:7007", "listen address")
 	debugAddr := flag.String("debug-addr", "", "serve live observability (/debug/vars, /debug/spans, /debug/pprof/) on this address (empty = disabled)")
-	gpuLanes := flag.Int("gpu-lanes", 8, "simulated GPU lanes (0 = CPU only)")
-	flag.IntVar(&cfg.LanesPerClient, "lanes-per-client", 4, "GSlice lanes per client session (only without batched tracking)")
-	flag.IntVar(&cfg.TrackWorkers, "track-workers", 0, "batched tracking pool workers shared by all sessions (0 = GOMAXPROCS, negative = disable batching)")
+	flag.IntVar(&cfg.TrackWorkers, "track-workers", 0, "batched tracking pool workers shared by all sessions (0 = GOMAXPROCS, negative = serial tracking, no pool)")
 	shmGB := flag.Int64("shm-gb", 2, "shared-memory budget in GiB")
 	flag.StringVar(&cfg.Persist.Dir, "checkpoint-dir", "", "directory for durable map checkpoints + journal (empty = no persistence)")
 	flag.DurationVar(&cfg.Persist.CheckpointEvery, "checkpoint-every", 30*time.Second, "background checkpoint interval")
@@ -46,11 +44,6 @@ func main() {
 	flag.Uint64Var(&cfg.Shard.Token, "shard-token", 0, "shared secret authenticating shard-to-shard and front-to-shard messages")
 	flag.Parse()
 
-	if *gpuLanes > 0 {
-		gcfg := gpu.DefaultConfig()
-		gcfg.Lanes = *gpuLanes
-		cfg.GPU = gpu.NewDevice(gcfg)
-	}
 	cfg.RegionCapacity = *shmGB << 30
 	cfg.Shard.ID = uint32(*shardID)
 	srv, err := server.New(cfg)
@@ -82,8 +75,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("%s listening on %s (gpu lanes: %d, shm: %d GiB)",
-		slamshare.String(), l.Addr(), *gpuLanes, *shmGB)
+	backend := "serial, no pool"
+	if p := srv.TrackPool(); p != nil {
+		backend = fmt.Sprintf("pool of %d workers", p.Workers())
+	}
+	log.Printf("%s listening on %s (tracking: %s, shm: %d GiB)",
+		slamshare.String(), l.Addr(), backend, *shmGB)
 
 	go func() {
 		ticker := time.NewTicker(5 * time.Second)

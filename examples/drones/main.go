@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	srv, err := slamshare.NewEdgeServer(slamshare.ServerOptions{GPULanes: 8})
+	srv, err := slamshare.NewEdgeServer(slamshare.ServerOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func main() {
 
 	// The edge server owns the shared global map (in a shared-memory
 	// region) and a simulated 8-lane GPU for tracking.
-	srv, err := slamshare.NewEdgeServer(slamshare.ServerOptions{GPULanes: 8})
+	srv, err := slamshare.NewEdgeServer(slamshare.ServerOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -195,7 +195,6 @@ type Client struct {
 
 	framesSinceUpload int
 	processed         int
-	uploads           int
 }
 
 // NewClient creates a baseline client for a sequence.
@@ -286,7 +285,6 @@ func (c *Client) Step(i int) StepResult {
 		res.Upload = data
 		res.SerializeTime = time.Since(t0)
 		c.framesSinceUpload = 0
-		c.uploads++
 	}
 	return res
 }
@@ -333,6 +331,3 @@ func (c *Client) Integrate(portion []byte, align geom.Sim3) (time.Duration, erro
 	})
 	return time.Since(t0), err
 }
-
-// Uploads returns how many merge rounds the client initiated.
-func (c *Client) Uploads() int { return c.uploads }

@@ -58,7 +58,6 @@ type Client struct {
 	live      metrics.Trajectory
 	sent      int
 	applied   int
-	shed      int
 	lastFrame int
 	upBytes   int64
 
@@ -164,15 +163,6 @@ func (c *Client) FramesSent() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sent
-}
-
-// ShedPoses returns how many of the server's answers were shed — the
-// frames an overloaded server refused to track, leaving the device on
-// IMU dead-reckoning until the next real fix.
-func (c *Client) ShedPoses() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shed
 }
 
 // Reconnect prepares the device for a fresh server session (e.g.
@@ -431,15 +421,12 @@ func (c *Client) noteToken(raw []byte) {
 }
 
 // noteAnswer counts one pose answer for frame idx, shed or not.
-func (c *Client) noteAnswer(idx uint32, shed bool) {
+func (c *Client) noteAnswer(idx uint32) {
 	c.mu.Lock()
 	if c.answers == nil {
 		c.answers = make(map[uint32]int)
 	}
 	c.answers[idx]++
-	if shed {
-		c.shed++
-	}
 	c.mu.Unlock()
 }
 

@@ -348,7 +348,7 @@ func (c *Client) handleDownlink(mt byte, payload []byte) (*protocol.PoseMsg, err
 		if pm.Token != nil {
 			c.noteToken(pm.Token)
 		}
-		c.noteAnswer(pm.FrameIdx, pm.Shed)
+		c.noteAnswer(pm.FrameIdx)
 		c.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
 		return pm, nil
 	}

@@ -138,12 +138,6 @@ func ShardStats(addr string, token uint64) (protocol.ShardStats, error) {
 	return st.Stats, nil
 }
 
-// Ping checks shard liveness.
-func Ping(addr string, token uint64) error {
-	_, err := probe(addr, token, protocol.ShardOpPing)
-	return err
-}
-
 // probe runs one admin control round trip.
 func probe(addr string, token uint64, op byte) (*protocol.ShardStatusMsg, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)

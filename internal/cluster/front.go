@@ -31,12 +31,12 @@ type FrontConfig struct {
 	// for one session — an aborted handoff (target refused or died)
 	// must not be retried on the very next frame.
 	HandoffCooldown time.Duration
-	// DialTimeout bounds each shard dial; RedialBudget bounds the total
-	// time a session keeps retrying a dead shard before giving up and
-	// dropping the client. The same budget bounds the dead-on-arrival
-	// cooldown loop: a shard that accepts connections but kills them
-	// during a slow restart (WAL replay) is retried with capped jittered
-	// backoff until the outage outlives the budget.
+	// DialTimeout bounds each shard dial; RedialBudget bounds how long
+	// one shard outage may last before the session gives up and drops
+	// the client. Refused dials, failed writes and connections that die
+	// before delivering anything (a shard replaying its WAL on a slow
+	// restart) all spend the same budget, with capped jittered backoff
+	// between attempts; see session.reconnectShard.
 	DialTimeout  time.Duration
 	RedialBudget time.Duration
 	// MaxUnacked caps the per-session unacked-frame ledger; beyond it
@@ -104,9 +104,9 @@ type Front struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 	stats  FrontStats
-	// redial schedules the dead-on-arrival cooldown sleeps: capped
-	// jittered exponential backoff keyed per client, deterministic for
-	// a fixed front ID.
+	// redial schedules the sleeps between a session's shard redials:
+	// capped jittered exponential backoff keyed per client,
+	// deterministic for a fixed front ID.
 	redial overload.Backoff
 
 	mu     sync.Mutex
@@ -268,14 +268,10 @@ type session struct {
 	caps  byte
 	token protocol.SessionTokenMsg
 
-	// connGot tracks whether the current shard connection delivered
-	// anything; strikes counts consecutive connections that died
-	// without a single downlink message, driving the cooldown backoff;
-	// outageStart marks when the current dead-on-arrival streak began
-	// (zero while healthy) so a slowly-restarting shard is retried up
-	// to the redial budget instead of orphaning the session.
-	connGot     bool
-	strikes     int
+	// attempt counts the redials spent on the current shard outage and
+	// outageStart marks when it opened (zero while healthy); the first
+	// downlink message refunds both. See reconnectShard.
+	attempt     int
 	outageStart time.Time
 
 	lastHandoff time.Time
@@ -401,7 +397,7 @@ func (f *Front) serveSession(client net.Conn) {
 			if !ok {
 				// Shard died outside a handoff: re-dial (the chaos tier
 				// restarts killed shards on the same address) and resume.
-				if !s.noteConnDeath() || !s.reconnectShard() {
+				if !s.reconnectShard() {
 					return
 				}
 				continue
@@ -468,29 +464,6 @@ func (f *Front) probeResume(shard, clientID uint32) (*protocol.ShardStatusMsg, e
 		return nil, err
 	}
 	return protocol.DecodeShardStatusMsg(raw)
-}
-
-// noteConnDeath applies the dead-on-arrival cooldown policy when a
-// shard connection closes before delivering anything. Rather than
-// dropping the session after a fixed strike count (which orphaned
-// every session of a shard doing a slow WAL replay on restart), the
-// session sleeps a capped jittered backoff and retries until the
-// outage has outlived the redial budget. Returns false when the
-// session should be dropped.
-func (s *session) noteConnDeath() bool {
-	if s.connGot {
-		s.strikes = 0
-		s.outageStart = time.Time{}
-		return true
-	}
-	if s.outageStart.IsZero() {
-		s.outageStart = time.Now()
-	} else if time.Since(s.outageStart) > s.f.cfg.RedialBudget {
-		return false
-	}
-	time.Sleep(s.f.redial.DelayDuration(uint64(s.clientID), s.strikes))
-	s.strikes++
-	return true
 }
 
 // isFrame reports whether an uplink message expects a pose answer.
@@ -597,7 +570,7 @@ func (s *session) forward(mt byte, payload []byte) bool {
 // token on the answering pose. Returns false when the client write
 // fails.
 func (s *session) downlink(m message) bool {
-	s.connGot = true
+	s.attempt, s.outageStart = 0, time.Time{} // the shard answers: outage over
 	switch m.mt {
 	case protocol.TypePose:
 		// Settle the matching ledger entry (not the head — a reconnect
@@ -661,14 +634,10 @@ func (s *session) attachToken(payload []byte, idx uint32) []byte {
 // cannot race an in-flight tracking answer). Downlink messages keep
 // flowing to the client while draining.
 func (s *session) drain() bool {
-	deadline := time.Now().Add(s.f.cfg.RedialBudget)
 	for len(s.unacked) > 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
 		m, ok := <-s.down
 		if !ok {
-			if !s.noteConnDeath() || !s.reconnectShard() {
+			if !s.reconnectShard() {
 				return false
 			}
 			continue
@@ -707,7 +676,6 @@ func (s *session) connectShard() bool {
 		}
 	}
 	s.shard = conn
-	s.connGot = false
 	down := make(chan message, 64)
 	s.down = down
 	go func() {
@@ -723,22 +691,34 @@ func (s *session) connectShard() bool {
 	return true
 }
 
-// reconnectShard retries connectShard against the current shard until
-// the redial budget runs out. The shard's session resume path
-// (relocalization against the recovered map) takes it from there.
+// reconnectShard replaces a failed shard connection under the rule
+// client.Run states for the device's end of the socket: the first
+// failure — a dead connection, a failed write, a refused dial — opens
+// an outage, every redial inside it first sleeps its backoff delay,
+// and the first downlink message closes it and refunds the attempts.
+// A connection that dies before delivering anything is therefore one
+// more attempt of the same outage, so a shard that accepts and kills
+// connections while it replays its WAL is retried at a falling rate.
+// Returns false, dropping the session, once the outage has outlived
+// RedialBudget. The shard's session resume path (relocalization
+// against the recovered map) takes it from a successful redial.
 func (s *session) reconnectShard() bool {
 	if s.shard != nil {
 		s.shard.Close()
 		s.shard = nil
 	}
-	deadline := time.Now().Add(s.f.cfg.RedialBudget)
-	for time.Now().Before(deadline) {
+	for {
+		if s.outageStart.IsZero() {
+			s.outageStart = time.Now()
+		} else if time.Since(s.outageStart) > s.f.cfg.RedialBudget {
+			return false
+		}
+		time.Sleep(s.f.redial.DelayDuration(uint64(s.clientID), s.attempt))
+		s.attempt++
 		if s.connectShard() {
 			return true
 		}
-		time.Sleep(100 * time.Millisecond)
 	}
-	return false
 }
 
 // handoff moves the session (and its boundary map region) from s.cur
@@ -754,8 +734,9 @@ func (s *session) handoff(tgt uint32) bool {
 		s.f.record(ev)
 		s.lastHandoff = time.Now()
 		// The source still owns the region; the Bye below may already
-		// have closed the session there, so reconnect and resume.
-		return s.reconnectShard()
+		// have closed the session there, so reconnect and resume. The
+		// session hung up itself: only a failed dial opens an outage.
+		return s.connectShard() || s.reconnectShard()
 	}
 
 	// Close the session on the source cleanly so its tracking state is
@@ -827,7 +808,7 @@ func (s *session) handoff(tgt uint32) bool {
 	ev.Committed = true
 	s.f.record(ev)
 	s.lastHandoff = time.Now()
-	return s.reconnectShard()
+	return s.connectShard() || s.reconnectShard()
 }
 
 // readReply reads framed messages until one of the wanted type arrives

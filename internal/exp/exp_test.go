@@ -41,6 +41,34 @@ func TestAllIDsRun(t *testing.T) {
 	}
 }
 
+// TestFig8ModeledGPUBeatsCPU turns Fig. 8's shape claim into an
+// assertion: on every configuration the tracker with the simulated
+// device attached reports a lower (modeled) total than the CPU tracker
+// beside it. It is the one place modeled time is still reported, so it
+// also guards the device ledger the conversion reads.
+func TestFig8ModeledGPUBeatsCPU(t *testing.T) {
+	if testing.Short() {
+		t.Skip("system test")
+	}
+	rows, err := Fig8(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 || len(rows)%2 != 0 {
+		t.Fatalf("Fig8 returned %d rows, want CPU/GPU pairs", len(rows))
+	}
+	for i := 0; i < len(rows); i += 2 {
+		cpu, g := rows[i], rows[i+1]
+		if cpu.GPU || !g.GPU || cpu.Dataset != g.Dataset || cpu.Mode != g.Mode {
+			t.Fatalf("rows %d,%d are not a CPU/GPU pair: %+v %+v", i, i+1, cpu, g)
+		}
+		if g.Total <= 0 || g.Total >= cpu.Total {
+			t.Errorf("%s (%s): modeled GPU total %v, CPU total %v — want 0 < GPU < CPU",
+				cpu.Dataset, cpu.Mode, g.Total, cpu.Total)
+		}
+	}
+}
+
 func TestRunnerDeliversDelayedPoses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("system test")

@@ -44,13 +44,10 @@ func measureTracking(seq *dataset.Sequence, dev *gpu.Device, nFrames int) Tracki
 	m := smap.NewMap(bow.Default())
 	alloc := smap.NewIDAllocator(1)
 	ex := feature.NewExtractor(feature.DefaultConfig())
-	var searchPar feature.Parallelizer
 	if dev != nil {
 		ex.Par = dev
-		searchPar = dev
 	}
 	tr := tracking.New(m, seq.Rig, ex, alloc, 1, tracking.DefaultConfig())
-	tr.SearchPar = searchPar
 	mp := mapping.New(m, seq.Rig, alloc, 1, mapping.DefaultConfig())
 
 	var agg tracking.Stages

@@ -3,7 +3,6 @@ package feature
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"slamshare/internal/img"
 )
@@ -22,16 +21,6 @@ func TestDescriptorDistance(t *testing.T) {
 	}
 	if Distance(a, b) != 256 {
 		t.Errorf("max distance = %d", Distance(a, b))
-	}
-}
-
-func TestDescriptorBytesRoundTrip(t *testing.T) {
-	f := func(w0, w1, w2, w3 uint64) bool {
-		d := Descriptor{w0, w1, w2, w3}
-		return DescriptorFromBytes(d.Bytes()) == d
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

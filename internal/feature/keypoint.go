@@ -4,8 +4,8 @@
 // descriptors, quadtree keypoint distribution, and Hamming-distance
 // matching (brute-force and stereo). Detection and description have
 // both sequential forms (the paper's CPU baseline) and data-parallel
-// forms driven through the Parallelizer interface (the paper's GPU
-// path, implemented by internal/gpu).
+// forms driven through the Parallelizer interface (the serving path's
+// internal/trackpool workers; internal/gpu for the paper's Fig. 5/8).
 package feature
 
 import (
@@ -30,32 +30,6 @@ func Distance(a, b Descriptor) int {
 		bits.OnesCount64(a[3]^b[3])
 }
 
-// Bytes returns the descriptor as 32 bytes (little-endian words) for
-// serialization.
-func (d Descriptor) Bytes() [32]byte {
-	var out [32]byte
-	for w := 0; w < 4; w++ {
-		v := d[w]
-		for i := 0; i < 8; i++ {
-			out[w*8+i] = byte(v >> (8 * i))
-		}
-	}
-	return out
-}
-
-// DescriptorFromBytes reverses Descriptor.Bytes.
-func DescriptorFromBytes(b [32]byte) Descriptor {
-	var d Descriptor
-	for w := 0; w < 4; w++ {
-		var v uint64
-		for i := 0; i < 8; i++ {
-			v |= uint64(b[w*8+i]) << (8 * i)
-		}
-		d[w] = v
-	}
-	return d
-}
-
 // Keypoint is a detected, described image feature. X and Y are level-0
 // pixel coordinates; Level and LevelX/LevelY record where in the
 // pyramid it was found.
@@ -74,7 +48,8 @@ func (k Keypoint) Pt() geom.Vec2 { return geom.Vec2{X: k.X, Y: k.Y} }
 
 // Parallelizer runs n independent work items, possibly concurrently.
 // The sequential implementation (SerialRunner) models the paper's CPU
-// path; internal/gpu provides the accelerated one.
+// path; internal/trackpool serves it from a shared worker pool and
+// internal/gpu models the paper's accelerator.
 type Parallelizer interface {
 	Run(n int, f func(i int))
 }
@@ -92,10 +67,12 @@ func (SerialRunner) Run(n int, f func(i int)) {
 
 // ModeledParallelizer is a Parallelizer that also accounts device
 // time: Counters returns cumulative (wall, modeled) kernel durations.
-// The simulated GPU implements it; stage timers subtract the wall time
-// their kernels took on the host and add the modeled device time, so
-// reported latencies reflect the configured accelerator rather than
-// the host's core count (see internal/gpu).
+// Only the simulated GPU implements it, and only internal/exp's
+// Fig. 5/8 and the lane ablation attach one: their stage timers
+// subtract the wall time the kernels took on the host and add the
+// modeled device time, so reported latencies reflect the configured
+// accelerator rather than the host's core count (see internal/gpu).
+// Every other backend reports wall time.
 type ModeledParallelizer interface {
 	Parallelizer
 	Counters() (wall, modeled time.Duration)

@@ -67,13 +67,3 @@ type FrameScheduler interface {
 type QueueWaiter interface {
 	QueueWait() time.Duration
 }
-
-// TimedParallelizer executes one kernel and reports its (wall,
-// modeled) cost. A scheduler multiplexing one shared device across
-// many streams uses it to attribute each batch's device time to the
-// stream that submitted it, which a cumulative Counters ledger on the
-// shared device cannot do.
-type TimedParallelizer interface {
-	Parallelizer
-	RunTimed(n int, f func(i int)) (wall, modeled time.Duration)
-}

@@ -120,16 +120,6 @@ func OuterProduct(v, w Vec3) Mat3 {
 // (the "small 4x4 matrix" poses the paper ships from server to client).
 type Mat4 [16]float64
 
-// Identity4 returns the 4x4 identity matrix.
-func Identity4() Mat4 {
-	return Mat4{
-		1, 0, 0, 0,
-		0, 1, 0, 0,
-		0, 0, 1, 0,
-		0, 0, 0, 1,
-	}
-}
-
 // At returns element (r, c).
 func (m Mat4) At(r, c int) float64 { return m[4*r+c] }
 

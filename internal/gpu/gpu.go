@@ -1,8 +1,9 @@
 // Package gpu simulates the edge server's accelerator (an NVIDIA V100
 // in the paper's testbed): a device with a fixed number of parallel
-// lanes, kernel-launch overhead, per-stream queues, and GSlice-style
-// spatio-temporal sharing so multiple client processes extract
-// features and search local points concurrently (§4.2.1).
+// lanes and kernel-launch overhead (§4.2.1). It exists for the paper's
+// Figs. 5 and 8 and the lane ablation, which attach a Device directly
+// to a tracker; the serving path runs internal/trackpool's workers and
+// reports wall time, so nothing outside internal/exp selects it.
 //
 // Substitution note (DESIGN.md): the "kernels" execute the same Go
 // loops as the CPU path, genuinely in parallel across a worker pool,
@@ -47,12 +48,12 @@ type Stats struct {
 	BusyTime  time.Duration
 }
 
-// Device is a simulated GPU. It implements feature.Parallelizer, so a
-// tracker hands it directly to the extraction and search-local-points
-// stages.
+// Device is a simulated GPU. It implements feature.ModeledParallelizer,
+// so a tracker hands it directly to the extraction and
+// search-local-points stages.
 type Device struct {
 	cfg   Config
-	sem   chan struct{} // lane tokens (spatial sharing)
+	sem   chan struct{} // lane tokens, shared by concurrent kernels
 	mu    sync.Mutex
 	stats Stats
 
@@ -82,28 +83,20 @@ func (d *Device) Lanes() int { return d.cfg.Lanes }
 
 // Run executes n work items as one kernel launch: items are split into
 // lane-sized grains that execute concurrently, bounded by the device's
-// lane count (shared with all other streams on the device). It
+// lane count (shared with every other tracker on the device). It
 // implements feature.Parallelizer.
 //
 // Besides executing the work, Run keeps a modeled-time ledger: the
 // kernel's serial busy time (sum of per-grain execution times) divided
-// by the effective parallelism, plus the launch overhead. On a
-// multicore host the modeled time tracks the measured wall time; on a
-// constrained host it is what a device with the configured lane count
-// would have taken. Counters exposes both so callers can report
-// device-accurate stage latencies (see feature.ModeledParallelizer).
+// by the effective parallelism, plus the launch overhead. Modeled time
+// is what a device with the configured lane count would have taken; it
+// tracks the measured wall time only while the host has at least as
+// many idle cores as the device has lanes. Counters exposes both so
+// callers can report device-accurate stage latencies (see
+// feature.ModeledParallelizer).
 func (d *Device) Run(n int, f func(i int)) {
-	d.RunTimed(n, f)
-}
-
-// RunTimed executes one kernel like Run and returns its (wall,
-// modeled) cost, so a scheduler multiplexing the device across many
-// streams can attribute the batch's time to the stream that submitted
-// it (feature.TimedParallelizer). The cumulative Counters ledger is
-// still updated.
-func (d *Device) RunTimed(n int, f func(i int)) (wallDur, modeledDur time.Duration) {
 	if n <= 0 {
-		return 0, 0
+		return
 	}
 	start := time.Now()
 	d.kernels.Add(1)
@@ -129,7 +122,7 @@ func (d *Device) RunTimed(n int, f func(i int)) (wallDur, modeledDur time.Durati
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			// Acquire a lane (spatial sharing across streams).
+			// Acquire a lane (shared across concurrent kernels).
 			<-d.sem
 			defer func() { d.sem <- struct{}{} }()
 			g0 := time.Now()
@@ -154,7 +147,6 @@ func (d *Device) RunTimed(n int, f func(i int)) (wallDur, modeledDur time.Durati
 	d.mu.Lock()
 	d.stats.BusyTime += wall
 	d.mu.Unlock()
-	return wall, time.Duration(modeled)
 }
 
 // Counters returns the cumulative (wall, modeled) kernel time. It
@@ -182,92 +174,4 @@ func spinFor(dur time.Duration) {
 	end := time.Now().Add(dur)
 	for time.Now().Before(end) {
 	}
-}
-
-// Slice is a GSlice-style fractional share of a device: a stream that
-// may use at most a fraction of the device's lanes at once, giving
-// each client process predictable service while sharing the hardware
-// (the paper cites GSlice [19] for this spatio-temporal sharing).
-type Slice struct {
-	dev     *Device
-	lanes   int
-	sem     chan struct{}
-	wallNS  atomic.Int64
-	modelNS atomic.Int64
-}
-
-// NewSlice carves a share of the device with the given number of
-// lanes (clamped to [1, device lanes]).
-func (d *Device) NewSlice(lanes int) *Slice {
-	if lanes < 1 {
-		lanes = 1
-	}
-	if lanes > d.cfg.Lanes {
-		lanes = d.cfg.Lanes
-	}
-	s := &Slice{dev: d, lanes: lanes, sem: make(chan struct{}, lanes)}
-	for i := 0; i < lanes; i++ {
-		s.sem <- struct{}{}
-	}
-	return s
-}
-
-// Lanes returns the slice's lane budget.
-func (s *Slice) Lanes() int { return s.lanes }
-
-// Run executes a kernel within the slice's lane budget; the underlying
-// device lanes are still shared with other slices, so contention
-// appears as queueing, exactly like temporal sharing on a real GPU.
-func (s *Slice) Run(n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	start := time.Now()
-	s.dev.kernels.Add(1)
-	s.dev.workItems.Add(uint64(n))
-	if s.dev.cfg.LaunchOverhead > 0 {
-		spinFor(s.dev.cfg.LaunchOverhead)
-	}
-	grain := (n + s.lanes - 1) / s.lanes
-	if grain < s.dev.cfg.MinGrain {
-		grain = s.dev.cfg.MinGrain
-	}
-	var wg sync.WaitGroup
-	var busyNS atomic.Int64
-	grains := 0
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		grains++
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			<-s.sem // slice budget
-			defer func() { s.sem <- struct{}{} }()
-			<-s.dev.sem // physical lane
-			defer func() { s.dev.sem <- struct{}{} }()
-			g0 := time.Now()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-			busyNS.Add(int64(time.Since(g0)))
-		}(lo, hi)
-	}
-	wg.Wait()
-	factor := grains
-	if factor > s.lanes {
-		factor = s.lanes
-	}
-	if factor < 1 {
-		factor = 1
-	}
-	s.wallNS.Add(int64(time.Since(start)))
-	s.modelNS.Add(int64(s.dev.cfg.LaunchOverhead) + busyNS.Load()/int64(factor))
-}
-
-// Counters returns the slice's cumulative (wall, modeled) kernel time.
-func (s *Slice) Counters() (wall, modeled time.Duration) {
-	return time.Duration(s.wallNS.Load()), time.Duration(s.modelNS.Load())
 }

@@ -123,58 +123,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestSliceBoundsConcurrency(t *testing.T) {
-	d := NewDevice(Config{Lanes: 8, LaunchOverhead: 0, MinGrain: 1})
-	s := d.NewSlice(2)
-	var peak, cur atomic.Int32
-	s.Run(16, func(i int) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-	})
-	if peak.Load() > 2 {
-		t.Errorf("slice exceeded its lane budget: peak %d", peak.Load())
-	}
-}
-
-func TestSliceClamping(t *testing.T) {
-	d := NewDevice(Config{Lanes: 4, LaunchOverhead: 0, MinGrain: 1})
-	if s := d.NewSlice(0); s.Lanes() != 1 {
-		t.Errorf("zero-lane slice = %d lanes", s.Lanes())
-	}
-	if s := d.NewSlice(100); s.Lanes() != 4 {
-		t.Errorf("oversized slice = %d lanes", s.Lanes())
-	}
-}
-
-func TestSlicesShareDevice(t *testing.T) {
-	// Two slices running concurrently must both finish — no deadlock on
-	// the shared physical lanes.
-	d := NewDevice(Config{Lanes: 2, LaunchOverhead: 0, MinGrain: 1})
-	s1 := d.NewSlice(2)
-	s2 := d.NewSlice(2)
-	done := make(chan struct{}, 2)
-	for _, s := range []*Slice{s1, s2} {
-		go func(s *Slice) {
-			s.Run(20, func(i int) { time.Sleep(100 * time.Microsecond) })
-			done <- struct{}{}
-		}(s)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("slices deadlocked on shared device")
-		}
-	}
-}
-
 func TestDefaultConfigSized(t *testing.T) {
 	d := NewDevice(DefaultConfig())
 	if d.Lanes() != runtime.NumCPU() {

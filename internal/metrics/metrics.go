@@ -162,14 +162,13 @@ func ShortTermSeries(est, truth Trajectory, step, window float64) []CumulativePo
 // CPUMeter accumulates busy time of a component against wall-clock
 // time — the substitution for psutil in Fig. 13 (see DESIGN.md).
 type CPUMeter struct {
-	mu    sync.Mutex
-	busy  time.Duration
-	start time.Time
+	mu   sync.Mutex
+	busy time.Duration
 }
 
-// NewCPUMeter starts metering now.
+// NewCPUMeter returns a meter with no busy time accounted.
 func NewCPUMeter() *CPUMeter {
-	return &CPUMeter{start: time.Now()}
+	return &CPUMeter{}
 }
 
 // Add accounts d of busy compute time.
@@ -191,18 +190,6 @@ func (c *CPUMeter) Busy() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.busy
-}
-
-// Utilization returns busy time as a fraction of elapsed wall time
-// (1.0 = one core fully busy).
-func (c *CPUMeter) Utilization() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	wall := time.Since(c.start)
-	if wall <= 0 {
-		return 0
-	}
-	return float64(c.busy) / float64(wall)
 }
 
 // UtilizationOver returns busy/wall against an explicit wall duration,

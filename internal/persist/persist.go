@@ -65,7 +65,6 @@ type Manager struct {
 	lock    *sync.RWMutex
 	journal *Journal
 	stats   *Stats
-	start   time.Time
 	stCkpt  *obs.Stage
 
 	// cpMu serializes checkpoints (ticker vs explicit CheckpointNow).
@@ -110,7 +109,6 @@ func Open(opts Options, m *smap.Map, anchors *holo.Registry, lastSeq uint64, loc
 		lock:    lock,
 		journal: j,
 		stats:   stats,
-		start:   time.Now(),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -145,16 +143,6 @@ func (mgr *Manager) Journal() *Journal { return mgr.journal }
 
 // Stats returns the persistence counters.
 func (mgr *Manager) Stats() *Stats { return mgr.stats }
-
-// JournalRate returns average journal throughput in bytes/sec since
-// the manager opened.
-func (mgr *Manager) JournalRate() float64 {
-	elapsed := time.Since(mgr.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(mgr.stats.JournalBytes.Load()) / elapsed
-}
 
 // CheckpointNow takes a snapshot: rotate the journal at the current
 // sequence, encode the map and anchors, durably write the checkpoint,

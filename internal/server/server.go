@@ -37,7 +37,6 @@ import (
 	"slamshare/internal/tracking"
 	"slamshare/internal/trackpool"
 	"slamshare/internal/video"
-	"slamshare/internal/wire"
 )
 
 // Config parameterizes the server.
@@ -46,22 +45,19 @@ type Config struct {
 	// the shared-memory region size of §4.3.2). A keyframe whose
 	// footprint no longer fits is counted as a mapper rejection.
 	RegionCapacity int64
-	// GPU is the accelerator shared by all client processes; nil runs
-	// every stage on the CPU (the ORB-SLAM3 baseline configuration of
-	// Figs. 5/8).
-	GPU *gpu.Device
-	// LanesPerClient is each client process's GSlice share. It applies
-	// only when the tracking pool is disabled (TrackWorkers < 0): with
-	// the pool on, sessions share the device through the pool's
-	// deadline-aware queue instead of static slices.
+	// GPU and LanesPerClient are not consulted; assigned by the frozen
+	// benchmark (bench/trace.go); delete with the next `benchmark` PR,
+	// and this file's internal/gpu import with them. The serving path
+	// has one tracking backend, the pool below, and reports wall time.
+	GPU            *gpu.Device
 	LanesPerClient int
 	// TrackWorkers sizes the shared batched tracking service
 	// (internal/trackpool): every session's extraction and
 	// search-local-points batches drain through one server-wide worker
 	// pool scheduled earliest-deadline-first. 0 (the default) enables
 	// the pool with GOMAXPROCS workers, > 0 sets the worker count, and
-	// < 0 disables batching — each session fans out per-call, the
-	// pre-pool behavior.
+	// < 0 disables batching — each session runs its kernels serially,
+	// the reference the pooled pipeline is compared against.
 	TrackWorkers int
 	// TrackReservedSlots holds back admission slots in the tracking
 	// pool for QoS-0 (headset) frames, so a headset frame arriving at
@@ -199,7 +195,6 @@ func DefaultOverloadConfig() OverloadConfig {
 func DefaultConfig() Config {
 	return Config{
 		RegionCapacity: 2 << 30,
-		LanesPerClient: 8,
 		MergeAfterKFs:  8,
 		TrackCfg:       tracking.DefaultConfig(),
 		MapCfg:         mapping.DefaultConfig(),
@@ -386,9 +381,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MergeAfterKFs == 0 {
 		cfg.MergeAfterKFs = 8
 	}
-	if cfg.LanesPerClient == 0 {
-		cfg.LanesPerClient = 8
-	}
 	fillOverloadDefaults(&cfg.Overload)
 	voc := cfg.Vocabulary
 	if voc == nil {
@@ -453,18 +445,9 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	if cfg.TrackWorkers >= 0 {
-		// The batched tracking service is the default path: the modeled
-		// GPU, when configured, becomes the pool's backend so sessions
-		// share it through the deadline-aware queue instead of static
-		// per-session slices.
-		var dev feature.TimedParallelizer
-		if cfg.GPU != nil {
-			dev = cfg.GPU
-		}
 		s.tpool = trackpool.New(trackpool.Config{
 			Workers:       cfg.TrackWorkers,
 			ReservedSlots: cfg.TrackReservedSlots,
-			Device:        dev,
 		})
 	}
 	if lcfg := cfg.Lifecycle; lcfg.MaxKeyFrames > 0 || lcfg.EvictAfter > 0 {
@@ -694,8 +677,8 @@ type Session struct {
 }
 
 // OpenSession registers a client process. Each session gets a stream
-// on the shared tracking pool (or its own GPU slice when the pool is
-// disabled).
+// on the shared tracking pool (or runs its kernels serially when the
+// pool is disabled).
 func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) {
 	// Admission control: beyond the session ceiling the server refuses
 	// outright (typed overload.ErrOverloaded) instead of degrading
@@ -723,23 +706,15 @@ func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) 
 	alloc := smap.NewIDAllocatorFrom(int(clientID), resumeSeq)
 	localMap := smap.NewMap(s.voc)
 	ex := feature.NewExtractor(feature.DefaultConfig())
-	var searchPar feature.Parallelizer
 	var stream *trackpool.Stream
-	switch {
-	case s.tpool != nil:
+	if s.tpool != nil {
 		// Batched tracking: the session's data-parallel stages submit to
 		// the server-wide pool through a per-session stream (which also
 		// carries the frame deadline tags and queue-wait ledger).
 		stream = s.tpool.NewStream()
 		ex.Par = stream
-		searchPar = stream
-	case s.cfg.GPU != nil:
-		slice := s.cfg.GPU.NewSlice(s.cfg.LanesPerClient)
-		ex.Par = slice
-		searchPar = slice
 	}
 	tr := tracking.New(localMap, rig, ex, alloc, int(clientID), s.cfg.TrackCfg)
-	tr.SearchPar = searchPar
 	tr.Obs = s.obs
 	mapper := mapping.New(localMap, rig, alloc, int(clientID), s.cfg.MapCfg)
 	mapper.Obs = s.obs
@@ -1102,13 +1077,6 @@ func (sess *Session) tryMerge() bool {
 	return true
 }
 
-// Quarantined reports whether the session was barred from merging
-// after repeated validation rollbacks.
-func (sess *Session) Quarantined() bool { return sess.quarantined }
-
-// MergeAttempts returns how many merge attempts the session has made.
-func (sess *Session) MergeAttempts() int { return sess.mergeAttempts }
-
 // Stats summarizes a session.
 type Stats struct {
 	Frames     int
@@ -1127,14 +1095,6 @@ func (sess *Session) Stats() Stats {
 		TrackStats: sess.trackHist.Summary(),
 		Merged:     sess.merged,
 	}
-}
-
-// GlobalMapSize returns the serialized size of the global map in
-// bytes (Table 1 instrumentation).
-func (s *Server) GlobalMapSize() int {
-	s.gmu.RLock()
-	defer s.gmu.RUnlock()
-	return wire.MapSize(s.global)
 }
 
 // Serve accepts client connections on l and runs a session per

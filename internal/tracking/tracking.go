@@ -142,14 +142,13 @@ func DefaultConfig() Config {
 
 // Tracker localizes a stream of frames in a map. One Tracker serves
 // one client; the map may be shared with other trackers (the global
-// map in shared memory).
+// map in shared memory). Extractor.Par is its one data-parallel
+// backend: it runs the extraction strips and the search-local-points
+// loop (the paper's two GPU kernels); nil means sequential.
 type Tracker struct {
 	Map       *smap.Map
 	Rig       camera.Rig
 	Extractor *feature.Extractor
-	// SearchPar parallelizes the search-local-points loop (the paper's
-	// second GPU kernel). Nil means sequential.
-	SearchPar feature.Parallelizer
 	Alloc     *smap.IDAllocator
 	Client    int
 	Cfg       Config
@@ -270,24 +269,25 @@ func (t *Tracker) frameGrid(fr *Frame) (*grid, *feature.SoA) {
 	return &sc.grid, &sc.soa
 }
 
-// beginFrame tags pool-backed parallelizers with the frame's admission
+// par returns the tracker's data-parallel backend, nil when the
+// tracker has no extractor or runs sequentially.
+func (t *Tracker) par() feature.Parallelizer {
+	if t.Extractor == nil {
+		return nil
+	}
+	return t.Extractor.Par
+}
+
+// beginFrame tags a pool-backed parallelizer with the frame's admission
 // window (arrival, deadline) so the shared tracking pool can order
 // batches earliest-deadline-first and let a nearly-overdue frame jump
-// the queue. Extraction and search usually share one stream, so the
-// second tag is skipped when the parallelizers are the same value.
+// the queue.
 func (t *Tracker) beginFrame(arrival time.Time) {
 	var deadline time.Time
 	if t.Cfg.FrameDeadline > 0 {
 		deadline = arrival.Add(t.Cfg.FrameDeadline)
 	}
-	var ep feature.Parallelizer
-	if t.Extractor != nil {
-		ep = t.Extractor.Par
-	}
-	if fs, ok := ep.(feature.FrameScheduler); ok {
-		fs.BeginFrame(arrival, deadline)
-	}
-	if fs, ok := t.SearchPar.(feature.FrameScheduler); ok && t.SearchPar != ep {
+	if fs, ok := t.par().(feature.FrameScheduler); ok {
 		fs.BeginFrame(arrival, deadline)
 	}
 }
@@ -296,38 +296,19 @@ func (t *Tracker) beginFrame(arrival time.Time) {
 // the pool slot so the next queued frame starts. Deferred from
 // ProcessFrame so every exit path releases it.
 func (t *Tracker) endFrame() {
-	var ep feature.Parallelizer
-	if t.Extractor != nil {
-		ep = t.Extractor.Par
-	}
-	if fs, ok := ep.(feature.FrameScheduler); ok {
-		fs.EndFrame()
-	}
-	if fs, ok := t.SearchPar.(feature.FrameScheduler); ok && t.SearchPar != ep {
+	if fs, ok := t.par().(feature.FrameScheduler); ok {
 		fs.EndFrame()
 	}
 }
 
-// queueWait sums the queue-wait ledgers of the tracker's parallelizers
-// (deduplicated like beginFrame) and reports whether any ledger
-// exists — false means no pool is attached and track.queue is not
-// observed at all.
+// queueWait reads the parallelizer's queue-wait ledger and reports
+// whether it has one — false means no pool is attached and track.queue
+// is not observed at all.
 func (t *Tracker) queueWait() (time.Duration, bool) {
-	var ep feature.Parallelizer
-	if t.Extractor != nil {
-		ep = t.Extractor.Par
+	if qw, ok := t.par().(feature.QueueWaiter); ok {
+		return qw.QueueWait(), true
 	}
-	var total time.Duration
-	has := false
-	if qw, ok := ep.(feature.QueueWaiter); ok {
-		total += qw.QueueWait()
-		has = true
-	}
-	if qw, ok := t.SearchPar.(feature.QueueWaiter); ok && t.SearchPar != ep {
-		total += qw.QueueWait()
-		has = true
-	}
-	return total, has
+	return 0, false
 }
 
 // observeQueue records the frame's cumulative batch queue wait as the
@@ -346,12 +327,12 @@ func (t *Tracker) observeQueue(t0 time.Time, q0 time.Duration, has bool, client 
 // shared by the full-offload (ProcessFrame) and split-offload
 // (ProcessExtracted) entry points: t0 anchors arrival (deadline
 // checks, span starts), e0 anchors admitted execution, and the ledger
-// samples convert Total to device-accurate time at the end.
+// sample (zero unless a modeled device is attached) converts Total to
+// device-accurate time at the end.
 type frameClock struct {
 	t0, e0   time.Time
 	q0       time.Duration
 	hasQueue bool
-	devs     []feature.ModeledParallelizer
 	w0, m0   time.Duration
 	client   uint32
 	seq      uint64
@@ -376,10 +357,9 @@ func (t *Tracker) openFrame(t0 time.Time) frameClock {
 	// actually took. Deadline checks stay anchored to t0, the arrival:
 	// a frame's budget runs while it queues.
 	fc.e0 = time.Now()
-	// Sample every distinct device ledger once so Total can be
-	// converted to device-accurate time at the end.
-	fc.devs = t.uniqueDevices()
-	fc.w0, fc.m0 = sumCounters(fc.devs)
+	// Sample the device ledger once so Total can be converted to
+	// device-accurate time at the end.
+	fc.w0, fc.m0 = counters(t.par())
 	return fc
 }
 
@@ -436,7 +416,7 @@ func (t *Tracker) ProcessExtracted(kps []feature.Keypoint, stamp float64, posePr
 func (t *Tracker) trackPrepared(fr *Frame, posePrior *geom.SE3, res Result, fc frameClock) Result {
 	t0, e0 := fc.t0, fc.e0
 	q0, hasQueue := fc.q0, fc.hasQueue
-	devs, w0, m0 := fc.devs, fc.w0, fc.m0
+	w0, m0 := fc.w0, fc.m0
 	obsClient, obsSeq := fc.client, fc.seq
 
 	switch t.state {
@@ -482,9 +462,9 @@ func (t *Tracker) trackPrepared(fr *Frame, posePrior *geom.SE3, res Result, fc f
 			t.obsStages.degraded.Observe(t0, time.Since(t0), obsClient, obsSeq)
 		} else {
 			ts := time.Now()
-			sw0, sm0 := counters(t.SearchPar)
+			sw0, sm0 := counters(t.par())
 			inl2 = t.searchLocalPoints(fr)
-			res.Timing.SearchLocal = deviceTime(time.Since(ts), t.SearchPar, sw0, sm0)
+			res.Timing.SearchLocal = deviceTime(time.Since(ts), t.par(), sw0, sm0)
 			t.obsStages.searchLocal.Observe(ts, res.Timing.SearchLocal, obsClient, obsSeq)
 		}
 
@@ -502,7 +482,7 @@ func (t *Tracker) trackPrepared(fr *Frame, posePrior *geom.SE3, res Result, fc f
 			// frames via the prior.
 			t.last = *fr
 			t.observeQueue(t0, q0, hasQueue, obsClient, obsSeq)
-			res.Timing.Total = adjustTotal(time.Since(e0), devs, w0, m0)
+			res.Timing.Total = deviceTime(time.Since(e0), t.par(), w0, m0)
 			t.obsStages.total.Observe(t0, res.Timing.Total, obsClient, obsSeq)
 			return res
 		}
@@ -519,55 +499,9 @@ func (t *Tracker) trackPrepared(fr *Frame, posePrior *geom.SE3, res Result, fc f
 	}
 	t.last = *fr
 	t.observeQueue(t0, q0, hasQueue, obsClient, obsSeq)
-	res.Timing.Total = adjustTotal(time.Since(e0), devs, w0, m0)
+	res.Timing.Total = deviceTime(time.Since(e0), t.par(), w0, m0)
 	t.obsStages.total.Observe(t0, res.Timing.Total, obsClient, obsSeq)
 	return res
-}
-
-// uniqueDevices returns the distinct modeled parallelizers the tracker
-// uses (extractor and search may share one GPU slice).
-func (t *Tracker) uniqueDevices() []feature.ModeledParallelizer {
-	var out []feature.ModeledParallelizer
-	add := func(p feature.Parallelizer) {
-		mp, ok := p.(feature.ModeledParallelizer)
-		if !ok {
-			return
-		}
-		for _, e := range out {
-			if e == mp {
-				return
-			}
-		}
-		out = append(out, mp)
-	}
-	if t.Extractor != nil {
-		add(t.Extractor.Par)
-	}
-	add(t.SearchPar)
-	return out
-}
-
-func sumCounters(devs []feature.ModeledParallelizer) (wall, modeled time.Duration) {
-	for _, d := range devs {
-		w, m := d.Counters()
-		wall += w
-		modeled += m
-	}
-	return wall, modeled
-}
-
-// adjustTotal converts a frame's wall time to device-accurate time by
-// replacing kernel wall time with the device's modeled time.
-func adjustTotal(wallTotal time.Duration, devs []feature.ModeledParallelizer, w0, m0 time.Duration) time.Duration {
-	if len(devs) == 0 {
-		return wallTotal
-	}
-	w1, m1 := sumCounters(devs)
-	adj := wallTotal - (w1 - w0) + (m1 - m0)
-	if adj < 0 {
-		return 0
-	}
-	return adj
 }
 
 // counters samples a parallelizer's time ledger when it has one.
@@ -578,9 +512,10 @@ func counters(p feature.Parallelizer) (wall, modeled time.Duration) {
 	return 0, 0
 }
 
-// deviceTime converts a stage's host wall time into device-accurate
-// time: kernel wall time is replaced by the device's modeled time.
-// With a plain Parallelizer it returns the wall time unchanged.
+// deviceTime converts a stage's (or the whole frame's) host wall time
+// into device-accurate time: kernel wall time is replaced by the
+// device's modeled time. With a plain Parallelizer — every backend on
+// the serving path — it returns the wall time unchanged.
 func deviceTime(wallStage time.Duration, p feature.Parallelizer, w0, m0 time.Duration) time.Duration {
 	mp, ok := p.(feature.ModeledParallelizer)
 	if !ok {
@@ -667,7 +602,7 @@ func (t *Tracker) trackLastFrame(fr *Frame) int {
 // searchLocalPoints projects the local map (covisibility window of the
 // reference keyframe) into the frame and matches unbound keypoints,
 // then runs the final pose optimization. The per-point loop runs
-// through SearchPar — this is the paper's second GPU kernel. The local
+// through Extractor.Par — the paper's second GPU kernel. The local
 // map comes from an immutable LocalView snapshot, so the whole match
 // phase runs without touching a map lock; the snapshot is reused
 // across frames until another client mutates a window keyframe.
@@ -698,7 +633,7 @@ func (t *Tracker) searchLocalPoints(fr *Frame) int {
 		sc.cands = make([]searchCand, len(local))
 	}
 	cands := sc.cands[:len(local)]
-	par := t.SearchPar
+	par := t.par()
 	if par == nil {
 		par = feature.SerialRunner{}
 	}

@@ -69,11 +69,6 @@ type Config struct {
 	// evaporates at the stage boundaries. 0 means Workers (one frame
 	// per worker); negative disables admission control.
 	MaxInflight int
-	// Device, when non-nil, is an accelerator backend: workers dispatch
-	// each batch to it whole, as one kernel, so concurrent sessions
-	// share the modeled GPU through the pool's EDF queue instead of
-	// carving static per-session slices.
-	Device feature.TimedParallelizer
 }
 
 const (
@@ -313,16 +308,8 @@ func (p *Pool) worker() {
 		p.mu.Unlock()
 
 		start := time.Now()
-		if dev := p.cfg.Device; dev != nil && lo == 0 && hi == b.n {
-			// Accelerator backend: the whole batch is one kernel, and its
-			// cost lands on the submitting stream's ledger.
-			wall, modeled := dev.RunTimed(b.n, b.f)
-			b.st.wallNS.Add(int64(wall))
-			b.st.modelNS.Add(int64(modeled))
-		} else {
-			for i := lo; i < hi; i++ {
-				b.f(i)
-			}
+		for i := lo; i < hi; i++ {
+			b.f(i)
 		}
 		p.busyNS.Add(int64(time.Since(start)))
 
@@ -337,9 +324,9 @@ func (p *Pool) worker() {
 }
 
 // Stream is one session's handle on the pool. It implements
-// feature.Parallelizer (and ModeledParallelizer, FrameScheduler,
-// QueueWaiter), so it drops into Extractor.Par and Tracker.SearchPar
-// unchanged. A Stream is used by one session goroutine at a time.
+// feature.Parallelizer (and FrameScheduler, QueueWaiter), so it drops
+// into Extractor.Par unchanged; nothing it reports is modeled time. A
+// Stream is used by one session goroutine at a time.
 type Stream struct {
 	pool     *Pool
 	arrival  atomic.Int64 // current frame arrival, UnixNano (0 = unset)
@@ -365,15 +352,12 @@ type Stream struct {
 	// submitting goroutine.
 	admitted bool
 	queueNS  atomic.Int64
-	wallNS   atomic.Int64 // device backend: per-stream kernel wall time
-	modelNS  atomic.Int64 // device backend: per-stream modeled time
 }
 
 var (
-	_ feature.Parallelizer        = (*Stream)(nil)
-	_ feature.ModeledParallelizer = (*Stream)(nil)
-	_ feature.FrameScheduler      = (*Stream)(nil)
-	_ feature.QueueWaiter         = (*Stream)(nil)
+	_ feature.Parallelizer   = (*Stream)(nil)
+	_ feature.FrameScheduler = (*Stream)(nil)
+	_ feature.QueueWaiter    = (*Stream)(nil)
 )
 
 // NewStream attaches a session to the pool.
@@ -511,14 +495,6 @@ func (st *Stream) QueueWait() time.Duration {
 	return time.Duration(st.queueNS.Load())
 }
 
-// Counters returns the stream's cumulative (wall, modeled) kernel time
-// on the pool's device backend; both stay zero on the CPU backend, so
-// stage timers report plain wall time. It implements
-// feature.ModeledParallelizer.
-func (st *Stream) Counters() (wall, modeled time.Duration) {
-	return time.Duration(st.wallNS.Load()), time.Duration(st.modelNS.Load())
-}
-
 // Run submits n work items as one batch and blocks until they have all
 // executed. The submitter does not help execute — deliberately: a
 // submitter draining its own batch would re-create the processor
@@ -547,9 +523,6 @@ func (st *Stream) Run(n int, f func(i int)) {
 	grain := (n + claims - 1) / claims
 	if grain < p.cfg.MinGrain {
 		grain = p.cfg.MinGrain
-	}
-	if p.cfg.Device != nil {
-		grain = n // whole batch = one kernel on the device backend
 	}
 	b := &batch{
 		f: f, n: n, class: class, qos: st.qos.Load(), key: key, grain: grain,

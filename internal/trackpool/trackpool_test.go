@@ -1,13 +1,13 @@
 package trackpool_test
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"slamshare/internal/feature"
-	"slamshare/internal/gpu"
 	"slamshare/internal/img"
 	"slamshare/internal/trackpool"
 )
@@ -122,6 +122,57 @@ func TestEDFArrivalOrder(t *testing.T) {
 	waitBlocked()
 	if len(order) != 2 || order[0] != "early" || order[1] != "late" {
 		t.Fatalf("execution order %v, want [early late]", order)
+	}
+}
+
+// TestEDFPreemptsStartedBatch pins the preemption quantum the package
+// comment promises: the worker re-reads the queue front between
+// grains, so a batch from an earlier-arrived frame submitted while a
+// later-arrived frame's batch is mid-way runs before that batch's
+// remaining grains instead of waiting for it to drain.
+func TestEDFPreemptsStartedBatch(t *testing.T) {
+	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: -1})
+	defer p.Close()
+
+	late := p.NewStream()
+	early := p.NewStream()
+	defer late.Close()
+	defer early.Close()
+	now := time.Now()
+	late.BeginFrame(now, time.Time{})
+	early.BeginFrame(now.Add(-50*time.Millisecond), time.Time{})
+
+	var mu sync.Mutex
+	var order []string
+	note := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
+	started := make(chan struct{})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // a failed waitDepth must not leave the worker held
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		// Three one-item grains; the first holds the worker until the
+		// early batch is queued behind it.
+		late.Run(3, func(i int) {
+			if i == 0 {
+				close(started)
+				<-gate
+			}
+			note("late")
+		})
+	}()
+	<-started
+	go func() {
+		defer wg.Done()
+		early.Run(1, func(int) { note("early") })
+	}()
+	waitDepth(t, p, 2) // late's unclaimed grains + early
+	release()
+	wg.Wait()
+	if want := []string{"late", "early", "late", "late"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }
 
@@ -315,39 +366,6 @@ func TestCloseDrainsThenRunsInline(t *testing.T) {
 	}
 	st.Close()
 	p.Close() // idempotent
-}
-
-// TestDeviceBackend: with an accelerator configured, batches dispatch
-// whole as kernels and the cost lands on the submitting stream's
-// ledger, not a shared one — the per-session attribution the GSlice
-// path could not give us.
-func TestDeviceBackend(t *testing.T) {
-	dev := gpu.NewDevice(gpu.Config{Lanes: 2, LaunchOverhead: time.Microsecond, MinGrain: 4})
-	p := trackpool.New(trackpool.Config{Workers: 2, Device: dev})
-	defer p.Close()
-	stA := p.NewStream()
-	stB := p.NewStream()
-	defer stA.Close()
-	defer stB.Close()
-
-	out := make([]int, 100)
-	stA.Run(len(out), func(i int) { out[i] = i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("item %d = %d, want %d", i, v, i*i)
-		}
-	}
-	wall, modeled := stA.Counters()
-	if wall <= 0 || modeled <= 0 {
-		t.Errorf("stream A device ledger empty: wall=%v modeled=%v", wall, modeled)
-	}
-	// B never ran: its ledger must be untouched by A's kernels.
-	if w, m := stB.Counters(); w != 0 || m != 0 {
-		t.Errorf("stream B ledger cross-polluted: wall=%v modeled=%v", w, m)
-	}
-	if dev.Stats().Kernels == 0 {
-		t.Error("device saw no kernels")
-	}
 }
 
 // waitAdmitWaiting polls until n frames are blocked at the admission

@@ -14,8 +14,9 @@
 // (Device) integrate their IMU for short-horizon pose prediction
 // (Algorithm 1 of the paper), encode camera frames as video, and
 // stream them to the server; the server tracks each frame against the
-// shared map — accelerated by a simulated GPU (internal/gpu) — and
-// returns only the pose. A merge process folds each client's map into
+// shared map — its data-parallel kernels batched through one
+// server-wide worker pool (internal/trackpool) — and returns only the
+// pose. A merge process folds each client's map into
 // the global map within ~200 ms (Algorithm 2), after which all devices
 // share one frame of reference and see each other's holograms
 // consistently.
@@ -36,7 +37,6 @@ import (
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
-	"slamshare/internal/gpu"
 	"slamshare/internal/holo"
 	"slamshare/internal/img"
 	"slamshare/internal/merge"
@@ -96,9 +96,6 @@ func LoadSequence(name string, mode Mode) (*Sequence, error) {
 // keeps server.DefaultConfig's value; the slamshare-server command
 // binds its flags onto that struct directly.
 type ServerOptions struct {
-	// GPULanes enables the simulated accelerator with that many lanes
-	// (0 = CPU only, the ORB-SLAM3 configuration).
-	GPULanes int
 	// ShmCapacity is the global map's byte budget (default 2 GiB).
 	ShmCapacity int64
 	// CheckpointDir enables durable persistence: the global map is
@@ -116,11 +113,6 @@ type EdgeServer struct {
 // NewEdgeServer creates a server with an empty shared global map.
 func NewEdgeServer(opts ServerOptions) (*EdgeServer, error) {
 	cfg := server.DefaultConfig()
-	if opts.GPULanes > 0 {
-		gcfg := gpu.DefaultConfig()
-		gcfg.Lanes = opts.GPULanes
-		cfg.GPU = gpu.NewDevice(gcfg)
-	}
 	if opts.ShmCapacity > 0 {
 		cfg.RegionCapacity = opts.ShmCapacity
 	}
