@@ -18,8 +18,14 @@ const (
 // briefPattern is the set of 256 point pairs sampled by the BRIEF
 // descriptor, generated once from a fixed seed with an approximately
 // Gaussian spatial distribution (sigma = PatchRadius/2), mirroring the
-// learned pattern of ORB.
-var briefPattern [256][4]int8
+// learned pattern of ORB. The coordinates are whole numbers, held as
+// float64 because the steering rotation consumes them as such.
+var briefPattern [256][4]float64
+
+// umax[|dy|] is the half-width of the circular patch on the row dy
+// above or below its centre: the largest dx with dx*dx + dy*dy <=
+// PatchRadius*PatchRadius.
+var umax [PatchRadius + 1]int
 
 func init() {
 	s := uint64(0x5EEDDA7A)
@@ -30,7 +36,7 @@ func init() {
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 		return z ^ (z >> 31)
 	}
-	gauss := func() int8 {
+	gauss := func() float64 {
 		// Sum of 4 uniforms in [-1,1), scaled to sigma ~ radius/2,
 		// clamped inside the patch.
 		u := 0.0
@@ -44,30 +50,51 @@ func init() {
 		if v < -(PatchRadius - 1) {
 			v = -(PatchRadius - 1)
 		}
-		return int8(v)
+		return float64(int8(v))
 	}
 	for i := range briefPattern {
-		briefPattern[i] = [4]int8{gauss(), gauss(), gauss(), gauss()}
+		briefPattern[i] = [4]float64{gauss(), gauss(), gauss(), gauss()}
+	}
+	for dy := range umax {
+		for umax[dy] = PatchRadius; umax[dy]*umax[dy]+dy*dy > PatchRadius*PatchRadius; umax[dy]-- {
+		}
 	}
 }
 
 // Orientation computes the intensity-centroid orientation of the patch
 // around (x, y): the angle of the vector from the patch center to its
-// intensity centroid, as in ORB.
+// intensity centroid, as in ORB. Pixels of the patch outside the image
+// are left out of the moments.
 func Orientation(im *img.Gray, x, y int) float64 {
 	var m10, m01 int
+	w := im.W
+	if x >= PatchRadius && y >= PatchRadius && x < w-PatchRadius && y < im.H-PatchRadius {
+		// The whole disc is inside the image: sum each row's span
+		// straight off the pixel buffer.
+		for dy := -PatchRadius; dy <= PatchRadius; dy++ {
+			u := umax[max(dy, -dy)]
+			row := im.Pix[(y+dy)*w+x-u : (y+dy)*w+x+u+1]
+			sum, mom := 0, 0
+			for i, p := range row {
+				v := int(p)
+				sum += v
+				mom += i * v
+			}
+			m10 += mom - u*sum
+			m01 += dy * sum
+		}
+		return math.Atan2(float64(m01), float64(m10))
+	}
 	for dy := -PatchRadius; dy <= PatchRadius; dy++ {
 		yy := y + dy
 		if yy < 0 || yy >= im.H {
 			continue
 		}
 		row := im.Row(yy)
-		for dx := -PatchRadius; dx <= PatchRadius; dx++ {
+		u := umax[max(dy, -dy)]
+		for dx := -u; dx <= u; dx++ {
 			xx := x + dx
-			if xx < 0 || xx >= im.W {
-				continue
-			}
-			if dx*dx+dy*dy > PatchRadius*PatchRadius {
+			if xx < 0 || xx >= w {
 				continue
 			}
 			v := int(row[xx])
@@ -78,23 +105,59 @@ func Orientation(im *img.Gray, x, y int) float64 {
 	return math.Atan2(float64(m01), float64(m10))
 }
 
+// describeReach bounds how far from the keypoint a steered pattern
+// point can land: pattern coordinates are within PatchRadius-1 on each
+// axis, so a rotated point is within (PatchRadius-1)*sqrt(2) < 19.8 of
+// the centre and rounds to at most 20 on either axis.
+const describeReach = 20
+
+// roundInt is int(math.Round(v)) — round half away from zero — for
+// |v| < 2^52, branch-free: doubling is exact, truncating 2v toward
+// zero gives k with round(v) = (k+1)/2 for k >= 0 and (k-1)/2 for
+// k < 0, Go's integer division truncating likewise.
+func roundInt(v float64) int {
+	k := int(v + v)
+	return (k + (k>>63 | 1)) / 2
+}
+
+// steer rotates both sample points of pattern pair p by the keypoint
+// orientation and rounds them to pixel offsets.
+func steer(sin, cos float64, p *[4]float64) (ax, ay, bx, by int) {
+	ax = roundInt(cos*p[0] - sin*p[1])
+	ay = roundInt(sin*p[0] + cos*p[1])
+	bx = roundInt(cos*p[2] - sin*p[3])
+	by = roundInt(sin*p[2] + cos*p[3])
+	return
+}
+
 // Describe computes the 256-bit rotated-BRIEF descriptor of the patch
 // around (x, y) with the given orientation (radians). The point pairs
 // of the pattern are steered by the orientation, making the descriptor
-// rotation-invariant as in ORB.
+// rotation-invariant as in ORB. Sample points outside the image read
+// as 0.
 func Describe(im *img.Gray, x, y int, angle float64) Descriptor {
 	sin, cos := math.Sincos(angle)
 	var d Descriptor
-	for i := 0; i < 256; i++ {
-		p := briefPattern[i]
-		// Rotate both sample points by the keypoint orientation.
-		ax := int(math.Round(cos*float64(p[0]) - sin*float64(p[1])))
-		ay := int(math.Round(sin*float64(p[0]) + cos*float64(p[1])))
-		bx := int(math.Round(cos*float64(p[2]) - sin*float64(p[3])))
-		by := int(math.Round(sin*float64(p[2]) + cos*float64(p[3])))
-		va := im.At(x+ax, y+ay)
-		vb := im.At(x+bx, y+by)
-		if va < vb {
+	w := im.W
+	if x >= describeReach && y >= describeReach && x < w-describeReach && y < im.H-describeReach && sin == sin {
+		// Every steered sample lands inside the image (sin is NaN for a
+		// non-finite angle, whose samples land anywhere) — the case for
+		// any keypoint at least Border from the edge, so for all that
+		// Extract describes: index the pixel buffer directly.
+		pix := im.Pix[(y-describeReach)*w:]
+		centre := describeReach*w + x
+		for i := range briefPattern {
+			ax, ay, bx, by := steer(sin, cos, &briefPattern[i])
+			va := int(pix[centre+ay*w+ax])
+			vb := int(pix[centre+by*w+bx])
+			// va < vb as a bit: the sign of the difference.
+			d[i>>6] |= uint64(va-vb) >> 63 << (uint(i) & 63)
+		}
+		return d
+	}
+	for i := range briefPattern {
+		ax, ay, bx, by := steer(sin, cos, &briefPattern[i])
+		if im.At(x+ax, y+ay) < im.At(x+bx, y+by) {
 			d[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}

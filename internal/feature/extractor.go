@@ -1,7 +1,7 @@
 package feature
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"slamshare/internal/img"
@@ -53,17 +53,22 @@ func NewExtractor(cfg Config) *Extractor {
 // level.
 type workItem struct{ level, y0, y1 int }
 
-// extractScratch holds the per-call slices of Extract. Extraction runs
-// once per frame per client, so the slices are pooled across calls —
-// only the returned keypoints are freshly allocated. The per-item
-// strip result buffers in results are reused in place (AppendFAST into
-// results[i][:0]), and soa stages the describe kernel's inputs and
-// outputs in struct-of-arrays form.
+// extractScratch holds everything Extract builds on the way to its
+// result. Extraction runs once per frame per client, so all of it is
+// pooled across calls — the pyramid's level images, the per-item strip
+// result buffers (AppendFAST into results[i][:0]), the per-level
+// corner lists the quadtree partitions in place, the quadtree's own
+// storage and the level's selection, and soa, which stages the describe
+// kernel's inputs and outputs in struct-of-arrays form. Only the returned keypoints are
+// freshly allocated.
 type extractScratch struct {
+	pyr      img.Pyramid
 	quotas   []int
 	items    []workItem
 	results  [][]rawCorner
 	perLevel [][]rawCorner
+	quad     quadScratch
+	sel      []rawCorner
 	soa      SoA
 }
 
@@ -71,19 +76,26 @@ var extractPool = sync.Pool{New: func() any { return new(extractScratch) }}
 
 // Extract runs the full ORB pipeline on an image and returns
 // distributed, oriented, described keypoints in level-0 coordinates.
+//
+// The scratch goes back to its pool when Extract returns, while the
+// caller still holds the result: nothing returned may alias scratch.
+// The keypoint slice is allocated per call and Keypoint holds no
+// pointers, so that is true by construction; keep it so.
 func (e *Extractor) Extract(im *img.Gray) []Keypoint {
 	par := e.Par
 	if par == nil {
 		par = SerialRunner{}
 	}
+	sc := extractPool.Get().(*extractScratch)
+	defer extractPool.Put(sc)
 	// The pyramid resample batches through the same Parallelizer as the
 	// detection kernels: on a pool-backed Stream even this prologue runs
 	// under the server-wide EDF queue instead of on the session's own
 	// goroutine, keeping the whole frame's compute run-to-completion.
-	pyr := img.NewPyramidWith(im, e.Cfg.Levels, e.Cfg.ScaleFactor, par.Run)
+	pyr := &sc.pyr
+	pyr.Build(im, e.Cfg.Levels, e.Cfg.ScaleFactor, par.Run)
+	defer func() { pyr.Levels[0] = nil }() // the pool must not pin the caller's image
 	nLevels := len(pyr.Levels)
-	sc := extractPool.Get().(*extractScratch)
-	defer extractPool.Put(sc)
 
 	// Per-level feature quotas proportional to inverse scale (finer
 	// levels carry more features), normalized to NFeatures total.
@@ -110,11 +122,7 @@ func (e *Extractor) Extract(im *img.Gray) []Keypoint {
 	for l := 0; l < nLevels; l++ {
 		h := pyr.Levels[l].H
 		for y := 0; y < h; y += strip {
-			y1 := y + strip
-			if y1 > h {
-				y1 = h
-			}
-			items = append(items, workItem{l, y, y1})
+			items = append(items, workItem{l, y, min(y+strip, h)})
 		}
 	}
 	sc.items = items
@@ -145,12 +153,23 @@ func (e *Extractor) Extract(im *img.Gray) []Keypoint {
 		perLevel[it.level] = append(perLevel[it.level], results[i]...)
 	}
 
-	// Stage 2: quadtree distribution per level.
+	// Stage 2: quadtree distribution per level. A level yields at most
+	// its quota plus the last split's overshoot of 3, which sizes the
+	// result in one allocation.
+	bound := 0
+	for l := 0; l < nLevels; l++ {
+		if quotas[l] > 0 {
+			bound += min(len(perLevel[l]), quotas[l]+3)
+		}
+	}
 	var kps []Keypoint
+	if bound > 0 {
+		kps = make([]Keypoint, 0, bound)
+	}
 	for l := 0; l < nLevels; l++ {
 		lv := pyr.Levels[l]
-		sel := DistributeQuadtree(perLevel[l], lv.W, lv.H, quotas[l])
-		for _, c := range sel {
+		sc.sel = sc.quad.distribute(sc.sel[:0], perLevel[l], lv.W, lv.H, quotas[l])
+		for _, c := range sc.sel {
 			x0, y0 := pyr.ToLevel0(float64(c.x), float64(c.y), l)
 			kps = append(kps, Keypoint{
 				X: x0, Y: y0, Level: l,
@@ -189,32 +208,54 @@ func (e *Extractor) Extract(im *img.Gray) []Keypoint {
 	return kps
 }
 
+// quadNode is one cell of the distribution quadtree: its bounds and
+// the range [lo, hi) of the corner list holding the corners inside it.
+type quadNode struct {
+	x0, y0, x1, y1 int
+	lo, hi         int
+}
+
+// quadScratch is the quadtree's reusable storage: the node list and
+// the buffer a split partitions through.
+type quadScratch struct {
+	nodes []quadNode
+	tmp   []rawCorner
+}
+
 // DistributeQuadtree selects up to n corners spread evenly over the
 // image using recursive quadtree subdivision, as ORB-SLAM does: nodes
 // containing more than one corner split until the node count reaches
 // n (or nodes are unsplittable), then the best corner per node is
-// kept.
+// kept. corners is left untouched.
 func DistributeQuadtree(corners []rawCorner, w, h, n int) []rawCorner {
+	var q quadScratch
+	return q.distribute(nil, append([]rawCorner(nil), corners...), w, h, n)
+}
+
+// distribute is DistributeQuadtree appending the selection to dst and
+// reordering corners in place: a node is a range of corners, and a
+// split partitions that range stably into its four quadrants' ranges
+// through q.tmp, so corners keep their input order within every node
+// — the order the best-per-node tie-break depends on — without a list
+// being grown per quadrant per split.
+func (q *quadScratch) distribute(dst, corners []rawCorner, w, h, n int) []rawCorner {
 	if n <= 0 || len(corners) == 0 {
-		return nil
+		return dst
 	}
 	if len(corners) <= n {
-		out := make([]rawCorner, len(corners))
-		copy(out, corners)
-		return out
+		return append(dst, corners...)
 	}
-	type node struct {
-		x0, y0, x1, y1 int
-		pts            []rawCorner
+	if cap(q.tmp) < len(corners) {
+		q.tmp = make([]rawCorner, len(corners))
 	}
-	nodes := []node{{0, 0, w, h, corners}}
+	nodes := append(q.nodes[:0], quadNode{0, 0, w, h, 0, len(corners)})
 	for len(nodes) < n {
 		// Find the node with the most points that can still split.
 		best := -1
 		for i := range nodes {
-			if len(nodes[i].pts) > 1 &&
-				nodes[i].x1-nodes[i].x0 > 4 && nodes[i].y1-nodes[i].y0 > 4 {
-				if best == -1 || len(nodes[i].pts) > len(nodes[best].pts) {
+			nd := &nodes[i]
+			if nd.hi-nd.lo > 1 && nd.x1-nd.x0 > 4 && nd.y1-nd.y0 > 4 {
+				if best == -1 || nd.hi-nd.lo > nodes[best].hi-nodes[best].lo {
 					best = i
 				}
 			}
@@ -225,17 +266,32 @@ func DistributeQuadtree(corners []rawCorner, w, h, n int) []rawCorner {
 		nd := nodes[best]
 		mx := (nd.x0 + nd.x1) / 2
 		my := (nd.y0 + nd.y1) / 2
-		var quads [4][]rawCorner
-		for _, p := range nd.pts {
+		quadrant := func(p rawCorner) int {
 			qi := 0
-			if p.x >= mx {
+			if int(p.x) >= mx {
 				qi |= 1
 			}
-			if p.y >= my {
+			if int(p.y) >= my {
 				qi |= 2
 			}
-			quads[qi] = append(quads[qi], p)
+			return qi
 		}
+		pts := corners[nd.lo:nd.hi]
+		var end [4]int // end[qi]: where quadrant qi's range ends, from nd.lo
+		for _, p := range pts {
+			end[quadrant(p)]++
+		}
+		end[1] += end[0]
+		end[2] += end[1]
+		end[3] += end[2]
+		next := [4]int{0, end[0], end[1], end[2]}
+		tmp := q.tmp[:len(pts)]
+		for _, p := range pts {
+			qi := quadrant(p)
+			tmp[next[qi]] = p
+			next[qi]++
+		}
+		copy(pts, tmp)
 		// Replace the split node with its non-empty children.
 		nodes[best] = nodes[len(nodes)-1]
 		nodes = nodes[:len(nodes)-1]
@@ -245,32 +301,34 @@ func DistributeQuadtree(corners []rawCorner, w, h, n int) []rawCorner {
 			{nd.x0, my, mx, nd.y1},
 			{mx, my, nd.x1, nd.y1},
 		}
+		lo := 0
 		for qi := 0; qi < 4; qi++ {
-			if len(quads[qi]) == 0 {
-				continue
+			if end[qi] > lo {
+				b := bounds[qi]
+				nodes = append(nodes, quadNode{b[0], b[1], b[2], b[3], nd.lo + lo, nd.lo + end[qi]})
 			}
-			b := bounds[qi]
-			nodes = append(nodes, node{b[0], b[1], b[2], b[3], quads[qi]})
+			lo = end[qi]
 		}
 	}
+	q.nodes = nodes
 	// Best corner per node. The node count can overshoot n by up to 3
 	// (the last split); keep the overshoot rather than truncating by
 	// score, which would defeat the spatial spreading.
-	out := make([]rawCorner, 0, len(nodes))
+	first := len(dst)
 	for _, nd := range nodes {
-		best := nd.pts[0]
-		for _, p := range nd.pts[1:] {
+		best := corners[nd.lo]
+		for _, p := range corners[nd.lo+1 : nd.hi] {
 			if p.score > best.score {
 				best = p
 			}
 		}
-		out = append(out, best)
+		dst = append(dst, best)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].y != out[j].y {
-			return out[i].y < out[j].y
+	slices.SortFunc(dst[first:], func(a, b rawCorner) int {
+		if a.y != b.y {
+			return int(a.y - b.y)
 		}
-		return out[i].x < out[j].x
+		return int(a.x - b.x)
 	})
-	return out
+	return dst
 }

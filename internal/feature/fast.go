@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"math/bits"
 	"sync"
 
 	"slamshare/internal/img"
@@ -15,68 +16,119 @@ var circle16 = [16][2]int{
 	{-3, 0}, {-3, -1}, {-2, -2}, {-1, -3},
 }
 
-// rawCorner is a FAST detection before non-max suppression.
+// rawCorner is a FAST detection before non-max suppression. Twelve
+// bytes: a frame's corner lists are the bulk of the extractor's
+// scratch, and a score is at most 17 margins of at most 255.
 type rawCorner struct {
-	x, y  int
-	score int
+	x, y  int32
+	score int32
 }
 
-// fastScore returns the FAST-9 corner score of pixel (x, y): the
-// largest sum over a 9-contiguous arc of intensity differences beyond
-// the threshold, or 0 if the pixel is not a corner. offsets must be
-// the precomputed circle16 offsets into the pixel buffer for this
-// image width.
-func fastScore(pix []byte, w int, x, y int, t int, offsets *[16]int) int {
-	c := int(pix[y*w+x])
-	idx := y*w + x
-	var diff [16]int
-	brighter, darker := 0, 0
-	for i := 0; i < 16; i++ {
-		v := int(pix[idx+offsets[i]])
-		diff[i] = v - c
-		if diff[i] > t {
-			brighter++
-		} else if diff[i] < -t {
-			darker++
+// Polarity classes of a circle pixel against the centre, as stored in
+// a polarityTable: bit 0 of the low half-word for brighter, of the
+// high half-word for darker. Shifting a class left by the pixel's
+// circle index builds both 16-bit masks in one uint32, and summing
+// classes counts both polarities at once.
+const (
+	classBrighter = 1
+	classDarker   = 1 << 16
+)
+
+// polarityTable maps an intensity difference d in [-255, 255], stored
+// at index d+255, to its class for one threshold: classBrighter when
+// d > t, classDarker when d < -t, 0 otherwise. The last entry pads the
+// table to a power of two so lookups can mask instead of bounds-check.
+type polarityTable [512]uint32
+
+func (tab *polarityTable) fill(t int) {
+	for d := -255; d <= 255; d++ {
+		switch {
+		case d > t:
+			tab[d+255] = classBrighter
+		case d < -t:
+			tab[d+255] = classDarker
+		default:
+			tab[d+255] = 0
 		}
 	}
-	if brighter < 9 && darker < 9 {
+}
+
+// arc9 returns the pixels of the 16-bit circular mask m that lie in a
+// run of 9 or more contiguous set bits, 0 if there is no such run. The
+// mask is doubled to 32 bits so wrap-around arcs are linear; three
+// shift-and-ANDs leave a bit wherever a run of 8 starts and a fourth
+// keeps those where a 9th follows. Every 9-window of the circle starts
+// at one of the low 16 of those bits, and smearing them 9 wide and
+// folding back to 16 bits is the union of the windows — the whole run.
+func arc9(m uint32) uint32 {
+	m |= m << 16
+	r := m & (m >> 1)
+	r &= r >> 2
+	r &= r >> 4
+	r &= m >> 8
+	r &= 0xFFFF
+	if r == 0 {
 		return 0
 	}
-	best := 0
-	// Check both polarities for a 9-long contiguous arc, accumulating
-	// the margin beyond the threshold as the score.
-	for _, sign := range [2]int{1, -1} {
-		run, sum := 0, 0
-		// Walk the circle twice to handle wraparound arcs.
-		for i := 0; i < 32; i++ {
-			d := sign * diff[i&15]
-			if d > t {
-				run++
-				sum += d - t
-				if run >= 9 && sum > best {
-					best = sum
-				}
-			} else {
-				run, sum = 0, 0
-			}
-			if i >= 16 && run >= 16 {
-				break
-			}
-		}
-	}
-	return best
+	r |= r << 1
+	r |= r << 2
+	r |= r<<4 | r<<5
+	return (r | r>>16) & 0xFFFF
 }
 
-// stripScratch holds one detection strip's score rows and candidate
+// fastScore returns the FAST-9 corner score of the pixel at pix[idx]:
+// the sum, over the contiguous arc of at least 9 circle pixels all
+// brighter (or all darker) than the centre by more than t, of their
+// margins beyond t — or 0 if there is no such arc. offsets are the
+// circle16 offsets into pix for this image width and tab the polarity
+// table of t, which must be in [0, 255].
+//
+// The circle is classified once into a brighter and a darker bitmask;
+// most candidates die on the 9-contiguous bit test without the margins
+// being looked at. At most one polarity can hold a 9-arc (two would
+// need 18 pixels) and a circle with a gap holds at most one, so the
+// score is the arc's pixel sum against as many centres and thresholds.
+// The full circle is the exception inherited from the score loop this
+// replaced, which walked the circle twice with an early exit and there
+// counted pixel 0 a second time: that stays part of the score.
+func fastScore(pix []byte, idx int, t int, offsets *[16]int, tab *polarityTable) int {
+	c := int(pix[idx])
+	var v [16]uint8
+	var masks uint32
+	for i := range v {
+		v[i] = pix[idx+offsets[i]]
+		masks |= tab[(int(v[i])-c+255)&511] << uint(i)
+	}
+	arc, sign := arc9(masks&0xFFFF), 1
+	if arc == 0 {
+		arc, sign = arc9(masks>>16), -1
+		if arc == 0 {
+			return 0
+		}
+	}
+	n, sum := bits.OnesCount32(arc), 0
+	if arc == 0xFFFF {
+		n, sum = 17, int(v[0])
+	}
+	for ; arc != 0; arc &= arc - 1 {
+		sum += int(v[bits.TrailingZeros32(arc)&15])
+	}
+	return sign*(sum-n*c) - n*t
+}
+
+// stripScratch holds one detection strip's score plane and candidate
 // buffer, pooled across calls: strips are detected once per (level,
-// strip) work item per frame per client, and each used to allocate its
-// row table and grow a fresh candidate slice. Score rows are scrubbed
-// back to zero before the scratch is returned (cheaper than clearing:
-// only candidate cells were written).
+// strip) work item per frame per client. The score plane is one flat
+// buffer addressed at the current image's width, with an always-zero
+// row above and below the strip so non-max suppression reads
+// neighbours without testing for the strip edge. It is sized to the
+// largest strip seen, so the pool's scratch serves every pyramid level
+// without reallocating, and only candidate cells are ever written:
+// they are scrubbed back to zero before the scratch is returned
+// (cheaper than clearing the plane).
 type stripScratch struct {
-	rows  [][]int32
-	cands []rawCorner
+	scores []int32
+	cands  []rawCorner
 }
 
 var stripPool = sync.Pool{New: func() any { return new(stripScratch) }}
@@ -93,7 +145,9 @@ func DetectFAST(im *img.Gray, t int, border int, y0, y1 int) []rawCorner {
 
 // AppendFAST is DetectFAST appending into a caller-owned slice, so a
 // per-frame detector can reuse its strip result buffers across frames
-// instead of growing fresh ones.
+// instead of growing fresh ones. Non-max suppression sees only the
+// strip's own rows, so the corners found depend on how the image is
+// cut into strips. A negative threshold is treated as 0.
 func AppendFAST(dst []rawCorner, im *img.Gray, t int, border int, y0, y1 int) []rawCorner {
 	if border < 3 {
 		border = 3
@@ -104,94 +158,78 @@ func AppendFAST(dst []rawCorner, im *img.Gray, t int, border int, y0, y1 int) []
 	if y1 > im.H-border {
 		y1 = im.H - border
 	}
-	if y0 >= y1 {
+	w := im.W
+	// No 8-bit difference exceeds 255.
+	if y0 >= y1 || w <= 2*border || t > 255 {
 		return dst
+	}
+	if t < 0 {
+		t = 0
 	}
 	var offsets [16]int
 	for i, o := range circle16 {
-		offsets[i] = o[1]*im.W + o[0]
+		offsets[i] = o[1]*w + o[0]
 	}
+	var tab polarityTable
+	tab.fill(t)
 	pix := im.Pix
-	w := im.W
-	// First pass: score every corner candidate in the strip.
 	ss := stripPool.Get().(*stripScratch)
-	if cap(ss.rows) < y1-y0 {
-		ss.rows = make([][]int32, y1-y0)
+	if need := (y1 - y0 + 2) * w; len(ss.scores) < need {
+		ss.scores = make([]int32, need)
 	}
-	rows := ss.rows[:y1-y0]
+	scores := ss.scores
 	cands := ss.cands[:0]
+	// First pass: score every corner candidate in the strip.
+	span := w - 2*border
 	for y := y0; y < y1; y++ {
-		rowScores := rows[y-y0]
-		// A pooled row may be narrower than this level; stale wider rows
-		// are fine (cells beyond w are never read) and stale cells within
-		// w are already scrubbed to zero.
-		if rowScores != nil && len(rowScores) < w {
-			rowScores = nil
-		}
-		for x := border; x < w-border; x++ {
-			// High-speed test on pixels 0, 4, 8, 12 of the circle.
-			c := int(pix[y*w+x])
-			idx := y*w + x
-			p0 := int(pix[idx+offsets[0]])
-			p8 := int(pix[idx+offsets[8]])
-			d0 := p0 - c
-			d8 := p8 - c
-			if (d0 <= t && d0 >= -t) && (d8 <= t && d8 >= -t) {
+		base := y*w + border
+		centre := pix[base : base+span]
+		above := pix[base-3*w:][:span] // circle pixel 0
+		below := pix[base+3*w:][:span] // circle pixel 8
+		for i, cb := range centre {
+			// High-speed test on pixels 0, 4, 8, 12 of the circle: a
+			// 9-arc covers at least two of them, three unless it is
+			// centred on one.
+			c := int(cb)
+			d0 := int(above[i]) - c
+			d8 := int(below[i]) - c
+			if uint(d0+t) <= uint(2*t) && uint(d8+t) <= uint(2*t) {
+				continue // both within [-t, t]
+			}
+			idx := base + i
+			n := tab[(d0+255)&511] + tab[(d8+255)&511] +
+				tab[(int(pix[idx+3])-c+255)&511] + tab[(int(pix[idx-3])-c+255)&511]
+			if n&0xFFFF < 3 && n>>16 < 3 {
 				continue
 			}
-			p4 := int(pix[idx+offsets[4]])
-			p12 := int(pix[idx+offsets[12]])
-			bright, dark := 0, 0
-			for _, d := range [4]int{d0, p4 - c, d8, p12 - c} {
-				if d > t {
-					bright++
-				} else if d < -t {
-					dark++
-				}
-			}
-			if bright < 3 && dark < 3 {
-				continue
-			}
-			s := fastScore(pix, w, x, y, t, &offsets)
-			if s > 0 {
-				if rowScores == nil {
-					rowScores = make([]int32, w)
-				}
-				rowScores[x] = int32(s)
-				cands = append(cands, rawCorner{x: x, y: y, score: s})
+			if s := fastScore(pix, idx, t, &offsets, &tab); s > 0 {
+				x := border + i
+				scores[(y-y0+1)*w+x] = int32(s)
+				cands = append(cands, rawCorner{x: int32(x), y: int32(y), score: int32(s)})
 			}
 		}
-		rows[y-y0] = rowScores
 	}
-	// Non-max suppression within the strip (3x3 neighbourhood).
-	at := func(x, y int) int32 {
-		if y < y0 || y >= y1 {
-			return 0
-		}
-		r := rows[y-y0]
-		if r == nil {
-			return 0
-		}
-		return r[x]
-	}
-	// A corner survives if it is strictly greater than the neighbours
+	// Non-max suppression within the strip (3x3 neighbourhood). A
+	// corner survives if it is strictly greater than the neighbours
 	// later in scan order and not smaller than the earlier ones — the
 	// standard tie-break that keeps exactly one of two equal adjacent
 	// scores.
 	for _, c := range cands {
-		s := int32(c.score)
-		if at(c.x-1, c.y-1) >= s || at(c.x, c.y-1) >= s || at(c.x+1, c.y-1) >= s ||
-			at(c.x-1, c.y) >= s ||
-			at(c.x+1, c.y) > s ||
-			at(c.x-1, c.y+1) > s || at(c.x, c.y+1) > s || at(c.x+1, c.y+1) > s {
+		s := c.score
+		mid := (int(c.y)-y0+1)*w + int(c.x)
+		up, down := scores[mid-w-1:mid-w+2], scores[mid+w-1:mid+w+2]
+		if up[0] >= s || up[1] >= s || up[2] >= s ||
+			scores[mid-1] >= s ||
+			scores[mid+1] > s ||
+			down[0] > s || down[1] > s || down[2] > s {
 			continue
 		}
 		dst = append(dst, c)
 	}
-	// Scrub only the written score cells so the pooled rows come back
-	// zeroed for the next strip.
+	// Scrub only the written score cells so the pooled plane comes
+	// back zeroed for the next strip, whatever its width.
 	for _, c := range cands {
-		rows[c.y-y0][c.x] = 0
+		scores[(int(c.y)-y0+1)*w+int(c.x)] = 0
 	}
 	ss.cands = cands
 	stripPool.Put(ss)

@@ -47,7 +47,7 @@ func TestDetectFASTFindsCorner(t *testing.T) {
 	}
 	found := false
 	for _, c := range corners {
-		if abs(c.x-50) <= 3 && abs(c.y-50) <= 3 {
+		if abs(int(c.x)-50) <= 3 && abs(int(c.y)-50) <= 3 {
 			found = true
 		}
 	}
@@ -147,7 +147,7 @@ func TestDistributeQuadtree(t *testing.T) {
 	var corners []rawCorner
 	for y := 10; y < 100; y += 10 {
 		for x := 10; x < 100; x += 10 {
-			corners = append(corners, rawCorner{x: x, y: y, score: x + y})
+			corners = append(corners, rawCorner{x: int32(x), y: int32(y), score: int32(x + y)})
 		}
 	}
 	sel := DistributeQuadtree(corners, 100, 100, 20)
@@ -175,7 +175,7 @@ func TestDistributeQuadtreeSpreads(t *testing.T) {
 	// must survive distribution.
 	var corners []rawCorner
 	for i := 0; i < 100; i++ {
-		corners = append(corners, rawCorner{x: 5 + i%10, y: 5 + i/10, score: 100 + i})
+		corners = append(corners, rawCorner{x: int32(5 + i%10), y: int32(5 + i/10), score: int32(100 + i)})
 	}
 	corners = append(corners, rawCorner{x: 90, y: 90, score: 1})
 	sel := DistributeQuadtree(corners, 100, 100, 10)

@@ -81,20 +81,65 @@ func (g *Gray) Halve() *Gray {
 // Resize returns the image scaled to (w, h) with bilinear sampling.
 func (g *Gray) Resize(w, h int) *Gray {
 	out := New(w, h)
-	if g.W == 0 || g.H == 0 || w == 0 || h == 0 {
-		return out
-	}
 	g.ResizeRows(out, 0, out.H)
 	return out
 }
 
-// ResizeRows fills rows [y0, y1) of out with a bilinear resample of
-// g. Rows are written independently, so disjoint ranges can be filled
-// concurrently.
+// resizeTap is one output column's horizontal sampling: the two source
+// columns it blends and the weight of the second.
+type resizeTap struct {
+	x0, x1 int32
+	wx     float64
+}
+
+// resizeTaps returns the column taps for resampling a srcW-wide image
+// to dstW columns, in taps' storage when it is large enough. They
+// depend only on the two widths, so a resample computes them once, not
+// once per pixel.
+func resizeTaps(taps []resizeTap, srcW, dstW int) []resizeTap {
+	if cap(taps) < dstW {
+		taps = make([]resizeTap, dstW)
+	}
+	taps = taps[:dstW]
+	sx := float64(srcW) / float64(dstW)
+	for x := range taps {
+		fx := (float64(x)+0.5)*sx - 0.5
+		x0 := int(fx)
+		if x0 < 0 {
+			x0 = 0
+		}
+		x1 := x0 + 1
+		if x1 >= srcW {
+			x1 = srcW - 1
+		}
+		wx := fx - float64(x0)
+		if wx < 0 {
+			wx = 0
+		}
+		taps[x] = resizeTap{int32(x0), int32(x1), wx}
+	}
+	return taps
+}
+
+// ResizeRows fills rows [rowLo, rowHi) of out with a bilinear resample
+// of g. Rows are written independently, so disjoint ranges can be
+// filled concurrently. An empty g resamples to black.
 func (g *Gray) ResizeRows(out *Gray, rowLo, rowHi int) {
-	w, h := out.W, out.H
-	sx := float64(g.W) / float64(w)
-	sy := float64(g.H) / float64(h)
+	if g.W == 0 || g.H == 0 || out.W == 0 {
+		clear(out.Pix[rowLo*out.W : rowHi*out.W])
+		return
+	}
+	g.resizeRows(out, rowLo, rowHi, resizeTaps(nil, g.W, out.W))
+}
+
+// resizeRows is ResizeRows over precomputed column taps (resizeTaps
+// for g.W -> out.W); g and out must be non-empty. The blend is the
+// same floating-point expression per pixel whatever the strip or tap
+// storage, so the result does not depend on how rows are dealt out.
+func (g *Gray) resizeRows(out *Gray, rowLo, rowHi int, taps []resizeTap) {
+	w := out.W
+	taps = taps[:w]
+	sy := float64(g.H) / float64(out.H)
 	for y := rowLo; y < rowHi; y++ {
 		fy := (float64(y)+0.5)*sy - 0.5
 		y0 := int(fy)
@@ -109,23 +154,13 @@ func (g *Gray) ResizeRows(out *Gray, rowLo, rowHi int) {
 		if wy < 0 {
 			wy = 0
 		}
-		for x := 0; x < w; x++ {
-			fx := (float64(x)+0.5)*sx - 0.5
-			x0 := int(fx)
-			if x0 < 0 {
-				x0 = 0
-			}
-			x1 := x0 + 1
-			if x1 >= g.W {
-				x1 = g.W - 1
-			}
-			wx := fx - float64(x0)
-			if wx < 0 {
-				wx = 0
-			}
-			v := (1-wy)*((1-wx)*float64(g.At(x0, y0))+wx*float64(g.At(x1, y0))) +
-				wy*((1-wx)*float64(g.At(x0, y1))+wx*float64(g.At(x1, y1)))
-			out.Set(x, y, byte(v+0.5))
+		r0, r1 := g.Row(y0), g.Row(y1)
+		dst := out.Pix[y*w : y*w+w]
+		for x, t := range taps {
+			wx := t.wx
+			v := (1-wy)*((1-wx)*float64(r0[t.x0])+wx*float64(r0[t.x1])) +
+				wy*((1-wx)*float64(r1[t.x0])+wx*float64(r1[t.x1]))
+			dst[x] = byte(v + 0.5)
 		}
 	}
 }
@@ -154,64 +189,80 @@ type Pyramid struct {
 	Levels []*Gray
 	Factor float64
 	Scales []float64 // Scales[i] = Factor^i
+
+	// Storage a later Build reuses: the level images this pyramid
+	// allocated (owned[i] backs Levels[i]; owned[0] stays nil, level 0
+	// is the caller's image) and the resample's column taps.
+	owned []*Gray
+	taps  []resizeTap
 }
 
 // NewPyramid builds an n-level pyramid with the given scale factor.
 func NewPyramid(base *Gray, n int, factor float64) *Pyramid {
-	return NewPyramidWith(base, n, factor, nil)
+	p := new(Pyramid)
+	p.Build(base, n, factor, nil)
+	return p
 }
 
 // pyramidStrip is the row granularity of one parallel resample work
 // item — coarse enough that per-item dispatch cost stays negligible.
 const pyramidStrip = 32
 
-// NewPyramidWith builds the pyramid with each level's resample rows
-// executed through run (the feature package passes its Parallelizer
-// here, so pyramid construction batches through the same scheduler as
-// the detection kernels). Levels stay sequential — each is sampled
-// from the previous — and rows are index-disjoint, so the result is
+// Build rebuilds p over base with each level's resample rows executed
+// through run (the feature package passes its Parallelizer here, so
+// pyramid construction batches through the same scheduler as the
+// detection kernels). Levels stay sequential — each is sampled from
+// the previous — and rows are index-disjoint, so the result is
 // identical for any execution order. run == nil resamples inline.
-func NewPyramidWith(base *Gray, n int, factor float64, run func(n int, f func(i int))) *Pyramid {
+//
+// Build overwrites the level images of p's previous Build in place: a
+// per-frame caller keeps one Pyramid and pays for level buffers once,
+// and must be done with the old levels before rebuilding.
+func (p *Pyramid) Build(base *Gray, n int, factor float64, run func(n int, f func(i int))) {
 	if n < 1 {
 		n = 1
 	}
 	if factor <= 1 {
 		factor = 1.2
 	}
-	p := &Pyramid{
-		Levels: make([]*Gray, n),
-		Factor: factor,
-		Scales: make([]float64, n),
+	p.Factor = factor
+	if len(p.owned) < n {
+		p.owned = append(p.owned, make([]*Gray, n-len(p.owned))...)
+		p.Levels = make([]*Gray, 0, n)
+		p.Scales = make([]float64, 0, n)
 	}
-	p.Levels[0] = base
-	p.Scales[0] = 1
+	p.Levels = append(p.Levels[:0], base)
+	p.Scales = append(p.Scales[:0], 1)
 	for i := 1; i < n; i++ {
-		p.Scales[i] = p.Scales[i-1] * factor
-		w := int(float64(base.W)/p.Scales[i] + 0.5)
-		h := int(float64(base.H)/p.Scales[i] + 0.5)
+		scale := p.Scales[i-1] * factor
+		w := int(float64(base.W)/scale + 0.5)
+		h := int(float64(base.H)/scale + 0.5)
 		if w < 32 || h < 32 {
-			p.Levels = p.Levels[:i]
-			p.Scales = p.Scales[:i]
 			break
 		}
-		src := p.Levels[i-1]
-		if run == nil {
-			p.Levels[i] = src.Resize(w, h)
-			continue
+		out := p.owned[i]
+		if out == nil {
+			out = new(Gray)
+			p.owned[i] = out
 		}
-		out := New(w, h)
-		strips := (h + pyramidStrip - 1) / pyramidStrip
-		run(strips, func(s int) {
-			lo := s * pyramidStrip
-			hi := lo + pyramidStrip
-			if hi > h {
-				hi = h
-			}
-			src.ResizeRows(out, lo, hi)
-		})
-		p.Levels[i] = out
+		if cap(out.Pix) < w*h {
+			out.Pix = make([]byte, w*h)
+		}
+		out.W, out.H, out.Pix = w, h, out.Pix[:w*h]
+		src := p.Levels[i-1]
+		p.taps = resizeTaps(p.taps, src.W, w)
+		if run == nil {
+			src.resizeRows(out, 0, h, p.taps)
+		} else {
+			taps := p.taps
+			run((h+pyramidStrip-1)/pyramidStrip, func(s int) {
+				lo := s * pyramidStrip
+				src.resizeRows(out, lo, min(lo+pyramidStrip, h), taps)
+			})
+		}
+		p.Levels = append(p.Levels, out)
+		p.Scales = append(p.Scales, scale)
 	}
-	return p
 }
 
 // ToLevel0 maps coordinates from pyramid level l back to level-0

@@ -393,6 +393,9 @@ func (mm *Mapper) localBA(kf *smap.KeyFrame) {
 		}
 	}
 	prob := &optimize.BAProblem{Intr: mm.Rig.Intr}
+	if mm.Rig.Mode == camera.Stereo {
+		prob.Bf = mm.Rig.Intr.Fx * mm.Rig.Baseline
+	}
 	camIdx := make(map[smap.ID]int)
 	addCam := func(id smap.ID, tcw geom.SE3, fixed bool) {
 		camIdx[id] = len(prob.Cams)
@@ -434,7 +437,8 @@ func (mm *Mapper) localBA(kf *smap.KeyFrame) {
 			}
 			prob.Obs = append(prob.Obs, optimize.Observation{
 				Cam: ci, Pt: ptIdx[id],
-				UV: obsKF.Keypoints[o.Idx].Pt(),
+				UV:    obsKF.Keypoints[o.Idx].Pt(),
+				Right: obsKF.Keypoints[o.Idx].Right,
 			})
 			refs = append(refs, obsRef{mpID: id, kfID: o.KF, kpI: o.Idx})
 		}

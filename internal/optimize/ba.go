@@ -11,11 +11,52 @@ import (
 // poses and world points connected by pixel observations. Fixed
 // cameras anchor the gauge (at least one camera should be fixed).
 type BAProblem struct {
-	Intr     camera.Intrinsics
+	Intr camera.Intrinsics
+	// Bf is fx times the stereo baseline, 0 for a monocular problem.
+	// When positive, an observation matched in the right image also
+	// constrains that column, u - Bf/Z: reprojection alone leaves the
+	// window's scale to the fixed cameras, and a window that slides
+	// with the camera then loses a little scale at every adjustment;
+	// the disparity term ties each point's depth to the metric baseline
+	// and averages its noise over every keyframe that saw the point.
+	Bf       float64
 	Cams     []geom.SE3 // world-to-camera
 	FixedCam []bool
 	Points   []geom.Vec3
 	Obs      []Observation
+}
+
+// residual returns the residual rows of ob for its point at pc in the
+// camera frame, their Jacobian with respect to pc, and how many rows
+// there are: the two pixel rows, plus the right-image column for a
+// stereo observation of a stereo problem.
+func (p *BAProblem) residual(ob *Observation, pc geom.Vec3) (r [3]float64, j [3][3]float64, n int) {
+	px := p.Intr.ProjectUnchecked(pc)
+	r[0], r[1] = px.X-ob.UV.X, px.Y-ob.UV.Y
+	jp := projJacobian(p.Intr, pc)
+	j[0], j[1] = jp[0], jp[1]
+	if p.Bf <= 0 || ob.Right < 0 {
+		return r, j, 2
+	}
+	iz := 1 / pc.Z
+	r[2] = px.X - p.Bf*iz - ob.Right
+	j[2] = [3]float64{jp[0][0], 0, jp[0][2] + p.Bf*iz*iz}
+	return r, j, 3
+}
+
+// chi2Of returns an observation's squared normalized residual and the
+// 95% inlier threshold for its row count.
+func (p *BAProblem) chi2Of(ob *Observation, pc geom.Vec3) (chi2, threshold float64) {
+	r, _, n := p.residual(ob, pc)
+	s := ob.Sigma
+	if s <= 0 {
+		s = 1
+	}
+	threshold = Chi2Inlier95
+	if n == 3 {
+		threshold = Chi2Stereo95
+	}
+	return (r[0]*r[0] + r[1]*r[1] + r[2]*r[2]) / (s * s), threshold
 }
 
 // BAResult reports the outcome of bundle adjustment.
@@ -30,21 +71,18 @@ type BAResult struct {
 // observations, skipping entries marked as outliers.
 func (p *BAProblem) chi2(outlier []bool) float64 {
 	var sum float64
-	for i, ob := range p.Obs {
+	for i := range p.Obs {
 		if outlier != nil && outlier[i] {
 			continue
 		}
+		ob := &p.Obs[i]
 		pc := p.Cams[ob.Cam].Apply(p.Points[ob.Pt])
 		if pc.Z < 0.05 {
 			sum += 1e4
 			continue
 		}
-		px := p.Intr.ProjectUnchecked(pc)
-		s := ob.Sigma
-		if s <= 0 {
-			s = 1
-		}
-		sum += px.Sub(ob.UV).NormSq() / (s * s)
+		c, _ := p.chi2Of(ob, pc)
+		sum += c
 	}
 	return sum
 }
@@ -82,30 +120,29 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 		bp := make([]geom.Vec3, np)     // rhs per point
 		hcp := map[[2]int][18]float64{} // (camVar, pt) -> 6x3 block
 
-		for oi, ob := range p.Obs {
+		for oi := range p.Obs {
 			if res.Outliers[oi] {
 				continue
 			}
+			ob := &p.Obs[oi]
 			cv := camVar[ob.Cam]
 			tcw := p.Cams[ob.Cam]
 			pc := tcw.Apply(p.Points[ob.Pt])
 			if pc.Z < 0.05 {
 				continue
 			}
-			px := p.Intr.ProjectUnchecked(pc)
 			s := ob.Sigma
 			if s <= 0 {
 				s = 1
 			}
-			r := px.Sub(ob.UV)
-			rn := r.Norm() / s
+			resv, jp, rows := p.residual(ob, pc)
+			rn := math.Sqrt(resv[0]*resv[0]+resv[1]*resv[1]+resv[2]*resv[2]) / s
 			w := huberWeight(rn) / (s * s)
-			jp := projJacobian(p.Intr, pc)
-			// Camera Jacobian rows (2x6).
-			var jc [2][6]float64
+			// Camera Jacobian rows (rows x 6).
+			var jc [3][6]float64
 			if cv >= 0 {
 				hat := pc.Hat()
-				for rr := 0; rr < 2; rr++ {
+				for rr := 0; rr < rows; rr++ {
 					jc[rr][0] = jp[rr][0]
 					jc[rr][1] = jp[rr][1]
 					jc[rr][2] = jp[rr][2]
@@ -114,19 +151,18 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 					}
 				}
 			}
-			// Point Jacobian rows (2x3): J_proj * R.
+			// Point Jacobian rows (rows x 3): J_proj * R.
 			rot := tcw.R.Mat()
-			var jpt [2][3]float64
-			for rr := 0; rr < 2; rr++ {
+			var jpt [3][3]float64
+			for rr := 0; rr < rows; rr++ {
 				for c := 0; c < 3; c++ {
 					jpt[rr][c] = jp[rr][0]*rot[0*3+c] + jp[rr][1]*rot[1*3+c] + jp[rr][2]*rot[2*3+c]
 				}
 			}
-			resv := [2]float64{r.X, r.Y}
 			// Accumulate camera-camera block.
 			if cv >= 0 {
 				base := cv * 6
-				for rr := 0; rr < 2; rr++ {
+				for rr := 0; rr < rows; rr++ {
 					for a := 0; a < 6; a++ {
 						bc[base+a] -= w * jc[rr][a] * resv[rr]
 						for c := 0; c < 6; c++ {
@@ -137,7 +173,7 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 			}
 			// Point-point block and rhs.
 			pp := &hpp[ob.Pt]
-			for rr := 0; rr < 2; rr++ {
+			for rr := 0; rr < rows; rr++ {
 				for a := 0; a < 3; a++ {
 					switch a {
 					case 0:
@@ -156,7 +192,7 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 			if cv >= 0 {
 				key := [2]int{cv, ob.Pt}
 				blk := hcp[key]
-				for rr := 0; rr < 2; rr++ {
+				for rr := 0; rr < rows; rr++ {
 					for a := 0; a < 6; a++ {
 						for c := 0; c < 3; c++ {
 							blk[a*3+c] += w * jc[rr][a] * jpt[rr][c]
@@ -307,18 +343,15 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 		}
 	}
 	// Final outlier classification.
-	for i, ob := range p.Obs {
+	for i := range p.Obs {
+		ob := &p.Obs[i]
 		pc := p.Cams[ob.Cam].Apply(p.Points[ob.Pt])
 		if pc.Z < 0.05 {
 			res.Outliers[i] = true
 			continue
 		}
-		px := p.Intr.ProjectUnchecked(pc)
-		s := ob.Sigma
-		if s <= 0 {
-			s = 1
-		}
-		res.Outliers[i] = px.Sub(ob.UV).NormSq()/(s*s) > Chi2Inlier95
+		c, threshold := p.chi2Of(ob, pc)
+		res.Outliers[i] = c > threshold
 	}
 	res.FinalChi2 = p.chi2(res.Outliers)
 	return res

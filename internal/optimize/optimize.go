@@ -22,12 +22,21 @@ const Chi2Inlier95 = 5.991
 // HuberDelta is the robust-kernel width in normalized pixels.
 const HuberDelta = math.Sqrt2 * 1.2
 
+// Chi2Stereo95 is the 95% chi-square threshold with 3 degrees of
+// freedom, used to classify stereo (pixel + right-image column)
+// residuals.
+const Chi2Stereo95 = 7.815
+
 // Observation links a camera and a point with a pixel measurement.
 type Observation struct {
 	Cam   int       // index into the problem's camera array
 	Pt    int       // index into the problem's point array
 	UV    geom.Vec2 // measured pixel position
 	Sigma float64   // measurement stddev in pixels (>= 1)
+	// Right is the measured column of the point in the rectified right
+	// image, negative if it was not matched there. It is consulted only
+	// by a problem with a stereo baseline (BAProblem.Bf > 0).
+	Right float64
 }
 
 // applySE3Delta perturbs a world-to-camera pose on the left by the

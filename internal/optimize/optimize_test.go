@@ -287,3 +287,109 @@ func TestApplySE3DeltaIdentity(t *testing.T) {
 		t.Error("zero delta changed pose")
 	}
 }
+
+// TestBAStereoResidualJacobian checks every row of the residual's
+// analytic Jacobian — the right-image column included — against
+// central differences.
+func TestBAStereoResidualJacobian(t *testing.T) {
+	in := camera.EuRoCIntrinsics()
+	p := &BAProblem{Intr: in, Bf: in.Fx * 0.11}
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		pc := geom.Vec3{X: rng.NormFloat64() * 2, Y: rng.NormFloat64(), Z: 1 + rng.Float64()*9}
+		ob := &Observation{UV: geom.Vec2{X: 300, Y: 200}, Right: 290}
+		if trial%5 == 0 {
+			ob.Right = -1
+		}
+		_, j, n := p.residual(ob, pc)
+		want := 3
+		if ob.Right < 0 {
+			want = 2
+		}
+		if n != want {
+			t.Fatalf("rows = %d, want %d", n, want)
+		}
+		const h = 1e-6
+		for c, d := range []geom.Vec3{{X: h}, {Y: h}, {Z: h}} {
+			rp, _, _ := p.residual(ob, pc.Add(d))
+			rm, _, _ := p.residual(ob, pc.Sub(d))
+			for row := 0; row < n; row++ {
+				num := (rp[row] - rm[row]) / (2 * h)
+				if math.Abs(num-j[row][c]) > 1e-4*(1+math.Abs(num)) {
+					t.Fatalf("trial %d: d r[%d] / d pc[%d] = %v, central difference %v", trial, row, c, j[row][c], num)
+				}
+			}
+		}
+	}
+}
+
+// TestBAStereoHoldsScale: shrinking every free camera and every point
+// toward the one fixed camera leaves each reprojection where it was,
+// so a monocular problem cannot tell — that is its gauge freedom, and
+// the door a sliding local window loses scale through. The disparity
+// term of a stereo problem can, and must pull the scene back to the
+// metric scale the baseline defines.
+func TestBAStereoHoldsScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	in := camera.EuRoCIntrinsics()
+	const baseline, shrink = 0.11, 0.95
+	var cams []geom.SE3 // truth, world-to-camera; cams[0] is the origin
+	for i := 0; i < 4; i++ {
+		cams = append(cams, geom.SE3{R: geom.QuatFromAxisAngle(geom.Vec3{Y: 1}, 0.03*float64(i)), T: geom.Vec3{X: -0.4 * float64(i), Z: -0.2 * float64(i)}})
+	}
+	var pts []geom.Vec3
+	for len(pts) < 80 {
+		p := geom.Vec3{X: (rng.Float64() - 0.5) * 6, Y: (rng.Float64() - 0.5) * 4, Z: 3 + rng.Float64()*6}
+		vis := true
+		for _, c := range cams {
+			if _, ok := in.Project(c.Apply(p)); !ok {
+				vis = false
+			}
+		}
+		if vis {
+			pts = append(pts, p)
+		}
+	}
+	build := func(bf float64) *BAProblem {
+		prob := &BAProblem{Intr: in, Bf: bf, FixedCam: []bool{true, false, false, false}}
+		for _, c := range cams {
+			// Scaling the world about camera 0 (the origin) scales
+			// camera centres, i.e. T of a world-to-camera pose.
+			prob.Cams = append(prob.Cams, geom.SE3{R: c.R, T: c.T.Scale(shrink)})
+		}
+		prob.Cams[0] = cams[0]
+		for _, p := range pts {
+			prob.Points = append(prob.Points, p.Scale(shrink))
+		}
+		for ci, c := range cams {
+			for pi, p := range pts {
+				pc := c.Apply(p)
+				px, _ := in.Project(pc)
+				u := px.X + rng.NormFloat64()*0.3
+				prob.Obs = append(prob.Obs, Observation{
+					Cam: ci, Pt: pi,
+					UV:    geom.Vec2{X: u, Y: px.Y + rng.NormFloat64()*0.3},
+					Right: px.X - in.Fx*baseline/pc.Z + rng.NormFloat64()*0.3,
+				})
+			}
+		}
+		return prob
+	}
+	scaleOf := func(prob *BAProblem) float64 { return prob.Cams[3].T.Norm() / cams[3].T.Norm() }
+
+	mono := build(0)
+	mono.Solve(20)
+	if s := scaleOf(mono); math.Abs(s-shrink) > 0.01 {
+		t.Errorf("monocular BA moved the scale to %.4f; the shrunk scene (%.2f) reprojects equally well, so this test's premise is off", s, shrink)
+	}
+	stereo := build(in.Fx * baseline)
+	res := stereo.Solve(20)
+	if s := scaleOf(stereo); math.Abs(s-1) > 0.005 {
+		t.Errorf("stereo BA left the scale at %.4f, want 1 within 0.5%% (chi2 %.0f -> %.0f)", s, res.InitChi2, res.FinalChi2)
+	}
+	for i, out := range res.Outliers {
+		if out {
+			t.Fatalf("observation %d of a clean scene classified as an outlier", i)
+		}
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"slamshare/internal/camera"
+	"slamshare/internal/dataset"
 	"slamshare/internal/feature"
 	"slamshare/internal/img"
 	"slamshare/internal/trackpool"
@@ -81,6 +83,37 @@ func TestStreamExtractionMatchesSerial(t *testing.T) {
 				t.Fatalf("round %d: keypoint %d differs:\npooled %+v\nserial %+v", round, i, kps[i], serial[i])
 			}
 		}
+	}
+}
+
+// TestExtractAllocs is the pooled half of internal/feature's ceiling of
+// the same name: extraction through a pool Stream on a 752x480 MH04
+// frame stays under 100 allocations a call in steady state — the
+// extractor's scratch is pooled and a batch costs the stream a small
+// constant, whatever its item count.
+func TestExtractAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("renders dataset frames; needs sync.Pool to keep what it is given")
+	}
+	left, right := dataset.MH04(camera.Stereo).StereoFrame(40)
+	p := trackpool.New(trackpool.Config{Workers: 2})
+	defer p.Close()
+	st := p.NewStream()
+	defer st.Close()
+	ex := &feature.Extractor{Cfg: feature.DefaultConfig(), Par: st}
+	ex.Extract(left)
+	ex.Extract(right)
+	i := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		if i++; i&1 == 0 {
+			ex.Extract(left)
+		} else {
+			ex.Extract(right)
+		}
+	})
+	t.Logf("pooled Extract steady state: %.1f allocs/op", allocs)
+	if allocs > 100 {
+		t.Errorf("pooled Extract allocates %.1f/op in steady state, want <= 100", allocs)
 	}
 }
 
