@@ -69,6 +69,14 @@ type FrontStats struct {
 	// HandoffStalls counts handoffs that entered the HandoffStall
 	// failpoint window.
 	HandoffStalls metrics.Counter
+	// FramesRelayed counts video frames written to a shard as the device
+	// sent them, FramesTranscoded those decoded and re-encoded inside a
+	// resync window (a frame re-sent after a reconnect counts again);
+	// Resyncs counts the windows: shard connections opened while the
+	// session was following the device stream.
+	FramesRelayed    metrics.Counter
+	FramesTranscoded metrics.Counter
+	Resyncs          metrics.Counter
 }
 
 // HandoffEvent records one ownership-handoff attempt, committed or
@@ -91,13 +99,19 @@ type HandoffEvent struct {
 // delta stream whose inter frames only decode against the frames
 // before them, but a handoff (or shard crash) gives the session a
 // fresh server-side decoder that needs an intra reference — and the
-// device has no idea anything happened. The front therefore owns the
-// stream: it decodes the device's video (its decoder sees every frame
-// from the stream's start, so it always has the reference) and
-// re-encodes each frame on a per-shard-connection encoder. On every
-// shard (re)connect the encoder is reset, so the first frame the new
-// session sees is an intra and tracking resumes immediately — no
-// client cooperation, no GOP-length blind window.
+// device has no idea anything happened. The front therefore follows
+// the stream without decoding it: a frame's bytes go to the shard as
+// the device wrote them, and its compressed video is appended to a
+// per-session log that is dropped at every device intra (a sync point:
+// nothing before it is needed to decode what follows) and never holds
+// more than maxStreamLog frames. Only a shard connection that opens
+// mid-GOP makes the front touch pixels: it feeds the log to its
+// decoders, re-encodes the unanswered frames and every following one
+// on encoders reset for that connection — so the first frame the new
+// server session sees is an intra and tracking resumes immediately, no
+// client cooperation, no GOP-length blind window — and goes back to
+// forwarding bytes at the device's next intra, which puts the shard's
+// decoders back on the device stream by itself.
 type Front struct {
 	cfg    FrontConfig
 	ln     net.Listener
@@ -145,6 +159,9 @@ func (f *Front) RegisterDebug(reg *obs.Registry) {
 	reg.RegisterCounter("front.resume_failures", &f.stats.ResumeFailures)
 	reg.RegisterCounter("front.ledger_evictions", &f.stats.LedgerEvictions)
 	reg.RegisterCounter("front.handoff_stalls", &f.stats.HandoffStalls)
+	reg.RegisterCounter("front.frames_relayed", &f.stats.FramesRelayed)
+	reg.RegisterCounter("front.frames_transcoded", &f.stats.FramesTranscoded)
+	reg.RegisterCounter("front.resyncs", &f.stats.Resyncs)
 	reg.RegisterFunc("front.handoffs", func() any {
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -226,16 +243,31 @@ type message struct {
 }
 
 // pendingFrame is an uplink frame forwarded to a shard but not yet
-// answered with a pose. The decoded camera images ride along so the
-// frame can be re-encoded onto a fresh video stream if the session
-// has to move or reconnect before the answer arrives.
+// answered with a pose: the device's bytes, which is all a shard that
+// follows the device stream needs to be sent again. Images appear only
+// on a frame the decoders consumed while it was unanswered (a resync
+// window, a log overflow), so that it can be re-encoded onto yet
+// another connection's stream.
 type pendingFrame struct {
 	mt      byte
 	idx     uint32 // FrameIdx, matching the answering pose
-	payload []byte // as last forwarded
-	fm      protocol.FrameMsg
-	left    *img.Gray // nil when the frame carries no decodable video
+	payload []byte // as the device sent it
+	left    *img.Gray
 	right   *img.Gray
+}
+
+// maxStreamLog bounds a session's stream log. A device stream has an
+// intra every GOP (30) frames and the log is dropped there, so the
+// bound only bites on a stream that stops sending them — or a device
+// that always has a frame in flight at its intras — which then costs a
+// decode per frame, never unbounded memory (64 half-megapixel stereo
+// frames are about 2.8 MB).
+const maxStreamLog = 64
+
+// streamFrame is one device video frame the decoders have not consumed.
+type streamFrame struct {
+	idx         uint32
+	left, right []byte // compressed, aliasing the uplink payload
 }
 
 // session is one proxied device connection.
@@ -247,12 +279,20 @@ type session struct {
 	cur      uint32 // shard currently owning the session
 	epoch    uint64 // handoff epoch, strictly increasing per attempt
 
-	shard net.Conn
-	down  chan message // closed when the shard connection dies
+	shard    net.Conn
+	down     chan message  // closed when the shard connection dies
+	downDone chan struct{} // closed with the connection: stops its pump
 
-	// Stream transcoding state: dec* follow the device's video stream,
-	// enc* produce the per-shard-connection stream (reset on every
-	// reconnect so new server sessions start on an intra frame).
+	// Stream-following state. relay says the current shard connection's
+	// decoders are on the device's stream, so frames are forwarded as
+	// bytes; it is cleared by every new connection and set by the
+	// device's next intra. log is the device video dec* have not
+	// consumed: they have seen everything before log[0], or log[0] is an
+	// intra and what they have seen does not matter. enc* produce the
+	// stream of a connection that is not on the device's (reset on every
+	// connect so a new server session starts on an intra frame).
+	relay      bool
+	log        []streamFrame
 	decL, decR *video.Decoder
 	encL, encR *video.Encoder
 
@@ -277,14 +317,20 @@ type session struct {
 	lastHandoff time.Time
 }
 
-// serveSession proxies one device connection for its lifetime.
-func (f *Front) serveSession(client net.Conn) {
-	defer client.Close()
-	s := &session{
+// newSession returns the state of a device connection nothing has been
+// read from yet.
+func (f *Front) newSession(client net.Conn) *session {
+	return &session{
 		f: f, client: client,
 		decL: video.NewDecoder(), decR: video.NewDecoder(),
 		encL: video.NewEncoder(), encR: video.NewEncoder(),
 	}
+}
+
+// serveSession proxies one device connection for its lifetime.
+func (f *Front) serveSession(client net.Conn) {
+	defer client.Close()
+	s := f.newSession(client)
 
 	// The device protocol opens with a hello; the session is routed on
 	// the first frame's world-frame prior, so buffer until it arrives.
@@ -350,14 +396,13 @@ func (f *Front) serveSession(client net.Conn) {
 	if !s.connectShard() {
 		return
 	}
-	defer func() {
-		if s.shard != nil {
-			s.shard.Close()
-		}
-	}()
+	defer s.closeShard()
 
-	// Uplink pump: one goroutine owns the client read side.
+	// Uplink pump: one goroutine owns the client read side. done stops
+	// it when the session ends with the device's window still queued.
 	up := make(chan message, protocol.UplinkWindow)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
 		defer close(up)
 		for {
@@ -365,7 +410,11 @@ func (f *Front) serveSession(client net.Conn) {
 			if err != nil {
 				return
 			}
-			up <- message{mt, payload}
+			select {
+			case up <- message{mt, payload}:
+			case <-done:
+				return
+			}
 		}
 	}()
 
@@ -472,7 +521,7 @@ func isFrame(mt byte) bool {
 }
 
 // uplink handles one client message: route check (possibly a handoff),
-// then transcode and forward. Returns false when the session must end.
+// then log and forward. Returns false when the session must end.
 func (s *session) uplink(m message) bool {
 	if m.mt == protocol.TypeFrame {
 		fm, err := protocol.DecodeFrameMsg(m.payload)
@@ -494,22 +543,22 @@ func (s *session) uplink(m message) bool {
 				}
 			}
 		}
-		p := pendingFrame{mt: m.mt, idx: fm.FrameIdx, payload: m.payload, fm: *fm}
-		// Advance the device-stream decoders and re-encode onto the
-		// shard-connection stream. A decode failure falls back to
-		// forwarding the original bytes (the shard will fail the frame
-		// exactly as it would without a front in the path).
-		if left, err := s.decL.Decode(fm.Video); err == nil {
-			var right *img.Gray
-			if len(fm.VideoRight) > 0 {
-				right, err = s.decR.Decode(fm.VideoRight)
-			}
-			if err == nil {
-				p.left, p.right = left, right
-				p.payload = s.transcode(&p)
+		if video.IsIntra(fm.Video) && (len(fm.VideoRight) == 0 || video.IsIntra(fm.VideoRight)) {
+			// A sync point: the shard decodes this frame and everything
+			// after it from the device's own bytes, whatever stream its
+			// connection opened on. With nothing older unanswered, nothing
+			// before it can need decoding again either.
+			s.relay = true
+			if len(s.unacked) == 0 {
+				s.dropLog()
 			}
 		}
-		s.unacked = append(s.unacked, p)
+		if len(s.log) == maxStreamLog {
+			s.feed(s.log[0])
+			s.log = append(s.log[:0], s.log[1:]...)
+		}
+		s.log = append(s.log, streamFrame{fm.FrameIdx, fm.Video, fm.VideoRight})
+		s.unacked = append(s.unacked, pendingFrame{mt: m.mt, idx: fm.FrameIdx, payload: m.payload})
 		return s.forwardPending()
 	}
 	if m.mt == protocol.TypeKeypoint {
@@ -540,21 +589,68 @@ func (s *session) capLedger() {
 	s.f.stats.LedgerEvictions.Add(int64(dropped))
 }
 
-// transcode re-encodes a pending frame's images on the current
-// shard-connection encoders and returns the refreshed wire payload.
-func (s *session) transcode(p *pendingFrame) []byte {
-	fm := p.fm
-	fm.Video, fm.VideoRight = video.EncodeStereo(s.encL, s.encR, p.left, p.right)
-	return fm.Encode()
+// feed advances the device-stream decoders by one logged frame and, if
+// that frame is still unanswered, leaves its images on the ledger
+// entry. A frame that does not decode leaves none: it is only ever
+// forwarded as the device sent it, and the shard fails it exactly as
+// it would without a front in the path.
+func (s *session) feed(e streamFrame) {
+	left, err := s.decL.Decode(e.left)
+	var right *img.Gray
+	if err == nil && len(e.right) > 0 {
+		right, err = s.decR.Decode(e.right)
+	}
+	if err != nil {
+		return
+	}
+	for i := range s.unacked {
+		if p := &s.unacked[i]; p.mt == protocol.TypeFrame && p.idx == e.idx {
+			p.left, p.right = left, right
+			return
+		}
+	}
+}
+
+// dropLog empties the stream log, releasing the payloads it aliases.
+func (s *session) dropLog() {
+	clear(s.log)
+	s.log = s.log[:0]
+}
+
+// writePending sends one ledger entry on conn: the device's bytes while
+// the connection follows the device stream (and for split-mode frames,
+// which carry no video), otherwise the frame re-encoded on the
+// connection's own stream — for which the decoders first consume
+// whatever the log still holds, this frame included.
+func (s *session) writePending(conn net.Conn, p *pendingFrame) error {
+	if p.mt != protocol.TypeFrame {
+		return protocol.WriteMessage(conn, p.mt, p.payload)
+	}
+	if !s.relay {
+		for _, e := range s.log {
+			s.feed(e)
+		}
+		s.dropLog()
+		if p.left != nil {
+			fm, _ := protocol.DecodeFrameMsg(p.payload) // uplink decoded it once already
+			fm.Video, fm.VideoRight = video.EncodeStereo(s.encL, s.encR, p.left, p.right)
+			s.f.stats.FramesTranscoded.Inc()
+			return protocol.WriteMessage(conn, p.mt, fm.Encode())
+		}
+	}
+	s.f.stats.FramesRelayed.Inc()
+	return protocol.WriteMessage(conn, p.mt, p.payload)
 }
 
 // forwardPending caps the ledger and sends the most recently queued
 // pending frame (capLedger drops oldest-first, so the new frame always
-// survives the cap).
+// survives the cap), reconnecting on failure.
 func (s *session) forwardPending() bool {
 	s.capLedger()
-	p := &s.unacked[len(s.unacked)-1]
-	return s.forward(p.mt, p.payload)
+	if err := s.writePending(s.shard, &s.unacked[len(s.unacked)-1]); err != nil {
+		return s.reconnectShard()
+	}
+	return true
 }
 
 // forward writes one message to the shard, reconnecting on failure.
@@ -651,9 +747,10 @@ func (s *session) drain() bool {
 
 // connectShard dials the session's current shard, replays the original
 // hello verbatim (so legacy hello encodings survive the front
-// untouched), restarts the video stream — the encoders reset so the
-// new server-side decoders open on an intra frame — re-encodes and
-// re-sends any unanswered frames, and restarts the downlink pump.
+// untouched), opens a resync window — the new server-side decoders are
+// not on the device's stream, so the encoders reset and the first frame
+// they produce is an intra — re-encodes and re-sends any unanswered
+// frames, and restarts the downlink pump.
 func (s *session) connectShard() bool {
 	conn, err := s.f.dial(s.f.cfg.Shards[s.cur])
 	if err != nil {
@@ -663,21 +760,21 @@ func (s *session) connectShard() bool {
 		conn.Close()
 		return false
 	}
+	if s.relay {
+		s.relay = false
+		s.f.stats.Resyncs.Inc()
+	}
 	s.encL.Reset()
 	s.encR.Reset()
 	for i := range s.unacked {
-		p := &s.unacked[i]
-		if p.left != nil {
-			p.payload = s.transcode(p)
-		}
-		if err := protocol.WriteMessage(conn, p.mt, p.payload); err != nil {
+		if err := s.writePending(conn, &s.unacked[i]); err != nil {
 			conn.Close()
 			return false
 		}
 	}
 	s.shard = conn
-	down := make(chan message, 64)
-	s.down = down
+	down, done := make(chan message, 64), make(chan struct{})
+	s.down, s.downDone = down, done
 	go func() {
 		defer close(down)
 		for {
@@ -685,10 +782,24 @@ func (s *session) connectShard() bool {
 			if err != nil {
 				return
 			}
-			down <- message{mt, payload}
+			select {
+			case down <- message{mt, payload}:
+			case <-done:
+				return
+			}
 		}
 	}()
 	return true
+}
+
+// closeShard drops the current shard connection, if any, and stops its
+// downlink pump even if nobody reads s.down again.
+func (s *session) closeShard() {
+	if s.shard != nil {
+		s.shard.Close()
+		close(s.downDone)
+		s.shard = nil
+	}
 }
 
 // reconnectShard replaces a failed shard connection under the rule
@@ -703,10 +814,7 @@ func (s *session) connectShard() bool {
 // RedialBudget. The shard's session resume path (relocalization
 // against the recovered map) takes it from a successful redial.
 func (s *session) reconnectShard() bool {
-	if s.shard != nil {
-		s.shard.Close()
-		s.shard = nil
-	}
+	s.closeShard()
 	for {
 		if s.outageStart.IsZero() {
 			s.outageStart = time.Now()
@@ -741,13 +849,10 @@ func (s *session) handoff(tgt uint32) bool {
 
 	// Close the session on the source cleanly so its tracking state is
 	// settled before the export (no mapper can insert behind it).
+	// Nothing left in its downlink can be a pose: we drained before the
+	// handoff started.
 	protocol.WriteMessage(s.shard, protocol.TypeBye, nil)
-	s.shard.Close()
-	s.shard = nil
-	for range s.down {
-		// Drain the dying downlink; nothing in it can be a pose (we
-		// drained before the handoff started).
-	}
+	s.closeShard()
 
 	src, err := s.f.dialPeer(s.cur, protocol.ShardRoleFront, s.f.cfg.FrontID)
 	if err != nil {

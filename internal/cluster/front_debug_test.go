@@ -19,6 +19,9 @@ func TestFrontRegisterDebug(t *testing.T) {
 	f.stats.SessionsAdopted.Add(3)
 	f.stats.ResumeFailures.Add(1)
 	f.stats.LedgerEvictions.Add(7)
+	f.stats.FramesRelayed.Add(120)
+	f.stats.FramesTranscoded.Add(19)
+	f.stats.Resyncs.Add(2)
 	f.record(HandoffEvent{Client: 9, Epoch: 1, Committed: true})
 
 	reg := obs.NewRegistry()
@@ -36,10 +39,13 @@ func TestFrontRegisterDebug(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int64{
-		"front.sessions_adopted": 3,
-		"front.resume_failures":  1,
-		"front.ledger_evictions": 7,
-		"front.handoff_stalls":   0,
+		"front.sessions_adopted":  3,
+		"front.resume_failures":   1,
+		"front.ledger_evictions":  7,
+		"front.handoff_stalls":    0,
+		"front.frames_relayed":    120,
+		"front.frames_transcoded": 19,
+		"front.resyncs":           2,
 	}
 	for name, v := range want {
 		got, ok := snap.Counters[name]

@@ -587,6 +587,15 @@ func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
 	return out, kind, nil
 }
 
+// IsIntra reports whether payload is an intra frame: one a decoder
+// reconstructs with no reference, so a stream may be joined there. It
+// reads the header only — a relay asks it of bytes it never decodes —
+// and is false for anything too short to be a payload or of another
+// kind.
+func IsIntra(payload []byte) bool {
+	return len(payload) >= 9 && payload[0] == frameIntra
+}
+
 // StreamStats summarizes an encoded stream.
 type StreamStats struct {
 	Frames     int

@@ -184,6 +184,34 @@ func TestEncoderReintraAfterResize(t *testing.T) {
 	}
 }
 
+func TestIsIntra(t *testing.T) {
+	// Every GOP-th frame of a stream, and nothing else in it.
+	f := img.New(48, 40)
+	for _, gop := range []int{1, 3, 30} {
+		enc := &Encoder{GOP: gop, Deadzone: 5}
+		for i := 0; i < 2*gop+2; i++ {
+			f.Pix[i]++ // the answer must not depend on a static scene
+			if got, want := IsIntra(enc.Encode(f)), i%gop == 0; got != want {
+				t.Errorf("GOP %d frame %d: IsIntra = %v, want %v", gop, i, got, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    bool
+	}{
+		{"EncodeImage", EncodeImage(f), true},
+		{"empty", nil, false},
+		{"intra kind, header cut short", []byte{frameIntra, 48, 0, 0, 0, 40, 0, 0}, false},
+		{"9-byte garbage header", []byte{0x9c, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, false},
+	} {
+		if got := IsIntra(tc.payload); got != tc.want {
+			t.Errorf("%s: IsIntra = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestStreamStats(t *testing.T) {
 	s := StreamStats{Frames: 30, TotalBytes: 30 * 4167}
 	// 4167 B/frame * 8 * 30 fps = ~1 Mbit/s.
