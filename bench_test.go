@@ -316,7 +316,8 @@ func BenchmarkAblationSharedMemoryVsSerialized(b *testing.B) {
 			cmap := build()
 			global := smap.NewMap(bow.Default())
 			b.StartTimer()
-			global.InsertAll(cmap)
+			kfIDs, _ := global.InsertAllStaged(cmap)
+			global.PublishKeyFrames(kfIDs)
 		}
 	})
 	b.Run("serialized-insert", func(b *testing.B) {
@@ -330,7 +331,8 @@ func BenchmarkAblationSharedMemoryVsSerialized(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			global.InsertAll(decoded)
+			kfIDs, _ := global.InsertAllStaged(decoded)
+			global.PublishKeyFrames(kfIDs)
 		}
 	})
 }

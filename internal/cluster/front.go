@@ -31,20 +31,13 @@ type FrontConfig struct {
 	// for one session — an aborted handoff (target refused or died)
 	// must not be retried on the very next frame.
 	HandoffCooldown time.Duration
-	// DialTimeout bounds each shard dial; RedialBudget bounds how long
-	// one shard outage may last before the session gives up and drops
-	// the client. Refused dials, failed writes and connections that die
-	// before delivering anything (a shard replaying its WAL on a slow
-	// restart) all spend the same budget, with capped jittered backoff
-	// between attempts; see session.reconnectShard.
-	DialTimeout  time.Duration
+	// RedialBudget bounds how long one shard outage may last before the
+	// session gives up and drops the client. Refused dials, failed
+	// writes and connections that die before delivering anything (a
+	// shard replaying its WAL on a slow restart) all spend the same
+	// budget, with capped jittered backoff between attempts; see
+	// session.reconnectShard.
 	RedialBudget time.Duration
-	// MaxUnacked caps the per-session unacked-frame ledger; beyond it
-	// the oldest pending frame is dropped (counted in
-	// front.ledger_evictions) so a stalled client cannot grow front
-	// memory without bound. 0 means the 256 default; negative disables
-	// the cap.
-	MaxUnacked int
 	// HandoffStall is a test failpoint: it holds every handoff open for
 	// this long between the source's boundary export and the offer to
 	// the target, so a chaos harness can land a front SIGKILL
@@ -55,6 +48,16 @@ type FrontConfig struct {
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
+const (
+	// dialTimeout bounds each shard dial and control-plane reply.
+	dialTimeout = 5 * time.Second
+	// maxUnacked caps the per-session unacked-frame ledger; beyond it
+	// the oldest pending frame is dropped (counted in
+	// front.ledger_evictions) so a stalled client cannot grow front
+	// memory without bound.
+	maxUnacked = 256
+)
+
 // FrontStats counts the failover-relevant front events, published on
 // /debug/vars by RegisterDebug.
 type FrontStats struct {
@@ -63,7 +66,7 @@ type FrontStats struct {
 	// whose owning-shard probe failed.
 	SessionsAdopted metrics.Counter
 	ResumeFailures  metrics.Counter
-	// LedgerEvictions counts pending frames dropped by the MaxUnacked
+	// LedgerEvictions counts pending frames dropped by the maxUnacked
 	// cap.
 	LedgerEvictions metrics.Counter
 	// HandoffStalls counts handoffs that entered the HandoffStall
@@ -132,14 +135,8 @@ func NewFront(cfg FrontConfig) *Front {
 	if cfg.HandoffCooldown == 0 {
 		cfg.HandoffCooldown = 500 * time.Millisecond
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	if cfg.RedialBudget == 0 {
 		cfg.RedialBudget = 30 * time.Second
-	}
-	if cfg.MaxUnacked == 0 {
-		cfg.MaxUnacked = 256
 	}
 	if cfg.Part.N == 0 {
 		cfg.Part.N = len(cfg.Shards)
@@ -214,9 +211,9 @@ func (f *Front) record(ev HandoffEvent) {
 
 func (f *Front) dial(addr string) (net.Conn, error) {
 	if f.cfg.Dial != nil {
-		return f.cfg.Dial(addr, f.cfg.DialTimeout)
+		return f.cfg.Dial(addr, dialTimeout)
 	}
-	return net.DialTimeout("tcp", addr, f.cfg.DialTimeout)
+	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 
 // dialPeer opens a shard control connection and identifies as a
@@ -508,7 +505,7 @@ func (f *Front) probeResume(shard, clientID uint32) (*protocol.ShardStatusMsg, e
 	if err := protocol.WriteMessage(c, protocol.TypeShardControl, probe.Encode()); err != nil {
 		return nil, err
 	}
-	raw, err := readReply(c, protocol.TypeShardStatus, f.cfg.DialTimeout)
+	raw, err := readReply(c, protocol.TypeShardStatus, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -572,15 +569,14 @@ func (s *session) uplink(m message) bool {
 	return s.forward(m.mt, m.payload)
 }
 
-// capLedger enforces the MaxUnacked bound, dropping oldest-first. A
+// capLedger enforces the maxUnacked bound, dropping oldest-first. A
 // dropped frame is never re-sent on a reconnect — the client's own
 // ledger still covers it, at the cost of a relocalize-grade answer.
 func (s *session) capLedger() {
-	max := s.f.cfg.MaxUnacked
-	if max <= 0 || len(s.unacked) <= max {
+	if len(s.unacked) <= maxUnacked {
 		return
 	}
-	dropped := len(s.unacked) - max
+	dropped := len(s.unacked) - maxUnacked
 	n := copy(s.unacked, s.unacked[dropped:])
 	for i := n; i < len(s.unacked); i++ {
 		s.unacked[i] = pendingFrame{} // release image buffers

@@ -116,7 +116,8 @@ func (cfg Config) Defaults() Config {
 
 // Journal is the slice of the WAL the manager records boundaries to;
 // *persist.Journal implements it. The entity erases and re-inserts
-// themselves flow through the map observer.
+// themselves flow through the map observer, which the map calls in
+// place: their records precede the boundary record that follows them.
 type Journal interface {
 	RegionEvicted(id uint64, kfIDs, mpIDs []smap.ID)
 	RegionReloaded(id uint64)
@@ -407,8 +408,9 @@ func (lm *Manager) evictCluster(cluster []smap.ID) bool {
 		kfIDs = append(kfIDs, id)
 	}
 	if len(kfIDs) < lm.cfg.ClusterMin {
-		// The pins won; reinsert what we did erase and give up.
-		lm.reinsert(kfObjs, nil)
+		// The pins won; put back what we did erase (the inserts
+		// re-journal it, neutralizing the journaled erases) and give up.
+		lm.m.Relink(kfObjs, nil)
 		return false
 	}
 
@@ -442,7 +444,7 @@ func (lm *Manager) evictCluster(cluster []smap.ID) bool {
 	if err := persist.WriteRegion(lm.cfg.Dir, id, blob); err != nil {
 		// Disk refused the region: the entities are already out of the
 		// map, so put them back rather than lose them.
-		lm.reinsert(kfObjs, mpObjs)
+		lm.m.Relink(kfObjs, mpObjs)
 		return false
 	}
 	lm.nextID++
@@ -531,64 +533,16 @@ func (lm *Manager) reload(id uint64) bool {
 	if !ok {
 		return false
 	}
-	blob, err := persist.ReadRegion(lm.cfg.Dir, id)
-	var (
-		kfs []*smap.KeyFrame
-		mps []*smap.MapPoint
-	)
-	if err == nil {
-		var gotID uint64
-		gotID, kfs, mps, err = wire.DecodeRegion(blob)
-		if err == nil && gotID != id {
-			err = wire.ErrCorrupt
-		}
-	}
+	kfs, mps, err := lm.readRegion(id)
 	lm.forget(reg)
 	if err != nil {
 		lm.stats.DroppedRegions.Inc()
 		persist.RemoveRegion(lm.cfg.Dir, id)
 		return false
 	}
-
-	present := make(map[smap.ID]bool, len(mps))
-	for _, mp := range mps {
-		present[mp.ID] = true
-	}
-	for _, mp := range mps {
-		// Observations were detached at eviction; the bindings in the
-		// keyframes below re-establish them.
-		mp.Obs = make(map[smap.ID]int)
-		lm.m.AddMapPoint(mp)
-	}
-	var kfIDs []smap.ID
-	for _, kf := range kfs {
-		// Bindings to points sparsified while the region slept would
-		// dangle; clear them. Covisibility is recomputed below.
-		for i, mpID := range kf.MapPoints {
-			if mpID == 0 {
-				continue
-			}
-			if _, ok := lm.m.MapPoint(mpID); !ok && !present[mpID] {
-				kf.MapPoints[i] = 0
-			}
-		}
-		kf.Conns = make(map[smap.ID]int)
-		lm.m.AddKeyFrame(kf)
-		kfIDs = append(kfIDs, kf.ID)
-	}
-	for _, kf := range kfs {
-		for i, mpID := range kf.MapPoints {
-			if mpID == 0 {
-				continue
-			}
-			if err := lm.m.AddObservation(kf.ID, mpID, i); err != nil {
-				kf.MapPoints[i] = 0 // point vanished mid-reload
-			}
-		}
-	}
-	for _, kfID := range kfIDs {
-		lm.m.UpdateConnections(kfID, 15)
-	}
+	// Observations and covisibility were detached at eviction; Relink
+	// re-establishes them from the keyframes' bindings.
+	kfIDs := lm.m.Relink(kfs, mps)
 	lm.m.TouchKeyFrames(kfIDs)
 	if lm.journal != nil {
 		lm.journal.RegionReloaded(id)
@@ -596,6 +550,20 @@ func (lm *Manager) reload(id uint64) bool {
 	persist.RemoveRegion(lm.cfg.Dir, id)
 	lm.stats.ReloadedRegions.Inc()
 	return true
+}
+
+// readRegion reads and decodes one region file, rejecting a blob that
+// names another region.
+func (lm *Manager) readRegion(id uint64) ([]*smap.KeyFrame, []*smap.MapPoint, error) {
+	blob, err := persist.ReadRegion(lm.cfg.Dir, id)
+	if err != nil {
+		return nil, nil, err
+	}
+	gotID, kfs, mps, err := wire.DecodeRegion(blob)
+	if err == nil && gotID != id {
+		err = wire.ErrCorrupt
+	}
+	return kfs, mps, err
 }
 
 // forget (mu held) drops a region from the reload index.
@@ -640,18 +608,7 @@ func (lm *Manager) RestoreEvicted(evicted map[uint64][]smap.ID) {
 		if id >= lm.nextID {
 			lm.nextID = id + 1
 		}
-		blob, err := persist.ReadRegion(lm.cfg.Dir, id)
-		var (
-			kfs []*smap.KeyFrame
-			mps []*smap.MapPoint
-		)
-		if err == nil {
-			var gotID uint64
-			gotID, kfs, mps, err = wire.DecodeRegion(blob)
-			if err == nil && gotID != id {
-				err = wire.ErrCorrupt
-			}
-		}
+		kfs, mps, err := lm.readRegion(id)
 		if err != nil {
 			lm.stats.DroppedRegions.Inc()
 			persist.RemoveRegion(lm.cfg.Dir, id)
@@ -674,31 +631,6 @@ func (lm *Manager) RestoreEvicted(evicted map[uint64][]smap.ID) {
 }
 
 // ---- helpers ----
-
-// reinsert undoes a partially performed eviction after a disk error:
-// the erased entities go back through the normal insert paths (which
-// re-journal them, neutralizing the journaled erases).
-func (lm *Manager) reinsert(kfs []*smap.KeyFrame, mps []*smap.MapPoint) {
-	for _, mp := range mps {
-		mp.Obs = make(map[smap.ID]int)
-		lm.m.AddMapPoint(mp)
-	}
-	for _, kf := range kfs {
-		kf.Conns = make(map[smap.ID]int)
-		lm.m.AddKeyFrame(kf)
-	}
-	for _, kf := range kfs {
-		for i, mpID := range kf.MapPoints {
-			if mpID == 0 {
-				continue
-			}
-			if err := lm.m.AddObservation(kf.ID, mpID, i); err != nil {
-				kf.MapPoints[i] = 0
-			}
-		}
-		lm.m.UpdateConnections(kf.ID, 15)
-	}
-}
 
 // protected reports whether the keyframe must not be culled: recently
 // touched, pinned by a reader, or currently unknown.

@@ -99,11 +99,10 @@ type Report struct {
 // layer (internal/persist) implements it to make merges replayable
 // after a crash; a nil Journal disables the notifications.
 //
-// One ordering rule: a record handed to the Journal is sequenced after
-// the observer records of every map mutation that happened before the
-// call, and before those of every mutation after it. The merger calls
-// with no map stripe lock held, which is what lets an implementation
-// wait for the observer queue to drain.
+// A record handed to the Journal is sequenced after the observer
+// records of every map mutation that returned before the call, and
+// before those of every mutation that starts after it: the map runs
+// its observer in place, so there is nothing in flight to wait for.
 type Journal interface {
 	// MergeApplied marks a merge boundary: the similarity transform
 	// that carried the client map into global coordinates, and how many

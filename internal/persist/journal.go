@@ -38,21 +38,20 @@ var ErrCorrupt = errors.New("persist: corrupt file")
 //	header: u32 magic "SLWJ" | u8 version | u64 baseSeq
 //	record: u32 len | u32 crc32(rest) | u64 seq | u8 op | body
 //
-// Records are appended asynchronously: the map delivers mutation
-// snapshots to the observer callbacks on its notifier goroutine
-// (outside every map lock), the callbacks encode records into memory,
-// and a writer goroutine drains batches to disk, so the tracking/merge
-// hot path never blocks on encoding or I/O. A torn tail (crash
-// mid-write) fails the CRC and replay stops there — exactly the WAL
-// contract.
+// Records are written asynchronously: a mutator — the map calling an
+// observer callback in place, under the mutated entity's stripe lock,
+// or the merger, the shard importer or the lifecycle manager writing a
+// fuse, pose-correction or boundary record themselves — encodes the
+// record into an in-memory buffer, and a writer goroutine drains
+// batches to disk, so the tracking/merge hot path never blocks on I/O.
+// That buffer is the one queue between the map and the disk. A torn
+// tail (crash mid-write) fails the CRC and replay stops there —
+// exactly the WAL contract.
 //
-// Ordering: the journal has one ordered producer. Entity records reach
-// it through the map's observer queue; the records the merger, the
-// shard importer and the lifecycle manager write directly (fuse, pose
-// correction, merge / import / eviction markers) first wait for every
-// observer event enqueued before them (barrier). A record therefore
-// never overtakes the mutations that preceded it on the live map, and
-// replaying the journal in sequence order rebuilds the live map.
+// Ordering: j.mu sequences a record while its mutator still holds the
+// lock that ordered the mutation (the stripe lock for entity records,
+// the server's gmu for the rest), so sequence order is mutation order
+// and replaying the journal in sequence order rebuilds the live map.
 const (
 	journalMagic        = 0x534C574A // "SLWJ"
 	journalVersion byte = 1
@@ -91,8 +90,6 @@ type Journal struct {
 	dir   string
 	fsync bool
 	stats *Stats
-	// m is the journaled map; barrier drains its observer queue.
-	m *smap.Map
 	// stWAL, when non-nil, records a "wal.append" span per drained
 	// batch (seq = latest record sequence covered by the batch). The
 	// spans live on the writer goroutine: the hot-path append only
@@ -116,20 +113,21 @@ type Journal struct {
 
 // openJournal starts a new journal file in dir whose records continue
 // from lastSeq.
-func openJournal(dir string, lastSeq uint64, fsync bool, stats *Stats, m *smap.Map) (*Journal, error) {
+func openJournal(dir string, lastSeq uint64, fsync bool, stats *Stats) (*Journal, error) {
 	j := &Journal{
 		dir:   dir,
 		fsync: fsync,
 		stats: stats,
-		m:     m,
 		seq:   lastSeq,
 		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	if err := j.openFileLocked(lastSeq); err != nil {
+	f, err := createJournalFile(dir, lastSeq)
+	if err != nil {
 		return nil, err
 	}
+	j.f = f
 	go j.writeLoop()
 	return j, nil
 }
@@ -138,12 +136,12 @@ func journalPath(dir string, baseSeq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("journal-%016d.wal", baseSeq))
 }
 
-// openFileLocked creates the journal file for baseSeq and writes its
-// header. Callers hold j.mu (or have exclusive access during init).
-func (j *Journal) openFileLocked(baseSeq uint64) error {
-	f, err := os.OpenFile(journalPath(j.dir, baseSeq), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// createJournalFile creates the journal file for baseSeq and writes
+// its header.
+func createJournalFile(dir string, baseSeq uint64) (*os.File, error) {
+	f, err := os.OpenFile(journalPath(dir, baseSeq), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hdr := codec.Writer{B: make([]byte, 0, journalHeaderBytes)}
 	hdr.U32(journalMagic)
@@ -151,10 +149,9 @@ func (j *Journal) openFileLocked(baseSeq uint64) error {
 	hdr.U64(baseSeq)
 	if _, err := f.Write(hdr.B); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
-	j.f = f
-	return nil
+	return f, nil
 }
 
 // Seq returns the sequence number of the latest record.
@@ -172,7 +169,8 @@ func (j *Journal) Err() error {
 }
 
 // append sequences one record and queues it for the writer goroutine.
-// It does no I/O: this is the only work mutation hot paths pay.
+// It does no I/O — observer callbacks reach it holding a map stripe
+// lock — and this is the only work mutation hot paths pay.
 func (j *Journal) append(op byte, body []byte) {
 	j.mu.Lock()
 	if j.closed {
@@ -258,10 +256,14 @@ func (j *Journal) rotate() (uint64, error) {
 	j.wmu.Lock()
 	defer j.wmu.Unlock()
 	j.mu.Lock()
+	base := j.seq
+	if j.closed {
+		j.mu.Unlock()
+		return base, nil
+	}
 	buf := j.pending
 	j.pending = nil
 	f := j.f
-	base := j.seq
 	j.mu.Unlock()
 	if f != nil {
 		if len(buf) > 0 {
@@ -274,13 +276,16 @@ func (j *Journal) rotate() (uint64, error) {
 		}
 		f.Close()
 	}
+	// Create the next file outside j.mu: appenders wait on j.mu holding
+	// a map stripe lock, so nothing under it may touch the disk. wmu
+	// keeps the writer goroutine (and a concurrent close's final drain)
+	// off j.f meanwhile; records sequenced since base wait in pending
+	// for the new file.
+	next, err := createJournalFile(j.dir, base)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return base, nil
-	}
-	if err := j.openFileLocked(base); err != nil {
-		j.f = nil
+	j.f = next
+	if err != nil {
 		if j.err == nil {
 			j.err = err
 		}
@@ -313,11 +318,6 @@ func (j *Journal) close() error {
 	}
 	return err
 }
-
-// barrier sequences a directly written record after every observer
-// event the map enqueued before it (see the ordering note above). The
-// caller must hold no map stripe lock.
-func (j *Journal) barrier() { j.m.FlushEvents() }
 
 // ---- smap.Observer ----
 
@@ -361,14 +361,12 @@ func (j *Journal) MergeApplied(tf geom.Sim3, insertedKFs, insertedMPs int) {
 	w.F64(tf.S)
 	w.U32(uint32(insertedKFs))
 	w.U32(uint32(insertedMPs))
-	j.barrier()
 	j.append(opMerge, w.B)
 }
 
 // PointsFused journals a duplicate-point fusion; replay redirects the
 // client point's bindings to the global point before erasing it.
 func (j *Journal) PointsFused(clientPt, globalPt smap.ID) {
-	j.barrier()
 	j.appendIDs(opFuse, clientPt, globalPt)
 }
 
@@ -384,7 +382,6 @@ func (j *Journal) ShardImportBegin(epoch uint64, client uint32) {
 	w := codec.Writer{B: make([]byte, 0, 12)}
 	w.U64(epoch)
 	w.U32(client)
-	j.barrier()
 	j.append(opShardImport, w.B)
 }
 
@@ -397,7 +394,6 @@ func (j *Journal) ShardImportEnd(epoch uint64, committed bool) {
 	w := codec.Writer{B: make([]byte, 0, 9)}
 	w.U64(epoch)
 	w.Bool(committed)
-	j.barrier()
 	j.append(opShardImportEnd, w.B)
 }
 
@@ -415,7 +411,6 @@ func (j *Journal) PosesCorrected(kfPoses map[smap.ID]geom.SE3, mpPositions map[s
 		w.U64(id)
 		w.Vec3(v)
 	}
-	j.barrier()
 	j.append(opPoses, w.B)
 }
 

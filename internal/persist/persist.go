@@ -24,9 +24,6 @@ type Options struct {
 	// journal write itself survives a process crash, and AR sessions
 	// care about server crashes far more than kernel ones.
 	Fsync bool
-	// KeepCheckpoints is how many recent checkpoints survive pruning
-	// (default 2, so a corrupt newest snapshot still has a fallback).
-	KeepCheckpoints int
 	// Obs, when non-nil, records persistence spans: "wal.append" per
 	// drained journal batch (on the writer goroutine, never the hot
 	// path) and "persist.checkpoint" per snapshot rotation.
@@ -36,6 +33,10 @@ type Options struct {
 // DefaultCheckpointEvery is the background snapshot interval when
 // Options leaves it zero.
 const DefaultCheckpointEvery = 30 * time.Second
+
+// keepCheckpoints is how many recent checkpoints survive pruning: two,
+// so a corrupt newest snapshot still has a fallback.
+const keepCheckpoints = 2
 
 // Stats exposes the persistence counters and latency recorders the
 // evaluation reads: checkpoint duration, journal throughput, replay
@@ -57,7 +58,8 @@ type Stats struct {
 // Manager owns the durability machinery of one server: it observes the
 // global map through the journal and snapshots it on a background
 // goroutine. All I/O is off the tracking/merge hot path — mutation
-// callbacks only encode into an in-memory batch.
+// callbacks, which the map runs in place under a stripe lock, only
+// encode into the journal's in-memory batch.
 type Manager struct {
 	opts    Options
 	m       *smap.Map
@@ -85,9 +87,6 @@ func Open(opts Options, m *smap.Map, anchors *holo.Registry, lastSeq uint64, loc
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
-	if opts.KeepCheckpoints <= 0 {
-		opts.KeepCheckpoints = 2
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -95,7 +94,7 @@ func Open(opts Options, m *smap.Map, anchors *holo.Registry, lastSeq uint64, loc
 		CheckpointLat: obs.NewHistogram("persist.checkpoint"),
 		ReplayLat:     obs.NewHistogram("persist.replay"),
 	}
-	j, err := openJournal(opts.Dir, lastSeq, opts.Fsync, stats, m)
+	j, err := openJournal(opts.Dir, lastSeq, opts.Fsync, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -156,9 +155,9 @@ func (mgr *Manager) CheckpointNow() error {
 	sp := mgr.stCkpt.Start(0, uint64(mgr.stats.Checkpoints.Load()+1))
 	defer sp.End()
 
-	// Drain the map's async observer queue first so the rotation
-	// sequence covers every mutation the snapshot will contain.
-	mgr.m.FlushEvents()
+	// Rotate first: every record sequenced after seq lands in the new
+	// file, and replaying those over a snapshot that already holds
+	// some of them is idempotent.
 	seq, err := mgr.journal.rotate()
 	if err != nil {
 		return err
@@ -191,7 +190,7 @@ func (mgr *Manager) CheckpointNow() error {
 // undeletable file only wastes disk.
 func (mgr *Manager) prune(newSeq uint64) {
 	if ckpts, err := listCheckpoints(mgr.opts.Dir); err == nil {
-		for i := 0; i < len(ckpts)-mgr.opts.KeepCheckpoints; i++ {
+		for i := 0; i < len(ckpts)-keepCheckpoints; i++ {
 			os.Remove(checkpointPath(mgr.opts.Dir, ckpts[i]))
 		}
 	}
@@ -204,13 +203,10 @@ func (mgr *Manager) prune(newSeq uint64) {
 	}
 }
 
-// Flush synchronously drains the map's observer event queue and the
-// queued journal records to disk. Tests and graceful shutdown use it;
-// the hot path never waits on it.
-func (mgr *Manager) Flush() error {
-	mgr.m.FlushEvents()
-	return mgr.journal.Flush()
-}
+// Flush synchronously writes the queued journal records to disk:
+// every mutation that returned before the call is durable after it.
+// Tests and graceful shutdown use it; the hot path never waits on it.
+func (mgr *Manager) Flush() error { return mgr.journal.Flush() }
 
 // Close detaches the observer, stops the checkpoint ticker, and
 // flushes and closes the journal. It deliberately does NOT write a

@@ -80,13 +80,11 @@ func (j *Journal) RegionEvicted(id uint64, kfIDs, mpIDs []smap.ID) {
 	for _, mp := range mpIDs {
 		w.U64(mp)
 	}
-	j.barrier()
 	j.append(opEvictRegion, w.B)
 }
 
 // RegionReloaded journals that a region returned to memory; the
 // re-inserted entities follow as their own records.
 func (j *Journal) RegionReloaded(id uint64) {
-	j.barrier()
 	j.appendIDs(opReloadRegion, id)
 }

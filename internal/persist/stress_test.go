@@ -15,14 +15,20 @@ import (
 // TestStressConcurrentMutationWithWAL hammers a journaled map from
 // eight goroutines mixing inserts, observation wiring, erases, pose
 // writes, snapshot views, and BoW queries — the workload mix of N
-// tracking sessions plus a mapper sharing one global map. Run it under
+// tracking sessions plus a mapper sharing one global map — while one
+// more goroutine rotates the journal in a loop, so a checkpoint's file
+// switch races the in-place observer appends. (It calls rotate, not
+// CheckpointNow: a snapshot encoded while sessions mutate outside the
+// checkpoint lock is not a consistent cut, which is a property of the
+// snapshot, not of the journal hand-off under test.) Run it under
 // -race. It asserts two things no schedule may violate:
 //
 //  1. Snapshot views never expose a torn pose. Writers only ever store
 //     translations with equal components (k,k,k), so any view keyframe
 //     whose components differ leaked a half-written SE3.
 //  2. WAL replay reconstructs the same entity counts the live map
-//     ended with, i.e. the async event hand-off loses no mutations.
+//     ended with, i.e. the in-place journal hand-off loses no
+//     mutation, across any number of rotations.
 func TestStressConcurrentMutationWithWAL(t *testing.T) {
 	const (
 		workers  = 8
@@ -115,7 +121,29 @@ func TestStressConcurrentMutationWithWAL(t *testing.T) {
 			}
 		}(w)
 	}
+	stop := make(chan struct{})
+	rotDone := make(chan error, 1)
+	rotations := 0
+	go func() {
+		var err error
+		for err == nil {
+			select {
+			case <-stop:
+				rotDone <- nil
+				return
+			default:
+			}
+			_, err = mgr.Journal().rotate()
+			rotations++
+		}
+		rotDone <- err
+	}()
 	wg.Wait()
+	close(stop)
+	if err := <-rotDone; err != nil {
+		t.Fatalf("rotate during mutation: %v", err)
+	}
+	t.Logf("%d journal rotations raced the workers", rotations)
 	if torn.Load() {
 		t.Fatal("a snapshot view observed a torn pose")
 	}
@@ -131,8 +159,8 @@ func TestStressConcurrentMutationWithWAL(t *testing.T) {
 	}
 	mgr.Journal().PosesCorrected(finalPoses, nil)
 
-	// Close drains the event queue and flushes the journal; replay must
-	// land on exactly the entity counts the live map settled at.
+	// Close flushes the journal; replay must land on exactly the entity
+	// counts the live map settled at.
 	wantKF, wantMP := m.NKeyFrames(), m.NMapPoints()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)

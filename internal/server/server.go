@@ -153,25 +153,28 @@ type OverloadConfig struct {
 	ShedBudget time.Duration
 	// IdleTimeout evicts a connection that sends no message header for
 	// this long. ReadTimeout evicts one that stalls mid-message (the
-	// frozen-peer case). WriteTimeout bounds pose writes to a client
-	// that stopped reading. Negative disables each.
-	IdleTimeout  time.Duration
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	// Retry* parameterize the merge retry backoff, in keyframes of
-	// local-map growth: attempt n waits ~Base*Factor^n (capped at Max,
-	// jittered ±Jitter) more keyframes before the next attempt.
-	RetryBase   float64
-	RetryFactor float64
-	RetryMax    float64
-	RetryJitter float64
-	// MaxMergeRollbacks quarantines a session once this many of its
-	// merge attempts were rolled back by pre-commit validation: a map
-	// that keeps failing validation is poisonous, not unlucky.
-	MaxMergeRollbacks int
+	// frozen-peer case). Negative disables each.
+	IdleTimeout time.Duration
+	ReadTimeout time.Duration
 	// Seed fixes the deterministic backoff jitter.
 	Seed int64
 }
+
+const (
+	// writeTimeout bounds pose writes to a client that stopped reading.
+	writeTimeout = 30 * time.Second
+	// retry* parameterize the merge retry backoff, in keyframes of
+	// local-map growth: attempt n waits ~base*factor^n (capped at max,
+	// jittered ±jitter) more keyframes before the next attempt.
+	retryBase   = 3
+	retryFactor = 2
+	retryMax    = 24
+	retryJitter = 0.25
+	// maxMergeRollbacks quarantines a session once this many of its
+	// merge attempts were rolled back by pre-commit validation: a map
+	// that keeps failing validation is poisonous, not unlucky.
+	maxMergeRollbacks = 3
+)
 
 // DefaultOverloadConfig returns conservative production defaults;
 // shedding stays off until a budget is configured.
@@ -181,12 +184,6 @@ func DefaultOverloadConfig() OverloadConfig {
 		MaxMergesInFlight: 2,
 		IdleTimeout:       2 * time.Minute,
 		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		RetryBase:         3,
-		RetryFactor:       2,
-		RetryMax:          24,
-		RetryJitter:       0.25,
-		MaxMergeRollbacks: 3,
 		Seed:              0x51A87A5E,
 	}
 }
@@ -305,7 +302,7 @@ type NetStats struct {
 	KFRejected metrics.Counter
 	// MergeRollbacks counts merge attempts undone by pre-commit
 	// invariant validation; MergeQuarantines counts sessions barred
-	// from further merging after MaxMergeRollbacks of them.
+	// from further merging after maxMergeRollbacks of them.
 	MergeRollbacks   metrics.Counter
 	MergeQuarantines metrics.Counter
 	// IdleEvicted counts connections evicted by the read watchdog
@@ -437,10 +434,10 @@ func New(cfg Config) (*Server, error) {
 		resume:         make(map[uint32]*resumeState),
 		gate:           overload.NewGate(cfg.Overload.MaxSessions, cfg.Overload.MaxMergesInFlight),
 		backoff: overload.Backoff{
-			Base:   cfg.Overload.RetryBase,
-			Factor: cfg.Overload.RetryFactor,
-			Max:    cfg.Overload.RetryMax,
-			Jitter: cfg.Overload.RetryJitter,
+			Base:   retryBase,
+			Factor: retryFactor,
+			Max:    retryMax,
+			Jitter: retryJitter,
 			Seed:   cfg.Overload.Seed,
 		},
 	}
@@ -529,24 +526,6 @@ func fillOverloadDefaults(ov *OverloadConfig) {
 	}
 	if ov.ReadTimeout == 0 {
 		ov.ReadTimeout = def.ReadTimeout
-	}
-	if ov.WriteTimeout == 0 {
-		ov.WriteTimeout = def.WriteTimeout
-	}
-	if ov.RetryBase == 0 {
-		ov.RetryBase = def.RetryBase
-	}
-	if ov.RetryFactor == 0 {
-		ov.RetryFactor = def.RetryFactor
-	}
-	if ov.RetryMax == 0 {
-		ov.RetryMax = def.RetryMax
-	}
-	if ov.RetryJitter == 0 {
-		ov.RetryJitter = def.RetryJitter
-	}
-	if ov.MaxMergeRollbacks == 0 {
-		ov.MaxMergeRollbacks = def.MaxMergeRollbacks
 	}
 	if ov.Seed == 0 {
 		ov.Seed = def.Seed
@@ -645,7 +624,7 @@ type Session struct {
 	// growth (keyframes) failed attempts demand before the next one.
 	// rollbacks counts attempts undone by pre-commit validation;
 	// quarantined bars the session from merging once that hits
-	// Overload.MaxMergeRollbacks. All four belong to the session's
+	// maxMergeRollbacks. All four belong to the session's
 	// single processing goroutine.
 	mergeAttempts int
 	mergeBarrier  int
@@ -1057,7 +1036,7 @@ func (sess *Session) tryMerge() bool {
 			// that keeps producing invalid merges is poisonous.
 			s.net.MergeRollbacks.Inc()
 			sess.rollbacks++
-			if sess.rollbacks >= s.cfg.Overload.MaxMergeRollbacks {
+			if sess.rollbacks >= maxMergeRollbacks {
 				sess.quarantined = true
 				s.net.MergeQuarantines.Inc()
 			}
@@ -1162,10 +1141,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	// stopped reading must not pin this goroutine (and its session
 	// slot) on a full socket buffer.
 	writeMsg := func(mt byte, payload []byte) bool {
-		if wt := timeout(ov.WriteTimeout); wt > 0 {
-			conn.SetWriteDeadline(time.Now().Add(wt))
-			defer conn.SetWriteDeadline(time.Time{})
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		defer conn.SetWriteDeadline(time.Time{})
 		return protocol.WriteMessage(conn, mt, payload) == nil
 	}
 	// maybeSwitchMode runs one offload-policy step after a frame is

@@ -184,7 +184,7 @@ func (s *Server) handleBoundaryRegion(peer *shardPeer, payload []byte, writeMsg 
 	// Import quarantine mirrors the per-session merge quarantine: a
 	// peer whose exports keep failing validation stops being believed.
 	s.shardMu.Lock()
-	blocked := s.importBlocked[peer.sender] >= s.cfg.Overload.MaxMergeRollbacks
+	blocked := s.importBlocked[peer.sender] >= maxMergeRollbacks
 	s.shardMu.Unlock()
 	if blocked {
 		return s.writeHandoff(writeMsg, protocol.HandoffNack, hm, "peer quarantined after repeated import rollbacks")
@@ -279,40 +279,12 @@ func (s *Server) importRegion(epoch uint64, client uint32, kfs []*smap.KeyFrame,
 }
 
 // buildImportMap rebuilds a wire-decoded snapshot into a standalone
-// map the merger can consume, re-establishing observations and
-// covisibility exactly like the lifecycle manager's region reload.
+// map the merger can consume; smap.Relink — the routine the lifecycle
+// manager's region reload runs — re-establishes observations and
+// covisibility.
 func buildImportMap(voc *bow.Vocabulary, kfs []*smap.KeyFrame, mps []*smap.MapPoint) *smap.Map {
 	m := smap.NewMap(voc)
-	present := make(map[smap.ID]bool, len(mps))
-	for _, mp := range mps {
-		present[mp.ID] = true
-	}
-	for _, mp := range mps {
-		mp.Obs = make(map[smap.ID]int)
-		m.AddMapPoint(mp)
-	}
-	for _, kf := range kfs {
-		for i, mpID := range kf.MapPoints {
-			if mpID != 0 && !present[mpID] {
-				kf.MapPoints[i] = 0 // cluster-private filter should prevent this; be safe
-			}
-		}
-		kf.Conns = make(map[smap.ID]int)
-		m.AddKeyFrame(kf)
-	}
-	for _, kf := range kfs {
-		for i, mpID := range kf.MapPoints {
-			if mpID == 0 {
-				continue
-			}
-			if err := m.AddObservation(kf.ID, mpID, i); err != nil {
-				kf.MapPoints[i] = 0
-			}
-		}
-	}
-	for _, kf := range kfs {
-		m.UpdateConnections(kf.ID, 15)
-	}
+	m.Relink(kfs, mps)
 	return m
 }
 

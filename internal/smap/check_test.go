@@ -167,12 +167,3 @@ func TestCheckInvariantsIDRules(t *testing.T) {
 	wantRule(t, rep, "id-zero")
 	wantRule(t, rep, "mp-refkf-zero")
 }
-
-func TestCheckInvariantsAfterRenumber(t *testing.T) {
-	m, _, _, _, _ := checkMap(t)
-	m.Renumber(NewIDAllocator(3))
-	rep := CheckInvariants(m)
-	if !rep.OK() {
-		t.Fatalf("renumbered map reported violations: %v", rep.Violations)
-	}
-}

@@ -163,17 +163,6 @@ func (m *Map) PruneTouch(live func(ID) bool) {
 	m.lmu.Unlock()
 }
 
-// resetLifecycle clears all lifecycle tables — Renumber calls it
-// because the stamps are keyed by the IDs it just rewrote. It is only
-// meaningful on client-local maps, which have no pins in flight.
-func (m *Map) resetLifecycle() {
-	m.lmu.Lock()
-	clear(m.pins)
-	clear(m.condemned)
-	clear(m.lastTouch)
-	m.lmu.Unlock()
-}
-
 // lifecycleSnapshot copies the pin and touch tables for the invariant
 // checker.
 func (m *Map) lifecycleSnapshot() (pins map[ID]int, touch map[ID]uint64) {

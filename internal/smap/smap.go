@@ -16,11 +16,11 @@
 // acquires them in ascending stripe-index order (derived from the ID
 // hash), and the insertion-order/BoW index lock is only ever taken
 // after stripe locks, never before. Operations that restructure the
-// whole map (ApplyTransform, Renumber) take every stripe in ascending
-// order. Observer notifications are enqueued (as snapshot copies)
-// onto a bounded channel while the stripe lock is held and delivered
-// on a dedicated goroutine, so WAL encoding and disk writes never
-// extend a mutation critical section.
+// whole map (ApplyTransform) take every stripe in ascending order.
+// The Observer is called in place, on the mutating goroutine, while
+// the mutated entity's stripe lock is still held: the order observers
+// see is the order the mutations took effect, with no queue between
+// the map and its journal (see Observer for what a callback may do).
 package smap
 
 import (
@@ -79,11 +79,16 @@ func SeqOf(id ID) ID { return id & (ID(1)<<ClientIDBits - 1) }
 
 // Observer receives notifications of map mutations. It is how the
 // persistence layer journals the shared global map without the map
-// depending on it. Callbacks run on a dedicated notifier goroutine,
-// outside the map's locks, and receive private snapshot copies of the
-// mutated entities: implementations may do real work (encoding, I/O)
-// but must not call back into the Map, or FlushEvents would deadlock.
-// Events for the same entity arrive in mutation order.
+// depending on it. Callbacks run on the mutating goroutine, before
+// the mutator returns, under the write lock of the mutated entity's
+// stripe (both stripes for ObservationAdded), and receive the live
+// entity. An implementation therefore must not call into the Map
+// (the stripe lock is not reentrant), must not block on I/O (every
+// mutator and reader of that stripe waits behind it) and must not
+// keep the pointer past the call (the entity mutates once the lock
+// drops) — encode what it needs and return. Callbacks for one entity
+// arrive in mutation order, so an observer that sequences them under
+// a lock of its own sees one order consistent with every entity's.
 type Observer interface {
 	// KeyFrameAdded fires after a keyframe is inserted (or re-inserted).
 	KeyFrameAdded(kf *KeyFrame)
@@ -157,12 +162,6 @@ const (
 	// numStripes is the fixed stripe count; a power of two so the
 	// stripe index is the top bits of a multiplicative hash.
 	numStripes = 1 << stripeBits
-	// eventQueueCap bounds the observer event queue. When the journal
-	// goroutine falls behind, producers block on the enqueue (while
-	// still holding the entity's stripe lock): back-pressure rather
-	// than unbounded memory or dropped WAL records, and the blocking
-	// send preserves per-entity record order.
-	eventQueueCap = 4096
 	// viewCacheMax bounds the cached LocalView table; the cache is
 	// dropped wholesale when it outgrows this (entries are keyed by
 	// reference keyframe, which advances as clients move).
@@ -187,27 +186,6 @@ type stripe struct {
 	kfVer     map[ID]uint64
 }
 
-// mapEvent is one queued observer notification, carrying snapshot
-// copies so the notifier goroutine never races map mutators.
-type mapEvent struct {
-	kind byte
-	kf   *KeyFrame // evKF: private snapshot copy
-	mp   *MapPoint // evMP: private snapshot copy
-	id   ID        // erase target / observation keyframe
-	mpID ID        // observation map point
-	idx  int       // observation keypoint index
-	sync chan struct{}
-}
-
-const (
-	evKF byte = iota
-	evMP
-	evEraseKF
-	evEraseMP
-	evObs
-	evSync
-)
-
 // viewKey identifies a cached LocalView.
 type viewKey struct {
 	kf     ID
@@ -215,8 +193,8 @@ type viewKey struct {
 }
 
 // localScratch is pooled per-call working state for local-map window
-// collection (the seen-set and ID list LocalPoints used to reallocate
-// every frame).
+// collection (the seen-set and ID list a view build would otherwise
+// reallocate every time).
 type localScratch struct {
 	seen map[ID]struct{}
 	ids  []ID
@@ -252,12 +230,10 @@ type Map struct {
 	inOrder map[ID]struct{}
 	bowDB   *bow.Database
 
-	// events, when non-nil, carries observer notifications to the
-	// notifier goroutine. Written only with every stripe lock held;
-	// read under any stripe lock, which is what makes a blocking send
-	// safe against a concurrent SetObserver close.
-	events    chan mapEvent
-	notifDone chan struct{}
+	// observer, when non-nil, is told of every journaled mutation (see
+	// Observer). Written only with every stripe lock held; read under
+	// any stripe lock.
+	observer Observer
 
 	// vmu guards the LocalView cache. Leaf lock: taken with no other
 	// map locks held.
@@ -349,78 +325,18 @@ func (m *Map) getScratch() *localScratch {
 
 func (m *Map) putScratch(sc *localScratch) { m.scratch.Put(sc) }
 
-// ---- Observer machinery -------------------------------------------
-
 // SetObserver installs (or removes, with nil) the mutation observer.
-// Removing an observer blocks until every queued event has been
-// delivered, so a journal is complete once SetObserver(nil) returns.
+// It takes every stripe lock, so no callback is in flight when it
+// returns: the previous observer has seen its last mutation.
 func (m *Map) SetObserver(o Observer) {
-	var ch chan mapEvent
-	var done chan struct{}
-	if o != nil {
-		ch = make(chan mapEvent, eventQueueCap)
-		done = make(chan struct{})
-		go runNotifier(o, ch, done)
-	}
 	m.lockAll()
-	oldCh, oldDone := m.events, m.notifDone
-	m.events, m.notifDone = ch, done
+	m.observer = o
 	m.unlockAll()
-	if oldCh != nil {
-		close(oldCh)
-		<-oldDone
-	}
 }
 
-func runNotifier(o Observer, ch <-chan mapEvent, done chan<- struct{}) {
-	for ev := range ch {
-		switch ev.kind {
-		case evKF:
-			o.KeyFrameAdded(ev.kf)
-		case evMP:
-			o.MapPointAdded(ev.mp)
-		case evEraseKF:
-			o.KeyFrameErased(ev.id)
-		case evEraseMP:
-			o.MapPointErased(ev.id)
-		case evObs:
-			o.ObservationAdded(ev.id, ev.mpID, ev.idx)
-		case evSync:
-			close(ev.sync)
-		}
-	}
-	close(done)
-}
-
-// enqueue sends an event to the notifier. Callers must hold at least
-// one stripe lock: SetObserver swaps the channel only while holding
-// all of them, so the channel cannot be closed mid-send. The send
-// blocks when the queue is full (see eventQueueCap).
-func (m *Map) enqueue(ev mapEvent) {
-	if m.events != nil {
-		m.events <- ev
-	}
-}
-
-// FlushEvents blocks until every observer event enqueued before the
-// call has been delivered. The persistence layer calls it before
-// flushing or checkpointing so the WAL contains everything the map
-// does.
-func (m *Map) FlushEvents() {
-	s := &m.stripes[0]
-	s.mu.Lock()
-	if m.events == nil {
-		s.mu.Unlock()
-		return
-	}
-	ev := mapEvent{kind: evSync, sync: make(chan struct{})}
-	m.events <- ev
-	s.mu.Unlock()
-	<-ev.sync
-}
-
-// snapshotKF copies a keyframe for the event queue. The slices that
-// mutate after insertion (MapPoints bindings, covisibility edges) are
+// snapshotKF copies a keyframe for a reader that outlives the stripe
+// lock (region export, the invariant checker). The slices that mutate
+// after insertion (MapPoints bindings, covisibility edges) are
 // deep-copied; Keypoints and Bow are immutable once the frame is in
 // the map and stay shared.
 func snapshotKF(kf *KeyFrame) *KeyFrame {
@@ -479,7 +395,9 @@ func (m *Map) addKeyFrame(kf *KeyFrame, indexBow bool) {
 	_, exists := s.keyframes[kf.ID]
 	s.keyframes[kf.ID] = kf
 	s.kfVer[kf.ID]++
-	m.enqueue(mapEvent{kind: evKF, kf: snapshotKF(kf)})
+	if m.observer != nil {
+		m.observer.KeyFrameAdded(kf)
+	}
 	m.version.Add(1)
 	s.mu.Unlock()
 	if !exists {
@@ -506,7 +424,9 @@ func (m *Map) AddMapPoint(mp *MapPoint) {
 	s.mu.Lock()
 	_, exists := s.points[mp.ID]
 	s.points[mp.ID] = mp
-	m.enqueue(mapEvent{kind: evMP, mp: snapshotMP(mp)})
+	if m.observer != nil {
+		m.observer.MapPointAdded(mp)
+	}
 	m.version.Add(1)
 	s.mu.Unlock()
 	if !exists {
@@ -709,7 +629,9 @@ func (m *Map) EraseKeyFrame(id ID) {
 	for other := range kf.Conns {
 		others = append(others, other)
 	}
-	m.enqueue(mapEvent{kind: evEraseKF, id: id})
+	if m.observer != nil {
+		m.observer.KeyFrameErased(id)
+	}
 	m.version.Add(1)
 	s.mu.Unlock()
 	m.nkf.Add(-1)
@@ -756,7 +678,9 @@ func (m *Map) EraseMapPoint(id ID) {
 	for kfID, idx := range mp.Obs {
 		obs = append(obs, obsRef{kfID, idx})
 	}
-	m.enqueue(mapEvent{kind: evEraseMP, id: id})
+	if m.observer != nil {
+		m.observer.MapPointErased(id)
+	}
 	m.version.Add(1)
 	s.mu.Unlock()
 	m.nmp.Add(-1)
@@ -807,7 +731,9 @@ func (m *Map) AddObservation(kfID, mpID ID, kpIdx int) error {
 	kf.MapPoints[kpIdx] = mpID
 	mp.Obs[kfID] = kpIdx
 	ks.kfVer[kfID]++
-	m.enqueue(mapEvent{kind: evObs, id: kfID, mpID: mpID, idx: kpIdx})
+	if m.observer != nil {
+		m.observer.ObservationAdded(kfID, mpID, kpIdx)
+	}
 	m.version.Add(1)
 	unlock()
 	return nil
@@ -1084,9 +1010,7 @@ func (m *Map) collectWindow(ids []ID, sc *localScratch,
 		s.mu.RLock()
 		kf, ok := s.keyframes[id]
 		if ok {
-			if visit != nil {
-				visit(kf, s.kfVer[id])
-			}
+			visit(kf, s.kfVer[id])
 			for _, mpID := range kf.MapPoints {
 				if mpID == 0 {
 					continue
@@ -1100,27 +1024,6 @@ func (m *Map) collectWindow(ids []ID, sc *localScratch,
 		}
 		s.mu.RUnlock()
 	}
-}
-
-// LocalPoints returns the map points observed by kf and its covisible
-// neighbours — the "local map" that tracking's search-local-points
-// matches each frame against. The returned slice is freshly
-// allocated (callers like point fusion hold onto the live pointers);
-// per-frame read paths should prefer LocalView, which caches.
-func (m *Map) LocalPoints(kfID ID, maxKFs int) []*MapPoint {
-	sc := m.getScratch()
-	ids := m.windowIDs(kfID, maxKFs)
-	pinned := m.Pin(ids)
-	m.collectWindow(ids, sc, nil)
-	m.Unpin(pinned)
-	out := make([]*MapPoint, 0, len(sc.ids))
-	for _, mpID := range sc.ids {
-		if mp, ok := m.MapPoint(mpID); ok {
-			out = append(out, mp)
-		}
-	}
-	m.putScratch(sc)
-	return out
 }
 
 // QueryBow returns merge/loop candidates for the given BoW vector,
@@ -1334,107 +1237,47 @@ func (m *Map) ApplyTransform(s geom.Sim3) {
 	m.dropViews()
 }
 
-// InsertAll moves every keyframe and map point of src into m without
-// copying the underlying data — the zero-copy shared-memory insert of
-// Alg. 2 lines 2–5 ("this only adds pointers to the global map
-// database"). src retains its contents; callers should stop using it
-// as an owner afterwards.
-func (m *Map) InsertAll(src *Map) {
-	for _, mp := range src.MapPoints() {
+// Relink inserts entities that arrive detached — decoded from a region
+// file or a boundary snapshot, or just erased from this map — and
+// rebuilds the cross-references that detaching dropped: observations
+// from the keyframes' bindings, covisibility from the observations.
+// Bindings to points that are neither in mps nor live in the map
+// (sparsified while a region slept) are cleared rather than left
+// dangling. It returns the inserted keyframe IDs. Callers that need
+// the batch to appear atomically hold the map-wide coordination lock.
+func (m *Map) Relink(kfs []*KeyFrame, mps []*MapPoint) []ID {
+	for _, mp := range mps {
+		mp.Obs = make(map[ID]int)
 		m.AddMapPoint(mp)
 	}
-	for _, kf := range src.KeyFrames() {
-		m.AddKeyFrame(kf)
-	}
-}
-
-// Renumber rewrites every keyframe and map point ID through the
-// allocator, preserving all cross-references — the explicit index
-// renumbering the paper performs when a client's locally numbered map
-// enters the global map. Runs with every stripe locked (ascending
-// order) since IDs migrate between stripes.
-func (m *Map) Renumber(alloc *IDAllocator) {
-	m.lockAll()
-	m.imu.Lock()
-	kfMap := make(map[ID]ID, len(m.order))
-	mpMap := make(map[ID]ID)
-	for _, id := range m.order {
-		if _, ok := m.stripe(id).keyframes[id]; ok {
-			kfMap[id] = alloc.Next()
-		}
-	}
-	for i := range m.stripes {
-		for id := range m.stripes[i].points {
-			mpMap[id] = alloc.Next()
-		}
-	}
-	// Detach every entity, rewrite IDs and references, reinsert into
-	// the stripe its new ID hashes to.
-	oldKFs := make([]*KeyFrame, 0, len(kfMap))
-	for _, oldID := range m.order {
-		if kf, ok := m.stripe(oldID).keyframes[oldID]; ok {
-			kf.ID = kfMap[oldID]
-			oldKFs = append(oldKFs, kf)
-		}
-	}
-	oldMPs := make([]*MapPoint, 0, len(mpMap))
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		for oldID, mp := range st.points {
-			mp.ID = mpMap[oldID]
-			oldMPs = append(oldMPs, mp)
-		}
-		st.keyframes = make(map[ID]*KeyFrame)
-		st.points = make(map[ID]*MapPoint)
-		st.kfVer = make(map[ID]uint64)
-	}
-	newOrder := make([]ID, 0, len(oldKFs))
-	for _, kf := range oldKFs {
+	ids := make([]ID, 0, len(kfs))
+	for _, kf := range kfs {
+		// Clear before inserting: the observer journals the keyframe
+		// with the bindings it is inserted with.
 		for i, mpID := range kf.MapPoints {
-			if mpID != 0 {
-				kf.MapPoints[i] = mpMap[mpID]
+			if mpID == 0 {
+				continue
+			}
+			if _, ok := m.MapPoint(mpID); !ok {
+				kf.MapPoints[i] = 0
 			}
 		}
-		conns := make(map[ID]int, len(kf.Conns))
-		for other, w := range kf.Conns {
-			if nid, ok := kfMap[other]; ok {
-				conns[nid] = w
+		kf.Conns = make(map[ID]int)
+		m.AddKeyFrame(kf)
+		ids = append(ids, kf.ID)
+	}
+	for _, kf := range kfs {
+		for i, mpID := range kf.MapPoints {
+			if mpID == 0 {
+				continue
+			}
+			if err := m.AddObservation(kf.ID, mpID, i); err != nil {
+				kf.MapPoints[i] = 0 // point vanished mid-relink
 			}
 		}
-		kf.Conns = conns
-		st := m.stripe(kf.ID)
-		st.keyframes[kf.ID] = kf
-		st.kfVer[kf.ID]++
-		newOrder = append(newOrder, kf.ID)
 	}
-	for _, mp := range oldMPs {
-		obs := make(map[ID]int, len(mp.Obs))
-		for kfID, idx := range mp.Obs {
-			if nid, ok := kfMap[kfID]; ok {
-				obs[nid] = idx
-			}
-		}
-		mp.Obs = obs
-		if nid, ok := kfMap[mp.RefKF]; ok {
-			mp.RefKF = nid
-		}
-		m.stripe(mp.ID).points[mp.ID] = mp
+	for _, id := range ids {
+		m.UpdateConnections(id, 15)
 	}
-	m.order = newOrder
-	m.inOrder = make(map[ID]struct{}, len(newOrder))
-	for _, id := range newOrder {
-		m.inOrder[id] = struct{}{}
-	}
-	// Rebuild the BoW index under the new IDs.
-	m.bowDB = bow.NewDatabase()
-	for _, kf := range oldKFs {
-		m.bowDB.Add(kf.ID, kf.Bow)
-	}
-	m.version.Add(1)
-	m.imu.Unlock()
-	m.unlockAll()
-	// The lifecycle stamps are keyed by the IDs just rewritten; client
-	// maps being renumbered have no pins in flight, so clear wholesale.
-	m.resetLifecycle()
-	m.dropViews()
+	return ids
 }

@@ -1,6 +1,7 @@
 package smap
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestObservationsAndConnections(t *testing.T) {
 		t.Errorf("covisible = %v", cov)
 	}
 	// Local points of kf1 must include both shared sets.
-	lp := m.LocalPoints(1, 10)
+	lp := m.LocalView(1, 10).Points
 	if len(lp) != 25 {
 		t.Errorf("local points = %d, want 25", len(lp))
 	}
@@ -250,61 +251,17 @@ func TestInsertAllZeroCopy(t *testing.T) {
 	kf := newKF(1<<41|1, 2, rng, 10)
 	client.AddKeyFrame(kf)
 	client.AddMapPoint(&MapPoint{ID: 1<<41 | 2})
-	global.InsertAll(client)
+	kfIDs, _ := global.InsertAllStaged(client)
+	global.PublishKeyFrames(kfIDs)
 	got, ok := global.KeyFrame(kf.ID)
 	if !ok {
 		t.Fatal("keyframe not inserted")
 	}
 	if got != kf {
-		t.Error("InsertAll copied the keyframe instead of sharing the pointer")
+		t.Error("InsertAllStaged copied the keyframe instead of sharing the pointer")
 	}
 	if global.NMapPoints() != 1 {
 		t.Error("map point not inserted")
-	}
-}
-
-func TestRenumberPreservesStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := NewMap(testVoc())
-	kf1 := newKF(1, 0, rng, 10)
-	kf2 := newKF(2, 0, rng, 10)
-	m.AddKeyFrame(kf1)
-	m.AddKeyFrame(kf2)
-	mp := &MapPoint{ID: 3, RefKF: 1}
-	m.AddMapPoint(mp)
-	mustAdd(t, m, 1, 3, 4)
-	mustAdd(t, m, 2, 3, 7)
-	m.UpdateConnections(1, 1)
-
-	alloc := NewIDAllocator(5)
-	m.Renumber(alloc)
-
-	if ClientOf(kf1.ID) != 5 || ClientOf(mp.ID) != 5 {
-		t.Fatalf("IDs not in client-5 range: %d %d", kf1.ID, mp.ID)
-	}
-	// Cross-references must follow.
-	if kf1.MapPoints[4] != mp.ID || kf2.MapPoints[7] != mp.ID {
-		t.Error("keyframe->point reference broken")
-	}
-	if _, ok := mp.Obs[kf1.ID]; !ok {
-		t.Error("point->keyframe observation broken")
-	}
-	if mp.RefKF != kf1.ID {
-		t.Error("RefKF not renumbered")
-	}
-	if _, ok := kf1.Conns[kf2.ID]; !ok {
-		t.Error("covisibility edge not renumbered")
-	}
-	// BoW index must answer under new IDs.
-	res := m.QueryBow(kf1.Bow, 5, nil)
-	found := false
-	for _, r := range res {
-		if r.ID == kf1.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("BoW index not rebuilt after renumber")
 	}
 }
 
@@ -349,7 +306,59 @@ func TestConcurrentMapAccess(t *testing.T) {
 		m.NKeyFrames()
 		m.KeyFrames()
 		m.Covisible(1, 5)
-		m.LocalPoints(1, 5)
+		_ = m.LocalView(1, 5).Points
 	}
 	<-done
+}
+
+// recObserver records callbacks with no synchronisation of its own:
+// the Observer contract is that they run on the mutating goroutine.
+type recObserver struct {
+	calls []string
+	kf    *KeyFrame
+}
+
+func (o *recObserver) KeyFrameAdded(kf *KeyFrame) {
+	o.kf = kf
+	o.calls = append(o.calls, fmt.Sprint("kf+", kf.ID))
+}
+func (o *recObserver) MapPointAdded(mp *MapPoint) {
+	o.calls = append(o.calls, fmt.Sprint("mp+", mp.ID))
+}
+func (o *recObserver) KeyFrameErased(id ID) { o.calls = append(o.calls, fmt.Sprint("kf-", id)) }
+func (o *recObserver) MapPointErased(id ID) { o.calls = append(o.calls, fmt.Sprint("mp-", id)) }
+func (o *recObserver) ObservationAdded(kfID, mpID ID, kpIdx int) {
+	o.calls = append(o.calls, fmt.Sprint("obs ", kfID, mpID, kpIdx))
+}
+
+func TestObserverRunsBeforeMutatorReturns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := NewMap(testVoc())
+	rec := &recObserver{}
+	m.SetObserver(rec)
+	kf1 := newKF(1, 0, rng, 4)
+	steps := []struct {
+		name string
+		do   func()
+		want string
+	}{
+		{"AddKeyFrame", func() { m.AddKeyFrame(kf1) }, "kf+1"},
+		{"AddKeyFrame", func() { m.AddKeyFrame(newKF(2, 0, rng, 4)) }, "kf+2"},
+		{"AddMapPoint", func() { m.AddMapPoint(&MapPoint{ID: 10, RefKF: 1}) }, "mp+10"},
+		{"AddObservation", func() { mustAdd(t, m, 1, 10, 2) }, "obs 1 10 2"},
+		{"EraseMapPoint", func() { m.EraseMapPoint(10) }, "mp-10"},
+		{"EraseKeyFrame", func() { m.EraseKeyFrame(1) }, "kf-1"},
+		{"RemoveEntities", func() { m.RemoveEntities([]ID{2}, nil) }, "kf-2"},
+	}
+	for _, st := range steps {
+		rec.calls = rec.calls[:0]
+		st.do()
+		if len(rec.calls) != 1 || rec.calls[0] != st.want {
+			t.Fatalf("%s returned with callbacks %q delivered, want exactly [%q]", st.name, rec.calls, st.want)
+		}
+	}
+	m.AddKeyFrame(kf1)
+	if rec.kf != kf1 {
+		t.Error("KeyFrameAdded received a copy, want the live keyframe")
+	}
 }

@@ -9,8 +9,7 @@ import "sort"
 // is the boundary-export primitive for cross-shard handoff: unlike the
 // lifecycle evictor, which detaches a region as it encodes it, the
 // exporter must keep serving the region until the peer shard commits,
-// so it works on snapshot copies (the snapshotKF/snapshotMP idiom the
-// observer queue uses).
+// so it works on snapshot copies (snapshotKF/snapshotMP).
 //
 // Callers that need the cluster to be mutually consistent — bindings
 // in one keyframe matching observations in another — must hold the

@@ -11,11 +11,14 @@ package smap
 // primitives below unlink entities from the global map's indices while
 // leaving the shared objects intact.
 
-// InsertAllStaged inserts every map point and keyframe of src like
-// InsertAll, but defers place-recognition indexing: staged keyframes
-// are invisible to QueryBow until PublishKeyFrames, so relocalization
-// on other sessions cannot anchor to entities a merge may yet roll
-// back. The inserted IDs are returned for the transaction's undo log.
+// InsertAllStaged moves every map point and keyframe of src into m
+// without copying the underlying data — the zero-copy shared-memory
+// insert of Alg. 2 lines 2–5 ("this only adds pointers to the global
+// map database") — but defers place-recognition indexing: staged
+// keyframes are invisible to QueryBow until PublishKeyFrames, so
+// relocalization on other sessions cannot anchor to entities a merge
+// may yet roll back. src retains its contents; callers should stop
+// using it as an owner afterwards. The inserted IDs are returned for the transaction's undo log.
 // A full CheckInvariants run would flag staged keyframes as
 // bow-missing; the staging window lives entirely inside a merge, which
 // is exactly when whole-map audits do not run.
@@ -65,7 +68,9 @@ func (m *Map) RemoveEntities(kfIDs, mpIDs []ID) {
 		if ok {
 			delete(s.keyframes, id)
 			s.kfVer[id]++ // tombstone: views holding this keyframe go stale
-			m.enqueue(mapEvent{kind: evEraseKF, id: id})
+			if m.observer != nil {
+				m.observer.KeyFrameErased(id)
+			}
 			m.version.Add(1)
 		}
 		s.mu.Unlock()
@@ -80,7 +85,9 @@ func (m *Map) RemoveEntities(kfIDs, mpIDs []ID) {
 		_, ok := s.points[id]
 		if ok {
 			delete(s.points, id)
-			m.enqueue(mapEvent{kind: evEraseMP, id: id})
+			if m.observer != nil {
+				m.observer.MapPointErased(id)
+			}
 			m.version.Add(1)
 		}
 		s.mu.Unlock()

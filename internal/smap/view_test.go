@@ -125,21 +125,6 @@ func TestLocalViewUnknownKeyFrameInvalidatesOnInsert(t *testing.T) {
 	}
 }
 
-func TestLocalPointsMatchesViewAndReturnsLivePointers(t *testing.T) {
-	m, _, _ := buildViewFixture(t)
-	pts := m.LocalPoints(1, 10)
-	view := m.LocalView(1, 10)
-	if len(pts) != len(view.Points) {
-		t.Fatalf("LocalPoints %d vs view %d", len(pts), len(view.Points))
-	}
-	for _, mp := range pts {
-		live, ok := m.MapPoint(mp.ID)
-		if !ok || live != mp {
-			t.Fatal("LocalPoints returned a non-live pointer")
-		}
-	}
-}
-
 func TestConcurrentViewsAndMutations(t *testing.T) {
 	m, _, _ := buildViewFixture(t)
 	var wg sync.WaitGroup

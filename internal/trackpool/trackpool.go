@@ -47,10 +47,6 @@ type Config struct {
 	// from a batch per visit, bounding queue-lock traffic on small
 	// batches. 0 means 2.
 	MinGrain int
-	// UrgentFrac is the fraction of a frame's deadline budget below
-	// which its batches enter the urgent class and jump the normal
-	// work of their own QoS tier. 0 means 0.25.
-	UrgentFrac float64
 	// ReservedSlots holds back this many admission slots for QoS-0
 	// frames: an admitter with a lower service class (qos > 0) is only
 	// granted while inflight < MaxInflight - ReservedSlots, so a
@@ -210,6 +206,11 @@ type Pool struct {
 	waitNS  atomic.Int64
 }
 
+// urgentFrac is the fraction of a frame's deadline budget below which
+// its batches enter the urgent class and jump the normal work of their
+// own QoS tier.
+const urgentFrac = 0.25
+
 // New starts a pool with the given config.
 func New(cfg Config) *Pool {
 	if cfg.Workers <= 0 {
@@ -217,9 +218,6 @@ func New(cfg Config) *Pool {
 	}
 	if cfg.MinGrain <= 0 {
 		cfg.MinGrain = 2
-	}
-	if cfg.UrgentFrac <= 0 {
-		cfg.UrgentFrac = 0.25
 	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = cfg.Workers
@@ -383,7 +381,7 @@ func (st *Stream) Close() {
 // schedKey maps a frame's admission window to its (key, class): EDF on
 // the deadline when one is set, FIFO on arrival otherwise, promoted to
 // the urgent class when the remaining budget at now has fallen below
-// UrgentFrac of the whole budget. Urgency only reorders frames within
+// urgentFrac of the whole budget. Urgency only reorders frames within
 // a QoS tier — the heaps sort on QoS first — because under sustained
 // overload every stale low-QoS frame blows its budget, and letting
 // those promotions jump tiers would starve a headset's fresh frames
@@ -393,7 +391,7 @@ func (p *Pool) schedKey(now, arr, dl int64) (key int64, class int) {
 	class = classNormal
 	if dl != 0 {
 		key = dl
-		if budget := dl - arr; budget > 0 && dl-now < int64(float64(budget)*p.cfg.UrgentFrac) {
+		if budget := dl - arr; budget > 0 && dl-now < int64(float64(budget)*urgentFrac) {
 			class = classUrgent
 		}
 	}

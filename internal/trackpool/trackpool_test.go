@@ -307,7 +307,7 @@ func TestUrgentClassJumpsQueue(t *testing.T) {
 	defer normal.Close()
 	defer urgent.Close()
 	now := time.Now()
-	// Fresh budget: remaining == budget, far above UrgentFrac. Its key
+	// Fresh budget: remaining == budget, far above urgentFrac. Its key
 	// (deadline now+100ms) is EARLIER than the urgent stream's.
 	normal.BeginFrame(now, now.Add(100*time.Millisecond))
 	// Admitted 10s ago with a later deadline: remaining 500ms out of a
