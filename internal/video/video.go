@@ -39,14 +39,20 @@ var (
 		zw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
 		return zw
 	}}
-	deflDefault = sync.Pool{New: func() any {
-		zw, _ := flate.NewWriter(io.Discard, flate.DefaultCompression)
+	deflInter = sync.Pool{New: func() any {
+		zw, _ := flate.NewWriter(io.Discard, interLevel)
 		return zw
 	}}
 	inflPool = sync.Pool{New: func() any {
 		return flate.NewReader(bytes.NewReader(nil))
 	}}
 )
+
+// interLevel is the DEFLATE level of inter payloads. With P-skip the
+// match search over the residual plane is the encoder's largest stage;
+// level 4 costs 1.8 % more bytes than the default 6 on MH04 and a
+// fifth less time per eye (the measured table is in DESIGN.md §6).
+const interLevel = 4
 
 // getBuf returns a length-n scratch slice; callers must fully
 // overwrite it and hand it back with putBuf.
@@ -181,7 +187,9 @@ func (e *Encoder) Encode(f *img.Gray) []byte {
 	// reconstruction, then a deadzone-quantized residual. Because the
 	// renderer's landmark patches translate rigidly between frames,
 	// block matching captures almost all the signal, leaving only
-	// sensor noise (killed by the deadzone) and dis/occlusions.
+	// sensor noise (killed by the deadzone) and dis/occlusions. Most
+	// blocks of a frame did not move at all: those are settled by
+	// skipVector and never searched.
 	w, h := f.W, f.H
 	bw := (w + blockSize - 1) / blockSize
 	bh := (h + blockSize - 1) / blockSize
@@ -195,10 +203,14 @@ func (e *Encoder) Encode(f *img.Gray) []byte {
 		pred = img.New(w, h)
 	}
 	e.spare = nil
+	dz := e.Deadzone
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
 			x0, y0 := bx*blockSize, by*blockSize
-			dx, dy := bestMV(e.recon, f, x0, y0, gx, gy)
+			dx, dy, skip := skipVector(e.recon, f, x0, y0, gx, gy, dz)
+			if !skip {
+				dx, dy = bestMV(e.recon, f, x0, y0, gx, gy)
+			}
 			mvs[(by*bw+bx)*2] = byte(dx + 64)
 			mvs[(by*bw+bx)*2+1] = byte(dy + 64)
 			copyBlock(pred, e.recon, x0, y0, dx, dy)
@@ -208,7 +220,6 @@ func (e *Encoder) Encode(f *img.Gray) []byte {
 		e.diff = make([]byte, 2*len(f.Pix))
 	}
 	diff := e.diff[:2*len(f.Pix)]
-	dz := e.Deadzone
 	for i, v := range f.Pix {
 		d := int(v) - int(pred.Pix[i])
 		if d <= dz && d >= -dz {
@@ -229,12 +240,12 @@ func (e *Encoder) Encode(f *img.Gray) []byte {
 		mvs[i+1] -= mvs[i-1]
 	}
 	buf := newPayload(frameInter, w, h, e.interLen)
-	zw := deflDefault.Get().(*flate.Writer)
+	zw := deflInter.Get().(*flate.Writer)
 	zw.Reset(buf)
 	zw.Write(mvs)
 	zw.Write(diff)
 	zw.Close()
-	deflDefault.Put(zw)
+	deflInter.Put(zw)
 	e.interLen = buf.Len()
 	return buf.Bytes()
 }
@@ -302,6 +313,50 @@ func globalMotion(prev, cur *img.Gray) (int, int) {
 // mvLimit clamps motion vectors so they fit the byte they are coded in.
 const mvLimit = 60
 
+// mvInRange reports whether a vector fits the byte it is coded in.
+func mvInRange(dx, dy int) bool {
+	return dx >= -mvLimit && dx <= mvLimit && dy >= -mvLimit && dy <= mvLimit
+}
+
+// skipVector is the P-skip decision. It tries bestMV's two starting
+// vectors in bestMV's order — zero motion, then the global predictor —
+// and reports the first at which the whole block already lies within
+// the deadzone of the reference. There the block's residual is all
+// zeros, which no vector a search could return improves on, so the
+// search is skipped; what changes is only which of the vectors with an
+// all-zero residual gets coded, and the decoder reads a vector like
+// any other.
+func skipVector(prev, cur *img.Gray, x0, y0, gx, gy, dz int) (dx, dy int, ok bool) {
+	if withinDeadzone(prev, cur, x0, y0, 0, 0, dz) {
+		return 0, 0, true
+	}
+	if mvInRange(gx, gy) && withinDeadzone(prev, cur, x0, y0, gx, gy, dz) {
+		return gx, gy, true
+	}
+	return 0, 0, false
+}
+
+// withinDeadzone reports whether every pixel of the block at (x0, y0)
+// in cur is within dz of prev displaced by (dx, dy), stopping at the
+// first that is not. Out-of-bounds reference pixels are treated as 0,
+// as blockSADRef and copyBlockRef treat them.
+func withinDeadzone(prev, cur *img.Gray, x0, y0, dx, dy, dz int) bool {
+	for y := y0; y < y0+blockSize && y < cur.H; y++ {
+		sy := y + dy
+		for x := x0; x < x0+blockSize && x < cur.W; x++ {
+			var pv byte
+			sx := x + dx
+			if sx >= 0 && sy >= 0 && sx < prev.W && sy < prev.H {
+				pv = prev.Pix[sy*prev.W+sx]
+			}
+			if d := int(pv) - int(cur.Pix[y*cur.W+x]); d > dz || d < -dz {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // bestMV finds the block motion vector minimizing SAD, trying zero
 // motion, the global predictor, and up to two rounds of local
 // refinement around the best so far.
@@ -315,10 +370,7 @@ const mvLimit = 60
 func bestMV(prev, cur *img.Gray, x0, y0, gx, gy int) (int, int) {
 	bx, by := 0, 0
 	bestSAD := blockSAD(prev, cur, x0, y0, 0, 0, 1<<30)
-	inRange := func(dx, dy int) bool {
-		return dx >= -mvLimit && dx <= mvLimit && dy >= -mvLimit && dy <= mvLimit
-	}
-	if inRange(gx, gy) {
+	if mvInRange(gx, gy) {
 		if s := blockSAD(prev, cur, x0, y0, gx, gy, bestSAD); s < bestSAD {
 			bestSAD, bx, by = s, gx, gy
 		}
@@ -343,7 +395,7 @@ func bestMV(prev, cur *img.Gray, x0, y0, gx, gy int) (int, int) {
 		cx, cy := bx, by
 		for dy := cy - mvRange; dy <= cy+mvRange; dy++ {
 			for dx := cx - mvRange; dx <= cx+mvRange; dx++ {
-				if !first(dx, dy) || !inRange(dx, dy) {
+				if !first(dx, dy) || !mvInRange(dx, dy) {
 					continue
 				}
 				if s := blockSAD(prev, cur, x0, y0, dx, dy, bestSAD); s < bestSAD {
