@@ -1,5 +1,5 @@
-// Command slamshare-server runs a SLAM-Share edge server: it allocates
-// the shared-memory global map, accepts device connections over TCP,
+// Command slamshare-server runs a SLAM-Share edge server: it owns the
+// shared global map, accepts device connections over TCP,
 // and periodically logs the global map's growth and merge activity.
 package main
 
@@ -23,7 +23,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7007", "listen address")
 	debugAddr := flag.String("debug-addr", "", "serve live observability (/debug/vars, /debug/spans, /debug/pprof/) on this address (empty = disabled)")
 	flag.IntVar(&cfg.TrackWorkers, "track-workers", 0, "batched tracking pool workers shared by all sessions (0 = GOMAXPROCS, negative = serial tracking, no pool)")
-	shmGB := flag.Int64("shm-gb", 2, "shared-memory budget in GiB")
 	flag.StringVar(&cfg.Persist.Dir, "checkpoint-dir", "", "directory for durable map checkpoints + journal (empty = no persistence)")
 	flag.DurationVar(&cfg.Persist.CheckpointEvery, "checkpoint-every", 30*time.Second, "background checkpoint interval")
 	flag.BoolVar(&cfg.Persist.Fsync, "fsync-journal", false, "fsync every journal batch")
@@ -44,7 +43,6 @@ func main() {
 	flag.Uint64Var(&cfg.Shard.Token, "shard-token", 0, "shared secret authenticating shard-to-shard and front-to-shard messages")
 	flag.Parse()
 
-	cfg.RegionCapacity = *shmGB << 30
 	cfg.Shard.ID = uint32(*shardID)
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -79,8 +77,7 @@ func main() {
 	if p := srv.TrackPool(); p != nil {
 		backend = fmt.Sprintf("pool of %d workers", p.Workers())
 	}
-	log.Printf("%s listening on %s (tracking: %s, shm: %d GiB)",
-		slamshare.String(), l.Addr(), backend, *shmGB)
+	log.Printf("%s listening on %s (tracking: %s)", slamshare.String(), l.Addr(), backend)
 
 	go func() {
 		ticker := time.NewTicker(5 * time.Second)

@@ -35,24 +35,21 @@ type Config struct {
 	HoldDownFrames int
 	// PortionKFs is how many global keyframes the server returns.
 	PortionKFs int
-	// MobileStride models the constrained client device: it can only
-	// process every MobileStride-th camera frame (the paper reports
-	// client-side SLAM dropping to ~15 FPS, i.e. stride 2).
-	MobileStride int
-	TrackCfg     tracking.Config
-	MapCfg       mapping.Config
-	MergeCfg     merge.Config
-	Vocabulary   *bow.Vocabulary
+	TrackCfg   tracking.Config
+	MergeCfg   merge.Config
 }
+
+// mobileStride models the constrained client device: it can only
+// process every mobileStride-th camera frame (the paper reports
+// client-side SLAM dropping to ~15 FPS, i.e. stride 2).
+const mobileStride = 2
 
 // DefaultConfig returns the paper's baseline parameters.
 func DefaultConfig() Config {
 	return Config{
 		HoldDownFrames: 150,
 		PortionKFs:     6,
-		MobileStride:   2,
 		TrackCfg:       tracking.DefaultConfig(),
-		MapCfg:         mapping.DefaultConfig(),
 		MergeCfg:       merge.DefaultConfig(),
 	}
 }
@@ -96,10 +93,7 @@ func NewServer(cfg Config, intr camera.Intrinsics) *Server {
 	if cfg.HoldDownFrames == 0 {
 		cfg = DefaultConfig()
 	}
-	voc := cfg.Vocabulary
-	if voc == nil {
-		voc = bow.Default()
-	}
+	voc := bow.Default()
 	return &Server{cfg: cfg, voc: voc, global: smap.NewMap(voc), intr: intr}
 }
 
@@ -202,11 +196,7 @@ func NewClient(id int, seq *dataset.Sequence, cfg Config) *Client {
 	if cfg.HoldDownFrames == 0 {
 		cfg = DefaultConfig()
 	}
-	voc := cfg.Vocabulary
-	if voc == nil {
-		voc = bow.Default()
-	}
-	localMap := smap.NewMap(voc)
+	localMap := smap.NewMap(bow.Default())
 	alloc := smap.NewIDAllocator(id)
 	return &Client{
 		ID:       id,
@@ -214,7 +204,7 @@ func NewClient(id int, seq *dataset.Sequence, cfg Config) *Client {
 		cfg:      cfg,
 		localMap: localMap,
 		tracker:  tracking.New(localMap, seq.Rig, feature.NewExtractor(feature.DefaultConfig()), alloc, id, cfg.TrackCfg),
-		mapper:   mapping.New(localMap, seq.Rig, alloc, id, cfg.MapCfg),
+		mapper:   mapping.New(localMap, seq.Rig, alloc, id, mapping.DefaultConfig()),
 		meter:    metrics.NewCPUMeter(),
 	}
 }
@@ -245,12 +235,9 @@ type StepResult struct {
 }
 
 // CanProcess reports whether the constrained device has capacity for
-// this frame (MobileStride model; see DESIGN.md).
+// this frame (mobileStride model; see DESIGN.md).
 func (c *Client) CanProcess(frameIdx int) bool {
-	if c.cfg.MobileStride <= 1 {
-		return true
-	}
-	return frameIdx%c.cfg.MobileStride == 0
+	return frameIdx%mobileStride == 0
 }
 
 // Step runs full local SLAM on frame i. All compute is accounted
@@ -276,7 +263,7 @@ func (c *Client) Step(i int) StepResult {
 	})
 	c.processed++
 	c.framesSinceUpload++
-	if c.framesSinceUpload >= c.cfg.HoldDownFrames/maxInt(c.cfg.MobileStride, 1) {
+	if c.framesSinceUpload >= c.cfg.HoldDownFrames/mobileStride {
 		t0 := time.Now()
 		var data []byte
 		c.meter.Time(func() {
@@ -287,13 +274,6 @@ func (c *Client) Step(i int) StepResult {
 		c.framesSinceUpload = 0
 	}
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Integrate applies the server's alignment to the local map and loads

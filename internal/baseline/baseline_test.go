@@ -48,7 +48,7 @@ func TestBaselineClientTracksLocally(t *testing.T) {
 	}
 	// The constrained device model must skip frames.
 	if cl.CanProcess(1) {
-		t.Error("MobileStride 2 should skip odd frames")
+		t.Error("mobileStride 2 should skip odd frames")
 	}
 }
 

@@ -563,7 +563,7 @@ func (h *harness) check() {
 		h.res.Failures = append(h.res.Failures, err.Error())
 		return
 	}
-	rep := smap.CheckInvariants(h.srv.Global())
+	rep := h.srv.Global().CheckInvariants()
 	h.res.Checks++
 	h.res.Violations = append(h.res.Violations, rep.Violations...)
 }
@@ -595,7 +595,7 @@ func (h *harness) finish() {
 	if err := h.waitSessions(0); err != nil {
 		h.res.Failures = append(h.res.Failures, err.Error())
 	}
-	rep := smap.CheckInvariants(h.srv.Global())
+	rep := h.srv.Global().CheckInvariants()
 	h.res.Checks++
 	h.res.Violations = append(h.res.Violations, rep.Violations...)
 	h.res.KeyFrames = rep.KeyFrames

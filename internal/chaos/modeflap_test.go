@@ -13,7 +13,6 @@ import (
 	"slamshare/internal/offload"
 	"slamshare/internal/protocol"
 	"slamshare/internal/server"
-	"slamshare/internal/smap"
 )
 
 // flapStats is one adaptive client's outcome in the mode-flap
@@ -319,7 +318,7 @@ func TestModeFlapUnderLoad(t *testing.T) {
 	if got := ns.ModeSwitches.Load(); got == 0 {
 		t.Error("server recorded no mode switches")
 	}
-	rep := smap.CheckInvariants(srv.Global())
+	rep := srv.Global().CheckInvariants()
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violation: %s", v)
 	}

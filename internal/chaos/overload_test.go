@@ -16,7 +16,6 @@ import (
 	"slamshare/internal/merge"
 	"slamshare/internal/protocol"
 	"slamshare/internal/server"
-	"slamshare/internal/smap"
 )
 
 // burstStats is one overload client's outcome.
@@ -255,7 +254,7 @@ func TestOverloadScenario(t *testing.T) {
 	if p99 := percentile(allLats, 0.99); p99 > 5*time.Second {
 		t.Errorf("p99 answer latency %v exceeds 5s bound", p99)
 	}
-	rep := smap.CheckInvariants(srv.Global())
+	rep := srv.Global().CheckInvariants()
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violation: %s", v)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"slamshare/internal/img"
-	"slamshare/internal/metrics"
 	"slamshare/internal/obs"
 	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
@@ -64,22 +63,22 @@ type FrontStats struct {
 	// SessionsAdopted counts sessions resumed from a presented token;
 	// ResumeFailures counts presented tokens that failed validation or
 	// whose owning-shard probe failed.
-	SessionsAdopted metrics.Counter
-	ResumeFailures  metrics.Counter
+	SessionsAdopted obs.Counter
+	ResumeFailures  obs.Counter
 	// LedgerEvictions counts pending frames dropped by the maxUnacked
 	// cap.
-	LedgerEvictions metrics.Counter
+	LedgerEvictions obs.Counter
 	// HandoffStalls counts handoffs that entered the HandoffStall
 	// failpoint window.
-	HandoffStalls metrics.Counter
+	HandoffStalls obs.Counter
 	// FramesRelayed counts video frames written to a shard as the device
 	// sent them, FramesTranscoded those decoded and re-encoded inside a
 	// resync window (a frame re-sent after a reconnect counts again);
 	// Resyncs counts the windows: shard connections opened while the
 	// session was following the device stream.
-	FramesRelayed    metrics.Counter
-	FramesTranscoded metrics.Counter
-	Resyncs          metrics.Counter
+	FramesRelayed    obs.Counter
+	FramesTranscoded obs.Counter
+	Resyncs          obs.Counter
 }
 
 // HandoffEvent records one ownership-handoff attempt, committed or

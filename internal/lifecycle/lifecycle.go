@@ -4,7 +4,7 @@
 // stalls behind them:
 //
 //   - Keyframe culling: a keyframe whose tracked points are almost all
-//     (RedundantRatio, default 90%) observed by at least RedundantObs
+//     (redundantRatio, 90%) observed by at least redundantObs
 //     other keyframes at the same or a finer pyramid scale is
 //     redundant — erasing it loses no coverage. Erases go through
 //     smap.EraseKeyFrame under the pin protocol, and flow to the WAL
@@ -35,7 +35,7 @@ import (
 	"sync"
 
 	"slamshare/internal/bow"
-	"slamshare/internal/metrics"
+	"slamshare/internal/obs"
 	"slamshare/internal/persist"
 	"slamshare/internal/smap"
 	"slamshare/internal/wire"
@@ -56,60 +56,45 @@ type Config struct {
 	// checkpoint directory. Empty disables eviction.
 	Dir string
 
-	// RedundantObs is how many *other* keyframes must observe a point
-	// at equal-or-finer scale for the observation to be redundant.
-	RedundantObs int
-	// RedundantRatio is the fraction of a keyframe's tracked points
-	// that must be redundant before the keyframe is culled.
-	RedundantRatio float64
-	// MinObs: a never-re-found point with at most this many observers
-	// is sparsified. 0 disables sparsification.
-	MinObs int
 	// ProtectRecent shields anything touched within this many ticks
 	// from culling and sparsification (fresh triangulations and the
 	// windows trackers sit in are off limits).
 	ProtectRecent uint64
 	// CullBatch bounds keyframes culled per Step.
 	CullBatch int
-	// SparsifyBatch bounds map points sparsified per Step.
-	SparsifyBatch int
-	// ClusterMax / ClusterMin bound an evicted region's keyframe
-	// count: clusters smaller than ClusterMin are not worth a file.
+	// ClusterMax bounds an evicted region's keyframe count.
 	ClusterMax int
-	ClusterMin int
-	// ReloadScore is the minimum BoW similarity against a ghost
-	// keyframe for MaybeReload to pull its region back in.
-	ReloadScore float64
 }
+
+const (
+	// redundantObs is how many *other* keyframes must observe a point
+	// at equal-or-finer scale for the observation to be redundant;
+	// redundantRatio is the fraction of a keyframe's tracked points
+	// that must be redundant before the keyframe is culled.
+	redundantObs   = 3
+	redundantRatio = 0.9
+	// sparsifyMinObs: a never-re-found point with at most this many
+	// observers is sparsified, at most sparsifyBatch of them per Step.
+	sparsifyMinObs = 1
+	sparsifyBatch  = 64
+	// clusterMin: a cold cluster with fewer keyframes is not worth a
+	// region file.
+	clusterMin = 3
+	// reloadScore is the minimum BoW similarity against a ghost
+	// keyframe for MaybeReload to pull its region back in.
+	reloadScore = 0.05
+)
 
 // Defaults returns cfg with every unset scoring knob at its default.
 func (cfg Config) Defaults() Config {
-	if cfg.RedundantObs == 0 {
-		cfg.RedundantObs = 3
-	}
-	if cfg.RedundantRatio == 0 {
-		cfg.RedundantRatio = 0.9
-	}
-	if cfg.MinObs == 0 {
-		cfg.MinObs = 1
-	}
 	if cfg.ProtectRecent == 0 {
 		cfg.ProtectRecent = 30
 	}
 	if cfg.CullBatch == 0 {
 		cfg.CullBatch = 8
 	}
-	if cfg.SparsifyBatch == 0 {
-		cfg.SparsifyBatch = 64
-	}
 	if cfg.ClusterMax == 0 {
 		cfg.ClusterMax = 40
-	}
-	if cfg.ClusterMin == 0 {
-		cfg.ClusterMin = 3
-	}
-	if cfg.ReloadScore == 0 {
-		cfg.ReloadScore = 0.05
 	}
 	return cfg
 }
@@ -125,13 +110,13 @@ type Journal interface {
 
 // Stats are the manager's monotonic counters, exported on /debug/vars.
 type Stats struct {
-	CulledKeyFrames  metrics.Counter
-	SparsifiedPoints metrics.Counter
-	EvictedRegions   metrics.Counter
-	EvictedKeyFrames metrics.Counter
-	ReloadedRegions  metrics.Counter
-	DroppedRegions   metrics.Counter // corrupt/unreadable region files abandoned
-	Steps            metrics.Counter
+	CulledKeyFrames  obs.Counter
+	SparsifiedPoints obs.Counter
+	EvictedRegions   obs.Counter
+	EvictedKeyFrames obs.Counter
+	ReloadedRegions  obs.Counter
+	DroppedRegions   obs.Counter // corrupt/unreadable region files abandoned
+	Steps            obs.Counter
 }
 
 // region is one evicted cluster the manager can bring back.
@@ -245,7 +230,7 @@ func (lm *Manager) cullPass(now uint64) bool {
 		if lm.protected(kf.ID, now) {
 			continue
 		}
-		if score, ok := lm.redundancy(kf); ok && score >= lm.cfg.RedundantRatio {
+		if score, ok := lm.redundancy(kf); ok && score >= redundantRatio {
 			cands = append(cands, cullCand{kf.ID, score})
 		}
 	}
@@ -304,7 +289,7 @@ func (lm *Manager) redundancy(kf *smap.KeyFrame) (float64, bool) {
 				n++
 			}
 		}
-		if n >= lm.cfg.RedundantObs {
+		if n >= redundantObs {
 			redundant++
 		}
 	}
@@ -316,20 +301,17 @@ func (lm *Manager) redundancy(kf *smap.KeyFrame) (float64, bool) {
 
 // ---- sparsification ----
 
-// sparsifyPass erases up to SparsifyBatch map points that were never
-// re-found by any tracker, have at most MinObs observers, and whose
-// observers have all gone cold.
+// sparsifyPass erases up to sparsifyBatch map points that were never
+// re-found by any tracker, have at most sparsifyMinObs observers, and
+// whose observers have all gone cold.
 func (lm *Manager) sparsifyPass(now uint64) bool {
-	if lm.cfg.MinObs <= 0 {
-		return false
-	}
 	erased := 0
 	for _, mp := range lm.m.MapPoints() {
-		if erased >= lm.cfg.SparsifyBatch {
+		if erased >= sparsifyBatch {
 			break
 		}
 		found, nobs, _, ok := lm.m.PointStats(mp.ID)
-		if !ok || found > 0 || nobs > lm.cfg.MinObs {
+		if !ok || found > 0 || nobs > sparsifyMinObs {
 			continue
 		}
 		_, obs, ok := lm.m.PointObs(mp.ID)
@@ -378,7 +360,7 @@ func (lm *Manager) evictPass(now uint64) bool {
 	cluster := lm.m.CovisCluster(seed, lm.cfg.ClusterMax, func(id smap.ID) bool {
 		return lm.evictable(id, now)
 	})
-	if len(cluster) < lm.cfg.ClusterMin {
+	if len(cluster) < clusterMin {
 		return false
 	}
 	return lm.evictCluster(cluster)
@@ -407,7 +389,7 @@ func (lm *Manager) evictCluster(cluster []smap.ID) bool {
 		kfObjs = append(kfObjs, kf)
 		kfIDs = append(kfIDs, id)
 	}
-	if len(kfIDs) < lm.cfg.ClusterMin {
+	if len(kfIDs) < clusterMin {
 		// The pins won; put back what we did erase (the inserts
 		// re-journal it, neutralizing the journaled erases) and give up.
 		lm.m.Relink(kfObjs, nil)
@@ -480,7 +462,7 @@ func (lm *Manager) MaybeReload(bv bow.Vec) int {
 	hits := lm.ghosts.Query(bv, 3, nil)
 	want := make([]uint64, 0, 2)
 	for _, h := range hits {
-		if h.Score < lm.cfg.ReloadScore {
+		if h.Score < reloadScore {
 			continue
 		}
 		rid, ok := lm.ghostKF[smap.ID(h.ID)]

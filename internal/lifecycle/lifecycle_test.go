@@ -35,7 +35,7 @@ func (j *fakeJournal) RegionReloaded(id uint64) {
 // kfPer keyframes each. Within a cluster every keyframe observes every
 // one of ptsPer shared points (at matching keypoint indices and equal
 // pyramid levels), so each observation has kfPer-1 same-scale
-// co-observers: with kfPer >= RedundantObs+1 every keyframe scores
+// co-observers: with kfPer >= redundantObs+1 every keyframe scores
 // fully redundant. Clusters share nothing, so the covisibility graph
 // splits into nClusters components.
 func clusterMap(t testing.TB, seed int64, nClusters, kfPer, ptsPer int) (*smap.Map, [][]smap.ID) {

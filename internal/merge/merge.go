@@ -25,38 +25,34 @@ import (
 
 // Config tunes merging.
 type Config struct {
-	// CandidatesPerKF is how many BoW hits to geometrically verify for
-	// each client keyframe.
-	CandidatesPerKF int
 	// MinMatches is the minimum 3D-3D inlier correspondences for an
 	// alignment to be accepted.
 	MinMatches int
-	// RansacIters bounds the RANSAC loop.
-	RansacIters int
 	// InlierTol is the 3D alignment inlier distance in metres.
 	InlierTol float64
 	// MaxRMSE rejects alignments whose inlier residual exceeds this
 	// (guards against geometrically wrong matches on small maps).
 	MaxRMSE float64
-	// WithScale aligns in Sim3 (monocular maps) instead of SE3.
-	WithScale bool
-	// SeamBAIters caps the post-merge bundle adjustment.
-	SeamBAIters int
-	// MaxSeamKFs bounds the keyframes adjusted after the merge.
-	MaxSeamKFs int
 }
+
+const (
+	// candidatesPerKF is how many BoW hits are geometrically verified
+	// for each client keyframe.
+	candidatesPerKF = 5
+	// ransacIters bounds the RANSAC loop.
+	ransacIters = 4000
+	// seamBAIters caps the post-merge bundle adjustment; maxSeamKFs
+	// bounds the keyframes it adjusts.
+	seamBAIters = 6
+	maxSeamKFs  = 8
+)
 
 // DefaultConfig returns the merge parameters used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		CandidatesPerKF: 5,
-		MinMatches:      25,
-		RansacIters:     4000,
-		InlierTol:       0.35,
-		MaxRMSE:         0.22,
-		WithScale:       false,
-		SeamBAIters:     6,
-		MaxSeamKFs:      8,
+		MinMatches: 25,
+		InlierTol:  0.35,
+		MaxRMSE:    0.22,
 	}
 }
 
@@ -177,7 +173,7 @@ func (mg *Merger) DetectCommonRegion(cmap *smap.Map) (Alignment, bool) {
 		if mg.Reload != nil {
 			mg.Reload(kf.Bow)
 		}
-		cands := mg.Global.QueryBow(kf.Bow, mg.Cfg.CandidatesPerKF, nil)
+		cands := mg.Global.QueryBow(kf.Bow, candidatesPerKF, nil)
 		for _, cand := range cands {
 			gPts, gIDs, gPos := observedPoints(mg.Global, cand.ID)
 			if len(gPts) < 3 {
@@ -292,7 +288,7 @@ func ransacAlign(src, dst []geom.Vec3, cfg Config, rng *rand.Rand) (geom.Sim3, [
 		return geom.IdentitySim3(), nil, false
 	}
 	bestInl := []int{}
-	for iter := 0; iter < cfg.RansacIters; iter++ {
+	for iter := 0; iter < ransacIters; iter++ {
 		i, j, k := rng.Intn(n), rng.Intn(n), rng.Intn(n)
 		if i == j || j == k || i == k {
 			continue
@@ -300,7 +296,7 @@ func ransacAlign(src, dst []geom.Vec3, cfg Config, rng *rand.Rand) (geom.Sim3, [
 		tf, err := geom.AlignHorn(
 			[]geom.Vec3{src[i], src[j], src[k]},
 			[]geom.Vec3{dst[i], dst[j], dst[k]},
-			cfg.WithScale,
+			false, // rigid: the maps merged here are metric, no scale to solve for
 		)
 		if err != nil {
 			continue
@@ -333,7 +329,7 @@ func ransacAlign(src, dst []geom.Vec3, cfg Config, rng *rand.Rand) (geom.Sim3, [
 			d[i] = dst[m]
 		}
 		var err error
-		tf, err = geom.AlignHorn(s, d, cfg.WithScale)
+		tf, err = geom.AlignHorn(s, d, false)
 		if err != nil {
 			return geom.IdentitySim3(), nil, false
 		}
@@ -632,8 +628,8 @@ func (mg *Merger) seamBA(tx *txn, al Alignment) ([]smap.ID, []smap.ID) {
 	if !ok1 || !ok2 {
 		return nil, nil
 	}
-	free := append(mg.Global.Covisible(ckf.ID, mg.Cfg.MaxSeamKFs/2), ckf)
-	fixed := append(mg.Global.Covisible(gkf.ID, mg.Cfg.MaxSeamKFs/2), gkf)
+	free := append(mg.Global.Covisible(ckf.ID, maxSeamKFs/2), ckf)
+	fixed := append(mg.Global.Covisible(gkf.ID, maxSeamKFs/2), gkf)
 
 	prob := &optimize.BAProblem{Intr: mg.Intr}
 	camIdx := make(map[smap.ID]int)
@@ -690,7 +686,7 @@ func (mg *Merger) seamBA(tx *txn, al Alignment) ([]smap.ID, []smap.ID) {
 	if len(prob.Obs) < 20 {
 		return nil, nil
 	}
-	prob.Solve(mg.Cfg.SeamBAIters)
+	prob.Solve(seamBAIters)
 	var kfChanged []smap.ID
 	for kfID, ci := range camIdx {
 		if prob.FixedCam[ci] {

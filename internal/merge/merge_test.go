@@ -194,7 +194,7 @@ func TestMergeRollbackRestoresGlobalMap(t *testing.T) {
 			t.Errorf("map point %d position not restored", id)
 		}
 	}
-	if chk := smap.CheckInvariants(global); !chk.OK() {
+	if chk := global.CheckInvariants(); !chk.OK() {
 		t.Fatalf("global map dirty after rollback: %s", chk.Summary())
 	}
 
@@ -209,7 +209,7 @@ func TestMergeRollbackRestoresGlobalMap(t *testing.T) {
 			t.Errorf("client keyframe %d not returned to local frame", id)
 		}
 	}
-	if chk := smap.CheckInvariants(mapB); !chk.OK() {
+	if chk := mapB.CheckInvariants(); !chk.OK() {
 		t.Fatalf("client map dirty after rollback: %s", chk.Summary())
 	}
 
@@ -225,7 +225,7 @@ func TestMergeRollbackRestoresGlobalMap(t *testing.T) {
 	if got, want := global.NKeyFrames(), len(preKF)+mapB.NKeyFrames(); got != want {
 		t.Errorf("keyframes after retry: %d, want %d", got, want)
 	}
-	if chk := smap.CheckInvariants(global); !chk.OK() {
+	if chk := global.CheckInvariants(); !chk.OK() {
 		t.Fatalf("global map dirty after retry: %s", chk.Summary())
 	}
 }
@@ -402,7 +402,7 @@ func TestFusePointDropsDuplicateObservation(t *testing.T) {
 	if idx := b.Obs[1]; idx != 3 {
 		t.Errorf("survivor backref = %d, want 3", idx)
 	}
-	if rep := smap.CheckInvariants(global); len(rep.Violations) != 0 {
+	if rep := global.CheckInvariants(); len(rep.Violations) != 0 {
 		t.Errorf("invariant violations after fuse: %v", rep.Violations)
 	}
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -133,32 +132,5 @@ func TestCPUMeter(t *testing.T) {
 	}
 	if m.UtilizationOver(0) != 0 {
 		t.Error("zero wall should give 0")
-	}
-}
-
-func TestCounterAndGauge(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-			c.Add(2)
-		}()
-	}
-	wg.Wait()
-	if got := c.Load(); got != 8*1000+8*2 {
-		t.Errorf("counter = %d", got)
-	}
-	var g Gauge
-	if g.Load() != 0 {
-		t.Error("zero gauge not 0")
-	}
-	g.Set(-0.125)
-	if g.Load() != -0.125 {
-		t.Errorf("gauge = %v", g.Load())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -255,5 +256,32 @@ func TestSummary(t *testing.T) {
 	}
 	if s.Min != 10*time.Millisecond || s.Max != 20*time.Millisecond {
 		t.Errorf("summary min/max %+v", s)
+	}
+}
+
+func TestCounterAndGauge(t *testing.T) {
+	var c Counter
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				c.Inc()
+			}
+			c.Add(2)
+		}()
+	}
+	wg.Wait()
+	if got := c.Load(); got != 8*1000+8*2 {
+		t.Errorf("counter = %d", got)
+	}
+	var g Gauge
+	if g.Load() != 0 {
+		t.Error("zero gauge not 0")
+	}
+	g.Set(-0.125)
+	if g.Load() != -0.125 {
+		t.Errorf("gauge = %v", g.Load())
 	}
 }

@@ -3,8 +3,6 @@ package obs
 import (
 	"sort"
 	"sync"
-
-	"slamshare/internal/metrics"
 )
 
 // Registry is a named collection of counters, gauges and histograms.
@@ -14,8 +12,8 @@ import (
 type Registry struct {
 	mu       sync.Mutex
 	hists    map[string]*Histogram
-	counters map[string]*metrics.Counter
-	gauges   map[string]*metrics.Gauge
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 	funcs    map[string]func() any
 }
 
@@ -23,8 +21,8 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		hists:    make(map[string]*Histogram),
-		counters: make(map[string]*metrics.Counter),
-		gauges:   make(map[string]*metrics.Gauge),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
 		funcs:    make(map[string]func() any),
 	}
 }
@@ -45,7 +43,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *metrics.Counter {
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -54,13 +52,13 @@ func (r *Registry) Counter(name string) *metrics.Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &metrics.Counter{}
+	c := &Counter{}
 	r.counters[name] = c
 	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *metrics.Gauge {
+func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
@@ -69,14 +67,14 @@ func (r *Registry) Gauge(name string) *metrics.Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	g := &metrics.Gauge{}
+	g := &Gauge{}
 	r.gauges[name] = g
 	return g
 }
 
 // RegisterCounter publishes an externally owned counter (e.g. the
 // server's NetStats) under the given name.
-func (r *Registry) RegisterCounter(name string, c *metrics.Counter) {
+func (r *Registry) RegisterCounter(name string, c *Counter) {
 	if r == nil || c == nil {
 		return
 	}
@@ -121,11 +119,11 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	for n, h := range r.hists {
 		hists[n] = h
 	}
-	counters := make(map[string]*metrics.Counter, len(r.counters))
+	counters := make(map[string]*Counter, len(r.counters))
 	for n, c := range r.counters {
 		counters[n] = c
 	}
-	gauges := make(map[string]*metrics.Gauge, len(r.gauges))
+	gauges := make(map[string]*Gauge, len(r.gauges))
 	for n, g := range r.gauges {
 		gauges[n] = g
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"slamshare/internal/holo"
-	"slamshare/internal/metrics"
 	"slamshare/internal/obs"
 	"slamshare/internal/smap"
 	"slamshare/internal/wire"
@@ -42,17 +41,17 @@ const keepCheckpoints = 2
 // evaluation reads: checkpoint duration, journal throughput, replay
 // time, and the recovery-time ATE delta.
 type Stats struct {
-	Checkpoints     metrics.Counter
-	CheckpointBytes metrics.Counter
-	JournalRecords  metrics.Counter
-	JournalBytes    metrics.Counter
-	ReplayedRecords metrics.Counter
+	Checkpoints     obs.Counter
+	CheckpointBytes obs.Counter
+	JournalRecords  obs.Counter
+	JournalBytes    obs.Counter
+	ReplayedRecords obs.Counter
 	// CheckpointLat times completed checkpoints (the persist.checkpoint
 	// stage of Options.Obs also spans failed ones); ReplayLat times
 	// journal replays at recovery.
 	CheckpointLat    *obs.Histogram
 	ReplayLat        *obs.Histogram
-	RecoveryATEDelta metrics.Gauge
+	RecoveryATEDelta obs.Gauge
 }
 
 // Manager owns the durability machinery of one server: it observes the

@@ -50,7 +50,7 @@ func TestRecoverRollsBackOpenImportBracket(t *testing.T) {
 		t.Fatalf("recovered %d kf / %d mp, want pre-import %d / %d",
 			rec.Map.NKeyFrames(), rec.Map.NMapPoints(), baseKF, baseMP)
 	}
-	if chk := smap.CheckInvariants(rec.Map); !chk.OK() {
+	if chk := rec.Map.CheckInvariants(); !chk.OK() {
 		t.Fatalf("recovered map violates invariants: %v", chk.Violations)
 	}
 

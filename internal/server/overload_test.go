@@ -33,9 +33,8 @@ func buildRawFrame(seq *dataset.Sequence, encL, encR *video.Encoder, i int, prio
 }
 
 // Each HandleFrame failure mode must land on its own counter:
-// undecodable video on FramesFailed, a processed-but-unlocalized frame
-// on TrackLost, and a keyframe the shared-memory region cannot hold on
-// KFRejected.
+// undecodable video on FramesFailed and a processed-but-unlocalized
+// frame on TrackLost.
 func TestHandleFrameErrorCounters(t *testing.T) {
 	srv, err := New(DefaultConfig())
 	if err != nil {
@@ -87,32 +86,6 @@ func TestHandleFrameErrorCounters(t *testing.T) {
 	}
 	if got := srv.NetStats().TrackLost.Load(); got < 1 {
 		t.Errorf("TrackLost = %d after blank frame, want >= 1", got)
-	}
-}
-
-func TestHandleFrameKFRejectedOnRegionExhaustion(t *testing.T) {
-	cfg := DefaultConfig()
-	// A region too small to hold even one keyframe's footprint: every
-	// keyframe insert is a mapper rejection.
-	cfg.RegionCapacity = 1 << 12
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	seq := dataset.V202(camera.Stereo)
-	sess, err := srv.OpenSession(1, seq.Rig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encL, encR := video.NewEncoder(), video.NewEncoder()
-	for i := 0; i < 10; i++ {
-		if _, err := sess.HandleFrame(buildRawFrame(seq, encL, encR, i, i == 0)); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-	}
-	if got := srv.NetStats().KFRejected.Load(); got < 1 {
-		t.Errorf("KFRejected = %d over 10 frames in a 4 KiB region, want >= 1", got)
 	}
 }
 

@@ -41,10 +41,6 @@ import (
 
 // Config parameterizes the server.
 type Config struct {
-	// RegionCapacity is the global map's byte budget (default 2 GiB,
-	// the shared-memory region size of §4.3.2). A keyframe whose
-	// footprint no longer fits is counted as a mapper rejection.
-	RegionCapacity int64
 	// GPU and LanesPerClient are not consulted; assigned by the frozen
 	// benchmark (bench/trace.go); delete with the next `benchmark` PR,
 	// and this file's internal/gpu import with them. The serving path
@@ -68,11 +64,8 @@ type Config struct {
 	// MergeAfterKFs triggers the first merge attempt once a client's
 	// local map holds this many keyframes.
 	MergeAfterKFs int
-	// Vocabulary for BoW indexing; nil uses bow.Default().
-	Vocabulary *bow.Vocabulary
-	// TrackCfg, MapCfg, MergeCfg tune the pipeline.
+	// TrackCfg and MergeCfg tune the pipeline.
 	TrackCfg tracking.Config
-	MapCfg   mapping.Config
 	MergeCfg merge.Config
 	// Persist enables durable checkpoints + write-ahead journaling of
 	// the global map when Persist.Dir is non-empty. On startup the
@@ -191,11 +184,9 @@ func DefaultOverloadConfig() OverloadConfig {
 // DefaultConfig returns the experiment configuration.
 func DefaultConfig() Config {
 	return Config{
-		RegionCapacity: 2 << 30,
-		MergeAfterKFs:  8,
-		TrackCfg:       tracking.DefaultConfig(),
-		MapCfg:         mapping.DefaultConfig(),
-		MergeCfg:       merge.DefaultConfig(),
+		MergeAfterKFs: 8,
+		TrackCfg:      tracking.DefaultConfig(),
+		MergeCfg:      merge.DefaultConfig(),
 	}
 }
 
@@ -204,9 +195,6 @@ type Server struct {
 	cfg    Config
 	voc    *bow.Vocabulary
 	global *smap.Map
-	// regionUsed is the keyframe footprint charged against
-	// cfg.RegionCapacity so far.
-	regionUsed atomic.Int64
 	// gmu is the shareable mutex serializing compound global-map
 	// operations: merges (multi-step transform + insert + fuse + BA)
 	// and checkpoint snapshots. Per-entity reads and writes do NOT take
@@ -274,46 +262,43 @@ type resumeState struct {
 type NetStats struct {
 	// BadHello counts malformed hello payloads and hellos the server
 	// refused (e.g. a client ID already in session).
-	BadHello metrics.Counter
+	BadHello obs.Counter
 	// DupHello counts second hellos on an already-established
 	// connection, which are rejected to avoid leaking the first session.
-	DupHello metrics.Counter
+	DupHello obs.Counter
 	// FramesRejected counts frame payloads that failed to decode.
-	FramesRejected metrics.Counter
+	FramesRejected obs.Counter
 	// FramesFailed counts decoded frames the pipeline failed to process.
-	FramesFailed metrics.Counter
+	FramesFailed obs.Counter
 	// SessionsOpened / SessionsClosed count session lifecycle on the
 	// Serve path; SessionsDropped is the subset of closes caused by a
 	// connection dying without a Bye.
-	SessionsOpened  metrics.Counter
-	SessionsClosed  metrics.Counter
-	SessionsDropped metrics.Counter
+	SessionsOpened  obs.Counter
+	SessionsClosed  obs.Counter
+	SessionsDropped obs.Counter
 	// SessionsRejected counts opens refused by the admission gate
 	// (overload.ErrOverloaded).
-	SessionsRejected metrics.Counter
+	SessionsRejected obs.Counter
 	// FramesShed counts uplink frames answered with a Shed pose instead
 	// of being tracked (deadline-aware process-latest shedding).
-	FramesShed metrics.Counter
+	FramesShed obs.Counter
 	// TrackLost counts frames the tracker processed but could not
 	// localize.
-	TrackLost metrics.Counter
-	// KFRejected counts keyframes whose footprint no longer fit
-	// Config.RegionCapacity — the mapper-rejection path.
-	KFRejected metrics.Counter
+	TrackLost obs.Counter
 	// MergeRollbacks counts merge attempts undone by pre-commit
 	// invariant validation; MergeQuarantines counts sessions barred
 	// from further merging after maxMergeRollbacks of them.
-	MergeRollbacks   metrics.Counter
-	MergeQuarantines metrics.Counter
+	MergeRollbacks   obs.Counter
+	MergeQuarantines obs.Counter
 	// IdleEvicted counts connections evicted by the read watchdog
 	// (idle or frozen mid-message).
-	IdleEvicted metrics.Counter
+	IdleEvicted obs.Counter
 	// ModeSwitches counts offload mode changes pushed to clients.
 	// FramesSplit counts split-mode keypoint frames tracked, and
 	// SyncPings counts shadow-mode map-sync pings absorbed.
-	ModeSwitches metrics.Counter
-	FramesSplit  metrics.Counter
-	SyncPings    metrics.Counter
+	ModeSwitches obs.Counter
+	FramesSplit  obs.Counter
+	SyncPings    obs.Counter
 }
 
 // NetStats returns the Serve-path counters.
@@ -372,17 +357,11 @@ func (s *Server) resumeStateFor(clientID uint32) (resumeState, bool) {
 // New creates the server around an empty (or, with persistence, the
 // recovered) global map that every session will share.
 func New(cfg Config) (*Server, error) {
-	if cfg.RegionCapacity == 0 {
-		cfg.RegionCapacity = 2 << 30
-	}
 	if cfg.MergeAfterKFs == 0 {
 		cfg.MergeAfterKFs = 8
 	}
 	fillOverloadDefaults(&cfg.Overload)
-	voc := cfg.Vocabulary
-	if voc == nil {
-		voc = bow.Default()
-	}
+	voc := bow.Default()
 	tracer := cfg.Obs
 	if tracer == nil {
 		tracer = obs.NewTracer(obs.NewRegistry(), obs.DefaultRingSize)
@@ -390,9 +369,6 @@ func New(cfg Config) (*Server, error) {
 	// Persistence spans (WAL drains, checkpoint rotations) report into
 	// the same tracer as the frame pipeline.
 	cfg.Persist.Obs = tracer
-	if cfg.RegionCapacity < 0 {
-		return nil, fmt.Errorf("server: invalid region capacity %d", cfg.RegionCapacity)
-	}
 
 	// With persistence enabled the global map is recovered from disk
 	// (empty directory → empty map) instead of starting fresh, and a
@@ -490,7 +466,6 @@ func New(cfg Config) (*Server, error) {
 	reg.RegisterCounter("net.sessions_rejected", &s.net.SessionsRejected)
 	reg.RegisterCounter("net.frames_shed", &s.net.FramesShed)
 	reg.RegisterCounter("net.track_lost", &s.net.TrackLost)
-	reg.RegisterCounter("net.kf_rejected", &s.net.KFRejected)
 	reg.RegisterCounter("net.idle_evicted", &s.net.IdleEvicted)
 	reg.RegisterCounter("merge.rollback", &s.net.MergeRollbacks)
 	reg.RegisterCounter("merge.quarantine", &s.net.MergeQuarantines)
@@ -585,9 +560,6 @@ func (s *Server) Global() *smap.Map { return s.global }
 
 // Lifecycle returns the map-lifecycle manager, or nil when disabled.
 func (s *Server) Lifecycle() *lifecycle.Manager { return s.lm }
-
-// Region returns the bytes of Config.RegionCapacity in use.
-func (s *Server) Region() int64 { return s.regionUsed.Load() }
 
 // MergeReports returns the merge timing breakdowns recorded so far
 // (the SLAM-Share column of Table 4).
@@ -695,7 +667,7 @@ func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) 
 	}
 	tr := tracking.New(localMap, rig, ex, alloc, int(clientID), s.cfg.TrackCfg)
 	tr.Obs = s.obs
-	mapper := mapping.New(localMap, rig, alloc, int(clientID), s.cfg.MapCfg)
+	mapper := mapping.New(localMap, rig, alloc, int(clientID), mapping.DefaultConfig())
 	mapper.Obs = s.obs
 	if s.lm != nil {
 		// Lost trackers offer their frame's BoW signature to the
@@ -827,7 +799,7 @@ func (sess *Session) HandleFrame(msg *protocol.FrameMsg) (Result, error) {
 
 // completeFrame folds one tracking result into the session: stage
 // accounting, motion-model correction, trajectory append, keyframe
-// insertion with shared-memory accounting, and the merge trigger.
+// insertion, and the merge trigger.
 // Shared by the full-offload (HandleFrame) and split-offload
 // (HandleKeypoints) paths, which differ only in how the frame's
 // keypoints came to exist.
@@ -869,13 +841,6 @@ func (sess *Session) completeFrame(tr tracking.Result, stamp float64) Result {
 
 	if tr.NewKF != nil {
 		sess.mapper.ProcessKeyFrame(tr.NewKF)
-		// Account the keyframe's footprint against the region budget.
-		srv := sess.srv
-		sz := int64(len(tr.NewKF.Keypoints))*80 + 4096
-		if srv.regionUsed.Add(sz) > srv.cfg.RegionCapacity {
-			srv.regionUsed.Add(-sz)
-			srv.net.KFRejected.Inc()
-		}
 	}
 
 	// Merge process M: once the local map has substance, fold it into

@@ -11,6 +11,7 @@ import (
 	"slamshare/internal/dataset"
 	"slamshare/internal/metrics"
 	"slamshare/internal/netem"
+	"slamshare/internal/obs"
 	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 )
@@ -176,9 +177,6 @@ func TestTwoClientsMergeIntoGlobalMap(t *testing.T) {
 	if ateA > 0.2 || ateB > 0.2 {
 		t.Errorf("post-merge ATE too high: %.3f / %.3f", ateA, ateB)
 	}
-	if srv.Region() == 0 {
-		t.Error("shared-memory accounting shows no usage")
-	}
 }
 
 func TestServeOverTCPWithNetem(t *testing.T) {
@@ -252,7 +250,7 @@ func serveTestListener(t *testing.T, srv *Server) string {
 
 // waitCounter polls a counter until it reaches want or the deadline
 // expires (serveConn runs asynchronously).
-func waitCounter(t *testing.T, c *metrics.Counter, want int64) {
+func waitCounter(t *testing.T, c *obs.Counter, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

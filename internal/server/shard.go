@@ -301,7 +301,7 @@ func (s *Server) handleShardControl(payload []byte, writeMsg func(byte, []byte) 
 		// Liveness only.
 	case protocol.ShardOpCheck:
 		s.gmu.RLock()
-		rep := smap.CheckInvariants(s.global)
+		rep := s.global.CheckInvariants()
 		s.gmu.RUnlock()
 		st.OK = rep.OK()
 		for _, v := range rep.Violations {

@@ -117,8 +117,120 @@ func (m *Map) snapshotForCheck() checkSnapshot {
 	return snap
 }
 
+// add records one violation.
+func (r *CheckReport) add(rule string, kf, mp ID, format string, args ...any) {
+	r.Violations = append(r.Violations, Violation{
+		Rule: rule, KF: kf, MP: mp, Detail: fmt.Sprintf(format, args...),
+	})
+}
+
+// sortedIDs returns m's keys in ascending order: deterministic
+// iteration keeps reports stable run to run.
+func sortedIDs[V any](m map[ID]V) []ID {
+	ids := make([]ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// auditEntities holds every entity of a snapshot (kfs, mps) to the
+// per-entity rules of the catalog on CheckInvariants — the one place
+// they are spelled. A reference between two snapshot entities is checked
+// in full (backrefs, covisibility symmetry and weight); a reference that
+// leaves the snapshot is checked for existence only, against existsKF /
+// existsMP, which the caller gathered under the same lock hold as the
+// snapshot. The whole-map audit passes nil sets: its snapshot is the
+// map, so whatever is not in it is missing.
+func (r *CheckReport) auditEntities(kfs map[ID]*KeyFrame, mps map[ID]*MapPoint, existsKF, existsMP map[ID]bool) {
+	for _, id := range sortedIDs(kfs) {
+		kf := kfs[id]
+		if id == 0 {
+			r.add("id-zero", id, 0, "keyframe with reserved ID 0")
+		}
+		if _, both := mps[id]; both {
+			r.add("id-cross", id, id, "ID names both a keyframe and a map point")
+		}
+		if !finiteSE3(kf.Tcw) {
+			r.add("kf-pose-notfinite", id, 0, "Tcw not finite: %+v", kf.Tcw)
+		}
+		if len(kf.MapPoints) != len(kf.Keypoints) {
+			r.add("kf-binding-len", id, 0, "%d bindings for %d keypoints",
+				len(kf.MapPoints), len(kf.Keypoints))
+		}
+		for i, mpID := range kf.MapPoints {
+			if mpID == 0 {
+				continue
+			}
+			mp, ok := mps[mpID]
+			if !ok {
+				if !existsMP[mpID] {
+					r.add("kf-binding-dangling", id, mpID, "keypoint %d binds missing map point", i)
+				}
+				continue
+			}
+			if got, ok := mp.Obs[id]; !ok {
+				r.add("kf-binding-backref", id, mpID, "keypoint %d bound but point has no observation of this keyframe", i)
+			} else if got != i {
+				r.add("kf-binding-backref", id, mpID, "keypoint %d bound but point records keypoint %d", i, got)
+			}
+		}
+		for other, w := range kf.Conns {
+			if other == id {
+				r.add("covis-self", id, 0, "self edge with weight %d", w)
+				continue
+			}
+			okf, ok := kfs[other]
+			if !ok {
+				if !existsKF[other] {
+					r.add("covis-dangling", id, 0, "edge to missing keyframe %d (weight %d)", other, w)
+				}
+				continue
+			}
+			ow, ok := okf.Conns[id]
+			if !ok {
+				r.add("covis-asymmetric", id, 0, "edge to %d (weight %d) has no reverse edge", other, w)
+			} else if ow != w {
+				r.add("covis-weight", id, 0, "edge to %d weighs %d forward, %d reverse", other, w, ow)
+			}
+		}
+	}
+
+	for _, id := range sortedIDs(mps) {
+		mp := mps[id]
+		if id == 0 {
+			r.add("id-zero", 0, id, "map point with reserved ID 0")
+		}
+		if !finiteVec3(mp.Pos) {
+			r.add("mp-pos-notfinite", 0, id, "position not finite: %+v", mp.Pos)
+		}
+		if mp.RefKF == 0 {
+			r.add("mp-refkf-zero", 0, id, "reference keyframe ID is 0")
+		}
+		for kfID, idx := range mp.Obs {
+			kf, ok := kfs[kfID]
+			if !ok {
+				if !existsKF[kfID] {
+					r.add("mp-obs-dangling", kfID, id, "observed by missing keyframe (keypoint %d)", idx)
+				}
+				continue
+			}
+			if idx < 0 || idx >= len(kf.MapPoints) {
+				r.add("mp-obs-backref", kfID, id, "keypoint index %d out of range (%d keypoints)",
+					idx, len(kf.MapPoints))
+				continue
+			}
+			if got := kf.MapPoints[idx]; got != id {
+				r.add("mp-obs-backref", kfID, id, "keyframe keypoint %d binds %d, not this point", idx, got)
+			}
+		}
+	}
+}
+
 // CheckInvariants audits the map's structural invariants and returns a
-// report of every violation found:
+// report of every violation found. Per entity (auditEntities, shared
+// with CheckSubgraph):
 //
 //   - kf-binding-dangling: a keyframe keypoint binds a map point ID
 //     that is not in the map.
@@ -138,6 +250,11 @@ func (m *Map) snapshotForCheck() checkSnapshot {
 //     both a keyframe and a map point (per-client allocators hand out
 //     disjoint IDs, which is what makes merge renumbering sound).
 //   - mp-refkf-zero: a map point's reference keyframe ID is zero.
+//   - kf-pose-notfinite / mp-pos-notfinite: poses and positions must
+//     be finite (NaN/Inf poison every downstream solve).
+//
+// Over the whole map only:
+//
 //   - bow-missing / bow-stale: the BoW place-recognition index must
 //     contain exactly the live keyframes.
 //   - bow-index-orphan / bow-index-missing: inside the BoW database,
@@ -148,8 +265,6 @@ func (m *Map) snapshotForCheck() checkSnapshot {
 //   - order-missing / order-dup: the insertion-order list must contain
 //     every live keyframe exactly once (erased IDs may linger, live
 //     duplicates may not).
-//   - kf-pose-notfinite / mp-pos-notfinite: poses and positions must
-//     be finite (NaN/Inf poison every downstream solve).
 //   - count-mismatch: the atomic entity counters must match the
 //     stripe contents.
 //
@@ -159,141 +274,45 @@ func (m *Map) snapshotForCheck() checkSnapshot {
 func (m *Map) CheckInvariants() CheckReport {
 	snap := m.snapshotForCheck()
 	rep := CheckReport{KeyFrames: len(snap.kfs), MapPoints: len(snap.mps)}
-	add := func(rule string, kf, mp ID, format string, args ...any) {
-		rep.Violations = append(rep.Violations, Violation{
-			Rule: rule, KF: kf, MP: mp, Detail: fmt.Sprintf(format, args...),
-		})
-	}
 
 	if snap.nkf != len(snap.kfs) {
-		add("count-mismatch", 0, 0, "keyframe counter %d, stripes hold %d", snap.nkf, len(snap.kfs))
+		rep.add("count-mismatch", 0, 0, "keyframe counter %d, stripes hold %d", snap.nkf, len(snap.kfs))
 	}
 	if snap.nmp != len(snap.mps) {
-		add("count-mismatch", 0, 0, "map-point counter %d, stripes hold %d", snap.nmp, len(snap.mps))
+		rep.add("count-mismatch", 0, 0, "map-point counter %d, stripes hold %d", snap.nmp, len(snap.mps))
 	}
 
-	// Deterministic iteration order keeps reports stable run to run.
-	kfIDs := make([]ID, 0, len(snap.kfs))
-	for id := range snap.kfs {
-		kfIDs = append(kfIDs, id)
-	}
-	sort.Slice(kfIDs, func(i, j int) bool { return kfIDs[i] < kfIDs[j] })
-	mpIDs := make([]ID, 0, len(snap.mps))
-	for id := range snap.mps {
-		mpIDs = append(mpIDs, id)
-	}
-	sort.Slice(mpIDs, func(i, j int) bool { return mpIDs[i] < mpIDs[j] })
-
-	for _, id := range kfIDs {
-		kf := snap.kfs[id]
-		if id == 0 {
-			add("id-zero", id, 0, "keyframe with reserved ID 0")
-		}
-		if _, both := snap.mps[id]; both {
-			add("id-cross", id, id, "ID names both a keyframe and a map point")
-		}
-		if !finiteSE3(kf.Tcw) {
-			add("kf-pose-notfinite", id, 0, "Tcw not finite: %+v", kf.Tcw)
-		}
-		if len(kf.MapPoints) != len(kf.Keypoints) {
-			add("kf-binding-len", id, 0, "%d bindings for %d keypoints",
-				len(kf.MapPoints), len(kf.Keypoints))
-		}
-		for i, mpID := range kf.MapPoints {
-			if mpID == 0 {
-				continue
-			}
-			mp, ok := snap.mps[mpID]
-			if !ok {
-				add("kf-binding-dangling", id, mpID, "keypoint %d binds missing map point", i)
-				continue
-			}
-			if got, ok := mp.Obs[id]; !ok {
-				add("kf-binding-backref", id, mpID, "keypoint %d bound but point has no observation of this keyframe", i)
-			} else if got != i {
-				add("kf-binding-backref", id, mpID, "keypoint %d bound but point records keypoint %d", i, got)
-			}
-		}
-		for other, w := range kf.Conns {
-			if other == id {
-				add("covis-self", id, 0, "self edge with weight %d", w)
-				continue
-			}
-			okf, ok := snap.kfs[other]
-			if !ok {
-				add("covis-dangling", id, 0, "edge to missing keyframe %d (weight %d)", other, w)
-				continue
-			}
-			ow, ok := okf.Conns[id]
-			if !ok {
-				add("covis-asymmetric", id, 0, "edge to %d (weight %d) has no reverse edge", other, w)
-			} else if ow != w {
-				add("covis-weight", id, 0, "edge to %d weighs %d forward, %d reverse", other, w, ow)
-			}
-		}
-	}
-
-	for _, id := range mpIDs {
-		mp := snap.mps[id]
-		if id == 0 {
-			add("id-zero", 0, id, "map point with reserved ID 0")
-		}
-		if !finiteVec3(mp.Pos) {
-			add("mp-pos-notfinite", 0, id, "position not finite: %+v", mp.Pos)
-		}
-		if mp.RefKF == 0 {
-			add("mp-refkf-zero", 0, id, "reference keyframe ID is 0")
-		}
-		for kfID, idx := range mp.Obs {
-			kf, ok := snap.kfs[kfID]
-			if !ok {
-				add("mp-obs-dangling", kfID, id, "observed by missing keyframe (keypoint %d)", idx)
-				continue
-			}
-			if idx < 0 || idx >= len(kf.MapPoints) {
-				add("mp-obs-backref", kfID, id, "keypoint index %d out of range (%d keypoints)",
-					idx, len(kf.MapPoints))
-				continue
-			}
-			if got := kf.MapPoints[idx]; got != id {
-				add("mp-obs-backref", kfID, id, "keyframe keypoint %d binds %d, not this point", idx, got)
-			}
-		}
-	}
+	rep.auditEntities(snap.kfs, snap.mps, nil, nil)
+	kfIDs := sortedIDs(snap.kfs)
 
 	// BoW index <-> live keyframes.
 	inBow := make(map[ID]bool, len(snap.bowIDs))
 	for _, id := range snap.bowIDs {
 		inBow[id] = true
 		if _, ok := snap.kfs[id]; !ok {
-			add("bow-stale", id, 0, "BoW index entry for missing keyframe")
+			rep.add("bow-stale", id, 0, "BoW index entry for missing keyframe")
 		}
 	}
 	for _, id := range kfIDs {
 		if !inBow[id] {
-			add("bow-missing", id, 0, "live keyframe absent from BoW index")
+			rep.add("bow-missing", id, 0, "live keyframe absent from BoW index")
 		}
 	}
 	// Inverted-index-level audit: the erase paths (culling, eviction,
 	// merge rollback) must never tear the posting lists away from the
 	// vector table.
 	for _, id := range snap.bowOrphans {
-		add("bow-index-orphan", id, 0, "posting-list entry with no stored vector")
+		rep.add("bow-index-orphan", id, 0, "posting-list entry with no stored vector")
 	}
 	for _, id := range snap.bowMissing {
-		add("bow-index-missing", id, 0, "stored vector with an unposted word")
+		rep.add("bow-index-missing", id, 0, "stored vector with an unposted word")
 	}
 
 	// Pin table: a pin on a missing keyframe means a Pin without a
 	// matching Unpin survived past the entity it protected.
-	pinIDs := make([]ID, 0, len(snap.pins))
-	for id := range snap.pins {
-		pinIDs = append(pinIDs, id)
-	}
-	sort.Slice(pinIDs, func(i, j int) bool { return pinIDs[i] < pinIDs[j] })
-	for _, id := range pinIDs {
+	for _, id := range sortedIDs(snap.pins) {
 		if _, live := snap.kfs[id]; !live {
-			add("pin-leak", id, 0, "pin count %d on missing keyframe", snap.pins[id])
+			rep.add("pin-leak", id, 0, "pin count %d on missing keyframe", snap.pins[id])
 		}
 	}
 
@@ -309,28 +328,24 @@ func (m *Map) CheckInvariants() CheckReport {
 	for _, id := range kfIDs {
 		switch n := seenOrder[id]; {
 		case n == 0:
-			add("order-missing", id, 0, "live keyframe absent from insertion order")
+			rep.add("order-missing", id, 0, "live keyframe absent from insertion order")
 		case n > 1:
-			add("order-dup", id, 0, "live keyframe appears %d times in insertion order", n)
+			rep.add("order-dup", id, 0, "live keyframe appears %d times in insertion order", n)
 		}
 	}
 
 	return rep
 }
 
-// CheckInvariants is the package-level convenience wrapper the chaos
-// harness calls: audit m and return the full report.
-func CheckInvariants(m *Map) CheckReport { return m.CheckInvariants() }
-
 // CheckSubgraph audits only the given entities — the merge
 // transaction's pre-commit validation. A merge must not run the
 // whole-map audit: other sessions' mappers mutate untouched regions of
 // the global map concurrently (the per-frame path does not serialize
 // against merges), so only the subgraph this merge inserted or rewrote
-// can be held to the at-rest invariants. References from a touched
-// entity to an untouched one are checked for existence; backrefs,
-// covisibility symmetry, and the global index rules (BoW, insertion
-// order, counters) are audited only within the touched set.
+// can be held to the at-rest invariants. It is auditEntities alone:
+// references from a touched entity to an untouched one are checked for
+// existence, and the whole-map rules (BoW, insertion order, counters,
+// pins) are not run.
 func (m *Map) CheckSubgraph(kfIDs, mpIDs []ID) CheckReport {
 	// Snapshot the touched entities plus the existence of everything
 	// they reference, under every stripe read lock for one consistent
@@ -368,103 +383,7 @@ func (m *Map) CheckSubgraph(kfIDs, mpIDs []ID) CheckReport {
 	m.rUnlockAll()
 
 	rep := CheckReport{KeyFrames: len(kfs), MapPoints: len(mps)}
-	add := func(rule string, kf, mp ID, format string, args ...any) {
-		rep.Violations = append(rep.Violations, Violation{
-			Rule: rule, KF: kf, MP: mp, Detail: fmt.Sprintf(format, args...),
-		})
-	}
-
-	sortedKFs := make([]ID, 0, len(kfs))
-	for id := range kfs {
-		sortedKFs = append(sortedKFs, id)
-	}
-	sort.Slice(sortedKFs, func(i, j int) bool { return sortedKFs[i] < sortedKFs[j] })
-	sortedMPs := make([]ID, 0, len(mps))
-	for id := range mps {
-		sortedMPs = append(sortedMPs, id)
-	}
-	sort.Slice(sortedMPs, func(i, j int) bool { return sortedMPs[i] < sortedMPs[j] })
-
-	for _, id := range sortedKFs {
-		kf := kfs[id]
-		if id == 0 {
-			add("id-zero", id, 0, "keyframe with reserved ID 0")
-		}
-		if !finiteSE3(kf.Tcw) {
-			add("kf-pose-notfinite", id, 0, "Tcw not finite: %+v", kf.Tcw)
-		}
-		if len(kf.MapPoints) != len(kf.Keypoints) {
-			add("kf-binding-len", id, 0, "%d bindings for %d keypoints",
-				len(kf.MapPoints), len(kf.Keypoints))
-		}
-		for i, mpID := range kf.MapPoints {
-			if mpID == 0 {
-				continue
-			}
-			mp, touched := mps[mpID]
-			if !touched {
-				if !existsMP[mpID] {
-					add("kf-binding-dangling", id, mpID, "keypoint %d binds missing map point", i)
-				}
-				continue
-			}
-			if got, ok := mp.Obs[id]; !ok {
-				add("kf-binding-backref", id, mpID, "keypoint %d bound but point has no observation of this keyframe", i)
-			} else if got != i {
-				add("kf-binding-backref", id, mpID, "keypoint %d bound but point records keypoint %d", i, got)
-			}
-		}
-		for other, w := range kf.Conns {
-			if other == id {
-				add("covis-self", id, 0, "self edge with weight %d", w)
-				continue
-			}
-			okf, touched := kfs[other]
-			if !touched {
-				if !existsKF[other] {
-					add("covis-dangling", id, 0, "edge to missing keyframe %d (weight %d)", other, w)
-				}
-				continue
-			}
-			ow, ok := okf.Conns[id]
-			if !ok {
-				add("covis-asymmetric", id, 0, "edge to %d (weight %d) has no reverse edge", other, w)
-			} else if ow != w {
-				add("covis-weight", id, 0, "edge to %d weighs %d forward, %d reverse", other, w, ow)
-			}
-		}
-	}
-
-	for _, id := range sortedMPs {
-		mp := mps[id]
-		if id == 0 {
-			add("id-zero", 0, id, "map point with reserved ID 0")
-		}
-		if !finiteVec3(mp.Pos) {
-			add("mp-pos-notfinite", 0, id, "position not finite: %+v", mp.Pos)
-		}
-		if mp.RefKF == 0 {
-			add("mp-refkf-zero", 0, id, "reference keyframe ID is 0")
-		}
-		for kfID, idx := range mp.Obs {
-			kf, touched := kfs[kfID]
-			if !touched {
-				if !existsKF[kfID] {
-					add("mp-obs-dangling", kfID, id, "observed by missing keyframe (keypoint %d)", idx)
-				}
-				continue
-			}
-			if idx < 0 || idx >= len(kf.MapPoints) {
-				add("mp-obs-backref", kfID, id, "keypoint index %d out of range (%d keypoints)",
-					idx, len(kf.MapPoints))
-				continue
-			}
-			if got := kf.MapPoints[idx]; got != id {
-				add("mp-obs-backref", kfID, id, "keyframe keypoint %d binds %d, not this point", idx, got)
-			}
-		}
-	}
-
+	rep.auditEntities(kfs, mps, existsKF, existsMP)
 	return rep
 }
 

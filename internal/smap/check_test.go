@@ -48,7 +48,7 @@ func wantRule(t *testing.T, rep CheckReport, rule string) {
 
 func TestCheckInvariantsCleanMap(t *testing.T) {
 	m, _, _, _, _ := checkMap(t)
-	rep := CheckInvariants(m)
+	rep := m.CheckInvariants()
 	if !rep.OK() {
 		t.Fatalf("clean map reported violations: %v", rep.Violations)
 	}
@@ -64,7 +64,7 @@ func TestCheckInvariantsCleanAfterErase(t *testing.T) {
 	m, _, _, mpA, _ := checkMap(t)
 	m.EraseMapPoint(mpA.ID)
 	m.EraseKeyFrame(2)
-	if rep := CheckInvariants(m); !rep.OK() {
+	if rep := m.CheckInvariants(); !rep.OK() {
 		t.Fatalf("post-erase map reported violations: %v", rep.Violations)
 	}
 }
@@ -75,7 +75,7 @@ func TestCheckInvariantsDanglingBinding(t *testing.T) {
 	st.mu.Lock()
 	kf1.MapPoints[0] = 999 // no such point
 	st.mu.Unlock()
-	wantRule(t, CheckInvariants(m), "kf-binding-dangling")
+	wantRule(t, m.CheckInvariants(), "kf-binding-dangling")
 }
 
 func TestCheckInvariantsBackrefMismatch(t *testing.T) {
@@ -84,7 +84,7 @@ func TestCheckInvariantsBackrefMismatch(t *testing.T) {
 	st.mu.Lock()
 	mpA.Obs[1] = 1 // keyframe 1 binds this point at keypoint 0, not 1
 	st.mu.Unlock()
-	rep := CheckInvariants(m)
+	rep := m.CheckInvariants()
 	wantRule(t, rep, "kf-binding-backref")
 	wantRule(t, rep, "mp-obs-backref")
 }
@@ -95,7 +95,7 @@ func TestCheckInvariantsObsDanglingKeyFrame(t *testing.T) {
 	st.mu.Lock()
 	mpB.Obs[777] = 0
 	st.mu.Unlock()
-	wantRule(t, CheckInvariants(m), "mp-obs-dangling")
+	wantRule(t, m.CheckInvariants(), "mp-obs-dangling")
 }
 
 func TestCheckInvariantsCovisAsymmetry(t *testing.T) {
@@ -104,22 +104,22 @@ func TestCheckInvariantsCovisAsymmetry(t *testing.T) {
 	st.mu.Lock()
 	delete(kf2.Conns, kf1.ID)
 	st.mu.Unlock()
-	wantRule(t, CheckInvariants(m), "covis-asymmetric")
+	wantRule(t, m.CheckInvariants(), "covis-asymmetric")
 
 	st.mu.Lock()
 	kf2.Conns[kf1.ID] = 99 // forward weight differs
 	st.mu.Unlock()
-	wantRule(t, CheckInvariants(m), "covis-weight")
+	wantRule(t, m.CheckInvariants(), "covis-weight")
 
 	st.mu.Lock()
 	kf2.Conns[kf2.ID] = 1
 	st.mu.Unlock()
-	wantRule(t, CheckInvariants(m), "covis-self")
+	wantRule(t, m.CheckInvariants(), "covis-self")
 
 	st.mu.Lock()
 	kf2.Conns[4242] = 1
 	st.mu.Unlock()
-	wantRule(t, CheckInvariants(m), "covis-dangling")
+	wantRule(t, m.CheckInvariants(), "covis-dangling")
 }
 
 func TestCheckInvariantsBowAgreement(t *testing.T) {
@@ -128,7 +128,7 @@ func TestCheckInvariantsBowAgreement(t *testing.T) {
 	m.bowDB.Add(31337, nil) // stale entry for a keyframe that is not in the map
 	m.bowDB.Remove(1)       // live keyframe dropped from the index
 	m.imu.Unlock()
-	rep := CheckInvariants(m)
+	rep := m.CheckInvariants()
 	wantRule(t, rep, "bow-stale")
 	wantRule(t, rep, "bow-missing")
 }
@@ -142,7 +142,7 @@ func TestCheckInvariantsOrderAndCounts(t *testing.T) {
 	st.mu.Lock()
 	st.keyframes[rogue.ID] = rogue
 	st.mu.Unlock()
-	rep := CheckInvariants(m)
+	rep := m.CheckInvariants()
 	wantRule(t, rep, "order-missing")
 	wantRule(t, rep, "bow-missing")
 	wantRule(t, rep, "count-mismatch")
@@ -152,7 +152,7 @@ func TestCheckInvariantsNonFinite(t *testing.T) {
 	m, kf1, _, mpA, _ := checkMap(t)
 	m.SetKeyFramePose(kf1.ID, geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: math.NaN()}})
 	m.SetMapPointPos(mpA.ID, geom.Vec3{Z: math.Inf(1)})
-	rep := CheckInvariants(m)
+	rep := m.CheckInvariants()
 	wantRule(t, rep, "kf-pose-notfinite")
 	wantRule(t, rep, "mp-pos-notfinite")
 }
@@ -162,8 +162,83 @@ func TestCheckInvariantsIDRules(t *testing.T) {
 	m.AddMapPoint(&MapPoint{ID: 1, Pos: geom.Vec3{}, RefKF: 1}) // collides with keyframe 1
 	m.AddMapPoint(&MapPoint{ID: 0, RefKF: 1})                   // reserved ID
 	m.AddMapPoint(&MapPoint{ID: 12})                            // no reference keyframe
-	rep := CheckInvariants(m)
+	rep := m.CheckInvariants()
 	wantRule(t, rep, "id-cross")
 	wantRule(t, rep, "id-zero")
 	wantRule(t, rep, "mp-refkf-zero")
+}
+
+// TestPerEntityRulesBothEntryPoints is the drift guard between the two
+// audits: every per-entity rule, provoked once on a small map, must be
+// reported by the whole-map audit and by CheckSubgraph over all IDs.
+func TestPerEntityRulesBothEntryPoints(t *testing.T) {
+	// locked runs f under id's stripe write lock, the way a mutator would.
+	locked := func(m *Map, id ID, f func()) {
+		st := m.stripe(id)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		f()
+	}
+	cases := []struct {
+		rule    string
+		corrupt func(m *Map, kf1, kf2 *KeyFrame, mpA, mpB *MapPoint)
+	}{
+		{"id-zero", func(m *Map, _, _ *KeyFrame, _, _ *MapPoint) {
+			m.AddMapPoint(&MapPoint{ID: 0, RefKF: 1})
+		}},
+		{"id-cross", func(m *Map, kf1, _ *KeyFrame, _, _ *MapPoint) {
+			m.AddMapPoint(&MapPoint{ID: kf1.ID, RefKF: 1})
+		}},
+		{"kf-pose-notfinite", func(m *Map, kf1, _ *KeyFrame, _, _ *MapPoint) {
+			m.SetKeyFramePose(kf1.ID, geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: math.NaN()}})
+		}},
+		{"kf-binding-len", func(m *Map, kf1, _ *KeyFrame, _, _ *MapPoint) {
+			locked(m, kf1.ID, func() { kf1.MapPoints = kf1.MapPoints[:1] })
+		}},
+		{"kf-binding-dangling", func(m *Map, kf1, _ *KeyFrame, _, _ *MapPoint) {
+			locked(m, kf1.ID, func() { kf1.MapPoints[0] = 999 })
+		}},
+		{"kf-binding-backref", func(m *Map, _, _ *KeyFrame, mpA, _ *MapPoint) {
+			locked(m, mpA.ID, func() { delete(mpA.Obs, 1) })
+		}},
+		{"covis-self", func(m *Map, _, kf2 *KeyFrame, _, _ *MapPoint) {
+			locked(m, kf2.ID, func() { kf2.Conns[kf2.ID] = 1 })
+		}},
+		{"covis-dangling", func(m *Map, _, kf2 *KeyFrame, _, _ *MapPoint) {
+			locked(m, kf2.ID, func() { kf2.Conns[4242] = 1 })
+		}},
+		{"covis-asymmetric", func(m *Map, kf1, kf2 *KeyFrame, _, _ *MapPoint) {
+			locked(m, kf2.ID, func() { delete(kf2.Conns, kf1.ID) })
+		}},
+		{"covis-weight", func(m *Map, kf1, kf2 *KeyFrame, _, _ *MapPoint) {
+			locked(m, kf2.ID, func() { kf2.Conns[kf1.ID] = 99 })
+		}},
+		{"mp-pos-notfinite", func(m *Map, _, _ *KeyFrame, mpA, _ *MapPoint) {
+			m.SetMapPointPos(mpA.ID, geom.Vec3{Z: math.Inf(1)})
+		}},
+		{"mp-refkf-zero", func(m *Map, _, _ *KeyFrame, _, _ *MapPoint) {
+			m.AddMapPoint(&MapPoint{ID: 12})
+		}},
+		{"mp-obs-dangling", func(m *Map, _, _ *KeyFrame, _, mpB *MapPoint) {
+			locked(m, mpB.ID, func() { mpB.Obs[777] = 0 })
+		}},
+		{"mp-obs-backref", func(m *Map, _, _ *KeyFrame, mpA, _ *MapPoint) {
+			locked(m, mpA.ID, func() { mpA.Obs[1] = 1 })
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.rule, func(t *testing.T) {
+			m, kf1, kf2, mpA, mpB := checkMap(t)
+			c.corrupt(m, kf1, kf2, mpA, mpB)
+			var kfIDs, mpIDs []ID
+			for _, kf := range m.KeyFrames() {
+				kfIDs = append(kfIDs, kf.ID)
+			}
+			for _, mp := range m.MapPoints() {
+				mpIDs = append(mpIDs, mp.ID)
+			}
+			wantRule(t, m.CheckInvariants(), c.rule)
+			wantRule(t, m.CheckSubgraph(kfIDs, mpIDs), c.rule)
+		})
+	}
 }

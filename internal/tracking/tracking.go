@@ -101,21 +101,13 @@ type Result struct {
 
 // Config tunes the tracker.
 type Config struct {
-	// MatchRadius is the projection search window in pixels for
-	// motion-model matching.
-	MatchRadius float64
-	// LocalRadius is the projection search window for local-map points.
-	LocalRadius float64
 	// MinInliers below which tracking is declared lost.
 	MinInliers int
-	// KFMinInterval / KFMaxInterval bound keyframe insertion (frames).
+	// KFMinInterval is the fewest frames between two keyframes.
 	KFMinInterval int
-	KFMaxInterval int
 	// KFTrackedRatio: insert a keyframe when tracked points fall below
 	// this fraction of the reference keyframe's point count.
 	KFTrackedRatio float64
-	// MaxLocalKFs bounds the covisibility window of the local map.
-	MaxLocalKFs int
 	// FrameDeadline bounds a frame's processing budget: when the
 	// earlier stages have already consumed it by the time search-local-
 	// points would run, the refinement is skipped and the motion-model
@@ -130,15 +122,22 @@ type Config struct {
 // experiments (mirroring ORB-SLAM3's defaults where applicable).
 func DefaultConfig() Config {
 	return Config{
-		MatchRadius:    12,
-		LocalRadius:    6,
 		MinInliers:     15,
 		KFMinInterval:  5,
-		KFMaxInterval:  30,
 		KFTrackedRatio: 0.7,
-		MaxLocalKFs:    10,
 	}
 }
+
+const (
+	// matchRadius and localRadius are the projection search windows in
+	// pixels for motion-model matching and for local-map points.
+	matchRadius = 12.0
+	localRadius = 6.0
+	// kfMaxInterval forces a keyframe after this many frames without one.
+	kfMaxInterval = 30
+	// maxLocalKFs bounds the covisibility window of the local map.
+	maxLocalKFs = 10
+)
 
 // Tracker localizes a stream of frames in a map. One Tracker serves
 // one client; the map may be shared with other trackers (the global
@@ -555,7 +554,7 @@ func (t *Tracker) trackLastFrame(fr *Frame) int {
 	sc := &t.sc
 	// Resolve last-frame points through the local snapshot when they
 	// are in the window (the common case) so the loop stays lock-free.
-	view := t.Map.LocalView(t.refKF, t.Cfg.MaxLocalKFs)
+	view := t.Map.LocalView(t.refKF, maxLocalKFs)
 	pts := sc.pts[:0]
 	uvs := sc.uvs[:0]
 	kpIdx := sc.kpIdx[:0]
@@ -575,7 +574,7 @@ func (t *Tracker) trackLastFrame(fr *Frame) int {
 		if !visible {
 			continue
 		}
-		j := g.bestMatch(soa, px, t.Cfg.MatchRadius, vp.Desc, feature.MatchThresholdLoose)
+		j := g.bestMatch(soa, px, matchRadius, vp.Desc, feature.MatchThresholdLoose)
 		if j < 0 || fr.MPs[j] != 0 {
 			continue
 		}
@@ -607,7 +606,7 @@ func (t *Tracker) trackLastFrame(fr *Frame) int {
 // phase runs without touching a map lock; the snapshot is reused
 // across frames until another client mutates a window keyframe.
 func (t *Tracker) searchLocalPoints(fr *Frame) int {
-	view := t.Map.LocalView(t.refKF, t.Cfg.MaxLocalKFs)
+	view := t.Map.LocalView(t.refKF, maxLocalKFs)
 	local := view.Points
 	if len(local) == 0 {
 		return countBound(fr.MPs)
@@ -648,7 +647,7 @@ func (t *Tracker) searchLocalPoints(fr *Frame) int {
 		if !visible {
 			return
 		}
-		j := g.bestMatch(soa, px, t.Cfg.LocalRadius, mp.Desc, feature.MatchThresholdStrict)
+		j := g.bestMatch(soa, px, localRadius, mp.Desc, feature.MatchThresholdStrict)
 		if j >= 0 {
 			cands[i] = searchCand{kp: j, dist: feature.Distance(mp.Desc, soa.Desc[j])}
 		}
@@ -710,7 +709,7 @@ func (t *Tracker) needKeyFrame(fr *Frame, inliers int) bool {
 	if since < t.Cfg.KFMinInterval {
 		return false
 	}
-	if since >= t.Cfg.KFMaxInterval {
+	if since >= kfMaxInterval {
 		return true
 	}
 	ref, ok := t.Map.KeyFrame(t.refKF)

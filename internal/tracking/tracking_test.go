@@ -339,7 +339,7 @@ func TestSearchLocalPointsAllocs(t *testing.T) {
 		tr.searchLocalPoints(&fr)
 	})
 	t.Logf("searchLocalPoints steady state: %.1f allocs/op (%d local points)",
-		allocs, len(tr.Map.LocalView(tr.refKF, tr.Cfg.MaxLocalKFs).Points))
+		allocs, len(tr.Map.LocalView(tr.refKF, maxLocalKFs).Points))
 	if allocs > 8 {
 		t.Errorf("searchLocalPoints allocates %.1f/op in steady state; scratch reuse regressed", allocs)
 	}

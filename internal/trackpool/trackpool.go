@@ -72,64 +72,64 @@ const (
 	classNormal
 )
 
+// prio is the scheduling order, shared by the run queue and the
+// admission gate so a tier rule cannot change in one and not the other:
+// QoS tier first, then the urgent class within the tier, then the EDF
+// key, then frame admission order.
+type prio struct {
+	qos   int32  // session QoS class: lower outranks higher
+	class int    // classUrgent sorts before classNormal
+	key   int64  // EDF key, UnixNano: deadline when set, else arrival
+	seq   uint64 // frame admission order, the final tie-break
+}
+
+// before reports whether a is served ahead of o.
+func (a prio) before(o prio) bool {
+	if a.qos != o.qos {
+		return a.qos < o.qos
+	}
+	if a.class != o.class {
+		return a.class < o.class
+	}
+	if a.key != o.key {
+		return a.key < o.key
+	}
+	return a.seq < o.seq
+}
+
 // batch is one submitted kernel: n index-disjoint work items plus its
-// scheduling key. Workers claim [next, next+grain) ranges from the
+// scheduling order. Workers claim [next, next+grain) ranges from the
 // front batch until it is exhausted.
 type batch struct {
+	prio
 	f       func(i int)
 	n       int
-	next    int    // next unclaimed item index
-	done    int    // completed items
-	class   int    // classUrgent sorts before classNormal
-	qos     int32  // session QoS class: lower outranks higher
-	key     int64  // EDF key, UnixNano: deadline when set, else arrival
-	seq     uint64 // frame admission order, the final tie-break
+	next    int // next unclaimed item index
+	done    int // completed items
 	grain   int
 	st      *Stream
 	enq     time.Time
 	claimed bool // first worker touch recorded (queue-wait accounting)
 	fin     chan struct{}
-	idx     int // heap index
 }
 
-// admitter is one frame waiting at the admission gate, ordered like
-// batches: QoS tier first, then urgent class within the tier, then
-// EDF key, then arrival order.
+// admitter is one frame waiting at the admission gate.
 type admitter struct {
-	class int
-	qos   int32
-	key   int64
-	seq   uint64
+	prio
 	slot  bool // granted with a slot (false when released by Close)
 	grant chan struct{}
-	idx   int
 }
 
+// The two heaps stay concrete types: Less is then a direct, inlinable
+// call on a value both hold, where one generic heap over *batch and
+// *admitter would reach prio through a dictionary call under p.mu. What
+// they still repeat is container/heap plumbing, no policy.
 type admitHeap []*admitter
 
-func (h admitHeap) Len() int { return len(h) }
-func (h admitHeap) Less(i, j int) bool {
-	if h[i].qos != h[j].qos {
-		return h[i].qos < h[j].qos
-	}
-	if h[i].class != h[j].class {
-		return h[i].class < h[j].class
-	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
-	}
-	return h[i].seq < h[j].seq
-}
-func (h admitHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *admitHeap) Push(x any) {
-	a := x.(*admitter)
-	a.idx = len(*h)
-	*h = append(*h, a)
-}
+func (h admitHeap) Len() int           { return len(h) }
+func (h admitHeap) Less(i, j int) bool { return h[i].before(h[j].prio) }
+func (h admitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *admitHeap) Push(x any)        { *h = append(*h, x.(*admitter)) }
 func (h *admitHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -141,29 +141,10 @@ func (h *admitHeap) Pop() any {
 
 type batchHeap []*batch
 
-func (h batchHeap) Len() int { return len(h) }
-func (h batchHeap) Less(i, j int) bool {
-	if h[i].qos != h[j].qos {
-		return h[i].qos < h[j].qos
-	}
-	if h[i].class != h[j].class {
-		return h[i].class < h[j].class
-	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
-	}
-	return h[i].seq < h[j].seq
-}
-func (h batchHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *batchHeap) Push(x any) {
-	b := x.(*batch)
-	b.idx = len(*h)
-	*h = append(*h, b)
-}
+func (h batchHeap) Len() int           { return len(h) }
+func (h batchHeap) Less(i, j int) bool { return h[i].before(h[j].prio) }
+func (h batchHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *batchHeap) Push(x any)        { *h = append(*h, x.(*batch)) }
 func (h *batchHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -438,7 +419,7 @@ func (st *Stream) BeginFrame(arrival, deadline time.Time) {
 		return
 	}
 	p.seq++
-	a := &admitter{class: class, qos: qos, key: key, seq: p.seq, grant: make(chan struct{})}
+	a := &admitter{prio: prio{qos: qos, class: class, key: key, seq: p.seq}, grant: make(chan struct{})}
 	heap.Push(&p.admitQ, a)
 	p.mu.Unlock()
 	<-a.grant
@@ -523,8 +504,8 @@ func (st *Stream) Run(n int, f func(i int)) {
 		grain = p.cfg.MinGrain
 	}
 	b := &batch{
-		f: f, n: n, class: class, qos: st.qos.Load(), key: key, grain: grain,
-		st: st, enq: now, fin: make(chan struct{}),
+		prio: prio{qos: st.qos.Load(), class: class, key: key},
+		f:    f, n: n, grain: grain, st: st, enq: now, fin: make(chan struct{}),
 	}
 
 	p.mu.Lock()

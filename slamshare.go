@@ -96,8 +96,6 @@ func LoadSequence(name string, mode Mode) (*Sequence, error) {
 // keeps server.DefaultConfig's value; the slamshare-server command
 // binds its flags onto that struct directly.
 type ServerOptions struct {
-	// ShmCapacity is the global map's byte budget (default 2 GiB).
-	ShmCapacity int64
 	// CheckpointDir enables durable persistence: the global map is
 	// recovered from this directory on startup (latest checkpoint +
 	// journal replay) and journaled + checkpointed while running.
@@ -113,9 +111,6 @@ type EdgeServer struct {
 // NewEdgeServer creates a server with an empty shared global map.
 func NewEdgeServer(opts ServerOptions) (*EdgeServer, error) {
 	cfg := server.DefaultConfig()
-	if opts.ShmCapacity > 0 {
-		cfg.RegionCapacity = opts.ShmCapacity
-	}
 	cfg.Persist.Dir = opts.CheckpointDir
 	s, err := server.New(cfg)
 	if err != nil {

@@ -23,7 +23,7 @@ func TestLoadSequenceNames(t *testing.T) {
 }
 
 func TestEdgeServerLifecycle(t *testing.T) {
-	srv, err := slamshare.NewEdgeServer(slamshare.ServerOptions{ShmCapacity: 64 << 20})
+	srv, err := slamshare.NewEdgeServer(slamshare.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
