@@ -351,7 +351,14 @@ func (db *Database) Query(bv Vec, topN int, exclude func(uint64) bool) []Result 
 			results = append(results, Result{ID: id, Score: Score(bv, db.vecs[id])})
 		}
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Score > results[j].Score })
+	// Equal scores go by ascending ID: hits are collected in map order,
+	// and the cut below must not depend on it.
+	sort.Slice(results, func(i, j int) bool {
+		if results[i].Score != results[j].Score {
+			return results[i].Score > results[j].Score
+		}
+		return results[i].ID < results[j].ID
+	})
 	if len(results) > topN {
 		results = results[:topN]
 	}

@@ -202,3 +202,22 @@ func TestDatabaseReAddReplaces(t *testing.T) {
 		t.Errorf("re-add duplicated entry: Len = %d", db.Len())
 	}
 }
+
+// TestDatabaseQueryBreaksTiesByID: hits are gathered by ranging over
+// the query vector, so two keyframes with the same score reach the
+// sort in either order; which one survives the topN cut — a
+// relocalization or merge candidate — must not depend on that. The
+// weights are powers of two so the scores are equal to the bit however
+// Score's own sum is ordered.
+func TestDatabaseQueryBreaksTiesByID(t *testing.T) {
+	db := NewDatabase()
+	db.Add(7, Vec{1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25})
+	db.Add(3, Vec{1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25})
+	db.Add(5, Vec{1: 0.5, 9: 0.5})
+	query := Vec{1: 0.25, 2: 0.25, 3: 0.5}
+	for i := 0; i < 50; i++ {
+		if res := db.Query(query, 1, nil); len(res) != 1 || res[0].ID != 3 {
+			t.Fatalf("query %d = %+v, want the lower of the two equal-score ids", i, res)
+		}
+	}
+}

@@ -42,9 +42,6 @@ type FrontConfig struct {
 	// the target, so a chaos harness can land a front SIGKILL
 	// mid-handoff deterministically.
 	HandoffStall time.Duration
-	// Dial overrides the shard dialer (netem wrapping, in-process
-	// transports). nil means net.DialTimeout.
-	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
 const (
@@ -209,9 +206,6 @@ func (f *Front) record(ev HandoffEvent) {
 }
 
 func (f *Front) dial(addr string) (net.Conn, error) {
-	if f.cfg.Dial != nil {
-		return f.cfg.Dial(addr, dialTimeout)
-	}
 	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"testing"
@@ -137,5 +138,24 @@ func TestRunnerBandwidthDropsFrames(t *testing.T) {
 	r.Run(30)
 	if p.Dropped == 0 {
 		t.Error("starved uplink dropped no frames")
+	}
+}
+
+// TestTimelinePrintsInOneOrder: the per-client lines come out of a map
+// and must not come out in its order.
+func TestTimelinePrintsInOneOrder(t *testing.T) {
+	res := &Fig10Result{
+		Series:   []TimelinePoint{{T: 1, ATE: 0.5}},
+		FinalATE: map[string]float64{"B": 0.02, "C": 0.03, "A": 0.01, "D": 0.04, "E": 0.05},
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		printTimeline(&buf, "timeline", res)
+		if i == 0 {
+			first = buf.String()
+		} else if buf.String() != first {
+			t.Fatalf("render %d differs:\n%s\nfirst:\n%s", i, buf.String(), first)
+		}
 	}
 }

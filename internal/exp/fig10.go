@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"slamshare/internal/camera"
@@ -213,7 +214,13 @@ func printTimeline(w io.Writer, title string, res *Fig10Result) {
 				m.InsertKFs, m.Alignment.Inliers, m.FusedPts, m.Total.Round(time.Millisecond))
 		}
 	}
-	for name, ate := range res.FinalATE {
-		tablef(w, "client %s final ATE: %.3f m", name, ate)
+	// By name, which for A/B/C and K1..K3 is the order they joined in.
+	names := make([]string, 0, len(res.FinalATE))
+	for name := range res.FinalATE {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		tablef(w, "client %s final ATE: %.3f m", name, res.FinalATE[name])
 	}
 }

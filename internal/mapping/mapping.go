@@ -148,8 +148,7 @@ func (mm *Mapper) cullPoints() int {
 
 // cullKeyFrames removes redundant covisible keyframes: those whose
 // tracked points are almost all observed by at least three other
-// keyframes (ORB-SLAM's keyframe culling), keeping the map — and the
-// shared-memory footprint the 2 GiB budget bounds — compact.
+// keyframes (ORB-SLAM's keyframe culling), keeping the map compact.
 func (mm *Mapper) cullKeyFrames(kf *smap.KeyFrame) int {
 	culled := 0
 	for _, cand := range mm.Map.Covisible(kf.ID, mm.Cfg.BAWindow) {
@@ -327,144 +326,21 @@ func (mm *Mapper) fuse(kf *smap.KeyFrame) int {
 	return fused
 }
 
-// localBA bundle-adjusts the covisibility window around kf: the window
-// keyframes and every map point they observe, with outside observers
-// held fixed.
+// localBA bundle-adjusts the covisibility window around kf — its
+// strongest neighbours, then kf — and every map point the window
+// observes, with up to eight outside observers of those points held
+// fixed. Until there are outside observers the strongest neighbour
+// anchors the gauge.
 func (mm *Mapper) localBA(kf *smap.KeyFrame) {
-	// The whole problem is built from stripe-locked snapshots —
-	// poses/bindings via KeyFrameState, point positions and observation
-	// lists via PointObs — because the window is shared with other
-	// sessions' trackers and mappers. Keypoints are immutable and read
-	// off the live pointer.
-	winKFs := mm.Map.Covisible(kf.ID, mm.Cfg.BAWindow-1)
-	winIDs := make([]smap.ID, 0, len(winKFs)+1)
-	for _, w := range winKFs {
-		winIDs = append(winIDs, w.ID)
-	}
-	winIDs = append(winIDs, kf.ID)
-	inWindow := make(map[smap.ID]bool, len(winIDs))
-	for _, id := range winIDs {
-		inWindow[id] = true
-	}
-	// Gather the points observed by the window.
-	type ptState struct {
-		pos geom.Vec3
-		obs []smap.ObsEntry
-	}
-	winPoses := make(map[smap.ID]geom.SE3, len(winIDs))
-	ptSet := make(map[smap.ID]ptState)
-	for _, wid := range winIDs {
-		tcw, bindings, ok := mm.Map.KeyFrameState(wid)
-		if !ok {
-			continue
-		}
-		winPoses[wid] = tcw
-		for _, mpID := range bindings {
-			if mpID == 0 {
-				continue
-			}
-			if _, seen := ptSet[mpID]; seen {
-				continue
-			}
-			if pos, obs, ok := mm.Map.PointObs(mpID); ok {
-				ptSet[mpID] = ptState{pos: pos, obs: obs}
-			}
-		}
-	}
-	// Fixed cameras: outside observers of those points (bounded).
-	fixedPoses := make(map[smap.ID]geom.SE3)
-	for _, st := range ptSet {
-		for _, o := range st.obs {
-			if inWindow[o.KF] {
-				continue
-			}
-			if _, seen := fixedPoses[o.KF]; seen {
-				continue
-			}
-			if tcw, _, ok := mm.Map.KeyFrameState(o.KF); ok {
-				fixedPoses[o.KF] = tcw
-				if len(fixedPoses) >= 8 {
-					break
-				}
-			}
-		}
-		if len(fixedPoses) >= 8 {
-			break
-		}
-	}
-	prob := &optimize.BAProblem{Intr: mm.Rig.Intr}
+	window := windowIDs(mm.Map, kf.ID, mm.Cfg.BAWindow-1)
+	bf := 0.0
 	if mm.Rig.Mode == camera.Stereo {
-		prob.Bf = mm.Rig.Intr.Fx * mm.Rig.Baseline
+		bf = mm.Rig.Intr.Fx * mm.Rig.Baseline
 	}
-	camIdx := make(map[smap.ID]int)
-	addCam := func(id smap.ID, tcw geom.SE3, fixed bool) {
-		camIdx[id] = len(prob.Cams)
-		prob.Cams = append(prob.Cams, tcw)
-		prob.FixedCam = append(prob.FixedCam, fixed)
-	}
-	// The oldest window keyframe is held fixed to anchor the gauge
-	// when there are no outside observers yet.
-	for i, wid := range winIDs {
-		tcw, ok := winPoses[wid]
-		if !ok {
-			continue
-		}
-		addCam(wid, tcw, len(fixedPoses) == 0 && i == 0)
-	}
-	for fid, tcw := range fixedPoses {
-		addCam(fid, tcw, true)
-	}
-	ptIdx := make(map[smap.ID]int)
-	for id, st := range ptSet {
-		ptIdx[id] = len(prob.Points)
-		prob.Points = append(prob.Points, st.pos)
-	}
-	type obsRef struct {
-		mpID smap.ID
-		kfID smap.ID
-		kpI  int
-	}
-	var refs []obsRef
-	for id, st := range ptSet {
-		for _, o := range st.obs {
-			ci, ok := camIdx[o.KF]
-			if !ok {
-				continue
-			}
-			obsKF, ok := mm.Map.KeyFrame(o.KF)
-			if !ok || o.Idx >= len(obsKF.Keypoints) {
-				continue
-			}
-			prob.Obs = append(prob.Obs, optimize.Observation{
-				Cam: ci, Pt: ptIdx[id],
-				UV:    obsKF.Keypoints[o.Idx].Pt(),
-				Right: obsKF.Keypoints[o.Idx].Right,
-			})
-			refs = append(refs, obsRef{mpID: id, kfID: o.KF, kpI: o.Idx})
-		}
-	}
-	if len(prob.Obs) < 10 {
-		return
-	}
-	res := prob.Solve(mm.Cfg.BAIters)
-	// Write back poses and point positions through the map's setters:
-	// stripe-locked writes that bump versions, so concurrent snapshot
-	// readers never see a torn pose and stale views invalidate.
-	for _, wid := range winIDs {
-		if ci, ok := camIdx[wid]; ok {
-			mm.Map.SetKeyFramePose(wid, prob.Cams[ci])
-		}
-	}
-	for id := range ptSet {
-		mm.Map.SetMapPointPos(id, prob.Points[ptIdx[id]])
-	}
+	_, _, outliers := BundleAdjust(mm.Map, mm.Map, mm.Rig.Intr, bf, window, nil, 8, 10, mm.Cfg.BAIters)
 	// Detach observations flagged as outliers so they stop polluting
 	// future tracking and adjustments.
-	for i, out := range res.Outliers {
-		if !out {
-			continue
-		}
-		ref := refs[i]
-		mm.Map.DetachObservation(ref.kfID, ref.mpID, ref.kpI)
+	for _, o := range outliers {
+		mm.Map.DetachObservation(o.kf, o.mp, o.idx)
 	}
 }

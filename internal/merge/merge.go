@@ -12,12 +12,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"slamshare/internal/bow"
 	"slamshare/internal/camera"
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
+	"slamshare/internal/mapping"
 	"slamshare/internal/obs"
 	"slamshare/internal/optimize"
 	"slamshare/internal/smap"
@@ -227,19 +229,18 @@ func (mg *Merger) DetectCommonRegion(cmap *smap.Map) (Alignment, bool) {
 		}
 	}
 	// Anchor the seam adjustment at the keyframe pair contributing the
-	// most inliers.
+	// most inliers (of equals, the first to get there in inlier order).
 	pairCount := make(map[[2]smap.ID]int)
 	pairs := make([][2]smap.ID, len(inl))
+	var bestPair [2]smap.ID
+	bestN := 0
 	for i, mi := range inl {
 		c := pool[mi]
 		pairs[i] = [2]smap.ID{c.cID, c.gID}
-		pairCount[[2]smap.ID{c.cKF, c.gKF}]++
-	}
-	var bestPair [2]smap.ID
-	bestN := 0
-	for p, n := range pairCount {
-		if n > bestN {
-			bestPair, bestN = p, n
+		kfPair := [2]smap.ID{c.cKF, c.gKF}
+		pairCount[kfPair]++
+		if n := pairCount[kfPair]; n > bestN {
+			bestPair, bestN = kfPair, n
 		}
 	}
 	return Alignment{
@@ -353,8 +354,8 @@ func ransacAlign(src, dst []geom.Vec3, cfg Config, rng *rand.Rand) (geom.Sim3, [
 
 // Merge runs the full Alg. 2 pipeline: detect, align, transform,
 // insert (zero-copy), fuse, seam BA. When the global map is empty, the
-// client map is inserted as the founding map with no alignment. The
-// client map's contents are owned by the global map afterwards.
+// client map is adopted as the founding map with no alignment (Adopt).
+// The client map's contents are owned by the global map afterwards.
 //
 // The pipeline is transactional: entities are inserted staged (not yet
 // discoverable by place recognition), every mutation goes through an
@@ -364,28 +365,14 @@ func ransacAlign(src, dst []geom.Vec3, cfg Config, rng *rand.Rand) (geom.Sim3, [
 // back to its own coordinates for a later retry — and a *RollbackError
 // is returned.
 func (mg *Merger) Merge(cmap *smap.Map) (rep Report, err error) {
+	if mg.Global.NKeyFrames() == 0 {
+		return mg.Adopt(cmap)
+	}
 	t0 := time.Now()
 	defer func() { mg.observe(t0, rep) }()
 	rep.InsertKFs = cmap.NKeyFrames()
 	rep.InsertMPs = cmap.NMapPoints()
 	tx := newTxn(mg.Global)
-	if mg.Global.NKeyFrames() == 0 {
-		ti := time.Now()
-		tx.insertAll(cmap)
-		rep.Insert = time.Since(ti)
-		if mg.Sabotage != nil {
-			mg.Sabotage(tx)
-		}
-		if bad := mg.validate(tx); bad != nil {
-			tx.rollback(cmap, geom.IdentitySim3(), false, mg.Journal)
-			rep.RolledBack = true
-			rep.Total = time.Since(t0)
-			return rep, bad
-		}
-		tx.commit()
-		rep.Total = time.Since(t0)
-		return rep, nil
-	}
 	td := time.Now()
 	al, found := mg.DetectCommonRegion(cmap)
 	rep.Detect = time.Since(td)
@@ -489,10 +476,11 @@ var ErrNoOverlap = errors.New("no common region")
 // place recognition, no alignment — for maps already expressed in the
 // global coordinate frame. It runs under the same transaction
 // machinery as Merge: staged insert, sabotage failpoint, pre-commit
-// subgraph validation, full rollback on violation. This is the
-// cross-shard import path: a boundary region arriving from a peer
-// shard is already in world coordinates, and usually has no
-// covisibility overlap with this shard's map at all.
+// subgraph validation, full rollback on violation. It is how the
+// founding map enters an empty global map, and the cross-shard import
+// path: a boundary region arriving from a peer shard is already in
+// world coordinates, and usually has no covisibility overlap with this
+// shard's map at all.
 func (mg *Merger) Adopt(cmap *smap.Map) (rep Report, err error) {
 	t0 := time.Now()
 	defer func() { mg.observe(t0, rep) }()
@@ -577,7 +565,14 @@ func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) []smap.I
 	seen := make(map[[2]int]bool)
 	for _, kf := range kfs {
 		i := nodeIdx[kf.ID]
-		for other, w := range kf.Conns {
+		// Edges in ascending neighbour ID: their order is the order of
+		// the graph's float sums (DESIGN §13).
+		others := make([]smap.ID, 0, len(kf.Conns))
+		for other := range kf.Conns {
+			others = append(others, other)
+		}
+		slices.Sort(others)
+		for _, other := range others {
 			j, ok := nodeIdx[other]
 			if !ok || i == j {
 				continue
@@ -593,7 +588,7 @@ func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) []smap.I
 			g.Edges = append(g.Edges, optimize.PoseEdge{
 				I: a, J: b,
 				Z:      g.Poses[a].Inverse().Compose(g.Poses[b]),
-				Weight: float64(w) / 100,
+				Weight: float64(kf.Conns[other]) / 100,
 			})
 		}
 	}
@@ -616,89 +611,19 @@ func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) []smap.I
 
 // seamBA bundle-adjusts the keyframes around the merge seam: the
 // matched client and global keyframes plus their covisible neighbours,
-// with the global side fixed (the paper's essential-graph-lite). It
-// returns the keyframes and map points whose state it rewrote.
+// with the global side fixed (the paper's essential-graph-lite) and
+// every write recorded by the transaction. It is the monocular problem
+// — the merger is not told the rig's baseline. It returns the keyframes
+// and map points whose state it rewrote.
 func (mg *Merger) seamBA(tx *txn, al Alignment) ([]smap.ID, []smap.ID) {
-	// Poses, bindings and point positions are read through the
-	// stripe-locked snapshot accessors: the seam neighbourhood is the
-	// live global map, which other sessions track against and adjust
-	// concurrently. Keypoints are immutable and shared.
-	ckf, ok1 := mg.Global.KeyFrame(al.ClientKF)
-	gkf, ok2 := mg.Global.KeyFrame(al.GlobalKF)
-	if !ok1 || !ok2 {
-		return nil, nil
-	}
-	free := append(mg.Global.Covisible(ckf.ID, maxSeamKFs/2), ckf)
-	fixed := append(mg.Global.Covisible(gkf.ID, maxSeamKFs/2), gkf)
-
-	prob := &optimize.BAProblem{Intr: mg.Intr}
-	camIdx := make(map[smap.ID]int)
-	add := func(kfID smap.ID, isFixed bool) {
-		if _, dup := camIdx[kfID]; dup {
-			return
+	side := func(anchor smap.ID) []smap.ID {
+		var ids []smap.ID
+		for _, kf := range mg.Global.Covisible(anchor, maxSeamKFs/2) {
+			ids = append(ids, kf.ID)
 		}
-		tcw, _, ok := mg.Global.KeyFrameState(kfID)
-		if !ok {
-			return
-		}
-		camIdx[kfID] = len(prob.Cams)
-		prob.Cams = append(prob.Cams, tcw)
-		prob.FixedCam = append(prob.FixedCam, isFixed)
+		return append(ids, anchor)
 	}
-	for _, kf := range fixed {
-		add(kf.ID, true)
-	}
-	for _, kf := range free {
-		add(kf.ID, false)
-	}
-	ptIdx := make(map[smap.ID]int)
-	var ptIDs []smap.ID
-	for kfID := range camIdx {
-		kf, ok := mg.Global.KeyFrame(kfID)
-		if !ok {
-			continue
-		}
-		_, bindings, ok := mg.Global.KeyFrameState(kfID)
-		if !ok {
-			continue
-		}
-		for kpI, mpID := range bindings {
-			if mpID == 0 || kpI >= len(kf.Keypoints) {
-				continue
-			}
-			pos, _, ok := mg.Global.PointMatchState(mpID)
-			if !ok {
-				continue
-			}
-			pi, ok := ptIdx[mpID]
-			if !ok {
-				pi = len(prob.Points)
-				ptIdx[mpID] = pi
-				ptIDs = append(ptIDs, mpID)
-				prob.Points = append(prob.Points, pos)
-			}
-			prob.Obs = append(prob.Obs, optimize.Observation{
-				Cam: camIdx[kfID], Pt: pi,
-				UV: kf.Keypoints[kpI].Pt(),
-			})
-		}
-	}
-	if len(prob.Obs) < 20 {
-		return nil, nil
-	}
-	prob.Solve(seamBAIters)
-	var kfChanged []smap.ID
-	for kfID, ci := range camIdx {
-		if prob.FixedCam[ci] {
-			continue
-		}
-		if _, ok := mg.Global.KeyFrame(kfID); ok {
-			tx.SetKeyFramePose(kfID, prob.Cams[ci])
-			kfChanged = append(kfChanged, kfID)
-		}
-	}
-	for i, mpID := range ptIDs {
-		tx.SetMapPointPos(mpID, prob.Points[i])
-	}
-	return kfChanged, ptIDs
+	kfs, mps, _ := mapping.BundleAdjust(mg.Global, tx, mg.Intr, 0,
+		side(al.ClientKF), side(al.GlobalKF), 0, 20, seamBAIters)
+	return kfs, mps
 }

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"math"
+	"sort"
 
 	"slamshare/internal/camera"
 	"slamshare/internal/geom"
@@ -108,6 +109,32 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 			nv++
 		}
 	}
+	// Observations are visited point by point (stably: a problem listed
+	// that way already is walked as listed), so the camera-point blocks
+	// below come out grouped by point, and every sum is taken in an
+	// order the problem alone decides — the same problem solves to the
+	// same bits.
+	order := make([]int, len(p.Obs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return p.Obs[order[a]].Pt < p.Obs[order[b]].Pt })
+	// cpBlock is the 6x3 block of one observation by a free camera. The
+	// Schur product is bilinear in the blocks, so a camera observing a
+	// point twice needs no merged block.
+	type cpBlock struct {
+		cv, pt int
+		blk    [18]float64
+	}
+	hcp := make([]cpBlock, 0, len(p.Obs))
+	// run returns the end of the run of blocks that share hcp[lo]'s point.
+	run := func(lo int) int {
+		hi := lo + 1
+		for hi < len(hcp) && hcp[hi].pt == hcp[lo].pt {
+			hi++
+		}
+		return hi
+	}
 	res.InitChi2 = p.chi2(nil)
 	lambda := 1e-4
 	cur := res.InitChi2
@@ -116,11 +143,11 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 		// Assemble the normal equations in block form.
 		hcc := make([]float64, (nv*6)*(nv*6)) // dense camera block (local windows are small)
 		bc := make([]float64, nv*6)
-		hpp := make([][9]float64, np)   // 3x3 per point
-		bp := make([]geom.Vec3, np)     // rhs per point
-		hcp := map[[2]int][18]float64{} // (camVar, pt) -> 6x3 block
+		hpp := make([][9]float64, np) // 3x3 per point
+		bp := make([]geom.Vec3, np)   // rhs per point
+		hcp = hcp[:0]
 
-		for oi := range p.Obs {
+		for _, oi := range order {
 			if res.Outliers[oi] {
 				continue
 			}
@@ -190,8 +217,8 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 			}
 			// Camera-point block.
 			if cv >= 0 {
-				key := [2]int{cv, ob.Pt}
-				blk := hcp[key]
+				hcp = append(hcp, cpBlock{cv: cv, pt: ob.Pt})
+				blk := &hcp[len(hcp)-1].blk
 				for rr := 0; rr < rows; rr++ {
 					for a := 0; a < 6; a++ {
 						for c := 0; c < 3; c++ {
@@ -199,7 +226,6 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 						}
 					}
 				}
-				hcp[key] = blk
 			}
 		}
 		// LM damping.
@@ -227,17 +253,9 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 		copy(s, hcc)
 		rhs := make([]float64, len(bc))
 		copy(rhs, bc)
-		// Group hcp blocks by point for the pairwise products.
-		type cpEntry struct {
-			cv  int
-			blk *[18]float64
-		}
-		byPoint := make(map[int][]cpEntry)
-		for key, blk := range hcp {
-			b := blk
-			byPoint[key[1]] = append(byPoint[key[1]], cpEntry{key[0], &b})
-		}
-		for pt, ents := range byPoint {
+		for lo, hi := 0, 0; lo < len(hcp); lo = hi {
+			hi = run(lo)
+			pt, ents := hcp[lo].pt, hcp[lo:hi]
 			inv := hppInv[pt]
 			bpv := [3]float64{bp[pt].X, bp[pt].Y, bp[pt].Z}
 			// y = Hpp^-1 bp
@@ -247,9 +265,9 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 					y[a] += inv[a*3+c] * bpv[c]
 				}
 			}
-			for _, e1 := range ents {
-				cv1 := e1.cv
-				b1 := e1.blk
+			for i1 := range ents {
+				cv1 := ents[i1].cv
+				b1 := &ents[i1].blk
 				// rhs -= Hcp * y
 				for a := 0; a < 6; a++ {
 					for c := 0; c < 3; c++ {
@@ -265,9 +283,9 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 						}
 					}
 				}
-				for _, e2 := range ents {
-					cv2 := e2.cv
-					b2 := e2.blk
+				for i2 := range ents {
+					cv2 := ents[i2].cv
+					b2 := &ents[i2].blk
 					// S[cv1, cv2] -= W * Hcp2^T
 					for a := 0; a < 6; a++ {
 						for c := 0; c < 6; c++ {
@@ -302,12 +320,14 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 		}
 		newPts := make([]geom.Vec3, np)
 		copy(newPts, p.Points)
-		for pt, ents := range byPoint {
+		for lo, hi := 0, 0; lo < len(hcp); lo = hi {
+			hi = run(lo)
+			pt, ents := hcp[lo].pt, hcp[lo:hi]
 			bpv := [3]float64{bp[pt].X, bp[pt].Y, bp[pt].Z}
 			if camOK {
-				for _, e := range ents {
-					cv := e.cv
-					b := e.blk
+				for i := range ents {
+					cv := ents[i].cv
+					b := &ents[i].blk
 					for c := 0; c < 3; c++ {
 						for a := 0; a < 6; a++ {
 							bpv[c] -= b[a*3+c] * delta[cv*6+a]

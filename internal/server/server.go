@@ -72,11 +72,6 @@ type Config struct {
 	// server recovers the map from that directory (latest checkpoint +
 	// journal replay); returning clients then resume by relocalization.
 	Persist persist.Options
-	// Obs is the observability layer every pipeline stage reports
-	// into. Nil gets a private tracer — the instrumentation is always
-	// on (its hot-path cost is a few atomics per stage, see
-	// internal/obs).
-	Obs *obs.Tracer
 	// Overload bounds the server's load (admission ceilings, frame
 	// shedding, connection timeouts, merge retry/quarantine policy).
 	// Zero fields are filled from DefaultOverloadConfig; negative
@@ -149,8 +144,6 @@ type OverloadConfig struct {
 	// frozen-peer case). Negative disables each.
 	IdleTimeout time.Duration
 	ReadTimeout time.Duration
-	// Seed fixes the deterministic backoff jitter.
-	Seed int64
 }
 
 const (
@@ -163,6 +156,8 @@ const (
 	retryFactor = 2
 	retryMax    = 24
 	retryJitter = 0.25
+	// retrySeed fixes the deterministic backoff jitter.
+	retrySeed = 0x51A87A5E
 	// maxMergeRollbacks quarantines a session once this many of its
 	// merge attempts were rolled back by pre-commit validation: a map
 	// that keeps failing validation is poisonous, not unlucky.
@@ -177,7 +172,6 @@ func DefaultOverloadConfig() OverloadConfig {
 		MaxMergesInFlight: 2,
 		IdleTimeout:       2 * time.Minute,
 		ReadTimeout:       30 * time.Second,
-		Seed:              0x51A87A5E,
 	}
 }
 
@@ -362,10 +356,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	fillOverloadDefaults(&cfg.Overload)
 	voc := bow.Default()
-	tracer := cfg.Obs
-	if tracer == nil {
-		tracer = obs.NewTracer(obs.NewRegistry(), obs.DefaultRingSize)
-	}
+	// The observability layer every pipeline stage reports into — the
+	// instrumentation is always on (its hot-path cost is a few atomics
+	// per stage, see internal/obs).
+	tracer := obs.NewTracer(obs.NewRegistry(), obs.DefaultRingSize)
 	// Persistence spans (WAL drains, checkpoint rotations) report into
 	// the same tracer as the frame pipeline.
 	cfg.Persist.Obs = tracer
@@ -414,7 +408,7 @@ func New(cfg Config) (*Server, error) {
 			Factor: retryFactor,
 			Max:    retryMax,
 			Jitter: retryJitter,
-			Seed:   cfg.Overload.Seed,
+			Seed:   retrySeed,
 		},
 	}
 	if cfg.TrackWorkers >= 0 {
@@ -501,9 +495,6 @@ func fillOverloadDefaults(ov *OverloadConfig) {
 	}
 	if ov.ReadTimeout == 0 {
 		ov.ReadTimeout = def.ReadTimeout
-	}
-	if ov.Seed == 0 {
-		ov.Seed = def.Seed
 	}
 }
 
@@ -778,23 +769,30 @@ func (sess *Session) HandleFrame(msg *protocol.FrameMsg) (Result, error) {
 	}
 	dsp.End()
 
-	// IMU-assisted prior: advance the server-side motion model by the
-	// client's preintegrated delta (§4.2.2). The first frame's prior
-	// (if the client sent one) anchors the map in the client's frame.
-	var prior *geom.SE3
-	if sess.mmReady {
-		bodyToWorld := sess.mm.ApproxPoseUpdateMM(msg.Delta)
-		p := bodyToWorld.Inverse()
-		prior = &p
-	} else if msg.HasPrior {
-		p := msg.Prior.Inverse()
-		prior = &p
-	}
-
+	prior := sess.advance(msg.Delta, msg.HasPrior, msg.Prior)
 	t0 := time.Now()
 	tr := sess.tracker.ProcessFrame(left, rightImg, msg.Stamp, prior)
 	sess.trackHist.Observe(time.Since(t0))
 	return sess.completeFrame(tr, msg.Stamp), nil
+}
+
+// advance is the session's IMU-assisted prior (§4.2.2): it advances the
+// server-side motion model by the client's preintegrated delta and
+// returns the predicted world-to-camera pose. Until the first tracked
+// frame starts the model, the uplink's own prior (if the client sent
+// one) anchors the map in the client's frame. Uplinks that are absorbed
+// rather than tracked (shed, shadow-mode sync) call it for the side
+// effect, so the next tracked frame's prior spans the gap.
+func (sess *Session) advance(delta imu.FrameDelta, hasPrior bool, prior geom.SE3) *geom.SE3 {
+	if sess.mmReady {
+		p := sess.mm.ApproxPoseUpdateMM(delta).Inverse()
+		return &p
+	}
+	if hasPrior {
+		p := prior.Inverse()
+		return &p
+	}
+	return nil
 }
 
 // completeFrame folds one tracking result into the session: stage
@@ -868,17 +866,7 @@ func (sess *Session) HandleKeypoints(msg *protocol.KeypointMsg) (Result, error) 
 	defer fsp.End()
 	sess.srv.global.Tick()
 
-	// IMU-assisted prior, same as the full path.
-	var prior *geom.SE3
-	if sess.mmReady {
-		bodyToWorld := sess.mm.ApproxPoseUpdateMM(msg.Delta)
-		p := bodyToWorld.Inverse()
-		prior = &p
-	} else if msg.HasPrior {
-		p := msg.Prior.Inverse()
-		prior = &p
-	}
-
+	prior := sess.advance(msg.Delta, msg.HasPrior, msg.Prior)
 	t0 := time.Now()
 	tr := sess.tracker.ProcessExtracted(msg.Kps, msg.Stamp, prior)
 	sess.trackHist.Observe(time.Since(t0))
@@ -891,9 +879,7 @@ func (sess *Session) HandleKeypoints(msg *protocol.KeypointMsg) (Result, error) 
 // tracking with a prior spanning the shadow period. No tracking work
 // runs and the lifecycle clock does not advance.
 func (sess *Session) HandleSync(msg *protocol.KeypointMsg) {
-	if sess.mmReady {
-		sess.mm.ApproxPoseUpdateMM(msg.Delta)
-	}
+	sess.advance(msg.Delta, false, geom.SE3{})
 	sess.srv.net.SyncPings.Inc()
 }
 
@@ -934,9 +920,7 @@ func (sess *Session) ShedFrame(msg *protocol.FrameMsg) {
 	if _, err := sess.decL.Decode(msg.Video); err == nil && len(msg.VideoRight) > 0 {
 		sess.decR.Decode(msg.VideoRight)
 	}
-	if sess.mmReady {
-		sess.mm.ApproxPoseUpdateMM(msg.Delta)
-	}
+	sess.advance(msg.Delta, false, geom.SE3{})
 }
 
 // tryMerge runs the merge under the named global-map mutex. On
@@ -1269,8 +1253,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				// so the next tracked frame's prior spans the gap.
 				if fm != nil {
 					sess.ShedFrame(fm)
-				} else if sess.mmReady {
-					sess.mm.ApproxPoseUpdateMM(km.Delta)
+				} else {
+					sess.advance(km.Delta, false, geom.SE3{})
 				}
 				s.net.FramesShed.Inc()
 			default:

@@ -24,7 +24,9 @@
 package smap
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -492,9 +494,10 @@ type ObsEntry struct {
 }
 
 // PointObs returns a consistent copy of a map point's position and
-// observation list under the stripe lock. The live Obs map must never
-// be iterated off a pointer from MapPoint while other sessions add
-// observations — that is a concurrent map read/write.
+// observation list, by ascending keyframe ID, under the stripe lock.
+// The live Obs map must never be iterated off a pointer from MapPoint
+// while other sessions add observations — that is a concurrent map
+// read/write — and its order must never reach a float sum (DESIGN §13).
 func (m *Map) PointObs(id ID) (pos geom.Vec3, obs []ObsEntry, ok bool) {
 	s := m.stripe(id)
 	s.mu.RLock()
@@ -507,6 +510,7 @@ func (m *Map) PointObs(id ID) (pos geom.Vec3, obs []ObsEntry, ok bool) {
 		}
 	}
 	s.mu.RUnlock()
+	slices.SortFunc(obs, func(a, b ObsEntry) int { return cmp.Compare(a.KF, b.KF) })
 	return pos, obs, ok
 }
 
@@ -892,7 +896,7 @@ func (m *Map) UpdateConnections(kfID ID, minShared int) {
 	conns := make(map[ID]int, len(counts))
 	bestID, bestN := ID(0), 0
 	for other, n := range counts {
-		if n > bestN {
+		if n > bestN || n == bestN && other < bestID {
 			bestID, bestN = other, n
 		}
 		if n >= minShared {
