@@ -246,11 +246,11 @@ func (c *Client) advanceIMU(i int) (imu.FrameDelta, geom.SE3) {
 
 // BuildKeypointFrame prepares the split-offload uplink for frame i:
 // IMU integration as in BuildFrame, then on-device FAST/ORB
-// extraction and stereo matching through the same feature.Extractor
-// code path the server runs — the keypoints are bit-identical to what
-// the server would have produced from the same pixels, so split-mode
-// tracking matches full-offload tracking exactly. No video is
-// encoded.
+// extraction and stereo depth through the same feature.Extractor code
+// path the server runs (Extract, then StereoSearch) — the keypoints
+// are bit-identical to what the server would have produced from the
+// same pixels, so split-mode tracking matches full-offload tracking
+// exactly. No video is encoded.
 func (c *Client) BuildKeypointFrame(i int) *protocol.KeypointMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -275,8 +275,7 @@ func (c *Client) BuildKeypointFrame(i int) *protocol.KeypointMsg {
 		left, right := c.Seq.StereoFrame(i)
 		kps := c.ex.Extract(left)
 		if right != nil && c.Seq.Rig.Mode == camera.Stereo {
-			rkps := c.ex.Extract(right)
-			feature.StereoMatchPar(kps, rkps, c.Seq.Rig.Intr.Fx, c.Seq.Rig.Baseline, 2, nil)
+			c.ex.StereoSearch(left, right, kps, c.Seq.Rig.Intr.Fx, c.Seq.Rig.Baseline)
 		}
 		msg.Kps = kps
 	})

@@ -70,3 +70,14 @@ func BenchmarkStereoMatch(b *testing.B) {
 		StereoMatchPar(kl, kr, seq.Rig.Intr.Fx, seq.Rig.Baseline, 2, nil)
 	}
 }
+
+func BenchmarkStereoSearch(b *testing.B) {
+	left, right, seq := benchPair(b)
+	ex := NewExtractor(DefaultConfig())
+	kps := ex.Extract(left)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ex.StereoSearch(left, right, kps, seq.Rig.Intr.Fx, seq.Rig.Baseline)
+	}
+}

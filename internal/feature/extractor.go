@@ -175,7 +175,6 @@ func (e *Extractor) Extract(im *img.Gray) []Keypoint {
 				X: x0, Y: y0, Level: l,
 				Score: float64(c.score),
 				Right: -1,
-				// LevelX/LevelY live implicitly via Level + scale.
 			})
 		}
 	}

@@ -1,8 +1,10 @@
 // Package feature implements the ORB feature pipeline of ORB-SLAM3
 // that the paper accelerates: FAST-9 corner detection over a scale
 // pyramid, intensity-centroid orientation, rotated-BRIEF 256-bit
-// descriptors, quadtree keypoint distribution, and Hamming-distance
-// matching (brute-force and stereo). Detection and description have
+// descriptors, quadtree keypoint distribution, Hamming-distance
+// matching (brute-force and stereo), and the row-local block search
+// (Extractor.StereoSearch) the serving path takes stereo depth from
+// instead of extracting the right image. Detection and description have
 // both sequential forms (the paper's CPU baseline) and data-parallel
 // forms driven through the Parallelizer interface (the serving path's
 // internal/trackpool workers; internal/gpu for the paper's Fig. 5/8).
@@ -31,8 +33,7 @@ func Distance(a, b Descriptor) int {
 }
 
 // Keypoint is a detected, described image feature. X and Y are level-0
-// pixel coordinates; Level and LevelX/LevelY record where in the
-// pyramid it was found.
+// pixel coordinates; Level is the pyramid level it was found on.
 type Keypoint struct {
 	X, Y  float64 // level-0 coordinates
 	Level int

@@ -55,6 +55,11 @@ func MatchBrute(a, b []Keypoint, maxDist int, ratio float64) []Match {
 // epipolar constraint). fx and baseline convert disparity to depth.
 // rowTol is the vertical matching tolerance in pixels. Returns the
 // number of stereo matches found.
+//
+// It needs the right image extracted, which cost the tracker as much
+// as the left: the serving path calls Extractor.StereoSearch instead.
+// The matcher stays as the oracle StereoSearch's depth and yield tests
+// compare against, and for bench/'s feature.stereo_match kernel.
 func StereoMatch(left, right []Keypoint, fx, baseline float64, rowTol float64) int {
 	return StereoMatchPar(left, right, fx, baseline, rowTol, nil)
 }

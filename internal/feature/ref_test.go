@@ -382,6 +382,85 @@ func stereoMatchParRef(left, right []Keypoint, fx, baseline float64, rowTol floa
 	return n
 }
 
+// stereoSearchRef is StereoSearch the plain way: dominance asked of
+// every other keypoint, every disparity's block difference summed
+// pixel by pixel to the end and kept, the best and the best away from
+// it read off the finished table. No walk along the keypoint order, no
+// early exit, no running second, no word-wide kernel.
+func stereoSearchRef(left, right *img.Gray, kps []Keypoint, fx, baseline, scaleFactor float64) int {
+	if baseline <= 0 || right.W != left.W || right.H != left.H {
+		return 0
+	}
+	maxDisp := fx * baseline / 0.3
+	for i := range kps {
+		k := &kps[i]
+		x, y := int(k.X+0.5)-4, int(k.Y+0.5)-4
+		if x < 0 || y < 0 || x+8 > left.W || y+8 > left.H {
+			continue
+		}
+		r := stereoDominance * fx * math.Pow(scaleFactor, float64(k.Level))
+		dominated := false
+		for j := range kps {
+			o := &kps[j]
+			if o.Level == k.Level && math.Abs(o.X-k.X) <= r && math.Abs(o.Y-k.Y) <= r && o.Score > k.Score {
+				dominated = true
+			}
+		}
+		if dominated {
+			continue
+		}
+		sads := make([]int, x+1) // sads[d], every d whose right block is inside the image
+		for d := range sads {
+			for r := 0; r < 8; r++ {
+				for c := 0; c < 8; c++ {
+					v := int(left.Pix[(y+r)*left.W+x+c]) - int(right.Pix[(y+r)*right.W+x+c-d])
+					if v < 0 {
+						v = -v
+					}
+					sads[d] += v
+				}
+			}
+		}
+		bestD := -1
+		for d := 1; d <= x && float64(d) <= maxDisp; d++ {
+			if bestD < 0 || sads[d] < sads[bestD] {
+				bestD = d
+			}
+		}
+		if bestD < 0 || sads[bestD] > stereoMaxSAD {
+			continue
+		}
+		unique := true
+		for d := 1; d <= x && float64(d) <= maxDisp; d++ {
+			if (d < bestD-1 || d > bestD+1) && sads[d] <= stereoMargin*sads[bestD] {
+				unique = false
+			}
+		}
+		if !unique {
+			continue
+		}
+		disp := float64(bestD)
+		if bestD+1 <= x {
+			s0, sm, sp := sads[bestD], sads[bestD-1], sads[bestD+1]
+			if sm >= s0 && sp >= s0 && sm+sp > 2*s0 {
+				disp += float64(sm-sp) / float64(2*(sm+sp-2*s0))
+			}
+		}
+		if disp > maxDisp {
+			continue
+		}
+		k.Right = k.X - disp
+		k.Depth = fx * baseline / disp
+	}
+	n := 0
+	for i := range kps {
+		if kps[i].Right >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // resizeRef is the pre-table bilinear resample (img.Gray.Resize as it
 // stood), so the reference pipeline does not share the pyramid kernel
 // with the code under test.

@@ -404,10 +404,13 @@ func TestPooledTrackingMatchesIndependent(t *testing.T) {
 // the serving path: measured wall time. The stages are disjoint
 // intervals inside Total, Total is an interval inside HandleFrame, and
 // what HandleFrame spends outside tracking — decode, mapping,
-// bookkeeping — is a small share of the frame. A backend reporting
+// bookkeeping — is the smaller share of the frame: 15 % while the
+// tracker extracted both eyes, 25–27 % since it searches the right one
+// (video decode's ~4 ms did not shrink with it). A backend reporting
 // modeled time breaks the last bound: its Total is discounted below
 // the time the frame really took, and the discount lands in the
-// remainder (56–59 % of wall with the simulated GPU behind the pool).
+// remainder (56–59 % of wall with the simulated GPU behind the pool,
+// when the honest remainder was 15 %).
 func TestStageTimersAreWallTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full system test")
@@ -447,8 +450,8 @@ func TestStageTimersAreWallTime(t *testing.T) {
 		outside = append(outside, float64(wall-tm.Total)/float64(wall))
 	}
 	sort.Float64s(outside)
-	if med := outside[len(outside)/2]; med > 0.25 {
-		t.Errorf("median share of HandleFrame outside Timing.Total = %.0f %%, want ≤ 25 %%", 100*med)
+	if med := outside[len(outside)/2]; med > 0.40 {
+		t.Errorf("median share of HandleFrame outside Timing.Total = %.0f %%, want ≤ 40 %%", 100*med)
 	} else {
 		t.Logf("median share of HandleFrame outside Timing.Total = %.1f %%", 100*med)
 	}

@@ -377,12 +377,12 @@ func (t *Tracker) ProcessFrame(left, right *img.Gray, stamp float64, posePrior *
 	res.Timing.Extract = deviceTime(time.Since(fc.e0), t.Extractor.Par, ew0, em0)
 	t.obsStages.extract.Observe(t0, res.Timing.Extract, obsClient, obsSeq)
 
-	// Stage 2: matching (stereo correspondence).
+	// Stage 2: matching (stereo correspondence): a block search along
+	// the keypoints' rows of the right image, which is never extracted.
 	tm := time.Now()
 	mw0, mm0 := counters(t.Extractor.Par)
 	if right != nil && t.Rig.Mode == camera.Stereo {
-		rkps := t.Extractor.Extract(right)
-		feature.StereoMatchPar(kps, rkps, t.Rig.Intr.Fx, t.Rig.Baseline, 2, t.Extractor.Par)
+		t.Extractor.StereoSearch(left, right, kps, t.Rig.Intr.Fx, t.Rig.Baseline)
 	}
 	res.Timing.Match = deviceTime(time.Since(tm), t.Extractor.Par, mw0, mm0)
 	t.obsStages.match.Observe(tm, res.Timing.Match, obsClient, obsSeq)

@@ -424,27 +424,6 @@ func interior(a, b *img.Gray, x0, y0, dx, dy int) bool {
 		sx >= 0 && sy >= 0 && sx+blockSize <= b.W && sy+blockSize <= b.H
 }
 
-// sad8 returns the sum of the absolute differences of the eight bytes
-// of a and b, four bytes at a time: the even bytes, then the odd ones,
-// each in a 16-bit lane with room for a biased subtraction.
-func sad8(a, b uint64) int {
-	const (
-		lo   = 0x00ff00ff00ff00ff
-		ones = 0x0001000100010001
-	)
-	// 0x100 + a - b in every lane; the bias keeps a lane from borrowing
-	// from its neighbour and leaves bit 8 clear exactly where a < b.
-	e := a&lo + ones<<8 - b&lo
-	o := a>>8&lo + ones<<8 - b>>8&lo
-	ne := ^e >> 8 & ones
-	no := ^o >> 8 & ones
-	// In those lanes 0x1ff - d + 1 = 0x100 + b - a, so every lane of x
-	// is 0x200 plus two absolute differences (<= 0x3fe), and one
-	// multiply adds the four lanes into the top one.
-	x := (e ^ ne*0x1ff) + (o ^ no*0x1ff) + ne + no
-	return int(x*ones>>48) - blockSize*0x100
-}
-
 // blockSAD computes the sum of absolute differences of the block at
 // (x0, y0) in cur against prev displaced by (dx, dy), aborting early
 // past limit. Out-of-bounds reference pixels are treated as 0.
@@ -455,8 +434,7 @@ func blockSAD(prev, cur *img.Gray, x0, y0, dx, dy, limit int) int {
 	co, po := y0*cur.W+x0, (y0+dy)*prev.W+x0+dx
 	sad := 0
 	for r := 0; r < blockSize; r++ {
-		sad += sad8(binary.LittleEndian.Uint64(prev.Pix[po:po+8:po+8]),
-			binary.LittleEndian.Uint64(cur.Pix[co:co+8:co+8]))
+		sad += img.SAD8(img.Load8(prev.Pix, po), img.Load8(cur.Pix, co))
 		if sad > limit {
 			return sad
 		}
