@@ -8,6 +8,7 @@ import (
 
 	"slamshare/internal/camera"
 	"slamshare/internal/client"
+	"slamshare/internal/cluster"
 	"slamshare/internal/dataset"
 	"slamshare/internal/lifecycle"
 	"slamshare/internal/netem"
@@ -102,8 +103,8 @@ type Scenario struct {
 	// CheckEvery audits map invariants every k rounds (the final audit
 	// always runs).
 	CheckEvery int
-	// Lifecycle bounds the resident map (zero disables). Its Dir
-	// defaults to the scenario's persist dir inside the server.
+	// Lifecycle bounds the resident map (zero disables). Evicted
+	// regions live in the scenario's persist dir.
 	Lifecycle lifecycle.Config
 	// Urban applies the vehicular tracking profile city-grid routes
 	// need: a wider keyframe-insertion window and a lower lost line, so
@@ -185,22 +186,11 @@ type harness struct {
 	res     *Result
 }
 
-// serverConfig is the chaos pipeline tuning: half-resolution frames
-// need looser merge gates, and churn scenarios need the map to grow in
-// tens of rounds, not hundreds.
+// serverConfig is the chaos pipeline tuning (cluster.HalfResConfig)
+// plus the scenario's lifecycle and persistence.
 func serverConfig(sc Scenario, persistDir string) server.Config {
-	cfg := server.DefaultConfig()
-	cfg.MergeAfterKFs = 4
-	cfg.TrackCfg.KFMinInterval = 2
-	cfg.TrackCfg.MinInliers = 12
-	cfg.MergeCfg.MinMatches = 12
-	cfg.MergeCfg.InlierTol = 0.5
-	cfg.MergeCfg.MaxRMSE = 0.3
+	cfg := cluster.HalfResConfig(sc.Urban)
 	cfg.Lifecycle = sc.Lifecycle
-	if sc.Urban {
-		cfg.TrackCfg.KFTrackedRatio = 0.85
-		cfg.TrackCfg.MinInliers = 10
-	}
 	if sc.KillServerAt > 0 {
 		// Journal-only persistence: recovery replays the WAL from the
 		// last (absent) checkpoint, the hardest recovery path.

@@ -191,11 +191,10 @@ func TestModeFlapUnderLoad(t *testing.T) {
 	cfg.TrackWorkers = 2 // constrain capacity so the burst saturates
 	cfg.Overload.ShedBudget = 15 * time.Millisecond
 	cfg.Offload = offload.Config{
-		SplitLoad:   1,
-		ShadowLoad:  3,
-		SplitRTT:    time.Hour, // load-driven decisions only
-		Hysteresis:  hysteresis,
-		UpgradeFrac: 0.5,
+		SplitLoad:  1,
+		ShadowLoad: 3,
+		SplitRTT:   time.Hour, // load-driven decisions only
+		Hysteresis: hysteresis,
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -338,11 +337,10 @@ func rampServer(b *testing.B) (*server.Server, string) {
 	cfg.TrackReservedSlots = 1
 	cfg.Overload.ShedBudget = 15 * time.Millisecond
 	cfg.Offload = offload.Config{
-		SplitLoad:   1,
-		ShadowLoad:  2,
-		SplitRTT:    time.Hour,
-		Hysteresis:  300 * time.Millisecond,
-		UpgradeFrac: 0.5,
+		SplitLoad:  1,
+		ShadowLoad: 2,
+		SplitRTT:   time.Hour,
+		Hysteresis: 300 * time.Millisecond,
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

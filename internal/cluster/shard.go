@@ -29,20 +29,33 @@ type ShardOptions struct {
 	ImportStall time.Duration
 }
 
-// ShardConfig builds the server configuration for a cluster shard:
-// the chaos-tier pipeline tuning (half-resolution frames, urban
-// vehicular tracking profile, fast map growth) plus the shard
-// identity. City-grid routes are what cluster scenarios drive, so the
-// urban profile is unconditional here.
-func ShardConfig(opts ShardOptions) server.Config {
+// HalfResConfig is the pipeline tuning the chaos tier and cluster
+// shards share: half-resolution frames need looser merge gates and a
+// lower lost line, and churn scenarios need the map to grow in tens of
+// rounds, not hundreds. urban adds the vehicular tracking profile
+// city-grid routes need: a wider keyframe-insertion window and a lower
+// lost line still, so fast forward motion cannot decay straight past
+// both thresholds.
+func HalfResConfig(urban bool) server.Config {
 	cfg := server.DefaultConfig()
 	cfg.MergeAfterKFs = 4
 	cfg.TrackCfg.KFMinInterval = 2
-	cfg.TrackCfg.MinInliers = 10
-	cfg.TrackCfg.KFTrackedRatio = 0.85
+	cfg.TrackCfg.MinInliers = 12
 	cfg.MergeCfg.MinMatches = 12
 	cfg.MergeCfg.InlierTol = 0.5
 	cfg.MergeCfg.MaxRMSE = 0.3
+	if urban {
+		cfg.TrackCfg.KFTrackedRatio = 0.85
+		cfg.TrackCfg.MinInliers = 10
+	}
+	return cfg
+}
+
+// ShardConfig builds the server configuration for a cluster shard:
+// HalfResConfig plus the shard identity. City-grid routes are what
+// cluster scenarios drive, so the urban profile is unconditional here.
+func ShardConfig(opts ShardOptions) server.Config {
+	cfg := HalfResConfig(true)
 	cfg.Shard = server.ShardConfig{
 		ID:          opts.ID,
 		Token:       opts.Token,

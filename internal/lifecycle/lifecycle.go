@@ -3,10 +3,9 @@
 // version counters and activity clock so the tracking hot path never
 // stalls behind them:
 //
-//   - Keyframe culling: a keyframe whose tracked points are almost all
-//     (redundantRatio, 90%) observed by at least redundantObs
-//     other keyframes at the same or a finer pyramid scale is
-//     redundant — erasing it loses no coverage. Erases go through
+//   - Keyframe culling: while the map is over budget, cold keyframes
+//     that mapping.Redundancy calls redundant (the mapper's own rule)
+//     are erased, best score first. Erases go through
 //     smap.EraseKeyFrame under the pin protocol, and flow to the WAL
 //     through the map observer, so crash recovery replays the same
 //     compact map.
@@ -31,10 +30,12 @@
 package lifecycle
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"slamshare/internal/bow"
+	"slamshare/internal/mapping"
 	"slamshare/internal/obs"
 	"slamshare/internal/persist"
 	"slamshare/internal/smap"
@@ -42,7 +43,7 @@ import (
 )
 
 // Config tunes the lifecycle policies. The zero value disables
-// everything; Defaults fills the scoring knobs most callers keep.
+// everything.
 type Config struct {
 	// MaxKeyFrames is the resident keyframe budget. Culling and
 	// sparsification run only while the map exceeds it; 0 disables
@@ -52,52 +53,27 @@ type Config struct {
 	// across all sessions), after which an untouched covisibility
 	// cluster is cold enough to evict. 0 disables eviction.
 	EvictAfter uint64
-	// Dir is where region checkpoint files live — normally the persist
-	// checkpoint directory. Empty disables eviction.
-	Dir string
-
-	// ProtectRecent shields anything touched within this many ticks
-	// from culling and sparsification (fresh triangulations and the
-	// windows trackers sit in are off limits).
-	ProtectRecent uint64
-	// CullBatch bounds keyframes culled per Step.
-	CullBatch int
-	// ClusterMax bounds an evicted region's keyframe count.
-	ClusterMax int
 }
 
 const (
-	// redundantObs is how many *other* keyframes must observe a point
-	// at equal-or-finer scale for the observation to be redundant;
-	// redundantRatio is the fraction of a keyframe's tracked points
-	// that must be redundant before the keyframe is culled.
-	redundantObs   = 3
-	redundantRatio = 0.9
+	// protectRecent shields anything touched within this many ticks
+	// from culling and sparsification (fresh triangulations and the
+	// windows trackers sit in are off limits).
+	protectRecent = 30
+	// cullBatch bounds keyframes culled per Step.
+	cullBatch = 8
 	// sparsifyMinObs: a never-re-found point with at most this many
 	// observers is sparsified, at most sparsifyBatch of them per Step.
 	sparsifyMinObs = 1
 	sparsifyBatch  = 64
-	// clusterMin: a cold cluster with fewer keyframes is not worth a
-	// region file.
+	// clusterMin..clusterMax bounds an evicted region's keyframe
+	// count: a smaller cold cluster is not worth a region file.
 	clusterMin = 3
+	clusterMax = 40
 	// reloadScore is the minimum BoW similarity against a ghost
 	// keyframe for MaybeReload to pull its region back in.
 	reloadScore = 0.05
 )
-
-// Defaults returns cfg with every unset scoring knob at its default.
-func (cfg Config) Defaults() Config {
-	if cfg.ProtectRecent == 0 {
-		cfg.ProtectRecent = 30
-	}
-	if cfg.CullBatch == 0 {
-		cfg.CullBatch = 8
-	}
-	if cfg.ClusterMax == 0 {
-		cfg.ClusterMax = 40
-	}
-	return cfg
-}
 
 // Journal is the slice of the WAL the manager records boundaries to;
 // *persist.Journal implements it. The entity erases and re-inserts
@@ -131,6 +107,7 @@ type Manager struct {
 	cfg     Config
 	m       *smap.Map
 	journal Journal // may be nil (no persistence)
+	dir     string  // region files; empty disables eviction
 
 	mu      sync.Mutex
 	regions map[uint64]*region
@@ -142,13 +119,15 @@ type Manager struct {
 	stats Stats
 }
 
-// New builds a manager over m. journal may be nil when the server runs
-// without persistence (eviction then requires only cfg.Dir).
-func New(cfg Config, m *smap.Map, journal Journal) *Manager {
+// New builds a manager over m. Region files live in dir, normally the
+// persist checkpoint directory; an empty dir disables eviction. journal
+// may be nil when the server runs without persistence.
+func New(cfg Config, m *smap.Map, journal Journal, dir string) *Manager {
 	return &Manager{
-		cfg:     cfg.Defaults(),
+		cfg:     cfg,
 		m:       m,
 		journal: journal,
+		dir:     dir,
 		regions: make(map[uint64]*region),
 		ghostKF: make(map[smap.ID]uint64),
 		ghosts:  bow.NewDatabase(),
@@ -200,7 +179,7 @@ func (lm *Manager) Step(now uint64) bool {
 			mutated = true
 		}
 	}
-	if lm.cfg.EvictAfter > 0 && lm.cfg.Dir != "" {
+	if lm.cfg.EvictAfter > 0 && lm.dir != "" {
 		if lm.evictPass(now) {
 			mutated = true
 		}
@@ -222,7 +201,7 @@ type cullCand struct {
 	score float64
 }
 
-// cullPass erases up to CullBatch redundant keyframes, never dropping
+// cullPass erases up to cullBatch redundant keyframes, never dropping
 // the map below budget.
 func (lm *Manager) cullPass(now uint64) bool {
 	cands := make([]cullCand, 0, 32)
@@ -230,7 +209,7 @@ func (lm *Manager) cullPass(now uint64) bool {
 		if lm.protected(kf.ID, now) {
 			continue
 		}
-		if score, ok := lm.redundancy(kf); ok && score >= redundantRatio {
+		if score, redundant := mapping.Redundancy(lm.m, kf.ID); redundant {
 			cands = append(cands, cullCand{kf.ID, score})
 		}
 	}
@@ -242,7 +221,7 @@ func (lm *Manager) cullPass(now uint64) bool {
 	})
 	culled := 0
 	for _, c := range cands {
-		if culled >= lm.cfg.CullBatch || lm.m.NKeyFrames() <= lm.cfg.MaxKeyFrames {
+		if culled >= cullBatch || lm.m.NKeyFrames() <= lm.cfg.MaxKeyFrames {
 			break
 		}
 		lm.m.EraseKeyFrame(c.id)
@@ -255,61 +234,15 @@ func (lm *Manager) cullPass(now uint64) bool {
 	return culled > 0
 }
 
-// redundancy returns the fraction of kf's tracked points that at least
-// RedundantObs other keyframes observe at equal-or-finer scale.
-// ok is false when the keyframe tracks too few points to judge.
-func (lm *Manager) redundancy(kf *smap.KeyFrame) (float64, bool) {
-	_, bindings, ok := lm.m.KeyFrameState(kf.ID)
-	if !ok {
-		return 0, false
-	}
-	tracked, redundant := 0, 0
-	for i, mpID := range bindings {
-		if mpID == 0 || i >= len(kf.Keypoints) {
-			continue
-		}
-		tracked++
-		level := kf.Keypoints[i].Level
-		_, obs, ok := lm.m.PointObs(mpID)
-		if !ok {
-			continue
-		}
-		n := 0
-		for _, o := range obs {
-			if o.KF == kf.ID {
-				continue
-			}
-			// Keypoints are immutable after insert, so reading the
-			// observer's pyramid level off the live pointer is safe.
-			okf, ok := lm.m.KeyFrame(o.KF)
-			if !ok || o.Idx < 0 || o.Idx >= len(okf.Keypoints) {
-				continue
-			}
-			if okf.Keypoints[o.Idx].Level <= level {
-				n++
-			}
-		}
-		if n >= redundantObs {
-			redundant++
-		}
-	}
-	if tracked < 10 {
-		return 0, false // too sparse to call anything redundant
-	}
-	return float64(redundant) / float64(tracked), true
-}
-
 // ---- sparsification ----
 
 // sparsifyPass erases up to sparsifyBatch map points that were never
 // re-found by any tracker, have at most sparsifyMinObs observers, and
-// whose observers have all gone cold.
+// whose observers have all gone cold — the lowest IDs first, so the
+// pass does not take Map.MapPoints' Go-map order and repeats run to run.
 func (lm *Manager) sparsifyPass(now uint64) bool {
-	erased := 0
+	var dead []smap.ID
 	for _, mp := range lm.m.MapPoints() {
-		if erased >= sparsifyBatch {
-			break
-		}
 		found, nobs, _, ok := lm.m.PointStats(mp.ID)
 		if !ok || found > 0 || nobs > sparsifyMinObs {
 			continue
@@ -320,19 +253,24 @@ func (lm *Manager) sparsifyPass(now uint64) bool {
 		}
 		hot := false
 		for _, o := range obs {
-			if !lm.cold(o.KF, now, lm.cfg.ProtectRecent) {
+			if !lm.cold(o.KF, now, protectRecent) {
 				hot = true
 				break
 			}
 		}
-		if hot {
-			continue
+		if !hot {
+			dead = append(dead, mp.ID)
 		}
-		lm.m.EraseMapPoint(mp.ID)
-		erased++
+	}
+	slices.Sort(dead)
+	if len(dead) > sparsifyBatch {
+		dead = dead[:sparsifyBatch]
+	}
+	for _, id := range dead {
+		lm.m.EraseMapPoint(id)
 		lm.stats.SparsifiedPoints.Inc()
 	}
-	return erased > 0
+	return len(dead) > 0
 }
 
 // ---- eviction ----
@@ -357,7 +295,7 @@ func (lm *Manager) evictPass(now uint64) bool {
 	if seed == 0 {
 		return false
 	}
-	cluster := lm.m.CovisCluster(seed, lm.cfg.ClusterMax, func(id smap.ID) bool {
+	cluster := lm.m.CovisCluster(seed, clusterMax, func(id smap.ID) bool {
 		return lm.evictable(id, now)
 	})
 	if len(cluster) < clusterMin {
@@ -423,7 +361,7 @@ func (lm *Manager) evictCluster(cluster []smap.ID) bool {
 
 	id := lm.nextID
 	blob := wire.EncodeRegion(id, kfObjs, mpObjs)
-	if err := persist.WriteRegion(lm.cfg.Dir, id, blob); err != nil {
+	if err := persist.WriteRegion(lm.dir, id, blob); err != nil {
 		// Disk refused the region: the entities are already out of the
 		// map, so put them back rather than lose them.
 		lm.m.Relink(kfObjs, mpObjs)
@@ -519,7 +457,7 @@ func (lm *Manager) reload(id uint64) bool {
 	lm.forget(reg)
 	if err != nil {
 		lm.stats.DroppedRegions.Inc()
-		persist.RemoveRegion(lm.cfg.Dir, id)
+		persist.RemoveRegion(lm.dir, id)
 		return false
 	}
 	// Observations and covisibility were detached at eviction; Relink
@@ -529,7 +467,7 @@ func (lm *Manager) reload(id uint64) bool {
 	if lm.journal != nil {
 		lm.journal.RegionReloaded(id)
 	}
-	persist.RemoveRegion(lm.cfg.Dir, id)
+	persist.RemoveRegion(lm.dir, id)
 	lm.stats.ReloadedRegions.Inc()
 	return true
 }
@@ -537,7 +475,7 @@ func (lm *Manager) reload(id uint64) bool {
 // readRegion reads and decodes one region file, rejecting a blob that
 // names another region.
 func (lm *Manager) readRegion(id uint64) ([]*smap.KeyFrame, []*smap.MapPoint, error) {
-	blob, err := persist.ReadRegion(lm.cfg.Dir, id)
+	blob, err := persist.ReadRegion(lm.dir, id)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -569,16 +507,16 @@ func (lm *Manager) forget(reg *region) {
 func (lm *Manager) RestoreEvicted(evicted map[uint64][]smap.ID) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	if lm.cfg.Dir == "" {
+	if lm.dir == "" {
 		return
 	}
-	onDisk, _ := persist.ListRegions(lm.cfg.Dir)
+	onDisk, _ := persist.ListRegions(lm.dir)
 	for _, id := range onDisk {
 		if id >= lm.nextID {
 			lm.nextID = id + 1
 		}
 		if _, ok := evicted[id]; !ok {
-			persist.RemoveRegion(lm.cfg.Dir, id)
+			persist.RemoveRegion(lm.dir, id)
 		}
 	}
 	ids := make([]uint64, 0, len(evicted))
@@ -593,7 +531,7 @@ func (lm *Manager) RestoreEvicted(evicted map[uint64][]smap.ID) {
 		kfs, mps, err := lm.readRegion(id)
 		if err != nil {
 			lm.stats.DroppedRegions.Inc()
-			persist.RemoveRegion(lm.cfg.Dir, id)
+			persist.RemoveRegion(lm.dir, id)
 			if lm.journal != nil {
 				lm.journal.RegionReloaded(id)
 			}
@@ -620,7 +558,7 @@ func (lm *Manager) protected(id smap.ID, now uint64) bool {
 	if lm.m.PinCount(id) > 0 {
 		return true
 	}
-	return !lm.cold(id, now, lm.cfg.ProtectRecent)
+	return !lm.cold(id, now, protectRecent)
 }
 
 // evictable reports whether the keyframe is cold enough to leave

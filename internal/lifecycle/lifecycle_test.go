@@ -33,11 +33,10 @@ func (j *fakeJournal) RegionReloaded(id uint64) {
 
 // clusterMap builds nClusters covisibility-connected neighbourhoods of
 // kfPer keyframes each. Within a cluster every keyframe observes every
-// one of ptsPer shared points (at matching keypoint indices and equal
-// pyramid levels), so each observation has kfPer-1 same-scale
-// co-observers: with kfPer >= redundantObs+1 every keyframe scores
-// fully redundant. Clusters share nothing, so the covisibility graph
-// splits into nClusters components.
+// one of ptsPer shared points (at matching keypoint indices), so each
+// point has kfPer observers: with kfPer >= 4 and ptsPer > 30 every
+// keyframe is redundant by mapping.Redundancy. Clusters share nothing,
+// so the covisibility graph splits into nClusters components.
 func clusterMap(t testing.TB, seed int64, nClusters, kfPer, ptsPer int) (*smap.Map, [][]smap.ID) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -110,8 +109,8 @@ func checkClean(t *testing.T, m *smap.Map, when string) {
 }
 
 func TestCullRedundantKeyFrames(t *testing.T) {
-	m, _ := clusterMap(t, 1, 3, 6, 30)
-	lm := New(Config{MaxKeyFrames: 10, CullBatch: 32, ProtectRecent: 5}, m, nil)
+	m, _ := clusterMap(t, 1, 3, 6, 31)
+	lm := New(Config{MaxKeyFrames: 10}, m, nil, "")
 	now := advance(m, 50) // everything long untouched
 
 	if !lm.Step(now) {
@@ -136,8 +135,8 @@ func TestCullRedundantKeyFrames(t *testing.T) {
 }
 
 func TestCullRespectsPinsAndRecency(t *testing.T) {
-	m, clusters := clusterMap(t, 2, 2, 6, 30)
-	lm := New(Config{MaxKeyFrames: 1, CullBatch: 64, ProtectRecent: 10}, m, nil)
+	m, clusters := clusterMap(t, 2, 2, 6, 31)
+	lm := New(Config{MaxKeyFrames: 1}, m, nil, "")
 	now := advance(m, 50)
 
 	pinned := lm.m.Pin([]smap.ID{clusters[0][0]})
@@ -176,7 +175,7 @@ func TestSparsifyDeadPoints(t *testing.T) {
 			m.BumpPointFound(mp.ID)
 		}
 	}
-	lm := New(Config{MaxKeyFrames: 1, ProtectRecent: 5}, m, nil)
+	lm := New(Config{MaxKeyFrames: 1}, m, nil, "")
 	now := advance(m, 40)
 
 	lm.Step(now)
@@ -196,9 +195,7 @@ func TestEvictReloadRoundTrip(t *testing.T) {
 	lm := New(Config{
 		MaxKeyFrames: 1000, // under budget: eviction only
 		EvictAfter:   20,
-		Dir:          dir,
-		ClusterMax:   16,
-	}, m, jn)
+	}, m, jn, dir)
 	advance(m, 40)
 	m.TouchKeyFrames(clusters[1]) // cluster 1 hot, cluster 0 cold
 	now := m.CurrentTick()
@@ -276,7 +273,7 @@ func TestRestoreEvictedAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
 	m, clusters := clusterMap(t, 5, 2, 6, 30)
 	jn := newFakeJournal()
-	lm := New(Config{MaxKeyFrames: 1000, EvictAfter: 20, Dir: dir, ClusterMax: 16}, m, jn)
+	lm := New(Config{MaxKeyFrames: 1000, EvictAfter: 20}, m, jn, dir)
 	advance(m, 40)
 	m.TouchKeyFrames(clusters[1])
 	if !lm.Step(m.CurrentTick()) {
@@ -302,7 +299,7 @@ func TestRestoreEvictedAfterRecovery(t *testing.T) {
 
 	// "Restart": a fresh manager over the surviving map, seeded from
 	// what recovery would hand it.
-	lm2 := New(Config{MaxKeyFrames: 1000, EvictAfter: 20, Dir: dir, ClusterMax: 16}, m, jn)
+	lm2 := New(Config{MaxKeyFrames: 1000, EvictAfter: 20}, m, jn, dir)
 	lm2.RestoreEvicted(jn.evicted)
 	if lm2.EvictedRegionCount() != 1 {
 		t.Fatalf("restored %d regions, want 1", lm2.EvictedRegionCount())
@@ -339,7 +336,7 @@ func regionIDOf(t *testing.T, jn *fakeJournal) uint64 {
 func TestReloadDropsCorruptRegion(t *testing.T) {
 	dir := t.TempDir()
 	m, clusters := clusterMap(t, 6, 2, 6, 30)
-	lm := New(Config{MaxKeyFrames: 1000, EvictAfter: 20, Dir: dir, ClusterMax: 16}, m, nil)
+	lm := New(Config{MaxKeyFrames: 1000, EvictAfter: 20}, m, nil, dir)
 	advance(m, 40)
 	m.TouchKeyFrames(clusters[1])
 	if !lm.Step(m.CurrentTick()) {
@@ -380,8 +377,8 @@ func TestReloadDropsCorruptRegion(t *testing.T) {
 // over-budget map: the redundancy scan plus a batch of erases.
 func BenchmarkLifecycleCull(b *testing.B) {
 	build := func() (*smap.Map, *Manager, uint64) {
-		m, _ := clusterMap(b, 7, 10, 6, 30) // 60 keyframes
-		lm := New(Config{MaxKeyFrames: 12, CullBatch: 8, ProtectRecent: 5}, m, nil)
+		m, _ := clusterMap(b, 7, 10, 6, 31) // 60 keyframes
+		lm := New(Config{MaxKeyFrames: 12}, m, nil, "")
 		now := advance(m, 50)
 		return m, lm, now
 	}
@@ -403,5 +400,95 @@ func BenchmarkLifecycleCull(b *testing.B) {
 		}
 		dirty()
 		lm.Step(now)
+	}
+}
+
+// TestCullRuleBoundaries runs the culling rule's boundary cases through
+// the budget pass: one cold subject keyframe tracks `tracked` points,
+// `wide` of which four keyframes observe and the rest three; the other
+// three keyframes are hot, so the subject is the only candidate and the
+// pass culls it exactly when mapping.Redundancy says so.
+func TestCullRuleBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		tracked, wide int
+		culled        bool
+	}{
+		{"30 tracked, all seen by 4", 30, 30, false},
+		{"31 tracked, all seen by 4", 31, 31, true},
+		{"92% seen by 4", 50, 46, false},
+		{"94% seen by 4", 50, 47, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := smap.NewMap(bow.Default())
+			alloc := smap.NewIDAllocator(1)
+			kfs := make([]smap.ID, 4)
+			for i := range kfs {
+				kf := &smap.KeyFrame{
+					ID: alloc.Next(), Client: 1, Stamp: float64(i),
+					Tcw:       geom.SE3{R: geom.Quat{W: 1}},
+					Keypoints: make([]feature.Keypoint, tc.tracked),
+				}
+				m.AddKeyFrame(kf)
+				kfs[i] = kf.ID
+			}
+			for p := 0; p < tc.tracked; p++ {
+				mp := &smap.MapPoint{ID: alloc.Next(), Client: 1, Pos: geom.Vec3{Z: 5}, RefKF: kfs[0]}
+				m.AddMapPoint(mp)
+				observers := kfs[:3]
+				if p < tc.wide {
+					observers = kfs
+				}
+				for _, id := range observers {
+					if err := m.AddObservation(id, mp.ID, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			lm := New(Config{MaxKeyFrames: 3}, m, nil, "")
+			advance(m, 50)
+			m.TouchKeyFrames(kfs[1:])
+			lm.Step(m.CurrentTick())
+			_, kept := m.KeyFrame(kfs[0])
+			if got := lm.Stats().CulledKeyFrames.Load(); (got == 1) != tc.culled || kept == tc.culled {
+				t.Fatalf("culled %d (subject kept: %v), want culled = %v", got, kept, tc.culled)
+			}
+			checkClean(t, m, "after cull")
+		})
+	}
+}
+
+// TestSparsifyRepeats builds the same map twice, with more dead points
+// than one pass may erase, and requires both passes to erase the same
+// points: the batch is cut by ID, not by the map's iteration order.
+func TestSparsifyRepeats(t *testing.T) {
+	survivors := func() map[smap.ID]bool {
+		m, clusters := clusterMap(t, 8, 1, 6, 12)
+		alloc := smap.NewIDAllocatorFrom(1, 10_000)
+		for i := 0; i < 4*sparsifyBatch; i++ {
+			m.AddMapPoint(&smap.MapPoint{
+				ID: alloc.Next(), Client: 1, Pos: geom.Vec3{Z: 3},
+				Normal: geom.Vec3{Z: 1}, RefKF: clusters[0][0],
+			})
+		}
+		lm := New(Config{MaxKeyFrames: 1}, m, nil, "")
+		lm.Step(advance(m, 40))
+		if got := lm.Stats().SparsifiedPoints.Load(); got != sparsifyBatch {
+			t.Fatalf("sparsified %d points, want one batch of %d", got, sparsifyBatch)
+		}
+		out := make(map[smap.ID]bool)
+		for _, mp := range m.MapPoints() {
+			out[mp.ID] = true
+		}
+		return out
+	}
+	a, b := survivors(), survivors()
+	if len(a) != len(b) {
+		t.Fatalf("%d vs %d points survive", len(a), len(b))
+	}
+	for id := range a {
+		if !b[id] {
+			t.Fatalf("point %d survives one pass and not the other", id)
+		}
 	}
 }

@@ -146,35 +146,61 @@ func (mm *Mapper) cullPoints() int {
 	return culled
 }
 
-// cullKeyFrames removes redundant covisible keyframes: those whose
-// tracked points are almost all observed by at least three other
-// keyframes (ORB-SLAM's keyframe culling), keeping the map compact.
+// ORB-SLAM's keyframe-culling rule: a keyframe tracking more than
+// cullMinTracked points is redundant when more than cullRatio of them
+// are observed by at least cullMinObs keyframes, itself included (so
+// by three others).
+const (
+	cullMinTracked = 30
+	cullMinObs     = 4
+	cullRatio      = 0.92
+)
+
+// Redundancy scores keyframe id for culling: score is the fraction of
+// its tracked points (bindings to live map points) that at least
+// cullMinObs keyframes observe, and redundant is the culling decision.
+// It is the one culling rule: the mapper's per-keyframe sweep and the
+// lifecycle manager's budget pass both erase by it.
+func Redundancy(m *smap.Map, id smap.ID) (score float64, redundant bool) {
+	_, bindings, ok := m.KeyFrameState(id)
+	if !ok {
+		return 0, false
+	}
+	total, seen := 0, 0
+	for _, mpID := range bindings {
+		if mpID == 0 {
+			continue
+		}
+		nobs, ok := m.PointObsCount(mpID)
+		if !ok {
+			continue
+		}
+		total++
+		if nobs >= cullMinObs {
+			seen++
+		}
+	}
+	if total == 0 {
+		return 0, false
+	}
+	return float64(seen) / float64(total), total > cullMinTracked && float64(seen) > cullRatio*float64(total)
+}
+
+// cullKeyFrames erases this client's redundant keyframes in kf's
+// covisibility window, keeping the map compact. It counts a keyframe
+// only once it is gone: a pinned one survives the erase, and a later
+// sweep retries it.
 func (mm *Mapper) cullKeyFrames(kf *smap.KeyFrame) int {
 	culled := 0
 	for _, cand := range mm.Map.Covisible(kf.ID, mm.Cfg.BAWindow) {
 		if cand.ID == kf.ID || cand.Client != mm.Client {
 			continue
 		}
-		_, bindings, ok := mm.Map.KeyFrameState(cand.ID)
-		if !ok {
+		if _, redundant := Redundancy(mm.Map, cand.ID); !redundant {
 			continue
 		}
-		total, redundant := 0, 0
-		for _, mpID := range bindings {
-			if mpID == 0 {
-				continue
-			}
-			nobs, ok := mm.Map.PointObsCount(mpID)
-			if !ok {
-				continue
-			}
-			total++
-			if nobs >= 4 {
-				redundant++
-			}
-		}
-		if total > 30 && float64(redundant) > 0.92*float64(total) {
-			mm.Map.EraseKeyFrame(cand.ID)
+		mm.Map.EraseKeyFrame(cand.ID)
+		if _, still := mm.Map.KeyFrame(cand.ID); !still {
 			culled++
 		}
 	}

@@ -200,3 +200,98 @@ func TestStereoMappingHoldsScale(t *testing.T) {
 		}
 	}
 }
+
+// cullFixture builds the smallest map the culling rule can be read on.
+// subject (client 1) tracks `tracked` points; four keyframes observe
+// `wide` of them — subject, next (client 1) and two keyframes of client
+// 2 — and three observe the rest. next is the keyframe a client-1
+// mapper integrates; the client-2 keyframes are never that mapper's to
+// cull, so subject is the only candidate in next's window.
+func cullFixture(t *testing.T, tracked, wide int) (m *smap.Map, subject, next *smap.KeyFrame) {
+	t.Helper()
+	m = smap.NewMap(bow.Default())
+	own, other := smap.NewIDAllocator(1), smap.NewIDAllocator(2)
+	kfs := make([]*smap.KeyFrame, 4)
+	for i := range kfs {
+		alloc, client := own, 1
+		if i >= 2 {
+			alloc, client = other, 2
+		}
+		kfs[i] = &smap.KeyFrame{
+			ID: alloc.Next(), Client: client, Stamp: float64(i),
+			Tcw:       geom.SE3{R: geom.Quat{W: 1}},
+			Keypoints: make([]feature.Keypoint, tracked),
+		}
+		m.AddKeyFrame(kfs[i])
+	}
+	for p := 0; p < tracked; p++ {
+		mp := &smap.MapPoint{ID: own.Next(), Client: 1, Pos: geom.Vec3{Z: 5}, RefKF: kfs[0].ID}
+		m.AddMapPoint(mp)
+		observers := kfs[:3]
+		if p < wide {
+			observers = kfs
+		}
+		for _, kf := range observers {
+			if err := m.AddObservation(kf.ID, mp.ID, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, kf := range kfs {
+		m.UpdateConnections(kf.ID, 1)
+	}
+	return m, kfs[0], kfs[1]
+}
+
+// cullCases are the culling rule's boundaries: more than 30 tracked
+// points, and more than 92 % of them seen by four keyframes.
+var cullCases = []struct {
+	name          string
+	tracked, wide int
+	redundant     bool
+}{
+	{"30 tracked, all seen by 4", 30, 30, false},
+	{"31 tracked, all seen by 4", 31, 31, true},
+	{"92% seen by 4", 50, 46, false},
+	{"94% seen by 4", 50, 47, true},
+}
+
+// TestRedundancy reads the rule directly and through the mapper's
+// per-keyframe sweep, which must erase exactly what it calls redundant.
+func TestRedundancy(t *testing.T) {
+	rig := camera.NewStereoRig(camera.EuRoCIntrinsics(), 0.11)
+	for _, tc := range cullCases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, subject, next := cullFixture(t, tc.tracked, tc.wide)
+			score, redundant := Redundancy(m, subject.ID)
+			if want := float64(tc.wide) / float64(tc.tracked); score != want || redundant != tc.redundant {
+				t.Fatalf("Redundancy = %v, %v; want %v, %v", score, redundant, want, tc.redundant)
+			}
+			st := New(m, rig, smap.NewIDAllocator(1), 1, DefaultConfig()).ProcessKeyFrame(next)
+			_, kept := m.KeyFrame(subject.ID)
+			wantCulled := 0
+			if tc.redundant {
+				wantCulled = 1
+			}
+			if st.KFsCulled != wantCulled || kept == tc.redundant {
+				t.Fatalf("mapper culled %d (subject kept: %v), want %d", st.KFsCulled, kept, wantCulled)
+			}
+		})
+	}
+}
+
+// TestCullCountsOnlyErasedKeyFrames: a pinned keyframe survives the
+// erase, so it must not count as culled.
+func TestCullCountsOnlyErasedKeyFrames(t *testing.T) {
+	m, subject, next := cullFixture(t, 31, 31)
+	pinned := m.Pin([]smap.ID{subject.ID})
+	defer m.Unpin(pinned)
+	mm := New(m, camera.NewStereoRig(camera.EuRoCIntrinsics(), 0.11), smap.NewIDAllocator(1), 1, DefaultConfig())
+	st := mm.ProcessKeyFrame(next)
+	if _, ok := m.KeyFrame(subject.ID); !ok {
+		t.Fatal("pinned keyframe was erased")
+	}
+	if st.KFsCulled != 0 {
+		t.Fatalf("KFsCulled = %d for a pinned keyframe that is still in the map, want 0", st.KFsCulled)
+	}
+}

@@ -168,7 +168,7 @@ func (mg *Merger) DetectCommonRegion(cmap *smap.Map) (Alignment, bool) {
 	var pool []corr
 	seen := make(map[[2]smap.ID]bool)
 	for _, kf := range cmap.KeyFrames() {
-		cPts, cIDs, cPos := observedPoints(cmap, kf.ID)
+		_, cPts, cIDs, cPos := cmap.ObservedPoints(kf.ID)
 		if len(cPts) < 3 {
 			continue
 		}
@@ -177,7 +177,7 @@ func (mg *Merger) DetectCommonRegion(cmap *smap.Map) (Alignment, bool) {
 		}
 		cands := mg.Global.QueryBow(kf.Bow, candidatesPerKF, nil)
 		for _, cand := range cands {
-			gPts, gIDs, gPos := observedPoints(mg.Global, cand.ID)
+			_, gPts, gIDs, gPos := mg.Global.ObservedPoints(cand.ID)
 			if len(gPts) < 3 {
 				continue
 			}
@@ -250,34 +250,6 @@ func (mg *Merger) DetectCommonRegion(cmap *smap.Map) (Alignment, bool) {
 		ClientKF:  bestPair[0],
 		GlobalKF:  bestPair[1],
 	}, true
-}
-
-// observedPoints returns pseudo-keypoints (descriptor carriers), ids,
-// and positions of the map points a keyframe observes. Everything is
-// read through the snapshot accessors: the global map is concurrently
-// mutated by other sessions' mappers while the merger scans it, so the
-// live keyframe/point pointers must not be dereferenced here.
-func observedPoints(m *smap.Map, kfID smap.ID) ([]feature.Keypoint, []smap.ID, []geom.Vec3) {
-	_, bindings, ok := m.KeyFrameState(kfID)
-	if !ok {
-		return nil, nil, nil
-	}
-	var kps []feature.Keypoint
-	var ids []smap.ID
-	var pos []geom.Vec3
-	for _, mpID := range bindings {
-		if mpID == 0 {
-			continue
-		}
-		p, desc, ok := m.PointMatchState(mpID)
-		if !ok {
-			continue
-		}
-		kps = append(kps, feature.Keypoint{Desc: desc})
-		ids = append(ids, mpID)
-		pos = append(pos, p)
-	}
-	return kps, ids, pos
 }
 
 // ransacAlign estimates the similarity transform mapping src onto dst,

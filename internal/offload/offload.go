@@ -17,7 +17,7 @@
 // backlog), and the session's QoS class, with hysteresis so modes
 // don't flap: a switch is only taken after a minimum dwell, and an
 // upgrade additionally requires the load to clear the tighter
-// UpgradeFrac-scaled thresholds, not merely dip below the downgrade
+// upgradeFrac-scaled thresholds, not merely dip below the downgrade
 // ones.
 package offload
 
@@ -119,21 +119,21 @@ type Config struct {
 	SplitRTT time.Duration
 	// Hysteresis is the minimum dwell between mode switches.
 	Hysteresis time.Duration
-	// UpgradeFrac scales the thresholds an upgrade must clear: moving
-	// to a less degraded mode requires the signals to fit under
-	// UpgradeFrac x the downgrade thresholds, so a session sitting at
-	// the boundary does not flap.
-	UpgradeFrac float64
 }
+
+// upgradeFrac scales the thresholds an upgrade must clear: moving to a
+// less degraded mode requires the signals to fit under upgradeFrac x
+// the downgrade thresholds, so a session sitting at the boundary does
+// not flap.
+const upgradeFrac = 0.5
 
 // DefaultConfig returns the policy defaults.
 func DefaultConfig() Config {
 	return Config{
-		SplitLoad:   2,
-		ShadowLoad:  6,
-		SplitRTT:    150 * time.Millisecond,
-		Hysteresis:  2 * time.Second,
-		UpgradeFrac: 0.5,
+		SplitLoad:  2,
+		ShadowLoad: 6,
+		SplitRTT:   150 * time.Millisecond,
+		Hysteresis: 2 * time.Second,
 	}
 }
 
@@ -151,9 +151,6 @@ func (c Config) fill() Config {
 	}
 	if c.Hysteresis == 0 {
 		c.Hysteresis = d.Hysteresis
-	}
-	if c.UpgradeFrac == 0 {
-		c.UpgradeFrac = d.UpgradeFrac
 	}
 	return c
 }
@@ -210,7 +207,7 @@ func (c *Controller) QoS() QoS { return c.qos }
 
 // target picks the least degraded mode whose entry conditions hold
 // with the thresholds scaled by frac (frac=1 for downgrades; frac =
-// UpgradeFrac when vetting an upgrade, making the thresholds tighter
+// upgradeFrac when vetting an upgrade, making the thresholds tighter
 // so borderline load does not flap).
 func (c *Controller) target(in Inputs, frac float64) Mode {
 	scale := c.qos.loadScale() * frac
@@ -239,8 +236,8 @@ func (c *Controller) Decide(now time.Time, in Inputs) (Mode, bool) {
 		// Downgrade: take it immediately (past the dwell).
 	case want < c.mode:
 		// Upgrade: only when the signals also clear the tighter
-		// UpgradeFrac-scaled thresholds.
-		if c.target(in, c.cfg.UpgradeFrac) != want {
+		// upgradeFrac-scaled thresholds.
+		if c.target(in, upgradeFrac) != want {
 			return c.mode, false
 		}
 	default:

@@ -7,11 +7,10 @@ import (
 
 func testConfig() Config {
 	return Config{
-		SplitLoad:   2,
-		ShadowLoad:  6,
-		SplitRTT:    150 * time.Millisecond,
-		Hysteresis:  time.Second,
-		UpgradeFrac: 0.5,
+		SplitLoad:  2,
+		ShadowLoad: 6,
+		SplitRTT:   150 * time.Millisecond,
+		Hysteresis: time.Second,
 	}
 }
 
@@ -76,7 +75,7 @@ func TestUpgradeNeedsClearMargin(t *testing.T) {
 	c.Decide(t0, Inputs{QueueDepth: 12, Workers: 4}) // -> split at load 3
 
 	// Load dipped just under the downgrade threshold (2): not enough,
-	// the upgrade needs to clear UpgradeFrac x threshold = 1.
+	// the upgrade needs to clear upgradeFrac x threshold = 1.
 	t1 := t0.Add(2 * time.Second)
 	if m, sw := c.Decide(t1, Inputs{QueueDepth: 6, Workers: 4}); sw || m != ModeSplit {
 		t.Fatalf("borderline upgrade taken: %v %v", m, sw)

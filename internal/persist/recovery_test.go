@@ -381,13 +381,10 @@ func TestRecoveryReplaysLifecycleRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters := populateClusters(t, m, 11, 3, 6, 30)
+	clusters := populateClusters(t, m, 11, 3, 6, 31)
 
-	lcfg := lifecycle.Config{
-		MaxKeyFrames: 12, CullBatch: 6, ProtectRecent: 5,
-		EvictAfter: 20, Dir: dir, ClusterMax: 16,
-	}
-	lm := lifecycle.New(lcfg, m, mgr.Journal())
+	lcfg := lifecycle.Config{MaxKeyFrames: 12, EvictAfter: 20}
+	lm := lifecycle.New(lcfg, m, mgr.Journal(), dir)
 	var now uint64
 	for i := 0; i < 40; i++ {
 		now = m.Tick()
@@ -465,7 +462,7 @@ func TestRecoveryReplaysLifecycleRecords(t *testing.T) {
 	}
 
 	// A restarted lifecycle manager serves the pre-crash region.
-	lm2 := lifecycle.New(lcfg, rec.Map, nil)
+	lm2 := lifecycle.New(lcfg, rec.Map, nil, dir)
 	lm2.RestoreEvicted(rec.EvictedRegions)
 	if n := lm2.ReloadAll(); n != 1 {
 		t.Fatalf("ReloadAll after recovery = %d, want 1", n)
@@ -496,8 +493,8 @@ func TestRecoverySweepsUnvouchedRegionFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	clusters := populateClusters(t, m, 12, 2, 4, 20)
-	lcfg := lifecycle.Config{MaxKeyFrames: 1000, EvictAfter: 20, Dir: dir, ClusterMax: 16}
-	lm := lifecycle.New(lcfg, m, mgr.Journal())
+	lcfg := lifecycle.Config{MaxKeyFrames: 1000, EvictAfter: 20}
+	lm := lifecycle.New(lcfg, m, mgr.Journal(), dir)
 	var now uint64
 	for i := 0; i < 40; i++ {
 		now = m.Tick()
@@ -544,7 +541,7 @@ func TestRecoverySweepsUnvouchedRegionFile(t *testing.T) {
 		t.Fatalf("EvictedRegions = %v, want none", rec.EvictedRegions)
 	}
 
-	lm2 := lifecycle.New(lcfg, rec.Map, nil)
+	lm2 := lifecycle.New(lcfg, rec.Map, nil, dir)
 	lm2.RestoreEvicted(rec.EvictedRegions)
 	if regions, _ := persist.ListRegions(dir); len(regions) != 0 {
 		t.Fatalf("stale region file survived restore: %v", regions)

@@ -83,11 +83,11 @@ type Config struct {
 	// need to observe attempt numbers.
 	MergeHook func(clientID uint32, attempt int, mg *merge.Merger)
 	// Lifecycle bounds the resident size of the shared map on a server
-	// that runs forever: redundancy-scored keyframe culling, dead-point
+	// that runs forever: keyframe culling by the mapper's rule, dead-point
 	// sparsification, and cold-region eviction to disk with transparent
 	// reload (see internal/lifecycle). Lifecycle.MaxKeyFrames == 0
-	// disables all of it. Lifecycle.Dir defaults to Persist.Dir, so
-	// evicted regions live next to the checkpoints and journals.
+	// disables all of it. Evicted regions live in Persist.Dir, next to
+	// the checkpoints and journals.
 	Lifecycle lifecycle.Config
 	// Offload tunes the per-session adaptive offload policy: mode
 	// negotiation between full (video upload), split (keypoint upload),
@@ -418,14 +418,11 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	if lcfg := cfg.Lifecycle; lcfg.MaxKeyFrames > 0 || lcfg.EvictAfter > 0 {
-		if lcfg.Dir == "" {
-			lcfg.Dir = cfg.Persist.Dir
-		}
 		var jn lifecycle.Journal
 		if pmgr != nil {
 			jn = pmgr.Journal()
 		}
-		s.lm = lifecycle.New(lcfg, global, jn)
+		s.lm = lifecycle.New(lcfg, global, jn, cfg.Persist.Dir)
 		if rec != nil {
 			// Re-arm the reload index with the regions still evicted at
 			// crash time, and sweep region files the WAL does not vouch

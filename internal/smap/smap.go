@@ -486,6 +486,33 @@ func (m *Map) PointMatchState(id ID) (pos geom.Vec3, desc feature.Descriptor, ok
 	return pos, desc, ok
 }
 
+// ObservedPoints returns the keyframe's pose and, in keypoint order,
+// the map points it observes: their descriptors as pseudo-keypoints
+// (descriptor carriers for feature matching), their IDs and their
+// positions. Relocalization and merge place recognition match against
+// a keyframe other sessions may be adjusting, so everything is read
+// through the snapshot accessors, never the live pointers. An unknown
+// keyframe yields no points.
+func (m *Map) ObservedPoints(kfID ID) (tcw geom.SE3, kps []feature.Keypoint, ids []ID, pos []geom.Vec3) {
+	tcw, bindings, ok := m.KeyFrameState(kfID)
+	if !ok {
+		return tcw, nil, nil, nil
+	}
+	for _, mpID := range bindings {
+		if mpID == 0 {
+			continue
+		}
+		p, desc, ok := m.PointMatchState(mpID)
+		if !ok {
+			continue
+		}
+		kps = append(kps, feature.Keypoint{Desc: desc})
+		ids = append(ids, mpID)
+		pos = append(pos, p)
+	}
+	return tcw, kps, ids, pos
+}
+
 // ObsEntry is one (keyframe, keypoint index) observation pair in a
 // point-observation snapshot.
 type ObsEntry struct {

@@ -43,30 +43,9 @@ func (t *Tracker) relocalize(fr *Frame, prior *geom.SE3) bool {
 }
 
 // tryRelocAgainst matches the frame against one candidate keyframe's
-// map points and solves the pose. The candidate lives in the shared
-// map while other sessions track and adjust it, so all of its state is
-// read through the snapshot accessors, never the live pointers.
+// map points (smap.ObservedPoints) and solves the pose.
 func (t *Tracker) tryRelocAgainst(fr *Frame, kfID smap.ID, prior *geom.SE3) bool {
-	seedTcw, bindings, ok := t.Map.KeyFrameState(kfID)
-	if !ok {
-		return false
-	}
-	// Gather the candidate's map points as descriptor carriers.
-	var mpKps []feature.Keypoint
-	var mpIDs []smap.ID
-	var mpPos []geom.Vec3
-	for _, mpID := range bindings {
-		if mpID == 0 {
-			continue
-		}
-		pos, desc, ok := t.Map.PointMatchState(mpID)
-		if !ok {
-			continue
-		}
-		mpKps = append(mpKps, feature.Keypoint{Desc: desc})
-		mpIDs = append(mpIDs, mpID)
-		mpPos = append(mpPos, pos)
-	}
+	seedTcw, mpKps, mpIDs, mpPos := t.Map.ObservedPoints(kfID)
 	if len(mpKps) < t.Cfg.MinInliers {
 		return false
 	}
