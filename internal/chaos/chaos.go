@@ -1,42 +1,8 @@
 // Package chaos is the deterministic multi-client fault-injection
-// harness: it spins up a real server.Serve listener, connects
-// protocol-level clients through netem links with injected faults, and
+// harness: it spins up a real server.Serve listener, runs real devices
+// (client.Run) over netem links with injected faults, and
 // drives scripted churn — staggered joins, crashes, reconnects,
 // partitions, corrupt streams, and server kill + recovery — while
 // auditing the shared global map with smap.CheckInvariants at
 // quiescent sync points. See DESIGN.md §9.
 package chaos
-
-import (
-	"slamshare/internal/camera"
-	"slamshare/internal/dataset"
-)
-
-// HalfRes returns a copy of seq with the rig scaled to half resolution
-// in each dimension. The chaos scenarios run many frames per client;
-// quarter-size images keep a full scenario matrix inside a CI budget
-// while exercising the identical pipeline.
-func HalfRes(seq *dataset.Sequence) *dataset.Sequence {
-	in := seq.Rig.Intr
-	in.Fx /= 2
-	in.Fy /= 2
-	in.Cx /= 2
-	in.Cy /= 2
-	in.Width /= 2
-	in.Height /= 2
-	rig := camera.NewMonoRig(in)
-	if seq.Rig.Mode == camera.Stereo {
-		rig = camera.NewStereoRig(in, seq.Rig.Baseline)
-	}
-	return &dataset.Sequence{
-		Name:      seq.Name + "-half",
-		World:     seq.World,
-		Traj:      seq.Traj,
-		Rig:       rig,
-		FPS:       seq.FPS,
-		IMURate:   seq.IMURate,
-		Noise:     seq.Noise,
-		RenderCfg: seq.RenderCfg,
-		Seed:      seq.Seed,
-	}
-}

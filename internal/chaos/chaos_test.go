@@ -64,7 +64,7 @@ func TestHalfRes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := HalfRes(full)
+	half := dataset.HalfRes(full)
 	if got, want := half.Rig.Intr.Width, full.Rig.Intr.Width/2; got != want {
 		t.Errorf("width %d, want %d", got, want)
 	}

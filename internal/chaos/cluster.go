@@ -5,9 +5,9 @@ package chaos
 // real processes — a SIGKILL mid cross-shard merge must lose every
 // byte that was not yet durably in the WAL, which an in-process
 // "kill" cannot reproduce (finalizers, shared memory and page cache
-// all survive). Shards therefore run as re-exec'd copies of the test
-// binary (TestMain dispatches on SLAMSHARE_PROC) and report their
-// listen address on stdout for the parent to scrape.
+// all survive). Shards and fronts therefore run as re-exec'd copies of
+// the test binary (TestMain dispatches on SLAMSHARE_PROC) and report
+// their listen address on stdout for the test process to scrape.
 
 import (
 	"bufio"
@@ -35,85 +35,6 @@ type ShardSpec struct {
 	StartDelayMs int
 }
 
-// ShardProc is one shard server running as a real child process.
-// Killing it is a true SIGKILL: no deferred cleanup, no flushes — the
-// WAL on disk is all that survives, which is the point of the tier.
-type ShardProc struct {
-	Addr string
-	cmd  *exec.Cmd
-}
-
-// SpawnShard starts a shard child process and waits for its LISTENING
-// line. Respawns after a kill reuse the concrete address, so fronts
-// and peers reconnect without reconfiguration; the retry loop absorbs
-// the window where the killed process's port is still being released.
-func SpawnShard(spec ShardSpec) (*ShardProc, error) {
-	var lastErr error
-	for attempt := 0; attempt < 15; attempt++ {
-		p, err := trySpawn(spec)
-		if err == nil {
-			return p, nil
-		}
-		lastErr = err
-		time.Sleep(200 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("chaos: shard %d did not come up: %w", spec.ID, lastErr)
-}
-
-func trySpawn(spec ShardSpec) (*ShardProc, error) {
-	cmd := exec.Command(spec.Bin)
-	cmd.Env = append(os.Environ(),
-		cluster.EnvProc+"=shard",
-		fmt.Sprintf("%s=%s", cluster.EnvAddr, spec.Addr),
-		fmt.Sprintf("%s=%d", cluster.EnvShardID, spec.ID),
-		fmt.Sprintf("%s=%d", cluster.EnvToken, spec.Token),
-		fmt.Sprintf("%s=%s", cluster.EnvDir, spec.Dir),
-		fmt.Sprintf("%s=%d", cluster.EnvImportStall, spec.StallMs),
-		fmt.Sprintf("%s=%d", cluster.EnvStartDelay, spec.StartDelayMs),
-	)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if a, ok := strings.CutPrefix(sc.Text(), "LISTENING "); ok {
-				addrCh <- a
-				return
-			}
-		}
-		addrCh <- "" // stdout closed: the process died before listening
-	}()
-	select {
-	case a := <-addrCh:
-		if a == "" {
-			cmd.Process.Kill()
-			cmd.Wait()
-			return nil, errors.New("shard exited before listening")
-		}
-		return &ShardProc{Addr: a, cmd: cmd}, nil
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, errors.New("shard did not report listening")
-	}
-}
-
-// Kill SIGKILLs the shard process and reaps it.
-func (p *ShardProc) Kill() {
-	if p == nil || p.cmd == nil || p.cmd.Process == nil {
-		return
-	}
-	p.cmd.Process.Kill()
-	p.cmd.Wait()
-}
-
 // FrontSpec parameterizes one front-router child process. Replicas
 // share the Token and the Shards view; each gets its own FrontID.
 type FrontSpec struct {
@@ -129,32 +50,34 @@ type FrontSpec struct {
 	Debug          bool // serve /debug/vars (front gauges) on a private port
 }
 
-// FrontProc is one front router running as a real child process.
-type FrontProc struct {
+// Proc is a shard or front running as a real child process. Killing
+// it is a true SIGKILL: no deferred cleanup, no flushes — for a shard,
+// the WAL on disk is all that survives, which is the point of the tier.
+type Proc struct {
 	Addr      string
-	DebugAddr string // empty unless the spec asked for debug serving
+	DebugAddr string // empty unless a front spec asked for debug serving
 	cmd       *exec.Cmd
+}
+
+// SpawnShard starts a shard child process and waits for its LISTENING
+// line.
+func SpawnShard(spec ShardSpec) (*Proc, error) {
+	return spawn(fmt.Sprintf("shard %d", spec.ID), spec.Bin,
+		cluster.EnvProc+"=shard",
+		fmt.Sprintf("%s=%s", cluster.EnvAddr, spec.Addr),
+		fmt.Sprintf("%s=%d", cluster.EnvShardID, spec.ID),
+		fmt.Sprintf("%s=%d", cluster.EnvToken, spec.Token),
+		fmt.Sprintf("%s=%s", cluster.EnvDir, spec.Dir),
+		fmt.Sprintf("%s=%d", cluster.EnvImportStall, spec.StallMs),
+		fmt.Sprintf("%s=%d", cluster.EnvStartDelay, spec.StartDelayMs),
+	)
 }
 
 // SpawnFront starts a front child process and waits for its LISTENING
 // (and, when debug-enabled, DEBUG) lines.
-func SpawnFront(spec FrontSpec) (*FrontProc, error) {
-	var lastErr error
-	for attempt := 0; attempt < 15; attempt++ {
-		p, err := trySpawnFront(spec)
-		if err == nil {
-			return p, nil
-		}
-		lastErr = err
-		time.Sleep(200 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("chaos: front %d did not come up: %w", spec.ID, lastErr)
-}
-
-func trySpawnFront(spec FrontSpec) (*FrontProc, error) {
-	cmd := exec.Command(spec.Bin)
-	env := append(os.Environ(),
-		cluster.EnvProc+"=front",
+func SpawnFront(spec FrontSpec) (*Proc, error) {
+	env := []string{
+		cluster.EnvProc + "=front",
 		fmt.Sprintf("%s=%s", cluster.EnvAddr, spec.Addr),
 		fmt.Sprintf("%s=%d", cluster.EnvFrontID, spec.ID),
 		fmt.Sprintf("%s=%d", cluster.EnvToken, spec.Token),
@@ -162,11 +85,33 @@ func trySpawnFront(spec FrontSpec) (*FrontProc, error) {
 		fmt.Sprintf("%s=%g,%g,%g", cluster.EnvPartEdges,
 			spec.PartMin, spec.PartMax, spec.PartHysteresis),
 		fmt.Sprintf("%s=%d", cluster.EnvHandoffStall, spec.HandoffStallMs),
-	)
+	}
 	if spec.Debug {
 		env = append(env, fmt.Sprintf("%s=127.0.0.1:0", cluster.EnvDebugAddr))
 	}
-	cmd.Env = env
+	return spawn(fmt.Sprintf("front %d", spec.ID), spec.Bin, env...)
+}
+
+// spawn starts bin, the child named what, with env added and waits for
+// it to report its address. Respawns after a kill reuse the concrete
+// address, so fronts and peers reconnect without reconfiguration; the
+// retries absorb the window where the killed process's port is still
+// being released.
+func spawn(what, bin string, env ...string) (*Proc, error) {
+	var err error
+	for attempt := 0; attempt < 15; attempt++ {
+		var p *Proc
+		if p, err = trySpawn(bin, env); err == nil {
+			return p, nil
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+	return nil, fmt.Errorf("chaos: %s did not come up: %w", what, err)
+}
+
+func trySpawn(bin string, env []string) (*Proc, error) {
+	cmd := exec.Command(bin)
+	cmd.Env = append(os.Environ(), env...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -175,40 +120,37 @@ func trySpawnFront(spec FrontSpec) (*FrontProc, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	type report struct{ addr, debug string }
-	repCh := make(chan report, 1)
+	repCh := make(chan Proc, 1)
 	go func() {
-		var rep report
+		var rep Proc
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			if a, ok := strings.CutPrefix(sc.Text(), "DEBUG "); ok {
-				rep.debug = a
-				continue
-			}
-			if a, ok := strings.CutPrefix(sc.Text(), "LISTENING "); ok {
-				rep.addr = a
+				rep.DebugAddr = a
+			} else if a, ok := strings.CutPrefix(sc.Text(), "LISTENING "); ok {
+				rep.Addr = a
 				break
 			}
 		}
-		repCh <- rep // addr empty when stdout closed before listening
+		repCh <- rep // Addr empty when stdout closed before listening
 	}()
 	select {
 	case rep := <-repCh:
-		if rep.addr == "" {
-			cmd.Process.Kill()
-			cmd.Wait()
-			return nil, errors.New("front exited before listening")
+		if rep.Addr != "" {
+			rep.cmd = cmd
+			return &rep, nil
 		}
-		return &FrontProc{Addr: rep.addr, DebugAddr: rep.debug, cmd: cmd}, nil
+		err = errors.New("child exited before listening")
 	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, errors.New("front did not report listening")
+		err = errors.New("child did not report listening")
 	}
+	cmd.Process.Kill()
+	cmd.Wait()
+	return nil, err
 }
 
-// Kill SIGKILLs the front process and reaps it.
-func (p *FrontProc) Kill() {
+// Kill SIGKILLs the process and reaps it.
+func (p *Proc) Kill() {
 	if p == nil || p.cmd == nil || p.cmd.Process == nil {
 		return
 	}

@@ -14,6 +14,7 @@ import (
 	"slamshare/internal/cluster"
 	"slamshare/internal/dataset"
 	"slamshare/internal/offload"
+	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 )
 
@@ -99,132 +100,80 @@ func TestScenarioThroughClusterFront(t *testing.T) {
 		res.Scenario, res.FramesSent, res.Tracked, res.Merges, res.Survivors)
 }
 
-// roundBarrier keeps the cluster walkers in lockstep rounds. hook runs
-// under the barrier's lock by the last arriver of a round, while every
-// other walker is parked between frames — a true quiescent point for
-// cluster-wide invariant checks.
-type roundBarrier struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-	arr  int
-	gen  int
-	hook func(round int)
-}
+// walker is one device session a cluster test drives through
+// client.Run in lockstep with the others: its OnAnswer books the answer
+// and parks at the shared round barrier.
+type walker struct {
+	id    uint32
+	qos   offload.QoS
+	caps  offload.Caps
+	split bool
+	seq   *dataset.Sequence
 
-func newRoundBarrier(n int, hook func(int)) *roundBarrier {
-	b := &roundBarrier{n: n, hook: hook}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *roundBarrier) wait(round int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.arr++
-	if b.arr >= b.n {
-		if b.hook != nil {
-			b.hook(round)
-		}
-		b.arr = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
-	}
-	g := b.gen
-	for b.gen == g {
-		b.cond.Wait()
-	}
-}
-
-// leave removes a walker that errored out so the survivors don't wait
-// for it forever. The skipped round's check is dropped — the walker's
-// recorded error fails the test anyway.
-func (b *roundBarrier) leave() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.n--
-	if b.n > 0 && b.arr >= b.n {
-		b.arr = 0
-		b.gen++
-		b.cond.Broadcast()
-	}
-}
-
-// clusterWalker is one scripted device session driven through the
-// front in lockstep with the other walkers.
-type clusterWalker struct {
-	id  uint32
-	qos offload.QoS
-	seq *dataset.Sequence
-
-	sent             int
-	answered         map[uint32]int
-	dupes            int
+	cl               *client.Client
 	tracked          int
 	trackedAfterKill int
 	err              error
 }
 
-func (w *clusterWalker) walk(frontAddr string, rounds, stride int, bar *roundBarrier, killed *atomic.Bool) error {
-	cl := client.New(w.id, w.seq)
-	conn, err := net.Dial("tcp", frontAddr)
-	if err != nil {
-		return err
+// strideFrames is the frame index list of an n-frame walk.
+func strideFrames(n, stride int) []int {
+	frames := make([]int, n)
+	for i := range frames {
+		frames[i] = i * stride
 	}
-	defer conn.Close()
-	hello := protocol.HelloMsg{
-		ClientID: w.id, Mode: w.seq.Rig.Mode,
-		HasRig: true, Intr: w.seq.Rig.Intr, Baseline: w.seq.Rig.Baseline,
-		HasQoS: true, QoS: byte(w.qos),
-	}
-	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
-		return err
-	}
-	frame := 0
-	for r := 0; r < rounds; r++ {
-		msg := cl.BuildFrame(frame)
-		frame += stride
-		if err := protocol.WriteMessage(conn, protocol.TypeFrame, msg.Encode()); err != nil {
-			return fmt.Errorf("round %d: send: %w", r, err)
+	return frames
+}
+
+// walkAll runs every walker's session over frames, dialing addrs in
+// rotation, one frame per barrier round, and returns when all have ended.
+// redial is the walkers' backoff, seeded per walker with its ID;
+// MaxAttempts 1 fails a walker whose one link drops, for the tests in
+// which the front must keep its devices attached.
+func walkAll(walkers []*walker, addrs []string, frames []int, bar *roundBarrier, killed *atomic.Bool, redial overload.Backoff) {
+	var wg sync.WaitGroup
+	for _, w := range walkers {
+		w.cl = client.New(w.id, w.seq)
+		w.cl.EnableAdaptive(w.qos, w.caps)
+		if w.split {
+			w.cl.ForceMode(offload.ModeSplit)
 		}
-		w.sent++
-		// A frame in flight when its shard is SIGKILLed waits out the
-		// respawn, WAL replay and relocalization before its answer
-		// arrives; the deadline keeps the tier deterministic, not fast.
-		conn.SetReadDeadline(time.Now().Add(120 * time.Second))
-		for {
-			mt, payload, err := protocol.ReadMessage(conn)
-			if err != nil {
-				return fmt.Errorf("round %d: read: %w", r, err)
-			}
-			if mt != protocol.TypePose {
-				continue
-			}
-			pm, err := protocol.DecodePoseMsg(payload)
-			if err != nil {
-				return fmt.Errorf("round %d: decode pose: %w", r, err)
-			}
-			w.answered[pm.FrameIdx]++
-			if w.answered[pm.FrameIdx] > 1 {
-				w.dupes++
-			}
-			if pm.FrameIdx != msg.FrameIdx {
-				continue
-			}
-			cl.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
+		w.cl.OnAnswer = func(pm *protocol.PoseMsg) {
 			if pm.Tracked && !pm.Shed {
 				w.tracked++
 				if killed.Load() {
 					w.trackedAfterKill++
 				}
 			}
-			break
+			bar.wait()
 		}
-		bar.wait(r)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pol := redial
+			pol.Seed = int64(w.id)
+			if err := w.cl.Run(client.AddrDialer(addrs...), frames, pol); err != nil {
+				w.err = err
+				bar.leave()
+			}
+		}()
 	}
-	protocol.WriteMessage(conn, protocol.TypeBye, nil)
-	return nil
+	wg.Wait()
+}
+
+// checkExactlyOnce fails the test unless each of the walker's n frames
+// was answered exactly once on its live socket.
+func (w *walker) checkExactlyOnce(t *testing.T, n int) {
+	t.Helper()
+	counts := w.cl.AnswerCounts()
+	if len(counts) != n {
+		t.Errorf("client %d: %d distinct frames answered, sent %d", w.id, len(counts), n)
+	}
+	for idx, k := range counts {
+		if k != 1 {
+			t.Errorf("client %d: frame %d answered %d times", w.id, idx, k)
+		}
+	}
 }
 
 // TestClusterShardKill is the cluster-shard-kill chaos scenario: two
@@ -355,33 +304,20 @@ func TestClusterShardKill(t *testing.T) {
 	// redialing through the front and relocalizing against the
 	// WAL-recovered map. Routes turn right angles only — a straight
 	// U-turn cannot keep visual tracking.
-	walkers := []*clusterWalker{
+	walkers := []*walker{
 		{id: 11, qos: offload.QoSHeadset,
-			seq: HalfRes(dataset.CityRoute("ck-cross", [][2]int{{1, 1}, {3, 1}}, 7, camera.Stereo, 911))},
+			seq: dataset.HalfRes(dataset.CityRoute("ck-cross", [][2]int{{1, 1}, {3, 1}}, 7, camera.Stereo, 911))},
 		{id: 12, qos: offload.QoSHandheld,
-			seq: HalfRes(dataset.CityRoute("ck-west", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 912))},
+			seq: dataset.HalfRes(dataset.CityRoute("ck-west", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 912))},
 		{id: 13, qos: offload.QoSHeadset,
-			seq: HalfRes(dataset.CityRoute("ck-east1", [][2]int{{2, 2}, {2, 1}, {3, 1}}, 7, camera.Stereo, 913))},
+			seq: dataset.HalfRes(dataset.CityRoute("ck-east1", [][2]int{{2, 2}, {2, 1}, {3, 1}}, 7, camera.Stereo, 913))},
 		{id: 14, qos: offload.QoSDrone,
-			seq: HalfRes(dataset.CityRoute("ck-east2", [][2]int{{3, 2}, {3, 1}, {2, 1}}, 7, camera.Stereo, 914))},
+			seq: dataset.HalfRes(dataset.CityRoute("ck-east2", [][2]int{{3, 2}, {3, 1}, {2, 1}}, 7, camera.Stereo, 914))},
 	}
-	for _, w := range walkers {
-		w.answered = make(map[uint32]int)
-	}
+	// One link per device: the front, not a client redial, must carry
+	// every session through the shard's death.
 	bar := newRoundBarrier(len(walkers), hook)
-	var wg sync.WaitGroup
-	for _, w := range walkers {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.walk(frontAddr, rounds, stride, bar, killed); err != nil {
-				w.err = err
-				bar.leave()
-			}
-		}()
-	}
-	wg.Wait()
+	walkAll(walkers, []string{frontAddr}, strideFrames(rounds, stride), bar, killed, overload.Backoff{MaxAttempts: 1})
 
 	for _, w := range walkers {
 		if w.err != nil {
@@ -396,26 +332,7 @@ func TestClusterShardKill(t *testing.T) {
 	}
 
 	// Let the Byes drain so the final check is a true quiescent point.
-	drainDeadline := time.Now().Add(30 * time.Second)
-	for {
-		var n uint64
-		ok := true
-		for _, a := range addrs {
-			st, err := cluster.ShardStats(a, token)
-			if err != nil {
-				ok = false
-				break
-			}
-			n += st.Sessions
-		}
-		if ok && n == 0 {
-			break
-		}
-		if time.Now().After(drainDeadline) {
-			t.Fatal("shard sessions did not drain")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	drainShards(t, addrs, token)
 
 	hookMu.Lock()
 	for _, e := range hookErrs {
@@ -441,12 +358,7 @@ func TestClusterShardKill(t *testing.T) {
 		if w.err != nil {
 			continue
 		}
-		if len(w.answered) != w.sent {
-			t.Errorf("client %d: %d distinct frames answered, sent %d", w.id, len(w.answered), w.sent)
-		}
-		if w.dupes > 0 {
-			t.Errorf("client %d: %d duplicate answers", w.id, w.dupes)
-		}
+		w.checkExactlyOnce(t, rounds)
 		if w.tracked == 0 {
 			t.Errorf("client %d: never tracked", w.id)
 		}
@@ -494,6 +406,31 @@ func TestClusterShardKill(t *testing.T) {
 	t.Logf("handoffs: %d committed, %d aborted; trackedAfterKill: 11=%d 13=%d 14=%d",
 		committed, aborted,
 		walkers[0].trackedAfterKill, walkers[2].trackedAfterKill, walkers[3].trackedAfterKill)
+}
+
+// drainShards waits until no shard holds a session any more.
+func drainShards(t *testing.T, addrs []string, token uint64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var n uint64
+		ok := true
+		for _, a := range addrs {
+			st, err := cluster.ShardStats(a, token)
+			if err != nil {
+				ok = false
+				break
+			}
+			n += st.Sessions
+		}
+		if ok && n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("shard sessions did not drain")
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 }
 
 func clusterSummary(rep *cluster.ClusterReport) string {

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,22 +32,6 @@ func scrapeFrontVars(debugAddr string) (*obs.RegistrySnapshot, error) {
 		return nil, err
 	}
 	return &snap, nil
-}
-
-// resumableWalker is one CapResume device session driven through the
-// replicated fronts in lockstep with the other walkers.
-type resumableWalker struct {
-	id    uint32
-	qos   offload.QoS
-	caps  offload.Caps
-	split bool
-	seq   *dataset.Sequence
-
-	cl               *client.Client
-	rounds           int
-	tracked          int
-	trackedAfterKill int
-	err              error
 }
 
 // TestClusterFrontKill is the front-failover chaos scenario: two real
@@ -139,50 +122,19 @@ func TestClusterFrontKill(t *testing.T) {
 	// triggering the stalled handoff the killer fires into; 22 stays on
 	// shard 0; 23 is pinned to split mode (keypoint uplinks only) on
 	// shard 1; 24 is a plain full-mode session on shard 1.
-	walkers := []*resumableWalker{
+	walkers := []*walker{
 		{id: 21, qos: offload.QoSHeadset,
-			seq: HalfRes(dataset.CityRoute("fk-cross", [][2]int{{1, 1}, {3, 1}}, 7, camera.Stereo, 921))},
+			seq: dataset.HalfRes(dataset.CityRoute("fk-cross", [][2]int{{1, 1}, {3, 1}}, 7, camera.Stereo, 921))},
 		{id: 22, qos: offload.QoSHandheld,
-			seq: HalfRes(dataset.CityRoute("fk-west", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 922))},
+			seq: dataset.HalfRes(dataset.CityRoute("fk-west", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 922))},
 		{id: 23, qos: offload.QoSDrone, caps: offload.CapSplit, split: true,
-			seq: HalfRes(dataset.CityRoute("fk-east1", [][2]int{{2, 2}, {2, 1}, {3, 1}}, 7, camera.Stereo, 923))},
+			seq: dataset.HalfRes(dataset.CityRoute("fk-east1", [][2]int{{2, 2}, {2, 1}, {3, 1}}, 7, camera.Stereo, 923))},
 		{id: 24, qos: offload.QoSHeadset,
-			seq: HalfRes(dataset.CityRoute("fk-east2", [][2]int{{3, 2}, {3, 1}, {2, 1}}, 7, camera.Stereo, 924))},
-	}
-	frames := make([]int, rounds)
-	for i := range frames {
-		frames[i] = i * stride
+			seq: dataset.HalfRes(dataset.CityRoute("fk-east2", [][2]int{{3, 2}, {3, 1}, {2, 1}}, 7, camera.Stereo, 924))},
 	}
 	bar := newRoundBarrier(len(walkers), nil)
-	var wg sync.WaitGroup
-	for _, w := range walkers {
-		w := w
-		w.cl = client.New(w.id, w.seq)
-		w.cl.EnableAdaptive(w.qos, w.caps)
-		if w.split {
-			w.cl.ForceMode(offload.ModeSplit)
-		}
-		w.cl.OnAnswer = func(_ uint32, tracked, shed bool) {
-			if tracked && !shed {
-				w.tracked++
-				if killed.Load() {
-					w.trackedAfterKill++
-				}
-			}
-			bar.wait(w.rounds)
-			w.rounds++
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pol := overload.Backoff{Base: 50, Factor: 2, Max: 1000, Jitter: 0.2, Seed: int64(w.id)}
-			if err := w.cl.Run(client.AddrDialer(frontAddrs...), frames, pol); err != nil {
-				w.err = err
-				bar.leave()
-			}
-		}()
-	}
-	wg.Wait()
+	walkAll(walkers, frontAddrs, strideFrames(rounds, stride), bar, killed,
+		overload.Backoff{Base: 50, Factor: 2, Max: 1000, Jitter: 0.2})
 
 	for _, w := range walkers {
 		if w.err != nil {
@@ -204,15 +156,7 @@ func TestClusterFrontKill(t *testing.T) {
 		if w.err != nil {
 			continue
 		}
-		counts := w.cl.AnswerCounts()
-		if len(counts) != rounds {
-			t.Errorf("client %d: %d distinct frames answered, sent %d", w.id, len(counts), rounds)
-		}
-		for idx, n := range counts {
-			if n != 1 {
-				t.Errorf("client %d: frame %d answered %d times", w.id, idx, n)
-			}
-		}
+		w.checkExactlyOnce(t, rounds)
 		if (w.id == 22 || w.id == 24) && w.trackedAfterKill == 0 {
 			t.Errorf("client %d: never tracked after the front kill", w.id)
 		}
@@ -262,26 +206,7 @@ func TestClusterFrontKill(t *testing.T) {
 	}
 
 	// Let the shard-side sessions drain, then check the cluster.
-	drainDeadline := time.Now().Add(30 * time.Second)
-	for {
-		var n uint64
-		ok := true
-		for _, a := range shardAddrs {
-			st, err := cluster.ShardStats(a, token)
-			if err != nil {
-				ok = false
-				break
-			}
-			n += st.Sessions
-		}
-		if ok && n == 0 {
-			break
-		}
-		if time.Now().After(drainDeadline) {
-			t.Fatal("shard sessions did not drain")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	drainShards(t, shardAddrs, token)
 	rep, err := cluster.CheckCluster(shardAddrs, token)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +261,7 @@ func TestLegacyClientFrontKill(t *testing.T) {
 	defer fr1.Kill()
 	addrs := []string{fr0.Addr, fr1.Addr}
 
-	seq := HalfRes(dataset.CityRoute("fk-legacy", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 931))
+	seq := dataset.HalfRes(dataset.CityRoute("fk-legacy", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 931))
 	cl := client.New(31, seq)
 	hello := protocol.HelloMsg{
 		ClientID: 31, Mode: seq.Rig.Mode,
@@ -488,8 +413,8 @@ func TestFrontShardSlowRestart(t *testing.T) {
 	go front.Serve(fln)
 	defer front.Close()
 
-	seq := HalfRes(dataset.CityRoute("fk-slow", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 941))
-	w := &clusterWalker{id: 41, qos: offload.QoSHeadset, seq: seq, answered: make(map[uint32]int)}
+	seq := dataset.HalfRes(dataset.CityRoute("fk-slow", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 941))
+	w := &walker{id: 41, qos: offload.QoSHeadset, seq: seq}
 	killed := &atomic.Bool{}
 	bar := newRoundBarrier(1, func(round int) {
 		if round != 2 {
@@ -510,17 +435,12 @@ func TestFrontShardSlowRestart(t *testing.T) {
 		sh = np
 		killed.Store(true)
 	})
-	if err := w.walk(fln.Addr().String(), rounds, stride, bar, killed); err != nil {
-		t.Fatalf("walker: %v", err)
+	// One link: a dropped front attachment fails the walk.
+	walkAll([]*walker{w}, []string{fln.Addr().String()}, strideFrames(rounds, stride), bar, killed, overload.Backoff{MaxAttempts: 1})
+	if w.err != nil {
+		t.Fatalf("walker: %v", w.err)
 	}
-	if len(w.answered) != rounds {
-		t.Errorf("%d distinct frames answered, sent %d", len(w.answered), rounds)
-	}
-	for idx, n := range w.answered {
-		if n > 1 {
-			t.Errorf("frame %d answered %d times", idx, n)
-		}
-	}
+	w.checkExactlyOnce(t, rounds)
 	if w.trackedAfterKill == 0 {
 		t.Error("session never tracked after the slow shard restart")
 	}

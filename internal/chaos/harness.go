@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync"
 	"time"
 
 	"slamshare/internal/camera"
@@ -12,6 +13,7 @@ import (
 	"slamshare/internal/dataset"
 	"slamshare/internal/lifecycle"
 	"slamshare/internal/netem"
+	"slamshare/internal/overload"
 	"slamshare/internal/persist"
 	"slamshare/internal/protocol"
 	"slamshare/internal/server"
@@ -38,12 +40,12 @@ type ClientScript struct {
 	// CrashAt hard-cuts the link at that round: the client goes away
 	// without a Bye, mid-stream.
 	CrashAt int
-	// ReconnectAt rejoins with the same ID after a crash/drop; the
+	// ReconnectAt rejoins with the same ID after a scripted death; the
 	// server resumes the session by relocalization on the global map.
 	ReconnectAt int
-	// AutoReconnect rejoins one round after any link death (used with
-	// probabilistic faults and server kills, where the death round is
-	// not scripted).
+	// AutoReconnect lets the client redial at once when its link dies
+	// unscripted (probabilistic faults, server kills); without it such
+	// a death is final.
 	AutoReconnect bool
 	// CorruptAt sends an undecodable frame payload at that round; the
 	// server must reject it and drop the connection.
@@ -150,28 +152,66 @@ type Result struct {
 // invariant violations.
 func (r *Result) OK() bool { return len(r.Violations) == 0 && len(r.Failures) == 0 }
 
-// runtime state for one scripted client.
+// phase is a scripted client's state in one round.
+type phase uint8
+
+const (
+	waiting phase = iota // not joined yet
+	live                 // answers one frame this round
+	frozen               // link partitioned: its writes stall until the thaw
+	dead                 // gone until ReconnectAt, if ever
+)
+
+// next is the client's phase in round r, given its phase in round r-1
+// (waiting before round 0).
+func (cs *ClientScript) next(p phase, r int) phase {
+	at := func(round int) bool { return round > 0 && round == r }
+	switch {
+	case p == waiting && r >= cs.JoinRound,
+		p == frozen && at(cs.ThawAt),
+		p == dead && at(cs.ReconnectAt):
+		return live
+	case p == live && at(cs.FreezeAt):
+		return frozen
+	case p == live && (at(cs.CrashAt) || at(cs.CorruptAt) || at(cs.DupHelloAt)):
+		return dead
+	}
+	return p
+}
+
+// frames lists the dataset frames the client's Run sends: one per
+// round it is live, plus the one a freeze holds in flight until the
+// thaw. The script fixes the count, so the last one is answered in the
+// client's last live round and Run then says Bye.
+func (cs *ClientScript) frames(rounds, stride int) []int {
+	var out []int
+	p := waiting
+	for r := 0; r < rounds; r++ {
+		q := cs.next(p, r)
+		if q == live || q == frozen && p == live {
+			out = append(out, len(out)*stride)
+		}
+		p = q
+	}
+	return out
+}
+
+// rclient is one scripted client: a client.Client that Run drives
+// through the harness's dialer. Its fields are guarded by the barrier
+// lock.
 type rclient struct {
-	sc  *ClientScript
-	cl  *client.Client
-	seq *dataset.Sequence
+	sc     *ClientScript
+	cl     *client.Client
+	frames []int
 
-	conn net.Conn
-	fc   *netem.FaultConn
+	phase      phase
+	link       *netem.FaultConn // newest link the dialer handed out; nil until the first of a life
+	gen        int              // links dialed (seeds the fault RNG per link)
+	stalled    bool             // the next answer is the frame a freeze held back: it does not park
+	answeredOn *netem.FaultConn // link of the latest answer
 
-	joined  bool
-	dead    bool
-	diedAt  int
-	gen     int // connection generation (seeds fault RNG per life)
-	frozen  bool
-	busy    chan struct{} // non-nil while a send is in flight
-	frame   int           // next dataset frame index
-	sent    int
-	poses   int
-	tracked int
-	// afterRejoin counts tracked poses received on a resumed session.
-	afterRejoin int
-	reconnects  int
+	poses, tracked, reconnects int
+	afterRejoin                int // tracked poses received on a resumed session
 }
 
 type harness struct {
@@ -181,38 +221,37 @@ type harness struct {
 	lis  net.Listener
 	addr string
 
+	// bar's lock guards everything below and every rclient. Its hook,
+	// advance, runs each round's scripted events while every live
+	// client is parked in its OnAnswer.
+	bar     *roundBarrier
+	round   int
+	done    bool
+	err     error // a harness failure that aborted the run
 	clients []*rclient
 	merges  int // accumulated across server lifetimes
 	res     *Result
-}
-
-// serverConfig is the chaos pipeline tuning (cluster.HalfResConfig)
-// plus the scenario's lifecycle and persistence.
-func serverConfig(sc Scenario, persistDir string) server.Config {
-	cfg := cluster.HalfResConfig(sc.Urban)
-	cfg.Lifecycle = sc.Lifecycle
-	if sc.KillServerAt > 0 {
-		// Journal-only persistence: recovery replays the WAL from the
-		// last (absent) checkpoint, the hardest recovery path.
-		cfg.Persist = persist.Options{Dir: persistDir, CheckpointEvery: -1}
-	}
-	return cfg
 }
 
 // Run executes one scenario. persistDir backs the WAL for scenarios
 // that kill and recover the server (ignored otherwise).
 func Run(sc Scenario, persistDir string) (*Result, error) {
 	start := time.Now()
+	// The chaos pipeline tuning plus the scenario's lifecycle and, for a
+	// server kill, journal-only persistence: recovery replays the WAL
+	// from the last (absent) checkpoint, the hardest recovery path.
+	cfg := cluster.HalfResConfig(sc.Urban)
+	cfg.Lifecycle = sc.Lifecycle
 	if sc.KillServerAt > 0 {
 		if err := os.MkdirAll(persistDir, 0o755); err != nil {
 			return nil, err
 		}
+		cfg.Persist = persist.Options{Dir: persistDir, CheckpointEvery: -1}
 	}
-	h := &harness{
-		sc:  sc,
-		cfg: serverConfig(sc, persistDir),
-		res: &Result{Scenario: sc.Name, Rounds: sc.Rounds},
+	if sc.Dial == nil {
+		sc.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
+	h := &harness{sc: sc, cfg: cfg, round: -1, res: &Result{Scenario: sc.Name, Rounds: sc.Rounds}}
 	srv, err := server.New(h.cfg)
 	if err != nil {
 		return nil, err
@@ -242,22 +281,36 @@ func Run(sc Scenario, persistDir string) (*Result, error) {
 				return nil, err
 			}
 		}
-		seq = HalfRes(seq)
 		h.clients = append(h.clients, &rclient{
-			sc:  cs,
-			cl:  client.New(cs.ID, seq),
-			seq: seq,
+			sc:     cs,
+			cl:     client.New(cs.ID, dataset.HalfRes(seq)),
+			frames: cs.frames(sc.Rounds, sc.Stride),
 		})
 	}
 
-	for r := 0; r < sc.Rounds; r++ {
-		if err := h.events(r); err != nil {
-			return nil, err
+	h.bar = newRoundBarrier(0, func(int) { h.advance() })
+	h.advance() // round 0's events; no client runs yet
+	var wg sync.WaitGroup
+	for _, rc := range h.clients {
+		if len(rc.frames) == 0 {
+			continue
 		}
-		h.sendRound(r)
-		if sc.CheckEvery > 0 && (r+1)%sc.CheckEvery == 0 && r != sc.Rounds-1 {
-			h.check()
-		}
+		rc.cl.OnAnswer = func(pm *protocol.PoseMsg) { h.answered(rc, pm) }
+		pol := overload.Backoff{Base: 5, Factor: 2, Max: 50, Jitter: 0.2, Seed: sc.Seed + int64(rc.sc.ID)}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := rc.cl.Run(h.dialer(rc), rc.frames, pol)
+			h.bar.mu.Lock()
+			defer h.bar.mu.Unlock()
+			if err != nil && rc.phase != dead {
+				h.fail("client %d: %v", rc.sc.ID, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if h.err != nil {
+		return nil, h.err
 	}
 	h.finish()
 	h.res.Elapsed = time.Since(start)
@@ -265,13 +318,8 @@ func Run(sc Scenario, persistDir string) (*Result, error) {
 	return h.res, nil
 }
 
-// dialServer opens one client link to whatever fronts the server —
-// the server itself by default, or the scenario's Dial override.
-func (h *harness) dialServer() (net.Conn, error) {
-	if h.sc.Dial != nil {
-		return h.sc.Dial(h.addr)
-	}
-	return net.Dial("tcp", h.addr)
+func (h *harness) fail(format string, args ...any) {
+	h.res.Failures = append(h.res.Failures, fmt.Sprintf(format, args...))
 }
 
 func (h *harness) listen() error {
@@ -285,210 +333,177 @@ func (h *harness) listen() error {
 	return nil
 }
 
-// events applies the scripted round-r events in deterministic order:
-// server kill/recovery first, then per-client partitions, crashes and
-// (re)joins.
-func (h *harness) events(r int) error {
-	if h.sc.KillServerAt > 0 && r == h.sc.KillServerAt {
-		if err := h.killAndRecoverServer(r); err != nil {
-			return err
+// dialer is the client's Dialer: it holds the client until its
+// scripted (re)join round, refuses it once it is dead for good, and
+// wraps every link in the scripted shaping and faults.
+func (h *harness) dialer(rc *rclient) client.Dialer {
+	return func() (net.Conn, error) {
+		b := h.bar
+		b.mu.Lock()
+		for !h.done && (rc.phase == waiting || rc.phase == dead) {
+			b.cond.Wait()
 		}
-	}
-	for _, rc := range h.clients {
-		if rc.frozen && rc.busy != nil && rc.sc.ThawAt == r {
-			rc.fc.Thaw()
-			rc.frozen = false
-			<-rc.busy // the stalled send completes deterministically now
-			rc.busy = nil
+		// A live client asking again lost its link unscripted.
+		if h.done || rc.link != nil && !rc.sc.AutoReconnect {
+			quit := !h.done && rc.phase == live
+			rc.phase = dead
+			b.mu.Unlock()
+			if quit {
+				b.leave()
+			}
+			return nil, client.ErrNoRedial
 		}
-		// The round barrier guarantees busy == nil here for un-frozen
-		// clients, so crash/freeze never race a send goroutine.
-		if rc.joined && !rc.dead && rc.busy == nil && rc.sc.FreezeAt > 0 && r == rc.sc.FreezeAt {
-			rc.fc.Freeze()
-			rc.frozen = true
-		}
-		if rc.joined && !rc.dead && rc.busy == nil && rc.sc.CrashAt > 0 && r == rc.sc.CrashAt {
-			rc.fc.Cut()
-			rc.markDead(r)
-		}
-		join := false
-		switch {
-		case !rc.joined && r >= rc.sc.JoinRound:
-			join = true
-		case rc.dead && rc.sc.ReconnectAt > 0 && r == rc.sc.ReconnectAt:
-			join = true
-		case rc.dead && rc.sc.AutoReconnect && r > rc.diedAt:
-			join = true
-		}
-		if join {
-			if err := h.join(rc); err != nil {
-				return fmt.Errorf("%s: client %d join at round %d: %w", h.sc.Name, rc.sc.ID, r, err)
+		// Its redial waits, as a scripted rejoin does, for the server to
+		// reap the old session, so the same client ID is accepted at once
+		// and the link count (the fault seed) does not depend on timing.
+		if rc.link != nil {
+			if err := h.waitSessions(h.sessions() - 1); err != nil {
+				b.mu.Unlock()
+				return nil, err
 			}
 		}
+		addr, gen := h.addr, rc.gen
+		rc.gen++
+		b.mu.Unlock()
+
+		raw, err := h.sc.Dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		if rc.sc.Shape != (netem.Config{}) {
+			raw = netem.Wrap(raw, rc.sc.Shape)
+		}
+		fault := rc.sc.Fault
+		fault.Seed = h.sc.Seed*1_000_003 + int64(rc.sc.ID)*8191 + int64(gen)
+		fc := netem.WrapFault(raw, fault)
+		b.mu.Lock()
+		rc.link = fc
+		b.mu.Unlock()
+		return fc, nil
 	}
-	return nil
 }
 
-func (rc *rclient) markDead(r int) {
-	rc.dead = true
-	rc.diedAt = r
-	rc.frozen = false
-	if rc.conn != nil {
-		rc.conn.Close()
+// answered is every scripted client's OnAnswer: it books the pose and
+// parks the client at the round barrier.
+func (h *harness) answered(rc *rclient, pm *protocol.PoseMsg) {
+	b := h.bar
+	b.mu.Lock()
+	rc.poses++
+	if rc.link != rc.answeredOn {
+		if rc.answeredOn != nil {
+			rc.reconnects++
+		}
+		rc.answeredOn = rc.link
 	}
-}
-
-// join dials, wraps the link with the scripted shaping + faults, and
-// sends the hello (with the half-resolution rig calibration). Rejoins
-// first wait for the server to have reaped the previous session, so
-// the same client ID is accepted deterministically.
-func (h *harness) join(rc *rclient) error {
-	if rc.joined {
-		if err := h.waitSessions(h.aliveSessions()); err != nil {
-			return err
+	if pm.Tracked {
+		rc.tracked++
+		if rc.reconnects > 0 {
+			rc.afterRejoin++
 		}
 	}
-	raw, err := h.dialServer()
-	if err != nil {
-		return err
+	park := !h.done && !rc.stalled
+	rc.stalled = false
+	b.mu.Unlock()
+	if park {
+		b.wait()
 	}
-	var inner net.Conn = raw
-	if rc.sc.Shape != (netem.Config{}) {
-		inner = netem.Wrap(raw, rc.sc.Shape)
-	}
-	fault := rc.sc.Fault
-	fault.Seed = h.sc.Seed*1_000_003 + int64(rc.sc.ID)*8191 + int64(rc.gen)
-	rc.fc = netem.WrapFault(inner, fault)
-	rc.conn = rc.fc
-	rc.gen++
-	if rc.joined {
-		rc.cl.Reconnect() // restart the video stream with an intra frame
-		rc.reconnects++
-	}
-	hello := protocol.HelloMsg{
-		ClientID: rc.sc.ID,
-		Mode:     rc.seq.Rig.Mode,
-		HasRig:   true,
-		Intr:     rc.seq.Rig.Intr,
-		Baseline: rc.seq.Rig.Baseline,
-	}
-	if err := protocol.WriteMessage(rc.conn, protocol.TypeHello, hello.Encode()); err != nil {
-		return err
-	}
-	rc.joined = true
-	rc.dead = false
-	return nil
 }
 
-// sendRound runs the send/reply phase: every live, unblocked client
-// concurrently sends its next frame and waits for the pose answer. A
-// frozen client's send keeps blocking in the background; the round
-// barrier skips it until the scripted thaw.
-func (h *harness) sendRound(r int) {
-	var launched []*rclient
+// advance ends the round in progress — the periodic audit — and runs
+// the next round's scripted events, skipping rounds nobody answers in.
+// It runs under the barrier lock with every live client parked.
+func (h *harness) advance() {
+	for {
+		if r := h.round; r >= 0 && h.sc.CheckEvery > 0 && (r+1)%h.sc.CheckEvery == 0 && r != h.sc.Rounds-1 {
+			h.check()
+		}
+		h.round++
+		n, err := h.events(h.round)
+		if err != nil {
+			h.err = fmt.Errorf("%s: round %d: %w", h.sc.Name, h.round, err)
+		}
+		if h.round >= h.sc.Rounds || h.err != nil {
+			h.done = true
+			for _, rc := range h.clients {
+				if rc.phase == frozen {
+					rc.link.Thaw()
+					rc.phase = live
+				}
+			}
+			return
+		}
+		if n > 0 {
+			h.bar.n = n
+			return
+		}
+	}
+}
+
+// events applies round r's scripted events in a fixed order — server
+// kill first, then each client's partition, death or (re)join — and
+// returns how many clients answer in round r.
+func (h *harness) events(r int) (int, error) {
+	if r >= h.sc.Rounds {
+		return 0, nil
+	}
+	if h.sc.KillServerAt > 0 && r == h.sc.KillServerAt {
+		if err := h.killAndRecoverServer(); err != nil {
+			return 0, err
+		}
+	}
+	n := 0
 	for _, rc := range h.clients {
-		if !rc.joined || rc.dead || rc.busy != nil {
-			continue
+		p := rc.sc.next(rc.phase, r)
+		switch {
+		case p == rc.phase:
+		case p == frozen:
+			rc.link.Freeze()
+			rc.stalled = true
+		case rc.phase == frozen:
+			rc.link.Thaw()
+		case p == dead:
+			// A crash cuts the parked client's link; a corrupt frame or a
+			// second hello — the only bytes the harness writes itself —
+			// make the server drop it. Released, the client redials, and
+			// its dialer holds it until ReconnectAt.
+			switch r {
+			case rc.sc.CrashAt:
+				rc.link.Cut()
+			case rc.sc.CorruptAt:
+				protocol.WriteMessage(rc.link, protocol.TypeFrame, garbageFrame)
+			default:
+				hello := protocol.HelloMsg{ClientID: rc.sc.ID, Mode: rc.cl.Mode()}
+				protocol.WriteMessage(rc.link, protocol.TypeHello, hello.Encode())
+			}
+		case rc.phase == dead:
+			// A rejoin: the server must have reaped the previous session
+			// first, so the same client ID is accepted.
+			if err := h.waitSessions(h.sessions()); err != nil {
+				return 0, err
+			}
+			rc.link = nil
 		}
-		rc.busy = make(chan struct{})
-		launched = append(launched, rc)
-		go h.sendOne(rc, r)
-	}
-	for _, rc := range launched {
-		if rc.frozen {
-			continue // barrier excludes partitioned clients
+		rc.phase = p
+		if p == live {
+			n++
 		}
-		<-rc.busy
-		rc.busy = nil
 	}
+	return n, nil
 }
 
 // garbageFrame is an undecodable TypeFrame payload (shorter than the
 // fixed header DecodeFrameMsg requires).
 var garbageFrame = []byte("this is not a frame message, reject me")
 
-func (h *harness) sendOne(rc *rclient, r int) {
-	defer close(rc.busy)
-	switch {
-	case rc.sc.CorruptAt > 0 && r == rc.sc.CorruptAt:
-		// Corrupt stream: the server must reject the payload and drop
-		// the connection; we observe the close on the read side.
-		protocol.WriteMessage(rc.conn, protocol.TypeFrame, garbageFrame)
-		h.expectDrop(rc, r)
-		return
-	case rc.sc.DupHelloAt > 0 && r == rc.sc.DupHelloAt:
-		hello := protocol.HelloMsg{ClientID: rc.sc.ID, Mode: rc.seq.Rig.Mode}
-		protocol.WriteMessage(rc.conn, protocol.TypeHello, hello.Encode())
-		h.expectDrop(rc, r)
-		return
-	}
-	msg := rc.cl.BuildFrame(rc.frame)
-	rc.frame += h.sc.Stride
-	if err := protocol.WriteMessage(rc.conn, protocol.TypeFrame, msg.Encode()); err != nil {
-		rc.markDead(r)
-		return
-	}
-	rc.sent++
-	rc.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	for {
-		mt, payload, err := protocol.ReadMessage(rc.conn)
-		if err != nil {
-			rc.markDead(r)
-			return
-		}
-		if mt != protocol.TypePose {
-			continue
-		}
-		pm, err := protocol.DecodePoseMsg(payload)
-		if err != nil {
-			rc.markDead(r)
-			return
-		}
-		if pm.FrameIdx != msg.FrameIdx {
-			continue
-		}
-		rc.cl.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
-		rc.poses++
-		if pm.Tracked {
-			rc.tracked++
-			if rc.reconnects > 0 {
-				rc.afterRejoin++
-			}
-		}
-		return
-	}
-}
-
-// expectDrop reads until the server closes the connection (it must,
-// for both corrupt frames and duplicate hellos), then marks the client
-// dead.
-func (h *harness) expectDrop(rc *rclient, r int) {
-	rc.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	for {
-		if _, _, err := protocol.ReadMessage(rc.conn); err != nil {
-			break
-		}
-	}
-	rc.markDead(r)
-}
-
 // killAndRecoverServer emulates a server crash mid-run: every link
 // dies, the process state is discarded, and a fresh server recovers
-// the global map from the WAL. Clients come back via AutoReconnect and
+// the global map from the WAL. AutoReconnect clients redial it and
 // resume by relocalization.
-func (h *harness) killAndRecoverServer(r int) error {
+func (h *harness) killAndRecoverServer() error {
 	h.merges += len(h.srv.MergeReports())
 	for _, rc := range h.clients {
-		if rc.joined && !rc.dead {
-			if rc.frozen {
-				rc.fc.Thaw()
-				rc.frozen = false
-			}
-			if rc.busy != nil {
-				<-rc.busy
-				rc.busy = nil
-			}
-			rc.markDead(r)
+		if rc.link != nil {
+			rc.link.Cut()
 		}
 	}
 	h.lis.Close()
@@ -521,11 +536,11 @@ func (h *harness) snapshotNet() {
 	}
 }
 
-// aliveSessions counts the clients whose server session should exist.
-func (h *harness) aliveSessions() int {
+// sessions counts the clients whose server session should exist.
+func (h *harness) sessions() int {
 	n := 0
 	for _, rc := range h.clients {
-		if rc.joined && !rc.dead {
+		if rc.phase == live || rc.phase == frozen {
 			n++
 		}
 	}
@@ -549,8 +564,8 @@ func (h *harness) waitSessions(want int) error {
 // guarantees no frames are in flight, and waitSessions that no
 // serveConn is mid-teardown.
 func (h *harness) check() {
-	if err := h.waitSessions(h.aliveSessions()); err != nil {
-		h.res.Failures = append(h.res.Failures, err.Error())
+	if err := h.waitSessions(h.sessions()); err != nil {
+		h.fail("%v", err)
 		return
 	}
 	rep := h.srv.Global().CheckInvariants()
@@ -558,32 +573,30 @@ func (h *harness) check() {
 	h.res.Violations = append(h.res.Violations, rep.Violations...)
 }
 
-// finish closes every surviving client cleanly, runs the final audit,
-// and fills the result.
+// finish runs the final audit once every client's Run has returned
+// (survivors with a Bye) and fills the result, including the
+// exactly-once check: every frame a client sent answered exactly once.
 func (h *harness) finish() {
-	survivors := 0
 	for _, rc := range h.clients {
-		if rc.frozen {
-			rc.fc.Thaw()
-			rc.frozen = false
+		if rc.phase == live {
+			h.res.Survivors++
 		}
-		if rc.busy != nil {
-			<-rc.busy
-			rc.busy = nil
-		}
-		if rc.joined && !rc.dead {
-			survivors++
-			protocol.WriteMessage(rc.conn, protocol.TypeBye, nil)
-			rc.conn.Close()
-		}
-		h.res.FramesSent += rc.sent
+		h.res.FramesSent += rc.cl.FramesSent()
 		h.res.Poses += rc.poses
 		h.res.Tracked += rc.tracked
 		h.res.Reconnects += rc.reconnects
+		counts := rc.cl.AnswerCounts()
+		if len(counts) != len(rc.frames) {
+			h.fail("client %d: %d frames answered, %d sent", rc.sc.ID, len(counts), len(rc.frames))
+		}
+		for idx, n := range counts {
+			if n != 1 {
+				h.fail("client %d: frame %d answered %d times", rc.sc.ID, idx, n)
+			}
+		}
 	}
-	h.res.Survivors = survivors
 	if err := h.waitSessions(0); err != nil {
-		h.res.Failures = append(h.res.Failures, err.Error())
+		h.fail("%v", err)
 	}
 	rep := h.srv.Global().CheckInvariants()
 	h.res.Checks++
@@ -597,9 +610,7 @@ func (h *harness) finish() {
 // assess compares the result against the scenario's expectations.
 func (h *harness) assess() {
 	e := h.sc.Expect
-	fail := func(format string, args ...any) {
-		h.res.Failures = append(h.res.Failures, fmt.Sprintf(format, args...))
-	}
+	fail := h.fail
 	if h.res.Survivors != e.Survivors {
 		fail("survivors = %d, want %d", h.res.Survivors, e.Survivors)
 	}
@@ -641,4 +652,60 @@ func (h *harness) assess() {
 	if h.res.Poses == 0 {
 		fail("no pose replies at all")
 	}
+}
+
+// roundBarrier keeps concurrent device sessions in lockstep rounds. A
+// round ends when its n participants have arrived; the last arriver
+// runs hook(round) under the barrier's lock while every other
+// participant is parked in its OnAnswer — a quiescent point for
+// scripted faults and invariant audits. The hook may set n for the
+// next round.
+type roundBarrier struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	n     int
+	arr   int
+	round int
+	hook  func(round int)
+}
+
+func newRoundBarrier(n int, hook func(round int)) *roundBarrier {
+	b := &roundBarrier{n: n, hook: hook}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+// wait parks the caller until the round it arrived in has ended.
+func (b *roundBarrier) wait() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.arr++
+	round := b.round
+	b.endRound()
+	for b.round == round {
+		b.cond.Wait()
+	}
+}
+
+// leave removes a participant that will not arrive again, so the rest
+// do not wait for it.
+func (b *roundBarrier) leave() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.n--
+	b.endRound()
+}
+
+// endRound ends the round if everyone expected has arrived. Callers
+// hold b.mu.
+func (b *roundBarrier) endRound() {
+	if b.arr < b.n {
+		return
+	}
+	if b.hook != nil {
+		b.hook(b.round)
+	}
+	b.arr = 0
+	b.round++
+	b.cond.Broadcast()
 }

@@ -9,6 +9,7 @@ import (
 
 	"slamshare/internal/camera"
 	"slamshare/internal/client"
+	"slamshare/internal/cluster"
 	"slamshare/internal/dataset"
 	"slamshare/internal/offload"
 	"slamshare/internal/protocol"
@@ -68,7 +69,7 @@ func runAdaptiveFlapClient(addr string, o flapClient) (*flapStats, error) {
 	hello := protocol.HelloMsg{
 		ClientID: id, Mode: seq.Rig.Mode, HasRig: true,
 		Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline,
-		HasQoS: true, QoS: byte(qos), Caps: byte(o.caps),
+		HasQoS: true, QoS: qos, Caps: o.caps,
 	}
 	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
 		return nil, err
@@ -187,7 +188,7 @@ func TestModeFlapUnderLoad(t *testing.T) {
 		t.Skip("full chaos run")
 	}
 	const hysteresis = 300 * time.Millisecond
-	cfg := serverConfig(Scenario{}, "")
+	cfg := cluster.HalfResConfig(false)
 	cfg.TrackWorkers = 2 // constrain capacity so the burst saturates
 	cfg.Overload.ShedBudget = 15 * time.Millisecond
 	cfg.Offload = offload.Config{
@@ -220,7 +221,7 @@ func TestModeFlapUnderLoad(t *testing.T) {
 	// A Sequence renders for one caller at a time (its renderer caches
 	// patches in a plain map), so every client gets its own over the
 	// shared, read-only world.
-	halfRes := func(name string) *dataset.Sequence { return HalfRes(seqs[name]) }
+	halfRes := func(name string) *dataset.Sequence { return dataset.HalfRes(seqs[name]) }
 
 	classes := []offload.QoS{
 		offload.QoSHeadset, offload.QoSHeadset,
@@ -330,7 +331,7 @@ func TestModeFlapUnderLoad(t *testing.T) {
 // ramp and returns it with its listen address.
 func rampServer(b *testing.B) (*server.Server, string) {
 	b.Helper()
-	cfg := serverConfig(Scenario{}, "")
+	cfg := cluster.HalfResConfig(false)
 	cfg.TrackWorkers = 2
 	// One of the two admission slots is headset-only: a QoS-0 frame
 	// never waits out a whole lower-class frame at the gate.
@@ -377,7 +378,7 @@ func rampServer(b *testing.B) (*server.Server, string) {
 // what the QoS policy manages.
 func BenchmarkOffloadAdaptiveRamp(b *testing.B) {
 	const nFrames, stride = 36, 2
-	seq := HalfRes(mustSeq(b, "MH04"))
+	seq := dataset.HalfRes(mustSeq(b, "MH04"))
 	// Pre-encode every drone's full-mode uplink stream (untimed; the
 	// video codec is stateful, so each drone gets its own sequential
 	// encode).

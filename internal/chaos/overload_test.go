@@ -11,6 +11,7 @@ import (
 
 	"slamshare/internal/camera"
 	"slamshare/internal/client"
+	"slamshare/internal/cluster"
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
 	"slamshare/internal/merge"
@@ -142,7 +143,7 @@ func TestOverloadScenario(t *testing.T) {
 		t.Skip("full overload run")
 	}
 	const poisonerID = 5
-	cfg := serverConfig(Scenario{}, "")
+	cfg := cluster.HalfResConfig(false)
 	cfg.Overload.ShedBudget = 15 * time.Millisecond
 	cfg.Overload.MaxMergesInFlight = 1
 	cfg.MergeHook = func(clientID uint32, attempt int, mg *merge.Merger) {
@@ -180,7 +181,7 @@ func TestOverloadScenario(t *testing.T) {
 	// A Sequence renders for one caller at a time (its renderer caches
 	// patches in a plain map), so every client gets its own over the
 	// shared, read-only world.
-	halfRes := func(name string) *dataset.Sequence { return HalfRes(seqs[name]) }
+	halfRes := func(name string) *dataset.Sequence { return dataset.HalfRes(seqs[name]) }
 
 	type outcome struct {
 		st  *burstStats
@@ -268,7 +269,7 @@ func TestOverloadScenario(t *testing.T) {
 // header, then silence) and a hello-then-silence idle peer must be
 // evicted by the read watchdog, releasing their sessions.
 func TestFrozenPeerEvicted(t *testing.T) {
-	cfg := serverConfig(Scenario{}, "")
+	cfg := cluster.HalfResConfig(false)
 	cfg.Overload.ReadTimeout = 300 * time.Millisecond
 	cfg.Overload.IdleTimeout = 600 * time.Millisecond
 	srv, err := server.New(cfg)

@@ -44,7 +44,7 @@ type Client struct {
 	// before the run starts; it runs on Run's reader goroutine and may
 	// block (no further downlink is read, and in a closed loop no
 	// further frame is built, until it returns).
-	OnAnswer func(frameIdx uint32, tracked, shed bool)
+	OnAnswer func(pm *protocol.PoseMsg)
 
 	stEncode  *obs.Stage
 	stExtract *obs.Stage
@@ -71,7 +71,6 @@ type Client struct {
 	qos     offload.QoS
 	caps    offload.Caps
 	mode    offload.Mode
-	epoch   uint32
 	forced  bool
 	ex      *feature.Extractor
 	rttEWMA float64 // nanoseconds
@@ -525,14 +524,16 @@ func (c *Client) noteEcho(echoNanos uint64, now time.Time) {
 	c.mu.Unlock()
 }
 
-// ApplyModeSwitch applies a server mode-switch downlink. Epochs
-// increment on every switch, so a stale or reordered command is
-// discarded; a forced mode ignores switches entirely. Run calls this
+// ApplyModeSwitch applies a server mode-switch downlink; a forced mode
+// ignores switches entirely. Switches apply in arrival order, whatever
+// their epochs: one connection's downlinks arrive in the order they
+// were sent, and epochs restart with every server session, so a device
+// that redialed must follow the new session's epoch 1. Run calls this
 // itself; custom socket loops call it for TypeModeSwitch downlinks.
 func (c *Client) ApplyModeSwitch(m *protocol.ModeSwitchMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.forced || m.Epoch <= c.epoch {
+	if c.forced {
 		return
 	}
 	newMode := offload.Mode(m.Mode)
@@ -544,7 +545,6 @@ func (c *Client) ApplyModeSwitch(m *protocol.ModeSwitchMsg) {
 		c.encR.Reset()
 	}
 	c.mode = newMode
-	c.epoch = m.Epoch
 	c.modeLog = append(c.modeLog, ModeEvent{
 		At: time.Now(), ServerNanos: m.SentNanos, Mode: newMode, Epoch: m.Epoch,
 	})

@@ -14,17 +14,19 @@ import (
 
 // Dialer hands Run its next connection; Run closes every connection it
 // is handed. A dialer with no further connection to give returns
-// errNoRedial, and Run ends with the error that took the last link down.
+// ErrNoRedial, and Run ends with the error that took the last link down.
 type Dialer func() (net.Conn, error)
 
-var errNoRedial = errors.New("client: no connection left to dial")
+// ErrNoRedial is what a Dialer returns once it will hand out no more
+// connections.
+var ErrNoRedial = errors.New("client: no connection left to dial")
 
 // ConnDialer is the dialer over one already-open connection: a session
 // on it cannot outlive the link, so Run returns the link's own error.
 func ConnDialer(conn net.Conn) Dialer {
 	return func() (net.Conn, error) {
 		if conn == nil {
-			return nil, errNoRedial
+			return nil, ErrNoRedial
 		}
 		nc := conn
 		conn = nil
@@ -38,7 +40,7 @@ func AddrDialer(addrs ...string) Dialer {
 	next := 0
 	return func() (net.Conn, error) {
 		if len(addrs) == 0 {
-			return nil, fmt.Errorf("%w: empty address list", errNoRedial)
+			return nil, fmt.Errorf("%w: empty address list", ErrNoRedial)
 		}
 		addr := addrs[next%len(addrs)]
 		next++
@@ -177,7 +179,7 @@ func (s *session) connect(cause error) error {
 			return fmt.Errorf("client %d: retries exhausted after %d attempts: %w", id, s.attempt, cause)
 		}
 		conn, err := s.dial()
-		if errors.Is(err, errNoRedial) {
+		if errors.Is(err, ErrNoRedial) {
 			if cause == nil {
 				cause = err
 			}
@@ -249,7 +251,7 @@ func (s *session) settle(pm *protocol.PoseMsg) {
 		return
 	}
 	if s.c.OnAnswer != nil {
-		s.c.OnAnswer(pm.FrameIdx, pm.Tracked, pm.Shed)
+		s.c.OnAnswer(pm)
 	}
 	// Only this goroutine removes and Run only appends, so k still
 	// names the entry.
@@ -277,8 +279,8 @@ func (c *Client) hello(conn net.Conn) error {
 		Intr:     c.Seq.Rig.Intr,
 		Baseline: c.Seq.Rig.Baseline,
 		HasQoS:   true,
-		QoS:      byte(c.qos),
-		Caps:     byte(c.caps) | protocol.CapResume,
+		QoS:      c.qos,
+		Caps:     c.caps | offload.CapResume,
 	}
 	tok := append([]byte(nil), c.lastToken...)
 	c.mu.Unlock()

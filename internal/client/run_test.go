@@ -263,6 +263,78 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestRunRedialFollowsNewSession: a server that is always overloaded
+// switches an adaptive device to shadow; the link dies and the device
+// redials an idle server. The new session starts in the device's mode
+// and its switches start again at epoch 1, so the device is upgraded
+// out of shadow and tracked again instead of being shed for good.
+func TestRunRedialFollowsNewSession(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full system test")
+	}
+	overloaded := server.DefaultConfig()
+	overloaded.Offload = offload.Config{SplitLoad: -1, ShadowLoad: -1}
+	var addrs []string
+	for _, cfg := range []server.Config{overloaded, server.DefaultConfig()} {
+		srv, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go srv.Serve(l)
+		addrs = append(addrs, l.Addr().String())
+	}
+
+	c := New(1, dataset.V202(camera.Stereo))
+	c.EnableAdaptive(offload.QoSDrone, offload.CapSplit|offload.CapShadow)
+	// Run's goroutine dials and its reader calls OnAnswer, never both
+	// at once, so links needs no lock.
+	var links []net.Conn
+	shadowed, tracked := false, 0
+	c.OnAnswer = func(pm *protocol.PoseMsg) {
+		switch {
+		case len(links) == 1 && c.OffloadMode() == offload.ModeShadow:
+			shadowed = true
+			links[0].Close()
+		case len(links) == 2 && pm.Tracked:
+			tracked++
+		}
+	}
+	dial := Dialer(func() (net.Conn, error) {
+		if len(links) == len(addrs) {
+			return nil, ErrNoRedial
+		}
+		conn, err := net.Dial("tcp", addrs[len(links)])
+		if err == nil {
+			links = append(links, conn)
+		}
+		return conn, err
+	})
+	frames := make([]int, 30)
+	for i := range frames {
+		frames[i] = i
+	}
+	if err := c.Run(dial, frames, overload.Backoff{Base: 5, Factor: 2, Max: 50, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !shadowed || len(links) != 2 {
+		t.Fatalf("shadowed %v, %d links: the first server never shadowed the device before the cut", shadowed, len(links))
+	}
+	if tracked == 0 || c.OffloadMode() == offload.ModeShadow {
+		t.Errorf("after the redial: %d tracked answers, final mode %v; mode log %v", tracked, c.OffloadMode(), c.ModeLog())
+	}
+	for idx, n := range c.AnswerCounts() {
+		if n != 1 {
+			t.Errorf("frame %d answered %d times", idx, n)
+		}
+	}
+}
+
 // TestRunPresentsTokenOnRedial plays a front that issues a session
 // token and dies: on the redial the device must say hello (in the one
 // shape: rig, QoS, CapResume), present the token, and only then resend
@@ -356,7 +428,7 @@ func TestRunPresentsTokenOnRedial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hello.HasRig || !hello.HasQoS || hello.Caps&protocol.CapResume == 0 {
+	if !hello.HasRig || !hello.HasQoS || hello.Caps&offload.CapResume == 0 {
 		t.Errorf("hello %+v: want rig block, QoS block and CapResume", hello)
 	}
 	if !bytes.Equal(second[1].payload, token) {

@@ -51,49 +51,33 @@ func awaitShardReply(tb testing.TB, conn net.Conn, want byte) []byte {
 }
 
 // buildSourceMap drives one session against the shard until it has a
-// region worth handing off, and leaves the session open (an export
-// needs the client's keyframes resident).
-func buildSourceMap(tb testing.TB, addr string, id uint32, frames int) net.Conn {
+// region worth handing off, and holds it open — an export needs the
+// client's keyframes resident — by parking its last answer until the
+// returned release is called.
+func buildSourceMap(tb testing.TB, addr string, id uint32, frames int) (release func()) {
 	tb.Helper()
-	seq := halfRes(dataset.CityRoute("bench-src", [][2]int{{1, 1}, {2, 1}}, 7, camera.Stereo, 921))
+	seq := dataset.HalfRes(dataset.CityRoute("bench-src", [][2]int{{1, 1}, {2, 1}}, 7, camera.Stereo, 921))
 	cl := client.New(id, seq)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	hello := protocol.HelloMsg{
-		ClientID: id, Mode: seq.Rig.Mode,
-		HasRig: true, Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline,
-	}
-	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
-		tb.Fatal(err)
-	}
-	for r := 0; r < frames; r++ {
-		msg := cl.BuildFrame(r * 4)
-		if err := protocol.WriteMessage(conn, protocol.TypeFrame, msg.Encode()); err != nil {
-			tb.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-		for {
-			mt, payload, err := protocol.ReadMessage(conn)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if mt != protocol.TypePose {
-				continue
-			}
-			pm, err := protocol.DecodePoseMsg(payload)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if pm.FrameIdx != msg.FrameIdx {
-				continue
-			}
-			cl.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
-			break
+	built, hold := make(chan struct{}), make(chan struct{})
+	cl.OnAnswer = func(pm *protocol.PoseMsg) {
+		if pm.FrameIdx == uint32((frames-1)*4) {
+			close(built)
+			<-hold
 		}
 	}
-	return conn
+	ran := make(chan error, 1)
+	go func() {
+		ran <- cl.Run(client.AddrDialer(addr), strideFrames(frames, 4), overload.Backoff{MaxAttempts: 1})
+	}()
+	select {
+	case <-built:
+	case err := <-ran:
+		tb.Fatalf("source session ended before its last frame: %v", err)
+	}
+	return func() {
+		close(hold)
+		<-ran
+	}
 }
 
 // BenchmarkClusterMerge measures one full cross-shard merge: boundary
@@ -113,8 +97,7 @@ func BenchmarkClusterMerge(b *testing.B) {
 	}
 	defer src.Close()
 	defer srcLn.Close()
-	sess := buildSourceMap(b, srcLn.Addr().String(), clientID, 48)
-	defer sess.Close()
+	defer buildSourceMap(b, srcLn.Addr().String(), clientID, 48)()
 
 	front := dialShardPeer(b, srcLn.Addr().String(), protocol.ShardRoleFront, 0)
 	defer front.Close()
@@ -177,10 +160,13 @@ func BenchmarkClusterScale(b *testing.B) {
 					go func() {
 						defer wg.Done()
 						gx := s * slabW / 60 // vertical street on the slab's west edge
-						seq := halfRes(dataset.CityRoute(
+						seq := dataset.HalfRes(dataset.CityRoute(
 							fmt.Sprintf("bench-scale-%d-%d", n, s),
 							[][2]int{{gx, 1}, {gx, 2}}, 7, camera.Stereo, int64(931+s)))
-						runSession(b, clu.addr, uint32(21+s), seq, rounds, stride)
+						cl := client.New(uint32(21+s), seq)
+						if err := cl.Run(client.AddrDialer(clu.addr), strideFrames(rounds, stride), overload.Backoff{MaxAttempts: 1}); err != nil {
+							b.Error(err)
+						}
 					}()
 				}
 				wg.Wait()
@@ -347,7 +333,7 @@ const streamClient = 7
 
 func newDeviceStream(gop int) *deviceStream {
 	d := &deviceStream{
-		seq:  halfRes(dataset.MH04(camera.Stereo)),
+		seq:  dataset.HalfRes(dataset.MH04(camera.Stereo)),
 		encL: video.NewEncoder(), encR: video.NewEncoder(),
 	}
 	d.encL.GOP, d.encR.GOP = gop, gop

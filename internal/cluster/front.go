@@ -10,6 +10,7 @@ import (
 
 	"slamshare/internal/img"
 	"slamshare/internal/obs"
+	"slamshare/internal/offload"
 	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 	"slamshare/internal/video"
@@ -295,7 +296,7 @@ type session struct {
 	// caps are the hello capability bits; token is the session's
 	// resumable state, re-issued on every answered pose when the client
 	// advertised CapResume. Both are owned by the serveSession loop.
-	caps  byte
+	caps  offload.Caps
 	token protocol.SessionTokenMsg
 
 	// attempt counts the redials spent on the current shard outage and
@@ -662,7 +663,7 @@ func (s *session) downlink(m message) bool {
 		// replay can answer out of order).
 		if idx, ok := protocol.PeekFrameIdx(m.mt, m.payload); ok {
 			s.settle(idx)
-			if s.caps&protocol.CapResume != 0 {
+			if s.caps&offload.CapResume != 0 {
 				if tagged := s.attachToken(m.payload, idx); tagged != nil {
 					m.payload = tagged
 				}
@@ -670,9 +671,10 @@ func (s *session) downlink(m message) bool {
 		}
 	case protocol.TypeModeSwitch:
 		// Track the offload mode into the token so an adopting front
-		// resumes the session in the mode the client is actually in.
-		if ms, err := protocol.DecodeModeSwitchMsg(m.payload); err == nil &&
-			ms.Epoch >= s.token.ModeEpoch {
+		// resumes the session in the mode the client is actually in. In
+		// arrival order, as the client applies them: a shard connection's
+		// downlinks are ordered, and epochs restart with every session.
+		if ms, err := protocol.DecodeModeSwitchMsg(m.payload); err == nil {
 			s.token.Mode = ms.Mode
 			s.token.ModeEpoch = ms.Epoch
 		}

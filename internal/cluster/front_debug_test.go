@@ -83,8 +83,7 @@ func BenchmarkFrontAdopt(b *testing.B) {
 	defer ln.Close()
 	// Give the shard real resume state for the client (the probe answers
 	// from the per-client answered-frame watermark).
-	sess := buildSourceMap(b, ln.Addr().String(), clientID, 8)
-	defer sess.Close()
+	defer buildSourceMap(b, ln.Addr().String(), clientID, 8)()
 
 	f := NewFront(FrontConfig{Shards: []string{ln.Addr().String()}, Token: testToken})
 	tok := protocol.SessionTokenMsg{

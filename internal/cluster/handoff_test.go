@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"testing"
 	"time"
@@ -11,36 +10,10 @@ import (
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
+	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 	"slamshare/internal/server"
 )
-
-// halfRes mirrors the chaos harness's resolution halving (the cluster
-// package cannot import chaos — chaos imports cluster).
-func halfRes(seq *dataset.Sequence) *dataset.Sequence {
-	in := seq.Rig.Intr
-	in.Fx /= 2
-	in.Fy /= 2
-	in.Cx /= 2
-	in.Cy /= 2
-	in.Width /= 2
-	in.Height /= 2
-	rig := camera.NewMonoRig(in)
-	if seq.Rig.Mode == camera.Stereo {
-		rig = camera.NewStereoRig(in, seq.Rig.Baseline)
-	}
-	return &dataset.Sequence{
-		Name:      seq.Name + "-half",
-		World:     seq.World,
-		Traj:      seq.Traj,
-		Rig:       rig,
-		FPS:       seq.FPS,
-		IMURate:   seq.IMURate,
-		Noise:     seq.Noise,
-		RenderCfg: seq.RenderCfg,
-		Seed:      seq.Seed,
-	}
-}
 
 const testToken = 0xC0FFEE
 
@@ -109,85 +82,13 @@ func (tc *testCluster) waitSessions(t testing.TB) {
 	t.Fatal("shard sessions did not drain")
 }
 
-// sessionResult is what one lockstep walk through the front produced.
-type sessionResult struct {
-	sent      int
-	answered  map[uint32]int // poses per frame index
-	tracked   int
-	wildPoses int // tracked poses further than the continuity bound from the client's own estimate
-}
-
-// runSession drives one lockstep device session through the front:
-// build frame, send, wait for its pose, apply. Every pose downlink is
-// recorded so duplicate or dropped answers are visible.
-func runSession(t testing.TB, addr string, id uint32, seq *dataset.Sequence, rounds, stride int) *sessionResult {
-	t.Helper()
-	cl := client.New(id, seq)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+// strideFrames is the frame index list of an n-frame walk.
+func strideFrames(n, stride int) []int {
+	frames := make([]int, n)
+	for i := range frames {
+		frames[i] = i * stride
 	}
-	defer conn.Close()
-	hello := protocol.HelloMsg{
-		ClientID: id,
-		Mode:     seq.Rig.Mode,
-		HasRig:   true,
-		Intr:     seq.Rig.Intr,
-		Baseline: seq.Rig.Baseline,
-	}
-	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	res := &sessionResult{answered: make(map[uint32]int)}
-	frame := 0
-	for r := 0; r < rounds; r++ {
-		msg := cl.BuildFrame(frame)
-		frame += stride
-		if err := protocol.WriteMessage(conn, protocol.TypeFrame, msg.Encode()); err != nil {
-			t.Fatalf("round %d: send: %v", r, err)
-		}
-		res.sent++
-		// Handoffs stall the stream while ownership moves; a generous
-		// per-frame deadline keeps the test deterministic, not fast.
-		conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-		for {
-			mt, payload, err := protocol.ReadMessage(conn)
-			if err != nil {
-				t.Fatalf("round %d: read: %v", r, err)
-			}
-			if mt != protocol.TypePose {
-				continue
-			}
-			pm, err := protocol.DecodePoseMsg(payload)
-			if err != nil {
-				t.Fatalf("round %d: decode pose: %v", r, err)
-			}
-			res.answered[pm.FrameIdx]++
-			if pm.FrameIdx != msg.FrameIdx {
-				continue
-			}
-			cl.ApplyPose(int(pm.FrameIdx), pm.Pose, pm.Tracked)
-			if pm.Tracked && !pm.Shed {
-				res.tracked++
-				// Continuity: a tracked pose must land near the client's
-				// own world-frame estimate — a handoff must not teleport
-				// the session (the shards share one world frame).
-				got := pm.Pose.Inverse().T
-				want := msg.Prior.T
-				if dist(got, want) > 20 {
-					res.wildPoses++
-				}
-			}
-			break
-		}
-	}
-	protocol.WriteMessage(conn, protocol.TypeBye, nil)
-	return res
-}
-
-func dist(a, b geom.Vec3) float64 {
-	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return frames
 }
 
 // TestOwnershipHandoff walks scripted sessions across (or along) the
@@ -235,7 +136,7 @@ func TestOwnershipHandoff(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clu := startCluster(t, 2, part)
 			const clientID = 7
-			seq := halfRes(dataset.CityRoute("handoff-"+tc.name, tc.route, 7, camera.Stereo, tc.seed))
+			seq := dataset.HalfRes(dataset.CityRoute("handoff-"+tc.name, tc.route, 7, camera.Stereo, tc.seed))
 
 			// An anchor placed on the session's first shard must follow
 			// the session across the boundary.
@@ -243,23 +144,41 @@ func TestOwnershipHandoff(t *testing.T) {
 			anchorPose := geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: 61, Y: 1, Z: 1.5}}
 			anchorID := clu.shards[home].Anchors().Place("poster", anchorPose, clientID, 1.0)
 
-			res := runSession(t, clu.addr, clientID, seq, tc.rounds, tc.stride)
+			// Continuity: a tracked pose must land near the client's own
+			// world-frame estimate of that frame — a handoff must not
+			// teleport the session (the shards share one world frame). In
+			// a closed loop the answered frame is the newest one built.
+			cl := client.New(clientID, seq)
+			tracked, wildPoses := 0, 0
+			cl.OnAnswer = func(pm *protocol.PoseMsg) {
+				if pm.Tracked && !pm.Shed {
+					tracked++
+					live := cl.LiveTrajectory()
+					if pm.Pose.Inverse().T.Dist(live[len(live)-1].Pos) > 20 {
+						wildPoses++
+					}
+				}
+			}
+			if err := cl.Run(client.AddrDialer(clu.addr), strideFrames(tc.rounds, tc.stride), overload.Backoff{MaxAttempts: 1}); err != nil {
+				t.Fatal(err)
+			}
 			clu.waitSessions(t)
 
 			// Every sent frame answered exactly once, nothing invented.
-			if len(res.answered) != res.sent {
-				t.Errorf("%d distinct frames answered, sent %d", len(res.answered), res.sent)
+			counts := cl.AnswerCounts()
+			if len(counts) != tc.rounds {
+				t.Errorf("%d distinct frames answered, sent %d", len(counts), tc.rounds)
 			}
-			for idx, n := range res.answered {
+			for idx, n := range counts {
 				if n != 1 {
 					t.Errorf("frame %d answered %d times", idx, n)
 				}
 			}
-			if res.tracked == 0 {
+			if tracked == 0 {
 				t.Fatal("no tracked poses at all")
 			}
-			if res.wildPoses > 0 {
-				t.Errorf("%d tracked poses broke the 20 m continuity bound", res.wildPoses)
+			if wildPoses > 0 {
+				t.Errorf("%d tracked poses broke the 20 m continuity bound", wildPoses)
 			}
 
 			// Handoff log: per-session epochs strictly increasing, the
@@ -295,7 +214,7 @@ func TestOwnershipHandoff(t *testing.T) {
 			// session now must hold the anchor at the exact same pose.
 			if a, ok := clu.shards[cur].Anchors().Get(anchorID); !ok {
 				t.Errorf("anchor %d missing on final shard %d", anchorID, cur)
-			} else if got := a.Pose.T; dist(got, anchorPose.T) > 1e-9 {
+			} else if got := a.Pose.T; got.Dist(anchorPose.T) > 1e-9 {
 				t.Errorf("anchor %d pose drifted: %+v", anchorID, got)
 			}
 

@@ -28,6 +28,7 @@ import (
 	"slamshare/internal/geom"
 	"slamshare/internal/holo"
 	"slamshare/internal/imu"
+	"slamshare/internal/offload"
 	"slamshare/internal/persist"
 	"slamshare/internal/protocol"
 	"slamshare/internal/smap"
@@ -181,7 +182,7 @@ func TestGoldenProtocol(t *testing.T) {
 			m.HasRig, m.Intr, m.Baseline = true, intr, 0.11
 		}
 		if qos {
-			m.HasQoS, m.QoS, m.Caps = true, 1, protocol.CapSplit|protocol.CapResume
+			m.HasQoS, m.QoS, m.Caps = true, 1, offload.CapSplit|offload.CapResume
 		}
 		return m
 	}

@@ -15,6 +15,7 @@ import (
 	"slamshare/internal/geom"
 	"slamshare/internal/img"
 	"slamshare/internal/imu"
+	"slamshare/internal/metrics"
 	"slamshare/internal/render"
 	"slamshare/internal/worldgen"
 )
@@ -51,6 +52,17 @@ func (s *Sequence) FrameTime(i int) float64 { return float64(i) / s.FPS }
 // GroundTruth returns the true camera-to-world pose at frame i.
 func (s *Sequence) GroundTruth(i int) geom.SE3 {
 	return s.Traj.PoseAt(s.FrameTime(i))
+}
+
+// TruthTrajectory returns the ground-truth camera centres of the
+// frames 0, stride, 2*stride, ... below nFrames — what an estimated
+// trajectory of those frames is scored against.
+func (s *Sequence) TruthTrajectory(nFrames, stride int) metrics.Trajectory {
+	var tr metrics.Trajectory
+	for i := 0; i < nFrames && i < s.FrameCount(); i += stride {
+		tr.Append(s.FrameTime(i), s.GroundTruth(i).T)
+	}
+	return tr
 }
 
 // Renderer returns the (cached) frame renderer for this sequence.
@@ -123,6 +135,31 @@ func (s *Sequence) Split(n int) []*Sequence {
 		}
 	}
 	return out
+}
+
+// HalfRes returns a copy of seq with the rig scaled to half resolution
+// in each dimension. The chaos and cluster tiers run many frames per
+// client; quarter-size images keep them inside a CI budget while
+// exercising the identical pipeline.
+func HalfRes(seq *Sequence) *Sequence {
+	in := seq.Rig.Intr
+	in.Fx /= 2
+	in.Fy /= 2
+	in.Cx /= 2
+	in.Cy /= 2
+	in.Width /= 2
+	in.Height /= 2
+	return &Sequence{
+		Name:      seq.Name + "-half",
+		World:     seq.World,
+		Traj:      seq.Traj,
+		Rig:       rigFor(in, seq.Rig.Mode, seq.Rig.Baseline),
+		FPS:       seq.FPS,
+		IMURate:   seq.IMURate,
+		Noise:     seq.Noise,
+		RenderCfg: seq.RenderCfg,
+		Seed:      seq.Seed,
+	}
 }
 
 // sharedMachineHall is the single machine-hall world all MH sequences

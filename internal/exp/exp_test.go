@@ -100,7 +100,7 @@ func TestRunnerDeliversDelayedPoses(t *testing.T) {
 	// The corrected (hindsight) trajectory should be accurate even
 	// though answers arrived late.
 	est := dev.Trajectory()
-	gt := truth(seq, 60, 2)
+	gt := seq.TruthTrajectory(60, 2)
 	if len(est) == 0 {
 		t.Fatal("no trajectory")
 	}

@@ -61,7 +61,7 @@ func runTimeline(srv *server.Server, parts []*Participant, framePeriod float64, 
 			res.MergeAt = append(res.MergeAt, p.MergeAt)
 		}
 		res.Est[p.Name] = p.Dev.Trajectory()
-		res.Truth[p.Name] = truth(p.Seq, p.frameIdx, p.Stride)
+		res.Truth[p.Name] = p.Seq.TruthTrajectory(p.frameIdx, p.Stride)
 		res.FinalATE[p.Name] = metrics.ATE(res.Est[p.Name], res.Truth[p.Name])
 	}
 	return res, nil

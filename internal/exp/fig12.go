@@ -58,7 +58,7 @@ func runSlamShareB(link Link, steps, stride int) (metrics.Trajectory, metrics.Tr
 	r.Run(steps)
 	nB := parts[1].frameIdx
 	// Short-term/cumulative curves reflect the experienced trajectory.
-	return devB.LiveTrajectory(), truth(seqB, nB, stride), nil
+	return devB.LiveTrajectory(), seqB.TruthTrajectory(nB, stride), nil
 }
 
 // Fig12a reproduces the cumulative-ATE-under-network-conditions study:
@@ -124,7 +124,7 @@ func singleUserORBSLAM(seq *dataset.Sequence, nFrames, stride int) (metrics.Traj
 			mp.ProcessKeyFrame(res.NewKF)
 		}
 	}
-	return est, truth(seq, nFrames, stride)
+	return est, seq.TruthTrajectory(nFrames, stride)
 }
 
 // runBaselineB runs the baseline system from user B's perspective:
@@ -199,7 +199,7 @@ func runBaselineB(link Link, steps, stride int) (metrics.Trajectory, metrics.Tra
 		}
 	}
 	nB := steps * stride
-	return bclB.Trajectory(), truth(seqB, nB, stride), missed, nil
+	return bclB.Trajectory(), seqB.TruthTrajectory(nB, stride), missed, nil
 }
 
 // Fig12b compares short-term ATE under +300 ms delay: baseline versus

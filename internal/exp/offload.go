@@ -111,7 +111,7 @@ func offloadRun(mode offload.Mode, rttMs, nFrames, stride int) (OffloadRow, erro
 	}
 	// Poses still in flight when the run ends never reached the device:
 	// the live trajectory already reflects that, so they are dropped.
-	row.ATEcm = 100 * metrics.ATE(dev.LiveTrajectory(), truth(seq, nFrames, stride))
+	row.ATEcm = 100 * metrics.ATE(dev.LiveTrajectory(), seq.TruthTrajectory(nFrames, stride))
 	virtualSec := float64(row.Steps) * framePeriod
 	if virtualSec > 0 {
 		row.UplinkMbps = float64(upBytes) * 8 / virtualSec / 1e6

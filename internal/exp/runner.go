@@ -19,7 +19,6 @@ import (
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
-	"slamshare/internal/metrics"
 	"slamshare/internal/server"
 )
 
@@ -184,16 +183,6 @@ func (r *Runner) deliverDue(p *Participant, step int) {
 		p.pending = p.pending[1:]
 		p.Dev.ApplyPose(pp.frameIdx, pp.pose, pp.tracked)
 	}
-}
-
-// truth returns a sequence's ground-truth trajectory over the frames a
-// participant processed.
-func truth(seq *dataset.Sequence, nFrames, stride int) metrics.Trajectory {
-	var tr metrics.Trajectory
-	for i := 0; i < nFrames && i < seq.FrameCount(); i += stride {
-		tr.Append(seq.FrameTime(i), seq.GroundTruth(i).T)
-	}
-	return tr
 }
 
 // globalMapATE measures the ATE of the global map's keyframes against

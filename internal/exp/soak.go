@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"slamshare/internal/camera"
-	"slamshare/internal/chaos"
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/lifecycle"
@@ -82,7 +81,7 @@ func soakFleet(n, activeSteps, stagger int) []soakSpec {
 		name := fmt.Sprintf("%s%02d", kind, i)
 		specs = append(specs, soakSpec{
 			name:   name,
-			seq:    chaos.HalfRes(dataset.CityRoute(name, route, speed, camera.Stereo, int64(200+i))),
+			seq:    dataset.HalfRes(dataset.CityRoute(name, route, speed, camera.Stereo, int64(200+i))),
 			join:   i * stagger,
 			leave:  i*stagger + activeSteps,
 			stride: stride,

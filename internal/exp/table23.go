@@ -65,7 +65,7 @@ func Table2(w io.Writer) ([]Table2Row, error) {
 				}},
 			}
 			r.Run(nFrames / stride)
-			gt := truth(seq, nFrames, stride)
+			gt := seq.TruthTrajectory(nFrames, stride)
 			// The paper's Table 2 measures the experienced accuracy as
 			// RTT grows: use the live (uncorrected-in-hindsight)
 			// trajectory.
@@ -196,5 +196,5 @@ func trackingATE(seq *dataset.Sequence, n int, useVideo bool) float64 {
 		}},
 	}
 	r.Run(n / stride)
-	return metrics.ATE(dev.Trajectory(), truth(seq, n, stride))
+	return metrics.ATE(dev.Trajectory(), seq.TruthTrajectory(n, stride))
 }

@@ -58,16 +58,6 @@ func SE3FromMat4(m Mat4) SE3 {
 // relative motion from s to t expressed in the common outer frame.
 func (s SE3) Delta(t SE3) SE3 { return t.Compose(s.Inverse()) }
 
-// TranslationTo returns the Euclidean distance between the translation
-// parts of s and t.
-func (s SE3) TranslationTo(t SE3) float64 { return s.T.Dist(t.T) }
-
-// Interpolate interpolates rigid transforms: slerp on rotation and
-// lerp on translation, with u in [0, 1].
-func (s SE3) Interpolate(t SE3, u float64) SE3 {
-	return SE3{R: s.R.Slerp(t.R, u), T: s.T.Lerp(t.T, u)}
-}
-
 func (s SE3) String() string {
 	return fmt.Sprintf("SE3{R:(%.4f,%.4f,%.4f,%.4f) T:(%.4f,%.4f,%.4f)}",
 		s.R.W, s.R.X, s.R.Y, s.R.Z, s.T.X, s.T.Y, s.T.Z)

@@ -91,9 +91,10 @@ func (q QoS) loadScale() float64 {
 	return 1.0
 }
 
-// Caps are the offload modes a client can run locally, advertised in
-// its hello. A session without a capability can never be switched
-// into that mode.
+// Caps are the capability bits of a client's hello: the offload modes
+// it can run locally (a session is never switched into a mode it lacks)
+// and token resume. A client with no bits, like every legacy client,
+// stays in full offload.
 type Caps uint8
 
 const (
@@ -101,6 +102,10 @@ const (
 	CapSplit Caps = 1 << iota
 	// CapShadow: the client can dead-reckon locally on map-only sync.
 	CapShadow
+	// CapResume: the client keeps the session token of its newest
+	// answered pose and presents it after the hello of a redial, so any
+	// front replica can adopt the session (DESIGN §16). Not a mode.
+	CapResume
 )
 
 // Config tunes the mode-decision policy.
@@ -191,9 +196,11 @@ type Controller struct {
 	switched   bool
 }
 
-// NewController starts a session in full offload.
-func NewController(cfg Config, qos QoS, caps Caps) *Controller {
-	return &Controller{cfg: cfg.fill(), qos: qos, caps: caps}
+// NewController starts a session in mode at epoch 0: full offload for a
+// new device, or the mode of its first uplink for one that already
+// runs another (it redialed, or a front moved it to a new shard).
+func NewController(cfg Config, qos QoS, caps Caps, mode Mode) *Controller {
+	return &Controller{cfg: cfg.fill(), qos: qos, caps: caps, mode: mode}
 }
 
 // Mode returns the current mode.

@@ -15,14 +15,26 @@ func testConfig() Config {
 }
 
 func TestControllerStartsFull(t *testing.T) {
-	c := NewController(testConfig(), QoSHandheld, CapSplit|CapShadow)
+	c := NewController(testConfig(), QoSHandheld, CapSplit|CapShadow, ModeFull)
 	if c.Mode() != ModeFull || c.Epoch() != 0 {
 		t.Fatalf("fresh controller: mode=%v epoch=%d", c.Mode(), c.Epoch())
 	}
 }
 
+// TestControllerStartsInDeviceMode: a session opened for a device that
+// is already in shadow starts in shadow, so an idle server upgrades it.
+func TestControllerStartsInDeviceMode(t *testing.T) {
+	c := NewController(testConfig(), QoSDrone, CapSplit|CapShadow, ModeShadow)
+	if c.Mode() != ModeShadow || c.Epoch() != 0 {
+		t.Fatalf("shadow-started controller: mode=%v epoch=%d", c.Mode(), c.Epoch())
+	}
+	if m, sw := c.Decide(time.Unix(100, 0), Inputs{}); !sw || m != ModeFull || c.Epoch() != 1 {
+		t.Fatalf("idle upgrade: %v %v epoch %d", m, sw, c.Epoch())
+	}
+}
+
 func TestDowngradeOnLoad(t *testing.T) {
-	c := NewController(testConfig(), QoSHandheld, CapSplit|CapShadow)
+	c := NewController(testConfig(), QoSHandheld, CapSplit|CapShadow, ModeFull)
 	t0 := time.Unix(100, 0)
 
 	// Light load: stays full.
@@ -44,7 +56,7 @@ func TestDowngradeOnLoad(t *testing.T) {
 }
 
 func TestDowngradeOnRTT(t *testing.T) {
-	c := NewController(testConfig(), QoSHandheld, CapSplit)
+	c := NewController(testConfig(), QoSHandheld, CapSplit, ModeFull)
 	m, sw := c.Decide(time.Unix(100, 0), Inputs{RTT: 200 * time.Millisecond})
 	if !sw || m != ModeSplit {
 		t.Fatalf("rtt downgrade: %v %v", m, sw)
@@ -52,7 +64,7 @@ func TestDowngradeOnRTT(t *testing.T) {
 }
 
 func TestHysteresisDwell(t *testing.T) {
-	c := NewController(testConfig(), QoSHandheld, CapSplit|CapShadow)
+	c := NewController(testConfig(), QoSHandheld, CapSplit|CapShadow, ModeFull)
 	t0 := time.Unix(100, 0)
 	c.Decide(t0, Inputs{QueueDepth: 12, Workers: 4}) // -> split
 
@@ -70,7 +82,7 @@ func TestHysteresisDwell(t *testing.T) {
 }
 
 func TestUpgradeNeedsClearMargin(t *testing.T) {
-	c := NewController(testConfig(), QoSHandheld, CapSplit)
+	c := NewController(testConfig(), QoSHandheld, CapSplit, ModeFull)
 	t0 := time.Unix(100, 0)
 	c.Decide(t0, Inputs{QueueDepth: 12, Workers: 4}) // -> split at load 3
 
@@ -87,7 +99,7 @@ func TestUpgradeNeedsClearMargin(t *testing.T) {
 }
 
 func TestHeadsetNeverShadows(t *testing.T) {
-	c := NewController(testConfig(), QoSHeadset, CapSplit|CapShadow)
+	c := NewController(testConfig(), QoSHeadset, CapSplit|CapShadow, ModeFull)
 	t0 := time.Unix(100, 0)
 	m, _ := c.Decide(t0, Inputs{QueueDepth: 1000, Workers: 1})
 	if m != ModeSplit {
@@ -105,8 +117,8 @@ func TestQoSScalesThresholds(t *testing.T) {
 	// The same moderate load downgrades a drone but not a headset:
 	// drone threshold is 2*0.6=1.2, headset 2*1.5=3.
 	in := Inputs{QueueDepth: 8, Workers: 4} // load 2
-	drone := NewController(testConfig(), QoSDrone, CapSplit|CapShadow)
-	headset := NewController(testConfig(), QoSHeadset, CapSplit|CapShadow)
+	drone := NewController(testConfig(), QoSDrone, CapSplit|CapShadow, ModeFull)
+	headset := NewController(testConfig(), QoSHeadset, CapSplit|CapShadow, ModeFull)
 	t0 := time.Unix(100, 0)
 	if m, _ := drone.Decide(t0, in); m != ModeSplit {
 		t.Fatalf("drone at load 2: %v", m)
@@ -118,26 +130,26 @@ func TestQoSScalesThresholds(t *testing.T) {
 
 func TestCapsGateModes(t *testing.T) {
 	// No capabilities: pinned to full no matter what.
-	c := NewController(testConfig(), QoSDrone, 0)
+	c := NewController(testConfig(), QoSDrone, 0, ModeFull)
 	if m, sw := c.Decide(time.Unix(100, 0), Inputs{QueueDepth: 1000, Workers: 1}); sw || m != ModeFull {
 		t.Fatalf("capless session moved: %v %v", m, sw)
 	}
 	// Shadow-only client skips split and goes straight to shadow.
-	c2 := NewController(testConfig(), QoSDrone, CapShadow)
+	c2 := NewController(testConfig(), QoSDrone, CapShadow, ModeFull)
 	if m, _ := c2.Decide(time.Unix(100, 0), Inputs{QueueDepth: 1000, Workers: 1}); m != ModeShadow {
 		t.Fatalf("shadow-only session: %v", m)
 	}
 }
 
 func TestBacklogCountsAsLoad(t *testing.T) {
-	c := NewController(testConfig(), QoSHandheld, CapSplit)
+	c := NewController(testConfig(), QoSHandheld, CapSplit, ModeFull)
 	if m, _ := c.Decide(time.Unix(100, 0), Inputs{Backlog: 3}); m != ModeSplit {
 		t.Fatalf("backlogged session: %v", m)
 	}
 }
 
 func TestConfigFill(t *testing.T) {
-	c := NewController(Config{}, QoSHandheld, CapSplit)
+	c := NewController(Config{}, QoSHandheld, CapSplit, ModeFull)
 	d := DefaultConfig()
 	if c.cfg != d {
 		t.Fatalf("zero config not filled: %+v", c.cfg)

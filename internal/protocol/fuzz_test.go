@@ -7,6 +7,7 @@ import (
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
 	"slamshare/internal/imu"
+	"slamshare/internal/offload"
 )
 
 // FuzzDecodeFrameMsg hammers the uplink frame decoder with arbitrary
@@ -158,10 +159,10 @@ func FuzzDecodeHelloMsg(f *testing.F) {
 	ext := &HelloMsg{ClientID: 9, Mode: camera.Mono, HasRig: true,
 		Intr: camera.EuRoCIntrinsics(), Baseline: 0.11}
 	qos := &HelloMsg{ClientID: 4, Mode: camera.Stereo, HasQoS: true,
-		QoS: 1, Caps: CapSplit | CapShadow}
+		QoS: 1, Caps: offload.CapSplit | offload.CapShadow}
 	full := &HelloMsg{ClientID: 5, Mode: camera.Stereo, HasRig: true,
 		Intr: camera.EuRoCIntrinsics(), Baseline: 0.11,
-		HasQoS: true, QoS: 2, Caps: CapSplit}
+		HasQoS: true, QoS: 2, Caps: offload.CapSplit}
 	for _, m := range []*HelloMsg{legacy, ext, qos, full} {
 		data := m.Encode()
 		f.Add(data)

@@ -16,6 +16,7 @@ import (
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
 	"slamshare/internal/imu"
+	"slamshare/internal/offload"
 )
 
 // Message types.
@@ -135,18 +136,6 @@ func ReadMessageDeadlines(c net.Conn, idle, stall time.Duration) (msgType byte, 
 	return msgType, payload, nil
 }
 
-// Hello capability bits: offload modes the client can run locally. A
-// client with no capability bits (including every legacy client) is
-// pinned to full offload and never receives a ModeSwitchMsg.
-const (
-	// CapSplit: the client can extract FAST/ORB keypoints itself and
-	// uplink KeypointMsg frames instead of video.
-	CapSplit = byte(1 << iota)
-	// CapShadow: the client can dead-reckon locally on map-only sync
-	// pings when the server cannot afford to track it.
-	CapShadow
-)
-
 // HelloMsg introduces a client: its ID, camera mode, and optionally
 // the rig calibration and QoS/capability block. The legacy 5-byte
 // form (ID + mode) is still accepted; without calibration the server
@@ -161,8 +150,8 @@ type HelloMsg struct {
 	Baseline float64 // metres; 0 for monocular rigs
 	// HasQoS reports whether the QoS/capability block is present.
 	HasQoS bool
-	QoS    byte // 0 headset (highest), 1 handheld, 2 mapping drone
-	Caps   byte // CapSplit | CapShadow
+	QoS    offload.QoS
+	Caps   offload.Caps
 }
 
 // Rig materializes the advertised calibration (or the EuRoC default
@@ -208,8 +197,8 @@ func (m *HelloMsg) Encode() []byte {
 	}
 	if m.HasQoS {
 		w.U8(helloBlockQoS)
-		w.U8(m.QoS)
-		w.U8(m.Caps)
+		w.U8(byte(m.QoS))
+		w.U8(byte(m.Caps))
 	}
 	return w.B
 }
@@ -250,12 +239,12 @@ func DecodeHelloMsg(data []byte) (*HelloMsg, error) {
 		return nil, fmt.Errorf("protocol: bad hello calibration flag %d", flag)
 	}
 	m.HasQoS = true
-	m.QoS = r.U8()
-	m.Caps = r.U8()
+	m.QoS = offload.QoS(r.U8())
+	m.Caps = offload.Caps(r.U8())
 	if r.Err() != nil {
 		return nil, errShort
 	}
-	if m.QoS > 2 {
+	if m.QoS > offload.QoSDrone {
 		return nil, fmt.Errorf("protocol: bad hello qos class %d", m.QoS)
 	}
 	if r.Len() != 0 {

@@ -8,6 +8,7 @@ import (
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
 	"slamshare/internal/imu"
+	"slamshare/internal/offload"
 )
 
 func TestMessageFraming(t *testing.T) {
@@ -201,7 +202,7 @@ func TestPoseMsgEcho(t *testing.T) {
 
 func TestHelloMsgQoS(t *testing.T) {
 	m := &HelloMsg{ClientID: 21, Mode: 1, HasQoS: true, QoS: 2,
-		Caps: CapSplit | CapShadow}
+		Caps: offload.CapSplit | offload.CapShadow}
 	data := m.Encode()
 	if len(data) != 5+3 {
 		t.Fatalf("qos hello encodes to %d bytes", len(data))
@@ -210,7 +211,7 @@ func TestHelloMsgQoS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.HasQoS || got.QoS != 2 || got.Caps != CapSplit|CapShadow || got.HasRig {
+	if !got.HasQoS || got.QoS != 2 || got.Caps != offload.CapSplit|offload.CapShadow || got.HasRig {
 		t.Errorf("qos fields wrong: %+v", got)
 	}
 
@@ -225,12 +226,12 @@ func TestHelloMsgQoS(t *testing.T) {
 
 	// Rig + QoS blocks stack in canonical (ascending-tag) order.
 	rig := &HelloMsg{ClientID: 9, Mode: 1, HasRig: true,
-		Intr: m.Intr, Baseline: 0.11, HasQoS: true, QoS: 1, Caps: CapSplit}
+		Intr: m.Intr, Baseline: 0.11, HasQoS: true, QoS: 1, Caps: offload.CapSplit}
 	rd, err := DecodeHelloMsg(rig.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rd.HasRig || !rd.HasQoS || rd.QoS != 1 || rd.Caps != CapSplit || rd.Baseline != 0.11 {
+	if !rd.HasRig || !rd.HasQoS || rd.QoS != 1 || rd.Caps != offload.CapSplit || rd.Baseline != 0.11 {
 		t.Errorf("rig+qos fields wrong: %+v", rd)
 	}
 
@@ -243,6 +244,26 @@ func TestHelloMsgQoS(t *testing.T) {
 	}
 	if _, err := DecodeHelloMsg(append(data[:5], 9, 0, 0)); err == nil {
 		t.Error("unknown extension tag accepted")
+	}
+}
+
+// TestHelloCapsDistinct pins the one set of hello capability bits: the
+// two offload modes and token resume are distinct single bits, and
+// every combination survives a hello round trip unchanged.
+func TestHelloCapsDistinct(t *testing.T) {
+	bits := []offload.Caps{offload.CapSplit, offload.CapShadow, offload.CapResume}
+	var seen offload.Caps
+	for _, b := range bits {
+		if b == 0 || b&(b-1) != 0 || seen&b != 0 {
+			t.Fatalf("capability %#x is not a fresh single bit (seen %#x)", b, seen)
+		}
+		seen |= b
+	}
+	for caps := offload.Caps(0); caps <= seen; caps++ {
+		got, err := DecodeHelloMsg((&HelloMsg{ClientID: 4, HasQoS: true, Caps: caps}).Encode())
+		if err != nil || got.Caps != caps {
+			t.Errorf("caps %#x came back as %+v, %v", caps, got, err)
+		}
 	}
 }
 

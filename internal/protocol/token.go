@@ -12,12 +12,6 @@ import (
 // replica answers the dial. Legacy clients never send or receive it.
 const TypeSessionToken = byte(14)
 
-// CapResume: the client understands session tokens — it stores the
-// token tail from every answered pose and presents the newest one
-// after its hello when it reconnects, letting any front replica adopt
-// the session without a blind relocalization window.
-const CapResume = byte(1 << 2)
-
 // maxTokenMarks bounds the per-shard watermark list; far above any
 // deployable shard count, low enough that a forged count cannot force
 // a large allocation.

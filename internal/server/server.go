@@ -884,11 +884,11 @@ func (sess *Session) HandleSync(msg *protocol.KeypointMsg) {
 // client's hello: the QoS class orders the session's frames in the
 // shared trackpool (between the urgent class and the EDF key), and
 // together with the advertised capabilities it parameterizes the
-// mode controller. Without this call the session stays a legacy
-// full-offload one: no echoes, no mode switches.
-func (sess *Session) ConfigureOffload(qos offload.QoS, caps offload.Caps) {
+// mode controller, which starts in mode. Without this call the session
+// stays a legacy full-offload one: no echoes, no mode switches.
+func (sess *Session) ConfigureOffload(qos offload.QoS, caps offload.Caps, mode offload.Mode) {
 	sess.qos = qos
-	sess.ctrl = offload.NewController(sess.srv.cfg.Offload, qos, caps)
+	sess.ctrl = offload.NewController(sess.srv.cfg.Offload, qos, caps, mode)
 	if sess.stream != nil {
 		sess.stream.SetQoS(int(qos))
 	}
@@ -1046,6 +1046,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	ov := s.cfg.Overload
 	var sess *Session
+	// offer is an adaptive hello, held until the first uplink shows the
+	// mode the device is in: a device keeps its mode across a redial or
+	// a front's move to a new shard session.
+	var offer *protocol.HelloMsg
 	clean := false
 	defer func() {
 		if sess != nil {
@@ -1199,7 +1203,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			if hello.HasQoS {
-				sess.ConfigureOffload(offload.QoS(hello.QoS), offload.Caps(hello.Caps))
+				offer = hello
 			}
 			s.net.SessionsOpened.Inc()
 		case protocol.TypeFrame, protocol.TypeKeypoint:
@@ -1210,6 +1214,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			var fm *protocol.FrameMsg
 			var km *protocol.KeypointMsg
+			mode := offload.ModeFull // the mode the uplink was built in
 			var idx uint32
 			var stamp float64
 			var sent, rtt uint64
@@ -1220,12 +1225,20 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			} else if km, err = protocol.DecodeKeypointMsg(m.payload); err == nil {
 				idx, stamp, sent, rtt = km.FrameIdx, km.Stamp, km.SentNanos, km.RTTNanos
+				mode = offload.ModeSplit
+				if km.Flags&protocol.KeypointSyncOnly != 0 {
+					mode = offload.ModeShadow
+				}
 			}
 			if err != nil {
 				s.net.FramesRejected.Inc()
 				return
 			}
 			sess.lag.Note(stamp)
+			if offer != nil {
+				sess.ConfigureOffload(offer.QoS, offer.Caps, mode)
+				offer = nil
+			}
 			if rtt != 0 {
 				sess.rttNanos = rtt
 			}
@@ -1233,7 +1246,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// dead-reckoning on its IMU (Alg. 1) and only needs the echo.
 			pm := protocol.PoseMsg{FrameIdx: idx, Pose: geom.IdentitySE3(), Shed: true}
 			switch {
-			case km != nil && km.Flags&protocol.KeypointSyncOnly != 0:
+			case mode == offload.ModeShadow:
 				// Shadow-mode sync ping: absorb the IMU delta; the policy
 				// step after the answer can upgrade the session once load
 				// clears.

@@ -314,11 +314,7 @@ func ShortTermATE(est, truth Trajectory, t, window float64) float64 {
 // GroundTruth extracts the ground-truth trajectory of a sequence at
 // the given frame stride.
 func GroundTruth(seq *Sequence, nFrames, stride int) Trajectory {
-	var tr Trajectory
-	for i := 0; i < nFrames && i < seq.FrameCount(); i += stride {
-		tr.Append(seq.FrameTime(i), seq.GroundTruth(i).T)
-	}
-	return tr
+	return seq.TruthTrajectory(nFrames, stride)
 }
 
 // Version identifies this implementation.
