@@ -12,11 +12,9 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "run scaled-down experiments")
-	scaleDiv := flag.Int("scale", 3, "quick-mode reduction factor")
 	full := flag.Bool("full", false, "run the most expensive variants (e.g. table1's 210-keyframe row)")
 	flag.Parse()
 	exp.Quick = *quick
-	exp.ScaleDiv = *scaleDiv
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()

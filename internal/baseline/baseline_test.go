@@ -11,14 +11,6 @@ import (
 	"slamshare/internal/wire"
 )
 
-func truthTrajectory(seq *dataset.Sequence, n, stride int) metrics.Trajectory {
-	var tr metrics.Trajectory
-	for i := 0; i < n; i += stride {
-		tr.Append(seq.FrameTime(i), seq.GroundTruth(i).T)
-	}
-	return tr
-}
-
 func TestBaselineClientTracksLocally(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline test")
@@ -41,7 +33,7 @@ func TestBaselineClientTracksLocally(t *testing.T) {
 	if tracked < n/2*8/10 {
 		t.Fatalf("tracked %d frames", tracked)
 	}
-	ate := metrics.ATE(cl.Trajectory(), truthTrajectory(seq, n, 1))
+	ate := metrics.ATE(cl.Trajectory(), seq.TruthTrajectory(n, 1))
 	t.Logf("baseline local tracking ATE: %.3f m, client busy %v", ate, cl.Meter().Busy())
 	if ate > 0.2 {
 		t.Errorf("baseline local ATE %.3f m", ate)

@@ -38,24 +38,27 @@ type Fig10Result struct {
 // runTimeline drives the joining-clients scenario: each participant
 // starts displaced into its own local frame (except the first, which
 // founds the global frame); merges snap them together.
-func runTimeline(srv *server.Server, parts []*Participant, framePeriod float64, steps int, sampleEvery int) (*Fig10Result, error) {
+func runTimeline(parts []*Participant, framePeriod float64, steps int, sampleEvery int) (*Fig10Result, error) {
 	res := &Fig10Result{
 		Est:      map[string]metrics.Trajectory{},
 		Truth:    map[string]metrics.Trajectory{},
 		FinalATE: map[string]float64{},
 	}
-	r := &Runner{
-		Srv:         srv,
-		Parts:       parts,
-		FramePeriod: framePeriod,
-		OnStep: func(step int, vt float64) {
-			if step%sampleEvery == 0 {
-				res.Series = append(res.Series, TimelinePoint{T: vt, ATE: globalMapATE(srv, parts)})
-			}
-		},
+	r, err := NewRunner(server.DefaultConfig(), framePeriod, parts...)
+	if err != nil {
+		return nil, err
 	}
-	r.Run(steps)
-	res.Merges = srv.MergeReports()
+	defer r.Close()
+	r.OnStep = func(step int, vt float64) bool {
+		if step%sampleEvery == 0 {
+			res.Series = append(res.Series, TimelinePoint{T: vt, ATE: globalMapATE(r.Srv, parts)})
+		}
+		return false
+	}
+	if err := r.Run(steps); err != nil {
+		return nil, err
+	}
+	res.Merges = r.Srv.MergeReports()
 	for _, p := range parts {
 		if p.Merged {
 			res.MergeAt = append(res.MergeAt, p.MergeAt)
@@ -72,42 +75,22 @@ func runTimeline(srv *server.Server, parts []*Participant, framePeriod float64, 
 // near the middle; the global-map ATE spikes while a fragment is
 // unmerged and collapses after each merge.
 func Fig10a(w io.Writer) (*Fig10Result, error) {
-	srv, err := server.New(server.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-
 	seqA := dataset.MH04(camera.Stereo)
 	seqB := dataset.MH05(camera.Stereo)
 	seqC := dataset.MH04(camera.Stereo) // C re-explores the hall later
 	seqC.Seed += 991
 
-	sessA, err := srv.OpenSession(1, seqA.Rig)
-	if err != nil {
-		return nil, err
-	}
-	sessB, err := srv.OpenSession(2, seqB.Rig)
-	if err != nil {
-		return nil, err
-	}
-	sessC, err := srv.OpenSession(3, seqC.Rig)
-	if err != nil {
-		return nil, err
-	}
-
 	stride := 2
-	framePeriod := float64(stride) / seqA.FPS
 	steps := scale(330)
 	parts := []*Participant{
-		{Name: "A", Dev: client.New(1, seqA), Sess: sessA, Seq: seqA, Stride: stride,
+		{Name: "A", Seq: seqA, Stride: stride,
 			LeaveStep: steps * 3 / 4}, // "after 40 seconds, user A stops"
 		{Name: "B", Dev: client.NewDisplaced(2, seqB, 0.08, geom.Vec3{X: 0.5, Y: -0.35, Z: 0.1}),
-			Sess: sessB, Seq: seqB, Stride: stride, JoinStep: steps / 8},
+			Seq: seqB, Stride: stride, JoinStep: steps / 8},
 		{Name: "C", Dev: client.NewDisplaced(3, seqC, -0.1, geom.Vec3{X: -0.4, Y: 0.5, Z: -0.05}),
-			Sess: sessC, Seq: seqC, Stride: stride, JoinStep: steps / 2},
+			Seq: seqC, Stride: stride, JoinStep: steps / 2},
 	}
-	res, err := runTimeline(srv, parts, framePeriod, steps, 4)
+	res, err := runTimeline(parts, float64(stride)/seqA.FPS, steps, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +131,6 @@ func Fig10b(w io.Writer) (*Fig10Result, error) {
 // Fig10c reproduces the vehicular timeline: KITTI-05 split into three
 // per-client segments over the same streets, each joining displaced.
 func Fig10c(w io.Writer) (*Fig10Result, error) {
-	srv, err := server.New(server.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
 	full := dataset.KITTI05(camera.Stereo)
 	stride := 2
 	framePeriod := float64(stride) / full.FPS
@@ -177,22 +155,13 @@ func Fig10c(w io.Writer) (*Fig10Result, error) {
 			RenderCfg: full.RenderCfg,
 			Seed:      full.Seed + int64(i+1)*7919,
 		}
-		sess, err := srv.OpenSession(uint32(i+1), seg.Rig)
-		if err != nil {
-			return nil, err
+		p := &Participant{Name: fmt.Sprintf("K%d", i+1), Seq: seg, Stride: stride, JoinStep: i * steps / 3}
+		if i > 0 {
+			p.Dev = client.NewDisplaced(uint32(i+1), seg, 0.02*float64(i), geom.Vec3{X: 2 * float64(i), Y: -1.5})
 		}
-		var dev *client.Client
-		if i == 0 {
-			dev = client.New(uint32(i+1), seg)
-		} else {
-			dev = client.NewDisplaced(uint32(i+1), seg, 0.02*float64(i), geom.Vec3{X: 2 * float64(i), Y: -1.5})
-		}
-		parts = append(parts, &Participant{
-			Name: fmt.Sprintf("K%d", i+1), Dev: dev, Sess: sess, Seq: seg,
-			Stride: stride, JoinStep: i * steps / 3,
-		})
+		parts = append(parts, p)
 	}
-	res, err := runTimeline(srv, parts, framePeriod, steps, 4)
+	res, err := runTimeline(parts, framePeriod, steps, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -29,57 +29,42 @@ type Fig11Result struct {
 // inter-origin offset; with SLAM-Share the merge aligns the frames and
 // both users agree to within the tracking error.
 func Fig11(w io.Writer) (*Fig11Result, error) {
-	srv, err := server.New(server.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-
 	seqB := dataset.MH04(camera.Stereo)
 	seqC := dataset.MH05(camera.Stereo)
-	sessB, err := srv.OpenSession(1, seqB.Rig)
-	if err != nil {
-		return nil, err
-	}
-	sessC, err := srv.OpenSession(2, seqC.Rig)
-	if err != nil {
-		return nil, err
-	}
-	devB := client.New(1, seqB)
 	// C's local frame is displaced by ~6.9 m, the paper's observed
 	// inter-origin error.
 	displacement := geom.SE3{
 		R: geom.QuatFromAxisAngle(geom.Vec3{Z: 1}, 0.4),
 		T: geom.Vec3{X: 5.5, Y: -4.2, Z: 0.0},
 	}
-	devC := client.NewDisplaced(2, seqC, 0.4, displacement.T)
+	const stride = 2
+	b := &Participant{Name: "B", Seq: seqB, Stride: stride}
+	c := &Participant{Name: "C", Dev: client.NewDisplaced(2, seqC, 0.4, displacement.T), Seq: seqC, Stride: stride}
+	r, err := NewRunner(server.DefaultConfig(), stride/seqB.FPS, b, c)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
 
 	res := &Fig11Result{}
 	n := scale(200)
 	placeAt := n / 3
 	var hologramShared geom.Vec3 // the only information exchanged
-	for i := 0; i < n; i += 2 {
-		rb, err := sessB.HandleFrame(devB.BuildFrame(i))
-		if err != nil {
-			return nil, err
-		}
-		devB.ApplyPose(i, rb.Pose, rb.Tracked)
-		rc, err := sessC.HandleFrame(devC.BuildFrame(i))
-		if err != nil {
-			return nil, err
-		}
-		devC.ApplyPose(i, rc.Pose, rc.Tracked)
-
-		if i == placeAt || (i == placeAt+1) && hologramShared.Norm() == 0 {
+	placed := false
+	r.OnStep = func(step int, _ float64) bool {
+		if i := step * stride; !placed && i >= placeAt {
 			// B places a hologram 2 m ahead of its current estimated
 			// pose. The true position uses ground truth; B's shared
 			// coordinates use its estimate (they differ by B's ATE).
-			bodyTrue := seqB.GroundTruth(i)
-			res.Truth = bodyTrue.Apply(geom.Vec3{Z: 2})
-			est := rb.Pose.Inverse()
-			hologramShared = est.Apply(geom.Vec3{Z: 2})
+			res.Truth = seqB.GroundTruth(i).Apply(geom.Vec3{Z: 2})
+			hologramShared = b.Last.Pose.Inverse().Apply(geom.Vec3{Z: 2})
 			res.BPerceived = hologramShared
+			placed = true
 		}
+		return false
+	}
+	if err := r.Run(n / stride); err != nil {
+		return nil, err
 	}
 	// Without sharing, C assumes its own origin coincides with B's:
 	// the coordinates land in C's displaced frame.

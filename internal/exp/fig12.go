@@ -3,20 +3,13 @@ package exp
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"slamshare/internal/baseline"
-	"slamshare/internal/bow"
 	"slamshare/internal/camera"
-	"slamshare/internal/client"
 	"slamshare/internal/dataset"
-	"slamshare/internal/feature"
 	"slamshare/internal/geom"
-	"slamshare/internal/mapping"
 	"slamshare/internal/metrics"
 	"slamshare/internal/server"
-	"slamshare/internal/smap"
-	"slamshare/internal/tracking"
 )
 
 // Fig12Series is a labelled ATE-versus-time curve.
@@ -30,35 +23,23 @@ type Fig12Series struct {
 // perspective under the given link and returns B's trajectory plus
 // ground truth.
 func runSlamShareB(link Link, steps, stride int) (metrics.Trajectory, metrics.Trajectory, error) {
-	srv, err := server.New(server.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	defer srv.Close()
 	seqA := dataset.MH04(camera.Stereo)
 	seqB := dataset.MH05(camera.Stereo)
-	sessA, err := srv.OpenSession(1, seqA.Rig)
-	if err != nil {
-		return nil, nil, err
-	}
-	sessB, err := srv.OpenSession(2, seqB.Rig)
-	if err != nil {
-		return nil, nil, err
-	}
-	devA := client.New(1, seqA)
 	// B is not displaced here: Fig. 12 isolates network effects, and
 	// the baseline client it is compared against also starts in the
 	// world frame (the merge dynamics live in Fig. 10).
-	devB := client.New(2, seqB)
-	parts := []*Participant{
-		{Name: "A", Dev: devA, Sess: sessA, Seq: seqA, Stride: stride, Link: link},
-		{Name: "B", Dev: devB, Sess: sessB, Seq: seqB, Stride: stride, JoinStep: steps / 8, Link: link},
+	b := &Participant{Name: "B", Seq: seqB, Stride: stride, JoinStep: steps / 8, Link: link}
+	r, err := NewRunner(server.DefaultConfig(), float64(stride)/seqA.FPS,
+		&Participant{Name: "A", Seq: seqA, Stride: stride, Link: link}, b)
+	if err != nil {
+		return nil, nil, err
 	}
-	r := &Runner{Srv: srv, Parts: parts, FramePeriod: float64(stride) / seqA.FPS}
-	r.Run(steps)
-	nB := parts[1].frameIdx
+	defer r.Close()
+	if err := r.Run(steps); err != nil {
+		return nil, nil, err
+	}
 	// Short-term/cumulative curves reflect the experienced trajectory.
-	return devB.LiveTrajectory(), seqB.TruthTrajectory(nB, stride), nil
+	return b.Dev.LiveTrajectory(), seqB.TruthTrajectory(b.frameIdx, stride), nil
 }
 
 // Fig12a reproduces the cumulative-ATE-under-network-conditions study:
@@ -89,7 +70,9 @@ func Fig12a(w io.Writer) ([]Fig12Series, error) {
 		out = append(out, s)
 	}
 	// Single-user vanilla ORB-SLAM3 (tracker+mapper, no offload).
-	est, gt := singleUserORBSLAM(dataset.MH05(camera.Stereo), steps*stride, stride)
+	seq := dataset.MH05(camera.Stereo)
+	cl, _ := onDeviceSLAM(seq, steps*stride, stride)
+	est, gt := cl.Trajectory(), seq.TruthTrajectory(steps*stride, stride)
 	s := Fig12Series{Label: "ORB-SLAM3 (single user)"}
 	for _, p := range metrics.CumulativeSeries(est, gt, 1) {
 		s.Points = append(s.Points, TimelinePoint{T: p.T, ATE: p.ATE})
@@ -99,32 +82,6 @@ func Fig12a(w io.Writer) ([]Fig12Series, error) {
 	fmt.Fprintln(w, "Fig 12a: cumulative ATE of user B (MH05) under network conditions")
 	printSeries(w, out)
 	return out, nil
-}
-
-// singleUserORBSLAM runs the plain tracker/mapper (the paper's
-// "vanilla ORB-SLAM3" comparison line).
-func singleUserORBSLAM(seq *dataset.Sequence, nFrames, stride int) (metrics.Trajectory, metrics.Trajectory) {
-	m := smap.NewMap(bow.Default())
-	alloc := smap.NewIDAllocator(1)
-	tr := tracking.New(m, seq.Rig, feature.NewExtractor(feature.DefaultConfig()), alloc, 1, tracking.DefaultConfig())
-	mp := mapping.New(m, seq.Rig, alloc, 1, mapping.DefaultConfig())
-	var est metrics.Trajectory
-	for i := 0; i < nFrames && i < seq.FrameCount(); i += stride {
-		left, right := seq.StereoFrame(i)
-		var prior *geom.SE3
-		if i == 0 {
-			p := seq.GroundTruth(i).Inverse()
-			prior = &p
-		}
-		res := tr.ProcessFrame(left, right, seq.FrameTime(i), prior)
-		if res.State == tracking.OK {
-			est.Append(seq.FrameTime(i), res.Pose.Inverse().T)
-		}
-		if res.NewKF != nil {
-			mp.ProcessKeyFrame(res.NewKF)
-		}
-	}
-	return est, seq.TruthTrajectory(nFrames, stride)
 }
 
 // runBaselineB runs the baseline system from user B's perspective:
@@ -288,5 +245,4 @@ func printSeries(w io.Writer, series []Fig12Series) {
 			tablef(w, "    t=%5.1f  ATE=%.3f", p.T, p.ATE)
 		}
 	}
-	_ = time.Second
 }

@@ -7,7 +7,6 @@ import (
 
 	"slamshare/internal/baseline"
 	"slamshare/internal/camera"
-	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/server"
 )
@@ -32,41 +31,20 @@ func Fig13(w io.Writer) (*Fig13Result, error) {
 	stride := 2
 
 	// Baseline client: full local SLAM.
-	bcfg := baseline.DefaultConfig()
-	bcfg.HoldDownFrames = 1 << 30
-	bcl := baseline.NewClient(1, seq, bcfg)
-	bFrames := 0
-	for i := 0; i < n; i += stride {
-		if !bcl.CanProcess(i) {
-			continue
-		}
-		bcl.Step(i)
-		bFrames++
-	}
+	bcl, bFrames := onDeviceSLAM(seq, n, stride)
 
 	// SLAM-Share client: IMU + video encode only; the SLAM runs on the
 	// server (whose compute is not billed to the device).
-	srv, err := server.New(server.DefaultConfig())
+	p := &Participant{Seq: dataset.MH05(camera.Stereo), Stride: stride}
+	r, err := NewRunner(server.DefaultConfig(), float64(stride)/seq.FPS, p)
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	seq2 := dataset.MH05(camera.Stereo)
-	sess, err := srv.OpenSession(2, seq2.Rig)
-	if err != nil {
+	defer r.Close()
+	if err := r.Run(n / stride); err != nil {
 		return nil, err
 	}
-	dev := client.New(2, seq2)
-	sFrames := 0
-	for i := 0; i < n; i += stride {
-		msg := dev.BuildFrame(i)
-		res, err := sess.HandleFrame(msg)
-		if err != nil {
-			return nil, err
-		}
-		dev.ApplyPose(i, res.Pose, res.Tracked)
-		sFrames++
-	}
+	dev, sFrames := p.Dev, p.Steps
 
 	res := &Fig13Result{}
 	if bFrames > 0 {
@@ -93,4 +71,22 @@ func Fig13(w io.Writer) (*Fig13Result, error) {
 	tablef(w, "reduction vs hardware-encoder analogue: %.0fx (paper: ~35x)", res.ReductionX)
 	tablef(w, "reduction with the pure-Go software codec: %.1fx", res.ReductionSWX)
 	return res, nil
+}
+
+// onDeviceSLAM runs the baseline device's full local SLAM over the
+// first n frames of seq with the hold-down disabled, so it never
+// uploads: the paper's single-user ORB-SLAM3. It returns the client
+// and the number of frames it processed.
+func onDeviceSLAM(seq *dataset.Sequence, n, stride int) (*baseline.Client, int) {
+	cfg := baseline.DefaultConfig()
+	cfg.HoldDownFrames = 1 << 30
+	cl := baseline.NewClient(1, seq, cfg)
+	frames := 0
+	for i := 0; i < n && i < seq.FrameCount(); i += stride {
+		if cl.CanProcess(i) {
+			cl.Step(i)
+			frames++
+		}
+	}
+	return cl, frames
 }

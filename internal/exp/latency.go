@@ -144,37 +144,27 @@ func Latency(w io.Writer) ([]LatencyRow, error) {
 	cfg := server.DefaultConfig()
 	cfg.Persist.Dir = dir
 	cfg.Persist.CheckpointEvery = -1 // checkpoint once, explicitly, below
-	srv, err := server.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-
 	seqA := dataset.MH04(camera.Stereo)
 	seqB := dataset.MH05(camera.Stereo)
-	sessA, err := srv.OpenSession(1, seqA.Rig)
-	if err != nil {
-		return nil, err
-	}
-	sessB, err := srv.OpenSession(2, seqB.Rig)
-	if err != nil {
-		return nil, err
-	}
-	devA := client.New(1, seqA)
-	// B starts displaced so the run exercises the real merge path
-	// (Fig. 7): its merge stages then appear in the breakdown.
-	devB := client.NewDisplaced(2, seqB, 0.35, geom.Vec3{X: 1.5, Y: -0.8})
-	devA.Obs = srv.Obs()
-	devB.Obs = srv.Obs()
-
 	stride := 2
 	steps := scale(150)
-	parts := []*Participant{
-		{Name: "A", Dev: devA, Sess: sessA, Seq: seqA, Stride: stride},
-		{Name: "B", Dev: devB, Sess: sessB, Seq: seqB, Stride: stride, JoinStep: steps / 10},
+	r, err := NewRunner(cfg, float64(stride)/seqA.FPS,
+		&Participant{Name: "A", Seq: seqA, Stride: stride},
+		// B starts displaced so the run exercises the real merge path
+		// (Fig. 7): its merge stages then appear in the breakdown.
+		&Participant{Name: "B", Dev: client.NewDisplaced(2, seqB, 0.35, geom.Vec3{X: 1.5, Y: -0.8}),
+			Seq: seqB, Stride: stride, JoinStep: steps / 10})
+	if err != nil {
+		return nil, err
 	}
-	r := &Runner{Srv: srv, Parts: parts, FramePeriod: float64(stride) / seqA.FPS}
-	r.Run(steps)
+	defer r.Close()
+	srv := r.Srv
+	for _, p := range r.Parts {
+		p.Dev.Obs = srv.Obs()
+	}
+	if err := r.Run(steps); err != nil {
+		return nil, err
+	}
 
 	// One explicit checkpoint so persist.checkpoint appears alongside
 	// the wal.append spans the run already produced.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"slamshare/internal/camera"
-	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/obs"
 	"slamshare/internal/server"
@@ -72,32 +71,23 @@ func TestLatencyTableGolden(t *testing.T) {
 // must contain the pipeline's stage histograms, each with monotone
 // quantiles, and /debug/spans must return well-formed span records.
 func TestDebugEndpointLiveRun(t *testing.T) {
-	srv, err := server.New(server.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	seqA := dataset.MH04(camera.Stereo)
 	seqB := dataset.MH05(camera.Stereo)
-	sessA, err := srv.OpenSession(1, seqA.Rig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessB, err := srv.OpenSession(2, seqB.Rig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devA := client.New(1, seqA)
-	devB := client.New(2, seqB)
-	devA.Obs = srv.Obs()
-	devB.Obs = srv.Obs()
 	stride := 3
-	parts := []*Participant{
-		{Name: "A", Dev: devA, Sess: sessA, Seq: seqA, Stride: stride},
-		{Name: "B", Dev: devB, Sess: sessB, Seq: seqB, Stride: stride},
+	r, err := NewRunner(server.DefaultConfig(), float64(stride)/seqA.FPS,
+		&Participant{Name: "A", Seq: seqA, Stride: stride},
+		&Participant{Name: "B", Seq: seqB, Stride: stride})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := &Runner{Srv: srv, Parts: parts, FramePeriod: float64(stride) / seqA.FPS}
-	r.Run(30)
+	defer r.Close()
+	srv := r.Srv
+	for _, p := range r.Parts {
+		p.Dev.Obs = srv.Obs()
+	}
+	if err := r.Run(30); err != nil {
+		t.Fatal(err)
+	}
 
 	ts := httptest.NewServer(srv.DebugHandler())
 	defer ts.Close()

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"slamshare/internal/camera"
-	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/lifecycle"
 	"slamshare/internal/server"
@@ -144,41 +143,35 @@ func soakRun(specs []soakSpec, steps, sampleEvery int, lcfg lifecycle.Config) (s
 	if cfg.Overload.MaxSessions < len(specs) {
 		cfg.Overload.MaxSessions = len(specs) + 1
 	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		return res, err
-	}
-	defer srv.Close()
-
 	parts := make([]*Participant, 0, len(specs))
-	for i, sp := range specs {
-		sess, err := srv.OpenSession(uint32(i+1), sp.seq.Rig)
-		if err != nil {
-			return res, err
-		}
-		dev := client.New(uint32(i+1), sp.seq)
+	for _, sp := range specs {
 		parts = append(parts, &Participant{
-			Name: sp.name, Dev: dev, Sess: sess, Seq: sp.seq,
+			Name: sp.name, Seq: sp.seq,
 			JoinStep: sp.join, LeaveStep: sp.leave, Stride: sp.stride,
 		})
 	}
-
-	r := &Runner{
-		Srv: srv, Parts: parts, FramePeriod: 2.0 / specs[0].seq.FPS,
-		OnStep: func(step int, vt float64) {
-			if (step+1)%sampleEvery != 0 && step != steps-1 {
-				return
-			}
-			g := srv.Global()
-			res.Samples = append(res.Samples, SoakSample{
-				VirtualSec:    vt,
-				KeyFrames:     g.NKeyFrames(),
-				MapPoints:     g.NMapPoints(),
-				ResidentBytes: lifecycle.EstimateResidentBytes(g),
-			})
-		},
+	r, err := NewRunner(cfg, 2.0/specs[0].seq.FPS, parts...)
+	if err != nil {
+		return res, err
 	}
-	r.Run(steps)
+	defer r.Close()
+	srv := r.Srv
+	r.OnStep = func(step int, vt float64) bool {
+		if (step+1)%sampleEvery != 0 && step != steps-1 {
+			return false
+		}
+		g := srv.Global()
+		res.Samples = append(res.Samples, SoakSample{
+			VirtualSec:    vt,
+			KeyFrames:     g.NKeyFrames(),
+			MapPoints:     g.NMapPoints(),
+			ResidentBytes: lifecycle.EstimateResidentBytes(g),
+		})
+		return false
+	}
+	if err := r.Run(steps); err != nil {
+		return res, err
+	}
 
 	res.Sessions = len(parts)
 	for _, p := range parts {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"slamshare/internal/camera"
-	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/server"
 	"slamshare/internal/wire"
@@ -24,48 +23,39 @@ type Table1Row struct {
 // toward the paper's 210-keyframe final row (expensive).
 func Table1(w io.Writer, full bool) ([]Table1Row, error) {
 	seq := dataset.MH04(camera.Stereo)
-	srv, err := server.New(server.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	sess, err := srv.OpenSession(1, seq.Rig)
-	if err != nil {
-		return nil, err
-	}
-	dev := client.New(1, seq)
-
 	checkpoints := []int{10, 20, 30, 40, 50}
 	if full {
 		checkpoints = append(checkpoints, 210)
 	}
-	var rows []Table1Row
-	next := 0
 	stride := 2
 	maxFrames := seq.FrameCount()
 	if !full {
 		maxFrames = scale(1600)
 	}
-	for i := 0; i < maxFrames && next < len(checkpoints); i += stride {
-		res, err := sess.HandleFrame(dev.BuildFrame(i))
-		if err != nil {
-			return nil, err
-		}
-		dev.ApplyPose(i, res.Pose, res.Tracked)
-		g := srv.Global()
-		if g.NKeyFrames() >= checkpoints[next] {
+	r, err := NewRunner(server.DefaultConfig(), float64(stride)/seq.FPS, &Participant{Seq: seq, Stride: stride})
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var rows []Table1Row
+	r.OnStep = func(int, float64) bool {
+		g := r.Srv.Global()
+		if g.NKeyFrames() >= checkpoints[len(rows)] {
 			rows = append(rows, Table1Row{
 				KeyFrames: g.NKeyFrames(),
 				MapPoints: g.NMapPoints(),
 				SizeMB:    float64(wire.MapSize(g)) / (1 << 20),
 			})
-			next++
 		}
+		return len(rows) == len(checkpoints)
+	}
+	if err := r.Run((maxFrames + stride - 1) / stride); err != nil {
+		return nil, err
 	}
 	fmt.Fprintln(w, "Table 1: EuRoC MH04 map size vs keyframes")
 	tablef(w, "%-18s %-18s %-18s", "No. of Keyframes", "No. of Mappoints", "Map Size (MBytes)")
-	for _, r := range rows {
-		tablef(w, "%-18d %-18d %-18.2f", r.KeyFrames, r.MapPoints, r.SizeMB)
+	for _, row := range rows {
+		tablef(w, "%-18d %-18d %-18.2f", row.KeyFrames, row.MapPoints, row.SizeMB)
 	}
 	return rows, nil
 }

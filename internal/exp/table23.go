@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"slamshare/internal/camera"
-	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/metrics"
 	"slamshare/internal/server"
@@ -45,38 +44,27 @@ func Table2(w io.Writer) ([]Table2Row, error) {
 		}
 		for _, sc := range seqs {
 			seq := sc.mk()
-			srv, err := server.New(server.DefaultConfig())
+			p := &Participant{Name: sc.name, Seq: seq, Stride: stride, Link: Link{DelaySec: float64(rtt) / 2000}}
+			r, err := NewRunner(server.DefaultConfig(), float64(stride)/seq.FPS, p)
 			if err != nil {
 				return nil, err
 			}
-			sess, err := srv.OpenSession(1, seq.Rig)
+			err = r.Run(nFrames / stride)
+			r.Close()
 			if err != nil {
-				srv.Close()
 				return nil, err
 			}
-			dev := client.New(1, seq)
-			framePeriod := float64(stride) / seq.FPS
-			r := &Runner{
-				Srv:         srv,
-				FramePeriod: framePeriod,
-				Parts: []*Participant{{
-					Name: sc.name, Dev: dev, Sess: sess, Seq: seq, Stride: stride,
-					Link: Link{DelaySec: float64(rtt) / 2000},
-				}},
-			}
-			r.Run(nFrames / stride)
 			gt := seq.TruthTrajectory(nFrames, stride)
 			// The paper's Table 2 measures the experienced accuracy as
 			// RTT grows: use the live (uncorrected-in-hindsight)
 			// trajectory.
-			est := dev.LiveTrajectory()
+			est := p.Dev.LiveTrajectory()
 			rows[ri].WholeATEcm[sc.name] = 100 * metrics.ATE(est, gt)
 			// "Small map region": the middle third of the run, which
 			// crosses the trajectory's sharpest turn.
 			t0 := seq.FrameTime(nFrames / 3)
 			t1 := seq.FrameTime(2 * nFrames / 3)
 			rows[ri].RegionATEcm[sc.name] = 100 * metrics.ATEWindow(est, gt, t0, t1)
-			srv.Close()
 		}
 	}
 	fmt.Fprintln(w, "Table 2: IMU-compensated accuracy vs RTT (ATE RMSE, cm)")
@@ -155,8 +143,13 @@ func Table3(w io.Writer) ([]Table3Row, error) {
 		// ATE: run the end-to-end system (which uses the video codec) —
 		// the image path feeds identical pixels, so its ATE comes from
 		// a lossless-image lockstep run.
-		row.ATEVideo = trackingATE(sc.mk(), n, true)
-		row.ATEImage = trackingATE(sc.mk(), n, false)
+		var err error
+		if row.ATEVideo, err = trackingATE(sc.mk(), n, true); err != nil {
+			return nil, err
+		}
+		if row.ATEImage, err = trackingATE(sc.mk(), n, false); err != nil {
+			return nil, err
+		}
 		rows = append(rows, row)
 	}
 	fmt.Fprintln(w, "Table 3: video vs image transfer (30 FPS)")
@@ -173,28 +166,19 @@ func Table3(w io.Writer) ([]Table3Row, error) {
 // useVideo is false the client-to-server path carries lossless images
 // (an encoder with an infinite intra interval degenerates to exactly
 // the image codec).
-func trackingATE(seq *dataset.Sequence, n int, useVideo bool) float64 {
-	srv, err := server.New(server.DefaultConfig())
-	if err != nil {
-		return -1
-	}
-	defer srv.Close()
-	sess, err := srv.OpenSession(1, seq.Rig)
-	if err != nil {
-		return -1
-	}
-	dev := client.New(1, seq)
-	if !useVideo {
-		dev.UseImageTransfer()
-	}
+func trackingATE(seq *dataset.Sequence, n int, useVideo bool) (float64, error) {
 	stride := 2
-	r := &Runner{
-		Srv:         srv,
-		FramePeriod: float64(stride) / seq.FPS,
-		Parts: []*Participant{{
-			Dev: dev, Sess: sess, Seq: seq, Stride: stride,
-		}},
+	p := &Participant{Seq: seq, Stride: stride}
+	r, err := NewRunner(server.DefaultConfig(), float64(stride)/seq.FPS, p)
+	if err != nil {
+		return 0, err
 	}
-	r.Run(n / stride)
-	return metrics.ATE(dev.Trajectory(), seq.TruthTrajectory(n, stride))
+	defer r.Close()
+	if !useVideo {
+		p.Dev.UseImageTransfer()
+	}
+	if err := r.Run(n / stride); err != nil {
+		return 0, err
+	}
+	return metrics.ATE(p.Dev.Trajectory(), seq.TruthTrajectory(n, stride)), nil
 }

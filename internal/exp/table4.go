@@ -46,54 +46,42 @@ func Table4(w io.Writer, runs int) (*Table4Result, error) {
 
 	for run := 0; run < runs; run++ {
 		// ----- SLAM-Share side: two clients, shared-memory merge. -----
-		srv, err := server.New(server.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
 		seqA := dataset.MH04(camera.Stereo)
 		seqB := dataset.MH05(camera.Stereo)
 		seqA.Seed += int64(run) * 13
 		seqB.Seed += int64(run) * 13
-		sessA, _ := srv.OpenSession(1, seqA.Rig)
-		sessB, _ := srv.OpenSession(2, seqB.Rig)
-		devA := client.New(1, seqA)
-		devB := client.NewDisplaced(2, seqB, 0.07, geom.Vec3{X: 0.5, Y: -0.3})
-		var encDur time.Duration
-		var upBytes int64
-		for i := 0; i < nFrames; i += 2 {
-			t0 := time.Now()
-			msgA := devA.BuildFrame(i)
-			msgB := devB.BuildFrame(i)
-			encDur += time.Since(t0)
-			upBytes += int64(len(msgA.Video) + len(msgA.VideoRight) + len(msgB.Video) + len(msgB.VideoRight))
-			ra, err := sessA.HandleFrame(msgA)
-			if err != nil {
-				return nil, err
-			}
-			devA.ApplyPose(i, ra.Pose, ra.Tracked)
-			rb, err := sessB.HandleFrame(msgB)
-			if err != nil {
-				return nil, err
-			}
-			devB.ApplyPose(i, rb.Pose, rb.Tracked)
-			if sessA.Merged() && sessB.Merged() {
-				break
-			}
+		const stride = 2
+		r, err := NewRunner(server.DefaultConfig(), stride/seqA.FPS,
+			&Participant{Name: "A", Seq: seqA, Stride: stride},
+			&Participant{Name: "B", Dev: client.NewDisplaced(2, seqB, 0.07, geom.Vec3{X: 0.5, Y: -0.3}), Seq: seqB, Stride: stride})
+		if err != nil {
+			return nil, err
 		}
-		reports := srv.MergeReports()
+		r.OnStep = func(int, float64) bool { return r.Parts[0].Sess.Merged() && r.Parts[1].Sess.Merged() }
+		err = r.Run(nFrames / stride)
+		reports := r.Srv.MergeReports()
+		r.Close()
+		if err != nil {
+			return nil, err
+		}
 		for _, rep := range reports {
 			if rep.Alignment != nil { // the real (non-founding) merge
 				res.SSMerge += rep.Total
 			}
 		}
-		frames := devA.FramesSent() + devB.FramesSent()
+		var encDur time.Duration
+		var frames, upBytes int
+		for _, p := range r.Parts {
+			encDur += p.Dev.EncodeBusy()
+			frames += p.Steps
+			upBytes += p.UpBytes
+		}
 		if frames > 0 {
 			res.SSEncode += encDur / time.Duration(frames)
 		}
 		// Per-frame transfer times on the fast link.
 		res.SSXfer1 += time.Duration(float64(upBytes) / float64(frames) * 8 / linkBps * float64(time.Second))
 		res.SSXfer2 += time.Duration(float64(protocolPoseBytes*8) / linkBps * float64(time.Second))
-		srv.Close()
 
 		// ----- Baseline side: serialized exchange. -----
 		cfg := baseline.DefaultConfig()

@@ -71,14 +71,6 @@ func twoClientRun(t *testing.T, sessA, sessB *server.Session, devA, devB *client
 	return i
 }
 
-func groundTruth(seq *dataset.Sequence, upTo int) metrics.Trajectory {
-	var tr metrics.Trajectory
-	for i := 0; i < upTo && i < seq.FrameCount(); i += 2 {
-		tr.Append(seq.FrameTime(i), seq.GroundTruth(i).T)
-	}
-	return tr
-}
-
 func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute end-to-end run")
@@ -207,7 +199,7 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 	}
 
 	// ---- Post-relocalization accuracy vs the uninterrupted run. ----
-	truth := groundTruth(devA.Seq, crashFrame+resumeFrames)
+	truth := devA.Seq.TruthTrajectory(crashFrame+resumeFrames, 2)
 	t0 := devA.Seq.FrameTime(crashFrame)
 	t1 := devA.Seq.FrameTime(crashFrame + resumeFrames)
 	refATE := metrics.ATEWindow(refA.Trajectory(), truth, t0, t1)

@@ -50,14 +50,6 @@ func lockstep(t *testing.T, sess *Session, c *client.Client, n, stride, lagFrame
 	return results
 }
 
-func truthTrajectory(seq *dataset.Sequence, n, stride int) metrics.Trajectory {
-	var tr metrics.Trajectory
-	for i := 0; i < n; i += stride {
-		tr.Append(seq.FrameTime(i), seq.GroundTruth(i).T)
-	}
-	return tr
-}
-
 func TestSingleClientEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full system test")
@@ -85,7 +77,7 @@ func TestSingleClientEndToEnd(t *testing.T) {
 		t.Fatalf("only %d/%d frames tracked", tracked, n)
 	}
 	// The client's experienced trajectory must match ground truth.
-	ate := metrics.ATE(cl.Trajectory(), truthTrajectory(seq, n, 1))
+	ate := metrics.ATE(cl.Trajectory(), seq.TruthTrajectory(n, 1))
 	t.Logf("single client end-to-end ATE: %.3f m (uplink %.2f KB/frame)",
 		ate, float64(cl.UplinkBytes())/float64(cl.FramesSent())/1024)
 	if ate > 0.15 {
@@ -171,8 +163,8 @@ func TestTwoClientsMergeIntoGlobalMap(t *testing.T) {
 		t.Errorf("global map missing a client: %v", clients)
 	}
 	// Accuracy of both clients after merging.
-	ateA := metrics.ATE(clA.Trajectory(), truthTrajectory(seqA, n, 1))
-	ateB := metrics.ATE(clB.Trajectory(), truthTrajectory(seqB, n, 1))
+	ateA := metrics.ATE(clA.Trajectory(), seqA.TruthTrajectory(n, 1))
+	ateB := metrics.ATE(clB.Trajectory(), seqB.TruthTrajectory(n, 1))
 	t.Logf("post-merge ATE: A %.3f m, B %.3f m", ateA, ateB)
 	if ateA > 0.2 || ateB > 0.2 {
 		t.Errorf("post-merge ATE too high: %.3f / %.3f", ateA, ateB)
@@ -210,7 +202,7 @@ func TestServeOverTCPWithNetem(t *testing.T) {
 	if err := cl.Run(client.ConnDialer(conn), frames, overload.Backoff{}); err != nil {
 		t.Fatal(err)
 	}
-	ate := metrics.ATE(cl.Trajectory(), truthTrajectory(seq, 40, 1))
+	ate := metrics.ATE(cl.Trajectory(), seq.TruthTrajectory(40, 1))
 	t.Logf("TCP end-to-end ATE over shaped link: %.3f m", ate)
 	if ate > 0.2 {
 		t.Errorf("ATE %.3f m over TCP", ate)
