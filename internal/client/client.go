@@ -439,14 +439,7 @@ func (c *Client) Mode() camera.Mode { return c.Seq.Rig.Mode }
 func NewDisplaced(id uint32, seq *dataset.Sequence, yaw float64, offset geom.Vec3) *Client {
 	c := New(id, seq)
 	d := geom.SE3{R: geom.QuatFromAxisAngle(geom.Vec3{Z: 1}, yaw), T: offset}
-	anchor := c.mm.Latest()
-	displaced := geom.SE3{
-		R: d.R.Mul(anchor.R).Normalized(),
-		T: d.Apply(anchor.T),
-	}
-	const h = 1e-3
-	v0 := seq.Traj.PoseAt(h).T.Sub(seq.Traj.PoseAt(0).T).Scale(1 / h)
-	c.mm = imu.NewMotionModel(displaced, d.R.Rotate(v0))
+	c.mm.Transform(geom.Sim3FromSE3(d))
 	return c
 }
 

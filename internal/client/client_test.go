@@ -6,6 +6,8 @@ import (
 	"slamshare/internal/camera"
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
+	"slamshare/internal/imu"
+	"slamshare/internal/protocol"
 )
 
 func TestBuildFrameBasics(t *testing.T) {
@@ -115,5 +117,36 @@ func TestUseImageTransfer(t *testing.T) {
 	i1 := len(img.BuildFrame(1).Video)
 	if v1 >= i1 {
 		t.Errorf("inter frame (%d B) not smaller than image transfer (%d B)", v1, i1)
+	}
+}
+
+// TestMotionModelKeepsUplinkWindow pins imu.Window to the uplink
+// window: right after the model drops its oldest half, the answer for
+// the oldest frame an open-loop session can still have in flight
+// (protocol.UplinkWindow back) lands, with the velocity fit's whole
+// span behind it — exactly as on a client one frame short of the drop.
+func TestMotionModelKeepsUplinkWindow(t *testing.T) {
+	seq := dataset.V202(camera.Stereo)
+	n := 2 * imu.Window // the n-th frame makes the model drop its oldest half
+	short, dropped := New(1, seq), New(2, seq)
+	for i := 0; i < n; i++ {
+		if i < n-1 {
+			short.BuildSync(i)
+		}
+		dropped.BuildSync(i)
+	}
+	oldest := n - protocol.UplinkWindow
+	fix := seq.GroundTruth(oldest)
+	fix.T = fix.T.Add(geom.Vec3{X: 0.05})
+	short.ApplyPose(oldest, fix.Inverse(), true)
+	dropped.ApplyPose(oldest, fix.Inverse(), true)
+	want, got := short.Trajectory(), dropped.Trajectory()
+	if got[oldest].Pos.Dist(fix.T) > 1e-9 {
+		t.Fatalf("answer for frame %d was ignored after the drop", oldest)
+	}
+	for k := oldest; k < n-1; k++ {
+		if got[k].Pos != want[k].Pos {
+			t.Fatalf("est[%d] = %v after the drop, %v before: the fit lost its span", k, got[k].Pos, want[k].Pos)
+		}
 	}
 }

@@ -1,13 +1,13 @@
 // Package imu models the inertial measurement unit carried by AR
 // devices: a gyroscope/accelerometer sensor model with noise and bias,
-// a dead-reckoning integrator, and the client-side motion model of the
+// preintegration of a frame's samples, and the motion model of the
 // paper's Algorithm 1 (ApproxPose_UpdateMM / Recv_SLAMPose), which
 // bridges the gap between camera frames while the client waits for
-// SLAM poses from the edge server.
+// SLAM poses from the edge server. The motion model is the only dead
+// reckoning: with no fixes it is pure IMU integration.
 package imu
 
 import (
-	"math"
 	"math/rand"
 
 	"slamshare/internal/geom"
@@ -108,53 +108,6 @@ func randomDir(rng *rand.Rand) geom.Vec3 {
 	}
 }
 
-// State is the dead-reckoning navigation state.
-type State struct {
-	Pose geom.SE3  // body-to-world
-	Vel  geom.Vec3 // world-frame velocity
-	T    float64   // time of validity
-}
-
-// Integrator propagates a navigation state from raw IMU samples. It is
-// deliberately simple (no bias estimation): the paper relies on the
-// server's SLAM pose to bound its drift, which is exactly the behaviour
-// Table 2 measures.
-type Integrator struct {
-	state State
-}
-
-// NewIntegrator returns an integrator initialized at the given state.
-func NewIntegrator(s State) *Integrator { return &Integrator{state: s} }
-
-// State returns the current navigation state.
-func (in *Integrator) State() State { return in.state }
-
-// Reset re-anchors the integrator, e.g. when an authoritative SLAM pose
-// arrives from the server.
-func (in *Integrator) Reset(s State) { in.state = s }
-
-// Step advances the state by one IMU sample using midpoint integration.
-func (in *Integrator) Step(s Sample) State {
-	dt := s.T - in.state.T
-	if dt <= 0 {
-		return in.state
-	}
-	// Rotate by the gyro increment.
-	r0 := in.state.Pose.R
-	r1 := r0.Mul(geom.QuatFromRotVec(s.Gyro.Scale(dt))).Normalized()
-	// Specific force to world acceleration using the midpoint attitude.
-	rm := r0.Slerp(r1, 0.5)
-	aWorld := rm.Rotate(s.Accel).Add(Gravity)
-	v1 := in.state.Vel.Add(aWorld.Scale(dt))
-	p1 := in.state.Pose.T.Add(in.state.Vel.Scale(dt)).Add(aWorld.Scale(dt * dt / 2))
-	in.state = State{
-		Pose: geom.SE3{R: r1, T: p1},
-		Vel:  v1,
-		T:    s.T,
-	}
-	return in.state
-}
-
 // Preintegrate accumulates the rotation, velocity and position deltas
 // of a sample span in the frame of the first sample — the quantity the
 // client ships alongside frames so the server-side tracker can fuse
@@ -186,30 +139,4 @@ func Preintegrate(samples []Sample) Preintegrated {
 		p.DT += dt
 	}
 	return p
-}
-
-// DriftRMS returns the RMS position error of dead-reckoning the
-// trajectory over [t0,t1] against ground truth. It quantifies the
-// "IMU alone drifts" premise of §4.2.2.
-func DriftRMS(traj PoseSampler, samples []Sample, t0, t1 float64) float64 {
-	truth0 := traj.PoseAt(t0)
-	// Seed velocity from ground truth.
-	const h = 1e-3
-	v0 := traj.PoseAt(t0 + h).T.Sub(traj.PoseAt(t0 - h).T).Scale(1 / (2 * h))
-	in := NewIntegrator(State{Pose: truth0, Vel: v0, T: t0})
-	var sum float64
-	var n int
-	for _, s := range samples {
-		if s.T < t0 || s.T > t1 {
-			continue
-		}
-		st := in.Step(s)
-		d := st.Pose.T.Dist(traj.PoseAt(s.T).T)
-		sum += d * d
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sum / float64(n))
 }

@@ -2,6 +2,7 @@ package imu
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"slamshare/internal/geom"
@@ -59,40 +60,34 @@ func TestStaticBodyMeasuresGravity(t *testing.T) {
 	}
 }
 
-func TestIntegratorTracksPerfectIMU(t *testing.T) {
-	traj := circleTraj{r: 2, w: 0.8}
-	samples := Simulate(traj, 0, 5, 1000, NoiseConfig{}, 1)
-	// True initial velocity of the circle: r*w tangential.
-	v0 := geom.Vec3{X: 0, Y: 2 * 0.8, Z: 0}
-	in := NewIntegrator(State{Pose: traj.PoseAt(0), Vel: v0, T: 0})
-	var maxErr float64
-	for _, s := range samples {
-		st := in.Step(s)
-		if e := st.Pose.T.Dist(traj.PoseAt(s.T).T); e > maxErr {
-			maxErr = e
-		}
+// deadReckonRMS runs the motion model with no fixes — Alg. 1 dead
+// reckoning, what a shadow-mode device relies on — over samples in
+// frames of per samples, seeded from the true pose and velocity, and
+// returns the RMS position error against the trajectory.
+func deadReckonRMS(traj circleTraj, samples []Sample, per int) float64 {
+	mm := NewMotionModel(traj.PoseAt(0), traj.vel(0))
+	var sum float64
+	n := len(samples) / per
+	for f := 1; f < n; f++ {
+		p := mm.ApproxPoseUpdateMM(FrameDeltaFrom(Preintegrate(samples[(f-1)*per : f*per])))
+		d := p.T.Dist(traj.PoseAt(samples[f*per].T).T)
+		sum += d * d
 	}
-	// A noise-free IMU at 1 kHz should track a gentle circle closely.
-	if maxErr > 0.05 {
-		t.Errorf("max position error %v m with perfect IMU", maxErr)
-	}
+	return math.Sqrt(sum / float64(n-1))
 }
 
-func TestIntegratorIgnoresNonMonotonicSamples(t *testing.T) {
-	in := NewIntegrator(State{Pose: geom.IdentitySE3(), T: 1})
-	before := in.State()
-	in.Step(Sample{T: 0.5}) // older than state: must be ignored
-	if in.State() != before {
-		t.Error("integrator advanced on stale sample")
-	}
+// vel is the circle's world-frame velocity at time t.
+func (c circleTraj) vel(t float64) geom.Vec3 {
+	a := c.w * t
+	return geom.Vec3{X: -c.r * c.w * math.Sin(a), Y: c.r * c.w * math.Cos(a)}
 }
 
 func TestNoisyIMUDrifts(t *testing.T) {
 	traj := circleTraj{r: 2, w: 0.5}
 	noisy := Simulate(traj, 0, 10, 200, ConsumerGradeNoise(), 7)
 	clean := Simulate(traj, 0, 10, 200, NoiseConfig{}, 7)
-	driftNoisy := DriftRMS(traj, noisy, 0, 10)
-	driftClean := DriftRMS(traj, clean, 0, 10)
+	driftNoisy := deadReckonRMS(traj, noisy, 10)
+	driftClean := deadReckonRMS(traj, clean, 10)
 	if driftNoisy < driftClean {
 		t.Errorf("noise should not reduce drift: %v vs %v", driftNoisy, driftClean)
 	}
@@ -215,5 +210,101 @@ func TestFrameDeltaFrom(t *testing.T) {
 	d := FrameDeltaFrom(p)
 	if d.DT != p.DT || d.PosDelta != p.DPos || d.VelDelta != p.DVel {
 		t.Errorf("FrameDeltaFrom mismatch: %+v", d)
+	}
+}
+
+// TestVelocityFitBoundsNoisyFixes feeds a fix for every frame of a
+// 30 FPS camera at stride 2, each off the true pose by 1 mm of seeded
+// noise, and bounds the error of the velocity each fix leaves behind,
+// read off the next prediction: what it adds to the fix beyond the true
+// displacement, per second. A two-fix difference over one 66.7 ms step
+// reads 5.7 cm/s here; the windowed fit, over twelve steps, 1.6 cm/s.
+func TestVelocityFitBoundsNoisyFixes(t *testing.T) {
+	traj := circleTraj{r: 2, w: 0.8}
+	const dt = 2.0 / 30
+	const per = 26 // 390 Hz IMU samples per frame
+	samples := Simulate(traj, 0, 6, per/dt, ConsumerGradeNoise(), 11)
+	rng := rand.New(rand.NewSource(3))
+	mm := NewMotionModel(traj.PoseAt(0), traj.vel(0))
+	var fix geom.SE3
+	var sum float64
+	var n int
+	for f := 1; f*per <= len(samples); f++ {
+		prior := mm.ApproxPoseUpdateMM(FrameDeltaFrom(Preintegrate(samples[(f-1)*per : f*per])))
+		truth, prev := traj.PoseAt(float64(f)*dt), traj.PoseAt(float64(f-1)*dt)
+		if f > 12 {
+			e := prior.T.Sub(fix.T).Sub(truth.T.Sub(prev.T)).Norm() / dt
+			sum += e * e
+			n++
+		}
+		fix = truth
+		fix.T = fix.T.Add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(1e-3))
+		mm.RecvSLAMPose(fix, f)
+	}
+	if rms := math.Sqrt(sum / float64(n)); rms > 0.025 {
+		t.Errorf("velocity RMS error %.4f m/s over %d noisy fixes, want ≤ 0.025", rms, n)
+	}
+}
+
+// TestMotionModelBounded runs a day-long session's worth of frames
+// through one model: the kept entries stay within twice the window,
+// Len still counts every frame, and a fix older than the window is
+// ignored while one inside it lands.
+func TestMotionModelBounded(t *testing.T) {
+	mm := NewMotionModel(geom.IdentitySE3(), geom.Vec3{})
+	d := FrameDelta{RotDelta: geom.IdentityQuat(), VelDelta: geom.Vec3{Z: 9.81 / 30}, DT: 1.0 / 30}
+	const n = 100000
+	for i := 0; i < n; i++ {
+		mm.ApproxPoseUpdateMM(d)
+	}
+	if kept := len(mm.poses); kept > 2*Window || len(mm.deltas) != kept || len(mm.vel) != kept {
+		t.Errorf("kept %d poses, %d deltas, %d velocities; want equal and ≤ %d", kept, len(mm.deltas), len(mm.vel), 2*Window)
+	}
+	if mm.Len() != n+1 {
+		t.Errorf("Len = %d, want %d", mm.Len(), n+1)
+	}
+	before := mm.Latest()
+	far := geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: 100}}
+	if mm.RecvSLAMPose(far, mm.Len()-2*Window-1) != before {
+		t.Error("a fix older than the window moved the model")
+	}
+	if _, ok := mm.PoseOf(mm.Len() - Window); !ok {
+		t.Error("a frame inside the window is no longer kept")
+	}
+	if got := mm.RecvSLAMPose(far, mm.Len()-Window); got.T.X < 50 {
+		t.Errorf("a fix inside the window did not land: latest %v", got.T)
+	}
+}
+
+// TestTransformMovesWholeModel checks that moving the model into
+// another frame and then fixing it there gives the moved result of
+// fixing it in the old one: poses and velocities are all carried, so
+// the fit never spans the frame change.
+func TestTransformMovesWholeModel(t *testing.T) {
+	traj := circleTraj{r: 2, w: 0.8}
+	const per = 13
+	samples := Simulate(traj, 0, 1, 390, NoiseConfig{}, 2)
+	tf := geom.Sim3{S: 1, R: geom.QuatFromAxisAngle(geom.Vec3{Z: 1}, 0.7), T: geom.Vec3{X: 3, Y: -1, Z: 0.5}}
+	a := NewMotionModel(traj.PoseAt(0), traj.vel(0))
+	b := NewMotionModel(traj.PoseAt(0), traj.vel(0))
+	var last int
+	for f := 1; f*per <= len(samples); f++ {
+		d := FrameDeltaFrom(Preintegrate(samples[(f-1)*per : f*per]))
+		a.ApproxPoseUpdateMM(d)
+		b.ApproxPoseUpdateMM(d)
+		last = f
+	}
+	b.Transform(tf)
+	fix := traj.PoseAt(float64(last) / 30)
+	fix.T = fix.T.Add(geom.Vec3{X: 0.01})
+	a.RecvSLAMPose(fix, last)
+	b.RecvSLAMPose(tf.ApplyPose(fix), last)
+	for i := range a.poses {
+		if e := tf.ApplyPose(a.poses[i]).T.Dist(b.poses[i].T); e > 1e-9 {
+			t.Fatalf("entry %d: transformed poses differ by %v m", i, e)
+		}
+		if e := tf.R.Rotate(a.vel[i]).Dist(b.vel[i]); e > 1e-9 {
+			t.Fatalf("entry %d: transformed velocities differ by %v m/s", i, e)
+		}
 	}
 }

@@ -38,24 +38,24 @@ func (l goldenLine) String() string {
 	return s
 }
 
-// pipelineGolden runs MH04 + MH05 through the direct API — on the
-// serial reference path for trackWorkers < 0, else through a pool of
-// that many workers — 60 frames each, interleaved A0 B0 A1 B1 …, and
-// returns one line per thing a change could move: every answered pose
-// with its Tracked/Merged decision, the merge transforms, and the final
-// size of the global map.
-func pipelineGolden(t *testing.T, trackWorkers int) []goldenLine {
+// goldenFrames is how many frames of each sequence the golden run
+// interleaves.
+const goldenFrames = 60
+
+// goldenSessions opens the golden run: a server on the serial reference
+// path for trackWorkers < 0, else with a pool of that many workers, and
+// an MH04 and an MH05 session with their clients. The caller closes the
+// server.
+func goldenSessions(t *testing.T, trackWorkers int) (*Server, []*Session, []*client.Client) {
 	cfg := DefaultConfig()
 	cfg.TrackWorkers = trackWorkers
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	seqs := []*dataset.Sequence{dataset.MH04(camera.Stereo), dataset.MH05(camera.Stereo)}
 	var sessions []*Session
 	var clients []*client.Client
-	for i, seq := range seqs {
+	for i, seq := range []*dataset.Sequence{dataset.MH04(camera.Stereo), dataset.MH05(camera.Stereo)} {
 		sess, err := srv.OpenSession(uint32(i+1), seq.Rig)
 		if err != nil {
 			t.Fatal(err)
@@ -63,9 +63,18 @@ func pipelineGolden(t *testing.T, trackWorkers int) []goldenLine {
 		sessions = append(sessions, sess)
 		clients = append(clients, client.New(uint32(i+1), seq))
 	}
-	const n = 60
+	return srv, sessions, clients
+}
+
+// pipelineGolden runs the golden sessions through the direct API,
+// goldenFrames each, interleaved A0 B0 A1 B1 …, and returns one line per
+// thing a change could move: every answered pose with its Tracked/Merged
+// decision, the merge transforms, and the final size of the global map.
+func pipelineGolden(t *testing.T, trackWorkers int) []goldenLine {
+	srv, sessions, clients := goldenSessions(t, trackWorkers)
+	defer srv.Close()
 	var lines []goldenLine
-	for i := 0; i < n; i++ {
+	for i := 0; i < goldenFrames; i++ {
 		for c, sess := range sessions {
 			res, err := sess.HandleFrame(clients[c].BuildFrame(i))
 			if err != nil {
@@ -172,5 +181,60 @@ func TestPipelineGolden(t *testing.T) {
 	}
 	if moved > 5 {
 		t.Errorf("… and %d more lines", moved-5)
+	}
+}
+
+// TestMergedPriorStaysOnTrack drives the pipeline golden's run and
+// checks the IMU prior of the first frame after each aligned merge: the
+// merge moves the session's whole motion model into global coordinates,
+// so that prior lands within 5 cm of the pose tracking settles on. A
+// model whose newest pose alone was moved fits its next velocity across
+// the frame change and misses by the merge's displacement over one step.
+func TestMergedPriorStaysOnTrack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full system test")
+	}
+	srv, sessions, clients := goldenSessions(t, -1)
+	defer srv.Close()
+	afterMerge := make([]bool, len(sessions))
+	checked := 0
+	for i := 0; i < goldenFrames; i++ {
+		for c, sess := range sessions {
+			msg := clients[c].BuildFrame(i)
+			var res Result
+			var err error
+			if afterMerge[c] {
+				// HandleFrame, with the prior kept for the check.
+				srv.global.Tick()
+				left, err := sess.decL.Decode(msg.Video)
+				if err != nil {
+					t.Fatal(err)
+				}
+				right, err := sess.decR.Decode(msg.VideoRight)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prior := sess.advance(msg.Delta, msg.HasPrior, msg.Prior)
+				res = sess.completeFrame(sess.tracker.ProcessFrame(left, right, msg.Stamp, prior), msg.Stamp)
+				if !res.Tracked {
+					t.Fatalf("c%d f%d: not tracked after the merge", c+1, i)
+				}
+				if miss := prior.Inverse().T.Dist(res.Pose.Inverse().T); miss > 0.05 {
+					t.Errorf("c%d f%d: first prior after the merge is %.2f cm off the tracked pose, want ≤ 5", c+1, i, 100*miss)
+				}
+				afterMerge[c] = false
+				checked++
+			} else if res, err = sess.HandleFrame(msg); err != nil {
+				t.Fatal(err)
+			}
+			clients[c].ApplyPose(i, res.Pose, res.Tracked)
+			if res.Merged {
+				reps := srv.MergeReports()
+				afterMerge[c] = reps[len(reps)-1].Alignment != nil
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no aligned merge in the run")
 	}
 }

@@ -574,11 +574,7 @@ type Session struct {
 	merged   bool
 
 	decL, decR *video.Decoder
-	mm         *imu.MotionModel
-	mmReady    bool
-	prevTwc    geom.SE3
-	prevStamp  float64
-	havePrev   bool
+	mm         *imu.MotionModel // nil until the first tracked frame anchors it
 	// mergeAttempts numbers this session's merge attempts (the backoff
 	// schedule is keyed on it); mergeBarrier is the extra local-map
 	// growth (keyframes) failed attempts demand before the next one.
@@ -781,7 +777,7 @@ func (sess *Session) HandleFrame(msg *protocol.FrameMsg) (Result, error) {
 // rather than tracked (shed, shadow-mode sync) call it for the side
 // effect, so the next tracked frame's prior spans the gap.
 func (sess *Session) advance(delta imu.FrameDelta, hasPrior bool, prior geom.SE3) *geom.SE3 {
-	if sess.mmReady {
+	if sess.mm != nil {
 		p := sess.mm.ApproxPoseUpdateMM(delta).Inverse()
 		return &p
 	}
@@ -815,22 +811,13 @@ func (sess *Session) completeFrame(tr tracking.Result, stamp float64) Result {
 
 	if res.Tracked {
 		twc := tr.Pose.Inverse()
-		if !sess.mmReady {
+		if sess.mm == nil {
 			sess.mm = imu.NewMotionModel(twc, geom.Vec3{})
-			sess.mmReady = true
 		} else {
+			// The fix also fits the model's velocity: the anchor
+			// velocity was unknown and IMU deltas only carry increments.
 			sess.mm.RecvSLAMPose(twc, sess.mm.Len()-1)
-			// Correct the motion model's velocity from consecutive SLAM
-			// fixes; the anchor velocity was unknown and IMU deltas only
-			// carry velocity increments.
-			if sess.havePrev && stamp > sess.prevStamp {
-				v := twc.T.Sub(sess.prevTwc.T).Scale(1 / (stamp - sess.prevStamp))
-				sess.mm.SetVelocity(v)
-			}
 		}
-		sess.prevTwc = twc
-		sess.prevStamp = stamp
-		sess.havePrev = true
 		sess.Traj.Append(stamp, twc.T)
 	}
 
@@ -957,20 +944,13 @@ func (sess *Session) tryMerge() bool {
 	if err == nil && rep.Alignment != nil {
 		// Transform this session's live tracking state into global
 		// coordinates along with its map: the tracker's last frame and
-		// velocity, the motion model, and the previous-pose anchor the
-		// velocity correction uses (otherwise the first post-merge
-		// velocity estimate would span the coordinate-frame jump).
+		// velocity, and the whole motion model: every kept pose and
+		// velocity, so the next velocity fit never spans the
+		// coordinate-frame jump.
 		tf := rep.Alignment.Transform
 		sess.tracker.ApplyTransform(tf)
-		if sess.mmReady {
-			last := sess.tracker.LastFrame()
-			sess.mm.RecvSLAMPose(last.Tcw.Inverse(), sess.mm.Len()-1)
-		}
-		if sess.havePrev {
-			sess.prevTwc = geom.SE3{
-				R: tf.R.Mul(sess.prevTwc.R).Normalized(),
-				T: tf.Apply(sess.prevTwc.T),
-			}
+		if sess.mm != nil {
+			sess.mm.Transform(tf)
 		}
 	}
 	s.gmu.Unlock()

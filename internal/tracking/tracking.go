@@ -192,9 +192,6 @@ func New(m *smap.Map, rig camera.Rig, ex *feature.Extractor, alloc *smap.IDAlloc
 // State returns the tracker state.
 func (t *Tracker) State() State { return t.state }
 
-// LastFrame returns the most recent tracked frame.
-func (t *Tracker) LastFrame() Frame { return t.last }
-
 // RefKF returns the current reference keyframe id.
 func (t *Tracker) RefKF() smap.ID { return t.refKF }
 
