@@ -6,7 +6,6 @@ package camera
 
 import (
 	"fmt"
-	"math"
 
 	"slamshare/internal/geom"
 )
@@ -127,36 +126,10 @@ func NewStereoRig(in Intrinsics, baseline float64) Rig {
 	return Rig{Intr: in, Mode: Stereo, Baseline: baseline}
 }
 
-// DepthFromDisparity converts a stereo disparity (pixels) to depth.
-// Returns 0 for non-positive disparities.
-func (r Rig) DepthFromDisparity(d float64) float64 {
-	if d <= 0 || r.Mode != Stereo {
-		return 0
-	}
-	return r.Intr.Fx * r.Baseline / d
-}
-
-// DisparityAtDepth returns the stereo disparity of a point at depth z.
-func (r Rig) DisparityAtDepth(z float64) float64 {
-	if z <= 0 || r.Mode != Stereo {
-		return 0
-	}
-	return r.Intr.Fx * r.Baseline / z
-}
-
 // WorldToPixel projects world point pw through world-to-camera pose
 // tcw into pixel coordinates.
 func (r Rig) WorldToPixel(tcw geom.SE3, pw geom.Vec3) (geom.Vec2, bool) {
 	return r.Intr.Project(tcw.Apply(pw))
-}
-
-// ViewAngleCos returns the cosine of the angle between the viewing ray
-// from camera center cw to point pw and the reference direction ref.
-// Tracking uses it to reject map points seen from too different an
-// angle for descriptor matching to be reliable.
-func ViewAngleCos(cw, pw geom.Vec3, ref geom.Vec3) float64 {
-	v := pw.Sub(cw).Normalized()
-	return v.Dot(ref.Normalized())
 }
 
 // FrustumCheck reports whether world point pw is inside the viewing
@@ -170,10 +143,3 @@ func (r Rig) FrustumCheck(tcw geom.SE3, pw geom.Vec3, minDepth, maxDepth float64
 	_, ok := r.Intr.Project(pc)
 	return ok
 }
-
-// FocalMean returns the average focal length, used to convert pixel
-// thresholds to angular ones.
-func (in Intrinsics) FocalMean() float64 { return (in.Fx + in.Fy) / 2 }
-
-// PixelAngle returns the angle subtended by one pixel, in radians.
-func (in Intrinsics) PixelAngle() float64 { return math.Atan(1 / in.FocalMean()) }

@@ -59,26 +59,6 @@ func TestRayUnitLength(t *testing.T) {
 	}
 }
 
-func TestStereoDisparityRoundTrip(t *testing.T) {
-	rig := NewStereoRig(KITTIIntrinsics(), 0.54)
-	for _, z := range []float64{1, 5, 10, 50} {
-		d := rig.DisparityAtDepth(z)
-		if got := rig.DepthFromDisparity(d); math.Abs(got-z) > 1e-9 {
-			t.Errorf("depth %v -> disparity %v -> %v", z, d, got)
-		}
-	}
-	if rig.DepthFromDisparity(0) != 0 {
-		t.Error("zero disparity must map to zero depth")
-	}
-	if rig.DepthFromDisparity(-3) != 0 {
-		t.Error("negative disparity must map to zero depth")
-	}
-	mono := NewMonoRig(KITTIIntrinsics())
-	if mono.DepthFromDisparity(10) != 0 {
-		t.Error("mono rig must not report stereo depth")
-	}
-}
-
 func TestWorldToPixel(t *testing.T) {
 	rig := NewMonoRig(EuRoCIntrinsics())
 	// Camera at origin looking down +Z; point straight ahead lands on
@@ -123,24 +103,10 @@ func TestInBounds(t *testing.T) {
 	}
 }
 
-func TestViewAngleCos(t *testing.T) {
-	cw := geom.Vec3{X: 0, Y: 0, Z: 0}
-	pw := geom.Vec3{X: 0, Y: 0, Z: 10}
-	if got := ViewAngleCos(cw, pw, geom.Vec3{X: 0, Y: 0, Z: 1}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("aligned view cos = %v", got)
-	}
-	if got := ViewAngleCos(cw, pw, geom.Vec3{X: 1, Y: 0, Z: 0}); math.Abs(got) > 1e-12 {
-		t.Errorf("orthogonal view cos = %v", got)
-	}
-}
-
 func TestIntrinsicsPresets(t *testing.T) {
 	for _, in := range []Intrinsics{EuRoCIntrinsics(), KITTIIntrinsics(), TUMIntrinsics()} {
 		if in.Width <= 0 || in.Height <= 0 || in.Fx <= 0 || in.Fy <= 0 {
 			t.Errorf("bad preset %+v", in)
-		}
-		if in.PixelAngle() <= 0 || in.PixelAngle() > 0.01 {
-			t.Errorf("implausible pixel angle %v", in.PixelAngle())
 		}
 	}
 }

@@ -4,5 +4,5 @@
 // drives scripted churn — staggered joins, crashes, reconnects,
 // partitions, corrupt streams, and server kill + recovery — while
 // auditing the shared global map with smap.CheckInvariants at
-// quiescent sync points. See DESIGN.md §9.
+// quiescent sync points. See DESIGN.md §14.
 package chaos

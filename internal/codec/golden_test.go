@@ -327,11 +327,6 @@ func TestGoldenWire(t *testing.T) {
 		t.Fatalf("wire.map: decode(fixture): %v", err)
 	}
 	assertGoldenMap(t, "wire.map", m, kf1, kf2, mpA, mpB)
-
-	fix = g.check("wire.pose", wire.EncodePose(321, poseB))
-	if idx, p, err := wire.DecodePose(fix); err != nil || idx != 321 || p != poseB {
-		t.Errorf("wire.pose: decode(fixture) = %d, %+v, %v", idx, p, err)
-	}
 }
 
 // goldenMap inserts private copies, so the fixture entities stay

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"slamshare/internal/camera"
@@ -38,6 +41,34 @@ func TestAllIDsRun(t *testing.T) {
 	}
 	if err := Run(io.Discard, "nope", false); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestExperimentsIndexListsAll requires EXPERIMENTS.md's index to have
+// exactly one row per id All returns, and no row for an id Run does
+// not know.
+func TestExperimentsIndexListsAll(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(doc), "\n## Index")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no \"## Index\" section")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	rows := map[string]int{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z0-9]+)` \\|").FindAllStringSubmatch(index, -1) {
+		rows[m[1]]++
+	}
+	for _, id := range All() {
+		if rows[id] != 1 {
+			t.Errorf("EXPERIMENTS.md index has %d rows for %q, want 1", rows[id], id)
+		}
+		delete(rows, id)
+	}
+	for id := range rows {
+		t.Errorf("EXPERIMENTS.md index lists %q, which exp.All does not return", id)
 	}
 }
 

@@ -144,35 +144,6 @@ func QuatFromMat(m Mat3) Quat {
 	return q.Normalized()
 }
 
-// Slerp spherically interpolates from q (t=0) to r (t=1).
-func (q Quat) Slerp(r Quat, t float64) Quat {
-	dot := q.W*r.W + q.X*r.X + q.Y*r.Y + q.Z*r.Z
-	if dot < 0 {
-		r = Quat{-r.W, -r.X, -r.Y, -r.Z}
-		dot = -dot
-	}
-	if dot > 0.9995 {
-		// Nearly parallel: linear interpolation avoids division by a
-		// vanishing sine.
-		return Quat{
-			q.W + t*(r.W-q.W),
-			q.X + t*(r.X-q.X),
-			q.Y + t*(r.Y-q.Y),
-			q.Z + t*(r.Z-q.Z),
-		}.Normalized()
-	}
-	theta := math.Acos(dot)
-	sin := math.Sin(theta)
-	a := math.Sin((1-t)*theta) / sin
-	b := math.Sin(t*theta) / sin
-	return Quat{
-		a*q.W + b*r.W,
-		a*q.X + b*r.X,
-		a*q.Y + b*r.Y,
-		a*q.Z + b*r.Z,
-	}.Normalized()
-}
-
 // AngleTo returns the absolute rotation angle in radians between q and r.
 func (q Quat) AngleTo(r Quat) float64 {
 	d := q.Conj().Mul(r)

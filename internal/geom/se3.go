@@ -93,10 +93,6 @@ func (s Sim3) Inverse() Sim3 {
 	return Sim3{S: si, R: ri, T: ri.Rotate(s.T).Scale(-si)}
 }
 
-// SE3 drops the scale component (valid when S is approximately 1, the
-// stereo / inertial case where scale is observable).
-func (s Sim3) SE3() SE3 { return SE3{R: s.R, T: s.T} }
-
 // Sim3FromSE3 lifts a rigid transform into a similarity with unit scale.
 func Sim3FromSE3(t SE3) Sim3 { return Sim3{S: 1, R: t.R, T: t.T} }
 

@@ -61,23 +61,6 @@ func (g *Gray) Mean() float64 {
 	return float64(sum) / float64(len(g.Pix))
 }
 
-// Halve returns the image downsampled by 2x with 2x2 box filtering,
-// the pyramid step of ORB extraction.
-func (g *Gray) Halve() *Gray {
-	w2, h2 := g.W/2, g.H/2
-	out := New(w2, h2)
-	for y := 0; y < h2; y++ {
-		src0 := g.Row(2 * y)
-		src1 := g.Row(2*y + 1)
-		dst := out.Row(y)
-		for x := 0; x < w2; x++ {
-			s := int(src0[2*x]) + int(src0[2*x+1]) + int(src1[2*x]) + int(src1[2*x+1])
-			dst[x] = byte(s / 4)
-		}
-	}
-	return out
-}
-
 // Resize returns the image scaled to (w, h) with bilinear sampling.
 func (g *Gray) Resize(w, h int) *Gray {
 	out := New(w, h)

@@ -40,20 +40,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHalve(t *testing.T) {
-	g := New(4, 4)
-	g.Fill(80)
-	h := g.Halve()
-	if h.W != 2 || h.H != 2 {
-		t.Fatalf("halved size %dx%d", h.W, h.H)
-	}
-	for _, p := range h.Pix {
-		if p != 80 {
-			t.Fatalf("uniform image changed value: %d", p)
-		}
-	}
-}
-
 func TestResizePreservesUniform(t *testing.T) {
 	f := func(v byte) bool {
 		g := New(64, 48)

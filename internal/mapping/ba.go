@@ -36,7 +36,7 @@ type baWindow struct {
 // nothing else does — cameras as listed, points as first met walking
 // the cameras' keypoints, each point's observers by ascending keyframe
 // ID, outside observers as first met walking the points — so the same
-// map gives the same problem, bit for bit (DESIGN §13). Poses,
+// map gives the same problem, bit for bit (DESIGN §4). Poses,
 // bindings, positions and observer lists are stripe-locked snapshots:
 // the keyframes are shared with other sessions' trackers and mappers.
 // Keypoints are immutable and read off the live pointer.

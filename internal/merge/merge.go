@@ -538,7 +538,7 @@ func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) []smap.I
 	for _, kf := range kfs {
 		i := nodeIdx[kf.ID]
 		// Edges in ascending neighbour ID: their order is the order of
-		// the graph's float sums (DESIGN §13).
+		// the graph's float sums (DESIGN §4).
 		others := make([]smap.ID, 0, len(kf.Conns))
 		for other := range kf.Conns {
 			others = append(others, other)

@@ -50,14 +50,6 @@ func (tr Trajectory) At(t float64) (geom.Vec3, bool) {
 	return a.Pos.Lerp(b.Pos, u), true
 }
 
-// Duration returns the time span covered.
-func (tr Trajectory) Duration() float64 {
-	if len(tr) == 0 {
-		return 0
-	}
-	return tr[len(tr)-1].T - tr[0].T
-}
-
 // ATE returns the RMSE of the estimated trajectory against ground
 // truth, evaluated at the estimate's timestamps — the cumulative ATE
 // of the paper. Returns 0 for empty inputs.
@@ -166,15 +158,4 @@ func (c *CPUMeter) Busy() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.busy
-}
-
-// UtilizationOver returns busy/wall against an explicit wall duration,
-// for replaying recorded runs.
-func (c *CPUMeter) UtilizationOver(wall time.Duration) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return float64(c.busy) / float64(wall)
 }

@@ -157,33 +157,3 @@ func Pipe(cfg Config) (net.Conn, net.Conn) {
 	a, b := net.Pipe()
 	return Wrap(a, cfg), Wrap(b, cfg)
 }
-
-// TCPPair dials a loopback TCP connection to itself and returns both
-// shaped ends — a real-socket link for experiments that want kernel
-// buffering in the path.
-func TCPPair(cfg Config) (client, server net.Conn, err error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer l.Close()
-	type res struct {
-		c   net.Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := l.Accept()
-		ch <- res{c, err}
-	}()
-	cc, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		return nil, nil, err
-	}
-	r := <-ch
-	if r.err != nil {
-		cc.Close()
-		return nil, nil, r.err
-	}
-	return Wrap(cc, cfg), Wrap(r.c, cfg), nil
-}

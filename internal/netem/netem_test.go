@@ -89,28 +89,6 @@ func TestUnlimitedIsFast(t *testing.T) {
 	}
 }
 
-func TestTCPPair(t *testing.T) {
-	c, s, err := TCPPair(DelayOnly(10 * time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	defer s.Close()
-	msg := []byte("over real sockets")
-	start := time.Now()
-	go c.Write(msg)
-	got := make([]byte, len(msg))
-	if _, err := io.ReadFull(s, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Errorf("got %q", got)
-	}
-	if time.Since(start) < 10*time.Millisecond {
-		t.Error("TCP pair ignored delay")
-	}
-}
-
 func TestShortReadBuffering(t *testing.T) {
 	a, b := Pipe(DelayOnly(5 * time.Millisecond))
 	defer a.Close()

@@ -73,9 +73,6 @@ func NewHistogram(name string) *Histogram {
 	return h
 }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	v := int64(d)

@@ -91,7 +91,6 @@ func (t *Tracer) Stage(name string) *Stage {
 	st := &Stage{
 		tr:   t,
 		id:   uint32(len(*t.names.Load())),
-		name: name,
 		hist: t.reg.Histogram(name),
 	}
 	names := append(append([]string{}, *t.names.Load()...), name)
@@ -116,13 +115,6 @@ func (t *Tracer) stageName(id uint32) string {
 	return "?"
 }
 
-// Start begins a span by stage name. Prefer holding a *Stage handle
-// and calling its Start on hot paths; this convenience form takes the
-// intern lock when the stage is new.
-func (t *Tracer) Start(stage string, client uint32, seq uint64) Span {
-	return t.Stage(stage).Start(client, seq)
-}
-
 // RecentSpans returns up to n of the most recent completed spans,
 // newest first (n <= 0 means all retained).
 func (t *Tracer) RecentSpans(n int) []SpanRecord {
@@ -139,16 +131,7 @@ func (t *Tracer) RecentSpans(n int) []SpanRecord {
 type Stage struct {
 	tr   *Tracer
 	id   uint32
-	name string
 	hist *Histogram
-}
-
-// Name returns the stage name ("" for a nil stage).
-func (st *Stage) Name() string {
-	if st == nil {
-		return ""
-	}
-	return st.name
 }
 
 // Histogram returns the stage's latency histogram (nil for a nil stage).

@@ -104,7 +104,7 @@ const (
 	CapShadow
 	// CapResume: the client keeps the session token of its newest
 	// answered pose and presents it after the hello of a redial, so any
-	// front replica can adopt the session (DESIGN §16). Not a mode.
+	// front replica can adopt the session (DESIGN §12). Not a mode.
 	CapResume
 )
 
@@ -208,9 +208,6 @@ func (c *Controller) Mode() Mode { return c.mode }
 
 // Epoch returns the switch epoch (increments on every switch).
 func (c *Controller) Epoch() uint32 { return c.epoch }
-
-// QoS returns the session's service class.
-func (c *Controller) QoS() QoS { return c.qos }
 
 // target picks the least degraded mode whose entry conditions hold
 // with the thresholds scaled by frac (frac=1 for downgrades; frac =

@@ -440,7 +440,7 @@ func stereoWindow() *BAProblem {
 }
 
 // TestBASolveRepeatsBitForBit: Solve sums in an order the problem alone
-// decides (DESIGN §13). Walking a Go map into the Schur complement made
+// decides (DESIGN §4). Walking a Go map into the Schur complement made
 // the last bits of every pose differ from run to run.
 func TestBASolveRepeatsBitForBit(t *testing.T) {
 	ref := stereoWindow()

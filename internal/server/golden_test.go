@@ -100,7 +100,7 @@ func pipelineGolden(t *testing.T, trackWorkers int) []goldenLine {
 		srv.Global().NKeyFrames(), srv.Global().NMapPoints())})
 }
 
-// TestPipelineReproducible pins DESIGN §13's rule from the outside: the
+// TestPipelineReproducible pins DESIGN §4's rule from the outside: the
 // whole pipeline — tracking, mapping, local BA, merge, seam BA,
 // essential graph — repeats bit for bit, serial path against serial
 // path and against the pooled path. One Go map ranged into a float sum

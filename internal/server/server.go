@@ -592,11 +592,10 @@ type Session struct {
 	// stream is the session's handle on the shared tracking pool (nil
 	// when Config.TrackWorkers < 0 disabled batching).
 	stream *trackpool.Stream
-	// qos and ctrl are the adaptive-offload state; a nil ctrl is a
-	// legacy session pinned to full offload. rttNanos is the latest
-	// client-reported round-trip estimate. All three are owned by the
+	// ctrl is the adaptive-offload state; a nil ctrl is a legacy
+	// session pinned to full offload. rttNanos is the latest
+	// client-reported round-trip estimate. Both are owned by the
 	// serveConn loop (direct-API tests drive them single-threaded).
-	qos      offload.QoS
 	ctrl     *offload.Controller
 	rttNanos uint64
 
@@ -874,7 +873,6 @@ func (sess *Session) HandleSync(msg *protocol.KeypointMsg) {
 // mode controller, which starts in mode. Without this call the session
 // stays a legacy full-offload one: no echoes, no mode switches.
 func (sess *Session) ConfigureOffload(qos offload.QoS, caps offload.Caps, mode offload.Mode) {
-	sess.qos = qos
 	sess.ctrl = offload.NewController(sess.srv.cfg.Offload, qos, caps, mode)
 	if sess.stream != nil {
 		sess.stream.SetQoS(int(qos))
@@ -889,10 +887,6 @@ func (sess *Session) OffloadMode() offload.Mode {
 	}
 	return sess.ctrl.Mode()
 }
-
-// QoS returns the session's service class (headset for legacy
-// sessions, which never negotiated one).
-func (sess *Session) QoS() offload.QoS { return sess.qos }
 
 // ShedFrame consumes a shed uplink frame's stream side effects without
 // running the tracking pipeline: the video decoders must see every

@@ -351,7 +351,7 @@ func TestServeCountsBadHelloAndRejects(t *testing.T) {
 // (TrackWorkers < 0) exactly. The pool's kernels are bit-identical to
 // serial (covered at the extraction layer by trackpool's
 // TestStreamExtractionMatchesSerial) and nothing after them sums in an
-// order of its own (DESIGN §13), so tracking decisions, inlier counts
+// order of its own (DESIGN §4), so tracking decisions, inlier counts
 // and poses are compared for equality.
 func TestPooledTrackingMatchesIndependent(t *testing.T) {
 	if testing.Short() {

@@ -122,9 +122,6 @@ type KeyFrame struct {
 	Conns map[ID]int
 }
 
-// Pose returns the world-to-camera transform.
-func (kf *KeyFrame) Pose() geom.SE3 { return kf.Tcw }
-
 // Center returns the camera center in world coordinates.
 func (kf *KeyFrame) Center() geom.Vec3 { return kf.Tcw.Inverse().T }
 
@@ -524,7 +521,7 @@ type ObsEntry struct {
 // observation list, by ascending keyframe ID, under the stripe lock.
 // The live Obs map must never be iterated off a pointer from MapPoint
 // while other sessions add observations — that is a concurrent map
-// read/write — and its order must never reach a float sum (DESIGN §13).
+// read/write — and its order must never reach a float sum (DESIGN §4).
 func (m *Map) PointObs(id ID) (pos geom.Vec3, obs []ObsEntry, ok bool) {
 	s := m.stripe(id)
 	s.mu.RLock()
@@ -1087,9 +1084,7 @@ type ViewPoint struct {
 // no locks at all; Map.LocalView hands the same snapshot back frame
 // after frame until a keyframe in the window changes.
 type LocalView struct {
-	m      *Map
-	kfID   ID
-	maxKFs int
+	m *Map
 	// version is the global counter the view last validated against
 	// (atomic: concurrent trackers sharing the cache re-arm it).
 	version atomic.Uint64
@@ -1157,9 +1152,6 @@ func (v *LocalView) Point(id ID) (ViewPoint, bool) {
 	return ViewPoint{}, false
 }
 
-// RefKF returns the reference keyframe ID the view was built around.
-func (v *LocalView) RefKF() ID { return v.kfID }
-
 // LocalView returns a snapshot of kf's covisibility window, serving a
 // cached one as long as it is Valid. The returned view is shared and
 // immutable: do not mutate its slices.
@@ -1183,7 +1175,7 @@ func (m *Map) LocalView(kfID ID, maxKFs int) *LocalView {
 }
 
 func (m *Map) buildView(kfID ID, maxKFs int) *LocalView {
-	v := &LocalView{m: m, kfID: kfID, maxKFs: maxKFs}
+	v := &LocalView{m: m}
 	// Load the global version before collecting: mutations that land
 	// during the build force a dep check (or rebuild) next frame
 	// instead of being masked.

@@ -192,9 +192,6 @@ func New(m *smap.Map, rig camera.Rig, ex *feature.Extractor, alloc *smap.IDAlloc
 // State returns the tracker state.
 func (t *Tracker) State() State { return t.state }
 
-// RefKF returns the current reference keyframe id.
-func (t *Tracker) RefKF() smap.ID { return t.refKF }
-
 // DegradedFrames returns how many frames were tracked in degraded mode
 // (search-local-points skipped to meet the frame deadline). Safe to
 // read from another goroutine (/debug/vars gauges).

@@ -51,7 +51,7 @@ var (
 // interLevel is the DEFLATE level of inter payloads. With P-skip the
 // match search over the residual plane is the encoder's largest stage;
 // level 4 costs 1.8 % more bytes than the default 6 on MH04 and a
-// fifth less time per eye (the measured table is in DESIGN.md §6).
+// fifth less time per eye (CHANGES.md has the measured table).
 const interLevel = 4
 
 // getBuf returns a length-n scratch slice; callers must fully

@@ -1,9 +1,10 @@
-// Package wire implements binary serialization of SLAM maps, poses and
-// frames. It is the cost the baseline pays on every merge round
-// (serialize → transfer → deserialize, Table 4 rows 2/4/5) and what
-// SLAM-Share's shared-memory design eliminates; it also measures the
-// map sizes of Table 1, and provides the per-entity encoders the
-// persistence journal (internal/persist) records map mutations with.
+// Package wire implements binary serialization of SLAM maps, keyframes,
+// map points and evicted regions. It is the cost the baseline pays on
+// every merge round (serialize → transfer → deserialize, Table 4 rows
+// 2/4/5) and what SLAM-Share's shared-memory design eliminates; it also
+// measures the map sizes of Table 1, and provides the per-entity
+// encoders the persistence journal (internal/persist) records map
+// mutations with.
 //
 // Every top-level encoding starts with a magic number and a format
 // version byte; decoders reject mismatches instead of misparsing stale
@@ -21,7 +22,6 @@ import (
 	"slamshare/internal/bow"
 	"slamshare/internal/codec"
 	"slamshare/internal/feature"
-	"slamshare/internal/geom"
 	"slamshare/internal/smap"
 )
 
@@ -36,10 +36,7 @@ var ErrVersion = errors.New("wire: unsupported format version")
 // magic number. Bump it whenever the layout changes.
 const FormatVersion = 1
 
-const (
-	mapMagic  = 0x534C414D // "SLAM"
-	poseMagic = 0x534C5053 // "SLPS"
-)
+const mapMagic = 0x534C414D // "SLAM"
 
 // Minimum encoded sizes per entity, used to bound allocations against
 // the remaining input before trusting a decoded count.
@@ -319,34 +316,3 @@ func DecodeMap(data []byte, voc *bow.Vocabulary) (*smap.Map, error) {
 // MapSize returns the serialized size of the map in bytes — the rows
 // of Table 1.
 func MapSize(m *smap.Map) int { return len(EncodeMap(m)) }
-
-// EncodePose packs the 4x4 homogeneous pose matrix the server returns
-// to clients (the paper: "a small 4x4 matrix"), with the frame index
-// it answers.
-func EncodePose(frameIdx int, pose geom.SE3) []byte {
-	w := codec.Writer{B: make([]byte, 0, 4+1+8+16*8)}
-	w.U32(poseMagic)
-	w.U8(FormatVersion)
-	w.U64(uint64(frameIdx))
-	for _, v := range pose.Mat4() {
-		w.F64(v)
-	}
-	return w.B
-}
-
-// DecodePose reverses EncodePose.
-func DecodePose(data []byte) (frameIdx int, pose geom.SE3, err error) {
-	r := codec.NewReader(data)
-	if err := checkHeader(&r, poseMagic); err != nil {
-		return 0, geom.SE3{}, err
-	}
-	frameIdx = int(r.U64())
-	var m geom.Mat4
-	for i := range m {
-		m[i] = r.F64()
-	}
-	if r.Err() != nil {
-		return 0, geom.SE3{}, ErrCorrupt
-	}
-	return frameIdx, geom.SE3FromMat4(m), nil
-}
