@@ -13,43 +13,25 @@ import (
 	"slamshare/internal/camera"
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
+	"slamshare/internal/offload"
 	"slamshare/internal/protocol"
 	"slamshare/internal/server"
 )
 
-// offloadBenchMode names one uplink shape of BenchmarkOffloadModes.
-type offloadBenchMode string
-
-const (
-	benchFull   offloadBenchMode = "full"
-	benchSplit  offloadBenchMode = "split"
-	benchShadow offloadBenchMode = "shadow"
-)
-
-// buildOffloadMsgs pre-builds one client's uplink messages so the
-// timed loop measures only the server side. Full mode re-encodes the
-// video per session (the stream is stateful); split and shadow build
-// keypoint messages round-tripped through the wire encoding.
-func buildOffloadMsgs(b *testing.B, mode offloadBenchMode, id uint32,
-	seq *dataset.Sequence, frames, stride int) []*protocol.KeypointMsg {
+// prebuildUplinks builds a device's uplinks ahead of the timed loop,
+// round-tripped through the wire encoding, so it measures only the
+// server side. Full mode builds at send time instead: its video stream
+// is stateful.
+func prebuildUplinks(b *testing.B, cl *client.Client, frames, stride int) []protocol.Uplink {
 	b.Helper()
-	if mode == benchFull {
-		return nil
-	}
-	cl := client.New(id, seq)
-	msgs := make([]*protocol.KeypointMsg, 0, frames)
-	for k := 0; k < frames; k++ {
-		var m *protocol.KeypointMsg
-		if mode == benchSplit {
-			m = cl.BuildKeypointFrame(k * stride)
-		} else {
-			m = cl.BuildSync(k * stride)
-		}
-		m2, err := protocol.DecodeKeypointMsg(m.Encode())
+	msgs := make([]protocol.Uplink, frames)
+	for k := range msgs {
+		m := cl.BuildUplink(k * stride)
+		m2, err := protocol.DecodeUplink(m.Type(), m.Encode())
 		if err != nil {
 			b.Fatal(err)
 		}
-		msgs = append(msgs, m2)
+		msgs[k] = m2
 	}
 	return msgs
 }
@@ -61,9 +43,9 @@ func buildOffloadMsgs(b *testing.B, mode offloadBenchMode, id uint32,
 func BenchmarkOffloadModes(b *testing.B) {
 	const frames, stride = 24, 2
 	seq := dataset.MH04(camera.Stereo)
-	for _, mode := range []offloadBenchMode{benchFull, benchSplit, benchShadow} {
+	for _, mode := range []offload.Mode{offload.ModeFull, offload.ModeSplit, offload.ModeShadow} {
 		for _, nSess := range []int{1, 4, 8} {
-			b.Run(string(mode)+"/"+benchName("sessions", nSess), func(b *testing.B) {
+			b.Run(mode.String()+"/"+benchName("sessions", nSess), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					srv, err := server.New(server.DefaultConfig())
@@ -72,7 +54,7 @@ func BenchmarkOffloadModes(b *testing.B) {
 					}
 					sessions := make([]*server.Session, nSess)
 					clients := make([]*client.Client, nSess)
-					kpMsgs := make([][]*protocol.KeypointMsg, nSess)
+					prebuilt := make([][]protocol.Uplink, nSess)
 					for j := 0; j < nSess; j++ {
 						id := uint32(j + 1)
 						sessions[j], err = srv.OpenSession(id, seq.Rig)
@@ -80,28 +62,24 @@ func BenchmarkOffloadModes(b *testing.B) {
 							b.Fatal(err)
 						}
 						clients[j] = client.New(id, seq)
-						kpMsgs[j] = buildOffloadMsgs(b, mode, id, seq, frames, stride)
+						clients[j].ForceMode(mode)
+						if mode != offload.ModeFull {
+							prebuilt[j] = prebuildUplinks(b, clients[j], frames, stride)
+						}
 					}
 					lats := make([]time.Duration, 0, nSess*frames)
 					b.StartTimer()
 					for k := 0; k < frames; k++ {
 						for j := 0; j < nSess; j++ {
-							var t0 time.Time
-							switch mode {
-							case benchSplit:
-								t0 = time.Now()
-								if _, err := sessions[j].HandleKeypoints(kpMsgs[j][k]); err != nil {
-									b.Fatal(err)
-								}
-							case benchShadow:
-								t0 = time.Now()
-								sessions[j].HandleSync(kpMsgs[j][k])
-							default:
-								msg := clients[j].BuildFrame(k * stride)
-								t0 = time.Now()
-								if _, err := sessions[j].HandleFrame(msg); err != nil {
-									b.Fatal(err)
-								}
+							var msg protocol.Uplink
+							if prebuilt[j] != nil {
+								msg = prebuilt[j][k]
+							} else {
+								msg = clients[j].BuildUplink(k * stride)
+							}
+							t0 := time.Now()
+							if _, err := sessions[j].Handle(msg, 0); err != nil {
+								b.Fatal(err)
 							}
 							lats = append(lats, time.Since(t0))
 						}

@@ -33,7 +33,7 @@ func main() {
 	const bJoins = 40
 
 	for i := 0; i < frames; i++ {
-		ra, err := sessA.HandleFrame(droneA.BuildFrame(i))
+		ra, err := sessA.Handle(droneA.BuildUplink(i), 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func main() {
 			continue
 		}
 		j := i - bJoins
-		rb, err := sessB.HandleFrame(droneB.BuildFrame(j))
+		rb, err := sessB.Handle(droneB.BuildUplink(j), 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func main() {
 	const bJoins = 60 // B enters the session "shortly thereafter" (§1)
 	mergedAt := -1
 	for i := 0; i < frames; i++ {
-		ra, err := sessA.HandleFrame(devA.BuildFrame(i))
+		ra, err := sessA.Handle(devA.BuildUplink(i), 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func main() {
 			continue
 		}
 		j := i - bJoins
-		rb, err := sessB.HandleFrame(devB.BuildFrame(j))
+		rb, err := sessB.Handle(devB.BuildUplink(j), 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,10 +38,11 @@ func main() {
 	for i := 0; i < frames; i++ {
 		// The device's entire per-frame work: IMU prediction (Alg. 1)
 		// plus video encoding.
-		msg := dev.BuildFrame(i)
-		// The server decodes, extracts ORB features on the GPU, tracks
-		// against the shared map, and answers with a pose.
-		res, err := sess.HandleFrame(msg)
+		msg := dev.BuildUplink(i)
+		// The server decodes, extracts ORB features, tracks against the
+		// shared map, and answers with a pose (no uplinks queued behind
+		// this one, so nothing is shed).
+		res, err := sess.Handle(msg, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

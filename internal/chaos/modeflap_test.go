@@ -138,17 +138,11 @@ func runAdaptiveFlapClient(addr string, o flapClient) (*flapStats, error) {
 		i := k * stride
 		var mt byte
 		var payload []byte
-		switch cl.OffloadMode() {
-		case offload.ModeSplit:
-			mt, payload = protocol.TypeKeypoint, cl.BuildKeypointFrame(i).Encode()
-		case offload.ModeShadow:
-			mt, payload = protocol.TypeKeypoint, cl.BuildSync(i).Encode()
-		default:
-			if o.prebuilt != nil {
-				mt, payload = protocol.TypeFrame, o.prebuilt[k]
-			} else {
-				mt, payload = protocol.TypeFrame, cl.BuildFrame(i).Encode()
-			}
+		if o.prebuilt != nil && cl.OffloadMode() == offload.ModeFull {
+			mt, payload = protocol.TypeFrame, o.prebuilt[k]
+		} else {
+			msg := cl.BuildUplink(i)
+			mt, payload = msg.Type(), msg.Encode()
 		}
 		mu.Lock()
 		pending[uint32(i)] = time.Now()

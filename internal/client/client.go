@@ -150,7 +150,9 @@ func (c *Client) LiveTrajectory() metrics.Trajectory {
 	return out
 }
 
-// UplinkBytes returns the total encoded video bytes sent.
+// UplinkBytes returns the uplink payload bytes BuildUplink has built:
+// the encoded video of full-offload frames, and the whole encoded
+// message of split frames and sync pings.
 func (c *Client) UplinkBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,11 +176,39 @@ func (c *Client) Reconnect() {
 	c.encR.Reset()
 }
 
-// BuildFrame prepares the uplink message for frame i: it advances the
-// motion model with the IMU samples captured since the previous frame
-// (Alg. 1 ApproxPose_UpdateMM) and encodes the camera frames. All the
-// work here is the client's entire per-frame compute and is accounted
-// against its CPU meter.
+// BuildUplink builds frame i in the device's current offload mode:
+// encoded video (full), on-device keypoints (split) or an IMU-only
+// map-sync ping (shadow). It is the device's one uplink builder, and it
+// counts the uplink's bytes (UplinkBytes).
+func (c *Client) BuildUplink(i int) protocol.Uplink {
+	var msg protocol.Uplink
+	var n int
+	switch c.OffloadMode() {
+	case offload.ModeSplit:
+		km := c.BuildKeypointFrame(i)
+		msg, n = km, km.EncodedLen()
+	case offload.ModeShadow:
+		// The server's motion model stays warm for a later upgrade
+		// while the device tracks locally: its estimate is pure dead
+		// reckoning, as shadow answers carry no fix.
+		km := &protocol.KeypointMsg{Flags: protocol.KeypointSyncOnly}
+		c.mu.Lock()
+		c.meter.Time(func() { km.UplinkHeader = c.header(i) })
+		c.mu.Unlock()
+		msg, n = km, km.EncodedLen()
+	default:
+		fm := c.BuildFrame(i)
+		msg, n = fm, len(fm.Video)+len(fm.VideoRight)
+	}
+	c.mu.Lock()
+	c.upBytes += int64(n)
+	c.mu.Unlock()
+	return msg
+}
+
+// BuildFrame builds the full-offload uplink for frame i: the header,
+// then the encoded camera frames. All the work here is the client's
+// entire per-frame compute and is accounted against its CPU meter.
 func (c *Client) BuildFrame(i int) *protocol.FrameMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -187,20 +217,9 @@ func (c *Client) BuildFrame(i int) *protocol.FrameMsg {
 	}
 	sp := c.stEncode.Start(c.ID, uint64(c.sent))
 	defer sp.End()
-	msg := &protocol.FrameMsg{
-		ClientID: c.ID,
-		FrameIdx: uint32(i),
-		Stamp:    c.Seq.FrameTime(i),
-	}
+	msg := &protocol.FrameMsg{}
 	c.meter.Time(func() {
-		delta, pred := c.advanceIMU(i)
-		msg.Delta = delta
-		// Ship the Alg. 1 prediction with the frame: it anchors the
-		// server-side map in the client's local frame and carries the
-		// tracker through initialization before the first SLAM fix.
-		msg.Prior = pred
-		msg.HasPrior = true
-
+		msg.UplinkHeader = c.header(i)
 		// Video encoding (metered separately: the paper's devices use a
 		// hardware encoder, so Fig. 13 reports compute with and without
 		// this cost).
@@ -209,19 +228,19 @@ func (c *Client) BuildFrame(i int) *protocol.FrameMsg {
 			msg.Video, msg.VideoRight = video.EncodeStereo(c.encL, c.encR, left, right)
 		})
 	})
-	c.upBytes += int64(len(msg.Video) + len(msg.VideoRight))
-	c.sent++
 	return msg
 }
 
-// advanceIMU integrates the IMU captured between the previous sent
-// frame and frame i: it advances the motion model (Alg. 1
-// ApproxPose_UpdateMM) and appends the prediction to both
-// trajectories. The first sent frame is the motion model's anchor
-// (entry 0), so est[k] always corresponds to motion-model entry k —
-// regardless of which uplink mode carries the frame. Caller holds
-// c.mu.
-func (c *Client) advanceIMU(i int) (imu.FrameDelta, geom.SE3) {
+// header advances the device to frame i and returns what every uplink
+// of that frame carries. The motion model integrates the IMU captured
+// since the previous sent frame (Alg. 1 ApproxPose_UpdateMM), and its
+// prediction rides along as the prior: it anchors the server-side map
+// in the client's local frame and carries the tracker through
+// initialization before the first SLAM fix. The prediction is appended
+// to both trajectories. The first sent frame is the motion model's
+// anchor (entry 0), so est[k] always corresponds to motion-model entry
+// k, whichever uplink mode carries the frame. Caller holds c.mu.
+func (c *Client) header(i int) protocol.UplinkHeader {
 	var delta imu.FrameDelta
 	var pred geom.SE3
 	if c.sent == 0 {
@@ -233,6 +252,7 @@ func (c *Client) advanceIMU(i int) (imu.FrameDelta, geom.SE3) {
 		pred = c.mm.ApproxPoseUpdateMM(delta)
 	}
 	c.lastFrame = i
+	c.sent++
 	stamp := c.Seq.FrameTime(i)
 	c.est.Append(stamp, pred.T)
 	// The live trajectory records what the device believed at this
@@ -240,16 +260,18 @@ func (c *Client) advanceIMU(i int) (imu.FrameDelta, geom.SE3) {
 	// the user's display actually showed (Appendix C's "snapshot as it
 	// is walked").
 	c.live.Append(stamp, pred.T)
-	return delta, pred
+	return protocol.UplinkHeader{
+		ClientID: c.ID, FrameIdx: uint32(i), Stamp: stamp,
+		Delta: delta, Prior: pred, HasPrior: true,
+	}
 }
 
-// BuildKeypointFrame prepares the split-offload uplink for frame i:
-// IMU integration as in BuildFrame, then on-device FAST/ORB
-// extraction and stereo depth through the same feature.Extractor code
-// path the server runs (Extract, then StereoSearch) — the keypoints
-// are bit-identical to what the server would have produced from the
-// same pixels, so split-mode tracking matches full-offload tracking
-// exactly. No video is encoded.
+// BuildKeypointFrame builds the split-offload uplink for frame i: the
+// header, then on-device FAST/ORB extraction and stereo depth through
+// the same feature.Extractor code path the server runs (Extract, then
+// StereoSearch) — the keypoints are bit-identical to what the server
+// would have produced from the same pixels, so split-mode tracking
+// matches full-offload tracking exactly. No video is encoded.
 func (c *Client) BuildKeypointFrame(i int) *protocol.KeypointMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -261,16 +283,9 @@ func (c *Client) BuildKeypointFrame(i int) *protocol.KeypointMsg {
 	if c.ex == nil {
 		c.ex = feature.NewExtractor(feature.DefaultConfig())
 	}
-	msg := &protocol.KeypointMsg{
-		ClientID: c.ID,
-		FrameIdx: uint32(i),
-		Stamp:    c.Seq.FrameTime(i),
-	}
+	msg := &protocol.KeypointMsg{}
 	c.meter.Time(func() {
-		delta, pred := c.advanceIMU(i)
-		msg.Delta = delta
-		msg.Prior = pred
-		msg.HasPrior = true
+		msg.UplinkHeader = c.header(i)
 		left, right := c.Seq.StereoFrame(i)
 		kps := c.ex.Extract(left)
 		if right != nil && c.Seq.Rig.Mode == camera.Stereo {
@@ -278,32 +293,6 @@ func (c *Client) BuildKeypointFrame(i int) *protocol.KeypointMsg {
 		}
 		msg.Kps = kps
 	})
-	c.sent++
-	return msg
-}
-
-// BuildSync prepares a shadow-mode map-sync ping for frame i: IMU
-// integration only, so the server's motion model stays warm for a
-// later upgrade while the device tracks locally. The device's pose
-// estimate is pure dead reckoning between server fixes (and shadow
-// replies carry no fix, so drift accumulates — the cost the QoS
-// policy accepts for low classes under overload).
-func (c *Client) BuildSync(i int) *protocol.KeypointMsg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	msg := &protocol.KeypointMsg{
-		ClientID: c.ID,
-		FrameIdx: uint32(i),
-		Stamp:    c.Seq.FrameTime(i),
-		Flags:    protocol.KeypointSyncOnly,
-	}
-	c.meter.Time(func() {
-		delta, pred := c.advanceIMU(i)
-		msg.Delta = delta
-		msg.Prior = pred
-		msg.HasPrior = true
-	})
-	c.sent++
 	return msg
 }
 
@@ -318,8 +307,8 @@ func (c *Client) ApplyPose(frameIdx int, pose geom.SE3, tracked bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.meter.Time(func() {
-		// The motion model indexes frames from 0 in lockstep with
-		// BuildFrame calls; map the dataset frame index onto it.
+		// The motion model indexes frames from 0 in lockstep with the
+		// uplinks built; map the dataset frame index onto it.
 		mmIdx := c.frameToMM(frameIdx)
 		if mmIdx < 0 {
 			return
@@ -541,12 +530,4 @@ func (c *Client) ApplyModeSwitch(m *protocol.ModeSwitchMsg) {
 	c.modeLog = append(c.modeLog, ModeEvent{
 		At: time.Now(), ServerNanos: m.SentNanos, Mode: newMode, Epoch: m.Epoch,
 	})
-}
-
-// addUplink accounts non-video uplink payload bytes (keypoint frames
-// and sync pings).
-func (c *Client) addUplink(n int) {
-	c.mu.Lock()
-	c.upBytes += int64(n)
-	c.mu.Unlock()
 }

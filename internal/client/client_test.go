@@ -7,13 +7,14 @@ import (
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
 	"slamshare/internal/imu"
+	"slamshare/internal/offload"
 	"slamshare/internal/protocol"
 )
 
 func TestBuildFrameBasics(t *testing.T) {
 	seq := dataset.V202(camera.Stereo)
 	c := New(1, seq)
-	msg := c.BuildFrame(0)
+	msg := c.BuildUplink(0).(*protocol.FrameMsg)
 	if msg.ClientID != 1 || msg.FrameIdx != 0 {
 		t.Errorf("header: %+v", msg)
 	}
@@ -23,7 +24,7 @@ func TestBuildFrameBasics(t *testing.T) {
 	if !msg.HasPrior {
 		t.Error("prior not attached")
 	}
-	if c.FramesSent() != 1 || c.UplinkBytes() == 0 {
+	if c.FramesSent() != 1 || c.UplinkBytes() != int64(len(msg.Video)+len(msg.VideoRight)) {
 		t.Error("accounting wrong")
 	}
 	if c.Meter().Busy() <= 0 {
@@ -129,11 +130,13 @@ func TestMotionModelKeepsUplinkWindow(t *testing.T) {
 	seq := dataset.V202(camera.Stereo)
 	n := 2 * imu.Window // the n-th frame makes the model drop its oldest half
 	short, dropped := New(1, seq), New(2, seq)
+	short.ForceMode(offload.ModeShadow)
+	dropped.ForceMode(offload.ModeShadow)
 	for i := 0; i < n; i++ {
 		if i < n-1 {
-			short.BuildSync(i)
+			short.BuildUplink(i)
 		}
-		dropped.BuildSync(i)
+		dropped.BuildUplink(i)
 	}
 	oldest := n - protocol.UplinkWindow
 	fix := seq.GroundTruth(oldest)
@@ -147,6 +150,29 @@ func TestMotionModelKeepsUplinkWindow(t *testing.T) {
 	for k := oldest; k < n-1; k++ {
 		if got[k].Pos != want[k].Pos {
 			t.Fatalf("est[%d] = %v after the drop, %v before: the fit lost its span", k, got[k].Pos, want[k].Pos)
+		}
+	}
+}
+
+// TestBuildUplinkCountsBytes: BuildUplink builds in the device's mode
+// and counts each uplink once — video bytes for a full frame, the whole
+// message for split keypoints and shadow sync pings.
+func TestBuildUplinkCountsBytes(t *testing.T) {
+	c := New(1, dataset.V202(camera.Stereo))
+	var want int64
+	for i, mode := range []offload.Mode{offload.ModeFull, offload.ModeSplit, offload.ModeShadow} {
+		c.ForceMode(mode)
+		switch m := c.BuildUplink(i).(type) {
+		case *protocol.FrameMsg:
+			want += int64(len(m.Video) + len(m.VideoRight))
+		case *protocol.KeypointMsg:
+			if shadow := m.Flags == protocol.KeypointSyncOnly; shadow != (mode == offload.ModeShadow) {
+				t.Errorf("%v mode built a keypoint message with flags %d", mode, m.Flags)
+			}
+			want += int64(len(m.Encode()))
+		}
+		if got := c.UplinkBytes(); got != want {
+			t.Errorf("after a %v uplink: UplinkBytes() = %d, want %d", mode, got, want)
 		}
 	}
 }

@@ -52,14 +52,6 @@ func AddrDialer(addrs ...string) Dialer {
 // the server queues per connection.
 const maxInFlight = protocol.UplinkWindow
 
-// uplink is one built frame awaiting its answer. Exactly one of frame
-// and kp is set.
-type uplink struct {
-	idx   int
-	frame *protocol.FrameMsg    // full mode; its video is re-encoded for a new stream
-	kp    *protocol.KeypointMsg // split-mode keypoints or a shadow-mode sync ping
-}
-
 // session is the state of one Run: the live link with its reader
 // goroutine, and the ledger of unanswered uplinks in send order. Run's
 // goroutine owns conn and appends to the ledger; the reader removes
@@ -75,7 +67,7 @@ type session struct {
 	downErr error         // why it exited; valid once down is closed
 
 	mu      sync.Mutex // guards ledger
-	ledger  []*uplink
+	ledger  []protocol.Uplink
 	attempt int
 	wake    chan struct{} // poked (never blocking) after each settle
 }
@@ -109,15 +101,11 @@ func (c *Client) Run(dial Dialer, frames []int, pol overload.Backoff) error {
 		if err := s.awaitBelow(window); err != nil {
 			return err
 		}
-		u := c.buildUplink(i)
+		u := c.BuildUplink(i)
 		s.mu.Lock()
 		s.ledger = append(s.ledger, u)
 		s.mu.Unlock()
-		n, err := c.sendUplink(s.conn, u)
-		if u.kp != nil {
-			c.addUplink(n)
-		}
-		if err != nil {
+		if err := c.sendUplink(s.conn, u); err != nil {
 			if err := s.connect(err); err != nil {
 				return err
 			}
@@ -198,7 +186,7 @@ func (s *session) connect(cause error) error {
 }
 
 // greet opens the session on a fresh connection and brings it level
-// with the ledger: each video uplink is re-encoded onto the restarted
+// with the ledger: each video frame is re-encoded onto the restarted
 // stream (the first one intra), keypoint uplinks go out as built.
 func (s *session) greet(conn net.Conn) error {
 	if err := s.c.hello(conn); err != nil {
@@ -206,10 +194,10 @@ func (s *session) greet(conn net.Conn) error {
 	}
 	// No reader is running, so the ledger cannot change underfoot.
 	for _, u := range s.ledger {
-		if u.frame != nil {
-			s.c.ReencodeFrame(u.frame, u.idx)
+		if fm, ok := u.(*protocol.FrameMsg); ok {
+			s.c.ReencodeFrame(fm, int(fm.FrameIdx))
 		}
-		if _, err := s.c.sendUplink(conn, u); err != nil {
+		if err := s.c.sendUplink(conn, u); err != nil {
 			return err
 		}
 	}
@@ -242,7 +230,7 @@ func (s *session) read(conn net.Conn, down chan struct{}) {
 func (s *session) settle(pm *protocol.PoseMsg) {
 	s.mu.Lock()
 	k := 0
-	for k < len(s.ledger) && uint32(s.ledger[k].idx) != pm.FrameIdx {
+	for k < len(s.ledger) && s.ledger[k].Header().FrameIdx != pm.FrameIdx {
 		k++
 	}
 	found := k < len(s.ledger)
@@ -296,35 +284,14 @@ func (c *Client) hello(conn net.Conn) error {
 	return nil
 }
 
-// buildUplink builds frame i once, in the session's current offload
-// mode: encoded video (full), extracted keypoints (split), or an
-// IMU-only sync ping (shadow).
-func (c *Client) buildUplink(i int) *uplink {
-	switch c.OffloadMode() {
-	case offload.ModeSplit:
-		return &uplink{idx: i, kp: c.BuildKeypointFrame(i)}
-	case offload.ModeShadow:
-		return &uplink{idx: i, kp: c.BuildSync(i)}
-	}
-	return &uplink{idx: i, frame: c.BuildFrame(i)}
-}
-
 // sendUplink stamps u with the send time (echoed on the answer: the
 // client's RTT sample) and the RTT estimate (the server's policy
-// input), writes it and returns the payload size. Stamping at every
-// send keeps a resent uplink from reporting the outage as RTT.
-func (c *Client) sendUplink(conn net.Conn, u *uplink) (int, error) {
-	sent, rtt := uint64(time.Now().UnixNano()), uint64(c.RTTEstimate())
-	mt := protocol.TypeFrame
-	var payload []byte
-	if u.frame != nil {
-		u.frame.SentNanos, u.frame.RTTNanos = sent, rtt
-		payload = u.frame.Encode()
-	} else {
-		u.kp.SentNanos, u.kp.RTTNanos = sent, rtt
-		mt, payload = protocol.TypeKeypoint, u.kp.Encode()
-	}
-	return len(payload), protocol.WriteMessage(conn, mt, payload)
+// input) and writes it. Stamping at every send keeps a resent uplink
+// from reporting the outage as RTT.
+func (c *Client) sendUplink(conn net.Conn, u protocol.Uplink) error {
+	h := u.Header()
+	h.SentNanos, h.RTTNanos = uint64(time.Now().UnixNano()), uint64(c.RTTEstimate())
+	return protocol.WriteMessage(conn, u.Type(), u.Encode())
 }
 
 // handleDownlink applies one server message: a pose is folded into the

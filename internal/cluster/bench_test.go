@@ -344,10 +344,10 @@ func newDeviceStream(gop int) *deviceStream {
 // returns the message with the images it carries.
 func (d *deviceStream) frame(i int) (fm *protocol.FrameMsg, left, right *img.Gray) {
 	left, right = d.seq.StereoFrame(i)
-	fm = &protocol.FrameMsg{
+	fm = &protocol.FrameMsg{UplinkHeader: protocol.UplinkHeader{
 		ClientID: streamClient, FrameIdx: uint32(i), Stamp: d.seq.FrameTime(i),
 		HasPrior: true, Prior: geom.IdentitySE3(),
-	}
+	}}
 	fm.Delta.RotDelta = geom.IdentityQuat()
 	fm.Video, fm.VideoRight = video.EncodeStereo(d.encL, d.encR, left, right)
 	return fm, left, right

@@ -511,30 +511,37 @@ func isFrame(mt byte) bool {
 	return mt == protocol.TypeFrame || mt == protocol.TypeKeypoint
 }
 
-// uplink handles one client message: route check (possibly a handoff),
-// then log and forward. Returns false when the session must end.
+// uplink handles one client message. Every uplink, whichever offload
+// mode built it, goes the same way: its prior routes it (possibly
+// through a handoff: each session has one owning shard, following its
+// world-frame prior), it joins the unacked ledger, and it is
+// forwarded; a video frame also joins the stream log. Returns false
+// when the session must end.
 func (s *session) uplink(m message) bool {
-	if m.mt == protocol.TypeFrame {
-		fm, err := protocol.DecodeFrameMsg(m.payload)
-		if err != nil {
-			// Undecodable frame: forward untouched and let the shard
-			// apply its own rejection policy. Not tracked as unacked —
-			// the shard never answers frames it rejects.
-			return s.forward(m.mt, m.payload)
-		}
-		if fm.HasPrior {
-			s.token.PosX = fm.Prior.T.X
-			tgt := s.f.cfg.Part.ShardFrom(s.cur, fm.Prior.T.X)
-			if tgt != s.cur && time.Since(s.lastHandoff) >= s.f.cfg.HandoffCooldown {
-				if !s.drain() {
-					return false
-				}
-				if !s.handoff(tgt) {
-					return false
-				}
+	if !isFrame(m.mt) {
+		return s.forward(m.mt, m.payload)
+	}
+	h, left, right, err := protocol.PeekUplink(m.mt, m.payload)
+	if err != nil {
+		// Undecodable uplink: forward untouched and let the shard apply
+		// its own rejection policy. Not tracked as unacked — the shard
+		// never answers uplinks it rejects.
+		return s.forward(m.mt, m.payload)
+	}
+	if h.HasPrior {
+		s.token.PosX = h.Prior.T.X
+		tgt := s.f.cfg.Part.ShardFrom(s.cur, h.Prior.T.X)
+		if tgt != s.cur && time.Since(s.lastHandoff) >= s.f.cfg.HandoffCooldown {
+			if !s.drain() {
+				return false
+			}
+			if !s.handoff(tgt) {
+				return false
 			}
 		}
-		if video.IsIntra(fm.Video) && (len(fm.VideoRight) == 0 || video.IsIntra(fm.VideoRight)) {
+	}
+	if m.mt == protocol.TypeFrame {
+		if video.IsIntra(left) && (len(right) == 0 || video.IsIntra(right)) {
 			// A sync point: the shard decodes this frame and everything
 			// after it from the device's own bytes, whatever stream its
 			// connection opened on. With nothing older unanswered, nothing
@@ -548,19 +555,10 @@ func (s *session) uplink(m message) bool {
 			s.feed(s.log[0])
 			s.log = append(s.log[:0], s.log[1:]...)
 		}
-		s.log = append(s.log, streamFrame{fm.FrameIdx, fm.Video, fm.VideoRight})
-		s.unacked = append(s.unacked, pendingFrame{mt: m.mt, idx: fm.FrameIdx, payload: m.payload})
-		return s.forwardPending()
+		s.log = append(s.log, streamFrame{h.FrameIdx, left, right})
 	}
-	if m.mt == protocol.TypeKeypoint {
-		// Split-mode frames carry no video; forward verbatim but track
-		// them for the exactly-once answer guarantee.
-		p := pendingFrame{mt: m.mt, payload: m.payload}
-		p.idx, _ = protocol.PeekFrameIdx(m.mt, m.payload)
-		s.unacked = append(s.unacked, p)
-		return s.forwardPending()
-	}
-	return s.forward(m.mt, m.payload)
+	s.unacked = append(s.unacked, pendingFrame{mt: m.mt, idx: h.FrameIdx, payload: m.payload})
+	return s.forwardPending()
 }
 
 // capLedger enforces the maxUnacked bound, dropping oldest-first. A

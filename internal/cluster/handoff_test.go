@@ -10,6 +10,7 @@ import (
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
+	"slamshare/internal/offload"
 	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 	"slamshare/internal/server"
@@ -116,10 +117,15 @@ func TestOwnershipHandoff(t *testing.T) {
 		// the shard that must own the session at the end.
 		wantCrossings int
 		wantShard     uint32
+		// split runs the device in split offload: keypoint uplinks,
+		// routed by their prior like video frames.
+		split bool
 	}{
 		// x runs 60 -> 180: crosses the 90 m boundary once (~round 38).
 		{name: "cross-once", route: [][2]int{{1, 1}, {3, 1}}, seed: 901,
 			rounds: 70, stride: 4, wantCrossings: 1, wantShard: 1},
+		{name: "cross-once-split", route: [][2]int{{1, 1}, {3, 1}}, seed: 901,
+			rounds: 70, stride: 4, wantCrossings: 1, wantShard: 1, split: true},
 		// A loop around a city block: x runs 60 -> 120, holds while the
 		// route turns two corners, then returns 120 -> 60. Out and back
 		// across the boundary with right-angle turns only — a straight
@@ -149,6 +155,10 @@ func TestOwnershipHandoff(t *testing.T) {
 			// teleport the session (the shards share one world frame). In
 			// a closed loop the answered frame is the newest one built.
 			cl := client.New(clientID, seq)
+			if tc.split {
+				cl.EnableAdaptive(offload.QoSHandheld, offload.CapSplit)
+				cl.ForceMode(offload.ModeSplit)
+			}
 			tracked, wildPoses := 0, 0
 			cl.OnAnswer = func(pm *protocol.PoseMsg) {
 				if pm.Tracked && !pm.Shed {

@@ -402,7 +402,7 @@ func TestFrontPumpsExit(t *testing.T) {
 		}
 	}
 	frame := func(i int) []byte {
-		fm := protocol.FrameMsg{ClientID: streamClient, FrameIdx: uint32(i)}
+		fm := protocol.FrameMsg{UplinkHeader: protocol.UplinkHeader{ClientID: streamClient, FrameIdx: uint32(i)}}
 		return fm.Encode()
 	}
 

@@ -188,8 +188,8 @@ func TestGoldenProtocol(t *testing.T) {
 	}
 	frame := func(prior, timing bool) *protocol.FrameMsg {
 		m := &protocol.FrameMsg{
-			ClientID: 9, FrameIdx: 0xA0B0C0D0, Stamp: 12.5, Delta: delta,
-			Video: []byte{1, 2, 3, 4, 5}, VideoRight: []byte{0xFE, 0xFF},
+			UplinkHeader: protocol.UplinkHeader{ClientID: 9, FrameIdx: 0xA0B0C0D0, Stamp: 12.5, Delta: delta},
+			Video:        []byte{1, 2, 3, 4, 5}, VideoRight: []byte{0xFE, 0xFF},
 		}
 		if prior {
 			m.HasPrior, m.Prior = true, poseA
@@ -214,8 +214,13 @@ func TestGoldenProtocol(t *testing.T) {
 		return m
 	}
 	kpm := &protocol.KeypointMsg{
-		ClientID: 2, FrameIdx: 15, Stamp: 0.75, Delta: delta, SentNanos: 11, RTTNanos: 22,
-		Kps: []feature.Keypoint{keypoint(0), keypoint(1)}, HasPrior: true, Prior: poseB,
+		UplinkHeader: protocol.UplinkHeader{ClientID: 2, FrameIdx: 15, Stamp: 0.75, Delta: delta, SentNanos: 11, RTTNanos: 22,
+			HasPrior: true, Prior: poseB},
+		Kps: []feature.Keypoint{keypoint(0), keypoint(1)},
+	}
+	syncPing := &protocol.KeypointMsg{
+		UplinkHeader: protocol.UplinkHeader{ClientID: 2, FrameIdx: 16, Stamp: 1, Delta: delta},
+		Flags:        protocol.KeypointSyncOnly,
 	}
 	kpm.Kps[1].Level = -1 // the level travels as a signed 32-bit value
 	status := &protocol.ShardStatusMsg{
@@ -246,9 +251,8 @@ func TestGoldenProtocol(t *testing.T) {
 		{"frame.timing", frame(false, true).Encode, dFrame, frame(false, true)},
 		{"frame.prior", frame(true, true).Encode, dFrame, frame(true, true)},
 		{"keypoint", kpm.Encode, func(b []byte) (any, error) { return protocol.DecodeKeypointMsg(b) }, kpm},
-		{"keypoint.synconly", (&protocol.KeypointMsg{ClientID: 2, FrameIdx: 16, Stamp: 1, Delta: delta, Flags: protocol.KeypointSyncOnly}).Encode,
-			func(b []byte) (any, error) { return protocol.DecodeKeypointMsg(b) },
-			&protocol.KeypointMsg{ClientID: 2, FrameIdx: 16, Stamp: 1, Delta: delta, Flags: protocol.KeypointSyncOnly}},
+		{"keypoint.synconly", syncPing.Encode,
+			func(b []byte) (any, error) { return protocol.DecodeKeypointMsg(b) }, syncPing},
 		{"pose.legacy133", pose(false, false, false).Encode, dPose, pose(false, false, false)},
 		{"pose.shed", pose(true, false, false).Encode, dPose, pose(true, false, false)},
 		{"pose.echo", pose(false, true, false).Encode, dPose, pose(false, true, false)},

@@ -170,7 +170,7 @@ func TestRunnerBandwidthDropsFrames(t *testing.T) {
 	wantLag, applied := 0, -1
 	r.OnStep = func(step int, _ float64) bool {
 		if step == 0 {
-			wantLag = int(float64(p.UpBytes) * 8 / bps / period)
+			wantLag = int(float64(p.Dev.UplinkBytes()) * 8 / bps / period)
 		}
 		if applied < 0 && (len(p.pending) == 0 || p.pending[0].frameIdx != 0) {
 			applied = step

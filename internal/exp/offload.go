@@ -59,7 +59,7 @@ func offloadRun(mode offload.Mode, rttMs, nFrames, stride int) (OffloadRow, erro
 	row.ATEcm = 100 * metrics.ATE(p.Dev.LiveTrajectory(), seq.TruthTrajectory(nFrames, stride))
 	virtualSec := float64(row.Steps) * r.FramePeriod
 	if virtualSec > 0 {
-		row.UplinkMbps = float64(p.UpBytes) * 8 / virtualSec / 1e6
+		row.UplinkMbps = float64(p.Dev.UplinkBytes()) * 8 / virtualSec / 1e6
 	}
 	return row, nil
 }

@@ -22,7 +22,6 @@ import (
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
 	"slamshare/internal/geom"
-	"slamshare/internal/offload"
 	"slamshare/internal/server"
 )
 
@@ -78,7 +77,6 @@ type Participant struct {
 	Last    server.Result // the session's latest answer
 	Steps   int
 	Tracked int // uplinks answered with a tracked pose
-	UpBytes int // uplink payload bytes transmitted
 	Dropped int
 	Merged  bool
 	MergeAt float64 // virtual time of the successful merge
@@ -153,28 +151,6 @@ func (r *Runner) Run(steps int) error {
 	return nil
 }
 
-// uplink builds frame i in the device's offload mode: video in full
-// mode, on-device keypoints in split mode, a map-sync ping in shadow
-// mode. It returns the payload size and the call that hands the
-// message to the session.
-func uplink(p *Participant, i int) (int, func() (server.Result, error)) {
-	switch p.Dev.OffloadMode() {
-	case offload.ModeSplit:
-		msg := p.Dev.BuildKeypointFrame(i)
-		return len(msg.Encode()), func() (server.Result, error) { return p.Sess.HandleKeypoints(msg) }
-	case offload.ModeShadow:
-		// No pose comes back: the device stays on dead reckoning.
-		msg := p.Dev.BuildSync(i)
-		return len(msg.Encode()), func() (server.Result, error) {
-			p.Sess.HandleSync(msg)
-			return server.Result{}, nil
-		}
-	default:
-		msg := p.Dev.BuildFrame(i)
-		return len(msg.Video) + len(msg.VideoRight), func() (server.Result, error) { return p.Sess.HandleFrame(msg) }
-	}
-}
-
 func (r *Runner) stepParticipant(p *Participant, step int) error {
 	i := p.frameIdx
 	p.frameIdx += max(p.Stride, 1)
@@ -201,12 +177,12 @@ func (r *Runner) transmit(p *Participant, i, step int) error {
 		p.Dropped++
 		return nil
 	}
-	n, send := uplink(p, i)
+	before := p.Dev.UplinkBytes()
+	msg := p.Dev.BuildUplink(i)
 	if p.Link.UplinkBps > 0 {
-		p.backlog += float64(n) * 8 / p.Link.UplinkBps
+		p.backlog += float64(p.Dev.UplinkBytes()-before) * 8 / p.Link.UplinkBps
 	}
-	p.UpBytes += n
-	res, err := send()
+	res, err := p.Sess.Handle(msg, 0)
 	if err != nil {
 		return err
 	}

@@ -70,11 +70,12 @@ func Table4(w io.Writer, runs int) (*Table4Result, error) {
 			}
 		}
 		var encDur time.Duration
-		var frames, upBytes int
+		var frames int
+		var upBytes int64
 		for _, p := range r.Parts {
 			encDur += p.Dev.EncodeBusy()
 			frames += p.Steps
-			upBytes += p.UpBytes
+			upBytes += p.Dev.UplinkBytes()
 		}
 		if frames > 0 {
 			res.SSEncode += encDur / time.Duration(frames)

@@ -1,5 +1,5 @@
 // Package overload holds the server's load-shedding and admission
-// policies: ceilings on concurrent sessions and in-flight merges, a
+// policies: a ceiling on in-flight merges, a
 // jittered exponential backoff schedule for merge retries and client
 // reconnects, and per-session frame-lag accounting that decides when
 // an uplink queue is beyond its wall-clock budget and stale frames
@@ -19,31 +19,17 @@ import (
 // than queueing: under sustained overload the queue never drains.
 var ErrOverloaded = errors.New("overload: server at capacity")
 
-// Gate enforces global ceilings on concurrent sessions and in-flight
-// merge attempts. A zero ceiling means unlimited.
+// Gate enforces the global ceiling on in-flight merge attempts. A
+// zero ceiling means unlimited.
 type Gate struct {
-	maxSessions int64
-	maxMerges   int64
-	sessions    atomic.Int64
-	merges      atomic.Int64
+	maxMerges int64
+	merges    atomic.Int64
 }
 
-// NewGate returns a gate with the given ceilings (0 = unlimited).
-func NewGate(maxSessions, maxMerges int) *Gate {
-	return &Gate{maxSessions: int64(maxSessions), maxMerges: int64(maxMerges)}
+// NewGate returns a gate with the given merge ceiling (0 = unlimited).
+func NewGate(maxMerges int) *Gate {
+	return &Gate{maxMerges: int64(maxMerges)}
 }
-
-// AcquireSession reserves a session slot, or returns ErrOverloaded.
-func (g *Gate) AcquireSession() error {
-	if n := g.sessions.Add(1); g.maxSessions > 0 && n > g.maxSessions {
-		g.sessions.Add(-1)
-		return ErrOverloaded
-	}
-	return nil
-}
-
-// ReleaseSession returns a slot taken by AcquireSession.
-func (g *Gate) ReleaseSession() { g.sessions.Add(-1) }
 
 // TryAcquireMerge reserves a merge slot; false means the caller should
 // skip this attempt and retry at a later keyframe.
@@ -57,9 +43,6 @@ func (g *Gate) TryAcquireMerge() bool {
 
 // ReleaseMerge returns a slot taken by TryAcquireMerge.
 func (g *Gate) ReleaseMerge() { g.merges.Add(-1) }
-
-// Sessions reports the current session count (for /debug/vars).
-func (g *Gate) Sessions() int64 { return g.sessions.Load() }
 
 // Merges reports the current in-flight merge count.
 func (g *Gate) Merges() int64 { return g.merges.Load() }

@@ -6,28 +6,8 @@ import (
 	"time"
 )
 
-func TestGateSessionCeiling(t *testing.T) {
-	g := NewGate(2, 1)
-	if err := g.AcquireSession(); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AcquireSession(); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AcquireSession(); err != ErrOverloaded {
-		t.Fatalf("third session: err = %v, want ErrOverloaded", err)
-	}
-	if g.Sessions() != 2 {
-		t.Fatalf("sessions gauge = %d after rejected acquire", g.Sessions())
-	}
-	g.ReleaseSession()
-	if err := g.AcquireSession(); err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	}
-}
-
 func TestGateMergeCeiling(t *testing.T) {
-	g := NewGate(0, 1)
+	g := NewGate(1)
 	if !g.TryAcquireMerge() {
 		t.Fatal("first merge slot refused")
 	}
@@ -39,11 +19,8 @@ func TestGateMergeCeiling(t *testing.T) {
 		t.Fatal("merge slot refused after release")
 	}
 	// Unlimited gate never refuses.
-	u := NewGate(0, 0)
+	u := NewGate(0)
 	for i := 0; i < 100; i++ {
-		if err := u.AcquireSession(); err != nil {
-			t.Fatal(err)
-		}
 		if !u.TryAcquireMerge() {
 			t.Fatal("unlimited merge gate refused")
 		}

@@ -17,15 +17,15 @@ func FuzzDecodeFrameMsg(f *testing.F) {
 	// Seed corpus: valid round-trip encodings of varied shapes plus
 	// classic corruptions of each.
 	seeds := []*FrameMsg{
-		{ClientID: 1, FrameIdx: 0, Stamp: 0.05,
-			Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05},
+		{UplinkHeader: UplinkHeader{ClientID: 1, FrameIdx: 0, Stamp: 0.05,
+			Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05}},
 			Video: []byte("intra-frame")},
-		{ClientID: 7, FrameIdx: 42, Stamp: 2.1,
-			Delta:      imu.FrameDelta{RotDelta: geom.IdentityQuat(), PosDelta: geom.Vec3{X: 0.1}, DT: 0.05},
+		{UplinkHeader: UplinkHeader{ClientID: 7, FrameIdx: 42, Stamp: 2.1,
+			Delta:    imu.FrameDelta{RotDelta: geom.IdentityQuat(), PosDelta: geom.Vec3{X: 0.1}, DT: 0.05},
+			Prior:    geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{Z: 1}},
+			HasPrior: true},
 			Video:      make([]byte, 256),
-			VideoRight: make([]byte, 256),
-			Prior:      geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{Z: 1}},
-			HasPrior:   true},
+			VideoRight: make([]byte, 256)},
 	}
 	for _, m := range seeds {
 		data := m.Encode()
@@ -199,12 +199,12 @@ func FuzzDecodeKeypointMsg(f *testing.F) {
 			Desc: feature.Descriptor{^uint64(0), 0, 5, 9}, Right: -1},
 	}
 	seeds := []*KeypointMsg{
-		{ClientID: 1, FrameIdx: 3, Stamp: 0.15,
+		{UplinkHeader: UplinkHeader{ClientID: 1, FrameIdx: 3, Stamp: 0.15,
 			Delta:     imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05},
-			SentNanos: 1234, RTTNanos: 5678, Kps: kps,
-			Prior: geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{Z: 1}}, HasPrior: true},
-		{ClientID: 2, FrameIdx: 0, Stamp: 0.05,
-			Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05},
+			SentNanos: 1234, RTTNanos: 5678,
+			Prior: geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{Z: 1}}, HasPrior: true}, Kps: kps},
+		{UplinkHeader: UplinkHeader{ClientID: 2, FrameIdx: 0, Stamp: 0.05,
+			Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05}},
 			Flags: KeypointSyncOnly},
 	}
 	for _, m := range seeds {

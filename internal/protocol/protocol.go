@@ -253,64 +253,144 @@ func DecodeHelloMsg(data []byte) (*HelloMsg, error) {
 	return m, nil
 }
 
-// FrameMsg is the per-frame uplink payload.
-type FrameMsg struct {
+// UplinkHeader is what every device uplink carries, whichever offload
+// mode built it; FrameMsg and KeypointMsg embed it.
+type UplinkHeader struct {
 	ClientID uint32
 	FrameIdx uint32
 	Stamp    float64
 	// Delta is the preintegrated IMU motion since the previous frame.
 	Delta imu.FrameDelta
-	// Video is the encoded left frame; VideoRight the right eye (may
-	// be empty for monocular clients).
-	Video      []byte
-	VideoRight []byte
 	// Prior optionally carries the client's body-to-world pose
-	// estimate; the first frame of a session uses it to anchor the
-	// server-side map in the client's local frame.
+	// estimate: the first frame of a session uses it to anchor the
+	// server-side map in the client's local frame, and a front routes
+	// every uplink to the shard owning its position.
 	Prior    geom.SE3
 	HasPrior bool
 	// SentNanos is the client's wall clock at send time; the server
 	// echoes it on the answering PoseMsg so the client can measure
 	// round-trip time. RTTNanos is the client's current RTT estimate,
 	// fed to the server's offload-mode controller. Both are 0 from
-	// legacy clients (the decoder tolerates the missing tail).
+	// legacy clients (the frame decoder tolerates the missing tail).
 	SentNanos uint64
 	RTTNanos  uint64
+}
+
+// Header returns the header itself: through it both uplink messages
+// implement Uplink.
+func (h *UplinkHeader) Header() *UplinkHeader { return h }
+
+// Uplink is one device frame message: a FrameMsg (full offload) or a
+// KeypointMsg (split offload, or a shadow-mode sync ping).
+type Uplink interface {
+	Header() *UplinkHeader
+	// Type is the message's framing type: TypeFrame or TypeKeypoint.
+	Type() byte
+	Encode() []byte
+}
+
+// DecodeUplink decodes an uplink of framing type mt.
+func DecodeUplink(mt byte, payload []byte) (Uplink, error) {
+	switch mt {
+	case TypeFrame:
+		m, err := DecodeFrameMsg(payload)
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
+	case TypeKeypoint:
+		m, err := DecodeKeypointMsg(payload)
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
+	return nil, fmt.Errorf("protocol: message type %d is not an uplink", mt)
+}
+
+// PeekUplink reads what a router needs of an uplink without decoding
+// its payload: the header and, for a FrameMsg, the two encoded eyes,
+// aliasing payload. A KeypointMsg's keypoints are skipped unread. It
+// fails where DecodeFrameMsg fails and on a keypoint message cut short
+// of its prior.
+func PeekUplink(mt byte, payload []byte) (h UplinkHeader, left, right []byte, err error) {
+	switch mt {
+	case TypeFrame:
+		var m FrameMsg
+		if err := decodeFrame(payload, &m); err != nil {
+			return h, nil, nil, err
+		}
+		return m.UplinkHeader, m.Video, m.VideoRight, nil
+	case TypeKeypoint:
+		r := codec.NewReader(payload)
+		readHead(&r, &h)
+		r.U8() // flags
+		h.SentNanos, h.RTTNanos = r.U64(), r.U64()
+		r.Raw(r.Count(keypointWireBytes) * keypointWireBytes)
+		readPrior(&r, &h)
+		if r.Err() != nil {
+			return h, nil, nil, errShort
+		}
+		return h, nil, nil, nil
+	}
+	return h, nil, nil, fmt.Errorf("protocol: message type %d is not an uplink", mt)
+}
+
+// FrameMsg is the full-offload uplink: the encoded stereo video frame.
+type FrameMsg struct {
+	UplinkHeader
+	// Video is the encoded left frame; VideoRight the right eye (may
+	// be empty for monocular clients).
+	Video      []byte
+	VideoRight []byte
 }
 
 // errShort reports a message that ends before its fields do, or whose
 // counts and lengths claim more than the payload holds.
 var errShort = errors.New("protocol: short message")
 
-// writeDelta writes the 11-float IMU delta every uplink carries.
-func writeDelta(w *codec.Writer, d *imu.FrameDelta) {
+// writeHead writes the prefix both uplinks open with: client, frame
+// index, stamp and the 11-float IMU delta. The prior and the timing
+// tail sit at different offsets in the two messages.
+func writeHead(w *codec.Writer, h *UplinkHeader) {
+	w.U32(h.ClientID)
+	w.U32(h.FrameIdx)
+	w.F64(h.Stamp)
+	d := &h.Delta
 	w.Pose(geom.SE3{R: d.RotDelta, T: d.PosDelta})
 	w.Vec3(d.VelDelta)
 	w.F64(d.DT)
 }
 
-func readDelta(r *codec.Reader, d *imu.FrameDelta) {
+func readHead(r *codec.Reader, h *UplinkHeader) {
+	h.ClientID = r.U32()
+	h.FrameIdx = r.U32()
+	h.Stamp = r.F64()
+	d := &h.Delta
 	p := r.Pose()
 	d.RotDelta, d.PosDelta = p.R, p.T
 	d.VelDelta = r.Vec3()
 	d.DT = r.F64()
 }
 
+// uplinkHeadBytes is writeHead's size.
+const uplinkHeadBytes = 4 + 4 + 8 + 11*8
+
 // writePrior writes the optional pose prior: a flag byte, then the
 // 7-float pose when the flag is 1.
-func writePrior(w *codec.Writer, has bool, p geom.SE3) {
-	w.Bool(has)
-	if has {
-		w.Pose(p)
+func writePrior(w *codec.Writer, h *UplinkHeader) {
+	w.Bool(h.HasPrior)
+	if h.HasPrior {
+		w.Pose(h.Prior)
 	}
 }
 
 // readPrior reverses writePrior and returns the flag byte, which the
 // strict decoders validate.
-func readPrior(r *codec.Reader, has *bool, p *geom.SE3) (flag byte) {
+func readPrior(r *codec.Reader, h *UplinkHeader) (flag byte) {
 	if flag = r.U8(); flag == 1 {
-		*has = true
-		*p = r.Pose()
+		h.HasPrior = true
+		h.Prior = r.Pose()
 	}
 	return flag
 }
@@ -327,32 +407,37 @@ func PeekFrameIdx(msgType byte, payload []byte) (idx uint32, ok bool) {
 	return idx, r.Err() == nil
 }
 
+// Type returns TypeFrame.
+func (m *FrameMsg) Type() byte { return TypeFrame }
+
 // Encode serializes the frame message.
 func (m *FrameMsg) Encode() []byte {
 	w := codec.Writer{B: make([]byte, 0, 16+len(m.Video)+len(m.VideoRight)+100)}
-	w.U32(m.ClientID)
-	w.U32(m.FrameIdx)
-	w.F64(m.Stamp)
-	writeDelta(&w, &m.Delta)
+	writeHead(&w, &m.UplinkHeader)
 	w.Bytes(m.Video)
 	w.Bytes(m.VideoRight)
-	writePrior(&w, m.HasPrior, m.Prior)
+	writePrior(&w, &m.UplinkHeader)
 	w.U64(m.SentNanos)
 	w.U64(m.RTTNanos)
 	return w.B
 }
 
-// DecodeFrameMsg reverses FrameMsg.Encode.
+// DecodeFrameMsg reverses FrameMsg.Encode. The video payloads alias
+// data.
 func DecodeFrameMsg(data []byte) (*FrameMsg, error) {
-	r := codec.NewReader(data)
 	m := &FrameMsg{}
-	m.ClientID = r.U32()
-	m.FrameIdx = r.U32()
-	m.Stamp = r.F64()
-	readDelta(&r, &m.Delta)
+	if err := decodeFrame(data, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func decodeFrame(data []byte, m *FrameMsg) error {
+	r := codec.NewReader(data)
+	readHead(&r, &m.UplinkHeader)
 	m.Video = r.Bytes(MaxMessageSize)
 	m.VideoRight = r.Bytes(MaxMessageSize)
-	readPrior(&r, &m.HasPrior, &m.Prior)
+	readPrior(&r, &m.UplinkHeader)
 	// Timing tail (absent from legacy senders; decoders have always
 	// ignored trailing bytes here, so appending is safe).
 	if r.Len() >= 16 {
@@ -360,9 +445,9 @@ func DecodeFrameMsg(data []byte) (*FrameMsg, error) {
 		m.RTTNanos = r.U64()
 	}
 	if r.Err() != nil {
-		return nil, errShort
+		return errShort
 	}
-	return m, nil
+	return nil
 }
 
 // PoseMsg is the downlink pose answer: the paper's "small 4x4 matrix".
@@ -483,30 +568,29 @@ const keypointWireBytes = 8 + 8 + 4 + 8 + 8 + feature.DescriptorBytes + 8 + 8
 // raw IEEE-754 bits so a split-mode session tracks bit-identically to
 // a full-offload one fed the same pixels.
 type KeypointMsg struct {
-	ClientID uint32
-	FrameIdx uint32
-	Stamp    float64
-	// Delta is the preintegrated IMU motion since the previous frame.
-	Delta imu.FrameDelta
+	UplinkHeader
 	Flags byte
-	// SentNanos / RTTNanos mirror FrameMsg's timing tail.
-	SentNanos uint64
-	RTTNanos  uint64
 	// Kps are the extracted keypoints; Right/Depth are filled when the
 	// client stereo-matched them.
 	Kps []feature.Keypoint
-	// Prior mirrors FrameMsg.Prior.
-	Prior    geom.SE3
-	HasPrior bool
+}
+
+// Type returns TypeKeypoint.
+func (m *KeypointMsg) Type() byte { return TypeKeypoint }
+
+// EncodedLen returns len(m.Encode()) without encoding.
+func (m *KeypointMsg) EncodedLen() int {
+	n := uplinkHeadBytes + 1 + 8 + 8 + 4 + len(m.Kps)*keypointWireBytes + 1
+	if m.HasPrior {
+		n += 7 * 8
+	}
+	return n
 }
 
 // Encode serializes the keypoint message.
 func (m *KeypointMsg) Encode() []byte {
-	w := codec.Writer{B: make([]byte, 0, 4+4+8+11*8+1+16+4+len(m.Kps)*keypointWireBytes+1+7*8)}
-	w.U32(m.ClientID)
-	w.U32(m.FrameIdx)
-	w.F64(m.Stamp)
-	writeDelta(&w, &m.Delta)
+	w := codec.Writer{B: make([]byte, 0, m.EncodedLen())}
+	writeHead(&w, &m.UplinkHeader)
 	w.U8(m.Flags)
 	w.U64(m.SentNanos)
 	w.U64(m.RTTNanos)
@@ -524,7 +608,7 @@ func (m *KeypointMsg) Encode() []byte {
 		w.F64(kp.Right)
 		w.F64(kp.Depth)
 	}
-	writePrior(&w, m.HasPrior, m.Prior)
+	writePrior(&w, &m.UplinkHeader)
 	return w.B
 }
 
@@ -533,10 +617,7 @@ func (m *KeypointMsg) Encode() []byte {
 func DecodeKeypointMsg(data []byte) (*KeypointMsg, error) {
 	r := codec.NewReader(data)
 	m := &KeypointMsg{}
-	m.ClientID = r.U32()
-	m.FrameIdx = r.U32()
-	m.Stamp = r.F64()
-	readDelta(&r, &m.Delta)
+	readHead(&r, &m.UplinkHeader)
 	m.Flags = r.U8()
 	m.SentNanos = r.U64()
 	m.RTTNanos = r.U64()
@@ -560,7 +641,7 @@ func DecodeKeypointMsg(data []byte) (*KeypointMsg, error) {
 		kp.Right = r.F64()
 		kp.Depth = r.F64()
 	}
-	flag := readPrior(&r, &m.HasPrior, &m.Prior)
+	flag := readPrior(&r, &m.UplinkHeader)
 	if r.Err() != nil {
 		return nil, errShort
 	}

@@ -53,14 +53,16 @@ func TestMessageTooLarge(t *testing.T) {
 
 func TestFrameMsgRoundTrip(t *testing.T) {
 	m := &FrameMsg{
-		ClientID: 7,
-		FrameIdx: 1234,
-		Stamp:    41.125,
-		Delta: imu.FrameDelta{
-			RotDelta: geom.QuatFromAxisAngle(geom.Vec3{Z: 1}, 0.01),
-			PosDelta: geom.Vec3{X: 0.03, Y: -0.001, Z: 0.002},
-			VelDelta: geom.Vec3{X: 0.9},
-			DT:       1.0 / 30,
+		UplinkHeader: UplinkHeader{
+			ClientID: 7,
+			FrameIdx: 1234,
+			Stamp:    41.125,
+			Delta: imu.FrameDelta{
+				RotDelta: geom.QuatFromAxisAngle(geom.Vec3{Z: 1}, 0.01),
+				PosDelta: geom.Vec3{X: 0.03, Y: -0.001, Z: 0.002},
+				VelDelta: geom.Vec3{X: 0.9},
+				DT:       1.0 / 30,
+			},
 		},
 		Video:      []byte{1, 2, 3, 4, 5},
 		VideoRight: []byte{9, 8},
@@ -84,7 +86,7 @@ func TestFrameMsgRoundTrip(t *testing.T) {
 }
 
 func TestFrameMsgMonoEmptyRight(t *testing.T) {
-	m := &FrameMsg{Video: []byte{1}, Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat()}}
+	m := &FrameMsg{Video: []byte{1}, UplinkHeader: UplinkHeader{Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat()}}}
 	got, err := DecodeFrameMsg(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -269,24 +271,26 @@ func TestHelloCapsDistinct(t *testing.T) {
 
 func TestKeypointMsgRoundTrip(t *testing.T) {
 	m := &KeypointMsg{
-		ClientID: 3,
-		FrameIdx: 17,
-		Stamp:    1.25,
-		Delta: imu.FrameDelta{
-			RotDelta: geom.QuatFromAxisAngle(geom.Vec3{Z: 1}, 0.02),
-			PosDelta: geom.Vec3{X: 0.05},
-			DT:       1.0 / 30,
+		UplinkHeader: UplinkHeader{
+			ClientID: 3,
+			FrameIdx: 17,
+			Stamp:    1.25,
+			Delta: imu.FrameDelta{
+				RotDelta: geom.QuatFromAxisAngle(geom.Vec3{Z: 1}, 0.02),
+				PosDelta: geom.Vec3{X: 0.05},
+				DT:       1.0 / 30,
+			},
+			SentNanos: 111,
+			RTTNanos:  222,
+			Prior:     geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{Y: 2}},
+			HasPrior:  true,
 		},
-		SentNanos: 111,
-		RTTNanos:  222,
 		Kps: []feature.Keypoint{
 			{X: 31.5, Y: 64.25, Level: 3, Angle: 0.7, Score: 55,
 				Desc: feature.Descriptor{10, 20, 30, 40}, Right: 28.5, Depth: 2.4},
 			{X: 4, Y: 9, Level: 0, Angle: -1.2, Score: 90,
 				Desc: feature.Descriptor{^uint64(0), 1, 2, 3}, Right: -1, Depth: 0},
 		},
-		Prior:    geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{Y: 2}},
-		HasPrior: true,
 	}
 	got, err := DecodeKeypointMsg(m.Encode())
 	if err != nil {
@@ -308,15 +312,20 @@ func TestKeypointMsgRoundTrip(t *testing.T) {
 	}
 
 	// Sync-only ping round-trips with no keypoints.
-	ping := &KeypointMsg{ClientID: 3, FrameIdx: 18, Stamp: 1.3,
-		Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05},
-		Flags: KeypointSyncOnly}
+	ping := &KeypointMsg{Flags: KeypointSyncOnly, UplinkHeader: UplinkHeader{ClientID: 3, FrameIdx: 18, Stamp: 1.3,
+		Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05}}}
 	gp, err := DecodeKeypointMsg(ping.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gp.Flags&KeypointSyncOnly == 0 || len(gp.Kps) != 0 {
 		t.Errorf("sync ping fields wrong: %+v", gp)
+	}
+
+	for _, km := range []*KeypointMsg{m, ping} {
+		if n := len(km.Encode()); km.EncodedLen() != n {
+			t.Errorf("EncodedLen() = %d, encoding is %d bytes", km.EncodedLen(), n)
+		}
 	}
 
 	// Truncation and trailing garbage are errors (strict decoder).
@@ -326,6 +335,41 @@ func TestKeypointMsgRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeKeypointMsg(append(data, 0)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+}
+
+// TestPeekUplink: the router's peek reads the same header the decoders
+// do, and a frame's eyes as sent, from both uplink messages.
+func TestPeekUplink(t *testing.T) {
+	head := UplinkHeader{ClientID: 4, FrameIdx: 21, Stamp: 0.7,
+		Delta:     imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05},
+		Prior:     geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: 125}},
+		HasPrior:  true,
+		SentNanos: 5, RTTNanos: 6}
+	kps := make([]feature.Keypoint, 3)
+	for _, m := range []Uplink{
+		&FrameMsg{UplinkHeader: head, Video: []byte{1, 2}, VideoRight: []byte{3}},
+		&KeypointMsg{UplinkHeader: head, Kps: kps},
+		&KeypointMsg{UplinkHeader: head, Flags: KeypointSyncOnly},
+	} {
+		data := m.Encode()
+		h, left, right, err := PeekUplink(m.Type(), data)
+		if err != nil || h != head {
+			t.Errorf("type %d: peek = %+v, %v; want %+v", m.Type(), h, err, head)
+		}
+		if fm, ok := m.(*FrameMsg); ok && (string(left) != string(fm.Video) || string(right) != string(fm.VideoRight)) {
+			t.Errorf("frame eyes peeked as %v / %v", left, right)
+		}
+		if _, _, _, err := PeekUplink(m.Type(), data[:len(data)-20]); err == nil {
+			t.Errorf("type %d: truncated uplink peeked", m.Type())
+		}
+		got, err := DecodeUplink(m.Type(), data)
+		if err != nil || *got.Header() != head {
+			t.Errorf("type %d: decoded header %+v, %v", m.Type(), got, err)
+		}
+	}
+	if _, _, _, err := PeekUplink(TypePose, nil); err == nil {
+		t.Error("a pose peeked as an uplink")
 	}
 }
 
@@ -355,9 +399,9 @@ func TestModeSwitchMsgRoundTrip(t *testing.T) {
 }
 
 func TestFrameMsgTimingTail(t *testing.T) {
-	m := &FrameMsg{Video: []byte{1, 2, 3},
+	m := &FrameMsg{Video: []byte{1, 2, 3}, UplinkHeader: UplinkHeader{
 		Delta:     imu.FrameDelta{RotDelta: geom.IdentityQuat()},
-		SentNanos: 5000, RTTNanos: 6000}
+		SentNanos: 5000, RTTNanos: 6000}}
 	data := m.Encode()
 	got, err := DecodeFrameMsg(data)
 	if err != nil {
@@ -380,8 +424,8 @@ func TestFramingOverSocket(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	m := &FrameMsg{ClientID: 1, Video: bytes.Repeat([]byte{0xAB}, 10000),
-		Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat()}}
+	m := &FrameMsg{Video: bytes.Repeat([]byte{0xAB}, 10000),
+		UplinkHeader: UplinkHeader{ClientID: 1, Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat()}}}
 	go func() {
 		WriteMessage(a, TypeFrame, m.Encode())
 	}()

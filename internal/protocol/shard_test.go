@@ -236,9 +236,9 @@ func TestLegacyFramingThroughShardFraming(t *testing.T) {
 	defer b.Close()
 
 	hello := &HelloMsg{ClientID: 3, Mode: camera.Stereo} // legacy 5-byte form
-	frame := &FrameMsg{ClientID: 3, FrameIdx: 1, Stamp: 0.05,
+	frame := &FrameMsg{UplinkHeader: UplinkHeader{ClientID: 3, FrameIdx: 1, Stamp: 0.05,
 		Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05},
-		Video: []byte("payload"), Prior: pose(1, 2, 3), HasPrior: true}
+		Prior: pose(1, 2, 3), HasPrior: true}, Video: []byte("payload")}
 	shardHello := &ShardHelloMsg{Role: ShardRoleFront, SenderID: 1, Token: 99}
 	poseMsg := &PoseMsg{FrameIdx: 1, Pose: pose(1, 2, 3), Tracked: true}
 

@@ -215,7 +215,7 @@ func TestMergedPriorStaysOnTrack(t *testing.T) {
 					t.Fatal(err)
 				}
 				prior := sess.advance(msg.Delta, msg.HasPrior, msg.Prior)
-				res = sess.completeFrame(sess.tracker.ProcessFrame(left, right, msg.Stamp, prior), msg.Stamp)
+				res = sess.completeFrame(sess.tracker.ProcessFrame(left, right, msg.Stamp, prior))
 				if !res.Tracked {
 					t.Fatalf("c%d f%d: not tracked after the merge", c+1, i)
 				}

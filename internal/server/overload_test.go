@@ -9,7 +9,6 @@ import (
 	"slamshare/internal/camera"
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
-	"slamshare/internal/geom"
 	"slamshare/internal/overload"
 	"slamshare/internal/protocol"
 	"slamshare/internal/video"
@@ -19,11 +18,11 @@ import (
 // message using the given encoders (so decoder stream state matches).
 func buildRawFrame(seq *dataset.Sequence, encL, encR *video.Encoder, i int, prior bool) *protocol.FrameMsg {
 	left, right := seq.StereoFrame(i)
-	msg := &protocol.FrameMsg{
+	msg := &protocol.FrameMsg{UplinkHeader: protocol.UplinkHeader{
 		ClientID: 1,
 		FrameIdx: uint32(i),
 		Stamp:    seq.FrameTime(i),
-	}
+	}}
 	msg.Video, msg.VideoRight = video.EncodeStereo(encL, encR, left, right)
 	if prior {
 		msg.Prior = seq.GroundTruth(i).Inverse()
@@ -48,7 +47,7 @@ func TestHandleFrameErrorCounters(t *testing.T) {
 	}
 
 	// Undecodable left stream.
-	bad := &protocol.FrameMsg{ClientID: 1, Video: []byte{0xde, 0xad, 0xbe, 0xef}}
+	bad := &protocol.FrameMsg{UplinkHeader: protocol.UplinkHeader{ClientID: 1}, Video: []byte{0xde, 0xad, 0xbe, 0xef}}
 	if _, err := sess.HandleFrame(bad); err == nil {
 		t.Fatal("garbage video decoded")
 	}
@@ -59,7 +58,7 @@ func TestHandleFrameErrorCounters(t *testing.T) {
 	// Valid left, undecodable right: the stereo pair is unusable.
 	encL := video.NewEncoder()
 	left, _ := seq.StereoFrame(0)
-	bad2 := &protocol.FrameMsg{ClientID: 1, Video: encL.Encode(left), VideoRight: []byte{1, 2, 3}}
+	bad2 := &protocol.FrameMsg{UplinkHeader: protocol.UplinkHeader{ClientID: 1}, Video: encL.Encode(left), VideoRight: []byte{1, 2, 3}}
 	if _, err := sess.HandleFrame(bad2); err == nil {
 		t.Fatal("garbage right video decoded")
 	}
@@ -75,7 +74,7 @@ func TestHandleFrameErrorCounters(t *testing.T) {
 	}
 	blank := left.Clone()
 	blank.Fill(128)
-	lostMsg := &protocol.FrameMsg{ClientID: 1, FrameIdx: 1, Stamp: seq.FrameTime(1)}
+	lostMsg := &protocol.FrameMsg{UplinkHeader: protocol.UplinkHeader{ClientID: 1, FrameIdx: 1, Stamp: seq.FrameTime(1)}}
 	lostMsg.Video, lostMsg.VideoRight = video.EncodeStereo(encL, encR, blank, blank)
 	res, err := sess.HandleFrame(lostMsg)
 	if err != nil {
@@ -90,33 +89,40 @@ func TestHandleFrameErrorCounters(t *testing.T) {
 }
 
 func TestOpenSessionCeiling(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Overload.MaxSessions = 2
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	rig := camera.NewMonoRig(camera.EuRoCIntrinsics())
-	for id := uint32(1); id <= 2; id++ {
-		if _, err := srv.OpenSession(id, rig); err != nil {
-			t.Fatalf("session %d: %v", id, err)
+	// Three clients against a ceiling of two, and against none.
+	for _, max := range []int{2, -1} {
+		cfg := DefaultConfig()
+		cfg.Overload.MaxSessions = max
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := srv.OpenSession(3, rig); !errors.Is(err, overload.ErrOverloaded) {
-		t.Fatalf("third session: err = %v, want ErrOverloaded", err)
-	}
-	if got := srv.NetStats().SessionsRejected.Load(); got != 1 {
-		t.Errorf("SessionsRejected = %d, want 1", got)
-	}
-	// Closing a session frees its slot; a failed duplicate open while a
-	// slot is free must report the duplicate and not consume it.
-	srv.CloseSession(1)
-	if _, err := srv.OpenSession(2, rig); err == nil || errors.Is(err, overload.ErrOverloaded) {
-		t.Fatalf("duplicate open: err = %v, want duplicate error", err)
-	}
-	if _, err := srv.OpenSession(3, rig); err != nil {
-		t.Errorf("slot leaked by failed duplicate open: %v", err)
+		defer srv.Close()
+		var rejected int64
+		for id := uint32(1); id <= 3; id++ {
+			_, err := srv.OpenSession(id, rig)
+			if max > 0 && int(id) > max {
+				rejected++
+				if !errors.Is(err, overload.ErrOverloaded) {
+					t.Fatalf("MaxSessions %d, session %d: err = %v, want ErrOverloaded", max, id, err)
+				}
+			} else if err != nil {
+				t.Fatalf("MaxSessions %d, session %d: %v", max, id, err)
+			}
+		}
+		if got := srv.NetStats().SessionsRejected.Load(); got != rejected {
+			t.Errorf("MaxSessions %d: SessionsRejected = %d, want %d", max, got, rejected)
+		}
+		// Closing a session frees its slot; a failed duplicate open while
+		// a slot is free must report the duplicate and not consume it.
+		srv.CloseSession(1)
+		if _, err := srv.OpenSession(2, rig); err == nil || errors.Is(err, overload.ErrOverloaded) {
+			t.Fatalf("MaxSessions %d: duplicate open: err = %v, want duplicate error", max, err)
+		}
+		if _, err := srv.OpenSession(1, rig); err != nil {
+			t.Errorf("MaxSessions %d: slot leaked by failed duplicate open: %v", max, err)
+		}
 	}
 }
 
@@ -210,7 +216,9 @@ func TestServeShedsUnderBacklog(t *testing.T) {
 // encode) — the budget the server spends per frame it refuses to
 // track.
 func BenchmarkHandleFrameShedding(b *testing.B) {
-	srv, err := New(DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Overload.ShedBudget = 50 * time.Millisecond
+	srv, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,17 +230,20 @@ func BenchmarkHandleFrameShedding(b *testing.B) {
 	}
 	encL, encR := video.NewEncoder(), video.NewEncoder()
 	encL.GOP, encR.GOP = 1, 1 // intra-only so replaying one frame stays decodable
-	msg := buildRawFrame(seq, encL, encR, 0, false)
-	lag := overload.NewLagTracker(50 * time.Millisecond)
+	msg := buildRawFrame(seq, encL, encR, 0, true)
+	// Only a session that is tracking sheds.
+	if res, err := sess.Handle(msg, 0); err != nil || !res.Tracked {
+		b.Fatalf("first frame: tracked %v, err %v", res.Tracked, err)
+	}
 	var sink int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lag.Note(float64(i) * 0.05)
-		if i > 0 && !lag.ShouldShed(4) {
+		msg.Stamp = float64(i+1) * 0.05
+		res, err := sess.Handle(msg, 4)
+		if err != nil || !res.Shed {
 			b.Fatal("4-frame backlog at 20 FPS must shed on a 50ms budget")
 		}
-		sess.ShedFrame(msg)
-		pm := protocol.PoseMsg{FrameIdx: uint32(i), Pose: geom.IdentitySE3(), Shed: true}
+		pm := protocol.PoseMsg{FrameIdx: uint32(i), Pose: res.Pose, Shed: true}
 		sink += len(pm.Encode())
 	}
 	if sink == 0 {

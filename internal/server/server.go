@@ -27,7 +27,6 @@ import (
 	"slamshare/internal/lifecycle"
 	"slamshare/internal/mapping"
 	"slamshare/internal/merge"
-	"slamshare/internal/metrics"
 	"slamshare/internal/obs"
 	"slamshare/internal/offload"
 	"slamshare/internal/overload"
@@ -127,7 +126,7 @@ type ShardConfig struct {
 // OverloadConfig is the server's overload-protection policy.
 type OverloadConfig struct {
 	// MaxSessions caps concurrently open sessions; OpenSession returns
-	// overload.ErrOverloaded beyond it.
+	// overload.ErrOverloaded beyond it. Negative means unlimited.
 	MaxSessions int
 	// MaxMergesInFlight caps concurrent merge attempts across all
 	// sessions. A saturated gate skips the attempt without a backoff
@@ -402,7 +401,7 @@ func New(cfg Config) (*Server, error) {
 		pendingExports: make(map[exportKey]*exportRecord),
 		importBlocked:  make(map[uint32]int),
 		resume:         make(map[uint32]*resumeState),
-		gate:           overload.NewGate(cfg.Overload.MaxSessions, cfg.Overload.MaxMergesInFlight),
+		gate:           overload.NewGate(cfg.Overload.MaxMergesInFlight),
 		backoff: overload.Backoff{
 			Base:   retryBase,
 			Factor: retryFactor,
@@ -463,7 +462,6 @@ func New(cfg Config) (*Server, error) {
 	reg.RegisterCounter("offload.mode_switches", &s.net.ModeSwitches)
 	reg.RegisterCounter("offload.split_frames", &s.net.FramesSplit)
 	reg.RegisterCounter("offload.sync_pings", &s.net.SyncPings)
-	reg.RegisterFunc("overload.sessions", func() any { return s.gate.Sessions() })
 	reg.RegisterFunc("overload.merges_inflight", func() any { return s.gate.Merges() })
 	if s.tpool != nil {
 		reg.RegisterFunc("trackpool.workers", func() any { return s.tpool.Workers() })
@@ -593,42 +591,31 @@ type Session struct {
 	// when Config.TrackWorkers < 0 disabled batching).
 	stream *trackpool.Stream
 	// ctrl is the adaptive-offload state; a nil ctrl is a legacy
-	// session pinned to full offload. rttNanos is the latest
-	// client-reported round-trip estimate. Both are owned by the
-	// serveConn loop (direct-API tests drive them single-threaded).
+	// session pinned to full offload. offer is an adaptive hello, held
+	// until the first uplink shows the mode the device is in: a device
+	// keeps its mode across a redial or a front's move to a new shard
+	// session. rttNanos is the latest client-reported round-trip
+	// estimate. All three are owned by the session's uplink loop.
 	ctrl     *offload.Controller
+	offer    *protocol.HelloMsg
 	rttNanos uint64
-
-	// trackHist is this session's end-to-end tracking latency
-	// histogram. It is private to the session (the registry's
-	// "track.total" aggregates all sessions); Stats summarizes it.
-	trackHist *obs.Histogram
-	stages    tracking.Stages
-	frames    int
-
-	// Traj records the server-side pose estimates (camera centers).
-	Traj metrics.Trajectory
+	// frames numbers the tracked frames: the trace ID of their spans.
+	frames int
 }
 
 // OpenSession registers a client process. Each session gets a stream
 // on the shared tracking pool (or runs its kernels serially when the
 // pool is disabled).
 func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	// Admission control: beyond the session ceiling the server refuses
 	// outright (typed overload.ErrOverloaded) instead of degrading
 	// every existing session's tracking rate.
-	if err := s.gate.AcquireSession(); err != nil {
+	if max := s.cfg.Overload.MaxSessions; max > 0 && len(s.sessions) >= max {
 		s.net.SessionsRejected.Inc()
-		return nil, err
+		return nil, overload.ErrOverloaded
 	}
-	admitted := false
-	defer func() {
-		if !admitted {
-			s.gate.ReleaseSession()
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.sessions[clientID]; ok {
 		return nil, fmt.Errorf("server: client %d already connected", clientID)
 	}
@@ -672,17 +659,16 @@ func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) 
 		}
 	}
 	sess := &Session{
-		ID:        clientID,
-		srv:       s,
-		rig:       rig,
-		tracker:   tr,
-		mapper:    mapper,
-		localMap:  localMap,
-		decL:      video.NewDecoder(),
-		decR:      video.NewDecoder(),
-		lag:       overload.NewLagTracker(s.cfg.Overload.ShedBudget),
-		trackHist: obs.NewHistogram("track.session"),
-		stream:    stream,
+		ID:       clientID,
+		srv:      s,
+		rig:      rig,
+		tracker:  tr,
+		mapper:   mapper,
+		localMap: localMap,
+		decL:     video.NewDecoder(),
+		decR:     video.NewDecoder(),
+		lag:      overload.NewLagTracker(s.cfg.Overload.ShedBudget),
+		stream:   stream,
 	}
 	if resumeSeq > 0 {
 		// Resume the session directly on the recovered global map: the
@@ -694,7 +680,6 @@ func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) 
 		sess.tracker.ResumeLost()
 	}
 	s.sessions[clientID] = sess
-	admitted = true
 	return sess, nil
 }
 
@@ -704,11 +689,8 @@ func (s *Server) CloseSession(clientID uint32) {
 	sess, ok := s.sessions[clientID]
 	delete(s.sessions, clientID)
 	s.mu.Unlock()
-	if ok {
-		if sess.stream != nil {
-			sess.stream.Close()
-		}
-		s.gate.ReleaseSession()
+	if ok && sess.stream != nil {
+		sess.stream.Close()
 	}
 }
 
@@ -721,13 +703,81 @@ type Result struct {
 	// budget with motion-model tracking only (local-point search
 	// skipped).
 	Degraded bool
-	Timing   tracking.Stages
-	Inliers  int
+	// Shed marks an uplink answered without tracking: a shadow-mode
+	// sync ping, or a frame shed under backlog. Pose is the identity
+	// and the client keeps dead-reckoning on its IMU (Alg. 1).
+	Shed    bool
+	Timing  tracking.Stages
+	Inliers int
 }
 
-// HandleFrame processes one uplink frame message end to end: video
-// decode, IMU-prior tracking, local mapping, and (once the local map
-// is large enough) the merge into the global map.
+// Handle is the session's one uplink entry point, whichever offload
+// mode built msg: everything between the decode and the answer. It
+// notes the uplink's lag, takes the client's reported RTT, arms a held
+// adaptive hello in the mode this uplink was built in, and then absorbs
+// a sync ping, sheds the frame (backlog counts the uplinks queued
+// behind this one) or tracks it.
+func (sess *Session) Handle(msg protocol.Uplink, backlog int) (Result, error) {
+	h := msg.Header()
+	mode := offload.ModeFull
+	if km, ok := msg.(*protocol.KeypointMsg); ok {
+		mode = offload.ModeSplit
+		if km.Flags&protocol.KeypointSyncOnly != 0 {
+			mode = offload.ModeShadow
+		}
+	}
+	sess.lag.Note(h.Stamp)
+	if o := sess.offer; o != nil {
+		// The QoS class orders the session's frames in the shared
+		// trackpool (between the urgent class and the EDF key), and with
+		// the advertised capabilities it parameterizes the mode
+		// controller. Without a held hello the session stays a legacy
+		// full-offload one: no echoes, no mode switches.
+		sess.ctrl = offload.NewController(sess.srv.cfg.Offload, o.QoS, o.Caps, mode)
+		if sess.stream != nil {
+			sess.stream.SetQoS(int(o.QoS))
+		}
+		sess.offer = nil
+	}
+	if h.RTTNanos != 0 {
+		sess.rttNanos = h.RTTNanos
+	}
+	switch {
+	case mode == offload.ModeShadow:
+		// Only the motion model integrates the IMU delta, so a later
+		// upgrade re-enters tracking with a prior spanning the shadow
+		// period. No tracking work runs and the lifecycle clock does not
+		// advance.
+		sess.advance(h.Delta, false, geom.SE3{})
+		sess.srv.net.SyncPings.Inc()
+	case backlog > 0 && sess.lag.ShouldShed(backlog) && sess.tracker.State() == tracking.OK:
+		// Deadline-aware shedding (process-latest): the uplinks queued
+		// behind this one represent more wall-clock lag than the budget,
+		// so spend the tracking time on a fresher one. Only while
+		// tracking is OK: during initialization and relocalization every
+		// frame is keyframe-critical. The stream side effects still
+		// happen: the video decoders see every frame (inter frames
+		// predict from the previous decoded one) at the cost of a decode,
+		// and the motion model integrates the delta so the next tracked
+		// frame's prior spans the gap.
+		if fm, ok := msg.(*protocol.FrameMsg); ok {
+			if _, err := sess.decL.Decode(fm.Video); err == nil && len(fm.VideoRight) > 0 {
+				sess.decR.Decode(fm.VideoRight)
+			}
+		}
+		sess.advance(h.Delta, false, geom.SE3{})
+		sess.srv.net.FramesShed.Inc()
+	case mode == offload.ModeSplit:
+		return sess.HandleKeypoints(msg.(*protocol.KeypointMsg))
+	default:
+		return sess.HandleFrame(msg.(*protocol.FrameMsg))
+	}
+	return Result{Pose: geom.IdentitySE3(), Shed: true}, nil
+}
+
+// HandleFrame tracks one full-offload frame end to end: video decode,
+// IMU-prior tracking, local mapping, and (once the local map is large
+// enough) the merge into the global map. It is Handle's video half.
 func (sess *Session) HandleFrame(msg *protocol.FrameMsg) (Result, error) {
 	var res Result
 	// ord is this session's frame ordinal: the trace ID linking the
@@ -762,10 +812,8 @@ func (sess *Session) HandleFrame(msg *protocol.FrameMsg) (Result, error) {
 	dsp.End()
 
 	prior := sess.advance(msg.Delta, msg.HasPrior, msg.Prior)
-	t0 := time.Now()
 	tr := sess.tracker.ProcessFrame(left, rightImg, msg.Stamp, prior)
-	sess.trackHist.Observe(time.Since(t0))
-	return sess.completeFrame(tr, msg.Stamp), nil
+	return sess.completeFrame(tr), nil
 }
 
 // advance is the session's IMU-assisted prior (§4.2.2): it advances the
@@ -787,14 +835,12 @@ func (sess *Session) advance(delta imu.FrameDelta, hasPrior bool, prior geom.SE3
 	return nil
 }
 
-// completeFrame folds one tracking result into the session: stage
-// accounting, motion-model correction, trajectory append, keyframe
-// insertion, and the merge trigger.
+// completeFrame folds one tracking result into the session:
+// motion-model correction, keyframe insertion, and the merge trigger.
 // Shared by the full-offload (HandleFrame) and split-offload
 // (HandleKeypoints) paths, which differ only in how the frame's
 // keypoints came to exist.
-func (sess *Session) completeFrame(tr tracking.Result, stamp float64) Result {
-	sess.stages.Add(tr.Timing)
+func (sess *Session) completeFrame(tr tracking.Result) Result {
 	sess.frames++
 
 	res := Result{
@@ -817,7 +863,6 @@ func (sess *Session) completeFrame(tr tracking.Result, stamp float64) Result {
 			// velocity was unknown and IMU deltas only carry increments.
 			sess.mm.RecvSLAMPose(twc, sess.mm.Len()-1)
 		}
-		sess.Traj.Append(stamp, twc.T)
 	}
 
 	if tr.NewKF != nil {
@@ -837,9 +882,9 @@ func (sess *Session) completeFrame(tr tracking.Result, stamp float64) Result {
 	return res
 }
 
-// HandleKeypoints processes one split-offload uplink frame: the
-// client already ran feature extraction and stereo matching (through
-// the same feature.Extractor code path the server uses, so the
+// HandleKeypoints tracks one split-offload frame, Handle's keypoint
+// half: the client already ran feature extraction and stereo matching
+// (through the same feature.Extractor code path the server uses, so the
 // keypoints are bit-identical to what the server would have produced
 // from the same pixels), and the pipeline enters at pose prediction —
 // no video decode span, no track.extract, no track.match.
@@ -850,33 +895,9 @@ func (sess *Session) HandleKeypoints(msg *protocol.KeypointMsg) (Result, error) 
 	sess.srv.global.Tick()
 
 	prior := sess.advance(msg.Delta, msg.HasPrior, msg.Prior)
-	t0 := time.Now()
 	tr := sess.tracker.ProcessExtracted(msg.Kps, msg.Stamp, prior)
-	sess.trackHist.Observe(time.Since(t0))
 	sess.srv.net.FramesSplit.Inc()
-	return sess.completeFrame(tr, msg.Stamp), nil
-}
-
-// HandleSync absorbs a shadow-mode map-sync ping: only the motion
-// model integrates the IMU delta, so a later mode upgrade re-enters
-// tracking with a prior spanning the shadow period. No tracking work
-// runs and the lifecycle clock does not advance.
-func (sess *Session) HandleSync(msg *protocol.KeypointMsg) {
-	sess.advance(msg.Delta, false, geom.SE3{})
-	sess.srv.net.SyncPings.Inc()
-}
-
-// ConfigureOffload arms per-session adaptive offloading from the
-// client's hello: the QoS class orders the session's frames in the
-// shared trackpool (between the urgent class and the EDF key), and
-// together with the advertised capabilities it parameterizes the
-// mode controller, which starts in mode. Without this call the session
-// stays a legacy full-offload one: no echoes, no mode switches.
-func (sess *Session) ConfigureOffload(qos offload.QoS, caps offload.Caps, mode offload.Mode) {
-	sess.ctrl = offload.NewController(sess.srv.cfg.Offload, qos, caps, mode)
-	if sess.stream != nil {
-		sess.stream.SetQoS(int(qos))
-	}
+	return sess.completeFrame(tr), nil
 }
 
 // OffloadMode returns the session's current offload mode (always full
@@ -886,19 +907,6 @@ func (sess *Session) OffloadMode() offload.Mode {
 		return offload.ModeFull
 	}
 	return sess.ctrl.Mode()
-}
-
-// ShedFrame consumes a shed uplink frame's stream side effects without
-// running the tracking pipeline: the video decoders must see every
-// encoded frame (inter frames predict from the previous decoded one)
-// and the motion model integrates the IMU delta so the next tracked
-// frame's prior spans the gap. It costs a decode — cheap next to the
-// feature extraction and map search that shedding skips.
-func (sess *Session) ShedFrame(msg *protocol.FrameMsg) {
-	if _, err := sess.decL.Decode(msg.Video); err == nil && len(msg.VideoRight) > 0 {
-		sess.decR.Decode(msg.VideoRight)
-	}
-	sess.advance(msg.Delta, false, geom.SE3{})
 }
 
 // tryMerge runs the merge under the named global-map mutex. On
@@ -976,26 +984,6 @@ func (sess *Session) tryMerge() bool {
 	return true
 }
 
-// Stats summarizes a session.
-type Stats struct {
-	Frames     int
-	AvgStages  tracking.Stages
-	TrackStats obs.Summary
-	Merged     bool
-}
-
-// Stats returns the session's aggregate statistics. Quantiles come
-// from the session's latency histogram, so they are O(buckets) to
-// read regardless of how many frames the session has processed.
-func (sess *Session) Stats() Stats {
-	return Stats{
-		Frames:     sess.frames,
-		AvgStages:  sess.stages.Scale(sess.frames),
-		TrackStats: sess.trackHist.Summary(),
-		Merged:     sess.merged,
-	}
-}
-
 // Serve accepts client connections on l and runs a session per
 // connection until the listener closes. Each connection speaks the
 // protocol package's framing.
@@ -1020,10 +1008,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	ov := s.cfg.Overload
 	var sess *Session
-	// offer is an adaptive hello, held until the first uplink shows the
-	// mode the device is in: a device keeps its mode across a redial or
-	// a front's move to a new shard session.
-	var offer *protocol.HelloMsg
 	clean := false
 	defer func() {
 		if sess != nil {
@@ -1177,83 +1161,25 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			if hello.HasQoS {
-				offer = hello
+				sess.offer = hello
 			}
 			s.net.SessionsOpened.Inc()
 		case protocol.TypeFrame, protocol.TypeKeypoint:
-			// One uplink path for all three offload modes: video frame
-			// (full), keypoint frame (split), sync ping (shadow).
 			if sess == nil {
 				return
 			}
-			var fm *protocol.FrameMsg
-			var km *protocol.KeypointMsg
-			mode := offload.ModeFull // the mode the uplink was built in
-			var idx uint32
-			var stamp float64
-			var sent, rtt uint64
-			var err error
-			if m.mt == protocol.TypeFrame {
-				if fm, err = protocol.DecodeFrameMsg(m.payload); err == nil {
-					idx, stamp, sent, rtt = fm.FrameIdx, fm.Stamp, fm.SentNanos, fm.RTTNanos
-				}
-			} else if km, err = protocol.DecodeKeypointMsg(m.payload); err == nil {
-				idx, stamp, sent, rtt = km.FrameIdx, km.Stamp, km.SentNanos, km.RTTNanos
-				mode = offload.ModeSplit
-				if km.Flags&protocol.KeypointSyncOnly != 0 {
-					mode = offload.ModeShadow
-				}
-			}
+			msg, err := protocol.DecodeUplink(m.mt, m.payload)
 			if err != nil {
 				s.net.FramesRejected.Inc()
 				return
 			}
-			sess.lag.Note(stamp)
-			if offer != nil {
-				sess.ConfigureOffload(offer.QoS, offer.Caps, mode)
-				offer = nil
+			res, err := sess.Handle(msg, len(in))
+			if err != nil {
+				return
 			}
-			if rtt != 0 {
-				sess.rttNanos = rtt
-			}
-			// Untracked answers carry no pose: the client keeps
-			// dead-reckoning on its IMU (Alg. 1) and only needs the echo.
-			pm := protocol.PoseMsg{FrameIdx: idx, Pose: geom.IdentitySE3(), Shed: true}
-			switch {
-			case mode == offload.ModeShadow:
-				// Shadow-mode sync ping: absorb the IMU delta; the policy
-				// step after the answer can upgrade the session once load
-				// clears.
-				sess.HandleSync(km)
-			case len(in) > 0 && sess.lag.ShouldShed(len(in)) &&
-				sess.tracker.State() == tracking.OK:
-				// Deadline-aware shedding (process-latest): the uplinks
-				// queued behind this one represent more wall-clock lag
-				// than the budget, so spend the tracking time on a fresher
-				// one. Only while tracking is OK: during initialization
-				// and relocalization every frame is keyframe-critical. The
-				// stream side effects still happen — video decoders see
-				// every frame, and the motion model integrates the delta
-				// so the next tracked frame's prior spans the gap.
-				if fm != nil {
-					sess.ShedFrame(fm)
-				} else {
-					sess.advance(km.Delta, false, geom.SE3{})
-				}
-				s.net.FramesShed.Inc()
-			default:
-				var res Result
-				if fm != nil {
-					res, err = sess.HandleFrame(fm)
-				} else {
-					res, err = sess.HandleKeypoints(km)
-				}
-				if err != nil {
-					return
-				}
-				pm = protocol.PoseMsg{FrameIdx: idx, Pose: res.Pose, Tracked: res.Tracked}
-			}
-			if !answer(pm, sent) {
+			h := msg.Header()
+			pm := protocol.PoseMsg{FrameIdx: h.FrameIdx, Pose: res.Pose, Tracked: res.Tracked, Shed: res.Shed}
+			if !answer(pm, h.SentNanos) {
 				return
 			}
 		case protocol.TypeBye:

@@ -88,9 +88,13 @@ func TestSingleClientEndToEnd(t *testing.T) {
 	if srv.Global().NKeyFrames() == 0 {
 		t.Error("global map empty after run")
 	}
-	st := sess.Stats()
-	if st.Frames != n || st.AvgStages.Total <= 0 {
-		t.Errorf("stats wrong: %+v", st)
+	// Every frame went through tracking, and the registry's stage
+	// histograms hold its time.
+	reg := srv.Obs().Registry()
+	for _, stage := range []string{"track.total", "track.extract"} {
+		if h := reg.Histogram(stage).Snapshot(); h.Count != n || h.Mean() <= 0 {
+			t.Errorf("%s: %d frames, mean %v; want %d frames taking time", stage, h.Count, h.Mean(), n)
+		}
 	}
 }
 
@@ -131,10 +135,10 @@ func TestTwoClientsMergeIntoGlobalMap(t *testing.T) {
 		}
 		clB.ApplyPose(i, resB.Pose, resB.Tracked)
 	}
-	if !sessA.Stats().Merged {
+	if !sessA.Merged() {
 		t.Error("client A never merged")
 	}
-	if !sessB.Stats().Merged {
+	if !sessB.Merged() {
 		t.Error("client B never merged into the shared map")
 	}
 	reports := srv.MergeReports()
