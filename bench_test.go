@@ -14,6 +14,7 @@ import (
 	"slamshare/internal/geom"
 	"slamshare/internal/gpu"
 	"slamshare/internal/holo"
+	"slamshare/internal/obs"
 	"slamshare/internal/persist"
 	"slamshare/internal/smap"
 	"slamshare/internal/wire"
@@ -142,13 +143,14 @@ func BenchmarkAblationSharedMemoryVsSerialized(b *testing.B) {
 }
 
 // buildPersistMap journals a 20-keyframe map into dir and returns the
-// live map (for checkpointing) and its manager.
-func buildPersistMap(b *testing.B, dir string) (*smap.Map, *persist.Manager) {
+// live map (for checkpointing) and its manager, which reports its
+// spans to tr (nil for none).
+func buildPersistMap(b *testing.B, dir string, tr *obs.Tracer) (*smap.Map, *persist.Manager) {
 	b.Helper()
 	m := smap.NewMap(bow.Default())
 	anchors := holo.NewRegistry()
 	anchors.Place("bench", geom.SE3{}, 1, 0)
-	mgr, err := persist.Open(persist.Options{Dir: dir, CheckpointEvery: -1}, m, anchors, 0, nil)
+	mgr, err := persist.Open(persist.Options{Dir: dir, CheckpointEvery: -1, Obs: tr}, m, anchors, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -180,7 +182,8 @@ func buildPersistMap(b *testing.B, dir string) (*smap.Map, *persist.Manager) {
 // background checkpointer does off the hot path.
 func BenchmarkPersistCheckpoint(b *testing.B) {
 	dir := b.TempDir()
-	_, mgr := buildPersistMap(b, dir)
+	tr := obs.NewTracer(obs.NewRegistry(), obs.DefaultRingSize)
+	_, mgr := buildPersistMap(b, dir, tr)
 	defer mgr.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -189,7 +192,7 @@ func BenchmarkPersistCheckpoint(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	mean := mgr.Stats().CheckpointLat.Snapshot().Mean()
+	mean := tr.Registry().Histogram("persist.checkpoint").Snapshot().Mean()
 	b.ReportMetric(float64(mean.Microseconds())/1000, "checkpoint-ms")
 }
 
@@ -198,7 +201,7 @@ func BenchmarkPersistCheckpoint(b *testing.B) {
 // restart-time cost a crashed server pays before accepting clients.
 func BenchmarkPersistRecovery(b *testing.B) {
 	dir := b.TempDir()
-	m, mgr := buildPersistMap(b, dir)
+	m, mgr := buildPersistMap(b, dir, nil)
 	if err := mgr.CheckpointNow(); err != nil {
 		b.Fatal(err)
 	}

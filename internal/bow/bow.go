@@ -9,6 +9,7 @@ package bow
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,8 +19,15 @@ import (
 // WordID identifies a vocabulary leaf.
 type WordID uint32
 
-// Vec is a sparse, L1-normalized bag-of-words vector.
-type Vec map[WordID]float64
+// Entry is one word of a bag-of-words vector and its weight.
+type Entry struct {
+	Word   WordID
+	Weight float64
+}
+
+// Vec is a sparse, L1-normalized bag-of-words vector: its entries by
+// strictly ascending word.
+type Vec []Entry
 
 // Vocabulary is a k-ary tree of binary centroids of the given depth;
 // its leaves are the words.
@@ -195,31 +203,42 @@ func (v *Vocabulary) WordOf(d feature.Descriptor) WordID {
 }
 
 // BowOf encodes a descriptor set as an L1-normalized word-frequency
-// vector.
+// vector: each word's count over the descriptor count, non-nil even
+// when empty.
 func (v *Vocabulary) BowOf(descs []feature.Descriptor) Vec {
-	bv := make(Vec)
-	for _, d := range descs {
-		bv[v.WordOf(d)]++
+	words := make([]WordID, len(descs))
+	for i, d := range descs {
+		words[i] = v.WordOf(d)
 	}
-	var sum float64
-	for _, n := range bv {
-		sum += n
-	}
-	if sum > 0 {
-		for w := range bv {
-			bv[w] /= sum
+	slices.Sort(words)
+	bv := Vec{}
+	for i := 0; i < len(words); {
+		j := i + 1
+		for j < len(words) && words[j] == words[i] {
+			j++
 		}
+		bv = append(bv, Entry{Word: words[i], Weight: float64(j-i) / float64(len(words))})
+		i = j
 	}
 	return bv
 }
 
 // Score returns the DBoW2 L1 similarity between two normalized
-// vectors: 1 - 0.5*|a - b|_1, in [0, 1].
+// vectors: 1 - 0.5*|a - b|_1, in [0, 1]. It walks the shared words of
+// both vectors in ascending order.
 func Score(a, b Vec) float64 {
 	var l1 float64
-	for w, va := range a {
-		if vb, ok := b[w]; ok {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch wa, wb := a[i].Word, b[j].Word; {
+		case wa < wb:
+			i++
+		case wa > wb:
+			j++
+		default:
+			va, vb := a[i].Weight, b[j].Weight
 			l1 += math.Abs(va-vb) - va - vb
+			i++
+			j++
 		}
 	}
 	// Terms absent from the intersection contribute |va| + |vb| = 2
@@ -257,8 +276,8 @@ func (db *Database) Add(id uint64, bv Vec) {
 		db.Remove(id)
 	}
 	db.vecs[id] = bv
-	for w := range bv {
-		db.index[w] = append(db.index[w], id)
+	for _, e := range bv {
+		db.index[e.Word] = append(db.index[e.Word], id)
 	}
 }
 
@@ -269,7 +288,8 @@ func (db *Database) Remove(id uint64) {
 		return
 	}
 	delete(db.vecs, id)
-	for w := range bv {
+	for _, e := range bv {
+		w := e.Word
 		list := db.index[w]
 		for i, v := range list {
 			if v == id {
@@ -317,9 +337,9 @@ func (db *Database) CheckIndex() (orphans, missing []uint64) {
 	}
 	missingSeen := make(map[uint64]bool)
 	for id, bv := range db.vecs {
-		for w := range bv {
+		for _, e := range bv {
 			posted := false
-			for _, v := range db.index[w] {
+			for _, v := range db.index[e.Word] {
 				if v == id {
 					posted = true
 					break
@@ -339,8 +359,8 @@ func (db *Database) CheckIndex() (orphans, missing []uint64) {
 func (db *Database) Query(bv Vec, topN int, exclude func(uint64) bool) []Result {
 	seen := make(map[uint64]bool)
 	var results []Result
-	for w := range bv {
-		for _, id := range db.index[w] {
+	for _, e := range bv {
+		for _, id := range db.index[e.Word] {
 			if seen[id] {
 				continue
 			}
@@ -351,8 +371,8 @@ func (db *Database) Query(bv Vec, topN int, exclude func(uint64) bool) []Result 
 			results = append(results, Result{ID: id, Score: Score(bv, db.vecs[id])})
 		}
 	}
-	// Equal scores go by ascending ID: hits are collected in map order,
-	// and the cut below must not depend on it.
+	// Equal scores go by ascending ID, so the cut below does not depend
+	// on the order hits were collected in.
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Score != results[j].Score {
 			return results[i].Score > results[j].Score

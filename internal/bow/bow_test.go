@@ -91,14 +91,17 @@ func TestBowOfNormalized(t *testing.T) {
 	descs := corpus(300, 7)
 	bv := v.BowOf(descs)
 	var sum float64
-	for _, x := range bv {
-		sum += x
+	for i, e := range bv {
+		sum += e.Weight
+		if i > 0 && e.Word <= bv[i-1].Word {
+			t.Errorf("words out of order at %d: %d after %d", i, e.Word, bv[i-1].Word)
+		}
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("BoW vector sums to %v", sum)
 	}
-	if len(v.BowOf(nil)) != 0 {
-		t.Error("empty descriptor set should give empty vector")
+	if e := v.BowOf(nil); e == nil || len(e) != 0 {
+		t.Error("empty descriptor set should give an empty, non-nil vector")
 	}
 }
 
@@ -203,18 +206,17 @@ func TestDatabaseReAddReplaces(t *testing.T) {
 	}
 }
 
-// TestDatabaseQueryBreaksTiesByID: hits are gathered by ranging over
-// the query vector, so two keyframes with the same score reach the
-// sort in either order; which one survives the topN cut — a
-// relocalization or merge candidate — must not depend on that. The
-// weights are powers of two so the scores are equal to the bit however
-// Score's own sum is ordered.
+// TestDatabaseQueryBreaksTiesByID: two keyframes with the same score
+// reach the sort in posting-list order; which one survives the topN
+// cut — a relocalization or merge candidate — must not depend on that.
+// The weights are powers of two so the scores are equal to the bit.
 func TestDatabaseQueryBreaksTiesByID(t *testing.T) {
 	db := NewDatabase()
-	db.Add(7, Vec{1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25})
-	db.Add(3, Vec{1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25})
-	db.Add(5, Vec{1: 0.5, 9: 0.5})
-	query := Vec{1: 0.25, 2: 0.25, 3: 0.5}
+	quarters := Vec{{1, 0.25}, {2, 0.25}, {3, 0.25}, {4, 0.25}}
+	db.Add(7, quarters)
+	db.Add(3, quarters)
+	db.Add(5, Vec{{1, 0.5}, {9, 0.5}})
+	query := Vec{{1, 0.25}, {2, 0.25}, {3, 0.5}}
 	for i := 0; i < 50; i++ {
 		if res := db.Query(query, 1, nil); len(res) != 1 || res[0].ID != 3 {
 			t.Fatalf("query %d = %+v, want the lower of the two equal-score ids", i, res)

@@ -144,8 +144,8 @@ func keyFrame(id smap.ID, bindings ...smap.ID) *smap.KeyFrame {
 		ID: id, Client: smap.ClientOf(id), Stamp: 1.25 + float64(smap.SeqOf(id)), FrameIdx: int(smap.SeqOf(id)) * 5,
 		Tcw:       poseA,
 		MapPoints: bindings,
-		Bow:       bow.Vec{7: 0.5, 3: 0.25, 4000: 0.125},
-		Conns:     map[smap.ID]int{id + 100: 17, id + 50: 21},
+		Bow:       bow.Vec{{Word: 3, Weight: 0.25}, {Word: 7, Weight: 0.5}, {Word: 4000, Weight: 0.125}},
+		Conns:     []smap.Conn{{KF: id + 50, Weight: 21}, {KF: id + 100, Weight: 17}},
 	}
 	for i := range bindings {
 		kf.Keypoints = append(kf.Keypoints, keypoint(i))
@@ -153,15 +153,18 @@ func keyFrame(id smap.ID, bindings ...smap.ID) *smap.KeyFrame {
 	return kf
 }
 
-func mapPoint(id smap.ID, obs map[smap.ID]int) *smap.MapPoint {
-	if obs == nil {
-		obs = map[smap.ID]int{}
-	}
+// mapPoint builds a fixture point observed by obs, given in ascending
+// keyframe ID; no observers decode as an empty, non-nil list.
+func mapPoint(id smap.ID, obs ...smap.ObsEntry) *smap.MapPoint {
 	return &smap.MapPoint{
 		ID: id, Client: smap.ClientOf(id), Pos: geom.Vec3{X: 0.5, Y: -1.5, Z: float64(smap.SeqOf(id))},
-		Desc: desc(uint64(id)), Normal: geom.Vec3{X: 0, Y: 0.6, Z: -0.8}, RefKF: 7, Obs: obs,
+		Desc: desc(uint64(id)), Normal: geom.Vec3{X: 0, Y: 0.6, Z: -0.8}, RefKF: 7,
+		Obs: append([]smap.ObsEntry{}, obs...),
 	}
 }
+
+// ob is one fixture observation.
+func ob(kf smap.ID, idx int) smap.ObsEntry { return smap.ObsEntry{KF: kf, Idx: idx} }
 
 func id(client, seq uint64) smap.ID { return smap.ID(client<<smap.ClientIDBits | seq) }
 
@@ -307,8 +310,8 @@ func TestGoldenWire(t *testing.T) {
 
 	kf1 := keyFrame(id(3, 1), id(3, 10), 0, id(3, 11))
 	kf2 := keyFrame(id(3, 2), 0, id(3, 10))
-	mpA := mapPoint(id(3, 10), map[smap.ID]int{kf1.ID: 0, kf2.ID: 1})
-	mpB := mapPoint(id(3, 11), map[smap.ID]int{kf1.ID: 2})
+	mpA := mapPoint(id(3, 10), ob(kf1.ID, 0), ob(kf2.ID, 1))
+	mpB := mapPoint(id(3, 11), ob(kf1.ID, 2))
 
 	fix := g.check("wire.keyframe", wire.EncodeKeyFrame(kf1))
 	if kf, n, err := wire.DecodeKeyFrame(fix); err != nil || n != len(fix) || !reflect.DeepEqual(kf, kf1) {
@@ -410,11 +413,11 @@ func TestGoldenJournal(t *testing.T) {
 	kf1 := keyFrame(id(3, 1), id(3, 10), id(3, 11), 0)
 	kf2 := keyFrame(id(4, 1), id(4, 10))
 	kf3 := keyFrame(id(4, 2), 0)
-	mpA := mapPoint(id(3, 10), map[smap.ID]int{kf1.ID: 0})
-	mpB := mapPoint(id(3, 11), map[smap.ID]int{kf1.ID: 1})
-	mpC := mapPoint(id(3, 12), nil)
-	mpD := mapPoint(id(4, 10), map[smap.ID]int{kf2.ID: 0})
-	mpE := mapPoint(id(4, 11), nil)
+	mpA := mapPoint(id(3, 10), ob(kf1.ID, 0))
+	mpB := mapPoint(id(3, 11), ob(kf1.ID, 1))
+	mpC := mapPoint(id(3, 12))
+	mpD := mapPoint(id(4, 10), ob(kf2.ID, 0))
+	mpE := mapPoint(id(4, 11))
 	newPos := geom.Vec3{X: 9, Y: 8, Z: 7}
 
 	j := mgr.Journal()
@@ -473,7 +476,7 @@ func TestGoldenJournal(t *testing.T) {
 	if mp, ok := m.MapPoint(mpA.ID); !ok || mp.Pos != newPos || mp.Desc != mpA.Desc || mp.Normal != mpA.Normal {
 		t.Errorf("mpA after replay (position correction): %+v", mp)
 	}
-	if mp, ok := m.MapPoint(mpC.ID); !ok || !reflect.DeepEqual(mp.Obs, map[smap.ID]int{kf1.ID: 2, kf2.ID: 0}) {
+	if mp, ok := m.MapPoint(mpC.ID); !ok || !reflect.DeepEqual(mp.Obs, []smap.ObsEntry{ob(kf1.ID, 2), ob(kf2.ID, 0)}) {
 		t.Errorf("mpC after replay (observation + fuse): %+v", mp)
 	}
 	if want := map[uint64][]smap.ID{5: {id(9, 1), id(9, 2)}}; !reflect.DeepEqual(rec.EvictedRegions, want) {
@@ -489,8 +492,8 @@ func TestGoldenCheckpoint(t *testing.T) {
 
 	kf1 := keyFrame(id(3, 1), id(3, 10), 0, id(3, 11))
 	kf2 := keyFrame(id(3, 2), 0, id(3, 10))
-	mpA := mapPoint(id(3, 10), map[smap.ID]int{kf1.ID: 0, kf2.ID: 1})
-	mpB := mapPoint(id(3, 11), map[smap.ID]int{kf1.ID: 2})
+	mpA := mapPoint(id(3, 10), ob(kf1.ID, 0), ob(kf2.ID, 1))
+	mpB := mapPoint(id(3, 11), ob(kf1.ID, 2))
 
 	dir := t.TempDir()
 	const seq = 40

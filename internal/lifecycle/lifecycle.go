@@ -580,9 +580,9 @@ func (lm *Manager) evictable(id smap.ID, now uint64) bool {
 // call concurrently with tracking.
 func EstimateResidentBytes(m *smap.Map) int64 {
 	const (
-		kfFixed = 256 // struct, pose, bow map overhead
+		kfFixed = 256 // struct, pose, bow vector
 		kpBytes = 104 // keypoint fields + descriptor + binding slot
-		mpBytes = 224 // struct, descriptor, position, obs map overhead
+		mpBytes = 224 // struct, descriptor, position, observer list
 	)
 	var b int64
 	for _, kf := range m.KeyFrames() {

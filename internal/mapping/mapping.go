@@ -301,7 +301,7 @@ func subset(kps []feature.Keypoint, idx []int) []feature.Keypoint {
 func (mm *Mapper) fuse(kf *smap.KeyFrame) int {
 	// The window points come from the immutable LocalView snapshot and
 	// the keyframe's bindings from a stripe-locked copy; the live
-	// MapPoints slice and Obs maps are written by other sessions
+	// MapPoints and Obs slices are written by other sessions
 	// concurrently and must not be read here.
 	view := mm.Map.LocalView(kf.ID, mm.Cfg.BAWindow)
 	kfTcw, bindings, ok := mm.Map.KeyFrameState(kf.ID)

@@ -87,7 +87,7 @@ func TestStereoMapperFusesObservations(t *testing.T) {
 	// observed by 3+ keyframes.
 	multi := 0
 	for _, mp := range m.MapPoints() {
-		if mp.NObs() >= 3 {
+		if len(mp.Obs) >= 3 {
 			multi++
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"slamshare/internal/bow"
@@ -537,15 +536,8 @@ func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) []smap.I
 	seen := make(map[[2]int]bool)
 	for _, kf := range kfs {
 		i := nodeIdx[kf.ID]
-		// Edges in ascending neighbour ID: their order is the order of
-		// the graph's float sums (DESIGN §4).
-		others := make([]smap.ID, 0, len(kf.Conns))
-		for other := range kf.Conns {
-			others = append(others, other)
-		}
-		slices.Sort(others)
-		for _, other := range others {
-			j, ok := nodeIdx[other]
+		for _, c := range kf.Conns {
+			j, ok := nodeIdx[c.KF]
 			if !ok || i == j {
 				continue
 			}
@@ -560,7 +552,7 @@ func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) []smap.I
 			g.Edges = append(g.Edges, optimize.PoseEdge{
 				I: a, J: b,
 				Z:      g.Poses[a].Inverse().Compose(g.Poses[b]),
-				Weight: float64(kf.Conns[other]) / 100,
+				Weight: float64(c.Weight) / 100,
 			})
 		}
 	}

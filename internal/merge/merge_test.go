@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"slamshare/internal/bow"
@@ -362,8 +363,8 @@ func TestFusePointRedirectsObservations(t *testing.T) {
 	if _, ok := global.MapPoint(10); ok {
 		t.Error("client point not erased")
 	}
-	if _, ok := b.Obs[1]; !ok {
-		t.Error("global point did not gain observation")
+	if want := []smap.ObsEntry{{KF: 1, Idx: 2}}; !slices.Equal(b.Obs, want) {
+		t.Errorf("global point observers = %v, want %v", b.Obs, want)
 	}
 	// Self-fuse and unknown ids are no-ops.
 	if tx.fusePoint(20, 20) {
@@ -399,8 +400,8 @@ func TestFusePointDropsDuplicateObservation(t *testing.T) {
 	if kf.MapPoints[3] != 20 {
 		t.Errorf("original binding lost: keypoint 3 -> %d", kf.MapPoints[3])
 	}
-	if idx := b.Obs[1]; idx != 3 {
-		t.Errorf("survivor backref = %d, want 3", idx)
+	if want := []smap.ObsEntry{{KF: 1, Idx: 3}}; !slices.Equal(b.Obs, want) {
+		t.Errorf("survivor observers = %v, want %v", b.Obs, want)
 	}
 	if rep := global.CheckInvariants(); len(rep.Violations) != 0 {
 		t.Errorf("invariant violations after fuse: %v", rep.Violations)

@@ -52,7 +52,7 @@ type txn struct {
 type fuseUndo struct {
 	from, to smap.ID
 	fromObs  []smap.ObsEntry
-	toHad    map[smap.ID]bool // to's observers before the fuse
+	toObs    []smap.ObsEntry
 }
 
 func newTxn(g *smap.Map) *txn {
@@ -71,20 +71,13 @@ func (tx *txn) insertAll(cmap *smap.Map) {
 func (tx *txn) fusePoint(from, to smap.ID) bool {
 	_, fromObs, okF := tx.g.PointObs(from)
 	_, toObs, okT := tx.g.PointObs(to)
-	if !okF || !okT {
-		// One side is already gone; FusePoint is a no-op with nothing
-		// to undo.
-		return tx.g.FusePoint(from, to)
+	fused := tx.g.FusePoint(from, to)
+	// With one side already gone FusePoint is a no-op, with nothing to
+	// undo.
+	if fused && okF && okT {
+		tx.fused = append(tx.fused, fuseUndo{from: from, to: to, fromObs: fromObs, toObs: toObs})
 	}
-	toHad := make(map[smap.ID]bool, len(toObs))
-	for _, o := range toObs {
-		toHad[o.KF] = true
-	}
-	if !tx.g.FusePoint(from, to) {
-		return false
-	}
-	tx.fused = append(tx.fused, fuseUndo{from: from, to: to, fromObs: fromObs, toHad: toHad})
-	return true
+	return fused
 }
 
 // SetKeyFramePose writes a pose through the undo log (SabotageContext).
@@ -173,7 +166,7 @@ func (tx *txn) rollback(cmap *smap.Map, tf geom.Sim3, transformed bool, j Journa
 	}
 	for i := len(tx.fused) - 1; i >= 0; i-- {
 		f := tx.fused[i]
-		tx.g.UndoFuse(f.from, f.to, f.fromObs, f.toHad)
+		tx.g.UndoFuse(f.from, f.to, f.fromObs, f.toObs)
 	}
 	tx.g.RemoveEntities(tx.insertedKFs, tx.insertedMPs)
 	if transformed {

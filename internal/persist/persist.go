@@ -37,21 +37,14 @@ const DefaultCheckpointEvery = 30 * time.Second
 // so a corrupt newest snapshot still has a fallback.
 const keepCheckpoints = 2
 
-// Stats exposes the persistence counters and latency recorders the
-// evaluation reads: checkpoint duration, journal throughput, replay
-// time, and the recovery-time ATE delta.
+// Stats holds the persistence counters, which the server publishes as
+// persist.* beside the persist.checkpoint and persist.replay histograms.
 type Stats struct {
 	Checkpoints     obs.Counter
 	CheckpointBytes obs.Counter
 	JournalRecords  obs.Counter
 	JournalBytes    obs.Counter
 	ReplayedRecords obs.Counter
-	// CheckpointLat times completed checkpoints (the persist.checkpoint
-	// stage of Options.Obs also spans failed ones); ReplayLat times
-	// journal replays at recovery.
-	CheckpointLat    *obs.Histogram
-	ReplayLat        *obs.Histogram
-	RecoveryATEDelta obs.Gauge
 }
 
 // Manager owns the durability machinery of one server: it observes the
@@ -89,10 +82,7 @@ func Open(opts Options, m *smap.Map, anchors *holo.Registry, lastSeq uint64, loc
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	stats := &Stats{
-		CheckpointLat: obs.NewHistogram("persist.checkpoint"),
-		ReplayLat:     obs.NewHistogram("persist.replay"),
-	}
+	stats := &Stats{}
 	j, err := openJournal(opts.Dir, lastSeq, opts.Fsync, stats)
 	if err != nil {
 		return nil, err
@@ -150,7 +140,6 @@ func (mgr *Manager) Stats() *Stats { return mgr.stats }
 func (mgr *Manager) CheckpointNow() error {
 	mgr.cpMu.Lock()
 	defer mgr.cpMu.Unlock()
-	t0 := time.Now()
 	sp := mgr.stCkpt.Start(0, uint64(mgr.stats.Checkpoints.Load()+1))
 	defer sp.End()
 
@@ -179,7 +168,6 @@ func (mgr *Manager) CheckpointNow() error {
 	}
 	mgr.stats.Checkpoints.Inc()
 	mgr.stats.CheckpointBytes.Add(int64(n))
-	mgr.stats.CheckpointLat.Observe(time.Since(t0))
 	mgr.prune(seq)
 	return nil
 }

@@ -149,6 +149,10 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 	if rec.ReplayedRecords == 0 {
 		t.Fatal("no journal records replayed")
 	}
+	// The operator scrapes the same number.
+	if got := srv2.Obs().Registry().Counter("persist.replayed_records").Load(); got != int64(rec.ReplayedRecords) {
+		t.Errorf("registry persist.replayed_records = %d, want %d", got, rec.ReplayedRecords)
+	}
 	// The baseline system reloads a serialized map in ~8 s (Table 4);
 	// journal replay must be well under that.
 	if rec.ReplayTime > 4*time.Second {
@@ -208,10 +212,6 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 	if delta > recoveryTolerance {
 		t.Errorf("post-recovery ATE %.3f m vs uninterrupted %.3f m (delta %.3f > %.2f)",
 			recATE, refATE, delta, recoveryTolerance)
-	}
-	srv2.Persist().Stats().RecoveryATEDelta.Set(delta)
-	if got := srv2.Persist().Stats().RecoveryATEDelta.Load(); got != delta {
-		t.Errorf("RecoveryATEDelta gauge: got %v, want %v", got, delta)
 	}
 	t.Logf("recovery: %d records in %v; ATE %.3f m (ref %.3f m, delta %+.3f m); %d/%d tracked",
 		rec.ReplayedRecords, rec.ReplayTime, recATE, refATE, delta, tracked, frames)

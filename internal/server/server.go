@@ -383,8 +383,14 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: persist: %w", err)
 		}
-		pmgr.Stats().ReplayedRecords.Add(int64(rec.ReplayedRecords))
-		pmgr.Stats().ReplayLat.Observe(rec.ReplayTime)
+		st, reg := pmgr.Stats(), tracer.Registry()
+		st.ReplayedRecords.Add(int64(rec.ReplayedRecords))
+		reg.Histogram("persist.replay").Observe(rec.ReplayTime)
+		reg.RegisterCounter("persist.checkpoints", &st.Checkpoints)
+		reg.RegisterCounter("persist.checkpoint_bytes", &st.CheckpointBytes)
+		reg.RegisterCounter("persist.journal_records", &st.JournalRecords)
+		reg.RegisterCounter("persist.journal_bytes", &st.JournalBytes)
+		reg.RegisterCounter("persist.replayed_records", &st.ReplayedRecords)
 	}
 	s := &Server{
 		cfg:            cfg,

@@ -9,10 +9,12 @@ package smap
 // then audits the copy without holding any lock.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
 
+	"slamshare/internal/bow"
 	"slamshare/internal/geom"
 )
 
@@ -135,6 +137,16 @@ func sortedIDs[V any](m map[ID]V) []ID {
 	return ids
 }
 
+// ascending reports whether rel's keys are strictly ascending (relation-order).
+func ascending[E any, K cmp.Ordered](rel []E, key func(E) K) bool {
+	for i := 1; i < len(rel); i++ {
+		if key(rel[i-1]) >= key(rel[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // auditEntities holds every entity of a snapshot (kfs, mps) to the
 // per-entity rules of the catalog on CheckInvariants — the one place
 // they are spelled. A reference between two snapshot entities is checked
@@ -159,6 +171,9 @@ func (r *CheckReport) auditEntities(kfs map[ID]*KeyFrame, mps map[ID]*MapPoint, 
 			r.add("kf-binding-len", id, 0, "%d bindings for %d keypoints",
 				len(kf.MapPoints), len(kf.Keypoints))
 		}
+		if !ascending(kf.Conns, Conn.key) || !ascending(kf.Bow, func(e bow.Entry) bow.WordID { return e.Word }) {
+			r.add("relation-order", id, 0, "edges %v or BoW words not strictly ascending", kf.Conns)
+		}
 		for i, mpID := range kf.MapPoints {
 			if mpID == 0 {
 				continue
@@ -170,13 +185,14 @@ func (r *CheckReport) auditEntities(kfs map[ID]*KeyFrame, mps map[ID]*MapPoint, 
 				}
 				continue
 			}
-			if got, ok := mp.Obs[id]; !ok {
+			if j, ok := find(mp.Obs, id); !ok {
 				r.add("kf-binding-backref", id, mpID, "keypoint %d bound but point has no observation of this keyframe", i)
-			} else if got != i {
+			} else if got := mp.Obs[j].Idx; got != i {
 				r.add("kf-binding-backref", id, mpID, "keypoint %d bound but point records keypoint %d", i, got)
 			}
 		}
-		for other, w := range kf.Conns {
+		for _, c := range kf.Conns {
+			other, w := c.KF, c.Weight
 			if other == id {
 				r.add("covis-self", id, 0, "self edge with weight %d", w)
 				continue
@@ -188,10 +204,10 @@ func (r *CheckReport) auditEntities(kfs map[ID]*KeyFrame, mps map[ID]*MapPoint, 
 				}
 				continue
 			}
-			ow, ok := okf.Conns[id]
+			j, ok := find(okf.Conns, id)
 			if !ok {
 				r.add("covis-asymmetric", id, 0, "edge to %d (weight %d) has no reverse edge", other, w)
-			} else if ow != w {
+			} else if ow := okf.Conns[j].Weight; ow != w {
 				r.add("covis-weight", id, 0, "edge to %d weighs %d forward, %d reverse", other, w, ow)
 			}
 		}
@@ -208,7 +224,11 @@ func (r *CheckReport) auditEntities(kfs map[ID]*KeyFrame, mps map[ID]*MapPoint, 
 		if mp.RefKF == 0 {
 			r.add("mp-refkf-zero", 0, id, "reference keyframe ID is 0")
 		}
-		for kfID, idx := range mp.Obs {
+		if !ascending(mp.Obs, ObsEntry.key) {
+			r.add("relation-order", 0, id, "observers not strictly ascending: %v", mp.Obs)
+		}
+		for _, o := range mp.Obs {
+			kfID, idx := o.KF, o.Idx
 			kf, ok := kfs[kfID]
 			if !ok {
 				if !existsKF[kfID] {
@@ -246,6 +266,9 @@ func (r *CheckReport) auditEntities(kfs map[ID]*KeyFrame, mps map[ID]*MapPoint, 
 //     edges must reference live keyframes, exist in both directions,
 //     and agree on the shared-observation weight.
 //   - covis-self: a keyframe lists itself as covisible.
+//   - relation-order: a point's observers, a keyframe's covisibility
+//     edges or its BoW words are not in strictly ascending ID order
+//     (the order every walk over them relies on, DESIGN §4).
 //   - id-zero / id-cross: entity IDs must be non-zero and never name
 //     both a keyframe and a map point (per-client allocators hand out
 //     disjoint IDs, which is what makes merge renumbering sound).
@@ -371,13 +394,13 @@ func (m *Map) CheckSubgraph(kfIDs, mpIDs []ID) CheckReport {
 				_, existsMP[b] = m.stripe(b).points[b]
 			}
 		}
-		for other := range kf.Conns {
-			_, existsKF[other] = m.stripe(other).keyframes[other]
+		for _, c := range kf.Conns {
+			_, existsKF[c.KF] = m.stripe(c.KF).keyframes[c.KF]
 		}
 	}
 	for _, mp := range mps {
-		for kfID := range mp.Obs {
-			_, existsKF[kfID] = m.stripe(kfID).keyframes[kfID]
+		for _, o := range mp.Obs {
+			_, existsKF[o.KF] = m.stripe(o.KF).keyframes[o.KF]
 		}
 	}
 	m.rUnlockAll()

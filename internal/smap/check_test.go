@@ -2,6 +2,7 @@ package smap
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"slamshare/internal/feature"
@@ -82,7 +83,7 @@ func TestCheckInvariantsBackrefMismatch(t *testing.T) {
 	m, _, _, mpA, _ := checkMap(t)
 	st := m.stripe(mpA.ID)
 	st.mu.Lock()
-	mpA.Obs[1] = 1 // keyframe 1 binds this point at keypoint 0, not 1
+	mpA.Obs = put(mpA.Obs, ObsEntry{KF: 1, Idx: 1}) // keyframe 1 binds this point at keypoint 0, not 1
 	st.mu.Unlock()
 	rep := m.CheckInvariants()
 	wantRule(t, rep, "kf-binding-backref")
@@ -93,7 +94,7 @@ func TestCheckInvariantsObsDanglingKeyFrame(t *testing.T) {
 	m, _, _, _, mpB := checkMap(t)
 	st := m.stripe(mpB.ID)
 	st.mu.Lock()
-	mpB.Obs[777] = 0
+	mpB.Obs = put(mpB.Obs, ObsEntry{KF: 777})
 	st.mu.Unlock()
 	wantRule(t, m.CheckInvariants(), "mp-obs-dangling")
 }
@@ -102,22 +103,22 @@ func TestCheckInvariantsCovisAsymmetry(t *testing.T) {
 	m, kf1, kf2, _, _ := checkMap(t)
 	st := m.stripe(kf2.ID)
 	st.mu.Lock()
-	delete(kf2.Conns, kf1.ID)
+	kf2.Conns = drop(kf2.Conns, kf1.ID)
 	st.mu.Unlock()
 	wantRule(t, m.CheckInvariants(), "covis-asymmetric")
 
 	st.mu.Lock()
-	kf2.Conns[kf1.ID] = 99 // forward weight differs
+	kf2.Conns = put(kf2.Conns, Conn{KF: kf1.ID, Weight: 99}) // forward weight differs
 	st.mu.Unlock()
 	wantRule(t, m.CheckInvariants(), "covis-weight")
 
 	st.mu.Lock()
-	kf2.Conns[kf2.ID] = 1
+	kf2.Conns = put(kf2.Conns, Conn{KF: kf2.ID, Weight: 1})
 	st.mu.Unlock()
 	wantRule(t, m.CheckInvariants(), "covis-self")
 
 	st.mu.Lock()
-	kf2.Conns[4242] = 1
+	kf2.Conns = put(kf2.Conns, Conn{KF: 4242, Weight: 1})
 	st.mu.Unlock()
 	wantRule(t, m.CheckInvariants(), "covis-dangling")
 }
@@ -137,7 +138,7 @@ func TestCheckInvariantsOrderAndCounts(t *testing.T) {
 	m, _, _, _, _ := checkMap(t)
 	// A keyframe smuggled into a stripe without AddKeyFrame: missing
 	// from order, BoW, and the counter.
-	rogue := &KeyFrame{ID: 7, Keypoints: nil, MapPoints: nil, Conns: map[ID]int{}, Tcw: geom.IdentitySE3()}
+	rogue := &KeyFrame{ID: 7, Keypoints: nil, MapPoints: nil, Tcw: geom.IdentitySE3()}
 	st := m.stripe(rogue.ID)
 	st.mu.Lock()
 	st.keyframes[rogue.ID] = rogue
@@ -199,19 +200,19 @@ func TestPerEntityRulesBothEntryPoints(t *testing.T) {
 			locked(m, kf1.ID, func() { kf1.MapPoints[0] = 999 })
 		}},
 		{"kf-binding-backref", func(m *Map, _, _ *KeyFrame, mpA, _ *MapPoint) {
-			locked(m, mpA.ID, func() { delete(mpA.Obs, 1) })
+			locked(m, mpA.ID, func() { mpA.Obs = drop(mpA.Obs, 1) })
 		}},
 		{"covis-self", func(m *Map, _, kf2 *KeyFrame, _, _ *MapPoint) {
-			locked(m, kf2.ID, func() { kf2.Conns[kf2.ID] = 1 })
+			locked(m, kf2.ID, func() { kf2.Conns = put(kf2.Conns, Conn{KF: kf2.ID, Weight: 1}) })
 		}},
 		{"covis-dangling", func(m *Map, _, kf2 *KeyFrame, _, _ *MapPoint) {
-			locked(m, kf2.ID, func() { kf2.Conns[4242] = 1 })
+			locked(m, kf2.ID, func() { kf2.Conns = put(kf2.Conns, Conn{KF: 4242, Weight: 1}) })
 		}},
 		{"covis-asymmetric", func(m *Map, kf1, kf2 *KeyFrame, _, _ *MapPoint) {
-			locked(m, kf2.ID, func() { delete(kf2.Conns, kf1.ID) })
+			locked(m, kf2.ID, func() { kf2.Conns = drop(kf2.Conns, kf1.ID) })
 		}},
 		{"covis-weight", func(m *Map, kf1, kf2 *KeyFrame, _, _ *MapPoint) {
-			locked(m, kf2.ID, func() { kf2.Conns[kf1.ID] = 99 })
+			locked(m, kf2.ID, func() { kf2.Conns = put(kf2.Conns, Conn{KF: kf1.ID, Weight: 99}) })
 		}},
 		{"mp-pos-notfinite", func(m *Map, _, _ *KeyFrame, mpA, _ *MapPoint) {
 			m.SetMapPointPos(mpA.ID, geom.Vec3{Z: math.Inf(1)})
@@ -220,10 +221,13 @@ func TestPerEntityRulesBothEntryPoints(t *testing.T) {
 			m.AddMapPoint(&MapPoint{ID: 12})
 		}},
 		{"mp-obs-dangling", func(m *Map, _, _ *KeyFrame, _, mpB *MapPoint) {
-			locked(m, mpB.ID, func() { mpB.Obs[777] = 0 })
+			locked(m, mpB.ID, func() { mpB.Obs = put(mpB.Obs, ObsEntry{KF: 777}) })
 		}},
 		{"mp-obs-backref", func(m *Map, _, _ *KeyFrame, mpA, _ *MapPoint) {
-			locked(m, mpA.ID, func() { mpA.Obs[1] = 1 })
+			locked(m, mpA.ID, func() { mpA.Obs = put(mpA.Obs, ObsEntry{KF: 1, Idx: 1}) })
+		}},
+		{"relation-order", func(m *Map, _, _ *KeyFrame, mpA, _ *MapPoint) {
+			locked(m, mpA.ID, func() { slices.Reverse(mpA.Obs) })
 		}},
 	}
 	for _, c := range cases {

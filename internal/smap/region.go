@@ -1,6 +1,6 @@
 package smap
 
-import "sort"
+import "slices"
 
 // Lifecycle bookkeeping: pin counts, the activity clock, and
 // covisibility clusters. The map-lifecycle manager (internal/lifecycle)
@@ -214,22 +214,19 @@ func (m *Map) CovisCluster(seed ID, limit int, include func(ID) bool) []ID {
 		s := m.stripe(id)
 		s.mu.RLock()
 		kf, ok := s.keyframes[id]
-		var neighbours []ID
+		var neighbours []Conn
 		if ok {
-			neighbours = make([]ID, 0, len(kf.Conns))
-			for other := range kf.Conns {
-				neighbours = append(neighbours, other)
-			}
+			neighbours = slices.Clone(kf.Conns)
 		}
 		s.mu.RUnlock()
 		if !ok {
 			continue
 		}
 		cluster = append(cluster, id)
-		// Deterministic traversal: Conns is a map, so sort before
-		// enqueueing or the cluster cut would vary run to run.
-		sort.Slice(neighbours, func(i, j int) bool { return neighbours[i] < neighbours[j] })
-		for _, other := range neighbours {
+		// Neighbours enqueue in ascending ID, so the cluster cut is the
+		// same run to run.
+		for _, c := range neighbours {
+			other := c.KF
 			if visited[other] {
 				continue
 			}

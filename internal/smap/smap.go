@@ -27,7 +27,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -118,8 +117,9 @@ type KeyFrame struct {
 	Bow       bow.Vec
 	// MapPoints[i] is the map point observed by Keypoints[i], or 0.
 	MapPoints []ID
-	// Covisible keyframes and their shared-observation counts.
-	Conns map[ID]int
+	// Covisible keyframes and their shared-observation counts, by
+	// ascending keyframe ID.
+	Conns []Conn
 }
 
 // Center returns the camera center in world coordinates.
@@ -144,17 +144,15 @@ type MapPoint struct {
 	Pos    geom.Vec3
 	Desc   feature.Descriptor
 	Normal geom.Vec3 // mean viewing direction
-	// Obs maps observing keyframe -> keypoint index within it.
-	Obs map[ID]int
+	// Obs lists the observing keyframes, by ascending keyframe ID, and
+	// the keypoint index within each.
+	Obs []ObsEntry
 	// RefKF is the keyframe the point was created from.
 	RefKF ID
 	// Visible/Found track projection statistics for culling.
 	Visible int
 	Found   int
 }
-
-// NObs returns the number of observing keyframes.
-func (mp *MapPoint) NObs() int { return len(mp.Obs) }
 
 const (
 	stripeBits = 6
@@ -336,26 +334,18 @@ func (m *Map) SetObserver(o Observer) {
 // snapshotKF copies a keyframe for a reader that outlives the stripe
 // lock (region export, the invariant checker). The slices that mutate
 // after insertion (MapPoints bindings, covisibility edges) are
-// deep-copied; Keypoints and Bow are immutable once the frame is in
-// the map and stay shared.
+// copied; Keypoints and Bow are immutable once the frame is in the map
+// and stay shared.
 func snapshotKF(kf *KeyFrame) *KeyFrame {
 	c := *kf
-	c.MapPoints = append([]ID(nil), kf.MapPoints...)
-	if kf.Conns != nil {
-		c.Conns = make(map[ID]int, len(kf.Conns))
-		for k, v := range kf.Conns {
-			c.Conns[k] = v
-		}
-	}
+	c.MapPoints = slices.Clone(kf.MapPoints)
+	c.Conns = slices.Clone(kf.Conns)
 	return &c
 }
 
 func snapshotMP(mp *MapPoint) *MapPoint {
 	c := *mp
-	c.Obs = make(map[ID]int, len(mp.Obs))
-	for k, v := range mp.Obs {
-		c.Obs[k] = v
-	}
+	c.Obs = slices.Clone(mp.Obs)
 	return &c
 }
 
@@ -370,9 +360,6 @@ func (m *Map) prepKeyFrame(kf *KeyFrame) {
 			descs[i] = k.Desc
 		}
 		kf.Bow = m.voc.BowOf(descs)
-	}
-	if kf.Conns == nil {
-		kf.Conns = make(map[ID]int)
 	}
 	if len(kf.MapPoints) != len(kf.Keypoints) {
 		kf.MapPoints = make([]ID, len(kf.Keypoints))
@@ -416,9 +403,6 @@ func (m *Map) addKeyFrame(kf *KeyFrame, indexBow bool) {
 
 // AddMapPoint inserts a map point.
 func (m *Map) AddMapPoint(mp *MapPoint) {
-	if mp.Obs == nil {
-		mp.Obs = make(map[ID]int)
-	}
 	s := m.stripe(mp.ID)
 	s.mu.Lock()
 	_, exists := s.points[mp.ID]
@@ -510,36 +494,71 @@ func (m *Map) ObservedPoints(kfID ID) (tcw geom.SE3, kps []feature.Keypoint, ids
 	return tcw, kps, ids, pos
 }
 
-// ObsEntry is one (keyframe, keypoint index) observation pair in a
-// point-observation snapshot.
+// ObsEntry is one observation of a map point: the observing keyframe
+// and the keypoint index within it.
 type ObsEntry struct {
 	KF  ID
 	Idx int
 }
 
-// PointObs returns a consistent copy of a map point's position and
-// observation list, by ascending keyframe ID, under the stripe lock.
-// The live Obs map must never be iterated off a pointer from MapPoint
-// while other sessions add observations — that is a concurrent map
-// read/write — and its order must never reach a float sum (DESIGN §4).
+// Conn is one covisibility edge: the neighbour keyframe and the number
+// of map points the two share.
+type Conn struct {
+	KF     ID
+	Weight int
+}
+
+func (o ObsEntry) key() ID { return o.KF }
+func (c Conn) key() ID     { return c.KF }
+
+// relation is an entry of MapPoint.Obs or KeyFrame.Conns: a slice by
+// strictly ascending key (DESIGN §4), edited only through find, put
+// and drop under the owner's stripe lock.
+type relation interface {
+	ObsEntry | Conn
+	key() ID
+}
+
+// find returns the position of id in rel, or where it would go.
+func find[E relation](rel []E, id ID) (int, bool) {
+	return slices.BinarySearchFunc(rel, id, func(e E, id ID) int { return cmp.Compare(e.key(), id) })
+}
+
+// put inserts e in rel, replacing the entry with the same key.
+func put[E relation](rel []E, e E) []E {
+	i, ok := find(rel, e.key())
+	if ok {
+		rel[i] = e
+		return rel
+	}
+	return slices.Insert(rel, i, e)
+}
+
+// drop removes the entry keyed id from rel, if there is one.
+func drop[E relation](rel []E, id ID) []E {
+	if i, ok := find(rel, id); ok {
+		return slices.Delete(rel, i, i+1)
+	}
+	return rel
+}
+
+// PointObs returns a copy of a map point's position and observers, by
+// ascending keyframe ID, taken under the stripe lock: reading the live
+// Obs off a MapPoint pointer races the sessions that edit it.
 func (m *Map) PointObs(id ID) (pos geom.Vec3, obs []ObsEntry, ok bool) {
 	s := m.stripe(id)
 	s.mu.RLock()
 	mp, ok := s.points[id]
 	if ok {
 		pos = mp.Pos
-		obs = make([]ObsEntry, 0, len(mp.Obs))
-		for kfID, idx := range mp.Obs {
-			obs = append(obs, ObsEntry{KF: kfID, Idx: idx})
-		}
+		obs = slices.Clone(mp.Obs)
 	}
 	s.mu.RUnlock()
-	slices.SortFunc(obs, func(a, b ObsEntry) int { return cmp.Compare(a.KF, b.KF) })
 	return pos, obs, ok
 }
 
 // PointObsCount returns how many keyframes observe the point (ok
-// reports existence), without exposing the live observation map.
+// reports existence), without exposing the live observation list.
 func (m *Map) PointObsCount(id ID) (int, bool) {
 	s := m.stripe(id)
 	s.mu.RLock()
@@ -560,7 +579,7 @@ func (m *Map) HasObservation(mpID, kfID ID) bool {
 	mp, ok := s.points[mpID]
 	seen := false
 	if ok {
-		_, seen = mp.Obs[kfID]
+		_, seen = find(mp.Obs, kfID)
 	}
 	s.mu.RUnlock()
 	return seen
@@ -634,6 +653,21 @@ func (m *Map) MapPoints() []*MapPoint {
 	return out
 }
 
+// ReadLocked runs f under id's stripe read lock, or bare on a nil map:
+// an encoder that runs beside mutating sessions (a checkpoint) reads
+// each entity whole, never a relation mid-edit. Like an Observer
+// callback, f must not call into the Map.
+func (m *Map) ReadLocked(id ID, f func()) {
+	if m == nil {
+		f()
+		return
+	}
+	s := m.stripe(id)
+	s.mu.RLock()
+	f()
+	s.mu.RUnlock()
+}
+
 // EraseKeyFrame removes a keyframe and its observation links. A
 // pinned keyframe (an in-flight LocalView build or merge window holds
 // it, see region.go) is left alone; callers that cull retry on a later
@@ -652,11 +686,8 @@ func (m *Map) EraseKeyFrame(id ID) {
 	}
 	delete(s.keyframes, id)
 	s.kfVer[id]++ // tombstone: views holding this keyframe go stale
+	// Unlinked, the keyframe's edges hold still: no mutator reaches them.
 	mpIDs := append([]ID(nil), kf.MapPoints...)
-	others := make([]ID, 0, len(kf.Conns))
-	for other := range kf.Conns {
-		others = append(others, other)
-	}
 	if m.observer != nil {
 		m.observer.KeyFrameErased(id)
 	}
@@ -672,16 +703,16 @@ func (m *Map) EraseKeyFrame(id ID) {
 		ps := m.stripe(mpID)
 		ps.mu.Lock()
 		if mp, ok := ps.points[mpID]; ok {
-			delete(mp.Obs, id)
+			mp.Obs = drop(mp.Obs, id)
 		}
 		ps.mu.Unlock()
 	}
-	for _, other := range others {
-		os := m.stripe(other)
+	for _, c := range kf.Conns {
+		os := m.stripe(c.KF)
 		os.mu.Lock()
-		if o, ok := os.keyframes[other]; ok {
-			delete(o.Conns, id)
-			os.kfVer[other]++
+		if o, ok := os.keyframes[c.KF]; ok {
+			o.Conns = drop(o.Conns, id)
+			os.kfVer[c.KF]++
 		}
 		os.mu.Unlock()
 	}
@@ -701,32 +732,23 @@ func (m *Map) EraseMapPoint(id ID) {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.points, id)
-	obs := make([]obsRef, 0, len(mp.Obs))
-	for kfID, idx := range mp.Obs {
-		obs = append(obs, obsRef{kfID, idx})
-	}
+	delete(s.points, id) // its observers now hold still, as in EraseKeyFrame
 	if m.observer != nil {
 		m.observer.MapPointErased(id)
 	}
 	m.version.Add(1)
 	s.mu.Unlock()
 	m.nmp.Add(-1)
-	for _, o := range obs {
-		ks := m.stripe(o.kfID)
+	for _, o := range mp.Obs {
+		ks := m.stripe(o.KF)
 		ks.mu.Lock()
-		if kf, ok := ks.keyframes[o.kfID]; ok && o.idx < len(kf.MapPoints) && kf.MapPoints[o.idx] == id {
-			kf.MapPoints[o.idx] = 0
-			ks.kfVer[o.kfID]++
+		if kf, ok := ks.keyframes[o.KF]; ok && o.Idx < len(kf.MapPoints) && kf.MapPoints[o.Idx] == id {
+			kf.MapPoints[o.Idx] = 0
+			ks.kfVer[o.KF]++
 		}
 		ks.mu.Unlock()
 	}
 	m.version.Add(1)
-}
-
-type obsRef struct {
-	kfID ID
-	idx  int
 }
 
 // AddObservation links keyframe kf's keypoint kpIdx to map point mp
@@ -753,11 +775,13 @@ func (m *Map) AddObservation(kfID, mpID ID, kpIdx int) error {
 	// the tracker was promoting the frame). Clear the old binding —
 	// same keyframe, so the stripe lock already covers it — so the
 	// keyframe never holds two bindings to one point.
-	if old, dup := mp.Obs[kfID]; dup && old != kpIdx && old >= 0 && old < len(kf.MapPoints) && kf.MapPoints[old] == mpID {
-		kf.MapPoints[old] = 0
+	if i, dup := find(mp.Obs, kfID); dup {
+		if old := mp.Obs[i].Idx; old != kpIdx && old >= 0 && old < len(kf.MapPoints) && kf.MapPoints[old] == mpID {
+			kf.MapPoints[old] = 0
+		}
 	}
 	kf.MapPoints[kpIdx] = mpID
-	mp.Obs[kfID] = kpIdx
+	mp.Obs = put(mp.Obs, ObsEntry{KF: kfID, Idx: kpIdx})
 	ks.kfVer[kfID]++
 	if m.observer != nil {
 		m.observer.ObservationAdded(kfID, mpID, kpIdx)
@@ -778,7 +802,7 @@ func (m *Map) DetachObservation(kfID, mpID ID, kpIdx int) {
 		ks.kfVer[kfID]++
 	}
 	if mp, ok := ps.points[mpID]; ok {
-		delete(mp.Obs, kfID)
+		mp.Obs = drop(mp.Obs, kfID)
 	}
 	m.version.Add(1)
 	unlock()
@@ -838,44 +862,22 @@ func (m *Map) FusePoint(from, to ID) bool {
 		unlock()
 		return false
 	}
-	obs := make([]obsRef, 0, len(fp.Obs))
-	for kfID, idx := range fp.Obs {
-		obs = append(obs, obsRef{kfID, idx})
-	}
-	tp := ts.points[to]
-	already := make(map[ID]bool, len(tp.Obs))
-	for kfID := range tp.Obs {
-		already[kfID] = true
-	}
+	obs := slices.Clone(fp.Obs)
 	unlock()
 	for _, o := range obs {
-		if already[o.kfID] {
-			// `to` is observed in this keyframe at another keypoint:
-			// rebinding would leave two bindings to one point and a
-			// backref that matches only one of them. Leave the binding
-			// on `from`; EraseMapPoint below clears it.
-			continue
-		}
 		// Take the keyframe stripe and `to`'s stripe together so the
-		// binding and its backref move atomically — a concurrent
-		// AddObservation can bind `to` here between the snapshot above
-		// and this redirect, so re-check for a duplicate under the lock.
-		unlockKF := m.lockPair(o.kfID, to)
-		ks := m.stripe(o.kfID)
-		if kf, ok := ks.keyframes[o.kfID]; ok && o.idx < len(kf.MapPoints) && kf.MapPoints[o.idx] == from {
-			dup := false
-			for _, b := range kf.MapPoints {
-				if b == to {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				kf.MapPoints[o.idx] = to
-				ks.kfVer[o.kfID]++
-				if tp, ok := ts.points[to]; ok {
-					tp.Obs[o.kfID] = o.idx
-				}
+		// binding and its backref move atomically. A keyframe that
+		// already binds `to` at another keypoint is left alone:
+		// rebinding would leave two bindings to one point and a backref
+		// that matches only one of them. EraseMapPoint below clears the
+		// binding left on `from`.
+		unlockKF := m.lockPair(o.KF, to)
+		ks := m.stripe(o.KF)
+		if kf, ok := ks.keyframes[o.KF]; ok && o.Idx < len(kf.MapPoints) && kf.MapPoints[o.Idx] == from && !slices.Contains(kf.MapPoints, to) {
+			kf.MapPoints[o.Idx] = to
+			ks.kfVer[o.KF]++
+			if tp, ok := ts.points[to]; ok {
+				tp.Obs = put(tp.Obs, o)
 			}
 		}
 		unlockKF()
@@ -900,7 +902,7 @@ func (m *Map) UpdateConnections(kfID ID, minShared int) {
 	mpIDs := append([]ID(nil), kf.MapPoints...)
 	s.mu.RUnlock()
 
-	counts := make(map[ID]int)
+	var counts []Conn
 	for _, mpID := range mpIDs {
 		if mpID == 0 {
 			continue
@@ -908,27 +910,29 @@ func (m *Map) UpdateConnections(kfID ID, minShared int) {
 		ps := m.stripe(mpID)
 		ps.mu.RLock()
 		if mp, ok := ps.points[mpID]; ok {
-			for other := range mp.Obs {
-				if other != kfID {
-					counts[other]++
+			for _, o := range mp.Obs {
+				if i, ok := find(counts, o.KF); ok {
+					counts[i].Weight++
+				} else if o.KF != kfID {
+					counts = slices.Insert(counts, i, Conn{KF: o.KF, Weight: 1})
 				}
 			}
 		}
 		ps.mu.RUnlock()
 	}
 
-	conns := make(map[ID]int, len(counts))
-	bestID, bestN := ID(0), 0
-	for other, n := range counts {
-		if n > bestN || n == bestN && other < bestID {
-			bestID, bestN = other, n
+	// Filter in place, keeping the best edge (lowest ID on a tie).
+	conns, best := counts[:0], Conn{}
+	for _, c := range counts {
+		if c.Weight > best.Weight {
+			best = c
 		}
-		if n >= minShared {
-			conns[other] = n
+		if c.Weight >= minShared {
+			conns = append(conns, c)
 		}
 	}
-	if len(conns) == 0 && bestID != 0 {
-		conns[bestID] = bestN
+	if len(conns) == 0 && best.KF != 0 {
+		conns = append(conns, best)
 	}
 
 	s.mu.Lock()
@@ -937,39 +941,50 @@ func (m *Map) UpdateConnections(kfID ID, minShared int) {
 		s.mu.Unlock()
 		return
 	}
+	// The keyframe gets its own copy: other keyframes' updates edit it
+	// in place while oldConns and conns are walked below, unlocked.
 	oldConns := kf.Conns
-	kf.Conns = conns
+	kf.Conns = slices.Clone(conns)
 	s.kfVer[kfID]++
 	m.version.Add(1)
 	s.mu.Unlock()
 
-	// Reconcile the reciprocal edges one stripe at a time.
-	for other := range oldConns {
-		if _, keep := conns[other]; keep {
-			continue
+	for _, old := range oldConns {
+		if _, keep := find(conns, old.KF); !keep {
+			m.setEdge(kfID, old.KF, 0)
 		}
-		os := m.stripe(other)
-		os.mu.Lock()
-		if o, ok := os.keyframes[other]; ok {
-			if _, had := o.Conns[kfID]; had {
-				delete(o.Conns, kfID)
-				os.kfVer[other]++
-			}
-		}
-		os.mu.Unlock()
 	}
-	for other, n := range conns {
-		os := m.stripe(other)
-		os.mu.Lock()
-		if o, ok := os.keyframes[other]; ok {
-			if o.Conns[kfID] != n {
-				o.Conns[kfID] = n
-				os.kfVer[other]++
-			}
-		}
-		os.mu.Unlock()
+	for _, c := range conns {
+		m.setEdge(kfID, c.KF, c.Weight)
 	}
 	m.version.Add(1)
+}
+
+// setEdge sets the covisibility edge between keyframes a and b to
+// weight w, or drops it for w 0, on both sides under both stripe
+// locks: of two neighbours updating at once, whichever lands last
+// holds on both sides. A missing keyframe's edges are its erase's.
+func (m *Map) setEdge(a, b ID, w int) {
+	unlock := m.lockPair(a, b)
+	defer unlock()
+	_, okA := m.stripe(a).keyframes[a]
+	_, okB := m.stripe(b).keyframes[b]
+	if !okA || !okB {
+		return
+	}
+	for _, e := range [2][2]ID{{a, b}, {b, a}} {
+		s := m.stripe(e[0])
+		kf := s.keyframes[e[0]]
+		switch i, had := find(kf.Conns, e[1]); {
+		case w == 0 && had:
+			kf.Conns = drop(kf.Conns, e[1])
+		case w > 0 && (!had || kf.Conns[i].Weight != w):
+			kf.Conns = put(kf.Conns, Conn{KF: e[1], Weight: w})
+		default:
+			continue
+		}
+		s.kfVer[e[0]]++
+	}
 }
 
 // covisibleIDs returns up to n neighbour IDs of kf ordered by edge
@@ -982,27 +997,13 @@ func (m *Map) covisibleIDs(kfID ID, n int) []ID {
 		s.mu.RUnlock()
 		return nil
 	}
-	type edge struct {
-		id ID
-		w  int
-	}
-	edges := make([]edge, 0, len(kf.Conns))
-	for id, w := range kf.Conns {
-		edges = append(edges, edge{id, w})
-	}
+	edges := slices.Clone(kf.Conns)
 	s.mu.RUnlock()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].w != edges[j].w {
-			return edges[i].w > edges[j].w
-		}
-		return edges[i].id < edges[j].id
-	})
-	if len(edges) > n {
-		edges = edges[:n]
-	}
-	out := make([]ID, 0, len(edges))
-	for _, e := range edges {
-		out = append(out, e.id)
+	// Stable over the ID order, so equal weights go by ascending ID.
+	slices.SortStableFunc(edges, func(a, b Conn) int { return cmp.Compare(b.Weight, a.Weight) })
+	out := make([]ID, min(n, len(edges)))
+	for i := range out {
+		out[i] = edges[i].KF
 	}
 	return out
 }
@@ -1270,7 +1271,7 @@ func (m *Map) ApplyTransform(s geom.Sim3) {
 // the batch to appear atomically hold the map-wide coordination lock.
 func (m *Map) Relink(kfs []*KeyFrame, mps []*MapPoint) []ID {
 	for _, mp := range mps {
-		mp.Obs = make(map[ID]int)
+		mp.Obs = nil
 		m.AddMapPoint(mp)
 	}
 	ids := make([]ID, 0, len(kfs))
@@ -1285,7 +1286,7 @@ func (m *Map) Relink(kfs []*KeyFrame, mps []*MapPoint) []ID {
 				kf.MapPoints[i] = 0
 			}
 		}
-		kf.Conns = make(map[ID]int)
+		kf.Conns = nil
 		m.AddKeyFrame(kf)
 		ids = append(ids, kf.ID)
 	}

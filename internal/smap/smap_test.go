@@ -3,6 +3,7 @@ package smap
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"slamshare/internal/bow"
@@ -110,14 +111,12 @@ func TestObservationsAndConnections(t *testing.T) {
 		mustAdd(t, m, 3, mp.ID, i)
 	}
 	m.UpdateConnections(1, 15)
-	if kf1.Conns[2] != 20 {
-		t.Errorf("kf1-kf2 weight = %d", kf1.Conns[2])
+	// The weak kf1-kf3 edge falls under the threshold.
+	if want := []Conn{{KF: 2, Weight: 20}}; !slices.Equal(kf1.Conns, want) {
+		t.Errorf("kf1 edges = %v, want %v", kf1.Conns, want)
 	}
-	if _, ok := kf1.Conns[3]; ok {
-		t.Error("weak edge kept despite threshold")
-	}
-	if kf2.Conns[1] != 20 {
-		t.Error("covisibility not symmetric")
+	if want := []Conn{{KF: 1, Weight: 20}}; !slices.Equal(kf2.Conns, want) {
+		t.Errorf("kf2 edges = %v, want %v (symmetric)", kf2.Conns, want)
 	}
 	cov := m.Covisible(1, 10)
 	if len(cov) != 1 || cov[0].ID != 2 {
@@ -151,8 +150,8 @@ func TestUpdateConnectionsKeepsBestBelowThreshold(t *testing.T) {
 		mustAdd(t, m, 2, mp.ID, i)
 	}
 	m.UpdateConnections(1, 15)
-	if kf1.Conns[2] != 3 {
-		t.Error("best edge must survive even below threshold")
+	if want := []Conn{{KF: 2, Weight: 3}}; !slices.Equal(kf1.Conns, want) {
+		t.Errorf("kf1 edges = %v, want the best edge %v even below threshold", kf1.Conns, want)
 	}
 }
 
@@ -188,10 +187,10 @@ func TestEraseKeyFrameDetaches(t *testing.T) {
 	if _, ok := m.KeyFrame(1); ok {
 		t.Fatal("keyframe not erased")
 	}
-	if _, ok := mp.Obs[1]; ok {
+	if _, ok := find(mp.Obs, 1); ok {
 		t.Error("observation not detached")
 	}
-	if _, ok := kf2.Conns[1]; ok {
+	if _, ok := find(kf2.Conns, 1); ok {
 		t.Error("covisibility edge not removed")
 	}
 	m.EraseKeyFrame(42) // unknown must be a no-op

@@ -48,8 +48,8 @@ func (m *Map) SnapshotRegion(ids []ID) ([]*KeyFrame, []*MapPoint) {
 		var c *MapPoint
 		if mp := s.points[mpID]; mp != nil {
 			private := true
-			for kfID := range mp.Obs {
-				if !in[kfID] {
+			for _, o := range mp.Obs {
+				if !in[o.KF] {
 					private = false
 					break
 				}

@@ -116,14 +116,14 @@ func (m *Map) RemoveEntities(kfIDs, mpIDs []ID) {
 }
 
 // UndoFuse reverses the binding redirects of FusePoint(from, to),
-// given pre-fuse snapshots: from's observation list and the set of
-// keyframes that already observed to. Each observation is re-pointed
-// at from, and to forgets observers the fuse gave it. It does not
+// given pre-fuse snapshots of both points' observers (PointObs). Each
+// observation is re-pointed at from, and to forgets observers the fuse
+// gave it. It does not
 // re-insert from into the map — merge rollback removes the inserted
 // client entities wholesale afterwards; this exists so the keyframe
-// binding slices and to's observer map, objects shared with the
+// binding slices and to's observer list, objects shared with the
 // client map, return to their pre-merge state.
-func (m *Map) UndoFuse(from, to ID, fromObs []ObsEntry, toHad map[ID]bool) {
+func (m *Map) UndoFuse(from, to ID, fromObs, toObs []ObsEntry) {
 	for _, o := range fromObs {
 		unlock := m.lockPair(o.KF, to)
 		ks, ts := m.stripe(o.KF), m.stripe(to)
@@ -136,9 +136,11 @@ func (m *Map) UndoFuse(from, to ID, fromObs []ObsEntry, toHad map[ID]bool) {
 				ks.kfVer[o.KF]++
 			}
 		}
-		if tp, ok := ts.points[to]; ok && !toHad[o.KF] {
-			if idx, dup := tp.Obs[o.KF]; dup && idx == o.Idx {
-				delete(tp.Obs, o.KF)
+		if _, had := find(toObs, o.KF); !had {
+			if tp, ok := ts.points[to]; ok {
+				if i, dup := find(tp.Obs, o.KF); dup && tp.Obs[i].Idx == o.Idx {
+					tp.Obs = drop(tp.Obs, o.KF)
+				}
 			}
 		}
 		unlock()

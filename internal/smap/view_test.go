@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"slamshare/internal/feature"
 	"slamshare/internal/geom"
 )
 
@@ -156,4 +157,46 @@ func TestConcurrentViewsAndMutations(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestConcurrentUpdateConnectionsStaysSymmetric: two neighbours
+// recompute their edges while their shared points keep growing, so the
+// two updates weigh the edge differently. Each update writes both
+// sides of an edge under both stripe locks, so whichever lands last
+// holds on both sides and the graph is symmetric at rest.
+func TestConcurrentUpdateConnectionsStaysSymmetric(t *testing.T) {
+	const shared = 120
+	for round := 0; round < 300; round++ {
+		m := NewMap(nil)
+		for _, id := range []ID{1, 2} {
+			m.AddKeyFrame(&KeyFrame{ID: id, Tcw: geom.IdentitySE3(), Keypoints: make([]feature.Keypoint, shared)})
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for _, id := range []ID{1, 2} {
+			wg.Add(1)
+			go func(id ID) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						m.UpdateConnections(id, 1)
+					}
+				}
+			}(id)
+		}
+		for i := 0; i < shared; i++ {
+			mp := &MapPoint{ID: ID(100 + i), RefKF: 1}
+			m.AddMapPoint(mp)
+			mustAdd(t, m, 1, mp.ID, i)
+			mustAdd(t, m, 2, mp.ID, i)
+		}
+		close(stop)
+		wg.Wait()
+		if rep := m.CheckInvariants(); !rep.OK() {
+			t.Fatalf("round %d: %s", round, rep.Summary())
+		}
+	}
 }

@@ -5,7 +5,38 @@ import (
 	"testing"
 
 	"slamshare/internal/bow"
+	"slamshare/internal/smap"
 )
+
+// checkDecoded holds successfully decoded entities to what a reload
+// relies on: binding slices sized to keypoints, and every relation by
+// strictly ascending ID.
+func checkDecoded(t *testing.T, kfs []*smap.KeyFrame, mps []*smap.MapPoint) {
+	t.Helper()
+	for _, kf := range kfs {
+		if len(kf.MapPoints) != len(kf.Keypoints) {
+			t.Fatalf("keyframe %d: %d bindings for %d keypoints",
+				kf.ID, len(kf.MapPoints), len(kf.Keypoints))
+		}
+		for i := 1; i < len(kf.Bow); i++ {
+			if kf.Bow[i].Word <= kf.Bow[i-1].Word {
+				t.Fatalf("keyframe %d: BoW words out of order: %v", kf.ID, kf.Bow)
+			}
+		}
+		for i := 1; i < len(kf.Conns); i++ {
+			if kf.Conns[i].KF <= kf.Conns[i-1].KF {
+				t.Fatalf("keyframe %d: covisibility edges out of order: %v", kf.ID, kf.Conns)
+			}
+		}
+	}
+	for _, mp := range mps {
+		for i := 1; i < len(mp.Obs); i++ {
+			if mp.Obs[i].KF <= mp.Obs[i-1].KF {
+				t.Fatalf("map point %d: observers out of order: %v", mp.ID, mp.Obs)
+			}
+		}
+	}
+}
 
 // FuzzDecodeMap hammers the map decoder with arbitrary bytes: it must
 // return an error or a structurally valid map — never panic and never
@@ -41,14 +72,7 @@ func FuzzDecodeMap(f *testing.F) {
 			}
 			return
 		}
-		// A successfully decoded map must be internally consistent
-		// enough to use: binding slices sized to keypoints.
-		for _, kf := range m.KeyFrames() {
-			if len(kf.MapPoints) != len(kf.Keypoints) {
-				t.Fatalf("keyframe %d: %d bindings for %d keypoints",
-					kf.ID, len(kf.MapPoints), len(kf.Keypoints))
-			}
-		}
+		checkDecoded(t, m.KeyFrames(), m.MapPoints())
 	})
 }
 
@@ -82,14 +106,7 @@ func FuzzDecodeRegion(f *testing.F) {
 			}
 			return
 		}
-		// A successfully decoded region must be internally consistent
-		// enough to reload: binding slices sized to keypoints.
-		for _, kf := range kfs {
-			if len(kf.MapPoints) != len(kf.Keypoints) {
-				t.Fatalf("keyframe %d: %d bindings for %d keypoints",
-					kf.ID, len(kf.MapPoints), len(kf.Keypoints))
-			}
-		}
+		checkDecoded(t, kfs, mps)
 	})
 }
 
@@ -108,9 +125,7 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 			if n > len(data) {
 				t.Fatalf("consumed %d of %d bytes", n, len(data))
 			}
-			if len(kf.MapPoints) != len(kf.Keypoints) {
-				t.Fatal("binding slice mismatch")
-			}
+			checkDecoded(t, []*smap.KeyFrame{kf}, nil)
 		}
 	})
 }

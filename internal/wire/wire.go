@@ -10,7 +10,9 @@
 // version byte; decoders reject mismatches instead of misparsing stale
 // or corrupt checkpoints, and bound every allocation by the bytes
 // actually present in the input so corrupt counts can neither panic
-// nor over-allocate.
+// nor over-allocate. A relation (BoW words, covisibility edges,
+// observers) is written as stored, by strictly ascending ID, so equal
+// maps encode to equal bytes; a decoder rejects one out of order.
 package wire
 
 import (
@@ -49,13 +51,6 @@ const (
 	minObsBytes      = 8 + 4
 )
 
-// keyScratch holds key slices for canonical (sorted-key) map emission,
-// reused across entities to keep EncodeMap allocation-flat.
-type keyScratch struct {
-	u32 []uint32
-	u64 []uint64
-}
-
 // checkHeader consumes and validates a magic + version header.
 func checkHeader(r *codec.Reader, magic uint32) error {
 	if r.U32() != magic || r.Err() != nil {
@@ -80,7 +75,7 @@ func readDesc(r *codec.Reader) (d feature.Descriptor) {
 	return d
 }
 
-func appendKeyFrame(w *codec.Writer, sc *keyScratch, kf *smap.KeyFrame) {
+func appendKeyFrame(w *codec.Writer, kf *smap.KeyFrame) {
 	w.U64(kf.ID)
 	w.U32(uint32(kf.Client))
 	w.F64(kf.Stamp)
@@ -98,30 +93,15 @@ func appendKeyFrame(w *codec.Writer, sc *keyScratch, kf *smap.KeyFrame) {
 		writeDesc(w, kp.Desc)
 		w.U64(kf.MapPoints[i])
 	}
-	// Map-valued fields are emitted in sorted key order so the same
-	// map state always encodes to the same bytes — what lets crash
-	// recovery be verified byte-for-byte and checkpoints be diffed.
-	words := sc.u32[:0]
-	for wid := range kf.Bow {
-		words = append(words, uint32(wid))
+	w.U32(uint32(len(kf.Bow)))
+	for _, e := range kf.Bow {
+		w.U32(uint32(e.Word))
+		w.F32(e.Weight)
 	}
-	slices.Sort(words)
-	sc.u32 = words
-	w.U32(uint32(len(words)))
-	for _, wid := range words {
-		w.U32(wid)
-		w.F32(kf.Bow[bow.WordID(wid)])
-	}
-	conns := sc.u64[:0]
-	for id := range kf.Conns {
-		conns = append(conns, id)
-	}
-	slices.Sort(conns)
-	sc.u64 = conns
-	w.U32(uint32(len(conns)))
-	for _, id := range conns {
-		w.U64(id)
-		w.U32(uint32(kf.Conns[id]))
+	w.U32(uint32(len(kf.Conns)))
+	for _, c := range kf.Conns {
+		w.U64(c.KF)
+		w.U32(uint32(c.Weight))
 	}
 }
 
@@ -147,58 +127,53 @@ func readKeyFrame(r *codec.Reader) (*smap.KeyFrame, error) {
 		kp.Desc = readDesc(r)
 		kf.MapPoints[i] = r.U64()
 	}
-	nbow := r.Count(minBowBytes)
-	kf.Bow = make(bow.Vec, nbow)
-	for i := 0; i < nbow; i++ {
-		wid := bow.WordID(r.U32())
-		kf.Bow[wid] = r.F32()
+	// Non-nil even with no words: a decoded vector is never recomputed.
+	kf.Bow = make(bow.Vec, r.Count(minBowBytes))
+	ordered := true
+	for i := range kf.Bow {
+		kf.Bow[i] = bow.Entry{Word: bow.WordID(r.U32()), Weight: r.F32()}
+		ordered = ordered && (i == 0 || kf.Bow[i].Word > kf.Bow[i-1].Word)
 	}
-	nconn := r.Count(minConnBytes)
-	kf.Conns = make(map[smap.ID]int, nconn)
-	for i := 0; i < nconn; i++ {
-		id := r.U64()
-		kf.Conns[id] = int(r.U32())
+	kf.Conns = make([]smap.Conn, r.Count(minConnBytes))
+	for i := range kf.Conns {
+		kf.Conns[i] = smap.Conn{KF: r.U64(), Weight: int(r.U32())}
+		ordered = ordered && (i == 0 || kf.Conns[i].KF > kf.Conns[i-1].KF)
 	}
-	if r.Err() != nil {
+	if r.Err() != nil || !ordered {
 		return nil, ErrCorrupt
 	}
 	return kf, nil
 }
 
-func appendMapPoint(w *codec.Writer, sc *keyScratch, mp *smap.MapPoint) {
+func appendMapPoint(w *codec.Writer, mp *smap.MapPoint) {
 	w.U64(mp.ID)
 	w.U32(uint32(mp.Client))
 	w.Vec3(mp.Pos)
 	writeDesc(w, mp.Desc)
 	w.Vec3(mp.Normal)
 	w.U64(mp.RefKF)
-	obs := sc.u64[:0]
-	for kfID := range mp.Obs {
-		obs = append(obs, kfID)
-	}
-	slices.Sort(obs)
-	sc.u64 = obs
-	w.U32(uint32(len(obs)))
-	for _, kfID := range obs {
-		w.U64(kfID)
-		w.U32(uint32(mp.Obs[kfID]))
+	w.U32(uint32(len(mp.Obs)))
+	for _, o := range mp.Obs {
+		w.U64(o.KF)
+		w.U32(uint32(o.Idx))
 	}
 }
 
 func readMapPoint(r *codec.Reader) (*smap.MapPoint, error) {
-	mp := &smap.MapPoint{Obs: make(map[smap.ID]int)}
+	mp := &smap.MapPoint{}
 	mp.ID = r.U64()
 	mp.Client = int(r.U32())
 	mp.Pos = r.Vec3()
 	mp.Desc = readDesc(r)
 	mp.Normal = r.Vec3()
 	mp.RefKF = r.U64()
-	nobs := r.Count(minObsBytes)
-	for i := 0; i < nobs; i++ {
-		kfID := r.U64()
-		mp.Obs[kfID] = int(r.U32())
+	mp.Obs = make([]smap.ObsEntry, r.Count(minObsBytes))
+	ordered := true
+	for i := range mp.Obs {
+		mp.Obs[i] = smap.ObsEntry{KF: r.U64(), Idx: int(r.U32())}
+		ordered = ordered && (i == 0 || mp.Obs[i].KF > mp.Obs[i-1].KF)
 	}
-	if r.Err() != nil {
+	if r.Err() != nil || !ordered {
 		return nil, ErrCorrupt
 	}
 	return mp, nil
@@ -209,7 +184,7 @@ func readMapPoint(r *codec.Reader) (*smap.MapPoint, error) {
 // payload for the persistence layer.
 func EncodeKeyFrame(kf *smap.KeyFrame) []byte {
 	w := codec.Writer{B: make([]byte, 0, 256+len(kf.Keypoints)*(minKeypointBytes+4))}
-	appendKeyFrame(&w, &keyScratch{}, kf)
+	appendKeyFrame(&w, kf)
 	return w.B
 }
 
@@ -227,7 +202,7 @@ func DecodeKeyFrame(data []byte) (*smap.KeyFrame, int, error) {
 // EncodeMapPoint serializes one map point.
 func EncodeMapPoint(mp *smap.MapPoint) []byte {
 	w := codec.Writer{B: make([]byte, 0, minMapPointBytes+len(mp.Obs)*minObsBytes)}
-	appendMapPoint(&w, &keyScratch{}, mp)
+	appendMapPoint(&w, mp)
 	return w.B
 }
 
@@ -243,16 +218,17 @@ func DecodeMapPoint(data []byte) (*smap.MapPoint, int, error) {
 }
 
 // appendEntities writes the two counted entity lists every container
-// (whole map, evicted region) carries after its header.
-func appendEntities(w *codec.Writer, kfs []*smap.KeyFrame, mps []*smap.MapPoint) {
-	var sc keyScratch
+// (whole map, evicted region) carries after its header. Entities of a
+// live map m are each read under their stripe lock; a region's are
+// detached (m nil).
+func appendEntities(w *codec.Writer, m *smap.Map, kfs []*smap.KeyFrame, mps []*smap.MapPoint) {
 	w.U32(uint32(len(kfs)))
 	for _, kf := range kfs {
-		appendKeyFrame(w, &sc, kf)
+		m.ReadLocked(kf.ID, func() { appendKeyFrame(w, kf) })
 	}
 	w.U32(uint32(len(mps)))
 	for _, mp := range mps {
-		appendMapPoint(w, &sc, mp)
+		m.ReadLocked(mp.ID, func() { appendMapPoint(w, mp) })
 	}
 }
 
@@ -294,7 +270,7 @@ func EncodeMap(m *smap.Map) []byte {
 	// points come out of the stripes unordered, so sort them by ID to
 	// keep the whole-map encoding canonical.
 	slices.SortFunc(mps, func(a, b *smap.MapPoint) int { return cmp.Compare(a.ID, b.ID) })
-	appendEntities(&w, m.KeyFrames(), mps)
+	appendEntities(&w, m, m.KeyFrames(), mps)
 	return w.B
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"slamshare/internal/bow"
@@ -200,12 +201,60 @@ func TestKeyFrameAndMapPointRoundTrip(t *testing.T) {
 			t.Fatalf("map point %d corrupted", mp.ID)
 		}
 	}
+	// No words still decode to a non-nil vector, so inserting the
+	// keyframe does not recompute it.
+	bare := &smap.KeyFrame{ID: 9, Bow: bow.Vec{}}
+	if got, _, err := DecodeKeyFrame(EncodeKeyFrame(bare)); err != nil {
+		t.Fatal(err)
+	} else if got.Bow == nil {
+		t.Error("keyframe with no words decoded a nil BoW vector")
+	}
 	if _, _, err := DecodeKeyFrame([]byte{1, 2, 3}); err == nil {
 		t.Error("truncated keyframe accepted")
 	}
 	if _, _, err := DecodeMapPoint(nil); err == nil {
 		t.Error("empty map point accepted")
 	}
+}
+
+// TestEncodeMapBesideMutations: a checkpoint encodes the live map
+// while sessions keep editing its relations. Each entity is read under
+// its stripe lock, so every encoding decodes: no relation is caught
+// mid-edit, out of order. Run it under -race.
+func TestEncodeMapBesideMutations(t *testing.T) {
+	m := randomMap(10, 4, 60, 0)
+	kfs := m.KeyFrames()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		alloc := smap.NewIDAllocator(9)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mp := &smap.MapPoint{ID: alloc.Next(), RefKF: kfs[0].ID}
+			m.AddMapPoint(mp)
+			for k, kf := range kfs {
+				_ = m.AddObservation(kf.ID, mp.ID, (i+k)%60)
+			}
+			m.UpdateConnections(kfs[i%len(kfs)].ID, 1)
+			if i%2 == 0 {
+				m.EraseMapPoint(mp.ID)
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if _, err := DecodeMap(EncodeMap(m), nil); err != nil {
+			t.Errorf("encoding %d of a map under mutation: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestMapSizeGrowsLinearly(t *testing.T) {
@@ -241,6 +290,76 @@ func BenchmarkDecodeMap(b *testing.B) {
 		if _, err := DecodeMap(data, voc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodeMapAllocs pins DecodeMap's allocation count on the
+// benchmark's map: a relation decodes into one slice, not a Go map per
+// entity. What remains is one struct and one observer slice per point
+// and the BoW index's posting lists.
+func TestDecodeMapAllocs(t *testing.T) {
+	data := EncodeMap(randomMap(7, 20, 500, 2000))
+	voc := bow.Default()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := DecodeMap(data, voc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("DecodeMap: %.0f allocs/op", allocs)
+	if allocs > 13000 {
+		t.Errorf("DecodeMap allocates %.0f/op, want <= 13000; a relation decodes into one slice", allocs)
+	}
+}
+
+// TestDecodeRejectsUnsortedRelations: a relation arrives from a
+// checkpoint, a journal record, a region file or a peer shard's
+// boundary region, and every reader holds it in ascending ID order. A
+// decoder rejects one that is not strictly ascending rather than keep
+// one of two duplicates or hand the map an order it never stores.
+func TestDecodeRejectsUnsortedRelations(t *testing.T) {
+	kps := make([]feature.Keypoint, 2)
+	goodKF := func() *smap.KeyFrame {
+		return &smap.KeyFrame{ID: 1, Tcw: geom.IdentitySE3(), Keypoints: kps, MapPoints: []smap.ID{5, 0},
+			Bow:   bow.Vec{{Word: 3, Weight: 0.5}, {Word: 9, Weight: 0.5}},
+			Conns: []smap.Conn{{KF: 10, Weight: 2}, {KF: 20, Weight: 1}}}
+	}
+	goodMP := func() *smap.MapPoint {
+		return &smap.MapPoint{ID: 5, RefKF: 1, Obs: []smap.ObsEntry{{KF: 1, Idx: 0}, {KF: 7, Idx: 1}}}
+	}
+	cases := []struct {
+		name    string
+		corrupt func(kf *smap.KeyFrame, mp *smap.MapPoint)
+	}{
+		{"valid", func(*smap.KeyFrame, *smap.MapPoint) {}},
+		{"duplicate word", func(kf *smap.KeyFrame, _ *smap.MapPoint) { kf.Bow[1].Word = 3 }},
+		{"descending covisibility", func(kf *smap.KeyFrame, _ *smap.MapPoint) { kf.Conns[0].KF = 30 }},
+		{"duplicate observer", func(_ *smap.KeyFrame, mp *smap.MapPoint) { mp.Obs[1].KF = 1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			kf, mp := goodKF(), goodMP()
+			c.corrupt(kf, mp)
+			m := smap.NewMap(nil)
+			m.AddKeyFrame(kf)
+			m.AddMapPoint(mp)
+			check := func(path string, err error) {
+				t.Helper()
+				if c.name == "valid" {
+					if err != nil {
+						t.Errorf("%s: valid relations rejected: %v", path, err)
+					}
+				} else if !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: err = %v, want ErrCorrupt", path, err)
+				}
+			}
+			_, err := DecodeMap(EncodeMap(m), nil)
+			check("checkpoint map", err)
+			_, _, _, err = DecodeRegion(EncodeRegion(1, []*smap.KeyFrame{kf}, []*smap.MapPoint{mp}))
+			check("region", err)
+			_, _, errKF := DecodeKeyFrame(EncodeKeyFrame(kf))
+			_, _, errMP := DecodeMapPoint(EncodeMapPoint(mp))
+			check("journal records", errors.Join(errKF, errMP))
+		})
 	}
 }
 
