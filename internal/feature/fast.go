@@ -27,8 +27,7 @@ type rawCorner struct {
 // Polarity classes of a circle pixel against the centre, as stored in
 // a polarityTable: bit 0 of the low half-word for brighter, of the
 // high half-word for darker. Shifting a class left by the pixel's
-// circle index builds both 16-bit masks in one uint32, and summing
-// classes counts both polarities at once.
+// circle index builds both 16-bit masks in one uint32.
 const (
 	classBrighter = 1
 	classDarker   = 1 << 16
@@ -76,6 +75,59 @@ func arc9(m uint32) uint32 {
 	return (r | r>>16) & 0xFFFF
 }
 
+// lanes16 has a 1 in the low bit of each 16-bit lane of a word.
+const lanes16 = 0x0001000100010001
+
+// loadN is img.Load8 for the n < 8 bytes p[o:o+n], the word's upper
+// bytes zero.
+func loadN(p []byte, o, n int) uint64 {
+	var x uint64
+	for j, b := range p[o : o+n] {
+		x |= uint64(b) << uint(8*j)
+	}
+	return x
+}
+
+// fastPreTest8 is FAST's high-speed test for the eight centres whose
+// pixels are the bytes of c (centre k in byte k, as img.Load8 loads
+// them) against the matching bytes of circle pixels 0, 4, 8 and 12:
+// bit 8k of the result is set when at least three of the four are
+// brighter than centre k by more than t, or at least three darker.
+// t1 is (t+1)*lanes16, with t in [0, 255]. A centre of 0 with pixels
+// of 0 never passes, so zeroed lanes are inert.
+//
+// A 9-arc covers three of the four pixels only when it starts (and so
+// is centred) on one of them, and two otherwise: the test is stricter
+// than FAST-9, part of the detector's definition rather than a filter
+// that only drops non-corners. It implies the scan's former first
+// check, that pixel 0 or 8 differs from the centre by more than t.
+//
+// The even and odd bytes are spread into 16-bit lanes. In a lane,
+// 0x8000 + p - (c+t+1) has bit 15 set exactly when p > c+t, and
+// 0x8000 + c - (t+1) - p exactly when p < c-t; every operand is below
+// 0x200, so no lane borrows from the next and the result is the
+// scalar classification bit for bit.
+func fastPreTest8(c, p0, p4, p8, p12, t1 uint64) uint64 {
+	const (
+		lo   = 0x00ff00ff00ff00ff
+		sign = lanes16 << 15
+	)
+	half := func(c, p0, p4, p8, p12 uint64) uint64 {
+		kb := sign - c - t1 // 0x8000 - (c+t+1) per lane, at least 0x7e01
+		kd := sign + c - t1 // 0x8000 + c - (t+1), at least 0x7f00
+		b0, b4, b8, b12 := p0+kb, p4+kb, p8+kb, p12+kb
+		d0, d4, d8, d12 := kd-p0, kd-p4, kd-p8, kd-p12
+		bright := (b0&b4 | b8&b12) & (b0 | b4) & (b8 | b12)
+		dark := (d0&d4 | d8&d12) & (d0 | d4) & (d8 | d12)
+		return (bright | dark) & sign
+	}
+	even := half(c&lo, p0&lo, p4&lo, p8&lo, p12&lo)
+	odd := half(c>>8&lo, p0>>8&lo, p4>>8&lo, p8>>8&lo, p12>>8&lo)
+	// Even centre 2k sits at bit 16k+15 and odd centre 2k+1 at bit
+	// 16k+15 of its own word: shift both to bit 8 times the centre.
+	return even>>15 | odd>>7
+}
+
 // fastScore returns the FAST-9 corner score of the pixel at pix[idx]:
 // the sum, over the contiguous arc of at least 9 circle pixels all
 // brighter (or all darker) than the centre by more than t, of their
@@ -83,22 +135,30 @@ func arc9(m uint32) uint32 {
 // circle16 offsets into pix for this image width and tab the polarity
 // table of t, which must be in [0, 255].
 //
-// The circle is classified once into a brighter and a darker bitmask;
-// most candidates die on the 9-contiguous bit test without the margins
-// being looked at. At most one polarity can hold a 9-arc (two would
-// need 18 pixels) and a circle with a gap holds at most one, so the
-// score is the arc's pixel sum against as many centres and thresholds.
+// The circle is classified once into a brighter and a darker bitmask,
+// written out pixel by pixel because Go does not unroll loops; most
+// candidates die on the 9-contiguous bit test without the margins being
+// looked at, and the arc is summed with no branch per pixel. At most
+// one polarity can hold a 9-arc (two would need 18 pixels) and a circle
+// with a gap holds at most one, so the score is the arc's pixel sum
+// against as many centres and thresholds.
 // The full circle is the exception inherited from the score loop this
 // replaced, which walked the circle twice with an early exit and there
 // counted pixel 0 a second time: that stays part of the score.
 func fastScore(pix []byte, idx int, t int, offsets *[16]int, tab *polarityTable) int {
 	c := int(pix[idx])
-	var v [16]uint8
-	var masks uint32
-	for i := range v {
-		v[i] = pix[idx+offsets[i]]
-		masks |= tab[(int(v[i])-c+255)&511] << uint(i)
+	o := offsets
+	v := [16]uint8{
+		pix[idx+o[0]], pix[idx+o[1]], pix[idx+o[2]], pix[idx+o[3]],
+		pix[idx+o[4]], pix[idx+o[5]], pix[idx+o[6]], pix[idx+o[7]],
+		pix[idx+o[8]], pix[idx+o[9]], pix[idx+o[10]], pix[idx+o[11]],
+		pix[idx+o[12]], pix[idx+o[13]], pix[idx+o[14]], pix[idx+o[15]],
 	}
+	class := func(p uint8) uint32 { return tab[(int(p)-c+255)&511] }
+	masks := class(v[0]) | class(v[1])<<1 | class(v[2])<<2 | class(v[3])<<3 |
+		class(v[4])<<4 | class(v[5])<<5 | class(v[6])<<6 | class(v[7])<<7 |
+		class(v[8])<<8 | class(v[9])<<9 | class(v[10])<<10 | class(v[11])<<11 |
+		class(v[12])<<12 | class(v[13])<<13 | class(v[14])<<14 | class(v[15])<<15
 	arc, sign := arc9(masks&0xFFFF), 1
 	if arc == 0 {
 		arc, sign = arc9(masks>>16), -1
@@ -110,8 +170,8 @@ func fastScore(pix []byte, idx int, t int, offsets *[16]int, tab *polarityTable)
 	if arc == 0xFFFF {
 		n, sum = 17, int(v[0])
 	}
-	for ; arc != 0; arc &= arc - 1 {
-		sum += int(v[bits.TrailingZeros32(arc)&15])
+	for i, p := range v {
+		sum += int(p) & -int(arc>>uint(i)&1)
 	}
 	return sign*(sum-n*c) - n*t
 }
@@ -179,33 +239,31 @@ func AppendFAST(dst []rawCorner, im *img.Gray, t int, border int, y0, y1 int) []
 	}
 	scores := ss.scores
 	cands := ss.cands[:0]
-	// First pass: score every corner candidate in the strip.
+	// First pass: score every corner candidate in the strip. The
+	// pre-test runs on eight centres at a time; the row's last span%8
+	// centres, whose word loads would run past the strip, are loaded
+	// byte by byte into zeroed words, whose empty lanes never pass.
 	span := w - 2*border
+	t1 := uint64(t+1) * lanes16
 	for y := y0; y < y1; y++ {
 		base := y*w + border
-		centre := pix[base : base+span]
-		above := pix[base-3*w:][:span] // circle pixel 0
-		below := pix[base+3*w:][:span] // circle pixel 8
-		for i, cb := range centre {
-			// High-speed test on pixels 0, 4, 8, 12 of the circle: a
-			// 9-arc covers at least two of them, three unless it is
-			// centred on one.
-			c := int(cb)
-			d0 := int(above[i]) - c
-			d8 := int(below[i]) - c
-			if uint(d0+t) <= uint(2*t) && uint(d8+t) <= uint(2*t) {
-				continue // both within [-t, t]
-			}
+		for i := 0; i < span; i += 8 {
 			idx := base + i
-			n := tab[(d0+255)&511] + tab[(d8+255)&511] +
-				tab[(int(pix[idx+3])-c+255)&511] + tab[(int(pix[idx-3])-c+255)&511]
-			if n&0xFFFF < 3 && n>>16 < 3 {
-				continue
+			var pass uint64
+			if n := span - i; n >= 8 {
+				pass = fastPreTest8(img.Load8(pix, idx), img.Load8(pix, idx-3*w), img.Load8(pix, idx+3),
+					img.Load8(pix, idx+3*w), img.Load8(pix, idx-3), t1)
+			} else {
+				pass = fastPreTest8(loadN(pix, idx, n), loadN(pix, idx-3*w, n), loadN(pix, idx+3, n),
+					loadN(pix, idx+3*w, n), loadN(pix, idx-3, n), t1)
 			}
-			if s := fastScore(pix, idx, t, &offsets, &tab); s > 0 {
-				x := border + i
-				scores[(y-y0+1)*w+x] = int32(s)
-				cands = append(cands, rawCorner{x: int32(x), y: int32(y), score: int32(s)})
+			for ; pass != 0; pass &= pass - 1 {
+				j := bits.TrailingZeros64(pass) >> 3
+				if s := fastScore(pix, idx+j, t, &offsets, &tab); s > 0 {
+					x := border + i + j
+					scores[(y-y0+1)*w+x] = int32(s)
+					cands = append(cands, rawCorner{x: int32(x), y: int32(y), score: int32(s)})
+				}
 			}
 		}
 	}

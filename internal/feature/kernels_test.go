@@ -163,6 +163,110 @@ func TestAppendFASTMatchesRef(t *testing.T) {
 	}
 }
 
+// FuzzAppendFAST compares whole strips with the reference on any
+// image. Widths run from 7 to 200, so the eight-centre scan's row tail
+// takes every length, spans shorter than one word included; thresholds
+// reach 255 and the out-of-range 256; every border is allowed; row
+// ranges overhang the image at both ends.
+func FuzzAppendFAST(f *testing.F) {
+	thresholds := []uint16{0, 1, 12, 40, 255, 256}
+	for i := 0; i < 24; i++ {
+		w, h := 7+i, 7+3*i // spans 1..24 at border 3
+		if i == 23 {
+			w = 200
+		}
+		pix := smoothTexture(w, h, int64(i)).Pix
+		if i%3 == 1 {
+			pix = randomTexture(w, h, uint64(i)).Pix
+		}
+		f.Add(pix, uint8(w-7), uint8(h-7), uint8(i%8), thresholds[i%6], int8(i-8), uint8(h+4))
+	}
+	f.Add(smoothTexture(60, 40, 9).Pix, uint8(53), uint8(33), uint8(Border), uint16(12), int8(-5), uint8(60))
+	f.Fuzz(func(t *testing.T, pix []byte, wb, hb, bb uint8, thr uint16, y0b int8, rows uint8) {
+		if len(pix) == 0 {
+			return
+		}
+		w, h := 7+int(wb)%194, 7+int(hb)%58
+		for len(pix) < w*h { // the mutator shortens slices; tile what is left
+			pix = append(pix, pix...)
+		}
+		im := &img.Gray{W: w, H: h, Pix: pix[:w*h]}
+		th, border := int(thr)%300, int(bb)%32
+		y0 := int(y0b) % (h + 8)
+		y1 := y0 + int(rows)%(h+16)
+		prefix := []rawCorner{{x: -1, y: -1, score: -1}}
+		got := AppendFAST(prefix, im, th, border, y0, y1)
+		want := fromRef(appendFASTRef(toRef(prefix[:1]), im, th, border, y0, y1))
+		if len(got) != len(want) {
+			t.Fatalf("%dx%d t=%d border=%d rows %d..%d: %d corners, reference %d", w, h, th, border, y0, y1, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%dx%d t=%d border=%d rows %d..%d: corner %d = %+v, reference %+v",
+					w, h, th, border, y0, y1, i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// TestFASTPreTest8Lanes checks the eight-centre kernel against the
+// scalar 3-of-4 classification where lane arithmetic could go wrong:
+// circle pixels at c±t and c±t±1, at 0 and at 255, beside lanes that
+// hold other extremes, each case in two lane positions.
+func TestFASTPreTest8Lanes(t *testing.T) {
+	for _, thr := range []int{0, 1, 12, 40, 254, 255} {
+		var cases [][5]byte // centre, then circle pixels 0, 4, 8, 12
+		for _, c := range []int{0, 1, 12, 40, 127, 128, 214, 215, 254, 255} {
+			var edges []byte
+			for _, v := range []int{c - thr - 1, c - thr, c + thr, c + thr + 1, 0, 255} {
+				if v >= 0 && v <= 255 {
+					edges = append(edges, byte(v))
+				}
+			}
+			for _, a := range edges {
+				for _, b := range edges {
+					for _, d := range edges {
+						for _, e := range edges {
+							cases = append(cases, [5]byte{byte(c), a, b, d, e})
+						}
+					}
+				}
+			}
+		}
+		want := func(cs [5]byte) bool {
+			bright, dark := 0, 0
+			for _, p := range cs[1:] {
+				if d := int(p) - int(cs[0]); d > thr {
+					bright++
+				} else if d < -thr {
+					dark++
+				}
+			}
+			return bright >= 3 || dark >= 3
+		}
+		for _, shift := range []int{0, 5} {
+			for start := shift; start < len(cases)+shift; start += 8 {
+				var words [5]uint64
+				for k := 0; k < 8; k++ {
+					for m, v := range cases[(start+k)%len(cases)] {
+						words[m] |= uint64(v) << uint(8*k)
+					}
+				}
+				got := fastPreTest8(words[0], words[1], words[2], words[3], words[4], uint64(thr+1)*lanes16)
+				if got&^0x0101010101010101 != 0 {
+					t.Fatalf("t=%d: result %016x has bits outside the centre positions", thr, got)
+				}
+				for k := 0; k < 8; k++ {
+					cs := cases[(start+k)%len(cases)]
+					if pass := got>>uint(8*k)&1 == 1; pass != want(cs) {
+						t.Fatalf("t=%d lane %d (centre %d, pixels %v): kernel says %v, scalar test %v", thr, k, cs[0], cs[1:], pass, !pass)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRoundInt(t *testing.T) {
 	vals := []float64{0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994, -0.49999999999999994,
 		0.5000000000000001, 19.5, -19.5, 19.499999999999996, 13.999999999999998, 14, -14, 1e-300, -1e-300}

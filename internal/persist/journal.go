@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"slamshare/internal/codec"
@@ -398,20 +399,31 @@ func (j *Journal) ShardImportEnd(epoch uint64, committed bool) {
 }
 
 // PosesCorrected journals the post-adjustment poses of a merge's seam
-// BA and essential-graph optimization.
+// BA and essential-graph optimization, each list in ascending ID order
+// so that the same corrections always journal the same bytes.
 func (j *Journal) PosesCorrected(kfPoses map[smap.ID]geom.SE3, mpPositions map[smap.ID]geom.Vec3) {
 	w := codec.Writer{B: make([]byte, 0, 8+len(kfPoses)*poseEntryBytes+len(mpPositions)*posEntryBytes)}
 	w.U32(uint32(len(kfPoses)))
-	for id, p := range kfPoses {
+	for _, id := range sortedIDs(kfPoses) {
 		w.U64(id)
-		w.Pose(p)
+		w.Pose(kfPoses[id])
 	}
 	w.U32(uint32(len(mpPositions)))
-	for id, v := range mpPositions {
+	for _, id := range sortedIDs(mpPositions) {
 		w.U64(id)
-		w.Vec3(v)
+		w.Vec3(mpPositions[id])
 	}
 	j.append(opPoses, w.B)
+}
+
+// sortedIDs returns m's keys in ascending order.
+func sortedIDs[V any](m map[smap.ID]V) []smap.ID {
+	ids := make([]smap.ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Entry sizes of an opPoses body: an ID with a pose or a position.

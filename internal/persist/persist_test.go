@@ -1,12 +1,14 @@
 package persist
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"testing"
 	"time"
 
 	"slamshare/internal/bow"
+	"slamshare/internal/codec"
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
 	"slamshare/internal/holo"
@@ -398,4 +400,60 @@ func TestBackgroundTickerCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMapsEqual(t, m, rec.Map)
+}
+
+// TestPosesCorrectedBytesRepeat: journaling the same corrections gives
+// the same record bytes every time, keyframes and then points each in
+// ascending ID order, whatever order the maps range in.
+func TestPosesCorrectedBytesRepeat(t *testing.T) {
+	opts := testOptions(t)
+	mgr, err := Open(opts, smap.NewMap(bow.Default()), holo.NewRegistry(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	kfPoses := make(map[smap.ID]geom.SE3)
+	mpPos := make(map[smap.ID]geom.Vec3)
+	for i := 0; i < 40; i++ {
+		kfPoses[rng.Uint64()] = geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}}
+		mpPos[rng.Uint64()] = geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
+	}
+	const repeats = 20
+	for i := 0; i < repeats; i++ {
+		mgr.Journal().PosesCorrected(kfPoses, mpPos)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var bodies [][]byte
+	for _, base := range mustJournals(t, opts.Dir) {
+		forEachRecord(journalPath(opts.Dir, base), func(_ int64, _ uint64, op byte, body []byte) {
+			if op == opPoses {
+				bodies = append(bodies, append([]byte(nil), body...))
+			}
+		})
+	}
+	if len(bodies) != repeats {
+		t.Fatalf("%d pose records journaled, want %d", len(bodies), repeats)
+	}
+	for i, b := range bodies[1:] {
+		if !bytes.Equal(b, bodies[0]) {
+			t.Fatalf("pose record %d differs from the first", i+1)
+		}
+	}
+	r := codec.NewReader(bodies[0])
+	for _, entry := range []int{poseEntryBytes, posEntryBytes} {
+		var prev smap.ID
+		for i, n := 0, int(r.U32()); i < n; i++ {
+			id := r.U64()
+			if i > 0 && id <= prev {
+				t.Fatalf("IDs out of order: %d after %d", id, prev)
+			}
+			prev = id
+			r.Raw(entry - 8)
+		}
+	}
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("record body malformed: err %v, %d bytes left", r.Err(), r.Len())
+	}
 }
