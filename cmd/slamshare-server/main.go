@@ -31,7 +31,6 @@ func main() {
 	flag.DurationVar(&cfg.Overload.ShedBudget, "shed-budget", 0, "per-session backlog budget before stale frames are shed (0 = shedding disabled)")
 	flag.DurationVar(&cfg.Overload.IdleTimeout, "idle-timeout", 0, "evict connections idle this long (0 = default 2m, negative = never)")
 	flag.DurationVar(&cfg.Overload.ReadTimeout, "read-timeout", 0, "evict peers stalled mid-message this long (0 = default 30s, negative = never)")
-	flag.DurationVar(&cfg.TrackCfg.FrameDeadline, "frame-deadline", 0, "per-frame tracking budget; over it, frames skip refinement (0 = no deadline)")
 	flag.IntVar(&cfg.Lifecycle.MaxKeyFrames, "max-map-kf", 0, "resident keyframe budget; past it the lifecycle manager culls cold keyframes by the mapper's redundancy rule and sparsifies dead points (0 = unbounded)")
 	flag.Uint64Var(&cfg.Lifecycle.EvictAfter, "evict-after", 0, "evict map regions untouched for this many handled frames to disk, reloading on demand (0 = never; needs -checkpoint-dir)")
 	flag.Float64Var(&cfg.Offload.SplitLoad, "split-load", 0, "server load at which full-offload sessions degrade to split keypoint upload (0 = policy default 2)")

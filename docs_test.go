@@ -3,13 +3,15 @@ package slamshare_test
 // Checks that keep DESIGN.md in step with the code and the other
 // documents: every section cited from code, CI, README.md and
 // EXPERIMENTS.md exists, the module map names every package, every CI
-// grep gate is explained, and the file keeps to its size budget.
+// grep gate is explained, every CI test pattern selects a test, and the
+// file keeps to its size budget.
 
 import (
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -197,5 +199,92 @@ func TestDesignNamesCIGates(t *testing.T) {
 func TestDesignSize(t *testing.T) {
 	if n := len(readDoc(t, "DESIGN.md")); n > designBudget {
 		t.Errorf("DESIGN.md is %d bytes, over its %d-byte budget: take out at least as much as you add", n, designBudget)
+	}
+}
+
+// testFuncRe picks the test, benchmark, fuzz and example functions out
+// of a _test.go file; ciPatternRe picks a -run, -bench or -fuzz
+// pattern, quoted or bare, out of a go test command line, and
+// ciPkgRe its package paths.
+var (
+	testFuncRe  = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
+	ciPatternRe = regexp.MustCompile(`(-run|-bench|-fuzz)[ =](?:'([^']*)'|"([^"]*)"|(\S+))`)
+	ciPkgRe     = regexp.MustCompile(`(?:^|\s)(\./\S*)`)
+)
+
+// testFuncs returns the test function names declared in the _test.go
+// files of the given package paths ("./..." walks the whole module).
+func testFuncs(t *testing.T, pkgs []string) []string {
+	t.Helper()
+	var files, names []string
+	for _, pkg := range pkgs {
+		if root, ok := strings.CutSuffix(pkg, "/..."); ok {
+			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				if d != nil && d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
+					return filepath.SkipDir
+				}
+				if strings.HasSuffix(path, "_test.go") {
+					files = append(files, path)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		m, _ := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		files = append(files, m...)
+	}
+	for _, f := range files {
+		for _, m := range testFuncRe.FindAllStringSubmatch(readDoc(t, f), -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}
+
+// TestCIPatternsMatchTests: go test passes silently when a -run,
+// -bench or -fuzz pattern matches nothing, so a renamed test would drop
+// out of its CI step unseen. Every |-separated alternative of every
+// such pattern in ci.yml must select a function of the right kind in
+// the packages that command names. The deliberate no-match patterns ^$
+// and xxx are exempt, and so is a pattern built from a shell variable
+// (the go test -list loop).
+func TestCIPatternsMatchTests(t *testing.T) {
+	kinds := map[string]string{"-run": "Test", "-bench": "Benchmark", "-fuzz": "Fuzz"}
+	checked := 0
+	for _, line := range strings.Split(readDoc(t, ciPath), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		var pkgs []string
+		for _, m := range ciPkgRe.FindAllStringSubmatch(cmd, -1) {
+			pkgs = append(pkgs, m[1])
+		}
+		funcs := testFuncs(t, pkgs)
+		for _, m := range ciPatternRe.FindAllStringSubmatch(cmd, -1) {
+			flag, pattern := m[1], m[2]+m[3]+m[4]
+			if pattern == "^$" || pattern == "xxx" || strings.Contains(pattern, "$f") {
+				continue
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: %s %q: %v", ciPath, flag, alt, err)
+					continue
+				}
+				checked++
+				if !slices.ContainsFunc(funcs, func(f string) bool {
+					return strings.HasPrefix(f, kinds[flag]) && re.MatchString(f)
+				}) {
+					t.Errorf("%s: %s alternative %q matches no %s function in %v", ciPath, flag, alt, kinds[flag], pkgs)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no go test patterns found in %s; is the parser stale?", ciPath)
 	}
 }

@@ -90,7 +90,7 @@ func (e *Extractor) Extract(im *img.Gray) []Keypoint {
 	defer extractPool.Put(sc)
 	// The pyramid resample batches through the same Parallelizer as the
 	// detection kernels: on a pool-backed Stream even this prologue runs
-	// under the server-wide EDF queue instead of on the session's own
+	// under the server-wide run queue instead of on the session's own
 	// goroutine, keeping the whole frame's compute run-to-completion.
 	pyr := &sc.pyr
 	pyr.Build(im, e.Cfg.Levels, e.Cfg.ScaleFactor, par.Run)

@@ -47,16 +47,13 @@ func (s *SoA) Gather(kps []Keypoint) {
 
 // FrameScheduler is implemented by parallelizers that schedule work in
 // frame-sized units (the trackpool stream): BeginFrame tags every
-// subsequent Run call with the frame's arrival time and processing
-// deadline, so the pool can order batches earliest-deadline-first and
-// let a frame that is nearly out of budget jump the queue. A zero
-// deadline means the frame has no budget and is scheduled FIFO by
-// arrival. BeginFrame may block for admission — the scheduler bounds
-// frames in flight so admitted frames run to completion — and
-// EndFrame, called when the frame's processing finishes, releases the
-// admission slot.
+// subsequent Run call with the frame's arrival time, so the pool can
+// serve the oldest frame's batches first. BeginFrame may block for
+// admission — the scheduler bounds frames in flight so admitted frames
+// run to completion — and EndFrame, called when the frame's processing
+// finishes, releases the admission slot.
 type FrameScheduler interface {
-	BeginFrame(arrival, deadline time.Time)
+	BeginFrame(arrival time.Time)
 	EndFrame()
 }
 

@@ -50,7 +50,7 @@ func (m Mode) String() string {
 }
 
 // QoS is a session's service class. Lower values outrank higher ones
-// everywhere: in the trackpool's EDF ordering and in how much server
+// everywhere: in the trackpool's ordering and in how much server
 // load the class tolerates before being downgraded.
 type QoS uint8
 

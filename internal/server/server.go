@@ -49,7 +49,7 @@ type Config struct {
 	// TrackWorkers sizes the shared batched tracking service
 	// (internal/trackpool): every session's extraction and
 	// search-local-points batches drain through one server-wide worker
-	// pool scheduled earliest-deadline-first. 0 (the default) enables
+	// pool scheduled by QoS tier, then arrival. 0 (the default) enables
 	// the pool with GOMAXPROCS workers, > 0 sets the worker count, and
 	// < 0 disables batching — each session runs its kernels serially,
 	// the reference the pooled pipeline is compared against.
@@ -637,7 +637,7 @@ func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) 
 	if s.tpool != nil {
 		// Batched tracking: the session's data-parallel stages submit to
 		// the server-wide pool through a per-session stream (which also
-		// carries the frame deadline tags and queue-wait ledger).
+		// carries the frame arrival tags and queue-wait ledger).
 		stream = s.tpool.NewStream()
 		ex.Par = stream
 	}
@@ -705,10 +705,6 @@ type Result struct {
 	Pose    geom.SE3 // world-to-camera
 	Tracked bool
 	Merged  bool // true if this frame triggered a successful map merge
-	// Degraded marks a frame the tracker answered past its deadline
-	// budget with motion-model tracking only (local-point search
-	// skipped).
-	Degraded bool
 	// Shed marks an uplink answered without tracking: a shadow-mode
 	// sync ping, or a frame shed under backlog. Pose is the identity
 	// and the client keeps dead-reckoning on its IMU (Alg. 1).
@@ -735,10 +731,10 @@ func (sess *Session) Handle(msg protocol.Uplink, backlog int) (Result, error) {
 	sess.lag.Note(h.Stamp)
 	if o := sess.offer; o != nil {
 		// The QoS class orders the session's frames in the shared
-		// trackpool (between the urgent class and the EDF key), and with
-		// the advertised capabilities it parameterizes the mode
-		// controller. Without a held hello the session stays a legacy
-		// full-offload one: no echoes, no mode switches.
+		// trackpool (the tier above arrival), and with the advertised
+		// capabilities it parameterizes the mode controller. Without a
+		// held hello the session stays a legacy full-offload one: no
+		// echoes, no mode switches.
 		sess.ctrl = offload.NewController(sess.srv.cfg.Offload, o.QoS, o.Caps, mode)
 		if sess.stream != nil {
 			sess.stream.SetQoS(int(o.QoS))
@@ -850,11 +846,10 @@ func (sess *Session) completeFrame(tr tracking.Result) Result {
 	sess.frames++
 
 	res := Result{
-		Pose:     tr.Pose,
-		Tracked:  tr.State == tracking.OK,
-		Degraded: tr.Degraded,
-		Timing:   tr.Timing,
-		Inliers:  tr.Inliers,
+		Pose:    tr.Pose,
+		Tracked: tr.State == tracking.OK,
+		Timing:  tr.Timing,
+		Inliers: tr.Inliers,
 	}
 	if tr.State == tracking.Lost {
 		sess.srv.net.TrackLost.Inc()

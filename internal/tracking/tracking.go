@@ -7,7 +7,6 @@
 package tracking
 
 import (
-	"sync/atomic"
 	"time"
 
 	"slamshare/internal/bow"
@@ -93,10 +92,6 @@ type Result struct {
 	Inliers int
 	NewKF   *smap.KeyFrame // non-nil when the frame became a keyframe
 	Timing  Stages
-	// Degraded marks a frame whose deadline budget ran out before
-	// search-local-points: the pose comes from motion-model tracking
-	// alone (see Config.FrameDeadline).
-	Degraded bool
 }
 
 // Config tunes the tracker.
@@ -108,14 +103,6 @@ type Config struct {
 	// KFTrackedRatio: insert a keyframe when tracked points fall below
 	// this fraction of the reference keyframe's point count.
 	KFTrackedRatio float64
-	// FrameDeadline bounds a frame's processing budget: when the
-	// earlier stages have already consumed it by the time search-local-
-	// points would run, the refinement is skipped and the motion-model
-	// pose stands — degraded tracking, the overloaded server's way of
-	// answering every frame on time at reduced quality. Zero disables
-	// the deadline. Frames that initialize or relocalize the tracker
-	// are never degraded.
-	FrameDeadline time.Duration
 }
 
 // DefaultConfig returns the tracking parameters used by the
@@ -165,7 +152,6 @@ type Tracker struct {
 
 	obsStages trackStages
 	sc        trackScratch
-	degraded  atomic.Int64
 	state     State
 	last      Frame
 	velocity  geom.SE3 // frame-to-frame motion estimate Tcw_k * Tcw_{k-1}^-1
@@ -192,11 +178,6 @@ func New(m *smap.Map, rig camera.Rig, ex *feature.Extractor, alloc *smap.IDAlloc
 // State returns the tracker state.
 func (t *Tracker) State() State { return t.state }
 
-// DegradedFrames returns how many frames were tracked in degraded mode
-// (search-local-points skipped to meet the frame deadline). Safe to
-// read from another goroutine (/debug/vars gauges).
-func (t *Tracker) DegradedFrames() int64 { return t.degraded.Load() }
-
 // ProcessFrame tracks one frame. right may be nil for monocular rigs.
 // posePrior, when non-nil, seeds the pose prediction (the IMU pose
 // from the client, or ground truth during map bootstrap); it is a
@@ -205,7 +186,7 @@ func (t *Tracker) DegradedFrames() int64 { return t.degraded.Load() }
 // fields stay nil when no tracer is attached, making every Observe a
 // no-op.
 type trackStages struct {
-	extract, match, posePredict, searchLocal, degraded, queue, total *obs.Stage
+	extract, match, posePredict, searchLocal, queue, total *obs.Stage
 }
 
 func (t *Tracker) wireObs() {
@@ -217,7 +198,6 @@ func (t *Tracker) wireObs() {
 		match:       t.Obs.Stage("track.match"),
 		posePredict: t.Obs.Stage("track.pose_predict"),
 		searchLocal: t.Obs.Stage("track.search_local"),
-		degraded:    t.Obs.Stage("track.degraded"),
 		queue:       t.Obs.Stage("track.queue"),
 		total:       t.Obs.Stage("track.total"),
 	}
@@ -271,17 +251,11 @@ func (t *Tracker) par() feature.Parallelizer {
 	return t.Extractor.Par
 }
 
-// beginFrame tags a pool-backed parallelizer with the frame's admission
-// window (arrival, deadline) so the shared tracking pool can order
-// batches earliest-deadline-first and let a nearly-overdue frame jump
-// the queue.
+// beginFrame tags a pool-backed parallelizer with the frame's arrival
+// so the shared tracking pool can serve the oldest frame first.
 func (t *Tracker) beginFrame(arrival time.Time) {
-	var deadline time.Time
-	if t.Cfg.FrameDeadline > 0 {
-		deadline = arrival.Add(t.Cfg.FrameDeadline)
-	}
 	if fs, ok := t.par().(feature.FrameScheduler); ok {
-		fs.BeginFrame(arrival, deadline)
+		fs.BeginFrame(arrival)
 	}
 }
 
@@ -318,10 +292,10 @@ func (t *Tracker) observeQueue(t0 time.Time, q0 time.Duration, has bool, client 
 
 // frameClock carries the per-frame clocks and device-ledger samples
 // shared by the full-offload (ProcessFrame) and split-offload
-// (ProcessExtracted) entry points: t0 anchors arrival (deadline
-// checks, span starts), e0 anchors admitted execution, and the ledger
-// sample (zero unless a modeled device is attached) converts Total to
-// device-accurate time at the end.
+// (ProcessExtracted) entry points: t0 anchors arrival (span starts),
+// e0 anchors admitted execution, and the ledger sample (zero unless a
+// modeled device is attached) converts Total to device-accurate time
+// at the end.
 type frameClock struct {
 	t0, e0   time.Time
 	q0       time.Duration
@@ -338,17 +312,16 @@ func (t *Tracker) openFrame(t0 time.Time) frameClock {
 	t.wireObs()
 	fc := frameClock{t0: t0, client: uint32(t.Client), seq: uint64(t.frameIdx)}
 	// Open the frame's admission window on pool-backed parallelizers
-	// (deadline-aware batch scheduling; BeginFrame blocks until the
-	// pool admits the frame) and sample the queue-wait ledger so the
-	// wait this frame accrues is reported as track.queue.
+	// (BeginFrame blocks until the pool admits the frame) and sample
+	// the queue-wait ledger so the wait this frame accrues is reported
+	// as track.queue.
 	fc.q0, fc.hasQueue = t.queueWait()
 	t.beginFrame(t0)
 	// The execution clock starts when the pool admits the frame: time
 	// spent blocked at the admission gate (and queued behind other
 	// sessions' batches) is scheduling cost, reported as track.queue —
 	// track.extract and track.total measure what this frame's compute
-	// actually took. Deadline checks stay anchored to t0, the arrival:
-	// a frame's budget runs while it queues.
+	// actually took.
 	fc.e0 = time.Now()
 	// Sample the device ledger once so Total can be converted to
 	// device-accurate time at the end.
@@ -441,25 +414,12 @@ func (t *Tracker) trackPrepared(fr *Frame, posePrior *geom.SE3, res Result, fc f
 		res.Timing.PosePredict = time.Since(tp)
 		t.obsStages.posePredict.Observe(tp, res.Timing.PosePredict, obsClient, obsSeq)
 
-		// Stage 4: search local points + final optimization — unless
-		// the frame deadline is already spent, in which case the
-		// refinement is the stage sacrificed: the motion-model pose
-		// from stage 3 stands (degraded mode). The recorded
-		// "track.degraded" span carries the budget consumed at the
-		// moment of degradation, so Fig. 5-style breakdowns show how
-		// far over deadline degraded frames were.
-		var inl2 int
-		if t.Cfg.FrameDeadline > 0 && time.Since(t0) > t.Cfg.FrameDeadline {
-			res.Degraded = true
-			t.degraded.Add(1)
-			t.obsStages.degraded.Observe(t0, time.Since(t0), obsClient, obsSeq)
-		} else {
-			ts := time.Now()
-			sw0, sm0 := counters(t.par())
-			inl2 = t.searchLocalPoints(fr)
-			res.Timing.SearchLocal = deviceTime(time.Since(ts), t.par(), sw0, sm0)
-			t.obsStages.searchLocal.Observe(ts, res.Timing.SearchLocal, obsClient, obsSeq)
-		}
+		// Stage 4: search local points + final optimization.
+		ts := time.Now()
+		sw0, sm0 := counters(t.par())
+		inl2 := t.searchLocalPoints(fr)
+		res.Timing.SearchLocal = deviceTime(time.Since(ts), t.par(), sw0, sm0)
+		t.obsStages.searchLocal.Observe(ts, res.Timing.SearchLocal, obsClient, obsSeq)
 
 		inliers := inl2
 		if inliers == 0 {

@@ -2,7 +2,6 @@ package tracking
 
 import (
 	"testing"
-	"time"
 
 	"slamshare/internal/bow"
 	"slamshare/internal/camera"
@@ -102,61 +101,6 @@ func TestMonoSLAMTracksMH04(t *testing.T) {
 	}
 	if max > 0.8 {
 		t.Errorf("max error %.3f m too high", max)
-	}
-}
-
-// With an impossibly tight frame deadline, every post-init frame must
-// degrade — search-local-points skipped, pose from motion-model
-// tracking only — yet the tracker keeps localizing.
-func TestTrackerDegradedModeUnderDeadline(t *testing.T) {
-	seq := dataset.V202(camera.Stereo)
-	m := smap.NewMap(bow.Default())
-	alloc := smap.NewIDAllocator(1)
-	cfg := DefaultConfig()
-	cfg.FrameDeadline = time.Nanosecond
-	tr := New(m, seq.Rig, feature.NewExtractor(feature.DefaultConfig()), alloc, 1, cfg)
-	degraded, tracked := 0, 0
-	for i := 0; i < 12; i++ {
-		left, right := seq.StereoFrame(i)
-		var prior *geom.SE3
-		if i == 0 {
-			p := seq.GroundTruth(i).Inverse()
-			prior = &p
-		}
-		res := tr.ProcessFrame(left, right, seq.FrameTime(i), prior)
-		if res.Degraded {
-			degraded++
-			if res.Timing.SearchLocal != 0 {
-				t.Error("degraded frame still ran search-local-points")
-			}
-		}
-		if res.State == OK {
-			tracked++
-		}
-	}
-	if degraded == 0 {
-		t.Fatal("1ns deadline degraded no frames")
-	}
-	if tracked < 10 {
-		t.Errorf("only %d/12 frames tracked in degraded mode", tracked)
-	}
-	if got := tr.DegradedFrames(); got != int64(degraded) {
-		t.Errorf("DegradedFrames() = %d, want %d", got, degraded)
-	}
-
-	// Zero deadline disables degradation entirely.
-	tr2 := New(smap.NewMap(bow.Default()), seq.Rig, feature.NewExtractor(feature.DefaultConfig()),
-		smap.NewIDAllocator(2), 2, DefaultConfig())
-	for i := 0; i < 6; i++ {
-		left, right := seq.StereoFrame(i)
-		var prior *geom.SE3
-		if i == 0 {
-			p := seq.GroundTruth(i).Inverse()
-			prior = &p
-		}
-		if res := tr2.ProcessFrame(left, right, seq.FrameTime(i), prior); res.Degraded {
-			t.Fatal("frame degraded with no deadline configured")
-		}
 	}
 }
 

@@ -8,18 +8,11 @@
 // and scheduling is global, so one frame's hot loop runs to completion
 // instead of timeslicing against seven neighbours.
 //
-// Scheduling is QoS-tiered earliest-deadline-first. Sessions sort by
+// Scheduling is by QoS tier, then oldest frame first. Sessions sort by
 // service class first (a headset always outranks a mapping drone),
 // then each session's Stream tags its batches with the current frame's
-// arrival time and deadline (feature.FrameScheduler): with no deadline
-// the key is the arrival time (FIFO), with a deadline the key is the
-// deadline itself, and a frame that has nearly exhausted its
-// FrameDeadline budget at admission is promoted to an urgent class
-// that jumps the normal work of its own tier — composing with the
-// server's shedding instead of fighting it. Urgency never crosses
-// tiers: under sustained overload every stale low-QoS frame blows its
-// budget, and tier-jumping promotions would starve the high-QoS
-// sessions the tiers exist to protect.
+// arrival time (feature.FrameScheduler), so within a tier the frame
+// that has waited longest runs first.
 //
 // Work functions must not submit to the pool (a worker executing them
 // would deadlock waiting on itself); the tracking kernels are leaf
@@ -57,30 +50,23 @@ type Config struct {
 	ReservedSlots int
 	// MaxInflight bounds the number of frames admitted concurrently:
 	// BeginFrame blocks until a slot frees (EndFrame) and waiters are
-	// served in the same EDF-plus-urgent order as the run queue. The
-	// bound is what extends run-to-completion past the pooled kernels:
-	// without it the serial segments between a frame's batches — pose
-	// optimization, quadtree distribution, grid ops — still timeslice
-	// against every other session's, and the batch-level EDF win
-	// evaporates at the stage boundaries. 0 means Workers (one frame
-	// per worker); negative disables admission control.
+	// served in the same order as the run queue. The bound is what
+	// extends run-to-completion past the pooled kernels: without it the
+	// serial segments between a frame's batches — pose optimization,
+	// quadtree distribution, grid ops — still timeslice against every
+	// other session's, and the batch-level ordering win evaporates at
+	// the stage boundaries. 0 (or less) means Workers (one frame per
+	// worker).
 	MaxInflight int
 }
 
-const (
-	classUrgent = iota
-	classNormal
-)
-
 // prio is the scheduling order, shared by the run queue and the
 // admission gate so a tier rule cannot change in one and not the other:
-// QoS tier first, then the urgent class within the tier, then the EDF
-// key, then frame admission order.
+// QoS tier first, then the frame's arrival, then frame admission order.
 type prio struct {
-	qos   int32  // session QoS class: lower outranks higher
-	class int    // classUrgent sorts before classNormal
-	key   int64  // EDF key, UnixNano: deadline when set, else arrival
-	seq   uint64 // frame admission order, the final tie-break
+	qos     int32  // session QoS class: lower outranks higher
+	arrival int64  // frame arrival, UnixNano: older runs first
+	seq     uint64 // frame admission order, the final tie-break
 }
 
 // before reports whether a is served ahead of o.
@@ -88,11 +74,8 @@ func (a prio) before(o prio) bool {
 	if a.qos != o.qos {
 		return a.qos < o.qos
 	}
-	if a.class != o.class {
-		return a.class < o.class
-	}
-	if a.key != o.key {
-		return a.key < o.key
+	if a.arrival != o.arrival {
+		return a.arrival < o.arrival
 	}
 	return a.seq < o.seq
 }
@@ -187,11 +170,6 @@ type Pool struct {
 	waitNS  atomic.Int64
 }
 
-// urgentFrac is the fraction of a frame's deadline budget below which
-// its batches enter the urgent class and jump the normal work of their
-// own QoS tier.
-const urgentFrac = 0.25
-
 // New starts a pool with the given config.
 func New(cfg Config) *Pool {
 	if cfg.Workers <= 0 {
@@ -200,7 +178,7 @@ func New(cfg Config) *Pool {
 	if cfg.MinGrain <= 0 {
 		cfg.MinGrain = 2
 	}
-	if cfg.MaxInflight == 0 {
+	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = cfg.Workers
 	}
 	p := &Pool{cfg: cfg}
@@ -307,24 +285,23 @@ func (p *Pool) worker() {
 // into Extractor.Par unchanged; nothing it reports is modeled time. A
 // Stream is used by one session goroutine at a time.
 type Stream struct {
-	pool     *Pool
-	arrival  atomic.Int64 // current frame arrival, UnixNano (0 = unset)
-	deadline atomic.Int64 // current frame deadline, UnixNano (0 = none)
-	// qos is the session's service class, an ordering tier between the
-	// urgent class and the EDF key: under load a headset's frames are
-	// admitted and executed before a mapping drone's with an earlier
-	// deadline. 0 (highest) by default, so sessions that never call
-	// SetQoS keep the pure-EDF behaviour.
+	pool    *Pool
+	arrival atomic.Int64 // current frame arrival, UnixNano (0 = unset)
+	// qos is the session's service class, the ordering tier above
+	// arrival: under load a headset's frames are admitted and executed
+	// before a mapping drone's that arrived earlier. 0 (highest) by
+	// default, so sessions that never call SetQoS are ordered by
+	// arrival alone.
 	qos atomic.Int32
-	// frameSeq is the EDF tie-break shared by every batch of the
+	// frameSeq is the arrival tie-break shared by every batch of the
 	// current frame, assigned from the pool counter at the frame's
 	// first submission and cleared by BeginFrame. Sharing it across
 	// the frame is what makes ties resolve per frame, not per batch:
-	// when concurrent frames carry identical keys (same arrival tick,
-	// same deadline), a per-batch tie-break would interleave their
-	// kernels — frame A's second kernel loses to frame B's first —
-	// reintroducing the processor sharing the pool removes. Owned by
-	// the submitting goroutine; copied into batches under pool.mu.
+	// when concurrent frames carry identical arrival ticks, a per-batch
+	// tie-break would interleave their kernels — frame A's second
+	// kernel loses to frame B's first — reintroducing the processor
+	// sharing the pool removes. Owned by the submitting goroutine;
+	// copied into batches under pool.mu.
 	frameSeq uint64
 	// admitted is true while the stream holds an admission slot,
 	// acquired in BeginFrame and released by EndFrame. Owned by the
@@ -359,49 +336,20 @@ func (st *Stream) Close() {
 	st.pool.streams.Add(-1)
 }
 
-// schedKey maps a frame's admission window to its (key, class): EDF on
-// the deadline when one is set, FIFO on arrival otherwise, promoted to
-// the urgent class when the remaining budget at now has fallen below
-// urgentFrac of the whole budget. Urgency only reorders frames within
-// a QoS tier — the heaps sort on QoS first — because under sustained
-// overload every stale low-QoS frame blows its budget, and letting
-// those promotions jump tiers would starve a headset's fresh frames
-// behind a drone's expired backlog.
-func (p *Pool) schedKey(now, arr, dl int64) (key int64, class int) {
-	key = arr
-	class = classNormal
-	if dl != 0 {
-		key = dl
-		if budget := dl - arr; budget > 0 && dl-now < int64(float64(budget)*urgentFrac) {
-			class = classUrgent
-		}
-	}
-	return key, class
-}
-
-// BeginFrame tags subsequent Run calls with the frame's admission
-// window and blocks until the pool admits the frame (at most
-// MaxInflight frames hold slots at once, granted in EDF-plus-urgent
-// order). It implements feature.FrameScheduler. A frame left open on
-// the stream is released first, so a missed EndFrame degrades to
-// frame-at-a-time admission instead of deadlocking the session.
-func (st *Stream) BeginFrame(arrival, deadline time.Time) {
+// BeginFrame tags subsequent Run calls with the frame's arrival and
+// blocks until the pool admits the frame (at most MaxInflight frames
+// hold slots at once, granted in prio order). It implements
+// feature.FrameScheduler. A frame left open on the stream is released
+// first, so a missed EndFrame falls back to frame-at-a-time admission
+// instead of deadlocking the session.
+func (st *Stream) BeginFrame(arrival time.Time) {
 	st.EndFrame()
 	st.frameSeq = 0
 	arr := arrival.UnixNano()
 	st.arrival.Store(arr)
-	var dl int64
-	if !deadline.IsZero() {
-		dl = deadline.UnixNano()
-	}
-	st.deadline.Store(dl)
 
 	p := st.pool
-	if p.cfg.MaxInflight < 0 {
-		return
-	}
 	now := time.Now()
-	key, class := p.schedKey(now.UnixNano(), arr, dl)
 	qos := st.qos.Load()
 	p.mu.Lock()
 	if p.closed {
@@ -419,7 +367,7 @@ func (st *Stream) BeginFrame(arrival, deadline time.Time) {
 		return
 	}
 	p.seq++
-	a := &admitter{prio: prio{qos: qos, class: class, key: key, seq: p.seq}, grant: make(chan struct{})}
+	a := &admitter{prio: prio{qos: qos, arrival: arr, seq: p.seq}, grant: make(chan struct{})}
 	heap.Push(&p.admitQ, a)
 	p.mu.Unlock()
 	<-a.grant
@@ -477,7 +425,7 @@ func (st *Stream) QueueWait() time.Duration {
 // Run submits n work items as one batch and blocks until they have all
 // executed. The submitter does not help execute — deliberately: a
 // submitter draining its own batch would re-create the processor
-// sharing the pool exists to remove, and the EDF ordering with it.
+// sharing the pool exists to remove, and the arrival ordering with it.
 func (st *Stream) Run(n int, f func(i int)) {
 	if n <= 0 {
 		return
@@ -488,23 +436,21 @@ func (st *Stream) Run(n int, f func(i int)) {
 	if arr == 0 {
 		arr = now.UnixNano()
 	}
-	dl := st.deadline.Load()
-	key, class := p.schedKey(now.UnixNano(), arr, dl)
 	// Grains are deliberately much smaller than batch/Workers: the
 	// worker loop re-reads the heap front between claims, so the grain
-	// is the scheduler's preemption quantum. When a frame with an
-	// earlier key submits its next kernel mid-way through another
-	// frame's batch, workers switch to it within one grain instead of
-	// head-of-line blocking until the batch drains — approximate
-	// preemptive EDF, which is what keeps the earliest frame running
-	// to completion across its serial stage boundaries.
+	// is the scheduler's preemption quantum. When an older frame
+	// submits its next kernel mid-way through another frame's batch,
+	// workers switch to it within one grain instead of head-of-line
+	// blocking until the batch drains — approximate preemptive
+	// oldest-first, which is what keeps the oldest frame running to
+	// completion across its serial stage boundaries.
 	claims := 16 * p.cfg.Workers
 	grain := (n + claims - 1) / claims
 	if grain < p.cfg.MinGrain {
 		grain = p.cfg.MinGrain
 	}
 	b := &batch{
-		prio: prio{qos: st.qos.Load(), class: class, key: key},
+		prio: prio{qos: st.qos.Load(), arrival: arr},
 		f:    f, n: n, grain: grain, st: st, enq: now, fin: make(chan struct{}),
 	}
 

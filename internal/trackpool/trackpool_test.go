@@ -117,14 +117,14 @@ func TestExtractAllocs(t *testing.T) {
 	}
 }
 
-// TestEDFArrivalOrder pins the queue discipline: with the single
-// worker busy, a batch from an earlier-arrived frame submitted second
-// must still execute before a later-arrived frame's batch.
-func TestEDFArrivalOrder(t *testing.T) {
-	// MaxInflight -1: the gate would serialize the two frames before
-	// their batches ever coexist in the run queue; this test pins the
-	// batch-level discipline in isolation.
-	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: -1})
+// TestArrivalOrder pins the queue discipline: with the single worker
+// busy, a batch from an earlier-arrived frame submitted second must
+// still execute before a later-arrived frame's batch.
+func TestArrivalOrder(t *testing.T) {
+	// MaxInflight 2 admits both frames (blockWorker's batch holds no
+	// slot), so their batches meet in the run queue and this test pins
+	// the batch-level discipline, not the gate's.
+	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: 2})
 	defer p.Close()
 	release, waitBlocked := blockWorker(t, p)
 
@@ -133,8 +133,8 @@ func TestEDFArrivalOrder(t *testing.T) {
 	defer late.Close()
 	defer early.Close()
 	now := time.Now()
-	late.BeginFrame(now, time.Time{})
-	early.BeginFrame(now.Add(-50*time.Millisecond), time.Time{})
+	late.BeginFrame(now)
+	early.BeginFrame(now.Add(-50 * time.Millisecond))
 
 	var mu sync.Mutex
 	var order []string
@@ -158,13 +158,13 @@ func TestEDFArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestEDFPreemptsStartedBatch pins the preemption quantum the package
-// comment promises: the worker re-reads the queue front between
-// grains, so a batch from an earlier-arrived frame submitted while a
-// later-arrived frame's batch is mid-way runs before that batch's
-// remaining grains instead of waiting for it to drain.
-func TestEDFPreemptsStartedBatch(t *testing.T) {
-	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: -1})
+// TestArrivalPreemptsStartedBatch pins the preemption quantum the
+// package comment promises: the worker re-reads the queue front
+// between grains, so a batch from an earlier-arrived frame submitted
+// while a later-arrived frame's batch is mid-way runs before that
+// batch's remaining grains instead of waiting for it to drain.
+func TestArrivalPreemptsStartedBatch(t *testing.T) {
+	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: 2})
 	defer p.Close()
 
 	late := p.NewStream()
@@ -172,8 +172,8 @@ func TestEDFPreemptsStartedBatch(t *testing.T) {
 	defer late.Close()
 	defer early.Close()
 	now := time.Now()
-	late.BeginFrame(now, time.Time{})
-	early.BeginFrame(now.Add(-50*time.Millisecond), time.Time{})
+	late.BeginFrame(now)
+	early.BeginFrame(now.Add(-50 * time.Millisecond))
 
 	var mu sync.Mutex
 	var order []string
@@ -209,12 +209,11 @@ func TestEDFPreemptsStartedBatch(t *testing.T) {
 	}
 }
 
-// TestQoSOrdersQueue pins the QoS tier of the EDF key: a headset
-// (qos 0) batch runs before a mapping drone's (qos 2) even when the
-// drone's frame arrived earlier, while the urgent class still
-// outranks QoS.
+// TestQoSOrdersQueue pins the QoS tier above arrival in the run
+// queue: a headset (qos 0) batch runs before a mapping drone's (qos 2)
+// even when the drone's frame arrived earlier.
 func TestQoSOrdersQueue(t *testing.T) {
-	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: -1})
+	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: 2})
 	defer p.Close()
 	release, waitBlocked := blockWorker(t, p)
 
@@ -225,9 +224,10 @@ func TestQoSOrdersQueue(t *testing.T) {
 	drone.SetQoS(2)
 	headset.SetQoS(0)
 	now := time.Now()
-	// The drone's frame is older — pure EDF would run it first.
-	drone.BeginFrame(now.Add(-50*time.Millisecond), time.Time{})
-	headset.BeginFrame(now, time.Time{})
+	// The drone's frame is older — arrival order alone would run it
+	// first.
+	drone.BeginFrame(now.Add(-50 * time.Millisecond))
+	headset.BeginFrame(now)
 
 	var mu sync.Mutex
 	var order []string
@@ -248,91 +248,6 @@ func TestQoSOrdersQueue(t *testing.T) {
 	waitBlocked()
 	if len(order) != 2 || order[0] != "headset" {
 		t.Fatalf("execution order %v, want headset first", order)
-	}
-}
-
-// TestQoSOutranksUrgent: deadline urgency never crosses QoS tiers — a
-// drone frame about to blow its deadline still waits behind an
-// unhurried headset. Under sustained overload every stale drone frame
-// blows its budget; if those promotions jumped tiers they would starve
-// the headset the tiers exist to protect.
-func TestQoSOutranksUrgent(t *testing.T) {
-	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: -1})
-	defer p.Close()
-	release, waitBlocked := blockWorker(t, p)
-
-	headset := p.NewStream()
-	drone := p.NewStream()
-	defer headset.Close()
-	defer drone.Close()
-	headset.SetQoS(0)
-	drone.SetQoS(2)
-	now := time.Now()
-	headset.BeginFrame(now, now.Add(100*time.Millisecond))
-	// Admitted long ago, deadline nearly blown: urgent class.
-	drone.BeginFrame(now.Add(-10*time.Second), now.Add(500*time.Millisecond))
-
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		headset.Run(1, func(int) { mu.Lock(); order = append(order, "headset"); mu.Unlock() })
-	}()
-	waitDepth(t, p, 1)
-	go func() {
-		defer wg.Done()
-		drone.Run(1, func(int) { mu.Lock(); order = append(order, "drone"); mu.Unlock() })
-	}()
-	waitDepth(t, p, 2)
-	release()
-	wg.Wait()
-	waitBlocked()
-	if len(order) != 2 || order[0] != "headset" {
-		t.Fatalf("execution order %v, want headset first despite urgent drone", order)
-	}
-}
-
-// TestUrgentClassJumpsQueue pins the deadline promotion: a frame that
-// has nearly exhausted its budget at admission jumps ahead of a normal
-// batch even when the normal batch's EDF key (deadline) is earlier.
-func TestUrgentClassJumpsQueue(t *testing.T) {
-	p := trackpool.New(trackpool.Config{Workers: 1, MinGrain: 1, MaxInflight: -1})
-	defer p.Close()
-	release, waitBlocked := blockWorker(t, p)
-
-	normal := p.NewStream()
-	urgent := p.NewStream()
-	defer normal.Close()
-	defer urgent.Close()
-	now := time.Now()
-	// Fresh budget: remaining == budget, far above urgentFrac. Its key
-	// (deadline now+100ms) is EARLIER than the urgent stream's.
-	normal.BeginFrame(now, now.Add(100*time.Millisecond))
-	// Admitted 10s ago with a later deadline: remaining 500ms out of a
-	// 10.5s budget, under the 25% urgency threshold.
-	urgent.BeginFrame(now.Add(-10*time.Second), now.Add(500*time.Millisecond))
-
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		normal.Run(1, func(int) { mu.Lock(); order = append(order, "normal"); mu.Unlock() })
-	}()
-	waitDepth(t, p, 1)
-	go func() {
-		defer wg.Done()
-		urgent.Run(1, func(int) { mu.Lock(); order = append(order, "urgent"); mu.Unlock() })
-	}()
-	waitDepth(t, p, 2)
-	release()
-	wg.Wait()
-	waitBlocked()
-	if len(order) != 2 || order[0] != "urgent" {
-		t.Fatalf("execution order %v, want urgent first", order)
 	}
 }
 
@@ -416,7 +331,7 @@ func waitAdmitWaiting(t *testing.T, p *trackpool.Pool, n int) {
 
 // TestAdmissionGate pins the frame-level gate: with MaxInflight 1, a
 // second frame's BeginFrame blocks until the first EndFrames, waiting
-// frames are admitted in EDF order regardless of the order they
+// frames are admitted in arrival order regardless of the order they
 // queued, and the wait lands on the QueueWait ledger.
 func TestAdmissionGate(t *testing.T) {
 	p := trackpool.New(trackpool.Config{Workers: 1, MaxInflight: 1})
@@ -425,22 +340,22 @@ func TestAdmissionGate(t *testing.T) {
 	hold := p.NewStream()
 	defer hold.Close()
 	now := time.Now()
-	hold.BeginFrame(now, time.Time{}) // takes the only slot
+	hold.BeginFrame(now) // takes the only slot
 
 	var mu sync.Mutex
 	var order []string
 	var wg sync.WaitGroup
 	enter := func(st *trackpool.Stream, name string, arrival time.Time) {
 		defer wg.Done()
-		st.BeginFrame(arrival, time.Time{})
+		st.BeginFrame(arrival)
 		mu.Lock()
 		order = append(order, name)
 		mu.Unlock()
 		st.EndFrame()
 		st.Close()
 	}
-	// "late" queues at the gate first but arrived after "early": EDF
-	// at admission must serve early first.
+	// "late" queues at the gate first but arrived after "early": the
+	// gate must serve early first.
 	wg.Add(1)
 	go enter(p.NewStream(), "late", now.Add(30*time.Millisecond))
 	waitAdmitWaiting(t, p, 1)
@@ -476,7 +391,7 @@ func TestAdmissionReservedSlot(t *testing.T) {
 	drone1 := p.NewStream()
 	defer drone1.Close()
 	drone1.SetQoS(2)
-	drone1.BeginFrame(now, time.Time{}) // fills the one drone-usable slot
+	drone1.BeginFrame(now) // fills the one drone-usable slot
 	if got := p.Stats().Inflight; got != 1 {
 		t.Fatalf("inflight %d after first drone, want 1", got)
 	}
@@ -487,7 +402,7 @@ func TestAdmissionReservedSlot(t *testing.T) {
 	drone2.SetQoS(2)
 	admitted := make(chan struct{})
 	go func() {
-		drone2.BeginFrame(now, time.Time{})
+		drone2.BeginFrame(now)
 		close(admitted)
 	}()
 	waitAdmitWaiting(t, p, 1)
@@ -499,7 +414,7 @@ func TestAdmissionReservedSlot(t *testing.T) {
 	headset.SetQoS(0)
 	done := make(chan struct{})
 	go func() {
-		headset.BeginFrame(now, time.Time{})
+		headset.BeginFrame(now)
 		close(done)
 	}()
 	select {
@@ -525,44 +440,46 @@ func TestAdmissionReservedSlot(t *testing.T) {
 	drone2.EndFrame()
 }
 
-// TestAdmissionUrgentJumpsGate: a frame deep into its deadline budget
-// is admitted ahead of normal frames that queued before it.
-func TestAdmissionUrgentJumpsGate(t *testing.T) {
+// TestQoSOrdersGate pins the QoS tier above arrival at the admission
+// gate, the same prio as the run queue's (TestQoSOrdersQueue): with the
+// one slot held, a drone frame that arrived earlier and a handheld
+// frame that arrived later both wait, and the freed slot goes to the
+// handheld frame.
+func TestQoSOrdersGate(t *testing.T) {
 	p := trackpool.New(trackpool.Config{Workers: 1, MaxInflight: 1})
 	defer p.Close()
 
 	hold := p.NewStream()
 	defer hold.Close()
 	now := time.Now()
-	hold.BeginFrame(now, time.Time{})
+	hold.BeginFrame(now) // takes the only slot
 
 	var mu sync.Mutex
 	var order []string
 	var wg sync.WaitGroup
-	enter := func(st *trackpool.Stream, name string, arrival, deadline time.Time) {
+	enter := func(name string, qos int, arrival time.Time) {
 		defer wg.Done()
-		st.BeginFrame(arrival, deadline)
+		st := p.NewStream()
+		st.SetQoS(qos)
+		st.BeginFrame(arrival)
 		mu.Lock()
 		order = append(order, name)
 		mu.Unlock()
 		st.EndFrame()
 		st.Close()
 	}
-	// Normal frame with the EARLIER deadline queues first.
-	wg.Add(1)
-	go enter(p.NewStream(), "normal", now, now.Add(100*time.Millisecond))
+	wg.Add(2)
+	go enter("drone", 2, now.Add(-50*time.Millisecond))
 	waitAdmitWaiting(t, p, 1)
-	// Urgent: 500ms left of a 10.5s budget, under the 25% threshold.
-	wg.Add(1)
-	go enter(p.NewStream(), "urgent", now.Add(-10*time.Second), now.Add(500*time.Millisecond))
+	go enter("handheld", 1, now)
 	waitAdmitWaiting(t, p, 2)
 
 	hold.EndFrame()
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "urgent" {
-		t.Fatalf("admission order %v, want urgent first", order)
+	if len(order) != 2 || order[0] != "handheld" || order[1] != "drone" {
+		t.Fatalf("admission order %v, want [handheld drone]", order)
 	}
 }
 
@@ -571,13 +488,13 @@ func TestAdmissionUrgentJumpsGate(t *testing.T) {
 func TestCloseReleasesAdmission(t *testing.T) {
 	p := trackpool.New(trackpool.Config{Workers: 1, MaxInflight: 1})
 	hold := p.NewStream()
-	hold.BeginFrame(time.Now(), time.Time{})
+	hold.BeginFrame(time.Now())
 
 	st := p.NewStream()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		st.BeginFrame(time.Now(), time.Time{})
+		st.BeginFrame(time.Now())
 		var ran [3]bool
 		st.Run(3, func(i int) { ran[i] = true }) // inline: pool is closed
 		for i, v := range ran {
@@ -599,7 +516,7 @@ func TestCloseReleasesAdmission(t *testing.T) {
 }
 
 // TestTrackPoolStress churns 8 concurrent sessions through the pool —
-// mixed batch sizes, deadlines, and mid-run stream close/reopen — and
+// mixed batch sizes, arrivals, and mid-run stream close/reopen — and
 // checks every work item ran exactly once. Run under -race in CI.
 func TestTrackPoolStress(t *testing.T) {
 	p := trackpool.New(trackpool.Config{Workers: 4, MinGrain: 2})
@@ -623,11 +540,11 @@ func TestTrackPoolStress(t *testing.T) {
 				now := time.Now()
 				switch i % 3 {
 				case 0:
-					st.BeginFrame(now, time.Time{})
-				case 1:
-					st.BeginFrame(now, now.Add(time.Duration(5+i%7)*time.Millisecond))
-				case 2: // deep in budget: exercises the urgent class
-					st.BeginFrame(now.Add(-time.Second), now.Add(time.Millisecond))
+					st.BeginFrame(now)
+				case 1: // slightly stale: interleaves with fresh frames
+					st.BeginFrame(now.Add(-time.Duration(5+i%7) * time.Millisecond))
+				case 2: // long queued: sorts ahead of every fresh frame
+					st.BeginFrame(now.Add(-time.Second))
 				}
 				n := 1 + (s*7+i*13)%37
 				local := make([]int32, n)
