@@ -30,7 +30,6 @@
 package lifecycle
 
 import (
-	"slices"
 	"sort"
 	"sync"
 
@@ -238,8 +237,8 @@ func (lm *Manager) cullPass(now uint64) bool {
 
 // sparsifyPass erases up to sparsifyBatch map points that were never
 // re-found by any tracker, have at most sparsifyMinObs observers, and
-// whose observers have all gone cold — the lowest IDs first, so the
-// pass does not take Map.MapPoints' Go-map order and repeats run to run.
+// whose observers have all gone cold — the lowest IDs first, as
+// Map.MapPoints lists them, so the pass repeats run to run.
 func (lm *Manager) sparsifyPass(now uint64) bool {
 	var dead []smap.ID
 	for _, mp := range lm.m.MapPoints() {
@@ -262,7 +261,6 @@ func (lm *Manager) sparsifyPass(now uint64) bool {
 			dead = append(dead, mp.ID)
 		}
 	}
-	slices.Sort(dead)
 	if len(dead) > sparsifyBatch {
 		dead = dead[:sparsifyBatch]
 	}

@@ -7,6 +7,7 @@
 package mapping
 
 import (
+	"slices"
 	"time"
 
 	"slamshare/internal/camera"
@@ -125,11 +126,17 @@ func (mm *Mapper) ProcessKeyFrame(kf *smap.KeyFrame) Stats {
 }
 
 // cullPoints removes recently created points that never gathered
-// enough observations.
+// enough observations, by ascending ID: the erasures reach the journal
+// in that order.
 func (mm *Mapper) cullPoints() int {
+	ids := make([]smap.ID, 0, len(mm.recent))
+	for id := range mm.recent {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	culled := 0
-	for id, born := range mm.recent {
-		age := mm.kfCount - born
+	for _, id := range ids {
+		age := mm.kfCount - mm.recent[id]
 		nobs, ok := mm.Map.PointObsCount(id)
 		if !ok {
 			delete(mm.recent, id)

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"slices"
 	"testing"
 
 	"slamshare/internal/bow"
@@ -142,6 +143,52 @@ func TestCullRemovesWeakPoints(t *testing.T) {
 	}
 	if _, ok := m.MapPoint(weak.ID); ok {
 		t.Error("weak point survived culling")
+	}
+}
+
+// erasures records the order in which map points leave a map.
+type erasures struct{ ids []smap.ID }
+
+func (e *erasures) KeyFrameAdded(*smap.KeyFrame)         {}
+func (e *erasures) MapPointAdded(*smap.MapPoint)         {}
+func (e *erasures) KeyFrameErased(smap.ID)               {}
+func (e *erasures) MapPointErased(id smap.ID)            { e.ids = append(e.ids, id) }
+func (e *erasures) ObservationAdded(_, _ smap.ID, _ int) {}
+
+// TestCullPointsErasesByID: a cull pass erases its points by ascending
+// ID, so the erasures, and the journal records they become, repeat run
+// after run whatever the order of the recent set.
+func TestCullPointsErasesByID(t *testing.T) {
+	const n = 16
+	var first []smap.ID
+	for run := 0; run < 20; run++ {
+		m := smap.NewMap(bow.Default())
+		alloc := smap.NewIDAllocator(1)
+		mm := New(m, camera.NewMonoRig(camera.EuRoCIntrinsics()), alloc, 1, DefaultConfig())
+		kf := &smap.KeyFrame{ID: alloc.Next(), Keypoints: make([]feature.Keypoint, n)}
+		m.AddKeyFrame(kf)
+		for i := 0; i < n; i++ {
+			mp := &smap.MapPoint{ID: alloc.Next()}
+			m.AddMapPoint(mp)
+			if err := m.AddObservation(kf.ID, mp.ID, i); err != nil {
+				t.Fatal(err)
+			}
+			mm.recent[mp.ID] = 0 // one observer, below CullMinObs
+		}
+		rec := &erasures{}
+		m.SetObserver(rec)
+		mm.kfCount = mm.Cfg.CullAgeKFs
+		if culled := mm.cullPoints(); culled != n {
+			t.Fatalf("run %d: culled %d of %d weak points", run, culled, n)
+		}
+		if !slices.IsSorted(rec.ids) {
+			t.Fatalf("run %d erased %v, not by ascending ID", run, rec.ids)
+		}
+		if run == 0 {
+			first = rec.ids
+		} else if !slices.Equal(rec.ids, first) {
+			t.Fatalf("run %d erased %v, run 0 %v", run, rec.ids, first)
+		}
 	}
 }
 

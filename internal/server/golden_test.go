@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"slamshare/internal/camera"
 	"slamshare/internal/client"
 	"slamshare/internal/dataset"
+	"slamshare/internal/persist"
 )
 
 // updatePipeline rewrites testdata/pipeline_golden.txt from the code
@@ -43,12 +45,13 @@ func (l goldenLine) String() string {
 const goldenFrames = 60
 
 // goldenSessions opens the golden run: a server on the serial reference
-// path for trackWorkers < 0, else with a pool of that many workers, and
-// an MH04 and an MH05 session with their clients. The caller closes the
-// server.
-func goldenSessions(t *testing.T, trackWorkers int) (*Server, []*Session, []*client.Client) {
+// path for trackWorkers < 0, else with a pool of that many workers,
+// journaling into journalDir unless it is empty, and an MH04 and an
+// MH05 session with their clients. The caller closes the server.
+func goldenSessions(t *testing.T, trackWorkers int, journalDir string) (*Server, []*Session, []*client.Client) {
 	cfg := DefaultConfig()
 	cfg.TrackWorkers = trackWorkers
+	cfg.Persist = persist.Options{Dir: journalDir, CheckpointEvery: -1}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +73,10 @@ func goldenSessions(t *testing.T, trackWorkers int) (*Server, []*Session, []*cli
 // goldenFrames each, interleaved A0 B0 A1 B1 …, and returns one line per
 // thing a change could move: every answered pose with its Tracked/Merged
 // decision, the merge transforms, and the final size of the global map.
-func pipelineGolden(t *testing.T, trackWorkers int) []goldenLine {
-	srv, sessions, clients := goldenSessions(t, trackWorkers)
+// It also returns the files of the server's journal directory by name.
+func pipelineGolden(t *testing.T, trackWorkers int) ([]goldenLine, map[string][]byte) {
+	dir := t.TempDir()
+	srv, sessions, clients := goldenSessions(t, trackWorkers, dir)
 	defer srv.Close()
 	var lines []goldenLine
 	for i := 0; i < goldenFrames; i++ {
@@ -96,8 +101,25 @@ func pipelineGolden(t *testing.T, trackWorkers int) []goldenLine {
 		lines = append(lines, goldenLine{fmt.Sprintf("merge m%d aligned", i),
 			[]float64{tf.S, tf.R.W, tf.R.X, tf.R.Y, tf.R.Z, tf.T.X, tf.T.Y, tf.T.Z}})
 	}
-	return append(lines, goldenLine{label: fmt.Sprintf("map keyframes=%d mappoints=%d",
+	lines = append(lines, goldenLine{label: fmt.Sprintf("map keyframes=%d mappoints=%d",
 		srv.Global().NKeyFrames(), srv.Global().NMapPoints())})
+	if err := srv.Persist().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.Persist().Stats().JournalRecords.Load() == 0 {
+		t.Fatal("the golden run journaled nothing")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return lines, files
 }
 
 // TestPipelineReproducible pins DESIGN §4's rule from the outside: the
@@ -105,17 +127,31 @@ func pipelineGolden(t *testing.T, trackWorkers int) []goldenLine {
 // essential graph — repeats bit for bit, serial path against serial
 // path and against the pooled path. One Go map ranged into a float sum
 // or a bounded choice anywhere on that path shows up here as last-bit
-// differences from the first keyframe on.
+// differences from the first keyframe on; one ranged into the order of
+// the map's mutations shows up as journals that differ.
 func TestPipelineReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full system test")
 	}
-	ref := pipelineGolden(t, -1)
+	ref, refJournal := pipelineGolden(t, -1)
 	for _, run := range []struct {
 		name    string
 		workers int
 	}{{"serial again", -1}, {"pool of 2", 2}} {
-		got := pipelineGolden(t, run.workers)
+		got, journal := pipelineGolden(t, run.workers)
+		if len(journal) != len(refJournal) {
+			t.Errorf("%s: %d journal files, first serial run %d", run.name, len(journal), len(refJournal))
+		}
+		for name, want := range refJournal {
+			b := journal[name]
+			i := 0
+			for i < len(b) && i < len(want) && b[i] == want[i] {
+				i++
+			}
+			if i < len(b) || i < len(want) {
+				t.Errorf("%s: %s differs from the first serial run's from byte %d (%d vs %d bytes)", run.name, name, i, len(b), len(want))
+			}
+		}
 		if len(got) != len(ref) {
 			t.Fatalf("%s: %d lines, first serial run %d", run.name, len(got), len(ref))
 		}
@@ -146,7 +182,8 @@ func TestPipelineGolden(t *testing.T) {
 		t.Skip("full system test")
 	}
 	var got []string
-	for _, l := range pipelineGolden(t, -1) {
+	lines, _ := pipelineGolden(t, -1)
+	for _, l := range lines {
 		got = append(got, l.String())
 	}
 	if *updatePipeline {
@@ -194,7 +231,7 @@ func TestMergedPriorStaysOnTrack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full system test")
 	}
-	srv, sessions, clients := goldenSessions(t, -1)
+	srv, sessions, clients := goldenSessions(t, -1, "")
 	defer srv.Close()
 	afterMerge := make([]bool, len(sessions))
 	checked := 0

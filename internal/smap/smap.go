@@ -639,7 +639,7 @@ func (m *Map) KeyFrames() []*KeyFrame {
 	return out
 }
 
-// MapPoints returns all map points (unspecified order).
+// MapPoints returns all map points by ascending ID.
 func (m *Map) MapPoints() []*MapPoint {
 	out := make([]*MapPoint, 0, m.NMapPoints())
 	for i := range m.stripes {
@@ -650,6 +650,7 @@ func (m *Map) MapPoints() []*MapPoint {
 		}
 		s.mu.RUnlock()
 	}
+	slices.SortFunc(out, func(a, b *MapPoint) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -16,10 +16,8 @@
 package wire
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"slamshare/internal/bow"
 	"slamshare/internal/codec"
@@ -265,12 +263,7 @@ func EncodeMap(m *smap.Map) []byte {
 	w := codec.Writer{B: make([]byte, 0, 1<<20)}
 	w.U32(mapMagic)
 	w.U8(FormatVersion)
-	mps := m.MapPoints()
-	// KeyFrames() is already deterministic (insertion order); the map
-	// points come out of the stripes unordered, so sort them by ID to
-	// keep the whole-map encoding canonical.
-	slices.SortFunc(mps, func(a, b *smap.MapPoint) int { return cmp.Compare(a.ID, b.ID) })
-	appendEntities(&w, m, m.KeyFrames(), mps)
+	appendEntities(&w, m, m.KeyFrames(), m.MapPoints())
 	return w.B
 }
 
