@@ -15,33 +15,42 @@ import (
 	"slamshare/internal/img"
 )
 
-// The golden hashes pin the bitstream. A run prints the hashes it
-// computed (`go test -run TestGoldenStreams -v ./internal/video/`), and
-// a hash may be re-recorded only by a change whose issue says that the
-// encoder's decisions change and the decoder's do not — never to make
-// an encoder change pass. Which commit produced which:
+// The golden hashes pin the bitstream and the decoded pixels. A run
+// prints the hashes it computed (`go test -run TestGoldenStreams -v
+// ./internal/video/`). A pixel hash never moves for a layout change: it
+// is the witness that the frames a server sees are as they were. A
+// stream hash may be re-recorded only by a change that says the
+// encoder's decisions or the payload layout change and the decoded
+// pixels do not — never to make an encoder change pass. Which commit
+// produced which:
 //
-//   - goldenSynthetic: 40af923, the commit before the fast motion search.
-//     ISSUE 21 did not move it, and it is the witness that the search
-//     path is as it was: no block of the pan is inside the deadzone at
-//     either starting vector, so every one is searched. Since ISSUE 21
-//     packs inter planes at DEFLATE level 4, the hash is taken over the
+//   - goldenSyntheticPixels: 651ccd9, before the P-skip encoder
+//     (9436157). It pins the decoder on the pan's pixels whatever the
+//     encoder packs them with.
+//   - goldenMH04LeftPixels/RightPixels: 70f38c8, the last commit with
+//     the 16-bit inter layout, over the same twelve frames as
+//     goldenMH04Left/Right.
+//   - goldenMH04Left/Right, goldenSynthetic and goldenStatic:
+//     re-recorded by the change after 70f38c8 (from 7bf0db34…, 24003ead…,
+//     702e8317… and 0d89445a…), which changed the inter layout and the
+//     decoder — a coded flag per block and 8-bit residuals of the coded
+//     blocks only, frame kind 3 — and neither the encoder's decisions
+//     nor the decoded pixels. Before it, 9436157 had re-recorded
+//     goldenMH04Left/Right for two encoder decisions (blocks inside the
+//     deadzone at a starting vector go unsearched; level-4 packing).
+//   - goldenSynthetic is the witness that the search path is as it was
+//     at 40af923: no block of the pan is inside the deadzone at either
+//     starting vector, so every one is searched. Since 9436157 packs
+//     inter planes at DEFLATE level 4, the hash is taken over the
 //     stream as level 6 packs the same planes (level6).
-//   - goldenSyntheticPixels: 651ccd9, ISSUE 21's parent, before Encode
-//     was touched. It is over the decoded pixels, so it pins the decoder
-//     on parent-produced bytes whatever the encoder packs them with.
-//   - goldenMH04Left/Right: re-recorded by ISSUE 21 (from 74f46a9a… and
-//     e2c12a88…, both 40af923's), which made two encoder decisions and
-//     touched no decoder: blocks already inside the deadzone at a
-//     starting vector take that vector unsearched, and inter planes are
-//     packed at level 4.
-//   - goldenStatic: ISSUE 21, with the case.
 const (
-	goldenMH04Left        = "7bf0db3463e33eabe1949d9efc8de86ed78f6c6660d7809bfa33bdf5cf41acc8"
-	goldenMH04Right       = "24003eada3bbf02e9b885a4affbdbc28dfc419eef30ea107946cb12b8f6cf862"
-	goldenSynthetic       = "702e831726d7a9422d5ce8b580332a92d9431e26df28abd59f47e4bb44fb2327"
+	goldenMH04Left        = "df576c0a6df636d078fb988a84a4d2142ed72731ade1397ae28a23c75f6b26a6"
+	goldenMH04Right       = "7ea5456acbb9c03109d60a7eab799697ba4dbd57456de9038292fd48cbdcbfc9"
+	goldenSynthetic       = "968e27766f0b2a22d23bae57a9064dd55cde56c7ec458abc654fb3ec8fbf4111"
 	goldenSyntheticPixels = "db19b3178b9363006533f1827a4b034c2f4ee6bbfd78f3c262a723ed927cd727"
-	goldenStatic          = "0d89445aea789382e4fe5b48df536b30df2ed493fd3ba4fda5870fe7f4b57ec4"
+	goldenMH04LeftPixels  = "71894c6f851e1634209749567e066af3777d00aa485209ec0bd304e4320ffe7d"
+	goldenMH04RightPixels = "5d5dfa88f3a497ca433dd6b144c2b17b704cfda2ea9c40d5729a0a9b015cdbfc"
+	goldenStatic          = "ce883418c472e06c8c0f94a8ef24a2cb852575d446708c4ffd4a21209596750c"
 )
 
 // streamHash folds a stream's payloads, length-prefixed, into one
@@ -74,7 +83,7 @@ func (s *streamHash) hex() string      { return hex.EncodeToString(s.h.Sum(nil))
 func (s *streamHash) pixelHex() string { return hex.EncodeToString(s.px.Sum(nil)) }
 
 // level6 repacks an inter payload's planes at flate.DefaultCompression,
-// which was the encoder's level up to ISSUE 21, with the encoder's own
+// which was the encoder's level before 9436157, with the encoder's own
 // two writes: the bytes that encoder produced for the same decisions.
 // Intra payloads pass through.
 func level6(t *testing.T, payload []byte) []byte {
@@ -85,8 +94,8 @@ func level6(t *testing.T, payload []byte) []byte {
 	raw, _, _, blocks := inflateInter(t, payload)
 	buf := bytes.NewBuffer(append([]byte(nil), payload[:9]...))
 	zw, _ := flate.NewWriter(buf, flate.DefaultCompression)
-	zw.Write(raw[:2*blocks])
-	zw.Write(raw[2*blocks:])
+	zw.Write(raw[:3*blocks])
+	zw.Write(raw[3*blocks:])
 	zw.Close()
 	return buf.Bytes()
 }
@@ -164,15 +173,10 @@ func TestGoldenStreams(t *testing.T) {
 		if len(payload) >= 200 {
 			t.Errorf("static frame %d: P payload of %d bytes, want under 200", k, len(payload))
 		}
-		mvs, resid := interPlanes(t, payload)
+		mvs, coded, _ := interPlanes(t, payload)
 		for i, mv := range mvs {
-			if mv != [2]int{} {
-				t.Fatalf("static frame %d: block %d has vector %v", k, i, mv)
-			}
-		}
-		for i, r := range resid {
-			if r != 0 {
-				t.Fatalf("static frame %d: residual %d at pixel %d", k, r, i)
+			if mv != [2]int{} || coded[i] {
+				t.Fatalf("static frame %d: block %d has vector %v, coded %v", k, i, mv, coded[i])
 			}
 		}
 	}
@@ -180,6 +184,8 @@ func TestGoldenStreams(t *testing.T) {
 	for _, c := range []struct{ name, got, want string }{
 		{"MH04 left", hl.hex(), goldenMH04Left},
 		{"MH04 right", hr.hex(), goldenMH04Right},
+		{"MH04 left, decoded pixels", hl.pixelHex(), goldenMH04LeftPixels},
+		{"MH04 right, decoded pixels", hr.pixelHex(), goldenMH04RightPixels},
 		{"synthetic pan", hs.hex(), goldenSynthetic},
 		{"synthetic pan, decoded pixels", hs.pixelHex(), goldenSyntheticPixels},
 		{"static scene", hst.hex(), goldenStatic},

@@ -2,6 +2,7 @@ package video
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -154,4 +155,79 @@ func TestBestMVMatchesOldSearch(t *testing.T) {
 				i, x0, y0, gx, gy, dx, dy, wx, wy)
 		}
 	}
+}
+
+// deadzonePair returns a reference and a current pixel whose difference
+// (reference minus current) is d, for any d in -255..255.
+func deadzonePair(d int) (pv, cv byte) {
+	c := (255 - d) / 2
+	return byte(c + d), byte(c)
+}
+
+// TestWithinDeadzoneLanes puts a difference of exactly dz, and of
+// dz+1, of either sign, at every pixel of an interior block — so in each
+// of the eight byte lanes of each row word — with every other pixel
+// differing by ±dz, the most a lane's neighbours can hold and still
+// pass.
+func TestWithinDeadzoneLanes(t *testing.T) {
+	prev, cur := img.New(blockSize, blockSize), img.New(blockSize, blockSize)
+	if !interior(cur, prev, 0, 0, 0, 0) {
+		t.Fatal("the block must take the fast path")
+	}
+	for _, dz := range []int{0, 1, 5, 127, 128, 254} {
+		for _, d := range []int{dz, -dz, dz + 1, -dz - 1} {
+			for at := range cur.Pix {
+				for i := range cur.Pix {
+					sign := 1 - 2*(i%3%2) // neighbours of both signs
+					prev.Pix[i], cur.Pix[i] = deadzonePair(sign * dz)
+				}
+				prev.Pix[at], cur.Pix[at] = deadzonePair(d)
+				want := d <= dz && d >= -dz
+				if got := withinDeadzone(prev, cur, 0, 0, 0, 0, dz); got != want {
+					t.Fatalf("dz %d: difference %d in lane %d of row %d: withinDeadzone = %v, want %v",
+						dz, d, at%blockSize, at/blockSize, got, want)
+				}
+				if got := withinDeadzoneRef(prev, cur, 0, 0, 0, 0, dz); got != want {
+					t.Fatalf("dz %d: difference %d at pixel %d: withinDeadzoneRef = %v, want %v", dz, d, at, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzWithinDeadzone compares the deadzone test's fast path with its
+// pixel loop. cur is prev displaced by the vector under test, plus
+// noise of up to ±noise, so the answer goes either way as dz varies;
+// vectors reach off the frame, and dz takes every value an Encoder's
+// Deadzone can hold.
+func FuzzWithinDeadzone(f *testing.F) {
+	f.Add(int64(1), uint8(37), uint8(29), uint8(8), uint8(8), int8(5), int8(-1), uint8(3), 3)
+	f.Add(int64(2), uint8(64), uint8(64), uint8(24), uint8(32), int8(0), int8(0), uint8(5), 5)
+	f.Add(int64(3), uint8(64), uint8(40), uint8(56), uint8(0), int8(3), int8(-2), uint8(0), 0)
+	f.Add(int64(4), uint8(20), uint8(9), uint8(16), uint8(8), int8(-60), int8(60), uint8(2), -1)
+	f.Add(int64(5), uint8(48), uint8(48), uint8(16), uint8(16), int8(1), int8(1), uint8(255), 254)
+	f.Add(int64(6), uint8(48), uint8(48), uint8(16), uint8(16), int8(1), int8(1), uint8(255), 255)
+	f.Add(int64(7), uint8(48), uint8(48), uint8(16), uint8(16), int8(-2), int8(1), uint8(200), 256)
+	f.Add(int64(8), uint8(48), uint8(48), uint8(8), uint8(16), int8(0), int8(-1), uint8(9), math.MaxInt)
+	f.Add(int64(9), uint8(48), uint8(48), uint8(8), uint8(16), int8(0), int8(-1), uint8(9), math.MinInt)
+	f.Fuzz(func(t *testing.T, seed int64, w, h, bx, by uint8, dx, dy int8, noise uint8, dz int) {
+		if w == 0 || h == 0 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		prev, cur := randGray(rng, int(w), int(h)), img.New(int(w), int(h))
+		for y := 0; y < cur.H; y++ {
+			for x := 0; x < cur.W; x++ {
+				v := int(prev.At(x+int(dx), y+int(dy))) + rng.Intn(2*int(noise)+1) - int(noise)
+				cur.Pix[y*cur.W+x] = byte(min(max(v, 0), 255))
+			}
+		}
+		x0 := int(bx) % cur.W / blockSize * blockSize
+		y0 := int(by) % cur.H / blockSize * blockSize
+		got := withinDeadzone(prev, cur, x0, y0, int(dx), int(dy), dz)
+		if want := withinDeadzoneRef(prev, cur, x0, y0, int(dx), int(dy), dz); got != want {
+			t.Fatalf("withinDeadzone(%dx%d, block %d,%d, mv %d,%d, dz %d) = %v, reference %v",
+				cur.W, cur.H, x0, y0, dx, dy, dz, got, want)
+		}
+	})
 }

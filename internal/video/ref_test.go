@@ -1,9 +1,10 @@
 package video
 
-// The encoder as it stood before P-skip blocks: Encode's body kept
-// verbatim as encodeRef (every inter block searched), the oracle the
-// skip decision is compared against block by block, and the baseline
-// its streams may not be larger than.
+// The encoder as it stood before P-skip blocks, in today's layout:
+// encodeRef searches every inter block, then takes the residual of the
+// whole frame in a second pass and flags the blocks it is nonzero in.
+// It is the oracle the skip decision is compared against block by
+// block, and the baseline Encode's streams may not be larger than.
 
 import (
 	"bytes"
@@ -39,11 +40,10 @@ func (e *Encoder) encodeRef(f *img.Gray) []byte {
 	w, h := f.W, f.H
 	bw := (w + blockSize - 1) / blockSize
 	bh := (h + blockSize - 1) / blockSize
+	blocks := bw * bh
 	gx, gy := globalMotion(e.recon, f)
-	if cap(e.mvs) < bw*bh*2 {
-		e.mvs = make([]byte, bw*bh*2)
-	}
-	mvs := e.mvs[:bw*bh*2] // per-block (dx+64, dy+64)
+	head := make([]byte, 3*blocks)
+	mvs, coded := head[:2*blocks], head[2*blocks:]
 	pred := e.spare
 	if pred == nil || pred.W != w || pred.H != h {
 		pred = img.New(w, h)
@@ -58,18 +58,31 @@ func (e *Encoder) encodeRef(f *img.Gray) []byte {
 			copyBlock(pred, e.recon, x0, y0, dx, dy)
 		}
 	}
-	if cap(e.diff) < 2*len(f.Pix) {
-		e.diff = make([]byte, 2*len(f.Pix))
-	}
-	diff := e.diff[:2*len(f.Pix)]
+	diff := make([]byte, len(f.Pix))
 	dz := e.Deadzone
 	for i, v := range f.Pix {
 		d := int(v) - int(pred.Pix[i])
 		if d <= dz && d >= -dz {
 			d = 0
 		}
-		binary.LittleEndian.PutUint16(diff[2*i:], uint16(int16(d)))
-		pred.Pix[i] = byte(int(pred.Pix[i]) + d)
+		diff[i] = byte(d)
+		pred.Pix[i] += byte(d)
+		if d != 0 {
+			coded[i/w/blockSize*bw+i%w/blockSize] = 1
+		}
+	}
+	var resid []byte
+	for by := 0; by < bh; by++ {
+		for bx := 0; bx < bw; bx++ {
+			if coded[by*bw+bx] == 0 {
+				continue
+			}
+			x0, y0 := bx*blockSize, by*blockSize
+			x1, y1 := blockEnd(x0, y0, w, h)
+			for y := y0; y < y1; y++ {
+				resid = append(resid, diff[y*w+x0:y*w+x1]...)
+			}
+		}
 	}
 	e.spare = e.recon
 	e.recon = pred
@@ -80,8 +93,8 @@ func (e *Encoder) encodeRef(f *img.Gray) []byte {
 	buf := newPayload(frameInter, w, h, e.interLen)
 	zw := deflInter.Get().(*flate.Writer)
 	zw.Reset(buf)
-	zw.Write(mvs)
-	zw.Write(diff)
+	zw.Write(head)
+	zw.Write(resid)
 	zw.Close()
 	deflInter.Put(zw)
 	e.interLen = buf.Len()
@@ -89,8 +102,10 @@ func (e *Encoder) encodeRef(f *img.Gray) []byte {
 }
 
 // inflateInter returns an inter payload's inflated planes — the
-// delta-coded vector bytes of its blocks, then the residuals — and the
-// frame dimensions.
+// delta-coded vector bytes of its blocks, their coded flags, then the
+// residuals of the flagged blocks — and the frame dimensions. It fails
+// the test unless the flags are 0 or 1 and the residuals are exactly
+// as long as the flagged blocks need.
 func inflateInter(t *testing.T, payload []byte) (raw []byte, w, h, blocks int) {
 	t.Helper()
 	if len(payload) < 9 || payload[0] != frameInter {
@@ -98,32 +113,59 @@ func inflateInter(t *testing.T, payload []byte) (raw []byte, w, h, blocks int) {
 	}
 	w = int(binary.LittleEndian.Uint32(payload[1:]))
 	h = int(binary.LittleEndian.Uint32(payload[5:]))
-	blocks = (w + blockSize - 1) / blockSize * ((h + blockSize - 1) / blockSize)
+	bw := (w + blockSize - 1) / blockSize
+	blocks = bw * ((h + blockSize - 1) / blockSize)
 	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload[9:])))
-	if err != nil || len(raw) != blocks*2+2*w*h {
-		t.Fatalf("inter payload inflates to %d bytes (%v), want %d", len(raw), err, blocks*2+2*w*h)
+	if err != nil || len(raw) < 3*blocks {
+		t.Fatalf("inter payload inflates to %d bytes (%v), want at least %d", len(raw), err, 3*blocks)
+	}
+	want := 3 * blocks
+	for i, c := range raw[2*blocks : 3*blocks] {
+		if c > 1 {
+			t.Fatalf("block %d flagged %d", i, c)
+		}
+		if c == 1 {
+			x0, y0 := i%bw*blockSize, i/bw*blockSize
+			x1, y1 := blockEnd(x0, y0, w, h)
+			want += (x1 - x0) * (y1 - y0)
+		}
+	}
+	if len(raw) != want {
+		t.Fatalf("inter payload inflates to %d bytes, its flags need %d", len(raw), want)
 	}
 	return raw, w, h, blocks
 }
 
 // interPlanes decodes an inter payload as far as its per-block vectors
-// (delta coding undone, bias removed) and its residual plane.
-func interPlanes(t *testing.T, payload []byte) (mvs [][2]int, resid []int16) {
+// (delta coding undone, bias removed), coded flags and residual plane,
+// zero outside the flagged blocks.
+func interPlanes(t *testing.T, payload []byte) (mvs [][2]int, coded []bool, resid []byte) {
 	t.Helper()
 	raw, w, h, blocks := inflateInter(t, payload)
 	mvs = make([][2]int, blocks)
+	coded = make([]bool, blocks)
 	for i := range mvs {
 		if i > 0 {
 			raw[2*i] += raw[2*i-2]
 			raw[2*i+1] += raw[2*i-1]
 		}
 		mvs[i] = [2]int{int(raw[2*i]) - 64, int(raw[2*i+1]) - 64}
+		coded[i] = raw[2*blocks+i] == 1
 	}
-	resid = make([]int16, w*h)
-	for i := range resid {
-		resid[i] = int16(binary.LittleEndian.Uint16(raw[blocks*2+2*i:]))
+	resid = make([]byte, w*h)
+	r := raw[3*blocks:]
+	bw := (w + blockSize - 1) / blockSize
+	for i, c := range coded {
+		if !c {
+			continue
+		}
+		x0, y0 := i%bw*blockSize, i/bw*blockSize
+		x1, y1 := blockEnd(x0, y0, w, h)
+		for y := y0; y < y1; y++ {
+			r = r[copy(resid[y*w+x0:y*w+x1], r):]
+		}
 	}
-	return mvs, resid
+	return mvs, coded, resid
 }
 
 // blockMaxDiff is the deadzone test's oracle: the largest difference
@@ -154,6 +196,7 @@ func blockMaxDiff(prev, cur *img.Gray, x0, y0, dx, dy int) (worst int, outside b
 // skipTally counts inter blocks by how their vector was decided.
 type skipTally struct {
 	zero, global, globalOutside, searched int
+	coded                                 int // blocks that carry a residual
 }
 
 func (s skipTally) total() int { return s.zero + s.global + s.searched }
@@ -215,8 +258,9 @@ func (c *skipChecker) add(f *img.Gray) {
 	c.refBytes += len(refPayload)
 
 	// (a), (b): every block's vector is the one the decision oracle
-	// names, and a skipped block carries no residual.
-	mvs, resid := interPlanes(t, payload)
+	// names, and a skipped block carries no residual; (e) a block that
+	// does carry one has a nonzero residual.
+	mvs, coded, resid := interPlanes(t, payload)
 	gx, gy := globalMotion(before, f)
 	bw := (f.W + blockSize - 1) / blockSize
 	for i, mv := range mvs {
@@ -240,24 +284,30 @@ func (c *skipChecker) add(f *img.Gray) {
 			t.Fatalf("%s frame %d block %d,%d (predictor %d,%d, skipped %v): vector %v, want %v",
 				c.name, c.frame-1, x0, y0, gx, gy, skipped, mv, want)
 		}
-		if !skipped {
+		if skipped && coded[i] {
+			t.Fatalf("%s frame %d block %d,%d: skipped, yet coded", c.name, c.frame-1, x0, y0)
+		}
+		if !coded[i] {
 			continue
 		}
-		for y := y0; y < y0+blockSize && y < f.H; y++ {
-			for x := x0; x < x0+blockSize && x < f.W; x++ {
-				if r := resid[y*f.W+x]; r != 0 {
-					t.Fatalf("%s frame %d block %d,%d: skipped, yet residual %d at %d,%d",
-						c.name, c.frame-1, x0, y0, r, x, y)
-				}
+		c.tally.coded++
+		x1, y1 := blockEnd(x0, y0, f.W, f.H)
+		nonzero := false
+		for y := y0; y < y1; y++ {
+			for x := x0; x < x1; x++ {
+				nonzero = nonzero || resid[y*f.W+x] != 0
 			}
+		}
+		if !nonzero {
+			t.Fatalf("%s frame %d block %d,%d: coded, yet its residual is all zero", c.name, c.frame-1, x0, y0)
 		}
 	}
 }
 
 func (c *skipChecker) report() {
 	s, n := c.tally, float64(c.tally.total())
-	c.t.Logf("%s: %d inter blocks: %.1f %% skipped at zero, %.1f %% at the global predictor, %.1f %% searched; P bytes %d, encodeRef %d (%.2fx)",
-		c.name, s.total(), 100*float64(s.zero)/n, 100*float64(s.global)/n, 100*float64(s.searched)/n,
+	c.t.Logf("%s: %d inter blocks: %.1f %% skipped at zero, %.1f %% at the global predictor, %.1f %% searched, %.1f %% coded; P bytes %d, encodeRef %d (%.2fx)",
+		c.name, s.total(), 100*float64(s.zero)/n, 100*float64(s.global)/n, 100*float64(s.searched)/n, 100*float64(s.coded)/n,
 		c.bytes, c.refBytes, float64(c.bytes)/float64(c.refBytes))
 }
 

@@ -22,9 +22,12 @@ import (
 // ErrCorrupt is returned when a payload cannot be decoded.
 var ErrCorrupt = errors.New("video: corrupt payload")
 
+// Frame kinds, the first byte of a payload. Kind 2 was an inter
+// layout with a 16-bit residual for every pixel; no decoder reads it
+// any more, so it reads as unknown.
 const (
 	frameIntra = 1
-	frameInter = 2
+	frameInter = 3
 )
 
 // The codec runs per frame on every client stream, so its transient
@@ -48,10 +51,10 @@ var (
 	}}
 )
 
-// interLevel is the DEFLATE level of inter payloads. With P-skip the
-// match search over the residual plane is the encoder's largest stage;
-// level 4 costs 1.8 % more bytes than the default 6 on MH04 and a
-// fifth less time per eye (CHANGES.md has the measured table).
+// interLevel is the DEFLATE level of inter payloads. On MH04's left
+// eye, with residuals for coded blocks only, level 1 packs 6.7 % more
+// bytes for ~5 % less encode time and level 6 2.4 % fewer for ~20 %
+// more (CHANGES.md has the measured table).
 const interLevel = 4
 
 // getBuf returns a length-n scratch slice; callers must fully
@@ -134,10 +137,10 @@ type Encoder struct {
 
 	// Per-stream scratch reused across frames: the retired
 	// reconstruction becomes the next frame's prediction buffer, and
-	// the MV/residual slices keep their capacity.
+	// the vector/flag and residual slices keep their capacity.
 	spare *img.Gray
-	mvs   []byte
-	diff  []byte
+	head  []byte
+	resid []byte
 
 	// Lengths of the stream's previous intra and inter payloads, which
 	// size the next one's buffer.
@@ -189,47 +192,47 @@ func (e *Encoder) Encode(f *img.Gray) []byte {
 	// block matching captures almost all the signal, leaving only
 	// sensor noise (killed by the deadzone) and dis/occlusions. Most
 	// blocks of a frame did not move at all: those are settled by
-	// skipVector and never searched.
+	// skipVector, never searched, and carry no residual.
 	w, h := f.W, f.H
 	bw := (w + blockSize - 1) / blockSize
 	bh := (h + blockSize - 1) / blockSize
+	blocks := bw * bh
 	gx, gy := globalMotion(e.recon, f)
-	if cap(e.mvs) < bw*bh*2 {
-		e.mvs = make([]byte, bw*bh*2)
+	if cap(e.head) < 3*blocks {
+		e.head = make([]byte, 3*blocks)
 	}
-	mvs := e.mvs[:bw*bh*2] // per-block (dx+64, dy+64)
+	head := e.head[:3*blocks]
+	mvs, coded := head[:2*blocks], head[2*blocks:] // per-block (dx+64, dy+64); 0/1
 	pred := e.spare
 	if pred == nil || pred.W != w || pred.H != h {
 		pred = img.New(w, h)
 	}
 	e.spare = nil
+	if cap(e.resid) < len(f.Pix) {
+		e.resid = make([]byte, 0, len(f.Pix))
+	}
+	resid := e.resid[:0]
 	dz := e.Deadzone
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
-			x0, y0 := bx*blockSize, by*blockSize
+			i, x0, y0 := by*bw+bx, bx*blockSize, by*blockSize
 			dx, dy, skip := skipVector(e.recon, f, x0, y0, gx, gy, dz)
 			if !skip {
 				dx, dy = bestMV(e.recon, f, x0, y0, gx, gy)
 			}
-			mvs[(by*bw+bx)*2] = byte(dx + 64)
-			mvs[(by*bw+bx)*2+1] = byte(dy + 64)
+			mvs[2*i] = byte(dx + 64)
+			mvs[2*i+1] = byte(dy + 64)
 			copyBlock(pred, e.recon, x0, y0, dx, dy)
+			coded[i] = 0
+			if !skip { // a skipped block is inside the deadzone: residual all zero
+				n := len(resid)
+				if resid = appendResidual(resid, pred, f, x0, y0, dz); len(resid) > n {
+					coded[i] = 1
+				}
+			}
 		}
 	}
-	if cap(e.diff) < 2*len(f.Pix) {
-		e.diff = make([]byte, 2*len(f.Pix))
-	}
-	diff := e.diff[:2*len(f.Pix)]
-	for i, v := range f.Pix {
-		d := int(v) - int(pred.Pix[i])
-		if d <= dz && d >= -dz {
-			d = 0
-		}
-		// Signed 16-bit residual: full range, so reconstruction error
-		// is bounded by the deadzone everywhere.
-		binary.LittleEndian.PutUint16(diff[2*i:], uint16(int16(d)))
-		pred.Pix[i] = byte(int(pred.Pix[i]) + d)
-	}
+	e.resid = resid
 	e.spare = e.recon // retired reference becomes next frame's pred buffer
 	e.recon = pred
 	// Delta-code motion vectors against the previous block: panning
@@ -242,12 +245,49 @@ func (e *Encoder) Encode(f *img.Gray) []byte {
 	buf := newPayload(frameInter, w, h, e.interLen)
 	zw := deflInter.Get().(*flate.Writer)
 	zw.Reset(buf)
-	zw.Write(mvs)
-	zw.Write(diff)
+	zw.Write(head)
+	zw.Write(resid)
 	zw.Close()
 	deflInter.Put(zw)
 	e.interLen = buf.Len()
 	return buf.Bytes()
+}
+
+// blockEnd returns the end of the block at (x0, y0) in a w×h frame:
+// the last block row and column are partial when w or h is not a
+// multiple of the block size.
+func blockEnd(x0, y0, w, h int) (x1, y1 int) {
+	return min(x0+blockSize, w), min(y0+blockSize, h)
+}
+
+// appendResidual appends the deadzone-quantized residual of the block
+// at (x0, y0) — cur minus pred, zeroed where it is within dz, row by
+// row — to dst, or nothing if it is all zero, and adds it into pred,
+// which so becomes the block's reconstruction. A residual is coded in
+// one byte, mod 256: the decoder adds it to the prediction mod 256 and
+// lands on the same pixel, so reconstruction error stays bounded by
+// the deadzone everywhere.
+func appendResidual(dst []byte, pred, cur *img.Gray, x0, y0, dz int) []byte {
+	n, nonzero := len(dst), false
+	x1, y1 := blockEnd(x0, y0, cur.W, cur.H)
+	for y := y0; y < y1; y++ {
+		p := pred.Pix[y*pred.W+x0 : y*pred.W+x1]
+		for x, v := range cur.Pix[y*cur.W+x0 : y*cur.W+x1] {
+			d := int(v) - int(p[x])
+			if d <= dz && d >= -dz {
+				d = 0
+			}
+			if d != 0 {
+				nonzero = true
+				p[x] = v
+			}
+			dst = append(dst, byte(d))
+		}
+	}
+	if !nonzero {
+		return dst[:n]
+	}
+	return dst
 }
 
 // EncodeStereo encodes one stereo pair on its two streams at the same
@@ -338,9 +378,43 @@ func skipVector(prev, cur *img.Gray, x0, y0, gx, gy, dz int) (dx, dy int, ok boo
 
 // withinDeadzone reports whether every pixel of the block at (x0, y0)
 // in cur is within dz of prev displaced by (dx, dy), stopping at the
-// first that is not. Out-of-bounds reference pixels are treated as 0,
-// as blockSADRef and copyBlockRef treat them.
+// first row that is not. Out-of-bounds reference pixels are treated as
+// 0, as blockSADRef and copyBlockRef treat them.
 func withinDeadzone(prev, cur *img.Gray, x0, y0, dx, dy, dz int) bool {
+	if !interior(cur, prev, x0, y0, dx, dy) {
+		return withinDeadzoneRef(prev, cur, x0, y0, dx, dy, dz)
+	}
+	// Inside the image a row is one word, split into its even and odd
+	// bytes, each in a 16-bit lane. Biased by 0x7fff-dz, a lane holds
+	// 0x7fff-dz+d, which reaches bit 15 exactly where d > dz, and never
+	// borrows from or carries into its neighbour: that needs the bias
+	// within 0x7f00..0x8000, so dz is clamped to -1..255 first. The
+	// clamp moves no answer, because a difference of two bytes lies in
+	// -255..255: below 0 every pixel fails the test, and at 255 every
+	// one passes.
+	const (
+		lo   = 0x00ff00ff00ff00ff
+		ones = 0x0001000100010001
+		sign = 0x8000800080008000
+	)
+	bias := uint64(0x7fff-min(max(dz, -1), 255)) * ones
+	co, po := y0*cur.W+x0, (y0+dy)*prev.W+x0+dx
+	for r := 0; r < blockSize; r++ {
+		p, c := img.Load8(prev.Pix, po), img.Load8(cur.Pix, co)
+		pe, ce, podd, codd := p&lo, c&lo, p>>8&lo, c>>8&lo
+		if ((pe+bias-ce)|(ce+bias-pe)|(podd+bias-codd)|(codd+bias-podd))&sign != 0 {
+			return false
+		}
+		co += cur.W
+		po += prev.W
+	}
+	return true
+}
+
+// withinDeadzoneRef is withinDeadzone pixel by pixel: the path for
+// border blocks and references that leave the image, and the oracle
+// the fast path is tested against.
+func withinDeadzoneRef(prev, cur *img.Gray, x0, y0, dx, dy, dz int) bool {
 	for y := y0; y < y0+blockSize && y < cur.H; y++ {
 		sy := y + dy
 		for x := x0; x < x0+blockSize && x < cur.W; x++ {
@@ -533,8 +607,17 @@ const (
 	inflateSlack = 64
 )
 
+// errInflate refuses a payload too short for what its header declares.
+// It is built once, so that refusal allocates nothing at all.
+var errInflate = fmt.Errorf("%w: payload too short for its header's dimensions", ErrCorrupt)
+
 // decodePayload parses either frame kind. For inter frames, prev must
 // be the current reconstruction.
+//
+// An inter payload inflates to three planes: the blocks' vectors, two
+// delta-coded bytes each; one flag byte per block, 1 where the block
+// carries a residual and 0 where it does not; and the 8-bit residuals
+// of the flagged blocks, in block order, each block's rows in turn.
 func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
 	if len(data) < 9 {
 		return nil, 0, fmt.Errorf("%w: short header", ErrCorrupt)
@@ -545,25 +628,28 @@ func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
 	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 {
 		return nil, 0, fmt.Errorf("%w: bad dimensions %dx%d", ErrCorrupt, w, h)
 	}
-	// The inflated size the header promises, checked against what the
-	// payload can deliver before anything is allocated for it: both
-	// ends of the uplink decode bytes straight off the network.
+	// The least the payload must inflate to, checked against what it
+	// can deliver before anything is allocated for it: both ends of the
+	// uplink decode bytes straight off the network. An inter frame's
+	// residuals are not counted, and need not be: its output is no
+	// larger than the reference the decoder already holds.
 	bw := (w + blockSize - 1) / blockSize
 	bh := (h + blockSize - 1) / blockSize
-	var plane int
+	blocks := bw * bh
+	var least int
 	switch kind {
 	case frameIntra:
-		plane = w * h
+		least = w * h
 	case frameInter:
 		if prev == nil || prev.W != w || prev.H != h {
 			return nil, 0, fmt.Errorf("%w: inter frame without reference", ErrCorrupt)
 		}
-		plane = bw*bh*2 + 2*w*h
+		least = 3 * blocks
 	default:
 		return nil, 0, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
 	}
-	if int64(plane) > maxInflate*int64(len(data)-9)+inflateSlack {
-		return nil, 0, fmt.Errorf("%w: %d payload bytes cannot inflate to %dx%d", ErrCorrupt, len(data)-9, w, h)
+	if int64(least) > maxInflate*int64(len(data)-9)+inflateSlack {
+		return nil, 0, errInflate
 	}
 	zr := inflPool.Get().(io.ReadCloser)
 	zr.(flate.Resetter).Reset(bytes.NewReader(data[9:]), nil)
@@ -572,8 +658,7 @@ func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
 		inflPool.Put(zr)
 	}()
 	out := img.New(w, h)
-	switch kind {
-	case frameIntra:
+	if kind == frameIntra {
 		rp := getBuf(w * h)
 		defer putBuf(rp)
 		raw := *rp
@@ -589,30 +674,48 @@ func decodePayload(data []byte, prev *img.Gray) (*img.Gray, byte, error) {
 				orow[x] = prevV
 			}
 		}
-	case frameInter:
-		pp := getBuf(plane)
-		defer putBuf(pp)
-		payload := *pp
-		if _, err := io.ReadFull(zr, payload); err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		mvs := payload[:bw*bh*2]
-		for i := 2; i < len(mvs); i += 2 {
-			mvs[i] += mvs[i-2]
-			mvs[i+1] += mvs[i-1]
-		}
-		raw := payload[bw*bh*2:]
-		for by := 0; by < bh; by++ {
-			for bx := 0; bx < bw; bx++ {
-				dx := int(mvs[(by*bw+bx)*2]) - 64
-				dy := int(mvs[(by*bw+bx)*2+1]) - 64
-				copyBlock(out, prev, bx*blockSize, by*blockSize, dx, dy)
+		return out, kind, nil
+	}
+	// The vectors and flags, then a block's residual at a time into the
+	// scratch behind them.
+	hp := getBuf(3*blocks + blockSize*blockSize)
+	defer putBuf(hp)
+	head, blk := (*hp)[:3*blocks], (*hp)[3*blocks:]
+	if _, err := io.ReadFull(zr, head); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	mvs, coded := head[:2*blocks], head[2*blocks:]
+	for i := 2; i < len(mvs); i += 2 {
+		mvs[i] += mvs[i-2]
+		mvs[i+1] += mvs[i-1]
+	}
+	for by := 0; by < bh; by++ {
+		for bx := 0; bx < bw; bx++ {
+			i, x0, y0 := by*bw+bx, bx*blockSize, by*blockSize
+			copyBlock(out, prev, x0, y0, int(mvs[2*i])-64, int(mvs[2*i+1])-64)
+			if coded[i] > 1 {
+				return nil, 0, fmt.Errorf("%w: block %d flagged %d", ErrCorrupt, i, coded[i])
+			}
+			if coded[i] == 0 {
+				continue
+			}
+			x1, y1 := blockEnd(x0, y0, w, h)
+			r := blk[:(x1-x0)*(y1-y0)]
+			if _, err := io.ReadFull(zr, r); err != nil {
+				return nil, 0, fmt.Errorf("%w: residual of block %d: %v", ErrCorrupt, i, err)
+			}
+			for y := y0; y < y1; y++ {
+				row := out.Pix[y*w+x0 : y*w+x1]
+				for x := range row {
+					row[x] += r[x]
+				}
+				r = r[len(row):]
 			}
 		}
-		for i := 0; i < w*h; i++ {
-			d := int(int16(binary.LittleEndian.Uint16(raw[2*i:])))
-			out.Pix[i] = byte(int(out.Pix[i]) + d)
-		}
+	}
+	// The stream must end with the last flagged block.
+	if n, err := zr.Read(blk[:1]); n != 0 || err != io.EOF {
+		return nil, 0, fmt.Errorf("%w: bytes after the last coded block", ErrCorrupt)
 	}
 	return out, kind, nil
 }

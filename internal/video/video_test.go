@@ -2,8 +2,10 @@ package video
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -289,4 +291,195 @@ func TestEncodeStereoConcurrentSessions(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
+}
+
+// panStream returns a short 45×38 stream — an intra payload, then the
+// P payloads that follow it — from a textured pan: frames with a
+// partial last block row and column, some blocks skipped, some coded,
+// and enough blocks that a bare inter header outruns its payload. The
+// payloads stay small, so the fuzzer can minimize what it finds.
+func panStream(t testing.TB) [][]byte {
+	rng := rand.New(rand.NewSource(7))
+	world := img.New(64, 48)
+	for i := range world.Pix {
+		x, y := i%world.W, i/world.W
+		world.Pix[i] = byte(40*((x/6+y/5)%5) + rng.Intn(40))
+	}
+	enc := NewEncoder()
+	var stream [][]byte
+	for k := 0; k < 4; k++ {
+		stream = append(stream, enc.Encode(pan(world, 3*k, k, 45, 38, rng)))
+	}
+	if !IsIntra(stream[0]) || IsIntra(stream[1]) {
+		t.Fatal("want an intra payload, then P payloads")
+	}
+	return stream
+}
+
+// deflateInter packs inflated inter planes behind a header of the
+// given kind and dimensions, as the encoder packs them.
+func deflateInter(kind byte, w, h int, raw []byte) []byte {
+	buf := newPayload(kind, w, h, 0)
+	zw, _ := flate.NewWriter(buf, interLevel)
+	zw.Write(raw)
+	zw.Close()
+	return buf.Bytes()
+}
+
+// TestDecodeRejectsMalformedInter hands a decoder that holds the right
+// reference inter payloads that are one edit away from a real one, and
+// a payload in the 16-bit layout that kind 2 once named. Each must fail
+// with ErrCorrupt and leave the reference as it was.
+func TestDecodeRejectsMalformedInter(t *testing.T) {
+	stream := panStream(t)
+	raw, w, h, blocks := inflateInter(t, stream[1])
+	coded, uncoded := -1, -1 // the first block of each
+	for i, c := range raw[2*blocks : 3*blocks] {
+		if c == 1 && coded < 0 {
+			coded = i
+		}
+		if c == 0 && uncoded < 0 {
+			uncoded = i
+		}
+	}
+	if coded < 0 || uncoded < 0 {
+		t.Fatal("want a P payload with coded and uncoded blocks")
+	}
+	relabelled := append([]byte(nil), stream[1]...)
+	relabelled[0] = 2
+	edit := func(f func(r []byte) []byte) []byte {
+		return f(append([]byte(nil), raw...))
+	}
+	// The 16-bit layout kind 2 named: delta-coded vectors, then a
+	// signed 16-bit residual for every pixel; a few nonzero, as a real
+	// frame has.
+	wide := make([]byte, 2*blocks+2*w*h)
+	wide[0], wide[1] = 64, 64
+	for i := 0; i < w*h; i += 97 {
+		binary.LittleEndian.PutUint16(wide[2*blocks+2*i:], uint16(int16(i%13-6)))
+	}
+	ref := NewDecoder()
+	if _, err := ref.Decode(stream[0]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Decode(stream[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"16-bit layout, kind 2", deflateInter(2, w, h, wide)},
+		{"this layout labelled kind 2", relabelled},
+		{"16-bit layout relabelled kind 3", deflateInter(frameInter, w, h, wide)},
+		{"16-bit layout, all zero, relabelled kind 3", deflateInter(frameInter, w, h, make([]byte, 2*blocks+2*w*h))},
+		{"a coded block flagged 2", deflateInter(frameInter, w, h, edit(func(r []byte) []byte { r[2*blocks+coded] = 2; return r }))},
+		{"an uncoded block flagged 255", deflateInter(frameInter, w, h, edit(func(r []byte) []byte { r[2*blocks+uncoded] = 255; return r }))},
+		{"residuals one byte short", deflateInter(frameInter, w, h, raw[:len(raw)-1])},
+		{"no residuals", deflateInter(frameInter, w, h, raw[:3*blocks])},
+		{"a byte after the last coded block", deflateInter(frameInter, w, h, append(raw[:len(raw):len(raw)], 0))},
+		{"an uncoded block flagged 1", deflateInter(frameInter, w, h, edit(func(r []byte) []byte { r[2*blocks+uncoded] = 1; return r }))},
+		{"DEFLATE stream cut short", stream[1][:len(stream[1])-2]},
+	} {
+		dec := NewDecoder()
+		if _, err := dec.Decode(stream[0]); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := dec.Decode(c.payload); !errors.Is(err, ErrCorrupt) || f != nil {
+			t.Errorf("%s: Decode = (frame %v, %v), want ErrCorrupt and no frame", c.name, f != nil, err)
+		}
+		// The reference is untouched: the real P payload still decodes
+		// as it does in an unbroken stream.
+		if got, err := dec.Decode(stream[1]); err != nil || !bytes.Equal(got.Pix, want.Pix) {
+			t.Errorf("%s: the stream does not resume after the refused payload (%v)", c.name, err)
+		}
+	}
+	// Repacked unedited, the planes decode.
+	dec := NewDecoder()
+	dec.Decode(stream[0])
+	if got, err := dec.Decode(deflateInter(frameInter, w, h, raw)); err != nil || !bytes.Equal(got.Pix, want.Pix) {
+		t.Errorf("the unedited planes, repacked, do not decode as the payload (%v)", err)
+	}
+}
+
+// refusedUnread reports whether decodePayload must refuse payload
+// before it allocates: its header declares more than its bytes can
+// inflate to, for a kind the decoder would otherwise read.
+func refusedUnread(payload []byte, ref *img.Gray) bool {
+	if len(payload) < 9 {
+		return false
+	}
+	w := int(binary.LittleEndian.Uint32(payload[1:]))
+	h := int(binary.LittleEndian.Uint32(payload[5:]))
+	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 {
+		return false
+	}
+	least := int64(w) * int64(h)
+	switch payload[0] {
+	case frameIntra:
+	case frameInter:
+		if ref == nil || ref.W != w || ref.H != h {
+			return false
+		}
+		least = 3 * int64((w+blockSize-1)/blockSize) * int64((h+blockSize-1)/blockSize)
+	default:
+		return false
+	}
+	return least > maxInflate*int64(len(payload)-9)+inflateSlack
+}
+
+// FuzzDecode feeds arbitrary bytes to a decoder that holds a valid
+// intra reference, as a server's decoder reads them off the network.
+// Decode must not panic; it returns ErrCorrupt or a frame of the
+// header's dimensions; a payload whose header outruns its bytes is
+// refused with nothing allocated; and an inter payload it accepts has
+// flags of 0 or 1 and exactly the residual bytes they call for.
+func FuzzDecode(f *testing.F) {
+	stream := panStream(f)
+	for _, p := range stream {
+		f.Add(p)
+		f.Add(p[:len(p)-1])
+		f.Add(p[:len(p)/2])
+		f.Add(p[:10])
+		f.Add(p[:9])
+	}
+	f.Add([]byte{frameIntra, 0, 0x40, 0, 0, 0, 0x40, 0, 0, 0x78})
+	ref := NewDecoder()
+	if _, err := ref.Decode(stream[0]); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dec := &Decoder{recon: ref.recon.Clone()}
+		if refusedUnread(payload, dec.recon) {
+			// testing.AllocsPerRun stalls the fuzzing engine; one
+			// reading either side of the call does not.
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err := dec.Decode(payload)
+			runtime.ReadMemStats(&m1)
+			if allocs := m1.Mallocs - m0.Mallocs; allocs != 0 {
+				t.Fatalf("refusing a %d-byte payload took %d allocations", len(payload), allocs)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("header beyond its payload: err = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		got, err := dec.Decode(payload)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		w := int(binary.LittleEndian.Uint32(payload[1:]))
+		h := int(binary.LittleEndian.Uint32(payload[5:]))
+		if got.W != w || got.H != h || len(got.Pix) != w*h {
+			t.Fatalf("decoded a %dx%d frame (%d pixels) from a %dx%d header", got.W, got.H, len(got.Pix), w, h)
+		}
+		if payload[0] == frameInter {
+			inflateInter(t, payload)
+		}
+	})
 }
