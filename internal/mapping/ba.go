@@ -6,6 +6,7 @@ import (
 	"slamshare/internal/camera"
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
+	"slamshare/internal/obs"
 	"slamshare/internal/optimize"
 	"slamshare/internal/smap"
 )
@@ -135,11 +136,14 @@ func windowIDs(m *smap.Map, anchor smap.ID, n int) []smap.ID {
 // setters, which bump versions so concurrent snapshot readers never see
 // a torn pose and stale views invalidate, or a merge transaction's
 // recording ones. It returns the keyframes and map points it rewrote
-// and the observations the solve classed as outliers.
+// and the observations the solve classed as outliers. The solve's work
+// goes to tr's counters: optimize.ba_obs_iters (iterations times
+// observations) and optimize.ba_schur_dim (the reduced camera system's
+// dimension).
 func BundleAdjust(m *smap.Map, w interface {
 	SetKeyFramePose(smap.ID, geom.SE3)
 	SetMapPointPos(smap.ID, geom.Vec3)
-}, intr camera.Intrinsics, bf float64, free, fixed []smap.ID, maxOutside, minObs, iters int) (kfs, mps []smap.ID, outliers []obsRef) {
+}, intr camera.Intrinsics, bf float64, free, fixed []smap.ID, maxOutside, minObs, iters int, tr *obs.Tracer) (kfs, mps []smap.ID, outliers []obsRef) {
 	win := gatherBA(m, intr, bf, free, fixed, maxOutside)
 	if len(win.prob.Obs) < minObs {
 		return nil, nil, nil
@@ -151,6 +155,9 @@ func BundleAdjust(m *smap.Map, w interface {
 			kfs = append(kfs, id)
 		}
 	}
+	reg := tr.Registry()
+	reg.Counter("optimize.ba_obs_iters").Add(int64(res.Iterations) * int64(len(win.prob.Obs)))
+	reg.Counter("optimize.ba_schur_dim").Add(6 * int64(len(kfs)))
 	for pi, id := range win.ptIDs {
 		w.SetMapPointPos(id, win.prob.Points[pi])
 	}

@@ -7,6 +7,7 @@
 package mapping
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -315,7 +316,8 @@ func (mm *Mapper) fuse(kf *smap.KeyFrame) int {
 	if !ok {
 		return 0
 	}
-	fused := 0
+	grid := newKPGrid(kf.Keypoints, mm.Rig.Intr.Width, mm.Rig.Intr.Height, mm.Cfg.ReprojTol)
+	fused, looked, compared := 0, 0, 0
 	bound := make(map[smap.ID]bool)
 	for _, id := range bindings {
 		if id != 0 {
@@ -334,20 +336,8 @@ func (mm *Mapper) fuse(kf *smap.KeyFrame) int {
 		if !visible {
 			continue
 		}
-		bestI, bestD := -1, feature.MatchThresholdStrict+1
-		for i, kp := range kf.Keypoints {
-			if bindings[i] != 0 {
-				continue
-			}
-			dx := kp.X - px.X
-			dy := kp.Y - px.Y
-			if dx*dx+dy*dy > mm.Cfg.ReprojTol*mm.Cfg.ReprojTol*4 {
-				continue
-			}
-			if d := feature.Distance(mp.Desc, kp.Desc); d < bestD {
-				bestI, bestD = i, d
-			}
-		}
+		bestI, l, c := grid.match(kf.Keypoints, bindings, px, mp.Desc)
+		looked, compared = looked+l, compared+c
 		if bestI >= 0 {
 			if err := mm.Map.AddObservation(kf.ID, mp.ID, bestI); err == nil {
 				bindings[bestI] = mp.ID
@@ -356,7 +346,115 @@ func (mm *Mapper) fuse(kf *smap.KeyFrame) int {
 			}
 		}
 	}
+	reg := mm.Obs.Registry()
+	reg.Counter("mapping.fuse_keypoints").Add(int64(looked))
+	reg.Counter("mapping.fuse_comparisons").Add(int64(compared))
 	return fused
+}
+
+// kpGrid buckets a keyframe's keypoints into square cells, in index
+// order within a cell, so that fusion looks only at the keypoints near
+// a projection instead of at every keypoint of the keyframe.
+type kpGrid struct {
+	r2    float64 // fusion radius, squared
+	reach float64 // how far from a projection the cell walk looks
+	cell  float64 // cell side in pixels
+	cols  int
+	rows  int
+	start []int32 // cell r*cols+c holds idx[start[r*cols+c]:start[r*cols+c+1]]
+	idx   []int32
+}
+
+// newKPGrid buckets kps, finite keypoints of a width x height image,
+// for fusion within 2·tol pixels. A keypoint off the image goes to the
+// nearest edge cell, where every walk that reaches past the edge looks.
+func newKPGrid(kps []feature.Keypoint, width, height int, tol float64) *kpGrid {
+	r2 := tol * tol * 4
+	// The walk reaches a micro-pixel past the radius, so rounding in the
+	// radius test can never accept a keypoint in a cell it skips. The
+	// cell floor keeps the grid small for a tiny tolerance.
+	g := &kpGrid{r2: r2, reach: math.Sqrt(r2) + 1e-6, cell: 8}
+	if 2*g.reach > g.cell {
+		g.cell = 2 * g.reach
+	}
+	g.cols = max(1, int(math.Ceil(float64(width)/g.cell)))
+	g.rows = max(1, int(math.Ceil(float64(height)/g.cell)))
+	g.start = make([]int32, g.cols*g.rows+1)
+	for i := range kps {
+		g.start[g.cellOf(&kps[i])+1]++
+	}
+	for c := 1; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
+	next := slices.Clone(g.start[:len(g.start)-1])
+	g.idx = make([]int32, len(kps))
+	for i := range kps {
+		c := g.cellOf(&kps[i])
+		g.idx[next[c]] = int32(i)
+		next[c]++
+	}
+	return g
+}
+
+// axis returns the cell, of the n along one axis, that coordinate v
+// falls in, clamped to the grid.
+func (g *kpGrid) axis(v float64, n int) int {
+	f := math.Floor(v / g.cell)
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= float64(n-1):
+		return n - 1
+	}
+	return int(f)
+}
+
+func (g *kpGrid) cellOf(kp *feature.Keypoint) int {
+	return g.axis(kp.Y, g.rows)*g.cols + g.axis(kp.X, g.cols)
+}
+
+// span returns the first and last cell, along an axis of n cells, that
+// the walk around coordinate v visits.
+func (g *kpGrid) span(v float64, n int) (lo, hi int) {
+	top := v + g.reach
+	if top != top { // a NaN passes the radius test everywhere
+		return 0, n - 1
+	}
+	return g.axis(v-g.reach, n), g.axis(top, n)
+}
+
+// match picks the keypoint fusion binds a point with descriptor desc,
+// projected at px, to: among the unbound keypoints within the radius,
+// the one whose descriptor is nearest, at most MatchThresholdStrict
+// away, the lowest index on a tie; -1 when there is none. That is what
+// a scan over every keypoint in index order picks (fuseMatchLinear,
+// the test oracle). It also returns how many keypoints it looked at
+// and how many descriptors it compared.
+func (g *kpGrid) match(kps []feature.Keypoint, bindings []smap.ID, px geom.Vec2, desc feature.Descriptor) (best, looked, compared int) {
+	best, bestD := -1, feature.MatchThresholdStrict+1
+	c0, c1 := g.span(px.X, g.cols)
+	r0, r1 := g.span(px.Y, g.rows)
+	for r := r0; r <= r1; r++ {
+		// The cells c0..c1 of one row are contiguous in idx.
+		cells := g.idx[g.start[r*g.cols+c0]:g.start[r*g.cols+c1+1]]
+		looked += len(cells)
+		for _, i := range cells {
+			if bindings[i] != 0 {
+				continue
+			}
+			kp := &kps[i]
+			dx := kp.X - px.X
+			dy := kp.Y - px.Y
+			if dx*dx+dy*dy > g.r2 {
+				continue
+			}
+			compared++
+			if d := feature.Distance(desc, kp.Desc); d < bestD || d == bestD && int(i) < best {
+				best, bestD = int(i), d
+			}
+		}
+	}
+	return best, looked, compared
 }
 
 // localBA bundle-adjusts the covisibility window around kf — its
@@ -370,7 +468,7 @@ func (mm *Mapper) localBA(kf *smap.KeyFrame) {
 	if mm.Rig.Mode == camera.Stereo {
 		bf = mm.Rig.Intr.Fx * mm.Rig.Baseline
 	}
-	_, _, outliers := BundleAdjust(mm.Map, mm.Map, mm.Rig.Intr, bf, window, nil, 8, 10, mm.Cfg.BAIters)
+	_, _, outliers := BundleAdjust(mm.Map, mm.Map, mm.Rig.Intr, bf, window, nil, 8, 10, mm.Cfg.BAIters, mm.Obs)
 	// Detach observations flagged as outliers so they stop polluting
 	// future tracking and adjustments.
 	for _, o := range outliers {

@@ -588,6 +588,6 @@ func (mg *Merger) seamBA(tx *txn, al Alignment) ([]smap.ID, []smap.ID) {
 		return append(ids, anchor)
 	}
 	kfs, mps, _ := mapping.BundleAdjust(mg.Global, tx, mg.Intr, 0,
-		side(al.ClientKF), side(al.GlobalKF), 0, 20, seamBAIters)
+		side(al.ClientKF), side(al.GlobalKF), 0, 20, seamBAIters, mg.Obs)
 	return kfs, mps
 }

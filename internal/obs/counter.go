@@ -7,17 +7,27 @@ import (
 
 // Counter is a monotonically increasing atomic counter, cheap enough
 // for hot paths (journal records, checkpoint counts). The zero value
-// is ready to use.
+// is ready to use, and a nil *Counter (what a nil Registry hands out)
+// counts nothing.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
+func (c *Counter) Load() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge holds one float64 value updated atomically (e.g. the
 // recovery-time ATE delta). The zero value reads 0.

@@ -183,6 +183,12 @@ func TestNilSafety(t *testing.T) {
 	if reg.Histogram("h") != nil {
 		t.Error("nil registry must return nil histogram")
 	}
+	c := tr.Registry().Counter("c")
+	c.Add(2) // must not panic
+	c.Inc()
+	if c != nil || c.Load() != 0 {
+		t.Error("nil registry must return a nil counter that counts nothing")
+	}
 }
 
 func TestRegistrySnapshotAndHandler(t *testing.T) {

@@ -91,6 +91,12 @@ func (p *BAProblem) chi2(outlier []bool) float64 {
 // Solve runs Levenberg-Marquardt with Schur elimination of the point
 // blocks for at most maxIters iterations. Cameras and points are
 // updated in place.
+//
+// Every buffer is allocated once per call, not per iteration: the
+// trial cameras and points double-buffer across accepted and rejected
+// steps, and the reduced camera system is formed and solved in place
+// in hcc and bc. The floating-point operations are solveRef's, in its
+// order, so the two agree bit for bit (FuzzSolveMatchesRef).
 func (p *BAProblem) Solve(maxIters int) BAResult {
 	nc := len(p.Cams)
 	np := len(p.Points)
@@ -135,17 +141,33 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 		}
 		return hi
 	}
+	n := nv * 6
+	hcc := make([]float64, n*n) // dense camera block (local windows are small)
+	bc := make([]float64, n)
+	hpp := make([][9]float64, np) // 3x3 per point
+	hppInv := make([][9]float64, np)
+	bp := make([][3]float64, np) // rhs per point
+	rots := make([]geom.Mat3, nc)
+	// A step is written into the buffer p does not hold; accepting it
+	// hands that buffer to p and frees the other for the next step.
+	camBuf := make([]geom.SE3, 2*nc)
+	ptBuf := make([]geom.Vec3, 2*np)
+	newCams, spareCams := camBuf[:nc:nc], camBuf[nc:]
+	newPts, sparePts := ptBuf[:np:np], ptBuf[np:]
 	res.InitChi2 = p.chi2(nil)
 	lambda := 1e-4
 	cur := res.InitChi2
 	for iter := 0; iter < maxIters; iter++ {
 		res.Iterations = iter + 1
 		// Assemble the normal equations in block form.
-		hcc := make([]float64, (nv*6)*(nv*6)) // dense camera block (local windows are small)
-		bc := make([]float64, nv*6)
-		hpp := make([][9]float64, np) // 3x3 per point
-		bp := make([]geom.Vec3, np)   // rhs per point
+		clear(hcc)
+		clear(bc)
+		clear(hpp)
+		clear(bp)
 		hcp = hcp[:0]
+		for i := range rots {
+			rots[i] = p.Cams[i].R.Mat()
+		}
 
 		for _, oi := range order {
 			if res.Outliers[oi] {
@@ -153,8 +175,7 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 			}
 			ob := &p.Obs[oi]
 			cv := camVar[ob.Cam]
-			tcw := p.Cams[ob.Cam]
-			pc := tcw.Apply(p.Points[ob.Pt])
+			pc := p.Cams[ob.Cam].Apply(p.Points[ob.Pt])
 			if pc.Z < 0.05 {
 				continue
 			}
@@ -165,99 +186,79 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 			resv, jp, rows := p.residual(ob, pc)
 			rn := math.Sqrt(resv[0]*resv[0]+resv[1]*resv[1]+resv[2]*resv[2]) / s
 			w := huberWeight(rn) / (s * s)
-			// Camera Jacobian rows (rows x 6).
-			var jc [3][6]float64
-			if cv >= 0 {
-				hat := pc.Hat()
-				for rr := 0; rr < rows; rr++ {
-					jc[rr][0] = jp[rr][0]
-					jc[rr][1] = jp[rr][1]
-					jc[rr][2] = jp[rr][2]
-					for c := 0; c < 3; c++ {
-						jc[rr][3+c] = -(jp[rr][0]*hat[0*3+c] + jp[rr][1]*hat[1*3+c] + jp[rr][2]*hat[2*3+c])
-					}
-				}
-			}
 			// Point Jacobian rows (rows x 3): J_proj * R.
-			rot := tcw.R.Mat()
+			rot := &rots[ob.Cam]
 			var jpt [3][3]float64
 			for rr := 0; rr < rows; rr++ {
 				for c := 0; c < 3; c++ {
 					jpt[rr][c] = jp[rr][0]*rot[0*3+c] + jp[rr][1]*rot[1*3+c] + jp[rr][2]*rot[2*3+c]
 				}
 			}
-			// Accumulate camera-camera block.
-			if cv >= 0 {
-				base := cv * 6
-				for rr := 0; rr < rows; rr++ {
-					for a := 0; a < 6; a++ {
-						bc[base+a] -= w * jc[rr][a] * resv[rr]
-						for c := 0; c < 6; c++ {
-							hcc[(base+a)*(nv*6)+base+c] += w * jc[rr][a] * jc[rr][c]
-						}
+			// Point-point block and rhs.
+			pp, bpt := &hpp[ob.Pt], &bp[ob.Pt]
+			for rr := 0; rr < rows; rr++ {
+				jr, er := &jpt[rr], resv[rr]
+				for a := 0; a < 3; a++ {
+					wa := w * jr[a]
+					bpt[a] -= wa * er
+					for c := 0; c < 3; c++ {
+						pp[a*3+c] += wa * jr[c]
 					}
 				}
 			}
-			// Point-point block and rhs.
-			pp := &hpp[ob.Pt]
+			if cv < 0 {
+				continue
+			}
+			// Camera Jacobian rows (rows x 6).
+			var jc [3][6]float64
+			hat := pc.Hat()
 			for rr := 0; rr < rows; rr++ {
-				for a := 0; a < 3; a++ {
-					switch a {
-					case 0:
-						bp[ob.Pt].X -= w * jpt[rr][a] * resv[rr]
-					case 1:
-						bp[ob.Pt].Y -= w * jpt[rr][a] * resv[rr]
-					default:
-						bp[ob.Pt].Z -= w * jpt[rr][a] * resv[rr]
+				jc[rr][0] = jp[rr][0]
+				jc[rr][1] = jp[rr][1]
+				jc[rr][2] = jp[rr][2]
+				for c := 0; c < 3; c++ {
+					jc[rr][3+c] = -(jp[rr][0]*hat[0*3+c] + jp[rr][1]*hat[1*3+c] + jp[rr][2]*hat[2*3+c])
+				}
+			}
+			// Camera-camera block, its rhs and the camera-point block.
+			hcp = append(hcp, cpBlock{cv: cv, pt: ob.Pt})
+			blk := &hcp[len(hcp)-1].blk
+			base := cv * 6
+			for rr := 0; rr < rows; rr++ {
+				jr, jq, er := &jc[rr], &jpt[rr], resv[rr]
+				for a := 0; a < 6; a++ {
+					wa := w * jr[a]
+					bc[base+a] -= wa * er
+					row := hcc[(base+a)*n+base:][:6]
+					for c := range row {
+						row[c] += wa * jr[c]
 					}
 					for c := 0; c < 3; c++ {
-						pp[a*3+c] += w * jpt[rr][a] * jpt[rr][c]
-					}
-				}
-			}
-			// Camera-point block.
-			if cv >= 0 {
-				hcp = append(hcp, cpBlock{cv: cv, pt: ob.Pt})
-				blk := &hcp[len(hcp)-1].blk
-				for rr := 0; rr < rows; rr++ {
-					for a := 0; a < 6; a++ {
-						for c := 0; c < 3; c++ {
-							blk[a*3+c] += w * jc[rr][a] * jpt[rr][c]
-						}
+						blk[a*3+c] += wa * jq[c]
 					}
 				}
 			}
 		}
 		// LM damping.
-		for i := 0; i < nv*6; i++ {
-			hcc[i*(nv*6)+i] *= 1 + lambda
-			hcc[i*(nv*6)+i] += 1e-9
+		for i := 0; i < n; i++ {
+			hcc[i*n+i] *= 1 + lambda
+			hcc[i*n+i] += 1e-9
 		}
-		hppInv := make([][9]float64, np)
 		for i := 0; i < np; i++ {
 			m := hpp[i]
 			for d := 0; d < 3; d++ {
 				m[d*3+d] *= 1 + lambda
 				m[d*3+d] += 1e-9
 			}
-			inv, ok := invert3(m)
-			if !ok {
-				// Unconstrained point: zero inverse freezes it.
-				inv = [9]float64{}
-			}
-			hppInv[i] = inv
+			// An unconstrained point gets a zero inverse, which freezes it.
+			hppInv[i], _ = invert3(m)
 		}
-		// Schur complement: S = Hcc - Hcp Hpp^-1 Hcp^T,
-		// rhs = bc - Hcp Hpp^-1 bp.
-		s := make([]float64, len(hcc))
-		copy(s, hcc)
-		rhs := make([]float64, len(bc))
-		copy(rhs, bc)
+		// Schur complement, in place: Hcc -= Hcp Hpp^-1 Hcp^T,
+		// bc -= Hcp Hpp^-1 bp.
 		for lo, hi := 0, 0; lo < len(hcp); lo = hi {
 			hi = run(lo)
 			pt, ents := hcp[lo].pt, hcp[lo:hi]
-			inv := hppInv[pt]
-			bpv := [3]float64{bp[pt].X, bp[pt].Y, bp[pt].Z}
+			inv, bpv := &hppInv[pt], &bp[pt]
 			// y = Hpp^-1 bp
 			var y [3]float64
 			for a := 0; a < 3; a++ {
@@ -268,45 +269,41 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 			for i1 := range ents {
 				cv1 := ents[i1].cv
 				b1 := &ents[i1].blk
-				// rhs -= Hcp * y
-				for a := 0; a < 6; a++ {
+				// bc -= Hcp * y
+				rhs := bc[cv1*6:][:6]
+				for a := range rhs {
 					for c := 0; c < 3; c++ {
-						rhs[cv1*6+a] -= b1[a*3+c] * y[c]
+						rhs[a] -= b1[a*3+c] * y[c]
 					}
 				}
-				// W = Hcp * Hpp^-1 (6x3)
+				// W = Hcp * Hpp^-1 (6x3). The three-term sums are
+				// solveRef's loops unrolled, starting from its zero.
 				var wblk [18]float64
 				for a := 0; a < 6; a++ {
+					br := b1[a*3:][:3]
 					for c := 0; c < 3; c++ {
-						for k := 0; k < 3; k++ {
-							wblk[a*3+c] += b1[a*3+k] * inv[k*3+c]
-						}
+						wblk[a*3+c] = 0 + br[0]*inv[c] + br[1]*inv[3+c] + br[2]*inv[6+c]
 					}
 				}
 				for i2 := range ents {
 					cv2 := ents[i2].cv
 					b2 := &ents[i2].blk
-					// S[cv1, cv2] -= W * Hcp2^T
+					// Hcc[cv1, cv2] -= W * Hcp2^T
 					for a := 0; a < 6; a++ {
-						for c := 0; c < 6; c++ {
-							var acc float64
-							for k := 0; k < 3; k++ {
-								acc += wblk[a*3+k] * b2[c*3+k]
-							}
-							s[(cv1*6+a)*(nv*6)+cv2*6+c] -= acc
+						row := hcc[(cv1*6+a)*n+cv2*6:][:6]
+						w0, w1, w2 := wblk[a*3], wblk[a*3+1], wblk[a*3+2]
+						for c := range row {
+							bc2 := b2[c*3:][:3]
+							row[c] -= 0 + w0*bc2[0] + w1*bc2[1] + w2*bc2[2]
 						}
 					}
 				}
 			}
 		}
-		// Solve the reduced camera system.
-		delta := make([]float64, len(rhs))
-		copy(delta, rhs)
-		sC := make([]float64, len(s))
-		copy(sC, s)
-		camOK := nv > 0 && geom.CholeskySolve(sC, delta, nv*6) == nil
+		// Solve the reduced camera system; bc becomes the camera step.
+		camOK := nv > 0 && geom.CholeskySolve(hcc, bc, n) == nil
+		delta := bc
 		// Back-substitute points: dp = Hpp^-1 (bp - Hcp^T dc).
-		newCams := make([]geom.SE3, nc)
 		copy(newCams, p.Cams)
 		if camOK {
 			for i := 0; i < nc; i++ {
@@ -318,24 +315,24 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 				newCams[i] = applySE3Delta(p.Cams[i], d)
 			}
 		}
-		newPts := make([]geom.Vec3, np)
 		copy(newPts, p.Points)
 		for lo, hi := 0, 0; lo < len(hcp); lo = hi {
 			hi = run(lo)
 			pt, ents := hcp[lo].pt, hcp[lo:hi]
-			bpv := [3]float64{bp[pt].X, bp[pt].Y, bp[pt].Z}
+			bpv := bp[pt]
 			if camOK {
 				for i := range ents {
 					cv := ents[i].cv
 					b := &ents[i].blk
+					dc := delta[cv*6:][:6]
 					for c := 0; c < 3; c++ {
-						for a := 0; a < 6; a++ {
-							bpv[c] -= b[a*3+c] * delta[cv*6+a]
+						for a := range dc {
+							bpv[c] -= b[a*3+c] * dc[a]
 						}
 					}
 				}
 			}
-			inv := hppInv[pt]
+			inv := &hppInv[pt]
 			var dp [3]float64
 			for a := 0; a < 3; a++ {
 				for c := 0; c < 3; c++ {
@@ -349,6 +346,8 @@ func (p *BAProblem) Solve(maxIters int) BAResult {
 		p.Cams, p.Points = newCams, newPts
 		newChi := p.chi2(res.Outliers)
 		if newChi < cur {
+			newCams, spareCams = spareCams, newCams
+			newPts, sparePts = sparePts, newPts
 			cur = newChi
 			lambda = math.Max(lambda*0.5, 1e-9)
 			if (res.InitChi2 - newChi) < 1e-9*res.InitChi2 {
