@@ -1,6 +1,7 @@
 package client
 
 import (
+	"math"
 	"testing"
 
 	"slamshare/internal/camera"
@@ -174,5 +175,50 @@ func TestBuildUplinkCountsBytes(t *testing.T) {
 		if got := c.UplinkBytes(); got != want {
 			t.Errorf("after a %v uplink: UplinkBytes() = %d, want %d", mode, got, want)
 		}
+	}
+}
+
+// TestKeypointFrameWireExact: the split-mode uplinks of MH04 and MH05
+// decode to exactly the keypoints BuildKeypointFrame built, every field
+// bit for bit, and each encodes in the compact record's size: the
+// 182-byte head (with its prior), 47 bytes a keypoint and 16 more for a
+// stereo-matched one.
+func TestKeypointFrameWireExact(t *testing.T) {
+	bits := math.Float64bits
+	for _, seq := range []*dataset.Sequence{dataset.MH04(camera.Stereo), dataset.MH05(camera.Stereo)} {
+		c := New(1, seq)
+		total, matched := 0, 0
+		for i := 20; i < 52; i += 2 {
+			msg := c.BuildKeypointFrame(i)
+			data := msg.Encode()
+			got, err := protocol.DecodeKeypointMsg(data)
+			if err != nil {
+				t.Fatalf("%s frame %d: %v", seq.Name, i, err)
+			}
+			if len(got.Kps) != len(msg.Kps) || len(msg.Kps) == 0 {
+				t.Fatalf("%s frame %d: %d keypoints decoded, %d built", seq.Name, i, len(got.Kps), len(msg.Kps))
+			}
+			m := 0
+			for k := range msg.Kps {
+				a, b := &msg.Kps[k], &got.Kps[k]
+				if bits(a.X) != bits(b.X) || bits(a.Y) != bits(b.Y) || a.Level != b.Level ||
+					bits(a.Angle) != bits(b.Angle) || bits(a.Score) != bits(b.Score) || a.Desc != b.Desc ||
+					bits(a.Right) != bits(b.Right) || bits(a.Depth) != bits(b.Depth) {
+					t.Fatalf("%s frame %d keypoint %d: built %+v, decoded %+v", seq.Name, i, k, *a, *b)
+				}
+				if a.Right >= 0 {
+					m++
+				} else if bits(a.Right) != bits(-1) || bits(a.Depth) != 0 {
+					t.Fatalf("%s frame %d keypoint %d: unmatched with Right %v, Depth %v", seq.Name, i, k, a.Right, a.Depth)
+				}
+			}
+			want := 182 + 47*len(msg.Kps) + 16*m
+			if len(data) != want || msg.EncodedLen() != want {
+				t.Fatalf("%s frame %d: %d bytes, EncodedLen %d, want %d", seq.Name, i, len(data), msg.EncodedLen(), want)
+			}
+			total += len(msg.Kps)
+			matched += m
+		}
+		t.Logf("%s: %d keypoints in 16 frames, %.1f %% stereo-matched", seq.Name, total, 100*float64(matched)/float64(total))
 	}
 }

@@ -357,23 +357,15 @@ func (f *Front) serveSession(client net.Conn) {
 			routed = true
 		case protocol.TypeBye:
 			return
-		case protocol.TypeFrame:
+		case protocol.TypeFrame, protocol.TypeKeypoint:
+			// The first uplink — a video frame, or a keypoint frame from a
+			// session pinned to split mode — routes the session by its
+			// world-frame prior, peeked as (*session).uplink peeks it.
 			if s.helloRaw == nil {
 				return // frame before hello
 			}
-			if fm, err := protocol.DecodeFrameMsg(payload); err == nil && fm.HasPrior {
-				s.cur = f.cfg.Part.Shard(fm.Prior.T.X)
-			}
-			pending = append(pending, message{mt, payload})
-			routed = true
-		case protocol.TypeKeypoint:
-			// A session pinned to split mode opens with a keypoint frame,
-			// never a video frame; route it by the same world-frame prior.
-			if s.helloRaw == nil {
-				return
-			}
-			if km, err := protocol.DecodeKeypointMsg(payload); err == nil && km.HasPrior {
-				s.cur = f.cfg.Part.Shard(km.Prior.T.X)
+			if h, _, _, err := protocol.PeekUplink(mt, payload); err == nil && h.HasPrior {
+				s.cur = f.cfg.Part.Shard(h.Prior.T.X)
 			}
 			pending = append(pending, message{mt, payload})
 			routed = true

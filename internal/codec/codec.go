@@ -28,6 +28,7 @@ var ErrShort = errors.New("codec: short input")
 type Writer struct{ B []byte }
 
 func (w *Writer) U8(v byte)     { w.B = append(w.B, v) }
+func (w *Writer) U16(v uint16)  { w.B = binary.LittleEndian.AppendUint16(w.B, v) }
 func (w *Writer) U32(v uint32)  { w.B = binary.LittleEndian.AppendUint32(w.B, v) }
 func (w *Writer) U64(v uint64)  { w.B = binary.LittleEndian.AppendUint64(w.B, v) }
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -124,6 +125,16 @@ func (r *Reader) U8() byte {
 	}
 	v := r.buf[r.off]
 	r.off++
+	return v
+}
+
+func (r *Reader) U16() uint16 {
+	if r.fail || len(r.buf)-r.off < 2 {
+		r.fail = true
+		return 0
+	}
+	v := binary.LittleEndian.Uint16(r.buf[r.off:])
+	r.off += 2
 	return v
 }
 

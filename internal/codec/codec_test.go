@@ -11,6 +11,7 @@ func TestRoundTrip(t *testing.T) {
 	pose := geom.SE3{R: geom.Quat{W: 0.5, X: -0.5, Y: 0.5, Z: 0.5}, T: geom.Vec3{X: 1, Y: -2, Z: 3}}
 	var w Writer
 	w.U8(7)
+	w.U16(0xBEEF)
 	w.Bool(true)
 	w.U32(0xDEADBEEF)
 	w.U64(1 << 40)
@@ -26,7 +27,7 @@ func TestRoundTrip(t *testing.T) {
 	w.U64(12)
 
 	r := NewReader(w.B)
-	if r.U8() != 7 || r.U8() != 1 || r.U32() != 0xDEADBEEF || r.U64() != 1<<40 ||
+	if r.U8() != 7 || r.U16() != 0xBEEF || r.U8() != 1 || r.U32() != 0xDEADBEEF || r.U64() != 1<<40 ||
 		r.F64() != -0.125 || r.F32() != 2.5 || r.Vec3() != pose.T || r.Pose() != pose ||
 		string(r.Bytes(16)) != "blob" || string(r.Bytes(16)) != "text" || !bytes.Equal(r.Raw(2), []byte{1, 2}) {
 		t.Fatal("round trip mismatch")
@@ -109,6 +110,7 @@ func FuzzReader(f *testing.F) {
 				}
 			case 7:
 				r.F32()
+				r.U16()
 				r.Vec3()
 			}
 			if r.Len() < 0 || r.Len() > before || r.Offset()+r.Len() != len(data) {

@@ -7,7 +7,14 @@ package codec_test
 // reader/writer sets were replaced by this package, so a pass means
 // the bytes on the wire and on disk did not move. Regenerate with
 // `go test ./internal/codec -run Golden -update` only together with a
-// format-version bump.
+// format-version bump. The keypoint fixtures were re-recorded for one:
+// the split-mode keypoint record became exact and compact (grid corner,
+// level byte, u16 score, stereo only when matched, the prior ahead of
+// the keypoints) under a new type number, 15, and the fixture's
+// keypoints now sit on the level grid the extractor uses.
+// `keypoint.synconly` came out byte-identical: without a prior or
+// keypoints, the prior flag and the zero count are the same five zero
+// bytes in either order.
 
 import (
 	"bufio"
@@ -139,6 +146,18 @@ func keypoint(i int) feature.Keypoint {
 	}
 }
 
+// gridKeypoint is keypoint(i) moved onto a corner of its level's grid,
+// as the split-mode record requires; keypoint 1 is unmatched.
+func gridKeypoint(i int) feature.Keypoint {
+	kp := keypoint(i)
+	s, _ := feature.LevelScale(kp.Level)
+	kp.X, kp.Y = feature.FromGrid(100+i, s), feature.FromGrid(200-i, s)
+	if i == 1 {
+		kp.Right, kp.Depth = -1, 0
+	}
+	return kp
+}
+
 func keyFrame(id smap.ID, bindings ...smap.ID) *smap.KeyFrame {
 	kf := &smap.KeyFrame{
 		ID: id, Client: smap.ClientOf(id), Stamp: 1.25 + float64(smap.SeqOf(id)), FrameIdx: int(smap.SeqOf(id)) * 5,
@@ -219,13 +238,12 @@ func TestGoldenProtocol(t *testing.T) {
 	kpm := &protocol.KeypointMsg{
 		UplinkHeader: protocol.UplinkHeader{ClientID: 2, FrameIdx: 15, Stamp: 0.75, Delta: delta, SentNanos: 11, RTTNanos: 22,
 			HasPrior: true, Prior: poseB},
-		Kps: []feature.Keypoint{keypoint(0), keypoint(1)},
+		Kps: []feature.Keypoint{gridKeypoint(0), gridKeypoint(1)},
 	}
 	syncPing := &protocol.KeypointMsg{
 		UplinkHeader: protocol.UplinkHeader{ClientID: 2, FrameIdx: 16, Stamp: 1, Delta: delta},
 		Flags:        protocol.KeypointSyncOnly,
 	}
-	kpm.Kps[1].Level = -1 // the level travels as a signed 32-bit value
 	status := &protocol.ShardStatusMsg{
 		Op: protocol.ShardOpResume, OK: true, Violations: []string{"kf-binding-dangling 7", "x"},
 		KFIDs: []uint64{3, 1 << 40}, Anchors: []protocol.AnchorState{{ID: 9, Pose: poseA}},

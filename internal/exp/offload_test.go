@@ -18,8 +18,8 @@ func TestOffloadTableGolden(t *testing.T) {
 	rows := []OffloadRow{
 		{Mode: "full", RTTms: 0, ATEcm: 3.21, UplinkMbps: 14.70, Tracked: 118, Steps: 120},
 		{Mode: "full", RTTms: 167, ATEcm: 9.85, UplinkMbps: 14.70, Tracked: 118, Steps: 120},
-		{Mode: "split", RTTms: 0, ATEcm: 3.21, UplinkMbps: 1.62, Tracked: 118, Steps: 120},
-		{Mode: "split", RTTms: 167, ATEcm: 9.85, UplinkMbps: 1.62, Tracked: 118, Steps: 120},
+		{Mode: "split", RTTms: 0, ATEcm: 3.21, UplinkMbps: 1.03, Tracked: 118, Steps: 120},
+		{Mode: "split", RTTms: 167, ATEcm: 9.85, UplinkMbps: 1.03, Tracked: 118, Steps: 120},
 		{Mode: "shadow", RTTms: 0, ATEcm: 41.07, UplinkMbps: 0.03, Tracked: 0, Steps: 120},
 	}
 	var buf bytes.Buffer
@@ -69,8 +69,8 @@ func TestOffloadRunModes(t *testing.T) {
 	if shadow.Tracked != 0 {
 		t.Errorf("shadow mode tracked %d frames", shadow.Tracked)
 	}
-	// Split's uplink is descriptor-dominated (84 bytes per keypoint) —
-	// in the same ballpark as video, not radically lighter; its win is
+	// Split's uplink is descriptor-dominated (47 bytes a keypoint, 63
+	// stereo-matched) — in the same ballpark as video, not lighter; its win is
 	// the removed encode/decode/extract stages. Shadow's sync pings
 	// must be negligible next to either.
 	if shadow.UplinkMbps >= split.UplinkMbps/10 || shadow.UplinkMbps >= full.UplinkMbps/10 {

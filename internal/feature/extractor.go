@@ -169,10 +169,10 @@ func (e *Extractor) Extract(im *img.Gray) []Keypoint {
 	for l := 0; l < nLevels; l++ {
 		lv := pyr.Levels[l]
 		sc.sel = sc.quad.distribute(sc.sel[:0], perLevel[l], lv.W, lv.H, quotas[l])
+		s := pyr.Scales[l]
 		for _, c := range sc.sel {
-			x0, y0 := pyr.ToLevel0(float64(c.x), float64(c.y), l)
 			kps = append(kps, Keypoint{
-				X: x0, Y: y0, Level: l,
+				X: FromGrid(int(c.x), s), Y: FromGrid(int(c.y), s), Level: l,
 				Score: float64(c.score),
 				Right: -1,
 			})

@@ -289,10 +289,3 @@ func (p *Pyramid) Build(base *Gray, n int, factor float64, run func(n int, f fun
 		p.Scales = append(p.Scales, scale)
 	}
 }
-
-// ToLevel0 maps coordinates from pyramid level l back to level-0
-// coordinates.
-func (p *Pyramid) ToLevel0(x, y float64, l int) (float64, float64) {
-	s := p.Scales[l]
-	return x * s, y * s
-}

@@ -120,15 +120,6 @@ func TestPyramidDefaults(t *testing.T) {
 	}
 }
 
-func TestToLevel0(t *testing.T) {
-	g := New(200, 200)
-	p := NewPyramid(g, 3, 2.0)
-	x, y := p.ToLevel0(10, 20, 1)
-	if x != 20 || y != 40 {
-		t.Errorf("ToLevel0 = (%v, %v)", x, y)
-	}
-}
-
 func TestRowSlice(t *testing.T) {
 	g := New(4, 3)
 	r := g.Row(1)

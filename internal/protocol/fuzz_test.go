@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"testing"
 
 	"slamshare/internal/camera"
@@ -190,13 +191,14 @@ func FuzzDecodeHelloMsg(f *testing.F) {
 // FuzzDecodeKeypointMsg covers the split-mode uplink decoder. The
 // encoding is canonical and the decoder strict, so any accepted
 // message must re-encode byte-exactly; a forged keypoint count must
-// never cause a panic or an outsized allocation.
+// never cause a panic or an outsized allocation. The seeds are valid
+// messages, classic corruptions of each, and every malformed form
+// TestKeypointMsgRejects pins.
 func FuzzDecodeKeypointMsg(f *testing.F) {
 	kps := []feature.Keypoint{
-		{X: 10.5, Y: 20.25, Level: 2, Angle: 1.5, Score: 80,
-			Desc: feature.Descriptor{1, 2, 3, 4}, Right: 8.75, Depth: 1.2},
-		{X: 99, Y: 1, Level: 0, Angle: -0.5, Score: 40,
-			Desc: feature.Descriptor{^uint64(0), 0, 5, 9}, Right: -1},
+		gridKeypoint(2, 7, 14, 80, 8.75, 1.2),
+		gridKeypoint(0, 99, 1, 40, -1, 0),
+		gridKeypoint(3, 0, 277, 65535, math.Inf(-1), math.NaN()),
 	}
 	seeds := []*KeypointMsg{
 		{UplinkHeader: UplinkHeader{ClientID: 1, FrameIdx: 3, Stamp: 0.15,
@@ -213,16 +215,17 @@ func FuzzDecodeKeypointMsg(f *testing.F) {
 		f.Add(data[:len(data)/2])
 		f.Add(append(append([]byte(nil), data...), 0))
 		flipped := append([]byte(nil), data...)
-		flipped[len(flipped)/3] ^= 0xFF
+		flipped[len(flipped)*2/3] ^= 0xFF
 		f.Add(flipped)
 		// Absurd keypoint count with no backing bytes.
-		if len(data) >= 121+4 {
-			huge := append([]byte(nil), data[:125]...)
-			huge[121], huge[122], huge[123], huge[124] = 0xFF, 0xFF, 0xFF, 0x7F
-			f.Add(huge)
-		}
+		recs := (&KeypointMsg{UplinkHeader: m.UplinkHeader}).EncodedLen()
+		huge := append([]byte(nil), data[:recs]...)
+		huge[recs-4], huge[recs-3], huge[recs-2], huge[recs-1] = 0xFF, 0xFF, 0xFF, 0x7F
+		f.Add(huge)
 	}
-	f.Add([]byte{})
+	for _, c := range keypointRejects() {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeKeypointMsg(data)
@@ -232,11 +235,78 @@ func FuzzDecodeKeypointMsg(f *testing.F) {
 			}
 			return
 		}
-		if len(m.Kps)*keypointWireBytes > len(data) {
+		if len(m.Kps)*keypointRecordBytes > len(data) {
 			t.Fatalf("decoded %d keypoints from a %d-byte message", len(m.Kps), len(data))
 		}
 		if got := m.Encode(); string(got) != string(data) {
 			t.Fatalf("round-trip mismatch: %d -> %d bytes", len(data), len(got))
+		}
+	})
+}
+
+// FuzzKeypointRoundTrip encodes extractor-shaped keypoints — a corner
+// of any level's grid, any u16 score, any angle and descriptor, matched
+// or not with Right and Depth of any bits — and requires each to decode
+// bit for bit, in exactly 47 bytes unmatched and 63 matched.
+func FuzzKeypointRoundTrip(f *testing.F) {
+	f.Add(uint8(0), uint16(0), uint16(0), uint16(0), uint64(0), uint64(0), false, uint64(0), uint64(0), true)
+	f.Add(uint8(3), uint16(435), uint16(277), uint16(3208), math.Float64bits(-2.5), ^uint64(0), true,
+		math.Float64bits(312.75), math.Float64bits(4.125), false)
+	f.Add(uint8(1), uint16(65535), uint16(65535), uint16(65535), math.Float64bits(math.NaN()), uint64(1), true,
+		math.Float64bits(-1), uint64(0), true) // "matched" with the unmatched defaults
+	f.Add(uint8(2), uint16(1), uint16(2), uint16(17), uint64(0x8000000000000000), uint64(7), true,
+		math.Float64bits(-1), uint64(0x8000000000000000), false) // Depth -0 is a match
+	f.Add(uint8(7), uint16(9), uint16(9), uint16(1), uint64(0x7FF0000000000001), uint64(3), true,
+		uint64(0xFFF8000000000001), math.Float64bits(math.Inf(1)), true)
+
+	f.Fuzz(func(t *testing.T, level uint8, cx, cy, score uint16, angle, desc uint64,
+		matched bool, right, depth uint64, prior bool) {
+		l := int(level) % feature.DefaultConfig().Levels
+		s, _ := feature.LevelScale(l)
+		kp := feature.Keypoint{X: feature.FromGrid(int(cx), s), Y: feature.FromGrid(int(cy), s), Level: l,
+			Angle: math.Float64frombits(angle), Score: float64(score),
+			Desc:  feature.Descriptor{desc, ^desc, desc << 3, desc * 0x9E3779B97F4A7C15},
+			Right: -1, Depth: 0}
+		if matched {
+			kp.Right, kp.Depth = math.Float64frombits(right), math.Float64frombits(depth)
+		}
+		// A second keypoint on the next level's grid, matched the other
+		// way, checks that records follow one another exactly.
+		other := kp
+		other.Level = (l + 1) % feature.DefaultConfig().Levels
+		s2, _ := feature.LevelScale(other.Level)
+		other.X, other.Y = feature.FromGrid(int(cy), s2), feature.FromGrid(int(cx), s2)
+		other.Right, other.Depth = -1, 0
+		if !matched {
+			other.Right, other.Depth = 1.5, 3
+		}
+		m := &KeypointMsg{UplinkHeader: UplinkHeader{ClientID: 1, FrameIdx: uint32(cx)}, Kps: []feature.Keypoint{kp, other}}
+		head := 126
+		if prior {
+			m.HasPrior, m.Prior = true, geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: float64(cy)}}
+			head += 56
+		}
+		want := head + 2*47
+		for i := range m.Kps {
+			if math.Float64bits(m.Kps[i].Right) != math.Float64bits(-1) || math.Float64bits(m.Kps[i].Depth) != 0 {
+				want += 16
+			}
+		}
+		data := m.Encode()
+		if len(data) != want || m.EncodedLen() != want {
+			t.Fatalf("encoding is %d bytes, EncodedLen %d, want %d", len(data), m.EncodedLen(), want)
+		}
+		got, err := DecodeKeypointMsg(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.UplinkHeader != m.UplinkHeader || len(got.Kps) != 2 {
+			t.Fatalf("header or count moved: %+v", got)
+		}
+		for i := range m.Kps {
+			if !sameKeypoint(&got.Kps[i], &m.Kps[i]) {
+				t.Fatalf("keypoint %d: %+v decoded as %+v", i, m.Kps[i], got.Kps[i])
+			}
 		}
 	})
 }

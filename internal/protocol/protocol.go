@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"time"
 
@@ -38,11 +39,14 @@ const (
 	// (full / split / shadow). Only sent to clients that advertised
 	// capability bits in their hello; legacy clients never see it.
 	TypeModeSwitch
-	// TypeKeypoint carries a split-mode uplink frame: client-extracted
-	// keypoints + descriptors instead of encoded video. With the
-	// sync-only flag set it is a shadow-mode ping (IMU delta only).
-	TypeKeypoint
 )
+
+// TypeKeypoint carries a split-mode uplink frame: client-extracted
+// keypoints + descriptors instead of encoded video. With the sync-only
+// flag set it is a shadow-mode ping (IMU delta only). Type 8, which
+// carried an older keypoint layout, reads as an unknown message; do not
+// reuse it.
+const TypeKeypoint = byte(15)
 
 // MaxMessageSize bounds a single message (64 MiB fits any map the
 // experiments produce).
@@ -310,9 +314,9 @@ func DecodeUplink(mt byte, payload []byte) (Uplink, error) {
 
 // PeekUplink reads what a router needs of an uplink without decoding
 // its payload: the header and, for a FrameMsg, the two encoded eyes,
-// aliasing payload. A KeypointMsg's keypoints are skipped unread. It
-// fails where DecodeFrameMsg fails and on a keypoint message cut short
-// of its prior.
+// aliasing payload. A KeypointMsg is read up to its prior, which
+// precedes the keypoints, and no further. It fails where DecodeFrameMsg
+// fails and on a keypoint message cut short of its prior.
 func PeekUplink(mt byte, payload []byte) (h UplinkHeader, left, right []byte, err error) {
 	switch mt {
 	case TypeFrame:
@@ -323,11 +327,7 @@ func PeekUplink(mt byte, payload []byte) (h UplinkHeader, left, right []byte, er
 		return m.UplinkHeader, m.Video, m.VideoRight, nil
 	case TypeKeypoint:
 		r := codec.NewReader(payload)
-		readHead(&r, &h)
-		r.U8() // flags
-		h.SentNanos, h.RTTNanos = r.U64(), r.U64()
-		r.Raw(r.Count(keypointWireBytes) * keypointWireBytes)
-		readPrior(&r, &h)
+		readKeypointHead(&r, &h)
 		if r.Err() != nil {
 			return h, nil, nil, errShort
 		}
@@ -557,16 +557,39 @@ const (
 	KeypointSyncOnly = byte(1 << iota)
 )
 
-// keypointWireBytes is the serialized size of one keypoint: X, Y,
-// level, angle, score, descriptor, right, depth.
-const keypointWireBytes = 8 + 8 + 4 + 8 + 8 + feature.DescriptorBytes + 8 + 8
+// The split-mode record carries each keypoint exactly, and only what
+// the extractor leaves free: X and Y as its level-grid corner
+// (feature.ToGrid), a byte holding the level and the stereo-matched bit,
+// the integer score, the raw angle and descriptor, and Right and Depth
+// as raw bits only when the keypoint is matched. An unmatched keypoint
+// is one whose Right is -1 and Depth +0, the extractor's defaults.
+const (
+	kpLevelMask = 0x07 // the level's bits in the level byte
+	kpMatched   = 0x80 // the stereo-matched bit
+	// keypointRecordBytes is an unmatched keypoint's record: grid x and
+	// y, level byte, score, angle, descriptor. A matched one adds
+	// kpStereoBytes.
+	keypointRecordBytes = 2 + 2 + 1 + 2 + 8 + feature.DescriptorBytes
+	kpStereoBytes       = 8 + 8
+)
+
+// unmatched reports whether kp carries the extractor's no-stereo
+// defaults bit for bit, and so travels without Right and Depth.
+func unmatched(kp *feature.Keypoint) bool {
+	return math.Float64bits(kp.Right) == math.Float64bits(-1) && math.Float64bits(kp.Depth) == 0
+}
 
 // KeypointMsg is the split-mode uplink frame: the client ran FAST/ORB
 // extraction (and stereo matching) itself and ships keypoints +
 // descriptors instead of encoded video, skipping the video encode /
-// decode stages and the server's extract stage. All float fields are
-// raw IEEE-754 bits so a split-mode session tracks bit-identically to
-// a full-offload one fed the same pixels.
+// decode stages and the server's extract stage. Every keypoint field
+// decodes to the bits the client's extractor produced, so a split-mode
+// session tracks bit-identically to a full-offload one fed the same
+// pixels.
+//
+// Layout: the uplink head, flags, the timing pair, the prior, then a
+// u32 count and one record per keypoint (keypointRecordBytes, plus
+// kpStereoBytes when matched).
 type KeypointMsg struct {
 	UplinkHeader
 	Flags byte
@@ -580,73 +603,131 @@ func (m *KeypointMsg) Type() byte { return TypeKeypoint }
 
 // EncodedLen returns len(m.Encode()) without encoding.
 func (m *KeypointMsg) EncodedLen() int {
-	n := uplinkHeadBytes + 1 + 8 + 8 + 4 + len(m.Kps)*keypointWireBytes + 1
+	n := uplinkHeadBytes + 1 + 8 + 8 + 1 + 4 + len(m.Kps)*keypointRecordBytes
 	if m.HasPrior {
 		n += 7 * 8
+	}
+	for i := range m.Kps {
+		if !unmatched(&m.Kps[i]) {
+			n += kpStereoBytes
+		}
 	}
 	return n
 }
 
-// Encode serializes the keypoint message.
+// readKeypointHead reads what precedes the keypoints into h — the
+// uplink head, the timing pair and the prior — and returns the flags
+// and the prior's flag byte.
+func readKeypointHead(r *codec.Reader, h *UplinkHeader) (flags, prior byte) {
+	readHead(r, h)
+	flags = r.U8()
+	h.SentNanos = r.U64()
+	h.RTTNanos = r.U64()
+	return flags, readPrior(r, h)
+}
+
+// Encode serializes the keypoint message. Only the extractor builds
+// these messages, so a keypoint the record cannot carry exactly — a
+// level past feature.LevelScale's pyramid, X or Y off that level's
+// grid, a score that is not an integer in [0, 65535] — is a bug, and
+// Encode panics naming the field.
 func (m *KeypointMsg) Encode() []byte {
 	w := codec.Writer{B: make([]byte, 0, m.EncodedLen())}
 	writeHead(&w, &m.UplinkHeader)
 	w.U8(m.Flags)
 	w.U64(m.SentNanos)
 	w.U64(m.RTTNanos)
+	writePrior(&w, &m.UplinkHeader)
 	w.U32(uint32(len(m.Kps)))
 	for i := range m.Kps {
 		kp := &m.Kps[i]
-		w.F64(kp.X)
-		w.F64(kp.Y)
-		w.U32(uint32(int32(kp.Level)))
+		scale, ok := feature.LevelScale(kp.Level)
+		if !ok {
+			panic(fmt.Sprintf("protocol: keypoint %d: Level %d is past the pyramid", i, kp.Level))
+		}
+		cx, ok := feature.ToGrid(kp.X, scale)
+		if !ok {
+			panic(fmt.Sprintf("protocol: keypoint %d: X %v is off level %d's grid", i, kp.X, kp.Level))
+		}
+		cy, ok := feature.ToGrid(kp.Y, scale)
+		if !ok {
+			panic(fmt.Sprintf("protocol: keypoint %d: Y %v is off level %d's grid", i, kp.Y, kp.Level))
+		}
+		score := uint16(kp.Score)
+		if kp.Score < 0 || kp.Score > math.MaxUint16 || math.Float64bits(float64(score)) != math.Float64bits(kp.Score) {
+			panic(fmt.Sprintf("protocol: keypoint %d: Score %v is not a u16", i, kp.Score))
+		}
+		lb := byte(kp.Level)
+		matched := !unmatched(kp)
+		if matched {
+			lb |= kpMatched
+		}
+		w.U16(uint16(cx))
+		w.U16(uint16(cy))
+		w.U8(lb)
+		w.U16(score)
 		w.F64(kp.Angle)
-		w.F64(kp.Score)
 		for _, word := range kp.Desc {
 			w.U64(word)
 		}
-		w.F64(kp.Right)
-		w.F64(kp.Depth)
+		if matched {
+			w.F64(kp.Right)
+			w.F64(kp.Depth)
+		}
 	}
-	writePrior(&w, &m.UplinkHeader)
 	return w.B
 }
 
-// DecodeKeypointMsg reverses KeypointMsg.Encode. Unlike FrameMsg this
-// is strict: trailing bytes are an error.
+// DecodeKeypointMsg reverses KeypointMsg.Encode. Unlike FrameMsg it is
+// strict — a bad prior flag, a level past the pyramid, unknown bits in
+// a level byte, a matched record holding the unmatched defaults, a
+// short record or trailing bytes are errors — so any message it accepts
+// re-encodes to the same bytes.
 func DecodeKeypointMsg(data []byte) (*KeypointMsg, error) {
 	r := codec.NewReader(data)
 	m := &KeypointMsg{}
-	readHead(&r, &m.UplinkHeader)
-	m.Flags = r.U8()
-	m.SentNanos = r.U64()
-	m.RTTNanos = r.U64()
-	n := r.Count(keypointWireBytes)
+	flags, prior := readKeypointHead(&r, &m.UplinkHeader)
+	m.Flags = flags
+	n := r.Count(keypointRecordBytes)
 	if r.Err() != nil {
 		return nil, errShort
+	}
+	if prior > 1 {
+		return nil, fmt.Errorf("protocol: bad keypoint prior flag %d", prior)
 	}
 	if n > 0 {
 		m.Kps = make([]feature.Keypoint, n)
 	}
 	for i := range m.Kps {
 		kp := &m.Kps[i]
-		kp.X = r.F64()
-		kp.Y = r.F64()
-		kp.Level = int(int32(r.U32()))
+		cx, cy := r.U16(), r.U16()
+		lb := r.U8()
+		if lb&^(kpLevelMask|kpMatched) != 0 {
+			return nil, fmt.Errorf("protocol: keypoint %d: unknown level bits %#x", i, lb)
+		}
+		kp.Level = int(lb & kpLevelMask)
+		scale, ok := feature.LevelScale(kp.Level)
+		if !ok {
+			return nil, fmt.Errorf("protocol: keypoint %d: level %d is past the pyramid", i, kp.Level)
+		}
+		kp.X = feature.FromGrid(int(cx), scale)
+		kp.Y = feature.FromGrid(int(cy), scale)
+		kp.Score = float64(r.U16())
 		kp.Angle = r.F64()
-		kp.Score = r.F64()
 		for j := range kp.Desc {
 			kp.Desc[j] = r.U64()
 		}
-		kp.Right = r.F64()
-		kp.Depth = r.F64()
+		kp.Right, kp.Depth = -1, 0
+		if lb&kpMatched != 0 {
+			kp.Right = r.F64()
+			kp.Depth = r.F64()
+			if unmatched(kp) {
+				return nil, fmt.Errorf("protocol: keypoint %d: matched record holds no match", i)
+			}
+		}
 	}
-	flag := readPrior(&r, &m.UplinkHeader)
 	if r.Err() != nil {
 		return nil, errShort
-	}
-	if flag > 1 {
-		return nil, fmt.Errorf("protocol: bad keypoint prior flag %d", flag)
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("protocol: %d trailing bytes in keypoint message", r.Len())

@@ -2,9 +2,12 @@ package protocol
 
 import (
 	"bytes"
+	"math"
 	"net"
+	"strings"
 	"testing"
 
+	"slamshare/internal/codec"
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
 	"slamshare/internal/imu"
@@ -269,6 +272,27 @@ func TestHelloCapsDistinct(t *testing.T) {
 	}
 }
 
+// gridKeypoint is an extractor-shaped keypoint: on corner (cx, cy) of
+// level l's grid, with an integer score, stereo-matched when right >= 0.
+func gridKeypoint(l, cx, cy int, score float64, right, depth float64) feature.Keypoint {
+	s, ok := feature.LevelScale(l)
+	if !ok {
+		panic("level past the pyramid")
+	}
+	return feature.Keypoint{X: feature.FromGrid(cx, s), Y: feature.FromGrid(cy, s), Level: l,
+		Angle: 0.1*float64(cx) - 1.3, Score: score,
+		Desc:  feature.Descriptor{uint64(cx) << 40, uint64(cy), ^uint64(l), 0x9E3779B97F4A7C15 * uint64(cx+cy)},
+		Right: right, Depth: depth}
+}
+
+// sameKeypoint reports whether two keypoints agree bit for bit.
+func sameKeypoint(a, b *feature.Keypoint) bool {
+	bits := math.Float64bits
+	return bits(a.X) == bits(b.X) && bits(a.Y) == bits(b.Y) && a.Level == b.Level &&
+		bits(a.Angle) == bits(b.Angle) && bits(a.Score) == bits(b.Score) && a.Desc == b.Desc &&
+		bits(a.Right) == bits(b.Right) && bits(a.Depth) == bits(b.Depth)
+}
+
 func TestKeypointMsgRoundTrip(t *testing.T) {
 	m := &KeypointMsg{
 		UplinkHeader: UplinkHeader{
@@ -286,13 +310,13 @@ func TestKeypointMsgRoundTrip(t *testing.T) {
 			HasPrior:  true,
 		},
 		Kps: []feature.Keypoint{
-			{X: 31.5, Y: 64.25, Level: 3, Angle: 0.7, Score: 55,
-				Desc: feature.Descriptor{10, 20, 30, 40}, Right: 28.5, Depth: 2.4},
-			{X: 4, Y: 9, Level: 0, Angle: -1.2, Score: 90,
-				Desc: feature.Descriptor{^uint64(0), 1, 2, 3}, Right: -1, Depth: 0},
+			gridKeypoint(3, 31, 64, 55, 28.5, 2.4),
+			gridKeypoint(0, 4, 9, 90, -1, 0),
+			gridKeypoint(1, 377, 239, 3208, 0, 0),
 		},
 	}
-	got, err := DecodeKeypointMsg(m.Encode())
+	data := m.Encode()
+	got, err := DecodeKeypointMsg(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,18 +324,22 @@ func TestKeypointMsgRoundTrip(t *testing.T) {
 		got.SentNanos != 111 || got.RTTNanos != 222 || !got.HasPrior {
 		t.Errorf("header fields wrong: %+v", got)
 	}
-	if len(got.Kps) != 2 {
+	if len(got.Kps) != 3 {
 		t.Fatalf("keypoint count %d", len(got.Kps))
 	}
 	// Keypoints must survive bit-identically: split-mode tracking
 	// equivalence depends on it.
 	for i := range m.Kps {
-		if got.Kps[i] != m.Kps[i] {
+		if !sameKeypoint(&got.Kps[i], &m.Kps[i]) {
 			t.Errorf("keypoint %d corrupted: %+v != %+v", i, got.Kps[i], m.Kps[i])
 		}
 	}
+	// Two matched records (Right 0 is a match) and one unmatched.
+	if want := 182 + 3*keypointRecordBytes + 2*kpStereoBytes; len(data) != want {
+		t.Errorf("encoding is %d bytes, want %d", len(data), want)
+	}
 
-	// Sync-only ping round-trips with no keypoints.
+	// Sync-only ping: the same layout with a count of 0.
 	ping := &KeypointMsg{Flags: KeypointSyncOnly, UplinkHeader: UplinkHeader{ClientID: 3, FrameIdx: 18, Stamp: 1.3,
 		Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05}}}
 	gp, err := DecodeKeypointMsg(ping.Encode())
@@ -327,14 +355,125 @@ func TestKeypointMsgRoundTrip(t *testing.T) {
 			t.Errorf("EncodedLen() = %d, encoding is %d bytes", km.EncodedLen(), n)
 		}
 	}
+}
 
-	// Truncation and trailing garbage are errors (strict decoder).
-	data := m.Encode()
-	if _, err := DecodeKeypointMsg(data[:len(data)-5]); err == nil {
-		t.Error("truncated keypoint message accepted")
+// keypointRejects are malformed keypoint messages, each cut or patched
+// from a valid one, that the strict decoder must refuse.
+func keypointRejects() []struct {
+	name string
+	data []byte
+} {
+	m := &KeypointMsg{UplinkHeader: UplinkHeader{ClientID: 5, FrameIdx: 9, Stamp: 0.45,
+		Delta:    imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05},
+		Prior:    geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: 3}},
+		HasPrior: true},
+		Kps: []feature.Keypoint{gridKeypoint(2, 100, 50, 40, -1, 0), gridKeypoint(1, 7, 8, 61, 12.5, 3.25)}}
+	valid := m.Encode()
+	recs := (&KeypointMsg{UplinkHeader: m.UplinkHeader}).EncodedLen() // first record
+	lvl := recs + 4                                                   // its level byte
+	patch := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
+	// A matched record holding the unmatched defaults: the first
+	// record with its matched bit set and (-1, +0) spelled out.
+	var stereo codec.Writer
+	stereo.F64(-1)
+	stereo.F64(0)
+	fakeMatch := patch(func(b []byte) []byte {
+		b[lvl] |= kpMatched
+		end := recs + keypointRecordBytes
+		return append(append(b[:end:end], stereo.B...), valid[end:]...)
+	})
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"level past the pyramid", patch(func(b []byte) []byte { b[lvl] = b[lvl]&^kpLevelMask | 4; return b })},
+		{"level 7", patch(func(b []byte) []byte { b[lvl] |= kpLevelMask; return b })},
+		{"unknown level bits", patch(func(b []byte) []byte { b[lvl] |= 0x10; return b })},
+		{"count past the payload", patch(func(b []byte) []byte {
+			b[recs-4] = 3 // 2 records hold 110 bytes: 3 × 47 do not fit
+			return b
+		})},
+		{"huge count", patch(func(b []byte) []byte { b[recs-4], b[recs-3], b[recs-2], b[recs-1] = 0xFF, 0xFF, 0xFF, 0x7F; return b })},
+		{"short record", valid[:len(valid)-1]},
+		{"short head", valid[:recs-1]},
+		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
+		{"bad prior flag", patch(func(b []byte) []byte { b[uplinkHeadBytes+1+16] = 2; return b })},
+		{"matched record holds no match", fakeMatch},
 	}
-	if _, err := DecodeKeypointMsg(append(data, 0)); err == nil {
-		t.Error("trailing byte accepted")
+}
+
+// TestKeypointMsgRejects: the decoder refuses every malformed form.
+func TestKeypointMsgRejects(t *testing.T) {
+	for _, c := range keypointRejects() {
+		if m, err := DecodeKeypointMsg(c.data); err == nil || m != nil {
+			t.Errorf("%s: decoded %+v, %v", c.name, m, err)
+		}
+	}
+}
+
+// TestKeypointMsgEncodePanics: a keypoint the record cannot carry
+// exactly is a bug, and Encode names its field.
+func TestKeypointMsgEncodePanics(t *testing.T) {
+	ok := gridKeypoint(2, 100, 50, 40, -1, 0)
+	for _, c := range []struct {
+		field string
+		mut   func(k *feature.Keypoint)
+	}{
+		{"Level", func(k *feature.Keypoint) { k.Level = -1 }},
+		{"Level", func(k *feature.Keypoint) { k.Level = 4 }},
+		{"X", func(k *feature.Keypoint) { k.X = 10.5 }},
+		{"X", func(k *feature.Keypoint) { k.X = -1 }},
+		{"X", func(k *feature.Keypoint) { k.X = 94370 }},
+		{"Y", func(k *feature.Keypoint) { k.Y = math.Nextafter(k.Y, 0) }},
+		{"Y", func(k *feature.Keypoint) { k.Y = math.Inf(1) }},
+		{"Score", func(k *feature.Keypoint) { k.Score = 65536 }},
+		{"Score", func(k *feature.Keypoint) { k.Score = 1.5 }},
+		{"Score", func(k *feature.Keypoint) { k.Score = -1 }},
+		{"Score", func(k *feature.Keypoint) { k.Score = math.Copysign(0, -1) }},
+		{"Score", func(k *feature.Keypoint) { k.Score = math.NaN() }},
+		{"Score", func(k *feature.Keypoint) { k.Score = 1e300 }},
+	} {
+		kp := ok
+		c.mut(&kp)
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "keypoint 1: "+c.field+" ") {
+					t.Errorf("%+v: panic %q does not name %s", kp, r, c.field)
+				}
+			}()
+			(&KeypointMsg{Kps: []feature.Keypoint{ok, kp}}).Encode()
+		}()
+	}
+}
+
+// TestUplinkAllocs: a router's peek at a keypoint frame allocates
+// nothing, and a full decode only the message and its keypoint slice.
+func TestUplinkAllocs(t *testing.T) {
+	m := &KeypointMsg{UplinkHeader: UplinkHeader{ClientID: 1, FrameIdx: 2,
+		Prior: geom.SE3{R: geom.IdentityQuat()}, HasPrior: true}}
+	for i := range 1000 {
+		right := -1.0
+		if i%2 == 0 {
+			right = float64(i % 700)
+		}
+		m.Kps = append(m.Kps, gridKeypoint(i%4, i%600, i%400, float64(i), right, 0.5))
+	}
+	data := m.Encode()
+	if n := testing.AllocsPerRun(20, func() {
+		if _, _, _, err := PeekUplink(TypeKeypoint, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("PeekUplink on a keypoint frame: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeKeypointMsg(data); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("DecodeKeypointMsg: %v allocs, want <= 2", n)
 	}
 }
 
@@ -347,11 +486,17 @@ func TestPeekUplink(t *testing.T) {
 		HasPrior:  true,
 		SentNanos: 5, RTTNanos: 6}
 	kps := make([]feature.Keypoint, 3)
-	for _, m := range []Uplink{
-		&FrameMsg{UplinkHeader: head, Video: []byte{1, 2}, VideoRight: []byte{3}},
-		&KeypointMsg{UplinkHeader: head, Kps: kps},
-		&KeypointMsg{UplinkHeader: head, Flags: KeypointSyncOnly},
+	// The keypoint message's prior ends where its count begins.
+	priorEnd := (&KeypointMsg{UplinkHeader: head}).EncodedLen() - 4
+	for _, c := range []struct {
+		m   Uplink
+		cut int // a length that ends inside the prior
+	}{
+		{&FrameMsg{UplinkHeader: head, Video: []byte{1, 2}, VideoRight: []byte{3}}, -20},
+		{&KeypointMsg{UplinkHeader: head, Kps: kps}, priorEnd - 1},
+		{&KeypointMsg{UplinkHeader: head, Flags: KeypointSyncOnly}, priorEnd - 1},
 	} {
+		m := c.m
 		data := m.Encode()
 		h, left, right, err := PeekUplink(m.Type(), data)
 		if err != nil || h != head {
@@ -360,16 +505,28 @@ func TestPeekUplink(t *testing.T) {
 		if fm, ok := m.(*FrameMsg); ok && (string(left) != string(fm.Video) || string(right) != string(fm.VideoRight)) {
 			t.Errorf("frame eyes peeked as %v / %v", left, right)
 		}
-		if _, _, _, err := PeekUplink(m.Type(), data[:len(data)-20]); err == nil {
-			t.Errorf("type %d: truncated uplink peeked", m.Type())
+		cut := c.cut
+		if cut < 0 {
+			cut += len(data)
+		}
+		if _, _, _, err := PeekUplink(m.Type(), data[:cut]); err == nil {
+			t.Errorf("type %d: uplink cut inside its prior peeked", m.Type())
 		}
 		got, err := DecodeUplink(m.Type(), data)
 		if err != nil || *got.Header() != head {
 			t.Errorf("type %d: decoded header %+v, %v", m.Type(), got, err)
 		}
 	}
+	// The prior precedes the keypoints: a peek stops there.
+	km := &KeypointMsg{UplinkHeader: head, Kps: kps}
+	if h, _, _, err := PeekUplink(TypeKeypoint, km.Encode()[:priorEnd]); err != nil || h != head {
+		t.Errorf("peek of the head and prior alone = %+v, %v", h, err)
+	}
 	if _, _, _, err := PeekUplink(TypePose, nil); err == nil {
 		t.Error("a pose peeked as an uplink")
+	}
+	if _, _, _, err := PeekUplink(8, km.Encode()); err == nil {
+		t.Error("type 8, the retired keypoint layout, peeked as an uplink")
 	}
 }
 

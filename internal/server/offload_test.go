@@ -67,8 +67,8 @@ func runOffloadRun(t *testing.T, split bool, n int) ([]Result, *Server) {
 // TestSplitModeMatchesFull is the split-offload equivalence contract:
 // a session whose client extracts keypoints on-device (same
 // feature.Extractor code path, bit-identical keypoints) must produce
-// the same tracked poses as a full-offload session fed losslessly
-// coded video of the same frames.
+// the same tracked poses, bit for bit, as a full-offload session fed
+// losslessly coded video of the same frames.
 func TestSplitModeMatchesFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full system test")
@@ -79,7 +79,6 @@ func TestSplitModeMatchesFull(t *testing.T) {
 	if len(full) != len(split) {
 		t.Fatalf("result count differs: %d vs %d", len(full), len(split))
 	}
-	const tol = 1e-9
 	tracked := 0
 	for i := range full {
 		f, s := full[i], split[i]
@@ -89,8 +88,8 @@ func TestSplitModeMatchesFull(t *testing.T) {
 		if f.Inliers != s.Inliers {
 			t.Fatalf("frame %d inliers diverge: full %d, split %d", i, f.Inliers, s.Inliers)
 		}
-		if d := f.Pose.T.Sub(s.Pose.T).Norm(); d > tol {
-			t.Fatalf("frame %d pose diverges by %g m:\nfull  %+v\nsplit %+v", i, d, f.Pose, s.Pose)
+		if f.Pose != s.Pose {
+			t.Fatalf("frame %d pose diverges:\nfull  %+v\nsplit %+v", i, f.Pose, s.Pose)
 		}
 		if f.Tracked {
 			tracked++
