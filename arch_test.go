@@ -104,6 +104,12 @@ var archRules = []archRule{
 		}.check,
 		noNames(`BuildSync|HandleSync|ShedFrame`, ""))},
 	{"One motion model", noNames(`SetVelocity|prevTwc|prevStamp|NewIntegrator|DriftRMS`, "")},
+	{"Every map mutation is journaled", journaledMutators(map[string]string{
+		"UpdateConnections": "derived: Recover recomputes every keyframe's covisibility after replay",
+		"BumpPointFound":    "derived: Visible/Found are culling statistics the entity codec does not carry; a recovered point starts them at zero",
+		"UndoFuse":          "compensation: it edits keyframes the rollback's RemoveEntities unlinks next, whose replayed erases detach the same observers",
+		"SetObserver":       "installs the observer itself; no map state",
+	})},
 	{"One order for entity relations", allOf(
 		slicesByName(
 			archField{"internal/smap", "MapPoint", "Obs"},
@@ -161,6 +167,10 @@ func TestArchitectureRulesBite(t *testing.T) {
 			{"internal/exp/table1.go", "", "\ntype mux struct{}\n\nfunc (mux) Handle(string, any) {}\n\nfunc route(m mux) { m.Handle(\"/\", nil) }\n"}}, false},
 		{"One uplink path", []archEdit{
 			{"internal/chaos/harness.go", "", "\nvar build = (*client.Client).BuildKeypointFrame\n"}}, true},
+		{"Every map mutation is journaled", []archEdit{
+			{"internal/smap/smap.go", "", "\nfunc (m *Map) Poke(id ID) { s := m.stripe(id); s.mu.Lock(); s.kfVer[id]++; s.mu.Unlock() }\n"}}, true},
+		{"Every map mutation is journaled", []archEdit{
+			{"internal/smap/smap.go", "\t\tm.observer.PointFused(from, to)\n", ""}}, true},
 		{"One order for entity relations", []archEdit{
 			{"internal/smap/smap.go", "Obs []ObsEntry", "Obs obsSet"},
 			{"internal/smap/smap.go", "", "\ntype obsSet map[ID]int\n"}}, true},
@@ -766,6 +776,121 @@ func noNames(re, prefix string, docs ...string) func(*archTree) []string {
 				out = append(out, err.Error())
 			}
 			match(doc, src)
+		}
+		return out
+	}
+}
+
+// journaledMutators: every exported method of *smap.Map that writes
+// under a stripe write lock reports to the map's observer. A method
+// that takes the lock itself (a stripe's mu.Lock, or an unexported
+// helper that locks without notifying, such as lockPair) calls
+// m.observer in its own body; one that only calls other mutators
+// reaches the observer through one of them. derived lists the
+// exceptions, each with its replay rule.
+func journaledMutators(derived map[string]string) func(*archTree) []string {
+	return func(tr *archTree) []string {
+		mapObj, _, err := tr.lookup(archSym{"internal/smap", "", "Map"})
+		if err != nil {
+			return []string{err.Error()}
+		}
+		stripeObj, _, err := tr.lookup(archSym{"internal/smap", "", "stripe"})
+		if err != nil {
+			return []string{err.Error()}
+		}
+		named := func(t types.Type, obj types.Object) bool {
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			n, ok := t.(*types.Named)
+			return ok && n.Obj() == obj
+		}
+		type method struct {
+			pos            token.Pos
+			locks, tells   bool // in its own body
+			callees        []string
+			locksTransit   bool // locks through an unexported helper that reports nothing
+			reachesTransit bool // tells, or calls a method that reaches the observer
+		}
+		methods := make(map[string]*method)
+		tr.files("internal/smap/", func(p *archPkg, _ string, f *ast.File) {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Body == nil || !named(p.info.TypeOf(fd.Recv.List[0].Type), mapObj) {
+					continue
+				}
+				m := &method{pos: fd.Name.Pos()}
+				methods[fd.Name.Name] = m
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if inner, ok := sel.X.(*ast.SelectorExpr); ok {
+						switch {
+						case sel.Sel.Name == "Lock" && inner.Sel.Name == "mu" && named(p.info.TypeOf(inner.X), stripeObj):
+							m.locks = true
+						case inner.Sel.Name == "observer" && named(p.info.TypeOf(inner.X), mapObj):
+							m.tells = true
+						}
+					}
+					if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok {
+						if sig := fn.Type().(*types.Signature); sig.Recv() != nil && named(sig.Recv().Type(), mapObj) {
+							m.callees = append(m.callees, fn.Name())
+						}
+					}
+					return true
+				})
+			}
+		})
+		// A lock helper is an unexported method that writes under a lock
+		// it does not report (lockPair, lockAll, setEdge): calling one
+		// is taking the lock. Iterate both closures to their fixed point.
+		for _, m := range methods {
+			m.reachesTransit = m.tells
+		}
+		for changed := true; changed; {
+			changed = false
+			for _, m := range methods {
+				for _, c := range m.callees {
+					cm := methods[c]
+					if cm == nil {
+						continue
+					}
+					helper := !ast.IsExported(c) && (cm.locks && !cm.tells || cm.locksTransit)
+					if helper && !m.locksTransit {
+						m.locksTransit, changed = true, true
+					}
+					if cm.reachesTransit && !m.reachesTransit {
+						m.reachesTransit, changed = true, true
+					}
+				}
+			}
+		}
+		var out []string
+		for name, why := range derived {
+			if methods[name] == nil {
+				out = append(out, fmt.Sprintf("rule lists smap.(*Map).%s (%s), which does not exist", name, why))
+			}
+		}
+		for name, m := range methods {
+			if !ast.IsExported(name) || derived[name] != "" {
+				continue
+			}
+			lockedHere := m.locks || m.locksTransit
+			switch {
+			case lockedHere && !m.tells:
+				out = append(out, fmt.Sprintf("%s: smap.(*Map).%s writes under a stripe lock it takes and tells no observer", tr.at(m.pos), name))
+			case !lockedHere && !m.reachesTransit && slices.ContainsFunc(m.callees, func(c string) bool {
+				cm := methods[c]
+				return cm != nil && (cm.locks || cm.locksTransit)
+			}):
+				out = append(out, fmt.Sprintf("%s: smap.(*Map).%s mutates through methods none of which reaches the observer", tr.at(m.pos), name))
+			}
 		}
 		return out
 	}

@@ -17,6 +17,7 @@ import (
 	"slamshare/internal/merge"
 	"slamshare/internal/protocol"
 	"slamshare/internal/server"
+	"slamshare/internal/smap"
 )
 
 // burstStats is one overload client's outcome.
@@ -150,9 +151,9 @@ func TestOverloadScenario(t *testing.T) {
 		if clientID == poisonerID && attempt == 0 {
 			mg.Sabotage = func(tx merge.SabotageContext) {
 				if kfs := tx.InsertedKFs(); len(kfs) > 0 {
-					tx.SetKeyFramePose(kfs[0], geom.SE3{
+					tx.SetPoses([]smap.KeyFramePose{{ID: kfs[0], Tcw: geom.SE3{
 						R: geom.IdentityQuat(), T: geom.Vec3{X: math.NaN()},
-					})
+					}}}, nil)
 				}
 			}
 		}

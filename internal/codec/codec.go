@@ -33,9 +33,6 @@ func (w *Writer) U32(v uint32)  { w.B = binary.LittleEndian.AppendUint32(w.B, v)
 func (w *Writer) U64(v uint64)  { w.B = binary.LittleEndian.AppendUint64(w.B, v) }
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// F32 narrows v to a float32 on the wire.
-func (w *Writer) F32(v float64) { w.U32(math.Float32bits(float32(v))) }
-
 // Bool writes the canonical flag byte: 1 or 0.
 func (w *Writer) Bool(v bool) {
 	if v {
@@ -159,9 +156,6 @@ func (r *Reader) U64() uint64 {
 }
 
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// F32 widens a wire float32.
-func (r *Reader) F32() float64 { return float64(math.Float32frombits(r.U32())) }
 
 // Vec3 reverses Writer.Vec3.
 func (r *Reader) Vec3() geom.Vec3 {

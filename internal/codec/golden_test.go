@@ -14,7 +14,13 @@ package codec_test
 // keypoints now sit on the level grid the extractor uses.
 // `keypoint.synconly` came out byte-identical: without a prior or
 // keypoints, the prior flag and the zero count are the same five zero
-// bytes in either order.
+// bytes in either order. The fixtures that carry keyframes — wire.*,
+// persist.checkpoint and persist.journal — were re-recorded for wire
+// version 2, whose keyframes are exact: each keypoint is the split-mode
+// record and each BoW weight a float64, where version 1 narrowed both
+// to float32. The journal fixture also took journal version 2 (its
+// keyframe records are version 2's), lost the merge-boundary record
+// nothing writes any more, and gained a transform and a detach.
 
 import (
 	"bufio"
@@ -121,9 +127,6 @@ func (g *goldenFile) save() {
 	}
 }
 
-// All float values below are exactly representable in float32, so the
-// entity codecs' f32 fields survive a round trip bit-for-bit.
-
 var (
 	poseA = geom.SE3{R: geom.Quat{W: 0.5, X: -0.5, Y: 0.5, Z: 0.5}, T: geom.Vec3{X: 1.5, Y: -2.25, Z: 3}}
 	poseB = geom.SE3{R: geom.Quat{W: 1}, T: geom.Vec3{X: -4, Y: 0.125, Z: 8.5}}
@@ -167,7 +170,7 @@ func keyFrame(id smap.ID, bindings ...smap.ID) *smap.KeyFrame {
 		Conns:     []smap.Conn{{KF: id + 50, Weight: 21}, {KF: id + 100, Weight: 17}},
 	}
 	for i := range bindings {
-		kf.Keypoints = append(kf.Keypoints, keypoint(i))
+		kf.Keypoints = append(kf.Keypoints, gridKeypoint(i))
 	}
 	return kf
 }
@@ -438,18 +441,21 @@ func TestGoldenJournal(t *testing.T) {
 	mpE := mapPoint(id(4, 11))
 	newPos := geom.Vec3{X: 9, Y: 8, Z: 7}
 
+	tf := geom.Sim3{S: 1, R: poseA.R, T: poseA.T}
+
 	j := mgr.Journal()
-	j.MergeApplied(geom.Sim3{S: 1.5, R: poseA.R, T: poseA.T}, 2, 5)
 	j.KeyFrameAdded(kf1)
 	j.KeyFrameAdded(kf2)
 	j.KeyFrameAdded(kf3)
 	for _, mp := range []*smap.MapPoint{mpA, mpB, mpC, mpD, mpE} {
 		j.MapPointAdded(mp)
 	}
+	j.Transformed(tf)
 	j.ObservationAdded(kf1.ID, mpC.ID, 2)
-	j.PointsFused(mpD.ID, mpC.ID)
+	j.PointFused(mpD.ID, mpC.ID)
 	j.MapPointErased(mpD.ID)
-	j.PosesCorrected(map[smap.ID]geom.SE3{kf1.ID: poseB}, map[smap.ID]geom.Vec3{mpA.ID: newPos})
+	j.PosesSet([]smap.KeyFramePose{{ID: kf1.ID, Tcw: poseB}}, []smap.PointPos{{ID: mpA.ID, Pos: newPos}})
+	j.ObservationDetached(kf1.ID, mpB.ID, 1)
 	j.KeyFrameErased(kf3.ID)
 	j.MapPointErased(mpE.ID)
 	j.ShardImportBegin(7, 4)
@@ -457,7 +463,7 @@ func TestGoldenJournal(t *testing.T) {
 	j.RegionEvicted(5, []smap.ID{id(9, 1), id(9, 2)}, []smap.ID{id(9, 10)})
 	j.RegionEvicted(6, []smap.ID{id(9, 3)}, nil)
 	j.RegionReloaded(6)
-	const records = 20
+	const records = 21
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -484,15 +490,18 @@ func TestGoldenJournal(t *testing.T) {
 	if m.NKeyFrames() != 2 || m.NMapPoints() != 3 {
 		t.Errorf("replayed map: %d keyframes / %d points, want 2 / 3", m.NKeyFrames(), m.NMapPoints())
 	}
-	if kf, ok := m.KeyFrame(kf1.ID); !ok || kf.Tcw != poseB || !reflect.DeepEqual(kf.MapPoints, []smap.ID{mpA.ID, mpB.ID, mpC.ID}) ||
+	if kf, ok := m.KeyFrame(kf1.ID); !ok || kf.Tcw != poseB || !reflect.DeepEqual(kf.MapPoints, []smap.ID{mpA.ID, 0, mpC.ID}) ||
 		!reflect.DeepEqual(kf.Keypoints, kf1.Keypoints) || !reflect.DeepEqual(kf.Bow, kf1.Bow) {
-		t.Errorf("kf1 after replay (pose correction + observation): %+v", kf)
+		t.Errorf("kf1 after replay (pose batch + observation + detach): %+v", kf)
+	}
+	if mp, ok := m.MapPoint(mpB.ID); !ok || len(mp.Obs) != 0 || mp.Pos != tf.Apply(mpB.Pos) {
+		t.Errorf("mpB after replay (transform + detach): %+v", mp)
 	}
 	if kf, ok := m.KeyFrame(kf2.ID); !ok || !reflect.DeepEqual(kf.MapPoints, []smap.ID{mpC.ID}) {
 		t.Errorf("kf2 after replay (fuse redirect): %+v", kf)
 	}
-	if mp, ok := m.MapPoint(mpA.ID); !ok || mp.Pos != newPos || mp.Desc != mpA.Desc || mp.Normal != mpA.Normal {
-		t.Errorf("mpA after replay (position correction): %+v", mp)
+	if mp, ok := m.MapPoint(mpA.ID); !ok || mp.Pos != newPos || mp.Desc != mpA.Desc || mp.Normal != tf.R.Rotate(mpA.Normal) {
+		t.Errorf("mpA after replay (pose batch): %+v", mp)
 	}
 	if mp, ok := m.MapPoint(mpC.ID); !ok || !reflect.DeepEqual(mp.Obs, []smap.ObsEntry{ob(kf1.ID, 2), ob(kf2.ID, 0)}) {
 		t.Errorf("mpC after replay (observation + fuse): %+v", mp)

@@ -53,8 +53,8 @@ func clusterMap(t testing.TB, seed int64, nClusters, kfPer, ptsPer int) (*smap.M
 					d[w] = rng.Uint64()
 				}
 				kps[i] = feature.Keypoint{
-					X: rng.Float64() * 700, Y: rng.Float64() * 400,
-					Level: 2, Right: -1, Desc: d,
+					X: float64(rng.Intn(700)), Y: float64(rng.Intn(400)),
+					Right: -1, Desc: d,
 				}
 			}
 			kf := &smap.KeyFrame{
@@ -388,7 +388,7 @@ func BenchmarkLifecycleCull(b *testing.B) {
 		// untouched pose write defeats the version gate so every
 		// iteration pays for the full redundancy scan.
 		kf := m.KeyFrames()[0]
-		m.SetKeyFramePose(kf.ID, kf.Tcw)
+		m.SetPoses([]smap.KeyFramePose{{ID: kf.ID, Tcw: kf.Tcw}}, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,7 +5,6 @@ import (
 
 	"slamshare/internal/camera"
 	"slamshare/internal/feature"
-	"slamshare/internal/geom"
 	"slamshare/internal/obs"
 	"slamshare/internal/optimize"
 	"slamshare/internal/smap"
@@ -132,39 +131,41 @@ func windowIDs(m *smap.Map, anchor smap.ID, n int) []smap.ID {
 // mapping adjusts a covisibility window with it, the merger the seam
 // between two maps. A problem with fewer than minObs observations is
 // left alone. Otherwise it is solved for at most iters iterations and
-// the result written back through w — the map's own stripe-locked
-// setters, which bump versions so concurrent snapshot readers never see
-// a torn pose and stale views invalidate, or a merge transaction's
-// recording ones. It returns the keyframes and map points it rewrote
-// and the observations the solve classed as outliers. The solve's work
-// goes to tr's counters: optimize.ba_obs_iters (iterations times
-// observations) and optimize.ba_schur_dim (the reduced camera system's
-// dimension).
+// the free poses and every point's position written back as one batch,
+// by ascending ID, through w — the map's own SetPoses, which journals
+// the batch and bumps versions so concurrent snapshot readers never
+// see a torn pose and stale views invalidate, or a merge transaction's
+// recording one. It returns the observations the solve classed as
+// outliers. The solve's work goes to tr's counters:
+// optimize.ba_obs_iters (iterations times observations) and
+// optimize.ba_schur_dim (the reduced camera system's dimension).
 func BundleAdjust(m *smap.Map, w interface {
-	SetKeyFramePose(smap.ID, geom.SE3)
-	SetMapPointPos(smap.ID, geom.Vec3)
-}, intr camera.Intrinsics, bf float64, free, fixed []smap.ID, maxOutside, minObs, iters int, tr *obs.Tracer) (kfs, mps []smap.ID, outliers []obsRef) {
+	SetPoses([]smap.KeyFramePose, []smap.PointPos)
+}, intr camera.Intrinsics, bf float64, free, fixed []smap.ID, maxOutside, minObs, iters int, tr *obs.Tracer) (outliers []obsRef) {
 	win := gatherBA(m, intr, bf, free, fixed, maxOutside)
 	if len(win.prob.Obs) < minObs {
-		return nil, nil, nil
+		return nil
 	}
 	res := win.prob.Solve(iters)
+	var kfs []smap.KeyFramePose
 	for ci, id := range win.camIDs {
 		if !win.prob.FixedCam[ci] {
-			w.SetKeyFramePose(id, win.prob.Cams[ci])
-			kfs = append(kfs, id)
+			kfs = append(kfs, smap.KeyFramePose{ID: id, Tcw: win.prob.Cams[ci]})
 		}
 	}
+	mps := make([]smap.PointPos, len(win.ptIDs))
+	for pi, id := range win.ptIDs {
+		mps[pi] = smap.PointPos{ID: id, Pos: win.prob.Points[pi]}
+	}
+	smap.SortPoses(kfs, mps)
+	w.SetPoses(kfs, mps)
 	reg := tr.Registry()
 	reg.Counter("optimize.ba_obs_iters").Add(int64(res.Iterations) * int64(len(win.prob.Obs)))
 	reg.Counter("optimize.ba_schur_dim").Add(6 * int64(len(kfs)))
-	for pi, id := range win.ptIDs {
-		w.SetMapPointPos(id, win.prob.Points[pi])
-	}
 	for i, out := range res.Outliers {
 		if out {
 			outliers = append(outliers, win.refs[i])
 		}
 	}
-	return kfs, win.ptIDs, outliers
+	return outliers
 }

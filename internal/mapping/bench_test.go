@@ -65,11 +65,10 @@ func BenchmarkFuse(b *testing.B) {
 }
 
 // discardPoses drops the writes of a bundle adjustment, so every run
-// solves the same problem.
-type discardPoses struct{}
+// solves the same problem, and counts the keyframes it was handed.
+type discardPoses struct{ kfs int }
 
-func (discardPoses) SetKeyFramePose(smap.ID, geom.SE3) {}
-func (discardPoses) SetMapPointPos(smap.ID, geom.Vec3) {}
+func (d *discardPoses) SetPoses(kfs []smap.KeyFramePose, _ []smap.PointPos) { d.kfs += len(kfs) }
 
 // BenchmarkLocalBA times local mapping's bundle adjustment, assembly
 // and solve, over a keyframe's window.
@@ -79,7 +78,8 @@ func BenchmarkLocalBA(b *testing.B) {
 	bf := mm.Rig.Intr.Fx * mm.Rig.Baseline
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if kfs, _, _ := BundleAdjust(mm.Map, discardPoses{}, mm.Rig.Intr, bf, window, nil, 8, 10, mm.Cfg.BAIters, nil); len(kfs) == 0 {
+		var d discardPoses
+		if BundleAdjust(mm.Map, &d, mm.Rig.Intr, bf, window, nil, 8, 10, mm.Cfg.BAIters, nil); d.kfs == 0 {
 			b.Fatal("nothing adjusted")
 		}
 	}

@@ -468,7 +468,7 @@ func (mm *Mapper) localBA(kf *smap.KeyFrame) {
 	if mm.Rig.Mode == camera.Stereo {
 		bf = mm.Rig.Intr.Fx * mm.Rig.Baseline
 	}
-	_, _, outliers := BundleAdjust(mm.Map, mm.Map, mm.Rig.Intr, bf, window, nil, 8, 10, mm.Cfg.BAIters, mm.Obs)
+	outliers := BundleAdjust(mm.Map, mm.Map, mm.Rig.Intr, bf, window, nil, 8, 10, mm.Cfg.BAIters, mm.Obs)
 	// Detach observations flagged as outliers so they stop polluting
 	// future tracking and adjustments.
 	for _, o := range outliers {

@@ -149,11 +149,15 @@ func TestCullRemovesWeakPoints(t *testing.T) {
 // erasures records the order in which map points leave a map.
 type erasures struct{ ids []smap.ID }
 
-func (e *erasures) KeyFrameAdded(*smap.KeyFrame)         {}
-func (e *erasures) MapPointAdded(*smap.MapPoint)         {}
-func (e *erasures) KeyFrameErased(smap.ID)               {}
-func (e *erasures) MapPointErased(id smap.ID)            { e.ids = append(e.ids, id) }
-func (e *erasures) ObservationAdded(_, _ smap.ID, _ int) {}
+func (e *erasures) KeyFrameAdded(*smap.KeyFrame)                  {}
+func (e *erasures) MapPointAdded(*smap.MapPoint)                  {}
+func (e *erasures) KeyFrameErased(smap.ID)                        {}
+func (e *erasures) MapPointErased(id smap.ID)                     { e.ids = append(e.ids, id) }
+func (e *erasures) ObservationAdded(_, _ smap.ID, _ int)          {}
+func (e *erasures) ObservationDetached(_, _ smap.ID, _ int)       {}
+func (e *erasures) PointFused(_, _ smap.ID)                       {}
+func (e *erasures) PosesSet([]smap.KeyFramePose, []smap.PointPos) {}
+func (e *erasures) Transformed(geom.Sim3)                         {}
 
 // TestCullPointsErasesByID: a cull pass erases its points by ascending
 // ID, so the erasures, and the journal records they become, repeat run

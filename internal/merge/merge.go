@@ -5,7 +5,9 @@
 // extension for late-joining clients), estimates the 3D alignment with
 // RANSAC over Horn's method, transforms the client map, inserts it
 // into the global map without copying (shared memory), fuses duplicate
-// map points, and refines the seam with bundle adjustment.
+// map points, and refines the seam with bundle adjustment. Every write
+// goes through the global map's own mutators, which journal themselves
+// to the map's one observer; the merger writes no record of its own.
 package merge
 
 import (
@@ -89,38 +91,11 @@ type Report struct {
 	RolledBack bool
 }
 
-// Journal receives the merge-level mutations the per-entity map
-// observer (smap.Observer) cannot see: which duplicate points were
-// fused into which survivors, and the pose corrections the seam bundle
-// adjustment and essential-graph optimization applied. The persistence
-// layer (internal/persist) implements it to make merges replayable
-// after a crash; a nil Journal disables the notifications.
-//
-// A record handed to the Journal is sequenced after the observer
-// records of every map mutation that returned before the call, and
-// before those of every mutation that starts after it: the map runs
-// its observer in place, so there is nothing in flight to wait for.
-type Journal interface {
-	// MergeApplied marks a merge boundary: the similarity transform
-	// that carried the client map into global coordinates, and how many
-	// keyframes/map points the zero-copy insert contributed.
-	MergeApplied(tf geom.Sim3, insertedKFs, insertedMPs int)
-	// PointsFused fires before clientPt's observations are redirected
-	// to globalPt and clientPt is erased.
-	PointsFused(clientPt, globalPt smap.ID)
-	// PosesCorrected reports the post-adjustment keyframe poses and map
-	// point positions the seam BA / essential graph produced.
-	PosesCorrected(kfPoses map[smap.ID]geom.SE3, mpPositions map[smap.ID]geom.Vec3)
-}
-
 // Merger merges client maps into a global map.
 type Merger struct {
 	Global *smap.Map
 	Intr   camera.Intrinsics
 	Cfg    Config
-	// Journal, when non-nil, is notified of merge-level mutations for
-	// durability (see internal/persist).
-	Journal Journal
 	// Obs, when non-nil, records the merge's phase spans (detect,
 	// align, insert, fuse, BA, total — the Table 4 breakdown) under
 	// the ObsClient/ObsSeq trace the caller sets before Merge.
@@ -359,13 +334,6 @@ func (mg *Merger) Merge(cmap *smap.Map) (rep Report, err error) {
 	cmap.ApplyTransform(al.Transform)
 	rep.Align = time.Since(ta)
 
-	// Journal the merge boundary before the insert so replay sees the
-	// transform ahead of the keyframe/map-point records the insert
-	// emits through the global map's observer.
-	if mg.Journal != nil {
-		mg.Journal.MergeApplied(al.Transform, rep.InsertKFs, rep.InsertMPs)
-	}
-
 	// Zero-copy insert (the shared-memory step: pointers only). Staged:
 	// the new keyframes stay out of the BoW index until commit, so no
 	// other session can anchor to entities this merge may roll back.
@@ -374,16 +342,9 @@ func (mg *Merger) Merge(cmap *smap.Map) (rep Report, err error) {
 	rep.Insert = time.Since(ti)
 
 	// Fuse duplicate points: each inlier pair collapses the client
-	// point into the global point. The journal orders each record it is
-	// handed directly after every map mutation made before the call
-	// (see the Journal contract), so the fuse record lands after the
-	// staged insert's records and before the erase the fuse emits:
-	// replay finds both points, redirects the bindings, then erases.
+	// point into the global point.
 	tf := time.Now()
 	for _, pair := range al.Pairs {
-		if mg.Journal != nil {
-			mg.Journal.PointsFused(pair[0], pair[1])
-		}
 		if tx.fusePoint(pair[0], pair[1]) {
 			rep.FusedPts++
 		}
@@ -394,45 +355,21 @@ func (mg *Merger) Merge(cmap *smap.Map) (rep Report, err error) {
 	// lines 13-15), then essential-graph optimization to propagate the
 	// seam correction through the rest of the client map.
 	tb := time.Now()
-	kfSeam, mpSeam := mg.seamBA(tx, al)
-	kfGraph := mg.essentialGraph(tx, cmap, al)
+	mg.seamBA(tx, al)
+	mg.essentialGraph(tx, cmap, al)
 	rep.BA = time.Since(tb)
 
 	if mg.Sabotage != nil {
 		mg.Sabotage(tx)
 	}
 	if bad := mg.validate(tx); bad != nil {
-		tx.rollback(cmap, al.Transform, true, mg.Journal)
+		tx.rollback(cmap, al.Transform, true)
 		rep.RolledBack = true
 		rep.FusedPts = 0
 		rep.Total = time.Since(t0)
 		return rep, bad
 	}
 	tx.commit()
-
-	if mg.Journal != nil {
-		kfPoses := make(map[smap.ID]geom.SE3, len(kfSeam)+len(kfGraph))
-		for _, id := range kfSeam {
-			if kf, ok := mg.Global.KeyFrame(id); ok {
-				kfPoses[id] = kf.Tcw
-			}
-		}
-		for _, id := range kfGraph {
-			if kf, ok := mg.Global.KeyFrame(id); ok {
-				kfPoses[id] = kf.Tcw
-			}
-		}
-		mpPos := make(map[smap.ID]geom.Vec3, len(mpSeam))
-		for _, id := range mpSeam {
-			if mp, ok := mg.Global.MapPoint(id); ok {
-				mpPos[id] = mp.Pos
-			}
-		}
-		if len(kfPoses) > 0 || len(mpPos) > 0 {
-			mg.Journal.PosesCorrected(kfPoses, mpPos)
-		}
-	}
-
 	rep.Total = time.Since(t0)
 	return rep, nil
 }
@@ -465,7 +402,7 @@ func (mg *Merger) Adopt(cmap *smap.Map) (rep Report, err error) {
 		mg.Sabotage(tx)
 	}
 	if bad := mg.validate(tx); bad != nil {
-		tx.rollback(cmap, geom.IdentitySim3(), false, mg.Journal)
+		tx.rollback(cmap, geom.IdentitySim3(), false)
 		rep.RolledBack = true
 		rep.Total = time.Since(t0)
 		return rep, bad
@@ -514,12 +451,11 @@ func (mg *Merger) validate(tx *txn) error {
 // keyframes outside the seam window: a pose graph over the client map
 // with covisibility edges (relative poses measured before the seam
 // adjustment warped the seam), anchored at the seam keyframe — the
-// "essential graph optimization" of Alg. 2 line 15. It returns the
-// keyframes whose poses it rewrote.
-func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) []smap.ID {
+// "essential graph optimization" of Alg. 2 line 15.
+func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) {
 	kfs := cmap.KeyFrames()
 	if len(kfs) < 3 {
-		return nil
+		return
 	}
 	nodeIdx := make(map[smap.ID]int, len(kfs))
 	g := &optimize.PoseGraph{}
@@ -557,29 +493,28 @@ func (mg *Merger) essentialGraph(tx *txn, cmap *smap.Map, al Alignment) []smap.I
 		}
 	}
 	if len(g.Edges) == 0 {
-		return nil
+		return
 	}
 	g.Optimize(5)
 	// The client keyframes are in the global map by now (the staged
-	// insert ran before the graph), so the poses are written through
-	// the transaction's recorded setter over the global map's
-	// stripe-locked path: concurrent snapshot readers in other sessions
-	// never see a torn pose, and a rollback can restore the originals.
-	out := make([]smap.ID, len(kfs))
+	// insert ran before the graph), so the poses are written as one
+	// batch through the transaction's recording SetPoses: concurrent
+	// snapshot readers in other sessions never see a torn pose, and a
+	// rollback can restore the originals.
+	poses := make([]smap.KeyFramePose, len(kfs))
 	for i, kf := range kfs {
-		tx.SetKeyFramePose(kf.ID, g.Poses[i].Inverse())
-		out[i] = kf.ID
+		poses[i] = smap.KeyFramePose{ID: kf.ID, Tcw: g.Poses[i].Inverse()}
 	}
-	return out
+	smap.SortPoses(poses, nil)
+	tx.SetPoses(poses, nil)
 }
 
 // seamBA bundle-adjusts the keyframes around the merge seam: the
 // matched client and global keyframes plus their covisible neighbours,
 // with the global side fixed (the paper's essential-graph-lite) and
 // every write recorded by the transaction. It is the monocular problem
-// — the merger is not told the rig's baseline. It returns the keyframes
-// and map points whose state it rewrote.
-func (mg *Merger) seamBA(tx *txn, al Alignment) ([]smap.ID, []smap.ID) {
+// — the merger is not told the rig's baseline.
+func (mg *Merger) seamBA(tx *txn, al Alignment) {
 	side := func(anchor smap.ID) []smap.ID {
 		var ids []smap.ID
 		for _, kf := range mg.Global.Covisible(anchor, maxSeamKFs/2) {
@@ -587,7 +522,6 @@ func (mg *Merger) seamBA(tx *txn, al Alignment) ([]smap.ID, []smap.ID) {
 		}
 		return append(ids, anchor)
 	}
-	kfs, mps, _ := mapping.BundleAdjust(mg.Global, tx, mg.Intr, 0,
+	mapping.BundleAdjust(mg.Global, tx, mg.Intr, 0,
 		side(al.ClientKF), side(al.GlobalKF), 0, 20, seamBAIters, mg.Obs)
-	return kfs, mps
 }

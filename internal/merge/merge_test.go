@@ -154,9 +154,9 @@ func TestMergeRollbackRestoresGlobalMap(t *testing.T) {
 		if len(ids) == 0 {
 			t.Fatal("sabotage hook saw no inserted keyframes")
 		}
-		tx.SetKeyFramePose(ids[0], geom.SE3{
+		tx.SetPoses([]smap.KeyFramePose{{ID: ids[0], Tcw: geom.SE3{
 			R: geom.IdentityQuat(), T: geom.Vec3{X: nan, Y: nan, Z: nan},
-		})
+		}}}, nil)
 	}
 	rep, err := mg.Merge(mapB)
 	var rbErr *RollbackError
@@ -239,9 +239,9 @@ func TestFoundingMergeRollback(t *testing.T) {
 	client.AddKeyFrame(&smap.KeyFrame{ID: 1<<41 | 1, Tcw: geom.IdentitySE3()})
 	mg := New(global, camera.EuRoCIntrinsics(), DefaultConfig())
 	mg.Sabotage = func(tx SabotageContext) {
-		tx.SetKeyFramePose(tx.InsertedKFs()[0], geom.SE3{
+		tx.SetPoses([]smap.KeyFramePose{{ID: tx.InsertedKFs()[0], Tcw: geom.SE3{
 			R: geom.IdentityQuat(), T: geom.Vec3{X: math.Inf(1)},
-		})
+		}}}, nil)
 	}
 	rep, err := mg.Merge(client)
 	var rbErr *RollbackError

@@ -29,8 +29,7 @@ func (e *RollbackError) Error() string {
 // way a buggy pipeline stage would — through the undo log — so the
 // rollback machinery it is exercising can also restore what it broke.
 type SabotageContext interface {
-	SetKeyFramePose(id smap.ID, pose geom.SE3)
-	SetMapPointPos(id smap.ID, pos geom.Vec3)
+	SetPoses(kfs []smap.KeyFramePose, mps []smap.PointPos)
 	InsertedKFs() []smap.ID
 }
 
@@ -80,24 +79,25 @@ func (tx *txn) fusePoint(from, to smap.ID) bool {
 	return fused
 }
 
-// SetKeyFramePose writes a pose through the undo log (SabotageContext).
-func (tx *txn) SetKeyFramePose(id smap.ID, pose geom.SE3) {
-	if _, rec := tx.kfPoses[id]; !rec {
-		if old, _, ok := tx.g.KeyFrameState(id); ok {
-			tx.kfPoses[id] = old
+// SetPoses writes a batch through the undo log: the first write to
+// each entity records its old value, then the batch goes to the map's
+// SetPoses, which journals it.
+func (tx *txn) SetPoses(kfs []smap.KeyFramePose, mps []smap.PointPos) {
+	for _, p := range kfs {
+		if _, rec := tx.kfPoses[p.ID]; !rec {
+			if old, _, ok := tx.g.KeyFrameState(p.ID); ok {
+				tx.kfPoses[p.ID] = old
+			}
 		}
 	}
-	tx.g.SetKeyFramePose(id, pose)
-}
-
-// SetMapPointPos writes a position through the undo log.
-func (tx *txn) SetMapPointPos(id smap.ID, pos geom.Vec3) {
-	if _, rec := tx.mpPos[id]; !rec {
-		if old, _, ok := tx.g.PointMatchState(id); ok {
-			tx.mpPos[id] = old
+	for _, p := range mps {
+		if _, rec := tx.mpPos[p.ID]; !rec {
+			if old, _, ok := tx.g.PointMatchState(p.ID); ok {
+				tx.mpPos[p.ID] = old
+			}
 		}
 	}
-	tx.g.SetMapPointPos(id, pos)
+	tx.g.SetPoses(kfs, mps)
 }
 
 // InsertedKFs returns the keyframes the staged insert contributed.
@@ -143,8 +143,9 @@ func (tx *txn) commit() { tx.g.PublishKeyFrames(tx.insertedKFs) }
 // the client map was transformed into global coordinates, carries it
 // back so a later retry starts clean:
 //
-//  1. every recorded pose/position is restored (and journaled, so a
-//     WAL replay of the aborted merge converges to the same state);
+//  1. every recorded pose/position is restored in one SetPoses batch
+//     (journaled, so a WAL replay of the aborted merge converges to
+//     the same state);
 //  2. each fuse's binding redirects are reversed, newest first;
 //  3. the inserted entities are unlinked from the global map without
 //     detaching the shared objects' cross-references;
@@ -154,16 +155,17 @@ func (tx *txn) commit() { tx.g.PublishKeyFrames(tx.insertedKFs) }
 // records are cancelled by the unlink's erase records, and replay's
 // detaching erase scrubs the observation entries the fuse redirects
 // added to surviving global points.
-func (tx *txn) rollback(cmap *smap.Map, tf geom.Sim3, transformed bool, j Journal) {
+func (tx *txn) rollback(cmap *smap.Map, tf geom.Sim3, transformed bool) {
+	kfs := make([]smap.KeyFramePose, 0, len(tx.kfPoses))
 	for id, pose := range tx.kfPoses {
-		tx.g.SetKeyFramePose(id, pose)
+		kfs = append(kfs, smap.KeyFramePose{ID: id, Tcw: pose})
 	}
+	mps := make([]smap.PointPos, 0, len(tx.mpPos))
 	for id, pos := range tx.mpPos {
-		tx.g.SetMapPointPos(id, pos)
+		mps = append(mps, smap.PointPos{ID: id, Pos: pos})
 	}
-	if j != nil && (len(tx.kfPoses) > 0 || len(tx.mpPos) > 0) {
-		j.PosesCorrected(tx.kfPoses, tx.mpPos)
-	}
+	smap.SortPoses(kfs, mps)
+	tx.g.SetPoses(kfs, mps)
 	for i := len(tx.fused) - 1; i >= 0; i-- {
 		f := tx.fused[i]
 		tx.g.UndoFuse(f.from, f.to, f.fromObs, f.toObs)

@@ -1,10 +1,11 @@
 // Package persist makes the shared-memory global map durable without
-// touching the zero-copy hot path: an append-only write-ahead journal
-// of map mutations (keyframe insert, map-point add/fuse/cull, merge
-// applied, pose-graph correction) feeds crash recovery, and periodic
-// asynchronous checkpoints (internal/wire snapshots of the arena-
-// resident map plus the hologram anchor registry) bound replay time
-// and let the journal be truncated.
+// touching the zero-copy hot path: the map reports every mutation to
+// its one observer, an append-only write-ahead journal (inserts,
+// erases, bindings and their detaches, fusions, pose batches,
+// transforms), which feeds crash recovery; periodic asynchronous
+// checkpoints (internal/wire snapshots of the arena-resident map plus
+// the hologram anchor registry) bound replay time and let the journal
+// be truncated.
 //
 // The paper's design (§4.3) keeps the global map in shared memory with
 // zero serialization on the merge path — which also means one server
@@ -21,7 +22,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"slamshare/internal/codec"
@@ -40,22 +40,24 @@ var ErrCorrupt = errors.New("persist: corrupt file")
 //	record: u32 len | u32 crc32(rest) | u64 seq | u8 op | body
 //
 // Records are written asynchronously: a mutator — the map calling an
-// observer callback in place, under the mutated entity's stripe lock,
-// or the merger, the shard importer or the lifecycle manager writing a
-// fuse, pose-correction or boundary record themselves — encodes the
-// record into an in-memory buffer, and a writer goroutine drains
-// batches to disk, so the tracking/merge hot path never blocks on I/O.
+// observer callback in place, under the stripe locks it wrote, or the
+// shard importer or the lifecycle manager writing a bracket or region
+// marker, which are not map state — encodes the record into an
+// in-memory buffer, and a writer goroutine drains batches to disk, so
+// the tracking/merge hot path never blocks on I/O.
 // That buffer is the one queue between the map and the disk. A torn
 // tail (crash mid-write) fails the CRC and replay stops there —
 // exactly the WAL contract.
 //
 // Ordering: j.mu sequences a record while its mutator still holds the
-// lock that ordered the mutation (the stripe lock for entity records,
-// the server's gmu for the rest), so sequence order is mutation order
+// lock that ordered the mutation (the stripe locks for map records, the
+// server's gmu for the markers), so sequence order is mutation order
 // and replaying the journal in sequence order rebuilds the live map.
 const (
-	journalMagic        = 0x534C574A // "SLWJ"
-	journalVersion byte = 1
+	journalMagic = 0x534C574A // "SLWJ"
+	// journalVersion 2: keyframe records carry wire version 2's exact
+	// keyframes, which a version-1 reader would misparse.
+	journalVersion byte = 2
 
 	journalHeaderBytes = 4 + 1 + 8
 	recordHeaderBytes  = 4 + 4 + 8 + 1
@@ -71,6 +73,8 @@ const (
 	opObservation
 	opFuse
 	opPoses
+	// opMerge marked a merge boundary. Nothing writes it any more, and
+	// replay skips it; the number stays taken so no other op moves.
 	opMerge
 	opEvictRegion
 	opReloadRegion
@@ -80,13 +84,14 @@ const (
 	// import from a half-merge the crash interrupted (see Recover).
 	opShardImport
 	opShardImportEnd
+	opDetach
+	opTransform
 )
 
 // Journal is the write-ahead log of global-map mutations. It
-// implements smap.Observer (per-entity inserts, erases, observation
-// bindings) and merge.Journal (fusions, merge boundaries, pose
-// corrections); records are sequenced under an internal mutex and
-// flushed by a background goroutine.
+// implements smap.Observer, the one path from a map mutation to disk;
+// records are sequenced under an internal mutex and flushed by a
+// background goroutine.
 type Journal struct {
 	dir   string
 	fsync bool
@@ -352,23 +357,45 @@ func (j *Journal) ObservationAdded(kfID, mpID smap.ID, kpIdx int) {
 	j.append(opObservation, w.B)
 }
 
-// ---- merge.Journal ----
-
-// MergeApplied journals a merge boundary (informational: the transform
-// and insert sizes; the inserted entities follow as their own records).
-func (j *Journal) MergeApplied(tf geom.Sim3, insertedKFs, insertedMPs int) {
-	w := codec.Writer{B: make([]byte, 0, 8*8+8)}
-	w.Pose(geom.SE3{R: tf.R, T: tf.T})
-	w.F64(tf.S)
-	w.U32(uint32(insertedKFs))
-	w.U32(uint32(insertedMPs))
-	j.append(opMerge, w.B)
+// ObservationDetached journals a severed binding; replay detaches it
+// again.
+func (j *Journal) ObservationDetached(kfID, mpID smap.ID, kpIdx int) {
+	w := codec.Writer{B: make([]byte, 0, 20)}
+	w.U64(kfID)
+	w.U64(mpID)
+	w.U32(uint32(kpIdx))
+	j.append(opDetach, w.B)
 }
 
-// PointsFused journals a duplicate-point fusion; replay redirects the
-// client point's bindings to the global point before erasing it.
-func (j *Journal) PointsFused(clientPt, globalPt smap.ID) {
-	j.appendIDs(opFuse, clientPt, globalPt)
+// PointFused journals a duplicate-point fusion before its first
+// redirect; replay fuses again, which also erases from, so the erase
+// record the fuse writes next is a no-op there.
+func (j *Journal) PointFused(from, to smap.ID) { j.appendIDs(opFuse, from, to) }
+
+// PosesSet journals a SetPoses batch, each list in the ascending ID
+// order SetPoses requires, so the same batch always journals the same
+// bytes.
+func (j *Journal) PosesSet(kfs []smap.KeyFramePose, mps []smap.PointPos) {
+	w := codec.Writer{B: make([]byte, 0, 8+len(kfs)*poseEntryBytes+len(mps)*posEntryBytes)}
+	w.U32(uint32(len(kfs)))
+	for _, p := range kfs {
+		w.U64(p.ID)
+		w.Pose(p.Tcw)
+	}
+	w.U32(uint32(len(mps)))
+	for _, p := range mps {
+		w.U64(p.ID)
+		w.Vec3(p.Pos)
+	}
+	j.append(opPoses, w.B)
+}
+
+// Transformed journals a whole-map similarity transform.
+func (j *Journal) Transformed(s geom.Sim3) {
+	w := codec.Writer{B: make([]byte, 0, 8*8)}
+	w.Pose(geom.SE3{R: s.R, T: s.T})
+	w.F64(s.S)
+	j.append(opTransform, w.B)
 }
 
 // ---- cross-shard import brackets ----
@@ -396,34 +423,6 @@ func (j *Journal) ShardImportEnd(epoch uint64, committed bool) {
 	w.U64(epoch)
 	w.Bool(committed)
 	j.append(opShardImportEnd, w.B)
-}
-
-// PosesCorrected journals the post-adjustment poses of a merge's seam
-// BA and essential-graph optimization, each list in ascending ID order
-// so that the same corrections always journal the same bytes.
-func (j *Journal) PosesCorrected(kfPoses map[smap.ID]geom.SE3, mpPositions map[smap.ID]geom.Vec3) {
-	w := codec.Writer{B: make([]byte, 0, 8+len(kfPoses)*poseEntryBytes+len(mpPositions)*posEntryBytes)}
-	w.U32(uint32(len(kfPoses)))
-	for _, id := range sortedIDs(kfPoses) {
-		w.U64(id)
-		w.Pose(kfPoses[id])
-	}
-	w.U32(uint32(len(mpPositions)))
-	for _, id := range sortedIDs(mpPositions) {
-		w.U64(id)
-		w.Vec3(mpPositions[id])
-	}
-	j.append(opPoses, w.B)
-}
-
-// sortedIDs returns m's keys in ascending order.
-func sortedIDs[V any](m map[smap.ID]V) []smap.ID {
-	ids := make([]smap.ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // Entry sizes of an opPoses body: an ID with a pose or a position.

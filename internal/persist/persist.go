@@ -125,8 +125,9 @@ func (mgr *Manager) tickLoop() {
 	}
 }
 
-// Journal returns the manager's write-ahead journal, for wiring into a
-// merge.Merger (it implements merge.Journal) or flushing in tests.
+// Journal returns the manager's write-ahead journal, for the import
+// brackets and region markers that are not map mutations, or flushing
+// in tests.
 func (mgr *Manager) Journal() *Journal { return mgr.journal }
 
 // Stats returns the persistence counters.

@@ -2,8 +2,10 @@ package persist
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,10 +32,12 @@ func randomKeyFrame(rng *rand.Rand, alloc *smap.IDAllocator, client, nkp int, st
 		for w := range d {
 			d[w] = rng.Uint64()
 		}
+		l := rng.Intn(4)
+		s, _ := feature.LevelScale(l)
 		kps[i] = feature.Keypoint{
-			X: rng.Float64() * 700, Y: rng.Float64() * 400,
-			Level: rng.Intn(4), Angle: rng.Float64(),
-			Score: rng.Float64() * 100, Right: -1, Desc: d,
+			X: feature.FromGrid(rng.Intn(400), s), Y: feature.FromGrid(rng.Intn(230), s),
+			Level: l, Angle: rng.Float64(),
+			Score: float64(rng.Intn(100)), Right: -1, Desc: d,
 		}
 	}
 	return &smap.KeyFrame{
@@ -73,7 +77,8 @@ func populate(rng *rand.Rand, m *smap.Map, alloc *smap.IDAllocator, client, nkf,
 	}
 }
 
-// assertMapsEqual compares entity sets, poses, bindings, observations.
+// assertMapsEqual compares entity sets, poses, keypoints, bindings,
+// positions and observations, every float by its bits.
 func assertMapsEqual(t *testing.T, want, got *smap.Map) {
 	t.Helper()
 	if got.NKeyFrames() != want.NKeyFrames() || got.NMapPoints() != want.NMapPoints() {
@@ -85,16 +90,14 @@ func assertMapsEqual(t *testing.T, want, got *smap.Map) {
 		if !ok {
 			t.Fatalf("keyframe %d missing", kf.ID)
 		}
-		if g.Tcw.T.Dist(kf.Tcw.T) > 1e-12 || g.Tcw.R.AngleTo(kf.Tcw.R) > 1e-12 {
-			t.Fatalf("keyframe %d pose mismatch", kf.ID)
+		if poseBits(g.Tcw) != poseBits(kf.Tcw) {
+			t.Fatalf("keyframe %d pose %+v, want %+v", kf.ID, g.Tcw, kf.Tcw)
 		}
-		if len(g.Keypoints) != len(kf.Keypoints) {
-			t.Fatalf("keyframe %d keypoint count", kf.ID)
+		if !sameKeypoints(g.Keypoints, kf.Keypoints) {
+			t.Fatalf("keyframe %d keypoints differ", kf.ID)
 		}
-		for i := range g.MapPoints {
-			if g.MapPoints[i] != kf.MapPoints[i] {
-				t.Fatalf("keyframe %d binding %d: got %d want %d", kf.ID, i, g.MapPoints[i], kf.MapPoints[i])
-			}
+		if !slices.Equal(g.MapPoints, kf.MapPoints) {
+			t.Fatalf("keyframe %d bindings %v, want %v", kf.ID, g.MapPoints, kf.MapPoints)
 		}
 	}
 	for _, mp := range want.MapPoints() {
@@ -102,13 +105,36 @@ func assertMapsEqual(t *testing.T, want, got *smap.Map) {
 		if !ok {
 			t.Fatalf("map point %d missing", mp.ID)
 		}
-		if g.Pos.Dist(mp.Pos) > 1e-12 {
-			t.Fatalf("map point %d position", mp.ID)
+		if vecBits(g.Pos) != vecBits(mp.Pos) {
+			t.Fatalf("map point %d position %+v, want %+v", mp.ID, g.Pos, mp.Pos)
 		}
-		if len(g.Obs) != len(mp.Obs) {
-			t.Fatalf("map point %d: %d obs, want %d", mp.ID, len(g.Obs), len(mp.Obs))
+		if !slices.Equal(g.Obs, mp.Obs) {
+			t.Fatalf("map point %d observers %v, want %v", mp.ID, g.Obs, mp.Obs)
 		}
 	}
+}
+
+// poseBits and vecBits spell a pose and a position as their float64
+// bits, so == compares them bit for bit (== on floats takes -0 for +0).
+func poseBits(p geom.SE3) [7]uint64 {
+	return [7]uint64{math.Float64bits(p.R.W), math.Float64bits(p.R.X), math.Float64bits(p.R.Y), math.Float64bits(p.R.Z),
+		math.Float64bits(p.T.X), math.Float64bits(p.T.Y), math.Float64bits(p.T.Z)}
+}
+
+func vecBits(v geom.Vec3) [3]uint64 {
+	return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
+}
+
+// sameKeypoints compares two keypoint lists field by field, floats by
+// their bits.
+func sameKeypoints(a, b []feature.Keypoint) bool {
+	return slices.EqualFunc(a, b, func(x, y feature.Keypoint) bool {
+		bits := func(k feature.Keypoint) [6]uint64 {
+			return [6]uint64{math.Float64bits(k.X), math.Float64bits(k.Y), math.Float64bits(k.Angle),
+				math.Float64bits(k.Score), math.Float64bits(k.Right), math.Float64bits(k.Depth)}
+		}
+		return x.Level == y.Level && x.Desc == y.Desc && bits(x) == bits(y)
+	})
 }
 
 func TestJournalReplayRebuildsMap(t *testing.T) {
@@ -124,8 +150,7 @@ func TestJournalReplayRebuildsMap(t *testing.T) {
 	// Mix in erases and a fuse so replay covers every op.
 	pts := m.MapPoints()
 	m.EraseMapPoint(pts[0].ID)
-	mgr.Journal().PointsFused(pts[1].ID, pts[2].ID)
-	applyFuse(m, pts[1].ID, pts[2].ID)
+	m.FusePoint(pts[1].ID, pts[2].ID)
 	kfs := m.KeyFrames()
 	m.EraseKeyFrame(kfs[len(kfs)-1].ID)
 	if err := mgr.Flush(); err != nil {
@@ -402,26 +427,38 @@ func TestBackgroundTickerCheckpoints(t *testing.T) {
 	assertMapsEqual(t, m, rec.Map)
 }
 
-// TestPosesCorrectedBytesRepeat: journaling the same corrections gives
-// the same record bytes every time, keyframes and then points each in
-// ascending ID order, whatever order the maps range in.
-func TestPosesCorrectedBytesRepeat(t *testing.T) {
+// TestSetPosesBytesRepeat: the same SetPoses batch journals the same
+// record bytes every time, keyframes and then points each by ascending
+// ID, and a batch out of ID order is refused before it writes.
+func TestSetPosesBytesRepeat(t *testing.T) {
 	opts := testOptions(t)
-	mgr, err := Open(opts, smap.NewMap(bow.Default()), holo.NewRegistry(), 0, nil)
+	m := smap.NewMap(bow.Default())
+	mgr, err := Open(opts, m, holo.NewRegistry(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	kfPoses := make(map[smap.ID]geom.SE3)
-	mpPos := make(map[smap.ID]geom.Vec3)
-	for i := 0; i < 40; i++ {
-		kfPoses[rng.Uint64()] = geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}}
-		mpPos[rng.Uint64()] = geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
+	populate(rng, m, smap.NewIDAllocator(1), 1, 40, 8, 1)
+	var kfs []smap.KeyFramePose
+	for _, kf := range m.KeyFrames() {
+		kfs = append(kfs, smap.KeyFramePose{ID: kf.ID, Tcw: geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}}})
+	}
+	var mps []smap.PointPos
+	for _, mp := range m.MapPoints() {
+		mps = append(mps, smap.PointPos{ID: mp.ID, Pos: geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}})
 	}
 	const repeats = 20
 	for i := 0; i < repeats; i++ {
-		mgr.Journal().PosesCorrected(kfPoses, mpPos)
+		m.SetPoses(kfs, mps)
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetPoses took a batch out of ID order")
+			}
+		}()
+		m.SetPoses([]smap.KeyFramePose{kfs[1], kfs[0]}, nil)
+	}()
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}

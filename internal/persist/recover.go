@@ -7,6 +7,7 @@ import (
 
 	"slamshare/internal/bow"
 	"slamshare/internal/codec"
+	"slamshare/internal/geom"
 	"slamshare/internal/holo"
 	"slamshare/internal/smap"
 	"slamshare/internal/wire"
@@ -250,22 +251,26 @@ func applyRecord(rec *Recovery, op byte, body []byte) {
 			_ = m.AddObservation(kfID, mpID, kpIdx) // entities may be gone
 		}
 	case opFuse:
+		// Repeat the fuse: redirect from's bindings to to, then erase
+		// from. The erase record the live fuse wrote next is a no-op.
 		from, to := r.U64(), r.U64()
 		if r.Err() == nil {
-			applyFuse(m, from, to)
+			m.FusePoint(from, to)
 		}
 	case opPoses:
-		// A pose-graph correction: overwrite keyframe poses and map
-		// point positions with the optimized values.
-		for n := r.Count(poseEntryBytes); n > 0; n-- {
-			m.SetKeyFramePose(r.U64(), r.Pose())
+		if kfs, mps, ok := readPoses(&r); ok {
+			m.SetPoses(kfs, mps)
 		}
-		for n := r.Count(posEntryBytes); n > 0; n-- {
-			m.SetMapPointPos(r.U64(), r.Vec3())
+	case opDetach:
+		kfID, mpID, kpIdx := r.U64(), r.U64(), int(r.U32())
+		if r.Err() == nil {
+			m.DetachObservation(kfID, mpID, kpIdx)
 		}
-	case opMerge:
-		// Informational boundary marker; the inserted entities and
-		// corrections follow as their own records.
+	case opTransform:
+		pose, scale := r.Pose(), r.F64()
+		if r.Err() == nil {
+			m.ApplyTransform(geom.Sim3{S: scale, R: pose.R, T: pose.T})
+		}
 	case opShardImport, opShardImportEnd:
 		// Closed import brackets are informational here: the entities
 		// between them are ordinary records. Open brackets never reach
@@ -290,9 +295,23 @@ func applyRecord(rec *Recovery, op byte, body []byte) {
 	}
 }
 
-// applyFuse mirrors merge.Merger's point fusion: redirect the client
-// point's keypoint bindings to the surviving global point, then erase
-// it. The subsequent journaled erase record becomes a no-op.
-func applyFuse(m *smap.Map, from, to smap.ID) {
-	m.FusePoint(from, to)
+// readPoses decodes an opPoses body, refusing one that is short or not
+// by strictly ascending ID, as SetPoses writes it.
+func readPoses(r *codec.Reader) ([]smap.KeyFramePose, []smap.PointPos, bool) {
+	kfs := make([]smap.KeyFramePose, r.Count(poseEntryBytes))
+	for i := range kfs {
+		kfs[i] = smap.KeyFramePose{ID: r.U64(), Tcw: r.Pose()}
+	}
+	mps := make([]smap.PointPos, r.Count(posEntryBytes))
+	for i := range mps {
+		mps[i] = smap.PointPos{ID: r.U64(), Pos: r.Vec3()}
+	}
+	ok := r.Err() == nil
+	for i := 1; ok && i < len(kfs); i++ {
+		ok = kfs[i-1].ID < kfs[i].ID
+	}
+	for i := 1; ok && i < len(mps); i++ {
+		ok = mps[i-1].ID < mps[i].ID
+	}
+	return kfs, mps, ok
 }

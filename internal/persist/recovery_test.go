@@ -8,9 +8,11 @@ package persist_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -218,77 +220,72 @@ func TestCrashRecoveryMatchesUninterruptedRun(t *testing.T) {
 }
 
 // mapState is what the journal promises to rebuild: which entities
-// exist, each keyframe's pose and its keypoint-to-map-point bindings.
+// exist, each keyframe's pose and its keypoint-to-map-point bindings,
+// each map point's position.
 type mapState struct {
 	kfPose map[smap.ID]geom.SE3
 	kfBind map[smap.ID][]smap.ID
-	mps    map[smap.ID]bool
+	mps    map[smap.ID]geom.Vec3
 }
 
 func captureMapState(m *smap.Map) mapState {
-	st := mapState{kfPose: map[smap.ID]geom.SE3{}, kfBind: map[smap.ID][]smap.ID{}, mps: map[smap.ID]bool{}}
+	st := mapState{kfPose: map[smap.ID]geom.SE3{}, kfBind: map[smap.ID][]smap.ID{}, mps: map[smap.ID]geom.Vec3{}}
 	for _, kf := range m.KeyFrames() {
 		st.kfPose[kf.ID], st.kfBind[kf.ID], _ = m.KeyFrameState(kf.ID)
 	}
 	for _, mp := range m.MapPoints() {
-		st.mps[mp.ID] = true
+		st.mps[mp.ID], _, _ = m.PointMatchState(mp.ID)
 	}
 	return st
 }
 
-// assertEqual compares the live map at the kill with its replay. The
-// entity sets and every live binding must match exactly. Two things
-// the journal does not carry are allowed for, and only those: local
-// BA on the shared map refines keyframe poses in place (centimetres)
-// and detaches outlier observations, so a replayed pose may sit within
-// a refinement step of the live one and the replay may keep a binding
-// the live map dropped — never lose or redirect one it still had.
+// assertEqual compares the live map at the kill with its replay: the
+// same entities, every keyframe pose and point position bit for bit,
+// every binding as it was. Every map mutation is journaled, local BA's
+// write-back and outlier detaches included, so nothing is allowed for.
 func (live mapState) assertEqual(t *testing.T, rec mapState) {
 	t.Helper()
-	const refineDist, refineAngle = 0.25, 0.01 // metres, radians
-	for id := range live.mps {
-		if !rec.mps[id] {
+	for id, want := range live.mps {
+		if got, ok := rec.mps[id]; !ok {
 			t.Errorf("map point %d lost in replay", id)
+		} else if vecBits(got) != vecBits(want) {
+			t.Errorf("map point %d: replayed position %+v, live %+v", id, got, want)
 		}
 	}
 	for id := range rec.mps {
-		if !live.mps[id] {
+		if _, ok := live.mps[id]; !ok {
 			t.Errorf("map point %d resurrected by replay", id)
 		}
 	}
 	if len(rec.kfPose) != len(live.kfPose) {
 		t.Errorf("replay rebuilt %d keyframes, live map had %d", len(rec.kfPose), len(live.kfPose))
 	}
-	refined, stale := 0, 0
 	for id, want := range live.kfPose {
 		got, ok := rec.kfPose[id]
 		if !ok {
 			t.Errorf("keyframe %d lost in replay", id)
 			continue
 		}
-		if got != want {
-			refined++
-			if dT, dR := got.T.Dist(want.T), got.R.AngleTo(want.R); dT > refineDist || dR > refineAngle {
-				t.Errorf("keyframe %d: replayed pose off the live one by %.3f m / %.4f rad", id, dT, dR)
-			}
+		if poseBits(got) != poseBits(want) {
+			t.Errorf("keyframe %d: replayed pose %+v, live %+v (%.3g m / %.3g rad off)",
+				id, got, want, got.T.Dist(want.T), got.R.AngleTo(want.R))
 		}
-		wb, gb := live.kfBind[id], rec.kfBind[id]
-		if len(gb) != len(wb) {
-			t.Errorf("keyframe %d: %d bindings replayed, live had %d", id, len(gb), len(wb))
-			continue
-		}
-		for i := range wb {
-			switch {
-			case gb[i] == wb[i]:
-			case wb[i] == 0:
-				stale++
-			default:
-				t.Errorf("keyframe %d keypoint %d: replay binds %d, live map %d", id, i, gb[i], wb[i])
-			}
+		if wb, gb := live.kfBind[id], rec.kfBind[id]; !slices.Equal(gb, wb) {
+			t.Errorf("keyframe %d: replayed bindings differ from the live map's", id)
 		}
 	}
-	t.Logf("replay vs live: %d keyframes, %d map points; %d poses refined and %d outlier bindings detached by unjournaled local BA",
-		len(live.kfPose), len(live.mps), refined, stale)
+	t.Logf("replay vs live: %d keyframes, %d map points, bit for bit", len(live.kfPose), len(live.mps))
+}
+
+// poseBits and vecBits spell a pose and a position as their float64
+// bits, so == compares them bit for bit.
+func poseBits(p geom.SE3) [7]uint64 {
+	return [7]uint64{math.Float64bits(p.R.W), math.Float64bits(p.R.X), math.Float64bits(p.R.Y), math.Float64bits(p.R.Z),
+		math.Float64bits(p.T.X), math.Float64bits(p.T.Y), math.Float64bits(p.T.Z)}
+}
+
+func vecBits(v geom.Vec3) [3]uint64 {
+	return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
 }
 
 // ---- lifecycle records in the WAL ----
@@ -314,8 +311,8 @@ func populateClusters(t *testing.T, m *smap.Map, seed int64, nClusters, kfPer, p
 					d[w] = rng.Uint64()
 				}
 				kps[i] = feature.Keypoint{
-					X: rng.Float64() * 700, Y: rng.Float64() * 400,
-					Level: 2, Right: -1, Desc: d,
+					X: float64(rng.Intn(700)), Y: float64(rng.Intn(400)),
+					Right: -1, Desc: d,
 				}
 			}
 			kf := &smap.KeyFrame{
@@ -412,7 +409,7 @@ func TestRecoveryReplaysLifecycleRecords(t *testing.T) {
 	// reloaded one — lowest IDs on the tie) is evicted a second time,
 	// so the crash happens with one region on disk.
 	kf2, _ := m.KeyFrame(clusters[2][0])
-	m.SetKeyFramePose(kf2.ID, kf2.Tcw) // defeat the idle-version gate
+	m.SetPoses([]smap.KeyFramePose{{ID: kf2.ID, Tcw: kf2.Tcw}}, nil) // defeat the idle-version gate
 	for i := 0; i < 60; i++ {
 		now = m.Tick()
 	}

@@ -15,8 +15,11 @@ import (
 // TestStressConcurrentMutationWithWAL hammers a journaled map from
 // eight goroutines mixing inserts, observation wiring, erases, pose
 // writes, snapshot views, and BoW queries — the workload mix of N
-// tracking sessions plus a mapper sharing one global map — while one
-// more goroutine rotates the journal in a loop, so a checkpoint's file
+// tracking sessions plus a mapper sharing one global map — beside two
+// goroutines writing SetPoses batches over the same seed keyframes and
+// points, as two sessions' local BAs do on a merged map, and one
+// detaching seed bindings, as their outlier culls do. One more
+// goroutine rotates the journal in a loop, so a checkpoint's file
 // switch races the in-place observer appends. (It calls rotate, not
 // CheckpointNow: a snapshot encoded while sessions mutate outside the
 // checkpoint lock is not a consistent cut, which is a property of the
@@ -26,9 +29,10 @@ import (
 //  1. Snapshot views never expose a torn pose. Writers only ever store
 //     translations with equal components (k,k,k), so any view keyframe
 //     whose components differ leaked a half-written SE3.
-//  2. WAL replay reconstructs the same entity counts the live map
-//     ended with, i.e. the in-place journal hand-off loses no
-//     mutation, across any number of rotations.
+//  2. WAL replay rebuilds the live map — entities, poses and
+//     positions bit for bit, bindings, observers — i.e. the in-place
+//     journal hand-off loses or reorders no mutation of an entity,
+//     across any number of rotations.
 func TestStressConcurrentMutationWithWAL(t *testing.T) {
 	const (
 		workers  = 8
@@ -49,7 +53,7 @@ func TestStressConcurrentMutationWithWAL(t *testing.T) {
 	// shared contention surface.
 	seedRng := rand.New(rand.NewSource(42))
 	seedAlloc := smap.NewIDAllocator(1)
-	var seedIDs []smap.ID
+	var seedIDs, seedPts []smap.ID
 	for k := 0; k < seedKFs; k++ {
 		kf := randomKeyFrame(seedRng, seedAlloc, 1, kpsPerKF, float64(k)/30)
 		kf.Tcw = geom.IdentitySE3()
@@ -59,11 +63,48 @@ func TestStressConcurrentMutationWithWAL(t *testing.T) {
 			mp := randomMapPoint(seedRng, seedAlloc, 1, kf.ID)
 			m.AddMapPoint(mp)
 			m.AddObservation(kf.ID, mp.ID, (p*3)%kpsPerKF)
+			seedPts = append(seedPts, mp.ID)
 		}
 	}
 
 	var torn atomic.Bool
 	var wg sync.WaitGroup
+	// Two bundle adjustments over overlapping windows: each batch is a
+	// run of consecutive seed keyframes and points, by ascending ID.
+	for b := 0; b < 2; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(200 + b)))
+			for i := 0; i < opsPer; i++ {
+				k := float64(i) + float64(b)/4
+				pose := geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: k, Y: k, Z: k}}
+				lo := rng.Intn(len(seedIDs) - 4)
+				var kfs []smap.KeyFramePose
+				for _, id := range seedIDs[lo : lo+4] {
+					kfs = append(kfs, smap.KeyFramePose{ID: id, Tcw: pose})
+				}
+				var mps []smap.PointPos
+				for _, id := range seedPts[lo*ptsPerKF : (lo+4)*ptsPerKF] {
+					mps = append(mps, smap.PointPos{ID: id, Pos: geom.Vec3{X: k, Y: -k, Z: float64(b)}})
+				}
+				m.SetPoses(kfs, mps)
+			}
+		}(b)
+	}
+	// The outlier culls of those adjustments.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(300))
+		for i := 0; i < opsPer; i++ {
+			id := seedIDs[rng.Intn(len(seedIDs))]
+			_, bound, _ := m.KeyFrameState(id)
+			if idx := rng.Intn(len(bound)); bound[idx] != 0 {
+				m.DetachObservation(id, bound[idx], idx)
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -99,9 +140,9 @@ func TestStressConcurrentMutationWithWAL(t *testing.T) {
 					}
 				case 3: // pose write with the equal-component pattern
 					k := float64(i%97) + float64(w)/8
-					m.SetKeyFramePose(seedIDs[rng.Intn(len(seedIDs))], geom.SE3{
+					m.SetPoses([]smap.KeyFramePose{{ID: seedIDs[rng.Intn(len(seedIDs))], Tcw: geom.SE3{
 						R: geom.IdentityQuat(), T: geom.Vec3{X: k, Y: k, Z: k},
-					})
+					}}}, nil)
 				case 4: // snapshot view over a shared window; check tearing
 					v := m.LocalView(seedIDs[rng.Intn(len(seedIDs))], 8)
 					for _, kf := range v.KFs {
@@ -147,17 +188,6 @@ func TestStressConcurrentMutationWithWAL(t *testing.T) {
 	if torn.Load() {
 		t.Fatal("a snapshot view observed a torn pose")
 	}
-
-	// Pose writes are not observer events — the live pipeline journals
-	// them explicitly after each adjustment (see mapping/merge). Mirror
-	// that contract for the seed keyframes the workers rewrote.
-	finalPoses := make(map[smap.ID]geom.SE3, len(seedIDs))
-	for _, id := range seedIDs {
-		if kf, ok := m.KeyFrame(id); ok {
-			finalPoses[id] = kf.Tcw
-		}
-	}
-	mgr.Journal().PosesCorrected(finalPoses, nil)
 
 	// Close flushes the journal; replay must land on exactly the entity
 	// counts the live map settled at.

@@ -235,7 +235,7 @@ func FuzzDecodeKeypointMsg(f *testing.F) {
 			}
 			return
 		}
-		if len(m.Kps)*keypointRecordBytes > len(data) {
+		if len(m.Kps)*feature.KeypointRecordBytes > len(data) {
 			t.Fatalf("decoded %d keypoints from a %d-byte message", len(m.Kps), len(data))
 		}
 		if got := m.Encode(); string(got) != string(data) {

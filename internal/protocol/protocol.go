@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"time"
 
@@ -557,28 +556,6 @@ const (
 	KeypointSyncOnly = byte(1 << iota)
 )
 
-// The split-mode record carries each keypoint exactly, and only what
-// the extractor leaves free: X and Y as its level-grid corner
-// (feature.ToGrid), a byte holding the level and the stereo-matched bit,
-// the integer score, the raw angle and descriptor, and Right and Depth
-// as raw bits only when the keypoint is matched. An unmatched keypoint
-// is one whose Right is -1 and Depth +0, the extractor's defaults.
-const (
-	kpLevelMask = 0x07 // the level's bits in the level byte
-	kpMatched   = 0x80 // the stereo-matched bit
-	// keypointRecordBytes is an unmatched keypoint's record: grid x and
-	// y, level byte, score, angle, descriptor. A matched one adds
-	// kpStereoBytes.
-	keypointRecordBytes = 2 + 2 + 1 + 2 + 8 + feature.DescriptorBytes
-	kpStereoBytes       = 8 + 8
-)
-
-// unmatched reports whether kp carries the extractor's no-stereo
-// defaults bit for bit, and so travels without Right and Depth.
-func unmatched(kp *feature.Keypoint) bool {
-	return math.Float64bits(kp.Right) == math.Float64bits(-1) && math.Float64bits(kp.Depth) == 0
-}
-
 // KeypointMsg is the split-mode uplink frame: the client ran FAST/ORB
 // extraction (and stereo matching) itself and ships keypoints +
 // descriptors instead of encoded video, skipping the video encode /
@@ -588,8 +565,7 @@ func unmatched(kp *feature.Keypoint) bool {
 // pixels.
 //
 // Layout: the uplink head, flags, the timing pair, the prior, then a
-// u32 count and one record per keypoint (keypointRecordBytes, plus
-// kpStereoBytes when matched).
+// u32 count and one feature.AppendKeypoint record per keypoint.
 type KeypointMsg struct {
 	UplinkHeader
 	Flags byte
@@ -603,14 +579,12 @@ func (m *KeypointMsg) Type() byte { return TypeKeypoint }
 
 // EncodedLen returns len(m.Encode()) without encoding.
 func (m *KeypointMsg) EncodedLen() int {
-	n := uplinkHeadBytes + 1 + 8 + 8 + 1 + 4 + len(m.Kps)*keypointRecordBytes
+	n := uplinkHeadBytes + 1 + 8 + 8 + 1 + 4
 	if m.HasPrior {
 		n += 7 * 8
 	}
 	for i := range m.Kps {
-		if !unmatched(&m.Kps[i]) {
-			n += kpStereoBytes
-		}
+		n += feature.KeypointRecordLen(&m.Kps[i])
 	}
 	return n
 }
@@ -626,11 +600,9 @@ func readKeypointHead(r *codec.Reader, h *UplinkHeader) (flags, prior byte) {
 	return flags, readPrior(r, h)
 }
 
-// Encode serializes the keypoint message. Only the extractor builds
-// these messages, so a keypoint the record cannot carry exactly — a
-// level past feature.LevelScale's pyramid, X or Y off that level's
-// grid, a score that is not an integer in [0, 65535] — is a bug, and
-// Encode panics naming the field.
+// Encode serializes the keypoint message. Like feature.AppendKeypoint
+// it panics naming the field of a keypoint the record cannot carry
+// exactly.
 func (m *KeypointMsg) Encode() []byte {
 	w := codec.Writer{B: make([]byte, 0, m.EncodedLen())}
 	writeHead(&w, &m.UplinkHeader)
@@ -640,47 +612,13 @@ func (m *KeypointMsg) Encode() []byte {
 	writePrior(&w, &m.UplinkHeader)
 	w.U32(uint32(len(m.Kps)))
 	for i := range m.Kps {
-		kp := &m.Kps[i]
-		scale, ok := feature.LevelScale(kp.Level)
-		if !ok {
-			panic(fmt.Sprintf("protocol: keypoint %d: Level %d is past the pyramid", i, kp.Level))
-		}
-		cx, ok := feature.ToGrid(kp.X, scale)
-		if !ok {
-			panic(fmt.Sprintf("protocol: keypoint %d: X %v is off level %d's grid", i, kp.X, kp.Level))
-		}
-		cy, ok := feature.ToGrid(kp.Y, scale)
-		if !ok {
-			panic(fmt.Sprintf("protocol: keypoint %d: Y %v is off level %d's grid", i, kp.Y, kp.Level))
-		}
-		score := uint16(kp.Score)
-		if kp.Score < 0 || kp.Score > math.MaxUint16 || math.Float64bits(float64(score)) != math.Float64bits(kp.Score) {
-			panic(fmt.Sprintf("protocol: keypoint %d: Score %v is not a u16", i, kp.Score))
-		}
-		lb := byte(kp.Level)
-		matched := !unmatched(kp)
-		if matched {
-			lb |= kpMatched
-		}
-		w.U16(uint16(cx))
-		w.U16(uint16(cy))
-		w.U8(lb)
-		w.U16(score)
-		w.F64(kp.Angle)
-		for _, word := range kp.Desc {
-			w.U64(word)
-		}
-		if matched {
-			w.F64(kp.Right)
-			w.F64(kp.Depth)
-		}
+		feature.AppendKeypoint(&w, &m.Kps[i])
 	}
 	return w.B
 }
 
 // DecodeKeypointMsg reverses KeypointMsg.Encode. Unlike FrameMsg it is
-// strict — a bad prior flag, a level past the pyramid, unknown bits in
-// a level byte, a matched record holding the unmatched defaults, a
+// strict — a bad prior flag, a record feature.ReadKeypoint refuses, a
 // short record or trailing bytes are errors — so any message it accepts
 // re-encodes to the same bytes.
 func DecodeKeypointMsg(data []byte) (*KeypointMsg, error) {
@@ -688,7 +626,7 @@ func DecodeKeypointMsg(data []byte) (*KeypointMsg, error) {
 	m := &KeypointMsg{}
 	flags, prior := readKeypointHead(&r, &m.UplinkHeader)
 	m.Flags = flags
-	n := r.Count(keypointRecordBytes)
+	n := r.Count(feature.KeypointRecordBytes)
 	if r.Err() != nil {
 		return nil, errShort
 	}
@@ -699,31 +637,8 @@ func DecodeKeypointMsg(data []byte) (*KeypointMsg, error) {
 		m.Kps = make([]feature.Keypoint, n)
 	}
 	for i := range m.Kps {
-		kp := &m.Kps[i]
-		cx, cy := r.U16(), r.U16()
-		lb := r.U8()
-		if lb&^(kpLevelMask|kpMatched) != 0 {
-			return nil, fmt.Errorf("protocol: keypoint %d: unknown level bits %#x", i, lb)
-		}
-		kp.Level = int(lb & kpLevelMask)
-		scale, ok := feature.LevelScale(kp.Level)
-		if !ok {
-			return nil, fmt.Errorf("protocol: keypoint %d: level %d is past the pyramid", i, kp.Level)
-		}
-		kp.X = feature.FromGrid(int(cx), scale)
-		kp.Y = feature.FromGrid(int(cy), scale)
-		kp.Score = float64(r.U16())
-		kp.Angle = r.F64()
-		for j := range kp.Desc {
-			kp.Desc[j] = r.U64()
-		}
-		kp.Right, kp.Depth = -1, 0
-		if lb&kpMatched != 0 {
-			kp.Right = r.F64()
-			kp.Depth = r.F64()
-			if unmatched(kp) {
-				return nil, fmt.Errorf("protocol: keypoint %d: matched record holds no match", i)
-			}
+		if err := feature.ReadKeypoint(&r, &m.Kps[i]); err != nil {
+			return nil, fmt.Errorf("protocol: keypoint %d: %w", i, err)
 		}
 	}
 	if r.Err() != nil {

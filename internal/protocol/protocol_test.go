@@ -272,6 +272,13 @@ func TestHelloCapsDistinct(t *testing.T) {
 	}
 }
 
+// The level byte of a keypoint record (feature.AppendKeypoint): three
+// level bits and the stereo-matched bit.
+const (
+	kpLevelMask = 0x07
+	kpMatched   = 0x80
+)
+
 // gridKeypoint is an extractor-shaped keypoint: on corner (cx, cy) of
 // level l's grid, with an integer score, stereo-matched when right >= 0.
 func gridKeypoint(l, cx, cy int, score float64, right, depth float64) feature.Keypoint {
@@ -335,7 +342,7 @@ func TestKeypointMsgRoundTrip(t *testing.T) {
 		}
 	}
 	// Two matched records (Right 0 is a match) and one unmatched.
-	if want := 182 + 3*keypointRecordBytes + 2*kpStereoBytes; len(data) != want {
+	if want := 182 + 3*feature.KeypointRecordBytes + 2*feature.KeypointStereoBytes; len(data) != want {
 		t.Errorf("encoding is %d bytes, want %d", len(data), want)
 	}
 
@@ -379,7 +386,7 @@ func keypointRejects() []struct {
 	stereo.F64(0)
 	fakeMatch := patch(func(b []byte) []byte {
 		b[lvl] |= kpMatched
-		end := recs + keypointRecordBytes
+		end := recs + feature.KeypointRecordBytes
 		return append(append(b[:end:end], stereo.B...), valid[end:]...)
 	})
 	return []struct {
@@ -439,7 +446,7 @@ func TestKeypointMsgEncodePanics(t *testing.T) {
 		func() {
 			defer func() {
 				r := recover()
-				if msg, _ := r.(string); !strings.Contains(msg, "keypoint 1: "+c.field+" ") {
+				if msg, _ := r.(string); !strings.Contains(msg, "keypoint "+c.field+" ") {
 					t.Errorf("%+v: panic %q does not name %s", kp, r, c.field)
 				}
 			}()

@@ -261,6 +261,9 @@ type NetStats struct {
 	DupHello obs.Counter
 	// FramesRejected counts frame payloads that failed to decode.
 	FramesRejected obs.Counter
+	// UnknownMsgs counts messages of a type the server does not serve;
+	// each ends its connection, as an undecodable frame does.
+	UnknownMsgs obs.Counter
 	// FramesFailed counts decoded frames the pipeline failed to process.
 	FramesFailed obs.Counter
 	// SessionsOpened / SessionsClosed count session lifecycle on the
@@ -455,6 +458,7 @@ func New(cfg Config) (*Server, error) {
 	reg.RegisterCounter("net.bad_hello", &s.net.BadHello)
 	reg.RegisterCounter("net.dup_hello", &s.net.DupHello)
 	reg.RegisterCounter("net.frames_rejected", &s.net.FramesRejected)
+	reg.RegisterCounter("net.unknown_msgs", &s.net.UnknownMsgs)
 	reg.RegisterCounter("net.frames_failed", &s.net.FramesFailed)
 	reg.RegisterCounter("net.sessions_opened", &s.net.SessionsOpened)
 	reg.RegisterCounter("net.sessions_closed", &s.net.SessionsClosed)
@@ -931,9 +935,6 @@ func (sess *Session) tryMerge() bool {
 	merger.Obs = s.obs
 	merger.ObsClient = sess.ID
 	merger.ObsSeq = uint64(sess.frames - 1) // frame ordinal that triggered the merge
-	if s.pmgr != nil {
-		merger.Journal = s.pmgr.Journal()
-	}
 	if s.lm != nil {
 		// gmu is already held here, so the reload commits before the
 		// merge transaction starts — an aborted merge rolls back its
@@ -1183,8 +1184,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			if !answer(pm, h.SentNanos) {
 				return
 			}
+		case protocol.TypeSessionToken: // client.Run sends it after every redial; a lone server adopts nothing
 		case protocol.TypeBye:
 			clean = true
+			return
+		default:
+			s.net.UnknownMsgs.Inc()
 			return
 		}
 	}

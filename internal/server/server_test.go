@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net"
 	"sort"
 	"testing"
@@ -346,6 +347,69 @@ func TestServeCountsBadHelloAndRejects(t *testing.T) {
 	waitCounter(t, &srv.NetStats().BadHello, 2)
 	if n := srv.NSessions(); n != 1 {
 		t.Fatalf("%d sessions, want 1", n)
+	}
+}
+
+// TestServeClosesOnUnknownType: a message type the server does not
+// serve — here 8, the retired keypoint uplink — ends its connection
+// and counts on net.unknown_msgs, where it used to be dropped unseen;
+// the session token a resumable client sends after every redial is no
+// such type, and its frames are still answered.
+func TestServeClosesOnUnknownType(t *testing.T) {
+	srv, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr := serveTestListener(t, srv)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := protocol.WriteMessage(conn, protocol.TypeHello, (&protocol.HelloMsg{ClientID: 5, Mode: camera.Mono}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.WriteMessage(conn, 8, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, _, err := protocol.ReadMessage(conn); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("read after a type-8 message: %v; want the connection closed", err)
+	}
+	if got := srv.Obs().Registry().Counter("net.unknown_msgs").Load(); got != 1 {
+		t.Errorf("net.unknown_msgs = %d, want 1", got)
+	}
+
+	seq := dataset.MH04(camera.Stereo)
+	cl := client.New(6, seq)
+	conn2, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	hello := protocol.HelloMsg{ClientID: 6, Mode: seq.Rig.Mode, HasRig: true, Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline}
+	token := protocol.SessionTokenMsg{ClientID: 6, Marks: []protocol.ShardMark{{Shard: 0, MaxFrame: 3}}}
+	for _, m := range []struct {
+		mt      byte
+		payload []byte
+	}{
+		{protocol.TypeHello, hello.Encode()},
+		{protocol.TypeSessionToken, token.Encode()},
+		{protocol.TypeFrame, cl.BuildFrame(0).Encode()},
+	} {
+		if err := protocol.WriteMessage(conn2, m.mt, m.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn2.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if mt, _, err := protocol.ReadMessage(conn2); err != nil || mt != protocol.TypePose {
+		t.Fatalf("frame after a session token: got type %d, %v; want a pose", mt, err)
+	}
+	if got := srv.NetStats().UnknownMsgs.Load(); got != 1 {
+		t.Errorf("net.unknown_msgs = %d after the token, want 1", got)
 	}
 }
 

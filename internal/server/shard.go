@@ -155,7 +155,6 @@ func (s *Server) commitExport(msg *protocol.HandoffMsg, writeMsg func(byte, []by
 	}
 	s.gmu.Lock()
 	for _, id := range rec.kfIDs {
-		// Journaled through the map's observer like every other erase.
 		s.global.EraseKeyFrame(id)
 	}
 	for _, id := range rec.mpIDs {
@@ -240,22 +239,13 @@ func (s *Server) handleBoundaryRegion(peer *shardPeer, payload []byte, writeMsg 
 // opShardImport WAL bracket so a crash mid-import is rolled back by
 // recovery.
 func (s *Server) importRegion(epoch uint64, client uint32, kfs []*smap.KeyFrame, mps []*smap.MapPoint) error {
-	var j merge.Journal
 	if s.pmgr != nil {
-		jj := s.pmgr.Journal()
-		jj.ShardImportBegin(epoch, client)
-		j = jj
+		s.pmgr.Journal().ShardImportBegin(epoch, client)
 	}
 	cmap := buildImportMap(s.voc, kfs, mps)
 	merger := merge.New(s.global, camera.EuRoCIntrinsics(), s.cfg.MergeCfg)
-	merger.Journal = j
-	var err error
-	if s.global.NKeyFrames() > 0 {
-		_, err = merger.Merge(cmap)
-		if errors.Is(err, merge.ErrNoOverlap) {
-			_, err = merger.Adopt(cmap)
-		}
-	} else {
+	_, err := merger.Merge(cmap) // adopts into an empty map
+	if errors.Is(err, merge.ErrNoOverlap) {
 		_, err = merger.Adopt(cmap)
 	}
 	committed := err == nil

@@ -151,8 +151,8 @@ func TestCheckInvariantsOrderAndCounts(t *testing.T) {
 
 func TestCheckInvariantsNonFinite(t *testing.T) {
 	m, kf1, _, mpA, _ := checkMap(t)
-	m.SetKeyFramePose(kf1.ID, geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: math.NaN()}})
-	m.SetMapPointPos(mpA.ID, geom.Vec3{Z: math.Inf(1)})
+	m.SetPoses([]KeyFramePose{{kf1.ID, geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: math.NaN()}}}}, nil)
+	m.SetPoses(nil, []PointPos{{mpA.ID, geom.Vec3{Z: math.Inf(1)}}})
 	rep := m.CheckInvariants()
 	wantRule(t, rep, "kf-pose-notfinite")
 	wantRule(t, rep, "mp-pos-notfinite")
@@ -191,7 +191,7 @@ func TestPerEntityRulesBothEntryPoints(t *testing.T) {
 			m.AddMapPoint(&MapPoint{ID: kf1.ID, RefKF: 1})
 		}},
 		{"kf-pose-notfinite", func(m *Map, kf1, _ *KeyFrame, _, _ *MapPoint) {
-			m.SetKeyFramePose(kf1.ID, geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: math.NaN()}})
+			m.SetPoses([]KeyFramePose{{kf1.ID, geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: math.NaN()}}}}, nil)
 		}},
 		{"kf-binding-len", func(m *Map, kf1, _ *KeyFrame, _, _ *MapPoint) {
 			locked(m, kf1.ID, func() { kf1.MapPoints = kf1.MapPoints[:1] })
@@ -215,7 +215,7 @@ func TestPerEntityRulesBothEntryPoints(t *testing.T) {
 			locked(m, kf2.ID, func() { kf2.Conns = put(kf2.Conns, Conn{KF: kf1.ID, Weight: 99}) })
 		}},
 		{"mp-pos-notfinite", func(m *Map, _, _ *KeyFrame, mpA, _ *MapPoint) {
-			m.SetMapPointPos(mpA.ID, geom.Vec3{Z: math.Inf(1)})
+			m.SetPoses(nil, []PointPos{{mpA.ID, geom.Vec3{Z: math.Inf(1)}}})
 		}},
 		{"mp-refkf-zero", func(m *Map, _, _ *KeyFrame, _, _ *MapPoint) {
 			m.AddMapPoint(&MapPoint{ID: 12})

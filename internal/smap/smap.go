@@ -80,16 +80,18 @@ func SeqOf(id ID) ID { return id & (ID(1)<<ClientIDBits - 1) }
 
 // Observer receives notifications of map mutations. It is how the
 // persistence layer journals the shared global map without the map
-// depending on it. Callbacks run on the mutating goroutine, before
-// the mutator returns, under the write lock of the mutated entity's
-// stripe (both stripes for ObservationAdded), and receive the live
-// entity. An implementation therefore must not call into the Map
-// (the stripe lock is not reentrant), must not block on I/O (every
-// mutator and reader of that stripe waits behind it) and must not
-// keep the pointer past the call (the entity mutates once the lock
-// drops) — encode what it needs and return. Callbacks for one entity
-// arrive in mutation order, so an observer that sequences them under
-// a lock of its own sees one order consistent with every entity's.
+// depending on it: every exported mutator of Map reports to it, except
+// the derived ones, whose state replay recomputes (UpdateConnections,
+// BumpPointFound, UndoFuse — see each). Callbacks run on the mutating
+// goroutine, before the mutator returns, under the write lock of every
+// stripe the mutation wrote, and receive the live entity. An
+// implementation therefore must not call into the Map (the stripe
+// lock is not reentrant), must not block on I/O (every mutator and
+// reader of that stripe waits behind it) and must not keep the pointer
+// or slices past the call (they mutate once the lock drops) — encode
+// what it needs and return. Callbacks for one entity arrive in
+// mutation order, so an observer that sequences them under a lock of
+// its own sees one order consistent with every entity's.
 type Observer interface {
 	// KeyFrameAdded fires after a keyframe is inserted (or re-inserted).
 	KeyFrameAdded(kf *KeyFrame)
@@ -102,6 +104,17 @@ type Observer interface {
 	// ObservationAdded fires after a keypoint-to-map-point binding is
 	// established through AddObservation.
 	ObservationAdded(kfID, mpID ID, kpIdx int)
+	// ObservationDetached fires after DetachObservation changed either
+	// side of a binding.
+	ObservationDetached(kfID, mpID ID, kpIdx int)
+	// PointFused fires when FusePoint has found both points, before it
+	// redirects the first observer: replaying FusePoint(from, to) there
+	// repeats the fuse.
+	PointFused(from, to ID)
+	// PosesSet fires after SetPoses wrote a batch, with the batch.
+	PosesSet(kfs []KeyFramePose, mps []PointPos)
+	// Transformed fires after ApplyTransform moved the whole map.
+	Transformed(s geom.Sim3)
 }
 
 // KeyFrame is a camera frame promoted into the map: its pose, its
@@ -159,6 +172,8 @@ const (
 	// numStripes is the fixed stripe count; a power of two so the
 	// stripe index is the top bits of a multiplicative hash.
 	numStripes = 1 << stripeBits
+	// SetPoses keeps its lock set in one uint64, a bit per stripe.
+	_ = uint64(1) << (numStripes - 1)
 	// viewCacheMax bounds the cached LocalView table; the cache is
 	// dropped wholesale when it outgrows this (entries are keyed by
 	// reference keyframe, which advances as clients move).
@@ -798,48 +813,100 @@ func (m *Map) AddObservation(kfID, mpID ID, kpIdx int) error {
 func (m *Map) DetachObservation(kfID, mpID ID, kpIdx int) {
 	unlock := m.lockPair(kfID, mpID)
 	ks, ps := m.stripe(kfID), m.stripe(mpID)
+	changed := false
 	if kf, ok := ks.keyframes[kfID]; ok && kpIdx >= 0 && kpIdx < len(kf.MapPoints) && kf.MapPoints[kpIdx] == mpID {
 		kf.MapPoints[kpIdx] = 0
 		ks.kfVer[kfID]++
+		changed = true
 	}
 	if mp, ok := ps.points[mpID]; ok {
-		mp.Obs = drop(mp.Obs, kfID)
+		if _, had := find(mp.Obs, kfID); had {
+			mp.Obs = drop(mp.Obs, kfID)
+			changed = true
+		}
+	}
+	if changed && m.observer != nil {
+		m.observer.ObservationDetached(kfID, mpID, kpIdx)
 	}
 	m.version.Add(1)
 	unlock()
 }
 
-// SetKeyFramePose updates a keyframe's world-to-camera pose under its
-// stripe lock — the write path bundle adjustment and pose-graph
-// correction must use so snapshot readers never observe a torn pose.
-func (m *Map) SetKeyFramePose(id ID, pose geom.SE3) {
-	s := m.stripe(id)
-	s.mu.Lock()
-	if kf, ok := s.keyframes[id]; ok {
-		kf.Tcw = pose
-		s.kfVer[id]++
-	}
-	m.version.Add(1)
-	s.mu.Unlock()
+// KeyFramePose is one keyframe's world-to-camera pose in a SetPoses
+// batch.
+type KeyFramePose struct {
+	ID  ID
+	Tcw geom.SE3
 }
 
-// SetMapPointPos updates a map point's position. Position refinements
-// deliberately do not invalidate LocalView snapshots (the window's
-// keyframe versions don't move): tracking tolerates slightly stale
-// landmark positions for a frame or two, exactly as it does between
-// BA iterations.
-func (m *Map) SetMapPointPos(id ID, pos geom.Vec3) {
-	s := m.stripe(id)
-	s.mu.Lock()
-	if mp, ok := s.points[id]; ok {
-		mp.Pos = pos
+// PointPos is one map point's position in a SetPoses batch.
+type PointPos struct {
+	ID  ID
+	Pos geom.Vec3
+}
+
+// SortPoses orders a SetPoses batch by ID.
+func SortPoses(kfs []KeyFramePose, mps []PointPos) {
+	slices.SortFunc(kfs, func(a, b KeyFramePose) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(mps, func(a, b PointPos) int { return cmp.Compare(a.ID, b.ID) })
+}
+
+// SetPoses writes a batch of keyframe poses and map point positions —
+// the one write path of bundle adjustment, the merge's pose-graph
+// correction and its rollback, and recovery. Both lists must be by
+// strictly ascending ID, so a batch journals as the same bytes however
+// its writer gathered it; IDs not in the map are skipped. SetPoses
+// holds every stripe it writes, taken in ascending order, across the
+// writes and the observer's one record, so two sessions adjusting
+// shared entities at once are recorded in the order their writes took
+// effect. A keyframe write bumps its version; position refinements
+// deliberately do not invalidate LocalView snapshots: tracking
+// tolerates slightly stale landmark positions for a frame or two,
+// exactly as it does between BA iterations.
+func (m *Map) SetPoses(kfs []KeyFramePose, mps []PointPos) {
+	if !ascending(kfs, func(p KeyFramePose) ID { return p.ID }) || !ascending(mps, func(p PointPos) ID { return p.ID }) {
+		panic("smap: SetPoses batch is not by strictly ascending ID")
+	}
+	var held uint64 // one bit per stripe; numStripes is 64
+	for _, p := range kfs {
+		held |= 1 << stripeOf(p.ID)
+	}
+	for _, p := range mps {
+		held |= 1 << stripeOf(p.ID)
+	}
+	for i := range m.stripes {
+		if held&(1<<i) != 0 {
+			m.stripes[i].mu.Lock()
+		}
+	}
+	for _, p := range kfs {
+		s := m.stripe(p.ID)
+		if kf, ok := s.keyframes[p.ID]; ok {
+			kf.Tcw = p.Tcw
+			s.kfVer[p.ID]++
+		}
+	}
+	for _, p := range mps {
+		if mp, ok := m.stripe(p.ID).points[p.ID]; ok {
+			mp.Pos = p.Pos
+		}
+	}
+	if m.observer != nil && len(kfs)+len(mps) > 0 {
+		m.observer.PosesSet(kfs, mps)
 	}
 	m.version.Add(1)
-	s.mu.Unlock()
+	for i := numStripes - 1; i >= 0; i-- {
+		if held&(1<<i) != 0 {
+			m.stripes[i].mu.Unlock()
+		}
+	}
 }
 
 // BumpPointFound increments a map point's Found statistic under its
-// stripe lock (trackers on different clients share the point).
+// stripe lock (trackers on different clients share the point). Derived,
+// not journaled: Visible and Found are culling statistics the entity
+// codec does not carry, so a recovered point starts them at zero, as a
+// decoded one does.
 func (m *Map) BumpPointFound(id ID) {
 	s := m.stripe(id)
 	s.mu.Lock()
@@ -864,6 +931,9 @@ func (m *Map) FusePoint(from, to ID) bool {
 		return false
 	}
 	obs := slices.Clone(fp.Obs)
+	if m.observer != nil {
+		m.observer.PointFused(from, to)
+	}
 	unlock()
 	for _, o := range obs {
 		// Take the keyframe stripe and `to`'s stripe together so the
@@ -891,7 +961,8 @@ func (m *Map) FusePoint(from, to ID) bool {
 // UpdateConnections recomputes keyframe kf's covisibility edges from
 // its current map point observations, mirroring ORB-SLAM. Edges with
 // fewer than minShared shared points are dropped (but the single best
-// neighbour is always kept).
+// neighbour is always kept). Derived, not journaled: Recover runs it on
+// every keyframe after replay.
 func (m *Map) UpdateConnections(kfID ID, minShared int) {
 	s := m.stripe(kfID)
 	s.mu.RLock()
@@ -1256,6 +1327,9 @@ func (m *Map) ApplyTransform(s geom.Sim3) {
 			mp.Pos = s.Apply(mp.Pos)
 			mp.Normal = s.R.Rotate(mp.Normal)
 		}
+	}
+	if m.observer != nil {
+		m.observer.Transformed(s)
 	}
 	m.version.Add(1)
 	m.unlockAll()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"slamshare/internal/bow"
@@ -28,7 +29,7 @@ func randKP(rng *rand.Rand) feature.Keypoint {
 		d[i] = rng.Uint64()
 	}
 	return feature.Keypoint{
-		X: rng.Float64() * 700, Y: rng.Float64() * 400,
+		X: float64(rng.Intn(700)), Y: float64(rng.Intn(400)),
 		Desc: d, Right: -1,
 	}
 }
@@ -329,6 +330,16 @@ func (o *recObserver) MapPointErased(id ID) { o.calls = append(o.calls, fmt.Spri
 func (o *recObserver) ObservationAdded(kfID, mpID ID, kpIdx int) {
 	o.calls = append(o.calls, fmt.Sprint("obs ", kfID, mpID, kpIdx))
 }
+func (o *recObserver) ObservationDetached(kfID, mpID ID, kpIdx int) {
+	o.calls = append(o.calls, fmt.Sprint("detach ", kfID, mpID, kpIdx))
+}
+func (o *recObserver) PointFused(from, to ID) {
+	o.calls = append(o.calls, fmt.Sprint("fuse ", from, to))
+}
+func (o *recObserver) PosesSet(kfs []KeyFramePose, mps []PointPos) {
+	o.calls = append(o.calls, fmt.Sprint("poses ", len(kfs), len(mps)))
+}
+func (o *recObserver) Transformed(s geom.Sim3) { o.calls = append(o.calls, fmt.Sprint("tf ", s.S)) }
 
 func TestObserverRunsBeforeMutatorReturns(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -336,28 +347,117 @@ func TestObserverRunsBeforeMutatorReturns(t *testing.T) {
 	rec := &recObserver{}
 	m.SetObserver(rec)
 	kf1 := newKF(1, 0, rng, 4)
+	pose := geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: 1}}
 	steps := []struct {
 		name string
 		do   func()
-		want string
+		want []string
 	}{
-		{"AddKeyFrame", func() { m.AddKeyFrame(kf1) }, "kf+1"},
-		{"AddKeyFrame", func() { m.AddKeyFrame(newKF(2, 0, rng, 4)) }, "kf+2"},
-		{"AddMapPoint", func() { m.AddMapPoint(&MapPoint{ID: 10, RefKF: 1}) }, "mp+10"},
-		{"AddObservation", func() { mustAdd(t, m, 1, 10, 2) }, "obs 1 10 2"},
-		{"EraseMapPoint", func() { m.EraseMapPoint(10) }, "mp-10"},
-		{"EraseKeyFrame", func() { m.EraseKeyFrame(1) }, "kf-1"},
-		{"RemoveEntities", func() { m.RemoveEntities([]ID{2}, nil) }, "kf-2"},
+		{"AddKeyFrame", func() { m.AddKeyFrame(kf1) }, []string{"kf+1"}},
+		{"AddKeyFrame", func() { m.AddKeyFrame(newKF(2, 0, rng, 4)) }, []string{"kf+2"}},
+		{"AddMapPoint", func() { m.AddMapPoint(&MapPoint{ID: 10, RefKF: 1}) }, []string{"mp+10"}},
+		{"AddMapPoint", func() { m.AddMapPoint(&MapPoint{ID: 11, RefKF: 1}) }, []string{"mp+11"}},
+		{"AddObservation", func() { mustAdd(t, m, 1, 10, 2) }, []string{"obs 1 10 2"}},
+		{"AddObservation", func() { mustAdd(t, m, 2, 11, 0) }, []string{"obs 2 11 0"}},
+		{"DetachObservation", func() { m.DetachObservation(2, 11, 0) }, []string{"detach 2 11 0"}},
+		{"DetachObservation of nothing", func() { m.DetachObservation(2, 11, 0) }, nil},
+		{"FusePoint", func() { m.FusePoint(10, 11) }, []string{"fuse 10 11", "mp-10"}},
+		{"SetPoses", func() { m.SetPoses([]KeyFramePose{{1, pose}, {2, pose}}, []PointPos{{ID: 11}}) }, []string{"poses 2 1"}},
+		{"ApplyTransform", func() { m.ApplyTransform(geom.Sim3{S: 2, R: geom.IdentityQuat()}) }, []string{"tf 2"}},
+		{"EraseMapPoint", func() { m.EraseMapPoint(11) }, []string{"mp-11"}},
+		{"EraseKeyFrame", func() { m.EraseKeyFrame(1) }, []string{"kf-1"}},
+		{"RemoveEntities", func() { m.RemoveEntities([]ID{2}, nil) }, []string{"kf-2"}},
 	}
 	for _, st := range steps {
 		rec.calls = rec.calls[:0]
 		st.do()
-		if len(rec.calls) != 1 || rec.calls[0] != st.want {
-			t.Fatalf("%s returned with callbacks %q delivered, want exactly [%q]", st.name, rec.calls, st.want)
+		if !slices.Equal(rec.calls, st.want) {
+			t.Fatalf("%s returned with callbacks %q delivered, want exactly %q", st.name, rec.calls, st.want)
 		}
 	}
 	m.AddKeyFrame(kf1)
 	if rec.kf != kf1 {
 		t.Error("KeyFrameAdded received a copy, want the live keyframe")
+	}
+}
+
+// lastPoses records, per entity, the value of the last SetPoses batch
+// the observer was handed; SetPoses calls it under stripe locks, so its
+// own mutex is a leaf.
+type lastPoses struct {
+	recObserver
+	mu  sync.Mutex
+	kfs map[ID]geom.SE3
+	mps map[ID]geom.Vec3
+}
+
+func (o *lastPoses) PosesSet(kfs []KeyFramePose, mps []PointPos) {
+	o.mu.Lock()
+	for _, p := range kfs {
+		o.kfs[p.ID] = p.Tcw
+	}
+	for _, p := range mps {
+		o.mps[p.ID] = p.Pos
+	}
+	o.mu.Unlock()
+}
+
+// TestSetPosesRecordsInWriteOrder: SetPoses batches racing over shared
+// entities — one over every keyframe and point, and single pairs
+// written over and over while it runs, as two sessions' bundle
+// adjustments on a merged map — reach the observer in the order their
+// writes took effect, so after each round the last batch recorded for
+// an entity holds the value the map has. A SetPoses that wrote stripe
+// by stripe and recorded afterwards would let a short batch's record
+// overtake the long one's writes.
+func TestSetPosesRecordsInWriteOrder(t *testing.T) {
+	const n, rounds = 1024, 40
+	m := NewMap(nil)
+	for id := ID(1); id <= n; id++ {
+		m.AddKeyFrame(&KeyFrame{ID: id})
+		m.AddMapPoint(&MapPoint{ID: n + id})
+	}
+	obs := &lastPoses{kfs: make(map[ID]geom.SE3), mps: make(map[ID]geom.Vec3)}
+	m.SetObserver(obs)
+	pose := func(v float64) geom.SE3 { return geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: v}} }
+	rng := rand.New(rand.NewSource(5))
+	v := 0.0
+	for round := 0; round < rounds; round++ {
+		kfs := make([]KeyFramePose, n)
+		mps := make([]PointPos, n)
+		v++
+		for i := range kfs {
+			kfs[i] = KeyFramePose{ID: ID(1 + i), Tcw: pose(v)}
+			mps[i] = PointPos{ID: ID(n + 1 + i), Pos: geom.Vec3{X: v}}
+		}
+		var long sync.WaitGroup
+		long.Add(1)
+		go func() {
+			defer long.Done()
+			m.SetPoses(kfs, mps)
+		}()
+		done := make(chan struct{})
+		go func() {
+			long.Wait()
+			close(done)
+		}()
+		for short := true; short; {
+			select {
+			case <-done:
+				short = false
+			default:
+			}
+			v++
+			id := ID(1 + rng.Intn(n))
+			m.SetPoses([]KeyFramePose{{ID: id, Tcw: pose(v)}}, []PointPos{{ID: n + id, Pos: geom.Vec3{X: v}}})
+		}
+		for id := ID(1); id <= n; id++ {
+			tcw, _, _ := m.KeyFrameState(id)
+			pos, _, _ := m.PointMatchState(n + id)
+			if tcw != obs.kfs[id] || pos != obs.mps[n+id] {
+				t.Fatalf("round %d: keyframe %d holds %v and point %d %v, but the last records say %v and %v",
+					round, id, tcw.T, n+id, pos, obs.kfs[id].T, obs.mps[n+id])
+			}
+		}
 	}
 }

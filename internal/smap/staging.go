@@ -122,7 +122,10 @@ func (m *Map) RemoveEntities(kfIDs, mpIDs []ID) {
 // re-insert from into the map — merge rollback removes the inserted
 // client entities wholesale afterwards; this exists so the keyframe
 // binding slices and to's observer list, objects shared with the
-// client map, return to their pre-merge state.
+// client map, return to their pre-merge state. Not journaled: it edits
+// only keyframes the rollback's RemoveEntities unlinks next, and
+// to's observers of them, and replay's detaching erase of each such
+// keyframe drops the same observers.
 func (m *Map) UndoFuse(from, to ID, fromObs, toObs []ObsEntry) {
 	for _, o := range fromObs {
 		unlock := m.lockPair(o.KF, to)

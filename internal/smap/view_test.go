@@ -77,7 +77,7 @@ func TestLocalViewSeesPoseAndEraseUpdates(t *testing.T) {
 	// Pose writes through the setter invalidate (the keyframe version
 	// moves) and the rebuilt view carries the new pose.
 	want := geom.SE3{R: geom.QuatFromAxisAngle(geom.Vec3{Z: 1}, 0.4), T: geom.Vec3{X: 5, Y: 5, Z: 5}}
-	m.SetKeyFramePose(2, want)
+	m.SetPoses([]KeyFramePose{{2, want}}, nil)
 	v2 := m.LocalView(1, 10)
 	if v2 == v1 {
 		t.Fatal("pose write did not invalidate the view")
@@ -141,7 +141,7 @@ func TestConcurrentViewsAndMutations(t *testing.T) {
 				default:
 				}
 				k := float64(i%50) + float64(w)
-				m.SetKeyFramePose(ID(1+i%2), geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: k, Y: k, Z: k}})
+				m.SetPoses([]KeyFramePose{{ID(1 + i%2), geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: k, Y: k, Z: k}}}}, nil)
 			}
 		}(w)
 	}

@@ -33,18 +33,21 @@ var ErrCorrupt = errors.New("wire: corrupt map encoding")
 var ErrVersion = errors.New("wire: unsupported format version")
 
 // FormatVersion is the version byte every encoding carries after its
-// magic number. Bump it whenever the layout changes.
-const FormatVersion = 1
+// magic number. Bump it whenever the layout changes. Version 2 carries
+// every keyframe field exactly: keypoints as feature.AppendKeypoint
+// records and BoW weights as float64, where version 1 narrowed both
+// to float32.
+const FormatVersion = 2
 
 const mapMagic = 0x534C414D // "SLAM"
 
 // Minimum encoded sizes per entity, used to bound allocations against
 // the remaining input before trusting a decoded count.
 const (
-	minKeypointBytes = 7*4 + feature.DescriptorBytes + 8
+	minKeypointBytes = feature.KeypointRecordBytes + 8
 	minKeyFrameBytes = 8 + 4 + 8 + 4 + 7*8 + 3*4
 	minMapPointBytes = 8 + 4 + 3*8 + feature.DescriptorBytes + 3*8 + 8 + 4
-	minBowBytes      = 4 + 4
+	minBowBytes      = 4 + 8
 	minConnBytes     = 8 + 4
 	minObsBytes      = 8 + 4
 )
@@ -80,21 +83,14 @@ func appendKeyFrame(w *codec.Writer, kf *smap.KeyFrame) {
 	w.U32(uint32(kf.FrameIdx))
 	w.Pose(kf.Tcw)
 	w.U32(uint32(len(kf.Keypoints)))
-	for i, kp := range kf.Keypoints {
-		w.F32(kp.X)
-		w.F32(kp.Y)
-		w.U32(uint32(kp.Level))
-		w.F32(kp.Angle)
-		w.F32(kp.Score)
-		w.F32(kp.Right)
-		w.F32(kp.Depth)
-		writeDesc(w, kp.Desc)
+	for i := range kf.Keypoints {
+		feature.AppendKeypoint(w, &kf.Keypoints[i])
 		w.U64(kf.MapPoints[i])
 	}
 	w.U32(uint32(len(kf.Bow)))
 	for _, e := range kf.Bow {
 		w.U32(uint32(e.Word))
-		w.F32(e.Weight)
+		w.F64(e.Weight)
 	}
 	w.U32(uint32(len(kf.Conns)))
 	for _, c := range kf.Conns {
@@ -114,22 +110,16 @@ func readKeyFrame(r *codec.Reader) (*smap.KeyFrame, error) {
 	kf.Keypoints = make([]feature.Keypoint, nkp)
 	kf.MapPoints = make([]smap.ID, nkp)
 	for i := 0; i < nkp; i++ {
-		kp := &kf.Keypoints[i]
-		kp.X = r.F32()
-		kp.Y = r.F32()
-		kp.Level = int(r.U32())
-		kp.Angle = r.F32()
-		kp.Score = r.F32()
-		kp.Right = r.F32()
-		kp.Depth = r.F32()
-		kp.Desc = readDesc(r)
+		if err := feature.ReadKeypoint(r, &kf.Keypoints[i]); err != nil {
+			return nil, fmt.Errorf("%w: keyframe %d keypoint %d: %v", ErrCorrupt, kf.ID, i, err)
+		}
 		kf.MapPoints[i] = r.U64()
 	}
 	// Non-nil even with no words: a decoded vector is never recomputed.
 	kf.Bow = make(bow.Vec, r.Count(minBowBytes))
 	ordered := true
 	for i := range kf.Bow {
-		kf.Bow[i] = bow.Entry{Word: bow.WordID(r.U32()), Weight: r.F32()}
+		kf.Bow[i] = bow.Entry{Word: bow.WordID(r.U32()), Weight: r.F64()}
 		ordered = ordered && (i == 0 || kf.Bow[i].Word > kf.Bow[i-1].Word)
 	}
 	kf.Conns = make([]smap.Conn, r.Count(minConnBytes))
@@ -181,7 +171,7 @@ func readMapPoint(r *codec.Reader) (*smap.MapPoint, error) {
 // descriptors, BoW vector, bindings, covisibility) — a journal record
 // payload for the persistence layer.
 func EncodeKeyFrame(kf *smap.KeyFrame) []byte {
-	w := codec.Writer{B: make([]byte, 0, 256+len(kf.Keypoints)*(minKeypointBytes+4))}
+	w := codec.Writer{B: make([]byte, 0, 256+len(kf.Keypoints)*(minKeypointBytes+feature.KeypointStereoBytes)+len(kf.Bow)*minBowBytes)}
 	appendKeyFrame(&w, kf)
 	return w.B
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,10 +28,15 @@ func randomMap(seed int64, nkf, nkp, nmp int) *smap.Map {
 			for w := range d {
 				d[w] = rng.Uint64()
 			}
+			l := rng.Intn(4)
+			s, _ := feature.LevelScale(l)
 			kps[i] = feature.Keypoint{
-				X: rng.Float64() * 700, Y: rng.Float64() * 400,
-				Level: rng.Intn(4), Angle: rng.Float64(),
-				Score: rng.Float64() * 100, Right: -1, Desc: d,
+				X: feature.FromGrid(rng.Intn(400), s), Y: feature.FromGrid(rng.Intn(230), s),
+				Level: l, Angle: rng.Float64(),
+				Score: float64(rng.Intn(100)), Right: -1, Desc: d,
+			}
+			if i%2 == 1 { // stereo-matched
+				kps[i].Right, kps[i].Depth = kps[i].X-rng.Float64()*40, rng.Float64()*10
 			}
 		}
 		kf := &smap.KeyFrame{
@@ -181,8 +188,10 @@ func TestKeyFrameAndMapPointRoundTrip(t *testing.T) {
 		if n != len(data) {
 			t.Fatalf("consumed %d of %d", n, len(data))
 		}
-		if got.ID != kf.ID || got.Tcw.T.Dist(kf.Tcw.T) > 1e-12 ||
-			len(got.Keypoints) != len(kf.Keypoints) || len(got.Conns) != len(kf.Conns) {
+		// Version 2 keyframes are exact: every keypoint field and BoW
+		// weight decodes to the bits it was encoded from.
+		if got.ID != kf.ID || got.Tcw != kf.Tcw || !reflect.DeepEqual(got.Keypoints, kf.Keypoints) ||
+			!reflect.DeepEqual(got.Bow, kf.Bow) || len(got.Conns) != len(kf.Conns) {
 			t.Fatalf("keyframe %d corrupted", kf.ID)
 		}
 		for i := range got.MapPoints {
@@ -215,6 +224,18 @@ func TestKeyFrameAndMapPointRoundTrip(t *testing.T) {
 	if _, _, err := DecodeMapPoint(nil); err == nil {
 		t.Error("empty map point accepted")
 	}
+}
+
+// TestEncodeKeyFramePanicsOffGrid: a keypoint the exact record cannot
+// carry is a bug in whatever made it, and the encoder says which field.
+func TestEncodeKeyFramePanicsOffGrid(t *testing.T) {
+	kf := &smap.KeyFrame{ID: 1, Keypoints: []feature.Keypoint{{X: 10.5, Y: 4, Right: -1}}, MapPoints: []smap.ID{0}}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "keypoint X 10.5") {
+			t.Errorf("panic %q does not name X", msg)
+		}
+	}()
+	EncodeKeyFrame(kf)
 }
 
 // TestEncodeMapBesideMutations: a checkpoint encodes the live map
