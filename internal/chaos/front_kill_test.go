@@ -219,12 +219,12 @@ func TestClusterFrontKill(t *testing.T) {
 		walkers[0].trackedAfterKill, walkers[1].trackedAfterKill, walkers[3].trackedAfterKill)
 }
 
-// TestLegacyClientFrontKill proves the failover path degrades cleanly
-// for a client that never advertised CapResume: when its front dies it
-// redials the survivor with a plain hello — no token, no adoption —
-// gets a fresh session that relocalizes against the shard's map, and
-// never sees a duplicate answer or a token tail it cannot parse.
-func TestLegacyClientFrontKill(t *testing.T) {
+// TestTokenlessClientFrontKill proves the failover path degrades
+// cleanly for a client that never advertised CapResume: when its front
+// dies it redials the survivor with a plain hello — no token, no
+// adoption — gets a fresh session that relocalizes against the shard's
+// map, and never sees a duplicate answer or a token.
+func TestTokenlessClientFrontKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process chaos")
 	}
@@ -261,11 +261,11 @@ func TestLegacyClientFrontKill(t *testing.T) {
 	defer fr1.Kill()
 	addrs := []string{fr0.Addr, fr1.Addr}
 
-	seq := dataset.HalfRes(dataset.CityRoute("fk-legacy", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 931))
+	seq := dataset.HalfRes(dataset.CityRoute("fk-tokenless", [][2]int{{0, 1}, {1, 1}, {1, 2}}, 7, camera.Stereo, 931))
 	cl := client.New(31, seq)
 	hello := protocol.HelloMsg{
 		ClientID: 31, Mode: seq.Rig.Mode,
-		HasRig: true, Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline,
+		Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline,
 	}
 	next := 0
 	var conn net.Conn
@@ -339,7 +339,7 @@ func TestLegacyClientFrontKill(t *testing.T) {
 				t.Fatalf("round %d: decode pose: %v", r, err)
 			}
 			if pm.Token != nil {
-				t.Errorf("round %d: legacy session received a token tail", r)
+				t.Errorf("round %d: tokenless session received a token", r)
 			}
 			answered[pm.FrameIdx]++
 			if pm.FrameIdx != msg.FrameIdx {
@@ -363,7 +363,7 @@ func TestLegacyClientFrontKill(t *testing.T) {
 		}
 	}
 	if trackedAfterKill == 0 {
-		t.Error("legacy session never tracked after the front kill")
+		t.Error("tokenless session never tracked after the front kill")
 	}
 	rep, err := cluster.CheckCluster([]string{sh.Addr}, token)
 	if err != nil {

@@ -472,7 +472,8 @@ func (h *harness) events(r int) (int, error) {
 			case rc.sc.CorruptAt:
 				protocol.WriteMessage(rc.link, protocol.TypeFrame, garbageFrame)
 			default:
-				hello := protocol.HelloMsg{ClientID: rc.sc.ID, Mode: rc.cl.Mode()}
+				rig := rc.cl.Seq.Rig
+				hello := protocol.HelloMsg{ClientID: rc.sc.ID, Mode: rig.Mode, Intr: rig.Intr, Baseline: rig.Baseline}
 				protocol.WriteMessage(rc.link, protocol.TypeHello, hello.Encode())
 			}
 		case rc.phase == dead:

@@ -67,9 +67,9 @@ func runAdaptiveFlapClient(addr string, o flapClient) (*flapStats, error) {
 	}
 	defer conn.Close()
 	hello := protocol.HelloMsg{
-		ClientID: id, Mode: seq.Rig.Mode, HasRig: true,
+		ClientID: id, Mode: seq.Rig.Mode,
 		Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline,
-		HasQoS: true, QoS: qos, Caps: o.caps,
+		QoS: qos, Caps: o.caps,
 	}
 	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
 		return nil, err
@@ -99,11 +99,6 @@ func runAdaptiveFlapClient(addr string, o flapClient) (*flapStats, error) {
 				if err != nil {
 					readErr <- err
 					return
-				}
-				if pm.HasEcho {
-					// Client.Run folds echoes via its own reader; this
-					// manual loop only needs the answer accounting.
-					_ = pm.EchoNanos
 				}
 				mu.Lock()
 				sentAt, was := pending[pm.FrameIdx]

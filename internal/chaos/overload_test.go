@@ -48,7 +48,7 @@ func runBurstClient(addr string, id uint32, seq *dataset.Sequence, nFrames, stri
 	}
 	defer conn.Close()
 	hello := protocol.HelloMsg{
-		ClientID: id, Mode: seq.Rig.Mode, HasRig: true,
+		ClientID: id, Mode: seq.Rig.Mode,
 		Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline,
 	}
 	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
@@ -286,7 +286,7 @@ func TestFrozenPeerEvicted(t *testing.T) {
 	go srv.Serve(l)
 	addr := l.Addr().String()
 
-	hello := protocol.HelloMsg{ClientID: 1, Mode: camera.Mono}
+	hello := protocol.HelloMsg{ClientID: 1, Mode: camera.Mono, Intr: camera.EuRoCIntrinsics()}
 
 	// Mid-message freeze: a session-holding peer writes 3 of a frame
 	// header's 5 bytes and stalls. Before per-message deadlines the

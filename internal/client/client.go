@@ -91,8 +91,7 @@ type Client struct {
 type ModeEvent struct {
 	// At is when the client applied the switch; a starved reader can
 	// apply queued switches back to back, so ServerNanos (the server's
-	// send stamp, zero from legacy servers) is the authoritative
-	// spacing between switches.
+	// send stamp) is the authoritative spacing between switches.
 	At          time.Time
 	ServerNanos uint64
 	Mode        offload.Mode

@@ -253,20 +253,18 @@ func (s *session) settle(pm *protocol.PoseMsg) {
 	}
 }
 
-// hello writes the session opening: the one hello shape (rig + QoS
-// blocks, CapResume always; an unconfigured client is a full-offload
-// headset, as a server assumes of a legacy hello), then the session
-// token if a front ever issued one (a plain server ignores it), and
-// restarts the video streams intra for the new session's decoders.
+// hello writes the session opening: the hello (CapResume always; an
+// unconfigured client is a QoS-0 headset naming no offload mode, which
+// a server pins to full offload), then the session token if a front
+// ever issued one (a plain server ignores it), and restarts the video
+// streams intra for the new session's decoders.
 func (c *Client) hello(conn net.Conn) error {
 	c.mu.Lock()
 	msg := protocol.HelloMsg{
 		ClientID: c.ID,
 		Mode:     c.Seq.Rig.Mode,
-		HasRig:   true,
 		Intr:     c.Seq.Rig.Intr,
 		Baseline: c.Seq.Rig.Baseline,
-		HasQoS:   true,
 		QoS:      c.qos,
 		Caps:     c.caps | offload.CapResume,
 	}
@@ -311,7 +309,7 @@ func (c *Client) handleDownlink(mt byte, payload []byte) (*protocol.PoseMsg, err
 		if err != nil {
 			return nil, err
 		}
-		if pm.HasEcho {
+		if pm.EchoNanos != 0 {
 			c.noteEcho(pm.EchoNanos, time.Now())
 		}
 		if pm.Token != nil {

@@ -428,8 +428,8 @@ func TestRunPresentsTokenOnRedial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hello.HasRig || !hello.HasQoS || hello.Caps&offload.CapResume == 0 {
-		t.Errorf("hello %+v: want rig block, QoS block and CapResume", hello)
+	if hello.Mode != c.Seq.Rig.Mode || hello.Intr != c.Seq.Rig.Intr || hello.Caps&offload.CapResume == 0 {
+		t.Errorf("hello %+v: want the sequence's rig and CapResume", hello)
 	}
 	if !bytes.Equal(second[1].payload, token) {
 		t.Error("presented token differs from the one the front issued")

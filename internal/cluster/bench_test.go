@@ -357,7 +357,7 @@ func (d *deviceStream) frame(i int) (fm *protocol.FrameMsg, left, right *img.Gra
 func (d *deviceStream) hello() []byte {
 	hello := protocol.HelloMsg{
 		ClientID: streamClient, Mode: d.seq.Rig.Mode,
-		HasRig: true, Intr: d.seq.Rig.Intr, Baseline: d.seq.Rig.Baseline,
+		Intr: d.seq.Rig.Intr, Baseline: d.seq.Rig.Baseline,
 	}
 	return hello.Encode()
 }

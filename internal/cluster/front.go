@@ -91,9 +91,9 @@ type HandoffEvent struct {
 }
 
 // Front is the cluster's door: devices connect here with the ordinary
-// device protocol (legacy clients included) and the front proxies each
-// session to the shard owning its current position, moving map-region
-// ownership between shards as the session travels.
+// device protocol and the front proxies each session to the shard
+// owning its current position, moving map-region ownership between
+// shards as the session travels.
 //
 // The video stream is the subtle part: the device codec is a stateful
 // delta stream whose inter frames only decode against the frames
@@ -341,11 +341,7 @@ func (f *Front) serveSession(client net.Conn) {
 			if err != nil {
 				return
 			}
-			s.clientID = hm.ClientID
-			if hm.HasQoS {
-				s.caps = hm.Caps
-			}
-			s.helloRaw = payload
+			s.clientID, s.caps, s.helloRaw = hm.ClientID, hm.Caps, payload
 		case protocol.TypeSessionToken:
 			// A reconnecting client presents the token from its last
 			// answered pose: adopt the session — any front replica can,
@@ -727,11 +723,10 @@ func (s *session) drain() bool {
 }
 
 // connectShard dials the session's current shard, replays the original
-// hello verbatim (so legacy hello encodings survive the front
-// untouched), opens a resync window — the new server-side decoders are
-// not on the device's stream, so the encoders reset and the first frame
-// they produce is an intra — re-encodes and re-sends any unanswered
-// frames, and restarts the downlink pump.
+// hello verbatim, opens a resync window — the new server-side decoders
+// are not on the device's stream, so the encoders reset and the first
+// frame they produce is an intra — re-encodes and re-sends any
+// unanswered frames, and restarts the downlink pump.
 func (s *session) connectShard() bool {
 	conn, err := s.f.dial(s.f.cfg.Shards[s.cur])
 	if err != nil {

@@ -48,16 +48,13 @@ func newRelayRig(t *testing.T, gop int, onFrame func(conn int, idx uint32) (answ
 // send writes the stream's next frame. edit, if not nil, changes the
 // message after the device's encoders have moved on — what a fault on
 // the wire does.
-func (r *relayRig) send(i int, legacy bool, edit func(*protocol.FrameMsg)) {
+func (r *relayRig) send(i int, edit func(*protocol.FrameMsg)) {
 	r.t.Helper()
 	fm, _, _ := r.dev.frame(i)
 	if edit != nil {
 		edit(fm)
 	}
 	payload := fm.Encode()
-	if legacy {
-		payload = payload[:len(payload)-16] // senders that predate the timing tail
-	}
 	if left, err := r.refL.Decode(fm.Video); err == nil {
 		if right, err := r.refR.Decode(fm.VideoRight); err == nil {
 			r.seen[fm.FrameIdx] = [2]*img.Gray{left, right}
@@ -133,13 +130,12 @@ func worstDiff(a, b *img.Gray) int {
 }
 
 // TestFrontRelaysBytes: with the shard connection alive, what the shard
-// reads is what the device wrote — legacy frames without the timing
-// tail included — and the front's codec never runs.
+// reads is what the device wrote, and the front's codec never runs.
 func TestFrontRelaysBytes(t *testing.T) {
 	r := newRelayRig(t, relayGOP, nil)
 	const n = 2*relayGOP + 5
 	for i := 0; i < n; i++ {
-		r.send(i, i%3 == 1, nil)
+		r.send(i, nil)
 		r.await(uint32(i))
 	}
 	got := r.sh.frames(0)
@@ -169,11 +165,11 @@ func TestFrontResyncWindow(t *testing.T) {
 		return conn != 0 || idx <= lastAnswered, false
 	})
 	for i := 0; i <= lastAnswered; i++ {
-		r.send(i, false, nil)
+		r.send(i, nil)
 		r.await(uint32(i))
 	}
 	for i := lastAnswered + 1; i <= lastAnswered+held; i++ {
-		r.send(i, false, nil)
+		r.send(i, nil)
 	}
 	r.sh.awaitFrames(t, 0, lastAnswered+1+held)
 	r.sh.kill(0)
@@ -181,7 +177,7 @@ func TestFrontResyncWindow(t *testing.T) {
 		r.await(uint32(i))
 	}
 	for i := lastAnswered + held + 1; i <= last; i++ {
-		r.send(i, false, nil)
+		r.send(i, nil)
 		r.await(uint32(i))
 	}
 	r.exactlyOnce()
@@ -239,10 +235,10 @@ func TestFrontCorruptFrame(t *testing.T) {
 		return conn != 0 || idx != bad, false
 	})
 	for i := 0; i < bad; i++ {
-		r.send(i, false, nil)
+		r.send(i, nil)
 		r.await(uint32(i))
 	}
-	r.send(bad, false, func(fm *protocol.FrameMsg) {
+	r.send(bad, func(fm *protocol.FrameMsg) {
 		fm.Video = append([]byte(nil), fm.Video...)
 		for i := 9; i < len(fm.Video); i++ {
 			fm.Video[i] ^= 0xa5
@@ -258,7 +254,7 @@ func TestFrontCorruptFrame(t *testing.T) {
 	r.sh.kill(0)
 	r.await(bad)
 	for i := bad + 1; i <= last; i++ {
-		r.send(i, false, nil)
+		r.send(i, nil)
 		r.await(uint32(i))
 	}
 	r.exactlyOnce()
@@ -405,6 +401,7 @@ func TestFrontPumpsExit(t *testing.T) {
 		fm := protocol.FrameMsg{UplinkHeader: protocol.UplinkHeader{ClientID: streamClient, FrameIdx: uint32(i)}}
 		return fm.Encode()
 	}
+	hello := newDeviceStream(relayGOP).hello()
 
 	// The shard dies for good while the device keeps its window open: the
 	// uplink pump fills its queue while the session is redialling and is
@@ -426,8 +423,7 @@ func TestFrontPumpsExit(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		hello := protocol.HelloMsg{ClientID: streamClient}
-		if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
+		if err := protocol.WriteMessage(conn, protocol.TypeHello, hello); err != nil {
 			t.Fatal(err)
 		}
 		if err := protocol.WriteMessage(conn, protocol.TypeFrame, frame(0)); err != nil {
@@ -471,7 +467,7 @@ func TestFrontPumpsExit(t *testing.T) {
 		}
 		sh.serve()
 		s := stubFront(sh, FrontConfig{}).newSession(nil)
-		s.helloRaw = (&protocol.HelloMsg{ClientID: streamClient}).Encode()
+		s.helloRaw = hello
 		if !s.connectShard() {
 			t.Fatal("cannot reach the stub shard")
 		}

@@ -1,7 +1,7 @@
 package codec_test
 
 // Golden byte fixtures for every layout built on the codec: the device
-// and cluster messages (every legacy and tail form), the map entity
+// and cluster messages, the map entity
 // blobs, the journal records, the checkpoint file and the hologram
 // registry. testdata/golden.txt was recorded before the three private
 // reader/writer sets were replaced by this package, so a pass means
@@ -20,7 +20,16 @@ package codec_test
 // record and each BoW weight a float64, where version 1 narrowed both
 // to float32. The journal fixture also took journal version 2 (its
 // keyframe records are version 2's), lost the merge-boundary record
-// nothing writes any more, and gained a transform and a detach.
+// nothing writes any more, and gained a transform and a detach. The
+// hello, frame, pose and mode-switch fixtures were re-recorded for the
+// device protocol's second version, one layout per message: the hello
+// opens with a version byte and carries rig, QoS and caps; the frame's
+// timing pair and prior sit next to its head, as the keypoint
+// message's do; the pose is flags byte, echo stamp and a
+// length-prefixed token; the mode switch is its 14-byte form. The
+// shorter forms they replace (a 5-byte or rig-only hello, a tail-less
+// frame, the 133-byte pose and its flag-ordered tails, the 6-byte mode
+// switch) are no longer fixtures, as no decoder accepts them.
 
 import (
 	"bufio"
@@ -201,26 +210,16 @@ func TestGoldenProtocol(t *testing.T) {
 		want any
 	}
 	intr := camera.Intrinsics{Fx: 458.5, Fy: 457.25, Cx: 376, Cy: 240.5, Width: 752, Height: 480}
-	hello := func(rig, qos bool) *protocol.HelloMsg {
-		m := &protocol.HelloMsg{ClientID: 0x01020304, Mode: camera.Stereo}
-		if rig {
-			m.HasRig, m.Intr, m.Baseline = true, intr, 0.11
-		}
-		if qos {
-			m.HasQoS, m.QoS, m.Caps = true, 1, offload.CapSplit|offload.CapResume
-		}
-		return m
-	}
-	frame := func(prior, timing bool) *protocol.FrameMsg {
+	hello := &protocol.HelloMsg{ClientID: 0x01020304, Mode: camera.Stereo, Intr: intr, Baseline: 0.11,
+		QoS: 1, Caps: offload.CapSplit | offload.CapResume}
+	frame := func(prior bool) *protocol.FrameMsg {
 		m := &protocol.FrameMsg{
-			UplinkHeader: protocol.UplinkHeader{ClientID: 9, FrameIdx: 0xA0B0C0D0, Stamp: 12.5, Delta: delta},
-			Video:        []byte{1, 2, 3, 4, 5}, VideoRight: []byte{0xFE, 0xFF},
+			UplinkHeader: protocol.UplinkHeader{ClientID: 9, FrameIdx: 0xA0B0C0D0, Stamp: 12.5, Delta: delta,
+				SentNanos: 0x1122334455667788, RTTNanos: 42_000_000},
+			Video: []byte{1, 2, 3, 4, 5}, VideoRight: []byte{0xFE, 0xFF},
 		}
 		if prior {
 			m.HasPrior, m.Prior = true, poseA
-		}
-		if timing {
-			m.SentNanos, m.RTTNanos = 0x1122334455667788, 42_000_000
 		}
 		return m
 	}
@@ -228,16 +227,9 @@ func TestGoldenProtocol(t *testing.T) {
 		ClientID: 5, Shard: 1, Epoch: 3, Mode: 1, ModeEpoch: 4, PosX: 119.5,
 		Marks: []protocol.ShardMark{{Shard: 0, MaxFrame: 77}, {Shard: 1, MaxFrame: 120}},
 	}
-	pose := func(shed, echo, tok bool) *protocol.PoseMsg {
-		m := &protocol.PoseMsg{FrameIdx: 321, Pose: poseB, Tracked: true, Shed: shed}
-		if echo {
-			m.HasEcho, m.EchoNanos = true, 0x0102030405060708
-		}
-		if tok {
-			m.Token = token.Encode()
-		}
-		return m
-	}
+	pose := &protocol.PoseMsg{FrameIdx: 321, Pose: poseB, Tracked: true, EchoNanos: 0x0102030405060708}
+	poseAll := &protocol.PoseMsg{FrameIdx: 321, Pose: poseB, Tracked: true, Shed: true,
+		EchoNanos: 0x0102030405060708, Token: token.Encode()}
 	kpm := &protocol.KeypointMsg{
 		UplinkHeader: protocol.UplinkHeader{ClientID: 2, FrameIdx: 15, Stamp: 0.75, Delta: delta, SentNanos: 11, RTTNanos: 22,
 			HasPrior: true, Prior: poseB},
@@ -253,10 +245,6 @@ func TestGoldenProtocol(t *testing.T) {
 		Stats:       protocol.ShardStats{KeyFrames: 1, MapPoints: 2, Sessions: 3, ImportsInFlight: 4, Imports: 5, ImportRollbacks: 6, ImportsStalled: 7},
 		ResumeKnown: true, ResumeFrame: 88, ResumeEpoch: 2, ResumeMode: 2,
 	}
-	// The legacy senders' shorter forms are cut from the current
-	// encoding: a tail-less frame stops after the prior flag, a 6-byte
-	// mode switch before the send stamp.
-	legacyFrame := func() []byte { b := frame(false, false).Encode(); return b[:len(b)-16] }
 	modeSwitch := &protocol.ModeSwitchMsg{Mode: 2, Epoch: 6, Reason: 1, SentNanos: 0x0A0B0C0D0E0F1011}
 
 	dHello := func(b []byte) (any, error) { return protocol.DecodeHelloMsg(b) }
@@ -267,23 +255,15 @@ func TestGoldenProtocol(t *testing.T) {
 	dHand := func(b []byte) (any, error) { return protocol.DecodeHandoffMsg(b) }
 
 	cases := []tc{
-		{"hello.legacy5", hello(false, false).Encode, dHello, hello(false, false)},
-		{"hello.rig", hello(true, false).Encode, dHello, hello(true, false)},
-		{"hello.qos", hello(false, true).Encode, dHello, hello(false, true)},
-		{"hello.rig+qos", hello(true, true).Encode, dHello, hello(true, true)},
-		{"frame.notail", legacyFrame, dFrame, frame(false, false)},
-		{"frame.timing", frame(false, true).Encode, dFrame, frame(false, true)},
-		{"frame.prior", frame(true, true).Encode, dFrame, frame(true, true)},
+		{"hello", hello.Encode, dHello, hello},
+		{"frame", frame(false).Encode, dFrame, frame(false)},
+		{"frame.prior", frame(true).Encode, dFrame, frame(true)},
 		{"keypoint", kpm.Encode, func(b []byte) (any, error) { return protocol.DecodeKeypointMsg(b) }, kpm},
 		{"keypoint.synconly", syncPing.Encode,
 			func(b []byte) (any, error) { return protocol.DecodeKeypointMsg(b) }, syncPing},
-		{"pose.legacy133", pose(false, false, false).Encode, dPose, pose(false, false, false)},
-		{"pose.shed", pose(true, false, false).Encode, dPose, pose(true, false, false)},
-		{"pose.echo", pose(false, true, false).Encode, dPose, pose(false, true, false)},
-		{"pose.token", pose(false, false, true).Encode, dPose, pose(false, false, true)},
-		{"pose.all", pose(true, true, true).Encode, dPose, pose(true, true, true)},
-		{"modeswitch.legacy6", func() []byte { return modeSwitch.Encode()[:6] }, dMode, &protocol.ModeSwitchMsg{Mode: 2, Epoch: 6, Reason: 1}},
-		{"modeswitch.stamped14", modeSwitch.Encode, dMode, modeSwitch},
+		{"pose", pose.Encode, dPose, pose},
+		{"pose.all", poseAll.Encode, dPose, poseAll},
+		{"modeswitch", modeSwitch.Encode, dMode, modeSwitch},
 		{"token", token.Encode, func(b []byte) (any, error) { return protocol.DecodeSessionTokenMsg(b) }, token},
 		{"shard.hello", (&protocol.ShardHelloMsg{Role: protocol.ShardRolePeer, SenderID: 3, Token: 0xC0FFEE}).Encode,
 			func(b []byte) (any, error) { return protocol.DecodeShardHelloMsg(b) },

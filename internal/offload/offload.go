@@ -93,8 +93,8 @@ func (q QoS) loadScale() float64 {
 
 // Caps are the capability bits of a client's hello: the offload modes
 // it can run locally (a session is never switched into a mode it lacks)
-// and token resume. A client with no bits, like every legacy client,
-// stays in full offload.
+// and token resume. A client naming neither split nor shadow stays in
+// full offload.
 type Caps uint8
 
 const (

@@ -36,8 +36,12 @@ func FuzzDecodeFrameMsg(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0xFF
 		f.Add(flipped)
 		// Absurd video length with no backing bytes.
-		huge := append([]byte(nil), data[:120]...)
-		huge[116], huge[117], huge[118], huge[119] = 0xFF, 0xFF, 0xFF, 0x7F
+		off := uplinkHeadBytes
+		if m.HasPrior {
+			off += 7 * 8
+		}
+		huge := append([]byte(nil), data[:off+4]...)
+		huge[off], huge[off+1], huge[off+2], huge[off+3] = 0xFF, 0xFF, 0xFF, 0x7F
 		f.Add(huge)
 	}
 	f.Add([]byte{})
@@ -56,12 +60,14 @@ func FuzzDecodeFrameMsg(f *testing.F) {
 			t.Fatalf("decoded %d video bytes from a %d-byte message",
 				len(m.Video)+len(m.VideoRight), len(data))
 		}
+		if got := m.Encode(); string(got) != string(data) {
+			t.Fatalf("round-trip mismatch: %x -> %x", data, got)
+		}
 	})
 }
 
-// FuzzDecodePoseMsg covers the downlink pose decoder: the legacy
-// form, the shed-flagged form, the RTT-echo form, the session-token
-// tail, and their combinations.
+// FuzzDecodePoseMsg covers the downlink pose decoder: tracked, shed,
+// echoed and tokened answers in the one layout.
 func FuzzDecodePoseMsg(f *testing.F) {
 	token := (&SessionTokenMsg{ClientID: 4, Shard: 1, Epoch: 3, Mode: 1,
 		ModeEpoch: 2, PosX: 91.5, Marks: []ShardMark{{Shard: 0, MaxFrame: 7}}}).Encode()
@@ -69,11 +75,10 @@ func FuzzDecodePoseMsg(f *testing.F) {
 		{FrameIdx: 0, Pose: geom.IdentitySE3(), Tracked: true},
 		{FrameIdx: 99, Pose: geom.SE3{R: geom.IdentityQuat(), T: geom.Vec3{X: 1, Y: 2, Z: 3}}},
 		{FrameIdx: 7, Pose: geom.IdentitySE3(), Shed: true},
-		{FrameIdx: 8, Pose: geom.IdentitySE3(), Tracked: true, HasEcho: true, EchoNanos: 123456789},
-		{FrameIdx: 9, Pose: geom.IdentitySE3(), Shed: true, HasEcho: true, EchoNanos: ^uint64(0)},
+		{FrameIdx: 8, Pose: geom.IdentitySE3(), Tracked: true, EchoNanos: 123456789},
+		{FrameIdx: 9, Pose: geom.IdentitySE3(), Shed: true, EchoNanos: ^uint64(0)},
 		{FrameIdx: 10, Pose: geom.IdentitySE3(), Tracked: true, Token: token},
-		{FrameIdx: 11, Pose: geom.IdentitySE3(), Shed: true, HasEcho: true,
-			EchoNanos: 5, Token: token},
+		{FrameIdx: 11, Pose: geom.IdentitySE3(), Shed: true, EchoNanos: 5, Token: token},
 	}
 	for _, m := range seeds {
 		data := m.Encode()
@@ -86,6 +91,16 @@ func FuzzDecodePoseMsg(f *testing.F) {
 	}
 	f.Add([]byte{})
 
+	// rotationless blanks the matrix's rotation block, the one part of a
+	// pose that does not round trip bit for bit: SE3FromMat4 reads it as
+	// a quaternion, and a forged block is no rotation.
+	rotationless := func(b []byte) string {
+		b = append([]byte(nil), b...)
+		for row := 0; row < 3; row++ {
+			clear(b[4+32*row : 4+32*row+24])
+		}
+		return string(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodePoseMsg(data)
 		if err != nil {
@@ -97,18 +112,8 @@ func FuzzDecodePoseMsg(f *testing.F) {
 		if len(m.Token) > len(data) {
 			t.Fatalf("decoded %d token bytes from a %d-byte message", len(m.Token), len(data))
 		}
-		// The encoding is canonical (each tail present exactly when its
-		// field is set, flags ascending), so any accepted message must
-		// re-encode to the same length with byte-identical tails. (The
-		// matrix body may differ: SE3FromMat4 re-orthonormalizes a
-		// corrupted rotation.)
-		got := m.Encode()
-		if len(got) != len(data) {
-			t.Fatalf("round-trip length mismatch: %d -> %d", len(data), len(got))
-		}
-		if string(got[poseMsgLegacyLen:]) != string(data[poseMsgLegacyLen:]) {
-			t.Fatalf("round-trip tail mismatch: %x -> %x",
-				data[poseMsgLegacyLen:], got[poseMsgLegacyLen:])
+		if got := m.Encode(); rotationless(got) != rotationless(data) {
+			t.Fatalf("round-trip mismatch outside the rotation: %x -> %x", data, got)
 		}
 	})
 }
@@ -153,22 +158,22 @@ func FuzzDecodeSessionToken(f *testing.F) {
 	})
 }
 
-// FuzzDecodeHelloMsg covers the session-opening hello decoder, in both
-// the legacy 5-byte and extended-calibration forms.
+// FuzzDecodeHelloMsg covers the session-opening hello decoder. The
+// seeds are valid hellos, classic corruptions of each, and every
+// refused rig of TestHelloMsgRejectsBadRig.
 func FuzzDecodeHelloMsg(f *testing.F) {
-	legacy := &HelloMsg{ClientID: 3, Mode: camera.Stereo}
-	ext := &HelloMsg{ClientID: 9, Mode: camera.Mono, HasRig: true,
-		Intr: camera.EuRoCIntrinsics(), Baseline: 0.11}
-	qos := &HelloMsg{ClientID: 4, Mode: camera.Stereo, HasQoS: true,
-		QoS: 1, Caps: offload.CapSplit | offload.CapShadow}
-	full := &HelloMsg{ClientID: 5, Mode: camera.Stereo, HasRig: true,
-		Intr: camera.EuRoCIntrinsics(), Baseline: 0.11,
-		HasQoS: true, QoS: 2, Caps: offload.CapSplit}
-	for _, m := range []*HelloMsg{legacy, ext, qos, full} {
+	mono := testHello(9)
+	mono.Mode, mono.Baseline = camera.Mono, 0
+	adaptive := testHello(5)
+	adaptive.QoS, adaptive.Caps = 2, offload.CapSplit|offload.CapShadow|offload.CapResume
+	for _, m := range []*HelloMsg{testHello(3), mono, adaptive} {
 		data := m.Encode()
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		f.Add(append(append([]byte(nil), data...), 0xAB))
+	}
+	for _, m := range badRigs() {
+		f.Add(m.Encode())
 	}
 	f.Add([]byte{})
 
@@ -311,7 +316,8 @@ func FuzzKeypointRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeModeSwitchMsg covers the fixed-size mode-switch decoder.
+// FuzzDecodeModeSwitchMsg covers the fixed-size mode-switch decoder:
+// any message it accepts re-encodes to the same bytes.
 func FuzzDecodeModeSwitchMsg(f *testing.F) {
 	for _, m := range []*ModeSwitchMsg{
 		{Mode: 0, Epoch: 1},
@@ -319,7 +325,7 @@ func FuzzDecodeModeSwitchMsg(f *testing.F) {
 	} {
 		data := m.Encode()
 		f.Add(data)
-		f.Add(data[:modeSwitchLen]) // legacy: no send-timestamp tail
+		f.Add(data[:6])
 		f.Add(data[:len(data)-1])
 		f.Add(append(append([]byte(nil), data...), 7))
 	}
@@ -337,11 +343,8 @@ func FuzzDecodeModeSwitchMsg(f *testing.F) {
 		if m.Mode > 2 {
 			t.Fatalf("decoder accepted offload mode %d", m.Mode)
 		}
-		// Canonical stability: re-encoding (which always emits the
-		// timestamp tail, zero for legacy input) must decode identically.
-		m2, err := DecodeModeSwitchMsg(m.Encode())
-		if err != nil || *m2 != *m {
-			t.Fatalf("round-trip mismatch: %+v -> %+v (%v)", m, m2, err)
+		if got := m.Encode(); string(got) != string(data) {
+			t.Fatalf("round-trip mismatch: %x -> %x", data, got)
 		}
 	})
 }

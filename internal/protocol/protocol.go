@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 
 // Message types.
 const (
-	// TypeHello introduces a client (payload: clientID uint32).
+	// TypeHello introduces a client (payload: HelloMsg).
 	TypeHello = byte(iota + 1)
 	// TypeFrame carries an encoded video frame plus the IMU delta
 	// since the previous frame.
@@ -35,8 +36,8 @@ const (
 	// TypeBye closes the session.
 	TypeBye
 	// TypeModeSwitch carries a server-initiated offload-mode change
-	// (full / split / shadow). Only sent to clients that advertised
-	// capability bits in their hello; legacy clients never see it.
+	// (full / split / shadow). Only sent to clients whose hello names
+	// split or shadow among its capability bits.
 	TypeModeSwitch
 )
 
@@ -139,121 +140,113 @@ func ReadMessageDeadlines(c net.Conn, idle, stall time.Duration) (msgType byte, 
 	return msgType, payload, nil
 }
 
-// HelloMsg introduces a client: its ID, camera mode, and optionally
-// the rig calibration and QoS/capability block. The legacy 5-byte
-// form (ID + mode) is still accepted; without calibration the server
-// assumes the EuRoC rig, and without a QoS block the session is
-// pinned to full offload.
+// HelloMsg introduces a client: its ID, camera mode, rig calibration,
+// QoS class and capability bits. Every field is on the wire.
 type HelloMsg struct {
 	ClientID uint32
 	Mode     camera.Mode
-	// HasRig reports whether the calibration fields are meaningful.
+	// HasRig is not consulted: Encode ignores it. Assigned by the frozen
+	// bench/devices.go; delete with the next `benchmark` PR.
 	HasRig   bool
 	Intr     camera.Intrinsics
 	Baseline float64 // metres; 0 for monocular rigs
-	// HasQoS reports whether the QoS/capability block is present.
-	HasQoS bool
-	QoS    offload.QoS
-	Caps   offload.Caps
+	QoS      offload.QoS
+	Caps     offload.Caps
 }
 
-// Rig materializes the advertised calibration (or the EuRoC default
-// for legacy hellos).
+// helloVersion opens every hello. The device protocol's first layouts
+// carried no version byte; this is its second.
+const helloVersion = 2
+
+// helloLen is the hello's one length: version, client ID, mode, four
+// float intrinsics, width, height, baseline, QoS and caps.
+const helloLen = 1 + 4 + 1 + 4*8 + 2*4 + 8 + 1 + 1
+
+// maxRigSide bounds a hello's image width and height: far above any
+// rig the datasets model (KITTI's 1241 px is the widest), far below a
+// size whose per-frame buffers a server could not allocate.
+const maxRigSide = 8192
+
+// Rig materializes the advertised calibration.
 func (m *HelloMsg) Rig() camera.Rig {
-	intr := m.Intr
-	if !m.HasRig {
-		intr = camera.EuRoCIntrinsics()
-	}
 	if m.Mode == camera.Stereo {
-		base := m.Baseline
-		if !m.HasRig {
-			base = 0.11
-		}
-		return camera.NewStereoRig(intr, base)
+		return camera.NewStereoRig(m.Intr, m.Baseline)
 	}
-	return camera.NewMonoRig(intr)
+	return camera.NewMonoRig(m.Intr)
 }
-
-// Hello extension block tags. Blocks are appended after the legacy
-// 5-byte prefix in strictly ascending tag order, each optional, so a
-// decoder written for tag N keeps parsing hellos that stop before
-// tag N+1 and errors loudly on anything it does not know.
-const (
-	helloBlockRig = 1
-	helloBlockQoS = 2
-)
 
 // Encode serializes the hello message.
 func (m *HelloMsg) Encode() []byte {
-	w := codec.Writer{B: make([]byte, 0, 5+1+6*8+2*4+3)}
+	w := codec.Writer{B: make([]byte, 0, helloLen)}
+	w.U8(helloVersion)
 	w.U32(m.ClientID)
 	w.U8(byte(m.Mode))
-	if m.HasRig {
-		w.U8(helloBlockRig)
-		w.F64(m.Intr.Fx)
-		w.F64(m.Intr.Fy)
-		w.F64(m.Intr.Cx)
-		w.F64(m.Intr.Cy)
-		w.U32(uint32(m.Intr.Width))
-		w.U32(uint32(m.Intr.Height))
-		w.F64(m.Baseline)
-	}
-	if m.HasQoS {
-		w.U8(helloBlockQoS)
-		w.U8(byte(m.QoS))
-		w.U8(byte(m.Caps))
-	}
+	w.F64(m.Intr.Fx)
+	w.F64(m.Intr.Fy)
+	w.F64(m.Intr.Cx)
+	w.F64(m.Intr.Cy)
+	w.U32(uint32(m.Intr.Width))
+	w.U32(uint32(m.Intr.Height))
+	w.F64(m.Baseline)
+	w.U8(byte(m.QoS))
+	w.U8(byte(m.Caps))
 	return w.B
 }
 
-// DecodeHelloMsg reverses HelloMsg.Encode, accepting the legacy
-// 5-byte form, the calibration-extended form, and the QoS-extended
-// form (in any combination, tags ascending).
+// DecodeHelloMsg reverses HelloMsg.Encode. It refuses a foreign
+// version, any other length, an unknown camera mode or QoS class, and a
+// rig no camera has (checkRig), so no session sizes its buffers from a
+// forged calibration.
 func DecodeHelloMsg(data []byte) (*HelloMsg, error) {
 	r := codec.NewReader(data)
+	if v := r.U8(); v != helloVersion {
+		return nil, fmt.Errorf("protocol: hello version %d, want %d", v, helloVersion)
+	}
 	m := &HelloMsg{}
 	m.ClientID = r.U32()
 	m.Mode = camera.Mode(r.U8())
-	if r.Err() != nil {
-		return nil, errShort
-	}
-	if r.Len() == 0 {
-		return m, nil // legacy hello: no extensions
-	}
-	flag := r.U8()
-	if flag == helloBlockRig {
-		m.HasRig = true
-		m.Intr.Fx = r.F64()
-		m.Intr.Fy = r.F64()
-		m.Intr.Cx = r.F64()
-		m.Intr.Cy = r.F64()
-		m.Intr.Width = int(r.U32())
-		m.Intr.Height = int(r.U32())
-		m.Baseline = r.F64()
-		if r.Err() != nil {
-			return nil, errShort
-		}
-		if r.Len() == 0 {
-			return m, nil
-		}
-		flag = r.U8()
-	}
-	if flag != helloBlockQoS {
-		return nil, fmt.Errorf("protocol: bad hello calibration flag %d", flag)
-	}
-	m.HasQoS = true
+	m.Intr.Fx = r.F64()
+	m.Intr.Fy = r.F64()
+	m.Intr.Cx = r.F64()
+	m.Intr.Cy = r.F64()
+	m.Intr.Width = int(r.U32())
+	m.Intr.Height = int(r.U32())
+	m.Baseline = r.F64()
 	m.QoS = offload.QoS(r.U8())
 	m.Caps = offload.Caps(r.U8())
-	if r.Err() != nil {
-		return nil, errShort
-	}
-	if m.QoS > offload.QoSDrone {
+	switch {
+	case !r.Done():
+		return nil, fmt.Errorf("protocol: hello is %d bytes, want %d", len(data), helloLen)
+	case m.Mode != camera.Mono && m.Mode != camera.Stereo:
+		return nil, fmt.Errorf("protocol: bad hello camera mode %d", m.Mode)
+	case m.QoS > offload.QoSDrone:
 		return nil, fmt.Errorf("protocol: bad hello qos class %d", m.QoS)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("protocol: %d trailing bytes in hello", r.Len())
+	if err := checkRig(m); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// checkRig refuses a calibration no camera has: a side of 0 or past
+// maxRigSide, a focal length that is not finite and positive, a
+// principal point or baseline that is not finite, or a stereo baseline
+// that is not positive.
+func checkRig(m *HelloMsg) error {
+	finite := func(v float64) bool { return math.Abs(v) <= math.MaxFloat64 } // false for NaN
+	positive := func(v float64) bool { return v > 0 && finite(v) }
+	in := &m.Intr
+	switch {
+	case in.Width <= 0 || in.Width > maxRigSide || in.Height <= 0 || in.Height > maxRigSide:
+		return fmt.Errorf("protocol: hello rig is %dx%d pixels", in.Width, in.Height)
+	case !positive(in.Fx) || !positive(in.Fy):
+		return fmt.Errorf("protocol: bad hello focal length %g, %g", in.Fx, in.Fy)
+	case !finite(in.Cx) || !finite(in.Cy):
+		return fmt.Errorf("protocol: bad hello principal point %g, %g", in.Cx, in.Cy)
+	case !finite(m.Baseline) || m.Mode == camera.Stereo && !positive(m.Baseline):
+		return fmt.Errorf("protocol: bad hello %v baseline %g", m.Mode, m.Baseline)
+	}
+	return nil
 }
 
 // UplinkHeader is what every device uplink carries, whichever offload
@@ -273,8 +266,7 @@ type UplinkHeader struct {
 	// SentNanos is the client's wall clock at send time; the server
 	// echoes it on the answering PoseMsg so the client can measure
 	// round-trip time. RTTNanos is the client's current RTT estimate,
-	// fed to the server's offload-mode controller. Both are 0 from
-	// legacy clients (the frame decoder tolerates the missing tail).
+	// fed to the server's offload-mode controller. 0 is no value.
 	SentNanos uint64
 	RTTNanos  uint64
 }
@@ -326,7 +318,7 @@ func PeekUplink(mt byte, payload []byte) (h UplinkHeader, left, right []byte, er
 		return m.UplinkHeader, m.Video, m.VideoRight, nil
 	case TypeKeypoint:
 		r := codec.NewReader(payload)
-		readKeypointHead(&r, &h)
+		readUplinkHead(&r, mt, &h)
 		if r.Err() != nil {
 			return h, nil, nil, errShort
 		}
@@ -348,10 +340,11 @@ type FrameMsg struct {
 // counts and lengths claim more than the payload holds.
 var errShort = errors.New("protocol: short message")
 
-// writeHead writes the prefix both uplinks open with: client, frame
-// index, stamp and the 11-float IMU delta. The prior and the timing
-// tail sit at different offsets in the two messages.
-func writeHead(w *codec.Writer, h *UplinkHeader) {
+// writeUplinkHead writes what both uplinks open with: client, frame
+// index, stamp, the 11-float IMU delta, a keypoint message's flags
+// byte, the timing pair, and the prior — a flag byte, then the 7-float
+// pose when the flag is 1.
+func writeUplinkHead(w *codec.Writer, mt byte, h *UplinkHeader, flags byte) {
 	w.U32(h.ClientID)
 	w.U32(h.FrameIdx)
 	w.F64(h.Stamp)
@@ -359,9 +352,20 @@ func writeHead(w *codec.Writer, h *UplinkHeader) {
 	w.Pose(geom.SE3{R: d.RotDelta, T: d.PosDelta})
 	w.Vec3(d.VelDelta)
 	w.F64(d.DT)
+	if mt == TypeKeypoint {
+		w.U8(flags)
+	}
+	w.U64(h.SentNanos)
+	w.U64(h.RTTNanos)
+	w.Bool(h.HasPrior)
+	if h.HasPrior {
+		w.Pose(h.Prior)
+	}
 }
 
-func readHead(r *codec.Reader, h *UplinkHeader) {
+// readUplinkHead reverses writeUplinkHead and returns the flags and the
+// prior's flag byte, which the decoders validate.
+func readUplinkHead(r *codec.Reader, mt byte, h *UplinkHeader) (flags, prior byte) {
 	h.ClientID = r.U32()
 	h.FrameIdx = r.U32()
 	h.Stamp = r.F64()
@@ -370,29 +374,21 @@ func readHead(r *codec.Reader, h *UplinkHeader) {
 	d.RotDelta, d.PosDelta = p.R, p.T
 	d.VelDelta = r.Vec3()
 	d.DT = r.F64()
-}
-
-// uplinkHeadBytes is writeHead's size.
-const uplinkHeadBytes = 4 + 4 + 8 + 11*8
-
-// writePrior writes the optional pose prior: a flag byte, then the
-// 7-float pose when the flag is 1.
-func writePrior(w *codec.Writer, h *UplinkHeader) {
-	w.Bool(h.HasPrior)
-	if h.HasPrior {
-		w.Pose(h.Prior)
+	if mt == TypeKeypoint {
+		flags = r.U8()
 	}
-}
-
-// readPrior reverses writePrior and returns the flag byte, which the
-// strict decoders validate.
-func readPrior(r *codec.Reader, h *UplinkHeader) (flag byte) {
-	if flag = r.U8(); flag == 1 {
+	h.SentNanos = r.U64()
+	h.RTTNanos = r.U64()
+	if prior = r.U8(); prior == 1 {
 		h.HasPrior = true
 		h.Prior = r.Pose()
 	}
-	return flag
+	return flags, prior
 }
+
+// uplinkHeadBytes is writeUplinkHead's size for a frame without a
+// prior: a keypoint message adds its flags byte, a prior 7 floats.
+const uplinkHeadBytes = 4 + 4 + 8 + 11*8 + 8 + 8 + 1
 
 // PeekFrameIdx returns the frame index a payload opens with, for
 // routers that forward payloads without decoding them: FrameMsg and
@@ -409,15 +405,13 @@ func PeekFrameIdx(msgType byte, payload []byte) (idx uint32, ok bool) {
 // Type returns TypeFrame.
 func (m *FrameMsg) Type() byte { return TypeFrame }
 
-// Encode serializes the frame message.
+// Encode serializes the frame message: the uplink head, then the two
+// length-prefixed eyes.
 func (m *FrameMsg) Encode() []byte {
-	w := codec.Writer{B: make([]byte, 0, 16+len(m.Video)+len(m.VideoRight)+100)}
-	writeHead(&w, &m.UplinkHeader)
+	w := codec.Writer{B: make([]byte, 0, uplinkHeadBytes+7*8+8+len(m.Video)+len(m.VideoRight))}
+	writeUplinkHead(&w, TypeFrame, &m.UplinkHeader, 0)
 	w.Bytes(m.Video)
 	w.Bytes(m.VideoRight)
-	writePrior(&w, &m.UplinkHeader)
-	w.U64(m.SentNanos)
-	w.U64(m.RTTNanos)
 	return w.B
 }
 
@@ -431,20 +425,21 @@ func DecodeFrameMsg(data []byte) (*FrameMsg, error) {
 	return m, nil
 }
 
+// decodeFrame is strict, like every device decoder: a bad prior flag, a
+// short message or trailing bytes are errors, so any frame it accepts
+// re-encodes to the same bytes.
 func decodeFrame(data []byte, m *FrameMsg) error {
 	r := codec.NewReader(data)
-	readHead(&r, &m.UplinkHeader)
+	_, prior := readUplinkHead(&r, TypeFrame, &m.UplinkHeader)
 	m.Video = r.Bytes(MaxMessageSize)
 	m.VideoRight = r.Bytes(MaxMessageSize)
-	readPrior(&r, &m.UplinkHeader)
-	// Timing tail (absent from legacy senders; decoders have always
-	// ignored trailing bytes here, so appending is safe).
-	if r.Len() >= 16 {
-		m.SentNanos = r.U64()
-		m.RTTNanos = r.U64()
-	}
-	if r.Err() != nil {
+	switch {
+	case r.Err() != nil:
 		return errShort
+	case prior > 1:
+		return fmt.Errorf("protocol: bad frame prior flag %d", prior)
+	case r.Len() != 0:
+		return fmt.Errorf("protocol: %d trailing bytes in frame message", r.Len())
 	}
 	return nil
 }
@@ -459,91 +454,76 @@ type PoseMsg struct {
 	// no information and the client should keep dead-reckoning on its
 	// IMU (Alg. 1) until the next tracked answer.
 	Shed bool
-	// HasEcho/EchoNanos return the SentNanos stamp of the uplink frame
-	// this pose answers, letting the client measure round-trip time.
-	// Only sent to sessions that advertised capability bits, so legacy
-	// decoders (which reject unknown lengths) never see it.
-	HasEcho   bool
+	// EchoNanos is the SentNanos stamp of the uplink this pose answers,
+	// letting the client measure round-trip time.
 	EchoNanos uint64
 	// Token is the front's updated session token (encoded
 	// SessionTokenMsg bytes), piggybacked so a CapResume client holds a
-	// current token after every answered frame. Only sent to sessions
-	// that advertised CapResume, so legacy decoders never see it.
+	// current token after every answered frame; nil for any other.
 	Token []byte
 }
 
-// poseMsgLegacyLen is the pre-Shed encoding: frame index + 4x4 matrix
-// + tracked byte. Tails append in ascending flag order: shed is one
-// 0x01 flag byte, echo a 0x02 flag byte plus the 8-byte stamp, and a
-// session token a 0x03 flag byte plus a length-prefixed blob.
-// Non-shed, non-echo, token-less answers keep the legacy form so old
-// decoders still parse them.
-const poseMsgLegacyLen = 4 + 16*8 + 1
+// PoseMsg flag bits.
+const (
+	poseTracked = byte(1 << iota)
+	poseShed
+)
 
-// maxPoseTokenLen bounds the token tail: a full token is well under
-// 200 bytes, so anything near the bound is forged.
+// poseMsgLen is a token-less pose's length: frame index, the 4x4
+// matrix, the flags byte, the echo stamp and the token's u32 length.
+const poseMsgLen = 4 + 16*8 + 1 + 8 + 4
+
+// maxPoseTokenLen bounds the token: a full token is well under 200
+// bytes, so anything near the bound is forged.
 const maxPoseTokenLen = 4096
 
 // Encode serializes the pose message.
 func (m *PoseMsg) Encode() []byte {
-	w := codec.Writer{B: make([]byte, 0, poseMsgLegacyLen+1)}
+	w := codec.Writer{B: make([]byte, 0, poseMsgLen+len(m.Token))}
 	w.U32(m.FrameIdx)
 	for _, v := range m.Pose.Mat4() {
 		w.F64(v)
 	}
-	w.Bool(m.Tracked)
+	var flags byte
+	if m.Tracked {
+		flags |= poseTracked
+	}
 	if m.Shed {
-		w.U8(1)
+		flags |= poseShed
 	}
-	if m.HasEcho {
-		w.U8(2)
-		w.U64(m.EchoNanos)
-	}
-	if m.Token != nil {
-		w.U8(3)
-		w.Bytes(m.Token)
-	}
+	w.U8(flags)
+	w.U64(m.EchoNanos)
+	w.Bytes(m.Token)
 	return w.B
 }
 
-// DecodePoseMsg reverses PoseMsg.Encode: the legacy fixed-length body
-// followed by optional tails in strictly ascending flag order (1 shed,
-// 2 echo + 8-byte stamp, 3 token + length-prefixed blob). Every tail
-// must be complete and the final offset exact, so forged or truncated
-// tails never parse; the four pre-token forms decode byte-identically
-// to the old exact-length decoder.
+// DecodePoseMsg reverses PoseMsg.Encode. It refuses unknown flag bits,
+// a matrix whose bottom row is not (0, 0, 0, 1), a token past
+// maxPoseTokenLen and any other length.
 func DecodePoseMsg(data []byte) (*PoseMsg, error) {
-	if len(data) < poseMsgLegacyLen {
-		return nil, fmt.Errorf("protocol: bad pose message length %d", len(data))
-	}
 	r := codec.NewReader(data)
-	m := &PoseMsg{}
-	m.FrameIdx = r.U32()
+	m := &PoseMsg{FrameIdx: r.U32()}
 	var mat geom.Mat4
 	for i := range mat {
 		mat[i] = r.F64()
 	}
-	m.Pose = geom.SE3FromMat4(mat)
-	m.Tracked = r.U8() == 1
-	for prev := byte(0); r.Len() > 0; {
-		flag := r.U8()
-		if flag <= prev || flag > 3 {
-			return nil, fmt.Errorf("protocol: bad pose tail flag %d", flag)
-		}
-		prev = flag
-		switch flag {
-		case 1:
-			m.Shed = true
-		case 2:
-			m.HasEcho = true
-			m.EchoNanos = r.U64()
-		case 3:
-			m.Token = r.Bytes(maxPoseTokenLen)
-		}
-		if r.Err() != nil {
-			return nil, fmt.Errorf("protocol: short pose tail %d", flag)
-		}
+	flags := r.U8()
+	m.EchoNanos = r.U64()
+	if tok := r.Bytes(maxPoseTokenLen); len(tok) > 0 {
+		m.Token = tok
 	}
+	if !r.Done() {
+		return nil, fmt.Errorf("protocol: bad pose message length %d", len(data))
+	}
+	if flags&^(poseTracked|poseShed) != 0 {
+		return nil, fmt.Errorf("protocol: bad pose flags %#x", flags)
+	}
+	if math.Float64bits(mat[12])|math.Float64bits(mat[13])|math.Float64bits(mat[14]) != 0 || mat[15] != 1 {
+		return nil, fmt.Errorf("protocol: pose matrix bottom row %v", mat[12:])
+	}
+	m.Pose = geom.SE3FromMat4(mat)
+	m.Tracked = flags&poseTracked != 0
+	m.Shed = flags&poseShed != 0
 	return m, nil
 }
 
@@ -564,8 +544,8 @@ const (
 // session tracks bit-identically to a full-offload one fed the same
 // pixels.
 //
-// Layout: the uplink head, flags, the timing pair, the prior, then a
-// u32 count and one feature.AppendKeypoint record per keypoint.
+// Layout: the uplink head (its flags byte included), then a u32 count
+// and one feature.AppendKeypoint record per keypoint.
 type KeypointMsg struct {
 	UplinkHeader
 	Flags byte
@@ -579,7 +559,7 @@ func (m *KeypointMsg) Type() byte { return TypeKeypoint }
 
 // EncodedLen returns len(m.Encode()) without encoding.
 func (m *KeypointMsg) EncodedLen() int {
-	n := uplinkHeadBytes + 1 + 8 + 8 + 1 + 4
+	n := uplinkHeadBytes + 1 + 4
 	if m.HasPrior {
 		n += 7 * 8
 	}
@@ -589,27 +569,12 @@ func (m *KeypointMsg) EncodedLen() int {
 	return n
 }
 
-// readKeypointHead reads what precedes the keypoints into h — the
-// uplink head, the timing pair and the prior — and returns the flags
-// and the prior's flag byte.
-func readKeypointHead(r *codec.Reader, h *UplinkHeader) (flags, prior byte) {
-	readHead(r, h)
-	flags = r.U8()
-	h.SentNanos = r.U64()
-	h.RTTNanos = r.U64()
-	return flags, readPrior(r, h)
-}
-
 // Encode serializes the keypoint message. Like feature.AppendKeypoint
 // it panics naming the field of a keypoint the record cannot carry
 // exactly.
 func (m *KeypointMsg) Encode() []byte {
 	w := codec.Writer{B: make([]byte, 0, m.EncodedLen())}
-	writeHead(&w, &m.UplinkHeader)
-	w.U8(m.Flags)
-	w.U64(m.SentNanos)
-	w.U64(m.RTTNanos)
-	writePrior(&w, &m.UplinkHeader)
+	writeUplinkHead(&w, TypeKeypoint, &m.UplinkHeader, m.Flags)
 	w.U32(uint32(len(m.Kps)))
 	for i := range m.Kps {
 		feature.AppendKeypoint(&w, &m.Kps[i])
@@ -617,14 +582,14 @@ func (m *KeypointMsg) Encode() []byte {
 	return w.B
 }
 
-// DecodeKeypointMsg reverses KeypointMsg.Encode. Unlike FrameMsg it is
-// strict — a bad prior flag, a record feature.ReadKeypoint refuses, a
-// short record or trailing bytes are errors — so any message it accepts
-// re-encodes to the same bytes.
+// DecodeKeypointMsg reverses KeypointMsg.Encode. It is strict — a bad
+// prior flag, a record feature.ReadKeypoint refuses, a short record or
+// trailing bytes are errors — so any message it accepts re-encodes to
+// the same bytes.
 func DecodeKeypointMsg(data []byte) (*KeypointMsg, error) {
 	r := codec.NewReader(data)
 	m := &KeypointMsg{}
-	flags, prior := readKeypointHead(&r, &m.UplinkHeader)
+	flags, prior := readUplinkHead(&r, TypeKeypoint, &m.UplinkHeader)
 	m.Flags = flags
 	n := r.Count(feature.KeypointRecordBytes)
 	if r.Err() != nil {
@@ -661,17 +626,15 @@ type ModeSwitchMsg struct {
 	// are gated by the policy's hysteresis dwell, but the client's
 	// reader can drain several queued downlinks back to back, so only
 	// this stamp preserves the true switch spacing for diagnostics.
-	// Zero from a server that predates the field.
 	SentNanos uint64
 }
 
-// modeSwitchLen is the ModeSwitchMsg encoding size without the
-// send-timestamp tail (what pre-timestamp servers emit).
-const modeSwitchLen = 1 + 4 + 1
+// modeSwitchLen is the ModeSwitchMsg's one length.
+const modeSwitchLen = 1 + 4 + 1 + 8
 
 // Encode serializes the mode-switch message.
 func (m *ModeSwitchMsg) Encode() []byte {
-	w := codec.Writer{B: make([]byte, 0, modeSwitchLen+8)}
+	w := codec.Writer{B: make([]byte, 0, modeSwitchLen)}
 	w.U8(m.Mode)
 	w.U32(m.Epoch)
 	w.U8(m.Reason)
@@ -679,23 +642,15 @@ func (m *ModeSwitchMsg) Encode() []byte {
 	return w.B
 }
 
-// DecodeModeSwitchMsg reverses ModeSwitchMsg.Encode. The 8-byte
-// send-timestamp tail is optional: a legacy 6-byte message decodes
-// with SentNanos zero.
+// DecodeModeSwitchMsg reverses ModeSwitchMsg.Encode.
 func DecodeModeSwitchMsg(data []byte) (*ModeSwitchMsg, error) {
-	if len(data) != modeSwitchLen && len(data) != modeSwitchLen+8 {
+	if len(data) != modeSwitchLen {
 		return nil, fmt.Errorf("protocol: bad mode switch length %d", len(data))
 	}
 	r := codec.NewReader(data)
-	m := &ModeSwitchMsg{}
-	m.Mode = r.U8()
+	m := &ModeSwitchMsg{Mode: r.U8(), Epoch: r.U32(), Reason: r.U8(), SentNanos: r.U64()}
 	if m.Mode > 2 {
 		return nil, fmt.Errorf("protocol: bad offload mode %d", m.Mode)
-	}
-	m.Epoch = r.U32()
-	m.Reason = r.U8()
-	if r.Len() > 0 {
-		m.SentNanos = r.U64()
 	}
 	return m, nil
 }

@@ -1,12 +1,16 @@
 package protocol
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/hex"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"testing"
 
+	"slamshare/internal/camera"
 	"slamshare/internal/codec"
 	"slamshare/internal/feature"
 	"slamshare/internal/geom"
@@ -137,8 +141,8 @@ func TestPoseMsgRoundTrip(t *testing.T) {
 func TestPoseMsgShed(t *testing.T) {
 	m := &PoseMsg{FrameIdx: 12, Pose: geom.IdentitySE3(), Shed: true}
 	data := m.Encode()
-	if len(data) != 4+16*8+2 {
-		t.Fatalf("shed pose encodes to %d bytes", len(data))
+	if len(data) != poseMsgLen {
+		t.Fatalf("shed pose encodes to %d bytes, want %d", len(data), poseMsgLen)
 	}
 	got, err := DecodePoseMsg(data)
 	if err != nil {
@@ -148,107 +152,124 @@ func TestPoseMsgShed(t *testing.T) {
 		t.Errorf("shed fields wrong: %+v", got)
 	}
 
-	// A non-shed pose keeps the legacy byte layout, and legacy bytes
-	// (no shed flag) still decode.
-	legacy := (&PoseMsg{FrameIdx: 3, Pose: geom.IdentitySE3(), Tracked: true}).Encode()
-	if len(legacy) != 4+16*8+1 {
-		t.Fatalf("non-shed pose encodes to %d bytes", len(legacy))
-	}
-	old, err := DecodePoseMsg(legacy)
-	if err != nil {
-		t.Fatalf("legacy pose rejected: %v", err)
-	}
-	if old.Shed || !old.Tracked {
-		t.Errorf("legacy fields wrong: %+v", old)
-	}
-
-	// A trailing zero flag byte is non-canonical and rejected.
-	if _, err := DecodePoseMsg(append(legacy, 0)); err == nil {
-		t.Error("non-canonical shed byte accepted")
+	// Flag bits other than tracked and shed are refused.
+	bad := append([]byte(nil), data...)
+	bad[4+16*8] |= 4
+	if _, err := DecodePoseMsg(bad); err == nil {
+		t.Error("unknown pose flag bit accepted")
 	}
 }
 
 func TestPoseMsgEcho(t *testing.T) {
-	m := &PoseMsg{FrameIdx: 5, Pose: geom.IdentitySE3(), Tracked: true,
-		HasEcho: true, EchoNanos: 987654321}
-	data := m.Encode()
-	if len(data) != poseMsgLegacyLen+9 {
-		t.Fatalf("echoed pose encodes to %d bytes", len(data))
-	}
-	got, err := DecodePoseMsg(data)
+	m := &PoseMsg{FrameIdx: 5, Pose: geom.IdentitySE3(), Tracked: true, EchoNanos: 987654321}
+	got, err := DecodePoseMsg(m.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.HasEcho || got.EchoNanos != 987654321 || got.Shed || !got.Tracked {
+	if got.EchoNanos != 987654321 || got.Shed || !got.Tracked || got.Token != nil {
 		t.Errorf("echo fields wrong: %+v", got)
 	}
 
-	// Shed + echo stack in canonical order.
-	both := (&PoseMsg{FrameIdx: 6, Pose: geom.IdentitySE3(), Shed: true,
-		HasEcho: true, EchoNanos: 42}).Encode()
-	if len(both) != poseMsgLegacyLen+10 {
-		t.Fatalf("shed+echo pose encodes to %d bytes", len(both))
-	}
+	// Shed and echo share the one layout.
+	both := (&PoseMsg{FrameIdx: 6, Pose: geom.IdentitySE3(), Shed: true, EchoNanos: 42}).Encode()
 	gb, err := DecodePoseMsg(both)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gb.Shed || !gb.HasEcho || gb.EchoNanos != 42 {
+	if !gb.Shed || gb.Tracked || gb.EchoNanos != 42 {
 		t.Errorf("shed+echo fields wrong: %+v", gb)
 	}
 
-	// Wrong flag bytes at the extension offsets are rejected.
-	bad := append([]byte(nil), data...)
-	bad[poseMsgLegacyLen] = 1 // shed flag where echo flag belongs
-	if _, err := DecodePoseMsg(bad); err == nil {
-		t.Error("echo-length message with shed flag accepted")
+	// A matrix whose bottom row is not (0, 0, 0, 1) is refused, -0 too.
+	for _, i := range []int{12, 15} {
+		bad := append([]byte(nil), both...)
+		bad[4+8*i+7] ^= 0x80 // the float's sign bit
+		if _, err := DecodePoseMsg(bad); err == nil {
+			t.Errorf("pose matrix with element %d's sign flipped accepted", i)
+		}
 	}
 }
 
+// testHello is a valid hello: MH04's stereo rig, QoS 0, no capabilities.
+func testHello(id uint32) *HelloMsg {
+	return &HelloMsg{ClientID: id, Mode: camera.Stereo, Intr: camera.EuRoCIntrinsics(), Baseline: 0.11}
+}
+
 func TestHelloMsgQoS(t *testing.T) {
-	m := &HelloMsg{ClientID: 21, Mode: 1, HasQoS: true, QoS: 2,
-		Caps: offload.CapSplit | offload.CapShadow}
+	m := testHello(21)
+	m.QoS, m.Caps = 2, offload.CapSplit|offload.CapShadow
 	data := m.Encode()
-	if len(data) != 5+3 {
-		t.Fatalf("qos hello encodes to %d bytes", len(data))
+	if len(data) != helloLen {
+		t.Fatalf("hello encodes to %d bytes, want %d", len(data), helloLen)
 	}
 	got, err := DecodeHelloMsg(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.HasQoS || got.QoS != 2 || got.Caps != offload.CapSplit|offload.CapShadow || got.HasRig {
-		t.Errorf("qos fields wrong: %+v", got)
+	if *got != *m {
+		t.Errorf("hello round trip: %+v, want %+v", got, m)
+	}
+	if rig := got.Rig(); rig.Mode != camera.Stereo || rig.Intr != m.Intr || rig.Baseline != 0.11 {
+		t.Errorf("rig %+v", rig)
 	}
 
-	// The legacy 5-byte form still decodes, pinned to full offload.
-	old, err := DecodeHelloMsg(data[:5])
-	if err != nil {
-		t.Fatalf("legacy hello rejected: %v", err)
+	// A foreign version, a trailing byte and an out-of-range class are
+	// errors.
+	for name, edit := range map[string]func([]byte) []byte{
+		"version 1":    func(b []byte) []byte { b[0] = 1; return b },
+		"trailing":     func(b []byte) []byte { return append(b, 0) },
+		"qos class 3":  func(b []byte) []byte { b[len(b)-2] = 3; return b },
+		"camera mode2": func(b []byte) []byte { b[5] = 2; return b },
+	} {
+		if _, err := DecodeHelloMsg(edit(append([]byte(nil), data...))); err == nil {
+			t.Errorf("%s: hello accepted", name)
+		}
 	}
-	if old.HasQoS || old.Caps != 0 {
-		t.Errorf("legacy hello grew a qos block: %+v", old)
-	}
+}
 
-	// Rig + QoS blocks stack in canonical (ascending-tag) order.
-	rig := &HelloMsg{ClientID: 9, Mode: 1, HasRig: true,
-		Intr: m.Intr, Baseline: 0.11, HasQoS: true, QoS: 1, Caps: offload.CapSplit}
-	rd, err := DecodeHelloMsg(rig.Encode())
-	if err != nil {
-		t.Fatal(err)
+// badRigs are hellos whose calibration no camera has.
+func badRigs() map[string]*HelloMsg {
+	bad := map[string]func(*HelloMsg){
+		"width 0":            func(m *HelloMsg) { m.Intr.Width = 0 },
+		"height 0":           func(m *HelloMsg) { m.Intr.Height = 0 },
+		"2^31 pixels":        func(m *HelloMsg) { m.Intr.Width, m.Intr.Height = 1<<31, 1<<31 },
+		"height past bound":  func(m *HelloMsg) { m.Intr.Height = maxRigSide + 1 },
+		"fx 0":               func(m *HelloMsg) { m.Intr.Fx = 0 },
+		"fy negative":        func(m *HelloMsg) { m.Intr.Fy = -458 },
+		"fx NaN":             func(m *HelloMsg) { m.Intr.Fx = math.NaN() },
+		"fy +Inf":            func(m *HelloMsg) { m.Intr.Fy = math.Inf(1) },
+		"cx NaN":             func(m *HelloMsg) { m.Intr.Cx = math.NaN() },
+		"cy -Inf":            func(m *HelloMsg) { m.Intr.Cy = math.Inf(-1) },
+		"baseline NaN":       func(m *HelloMsg) { m.Baseline = math.NaN() },
+		"stereo baseline 0":  func(m *HelloMsg) { m.Baseline = 0 },
+		"stereo baseline <0": func(m *HelloMsg) { m.Baseline = -0.11 },
+		"mono baseline Inf":  func(m *HelloMsg) { m.Mode, m.Baseline = camera.Mono, math.Inf(1) },
 	}
-	if !rd.HasRig || !rd.HasQoS || rd.QoS != 1 || rd.Caps != offload.CapSplit || rd.Baseline != 0.11 {
-		t.Errorf("rig+qos fields wrong: %+v", rd)
+	out := make(map[string]*HelloMsg, len(bad))
+	for name, edit := range bad {
+		m := testHello(7)
+		edit(m)
+		out[name] = m
 	}
+	return out
+}
 
-	// Trailing garbage, out-of-range class, and unknown tags are errors.
-	if _, err := DecodeHelloMsg(append(m.Encode(), 0)); err == nil {
-		t.Error("trailing byte accepted")
+// TestHelloMsgRejectsBadRig: a rig no camera has is a malformed hello,
+// and the edge of what is allowed still decodes.
+func TestHelloMsgRejectsBadRig(t *testing.T) {
+	for name, m := range badRigs() {
+		if got, err := DecodeHelloMsg(m.Encode()); err == nil {
+			t.Errorf("%s: hello accepted as %+v", name, got)
+		}
 	}
-	if _, err := DecodeHelloMsg(append(data[:5], helloBlockQoS, 3, 0)); err == nil {
-		t.Error("qos class 3 accepted")
-	}
-	if _, err := DecodeHelloMsg(append(data[:5], 9, 0, 0)); err == nil {
-		t.Error("unknown extension tag accepted")
+	edge := testHello(8)
+	edge.Intr.Width, edge.Intr.Height, edge.Intr.Cx = maxRigSide, 1, -3
+	mono := testHello(9)
+	mono.Mode, mono.Baseline = camera.Mono, 0
+	for _, m := range []*HelloMsg{edge, mono} {
+		if _, err := DecodeHelloMsg(m.Encode()); err != nil {
+			t.Errorf("hello %+v refused: %v", m, err)
+		}
 	}
 }
 
@@ -265,7 +286,9 @@ func TestHelloCapsDistinct(t *testing.T) {
 		seen |= b
 	}
 	for caps := offload.Caps(0); caps <= seen; caps++ {
-		got, err := DecodeHelloMsg((&HelloMsg{ClientID: 4, HasQoS: true, Caps: caps}).Encode())
+		m := testHello(4)
+		m.Caps = caps
+		got, err := DecodeHelloMsg(m.Encode())
 		if err != nil || got.Caps != caps {
 			t.Errorf("caps %#x came back as %+v, %v", caps, got, err)
 		}
@@ -405,7 +428,7 @@ func keypointRejects() []struct {
 		{"short record", valid[:len(valid)-1]},
 		{"short head", valid[:recs-1]},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
-		{"bad prior flag", patch(func(b []byte) []byte { b[uplinkHeadBytes+1+16] = 2; return b })},
+		{"bad prior flag", patch(func(b []byte) []byte { b[uplinkHeadBytes] = 2; return b })},
 		{"matched record holds no match", fakeMatch},
 	}
 }
@@ -499,7 +522,7 @@ func TestPeekUplink(t *testing.T) {
 		m   Uplink
 		cut int // a length that ends inside the prior
 	}{
-		{&FrameMsg{UplinkHeader: head, Video: []byte{1, 2}, VideoRight: []byte{3}}, -20},
+		{&FrameMsg{UplinkHeader: head, Video: []byte{1, 2}, VideoRight: []byte{3}}, uplinkHeadBytes + 20},
 		{&KeypointMsg{UplinkHeader: head, Kps: kps}, priorEnd - 1},
 		{&KeypointMsg{UplinkHeader: head, Flags: KeypointSyncOnly}, priorEnd - 1},
 	} {
@@ -512,11 +535,7 @@ func TestPeekUplink(t *testing.T) {
 		if fm, ok := m.(*FrameMsg); ok && (string(left) != string(fm.Video) || string(right) != string(fm.VideoRight)) {
 			t.Errorf("frame eyes peeked as %v / %v", left, right)
 		}
-		cut := c.cut
-		if cut < 0 {
-			cut += len(data)
-		}
-		if _, _, _, err := PeekUplink(m.Type(), data[:cut]); err == nil {
+		if _, _, _, err := PeekUplink(m.Type(), data[:c.cut]); err == nil {
 			t.Errorf("type %d: uplink cut inside its prior peeked", m.Type())
 		}
 		got, err := DecodeUplink(m.Type(), data)
@@ -539,29 +558,25 @@ func TestPeekUplink(t *testing.T) {
 
 func TestModeSwitchMsgRoundTrip(t *testing.T) {
 	m := &ModeSwitchMsg{Mode: 2, Epoch: 7, Reason: 1, SentNanos: 12345}
-	got, err := DecodeModeSwitchMsg(m.Encode())
+	data := m.Encode()
+	got, err := DecodeModeSwitchMsg(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *m {
 		t.Errorf("round trip: %+v != %+v", got, m)
 	}
-	// A legacy 6-byte message (no send-timestamp tail) still decodes.
-	legacy, err := DecodeModeSwitchMsg(m.Encode()[:modeSwitchLen])
-	if err != nil {
-		t.Fatal(err)
+	if _, err := DecodeModeSwitchMsg(data[:6]); err == nil {
+		t.Error("6-byte mode switch without its send stamp accepted")
 	}
-	if legacy.SentNanos != 0 || legacy.Epoch != 7 || legacy.Mode != 2 {
-		t.Errorf("legacy decode: %+v", legacy)
-	}
-	if _, err := DecodeModeSwitchMsg([]byte{1, 2}); err == nil {
-		t.Error("short mode switch accepted")
-	}
-	if _, err := DecodeModeSwitchMsg([]byte{3, 0, 0, 0, 0, 0}); err == nil {
+	data[0] = 3
+	if _, err := DecodeModeSwitchMsg(data); err == nil {
 		t.Error("out-of-range mode accepted")
 	}
 }
 
+// TestFrameMsgTimingTail: the timing pair is required and sits next to
+// the head, where a keypoint message has it too.
 func TestFrameMsgTimingTail(t *testing.T) {
 	m := &FrameMsg{Video: []byte{1, 2, 3}, UplinkHeader: UplinkHeader{
 		Delta:     imu.FrameDelta{RotDelta: geom.IdentityQuat()},
@@ -572,15 +587,15 @@ func TestFrameMsgTimingTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.SentNanos != 5000 || got.RTTNanos != 6000 {
-		t.Errorf("timing tail wrong: %+v", got)
+		t.Errorf("timing pair wrong: %+v", got)
 	}
-	// Legacy frames (no 16-byte tail) still decode with zero timing.
-	old, err := DecodeFrameMsg(data[:len(data)-16])
-	if err != nil {
-		t.Fatalf("legacy frame rejected: %v", err)
+	// The pair ends where the prior flag, the head's last byte, begins.
+	r := codec.NewReader(data[uplinkHeadBytes-1-16:])
+	if sent, rtt := r.U64(), r.U64(); sent != 5000 || rtt != 6000 {
+		t.Errorf("timing pair ahead of the prior flag reads %d, %d", sent, rtt)
 	}
-	if old.SentNanos != 0 || old.RTTNanos != 0 {
-		t.Errorf("legacy frame grew timing: %+v", old)
+	if _, err := DecodeFrameMsg(data[:len(data)-16]); err == nil {
+		t.Error("frame 16 bytes short accepted")
 	}
 }
 
@@ -606,5 +621,59 @@ func TestFramingOverSocket(t *testing.T) {
 	}
 	if len(got.Video) != 10000 {
 		t.Errorf("video length %d", len(got.Video))
+	}
+}
+
+// TestDecodersAreStrict holds every device message to one layout: for
+// each hello, frame, keypoint, pose and mode-switch fixture in the
+// codec's golden file, the fixture decodes, and every proper prefix of
+// it and the fixture plus one byte are refused.
+func TestDecodersAreStrict(t *testing.T) {
+	decoders := map[string]func([]byte) error{
+		"hello":      func(b []byte) error { _, err := DecodeHelloMsg(b); return err },
+		"frame":      func(b []byte) error { _, err := DecodeFrameMsg(b); return err },
+		"keypoint":   func(b []byte) error { _, err := DecodeKeypointMsg(b); return err },
+		"pose":       func(b []byte) error { _, err := DecodePoseMsg(b); return err },
+		"modeswitch": func(b []byte) error { _, err := DecodeModeSwitchMsg(b); return err },
+	}
+	f, err := os.Open("../codec/testdata/golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seen := map[string]int{}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		name, hx, _ := strings.Cut(sc.Text(), " ")
+		msg, _, _ := strings.Cut(name, ".")
+		decode, ok := decoders[msg]
+		if !ok {
+			continue
+		}
+		seen[msg]++
+		data, err := hex.DecodeString(hx)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := decode(data); err != nil {
+			t.Errorf("%s: fixture refused: %v", name, err)
+		}
+		for n := range data {
+			if decode(data[:n]) == nil {
+				t.Errorf("%s: %d-byte prefix of %d accepted", name, n, len(data))
+			}
+		}
+		if decode(append(data[:len(data):len(data)], 0)) == nil {
+			t.Errorf("%s: one extra byte accepted", name)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for msg := range decoders {
+		if seen[msg] == 0 {
+			t.Errorf("no %s fixture in the golden file", msg)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Shard-to-shard and front-to-shard control plane. Cluster mode runs N
 // slamshare-server shard processes behind a slamshare-front router: the
-// front admits device sessions on the legacy message types (1-8, which
-// cluster mode never changes — old clients speak to the front door
-// unmodified) and speaks these messages to the shards: an identifying
+// front admits device sessions on the device message types (1-7, 14
+// and 15 — a device speaks to the front door as to a server) and
+// speaks these messages to the shards: an identifying
 // hello on every control connection, two-phase session handoff when a
 // device's trajectory crosses a shard boundary, boundary-region
 // exchange (the evicted-region codec's blob plus the hologram anchors

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"slamshare/internal/camera"
 	"slamshare/internal/geom"
 	"slamshare/internal/imu"
 )
@@ -45,16 +44,13 @@ func TestShardHelloRejects(t *testing.T) {
 			t.Errorf("%s: decoder accepted %x", name, data)
 		}
 	}
-	// A legacy device hello payload must never parse as a shard hello:
-	// the 5-byte form is too short and the rig form too long.
-	legacy := (&HelloMsg{ClientID: 3, Mode: camera.Stereo}).Encode()
-	if _, err := DecodeShardHelloMsg(legacy); err == nil {
+	// A device hello payload must never parse as a shard hello, nor a
+	// shard hello as a device hello.
+	if _, err := DecodeShardHelloMsg(testHello(3).Encode()); err == nil {
 		t.Error("device hello payload decoded as shard hello")
 	}
-	rig := (&HelloMsg{ClientID: 3, Mode: camera.Stereo, HasRig: true,
-		Intr: camera.EuRoCIntrinsics(), Baseline: 0.11}).Encode()
-	if _, err := DecodeShardHelloMsg(rig); err == nil {
-		t.Error("rig hello payload decoded as shard hello")
+	if _, err := DecodeHelloMsg(valid); err == nil {
+		t.Error("shard hello payload decoded as device hello")
 	}
 }
 
@@ -208,7 +204,7 @@ func TestShardStatusRejects(t *testing.T) {
 
 // TestShardTypesDisjointFromDevice pins the cluster message type values:
 // they continue the device sequence and may never collide with it, so a
-// front door can pass legacy device traffic through untouched.
+// front door can pass device traffic through untouched.
 func TestShardTypesDisjointFromDevice(t *testing.T) {
 	device := []byte{TypeHello, TypeFrame, TypePose, TypeMapUpload, TypeMapPortion, TypeBye, TypeModeSwitch, TypeKeypoint, TypeSessionToken}
 	shard := []byte{TypeShardHello, TypeBoundaryRegion, TypeHandoff, TypeShardControl, TypeShardStatus}
@@ -225,17 +221,17 @@ func TestShardTypesDisjointFromDevice(t *testing.T) {
 	}
 }
 
-// TestLegacyFramingThroughShardFraming proves the framing layer treats
-// legacy device messages and shard messages identically: a pipe
-// carrying an interleaved legacy hello, frame, shard hello, and pose
-// delivers each intact — the cluster front door relays device bytes
-// with no re-encoding.
-func TestLegacyFramingThroughShardFraming(t *testing.T) {
+// TestDeviceFramingThroughShardFraming proves the framing layer treats
+// device messages and shard messages identically: a pipe carrying an
+// interleaved device hello, frame, shard hello, and pose delivers each
+// intact — the cluster front door relays device bytes with no
+// re-encoding.
+func TestDeviceFramingThroughShardFraming(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 
-	hello := &HelloMsg{ClientID: 3, Mode: camera.Stereo} // legacy 5-byte form
+	hello := testHello(3)
 	frame := &FrameMsg{UplinkHeader: UplinkHeader{ClientID: 3, FrameIdx: 1, Stamp: 0.05,
 		Delta: imu.FrameDelta{RotDelta: geom.IdentityQuat(), DT: 0.05},
 		Prior: pose(1, 2, 3), HasPrior: true}, Video: []byte("payload")}

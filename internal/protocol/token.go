@@ -7,9 +7,10 @@ import (
 )
 
 // TypeSessionToken carries a resumable session token: downlink from a
-// front piggybacked on pose tails (see PoseMsg.Token), uplink from a
+// front piggybacked on poses (see PoseMsg.Token), uplink from a
 // reconnecting client presenting its newest token to whichever front
-// replica answers the dial. Legacy clients never send or receive it.
+// replica answers the dial. Clients without CapResume never send or
+// receive it.
 const TypeSessionToken = byte(14)
 
 // maxTokenMarks bounds the per-shard watermark list; far above any

@@ -69,16 +69,15 @@ func TestSessionTokenMarks(t *testing.T) {
 	}
 }
 
-// TestPoseMsgTokenTail pins the wire shape of the token tail and its
-// interaction with the legacy forms: a token-less answer is
-// byte-identical to the pre-token encoding, a tokened answer decodes
-// the same blob back, and forged tails are rejected.
+// TestPoseMsgTokenTail pins the wire shape of the token, the pose's
+// last field: a u32 length (0 for no token) and the blob. A tokened
+// answer decodes the same blob back, and forged lengths are refused.
 func TestPoseMsgTokenTail(t *testing.T) {
 	token := (&SessionTokenMsg{ClientID: 2, Shard: 1, Epoch: 4, Mode: 1,
 		Marks: []ShardMark{{Shard: 1, MaxFrame: 30}}}).Encode()
 	m := &PoseMsg{FrameIdx: 30, Pose: geom.IdentitySE3(), Tracked: true, Token: token}
 	data := m.Encode()
-	if want := poseMsgLegacyLen + 1 + 4 + len(token); len(data) != want {
+	if want := poseMsgLen + len(token); len(data) != want {
 		t.Fatalf("tokened pose encodes to %d bytes, want %d", len(data), want)
 	}
 	got, err := DecodePoseMsg(data)
@@ -93,35 +92,34 @@ func TestPoseMsgTokenTail(t *testing.T) {
 		t.Fatalf("embedded token unusable: %+v (%v)", tok, err)
 	}
 
-	// All three tails stack in ascending flag order.
-	full := &PoseMsg{FrameIdx: 31, Pose: geom.IdentitySE3(), Shed: true,
-		HasEcho: true, EchoNanos: 77, Token: token}
+	// Shed, echo and token share the one layout.
+	full := &PoseMsg{FrameIdx: 31, Pose: geom.IdentitySE3(), Shed: true, EchoNanos: 77, Token: token}
 	gf, err := DecodePoseMsg(full.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gf.Shed || !gf.HasEcho || gf.EchoNanos != 77 || !bytes.Equal(gf.Token, token) {
-		t.Errorf("stacked tails wrong: %+v", gf)
+	if !gf.Shed || gf.EchoNanos != 77 || !bytes.Equal(gf.Token, token) {
+		t.Errorf("tokened shed answer wrong: %+v", gf)
 	}
 
-	// A token-less answer still has the legacy byte layout.
-	legacy := (&PoseMsg{FrameIdx: 3, Pose: geom.IdentitySE3(), Tracked: true}).Encode()
-	if len(legacy) != poseMsgLegacyLen {
-		t.Fatalf("token-less pose encodes to %d bytes", len(legacy))
+	// A token-less answer carries a zero length and decodes a nil token.
+	bare := (&PoseMsg{FrameIdx: 3, Pose: geom.IdentitySE3(), Tracked: true}).Encode()
+	if gb, err := DecodePoseMsg(bare); err != nil || len(bare) != poseMsgLen || gb.Token != nil {
+		t.Fatalf("token-less pose: %d bytes, %+v, %v", len(bare), gb, err)
 	}
 
-	// Truncated token tail, oversized claimed length, and out-of-order
-	// flags are rejected.
+	// A truncated token and a length past the payload or past the bound
+	// are refused.
 	if _, err := DecodePoseMsg(data[:len(data)-1]); err == nil {
-		t.Error("truncated token tail accepted")
+		t.Error("truncated token accepted")
 	}
 	over := append([]byte(nil), data...)
-	over[poseMsgLegacyLen+1] = 0xFF // token length beyond payload
+	over[poseMsgLen-1] = 0xFF // token length beyond payload
 	if _, err := DecodePoseMsg(over); err == nil {
 		t.Error("forged token length accepted")
 	}
-	outOfOrder := append(append([]byte(nil), data...), 1) // shed after token
-	if _, err := DecodePoseMsg(outOfOrder); err == nil {
-		t.Error("descending tail flags accepted")
+	long := (&PoseMsg{FrameIdx: 3, Pose: geom.IdentitySE3(), Token: make([]byte, maxPoseTokenLen+1)}).Encode()
+	if _, err := DecodePoseMsg(long); err == nil {
+		t.Error("token past the bound accepted")
 	}
 }

@@ -211,4 +211,23 @@ func TestAdaptiveSessionDowngradesOverTCP(t *testing.T) {
 	if cl.RTTEstimate() <= 0 {
 		t.Error("client has no RTT estimate despite echoed poses")
 	}
+
+	// A hello naming neither split nor shadow — a QoS-0 headset, as the
+	// benchmark's devices send — gets no controller: the same RTT moves
+	// it nowhere, and its poses are echoed all the same.
+	switches := srv.NetStats().ModeSwitches.Load()
+	pinned := client.New(4, seq)
+	conn, err = net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pinned.Run(client.ConnDialer(conn), frames[:10], overload.Backoff{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.NetStats().ModeSwitches.Load(); got != switches || len(pinned.ModeLog()) != 0 {
+		t.Errorf("a caps-0 session saw %d mode switches", got-switches)
+	}
+	if pinned.RTTEstimate() <= 0 {
+		t.Error("a caps-0 session's poses carry no echo")
+	}
 }

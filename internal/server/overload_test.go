@@ -159,7 +159,7 @@ func TestServeShedsUnderBacklog(t *testing.T) {
 		msgs[i] = cl.BuildFrame(i).Encode()
 	}
 	hello := protocol.HelloMsg{
-		ClientID: 1, Mode: seq.Rig.Mode, HasRig: true,
+		ClientID: 1, Mode: seq.Rig.Mode,
 		Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline,
 	}
 	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {

@@ -93,8 +93,8 @@ type Config struct {
 	// and shadow (map-only sync) driven by measured RTT, server load,
 	// and the session's QoS class (see internal/offload). Zero fields
 	// take offload.DefaultConfig. It only applies to sessions whose
-	// hello advertises offload capabilities; legacy clients are pinned
-	// to full offload.
+	// hello names split or shadow among its capabilities; any other
+	// session is pinned to full offload.
 	Offload offload.Config
 	// Shard identifies this server inside a cluster (internal/cluster):
 	// cluster peers and the front door authenticate with Shard.Token on
@@ -600,12 +600,12 @@ type Session struct {
 	// stream is the session's handle on the shared tracking pool (nil
 	// when Config.TrackWorkers < 0 disabled batching).
 	stream *trackpool.Stream
-	// ctrl is the adaptive-offload state; a nil ctrl is a legacy
-	// session pinned to full offload. offer is an adaptive hello, held
-	// until the first uplink shows the mode the device is in: a device
-	// keeps its mode across a redial or a front's move to a new shard
-	// session. rttNanos is the latest client-reported round-trip
-	// estimate. All three are owned by the session's uplink loop.
+	// ctrl is the adaptive-offload state; a nil ctrl is a session pinned
+	// to full offload. offer is an adaptive hello, held until the first
+	// uplink shows the mode the device is in: a device keeps its mode
+	// across a redial or a front's move to a new shard session. rttNanos
+	// is the latest client-reported round-trip estimate. All three are
+	// owned by the session's uplink loop.
 	ctrl     *offload.Controller
 	offer    *protocol.HelloMsg
 	rttNanos uint64
@@ -734,15 +734,10 @@ func (sess *Session) Handle(msg protocol.Uplink, backlog int) (Result, error) {
 	}
 	sess.lag.Note(h.Stamp)
 	if o := sess.offer; o != nil {
-		// The QoS class orders the session's frames in the shared
-		// trackpool (the tier above arrival), and with the advertised
-		// capabilities it parameterizes the mode controller. Without a
-		// held hello the session stays a legacy full-offload one: no
-		// echoes, no mode switches.
+		// The QoS class and the advertised capabilities parameterize the
+		// mode controller. Without a held hello the session stays a
+		// full-offload one: no mode switches.
 		sess.ctrl = offload.NewController(sess.srv.cfg.Offload, o.QoS, o.Caps, mode)
-		if sess.stream != nil {
-			sess.stream.SetQoS(int(o.QoS))
-		}
 		sess.offer = nil
 	}
 	if h.RTTNanos != 0 {
@@ -906,7 +901,7 @@ func (sess *Session) HandleKeypoints(msg *protocol.KeypointMsg) (Result, error) 
 }
 
 // OffloadMode returns the session's current offload mode (always full
-// for a legacy session without a controller).
+// for a session without a controller).
 func (sess *Session) OffloadMode() offload.Mode {
 	if sess.ctrl == nil {
 		return offload.ModeFull
@@ -1085,15 +1080,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			SentNanos: uint64(time.Now().UnixNano()),
 		}).Encode())
 	}
-	// answer sends the one pose every uplink gets and then runs the
-	// policy step. sent is the uplink's send stamp: adaptive sessions get
-	// it echoed so the client can measure round-trip time (legacy
-	// clients would reject the longer encoding).
-	answer := func(pm protocol.PoseMsg, sent uint64) bool {
-		if sess.ctrl != nil && sent != 0 {
-			pm.HasEcho = true
-			pm.EchoNanos = sent
-		}
+	// answer sends the one pose every uplink gets (its echo is the
+	// uplink's send stamp: the client's round-trip sample) and then runs
+	// the policy step.
+	answer := func(pm protocol.PoseMsg) bool {
 		if !writeMsg(protocol.TypePose, pm.Encode()) {
 			return false
 		}
@@ -1162,7 +1152,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.net.BadHello.Inc()
 				return
 			}
-			if hello.HasQoS {
+			// The QoS class orders the session's frames in the shared
+			// trackpool (the tier above arrival).
+			if sess.stream != nil {
+				sess.stream.SetQoS(int(hello.QoS))
+			}
+			if hello.Caps&(offload.CapSplit|offload.CapShadow) != 0 {
 				sess.offer = hello
 			}
 			s.net.SessionsOpened.Inc()
@@ -1180,8 +1175,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			h := msg.Header()
-			pm := protocol.PoseMsg{FrameIdx: h.FrameIdx, Pose: res.Pose, Tracked: res.Tracked, Shed: res.Shed}
-			if !answer(pm, h.SentNanos) {
+			pm := protocol.PoseMsg{FrameIdx: h.FrameIdx, Pose: res.Pose, Tracked: res.Tracked, Shed: res.Shed, EchoNanos: h.SentNanos}
+			if !answer(pm) {
 				return
 			}
 		case protocol.TypeSessionToken: // client.Run sends it after every redial; a lone server adopts nothing

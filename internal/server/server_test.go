@@ -272,7 +272,7 @@ func TestServeRejectsDuplicateHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := protocol.HelloMsg{ClientID: 5, Mode: camera.Mono}
+	hello := protocol.HelloMsg{ClientID: 5, Mode: camera.Mono, Intr: camera.EuRoCIntrinsics()}
 	if err := protocol.WriteMessage(conn, protocol.TypeHello, hello.Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestServeCountsBadHelloAndRejects(t *testing.T) {
 	waitCounter(t, &srv.NetStats().BadHello, 1)
 
 	// Same client ID on two live connections: the second is refused.
-	hello := protocol.HelloMsg{ClientID: 9, Mode: camera.Mono}
+	hello := protocol.HelloMsg{ClientID: 9, Mode: camera.Mono, Intr: camera.EuRoCIntrinsics()}
 	a, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -350,6 +350,69 @@ func TestServeCountsBadHelloAndRejects(t *testing.T) {
 	}
 }
 
+// TestServeRefusesBadRig: a hello whose rig no camera has is a
+// malformed hello. The server counts it on net.bad_hello and closes the
+// connection before any frame arrives; before the check, MH04's rig at
+// 2^31 x 2^31 pixels opened a session whose first keyframe panicked
+// sizing its keypoint grid, and took the whole process with it.
+func TestServeRefusesBadRig(t *testing.T) {
+	srv, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr := serveTestListener(t, srv)
+	seq := dataset.MH04(camera.Stereo)
+	cl := client.New(3, seq)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bad := protocol.HelloMsg{ClientID: 3, Mode: seq.Rig.Mode, Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline}
+	bad.Intr.Width, bad.Intr.Height = 1<<31, 1<<31
+	if err := protocol.WriteMessage(conn, protocol.TypeHello, bad.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2, 4} {
+		// The server may close the connection under these writes.
+		protocol.WriteMessage(conn, protocol.TypeFrame, cl.BuildFrame(i).Encode())
+	}
+	waitCounter(t, &srv.NetStats().BadHello, 1)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, _, err := protocol.ReadMessage(conn); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("read after a bad rig: %v; want the connection closed", err)
+	}
+	if n := srv.NSessions(); n != 0 {
+		t.Fatalf("%d sessions after a bad rig", n)
+	}
+
+	// The server still answers a valid session.
+	good := bad
+	good.Intr = seq.Rig.Intr
+	conn2, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	cl = client.New(3, seq)
+	if err := protocol.WriteMessage(conn2, protocol.TypeHello, good.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.WriteMessage(conn2, protocol.TypeFrame, cl.BuildFrame(0).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	conn2.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if mt, _, err := protocol.ReadMessage(conn2); err != nil || mt != protocol.TypePose {
+		t.Fatalf("valid session after a bad rig: got type %d, %v; want a pose", mt, err)
+	}
+	if got := srv.NetStats().BadHello.Load(); got != 1 {
+		t.Errorf("net.bad_hello = %d, want 1", got)
+	}
+}
+
 // TestServeClosesOnUnknownType: a message type the server does not
 // serve — here 8, the retired keypoint uplink — ends its connection
 // and counts on net.unknown_msgs, where it used to be dropped unseen;
@@ -368,7 +431,7 @@ func TestServeClosesOnUnknownType(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := protocol.WriteMessage(conn, protocol.TypeHello, (&protocol.HelloMsg{ClientID: 5, Mode: camera.Mono}).Encode()); err != nil {
+	if err := protocol.WriteMessage(conn, protocol.TypeHello, (&protocol.HelloMsg{ClientID: 5, Mode: camera.Mono, Intr: camera.EuRoCIntrinsics()}).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if err := protocol.WriteMessage(conn, 8, make([]byte, 64)); err != nil {
@@ -390,7 +453,7 @@ func TestServeClosesOnUnknownType(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	hello := protocol.HelloMsg{ClientID: 6, Mode: seq.Rig.Mode, HasRig: true, Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline}
+	hello := protocol.HelloMsg{ClientID: 6, Mode: seq.Rig.Mode, Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline}
 	token := protocol.SessionTokenMsg{ClientID: 6, Marks: []protocol.ShardMark{{Shard: 0, MaxFrame: 3}}}
 	for _, m := range []struct {
 		mt      byte
