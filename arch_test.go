@@ -107,6 +107,7 @@ var archRules = []archRule{
 	{"Every map mutation is journaled", journaledMutators(map[string]string{
 		"UpdateConnections": "derived: Recover recomputes every keyframe's covisibility after replay",
 		"BumpPointFound":    "derived: Visible/Found are culling statistics the entity codec does not carry; a recovered point starts them at zero",
+		"TouchKeyFrames":    "derived: the touch stamp is an eviction statistic the entity codec does not carry; a recovered keyframe starts at its insert tick",
 		"UndoFuse":          "compensation: it edits keyframes the rollback's RemoveEntities unlinks next, whose replayed erases detach the same observers",
 		"SetObserver":       "installs the observer itself; no map state",
 	})},

@@ -6,6 +6,7 @@ package camera
 
 import (
 	"fmt"
+	"math"
 
 	"slamshare/internal/geom"
 )
@@ -116,6 +117,35 @@ type Rig struct {
 	Intr     Intrinsics
 	Mode     Mode
 	Baseline float64 // metres between left and right camera centers
+}
+
+// MaxRigSide bounds a rig's image width and height: far above any rig
+// the datasets model (KITTI's 1241 px is the widest), far below a size
+// whose per-frame buffers a server could not allocate.
+const MaxRigSide = 8192
+
+// Validate refuses a calibration no camera has: an unknown mode, a side
+// of 0 or past MaxRigSide, a focal length that is not finite and
+// positive, a principal point that is not finite, or a baseline that is
+// not finite (and, for stereo, positive). Every session is opened on a
+// validated rig, so none sizes its buffers from a forged one.
+func (r Rig) Validate() error {
+	finite := func(v float64) bool { return math.Abs(v) <= math.MaxFloat64 } // false for NaN
+	positive := func(v float64) bool { return v > 0 && finite(v) }
+	in := &r.Intr
+	switch {
+	case r.Mode != Mono && r.Mode != Stereo:
+		return fmt.Errorf("camera: bad rig mode %d", r.Mode)
+	case in.Width <= 0 || in.Width > MaxRigSide || in.Height <= 0 || in.Height > MaxRigSide:
+		return fmt.Errorf("camera: rig is %dx%d pixels", in.Width, in.Height)
+	case !positive(in.Fx) || !positive(in.Fy):
+		return fmt.Errorf("camera: bad focal length %g, %g", in.Fx, in.Fy)
+	case !finite(in.Cx) || !finite(in.Cy):
+		return fmt.Errorf("camera: bad principal point %g, %g", in.Cx, in.Cy)
+	case !finite(r.Baseline) || r.Mode == Stereo && !positive(r.Baseline):
+		return fmt.Errorf("camera: bad %v baseline %g", r.Mode, r.Baseline)
+	}
+	return nil
 }
 
 // NewMonoRig returns a monocular rig.

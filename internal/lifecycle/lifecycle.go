@@ -6,9 +6,8 @@
 //   - Keyframe culling: while the map is over budget, cold keyframes
 //     that mapping.Redundancy calls redundant (the mapper's own rule)
 //     are erased, best score first. Erases go through
-//     smap.EraseKeyFrame under the pin protocol, and flow to the WAL
-//     through the map observer, so crash recovery replays the same
-//     compact map.
+//     smap.EraseKeyFrame and flow to the WAL through the map observer,
+//     so crash recovery replays the same compact map.
 //
 //   - Map-point sparsification: points that no tracker ever re-found
 //     after triangulation and that almost nothing observes are noise;
@@ -183,10 +182,6 @@ func (lm *Manager) Step(now uint64) bool {
 			mutated = true
 		}
 	}
-	lm.m.PruneTouch(func(id smap.ID) bool {
-		_, ok := lm.m.KeyFrame(id)
-		return ok
-	})
 	// Record the post-pass version so our own mutations don't make the
 	// next Step look like new activity.
 	lm.lastVer = lm.m.Version()
@@ -223,9 +218,8 @@ func (lm *Manager) cullPass(now uint64) bool {
 		if culled >= cullBatch || lm.m.NKeyFrames() <= lm.cfg.MaxKeyFrames {
 			break
 		}
-		lm.m.EraseKeyFrame(c.id)
-		if _, still := lm.m.KeyFrame(c.id); still {
-			continue // pinned by an in-flight reader; retry next pass
+		if !lm.m.EraseKeyFrame(c.id) {
+			continue
 		}
 		culled++
 		lm.stats.CulledKeyFrames.Inc()
@@ -303,9 +297,7 @@ func (lm *Manager) evictPass(now uint64) bool {
 }
 
 // evictCluster erases the cluster from the map and parks it in a
-// region file. Keyframes that an in-flight reader pinned between the
-// scan and the erase simply stay resident and are left out of the
-// region.
+// region file. A keyframe a concurrent cull erased first is left out.
 func (lm *Manager) evictCluster(cluster []smap.ID) bool {
 	var (
 		kfObjs []*smap.KeyFrame
@@ -313,22 +305,15 @@ func (lm *Manager) evictCluster(cluster []smap.ID) bool {
 	)
 	for _, id := range cluster {
 		kf, ok := lm.m.KeyFrame(id)
-		if !ok {
+		if !ok || !lm.m.EraseKeyFrame(id) {
 			continue
-		}
-		lm.m.EraseKeyFrame(id)
-		if _, still := lm.m.KeyFrame(id); still {
-			continue // pin race: the reader keeps it; skip
 		}
 		// Erased from every table, so the object is quiescent (all map
 		// mutators go through ID lookups); safe to serialize directly.
 		kfObjs = append(kfObjs, kf)
 		kfIDs = append(kfIDs, id)
 	}
-	if len(kfIDs) < clusterMin {
-		// The pins won; put back what we did erase (the inserts
-		// re-journal it, neutralizing the journaled erases) and give up.
-		lm.m.Relink(kfObjs, nil)
+	if len(kfIDs) == 0 {
 		return false
 	}
 
@@ -551,20 +536,14 @@ func (lm *Manager) RestoreEvicted(evicted map[uint64][]smap.ID) {
 // ---- helpers ----
 
 // protected reports whether the keyframe must not be culled: recently
-// touched, pinned by a reader, or currently unknown.
+// touched, or currently unknown.
 func (lm *Manager) protected(id smap.ID, now uint64) bool {
-	if lm.m.PinCount(id) > 0 {
-		return true
-	}
 	return !lm.cold(id, now, protectRecent)
 }
 
 // evictable reports whether the keyframe is cold enough to leave
 // memory.
 func (lm *Manager) evictable(id smap.ID, now uint64) bool {
-	if lm.m.PinCount(id) > 0 {
-		return false
-	}
 	if _, ghost := lm.ghostKF[id]; ghost {
 		return false // already parked in a region file
 	}

@@ -134,26 +134,18 @@ func TestCullRedundantKeyFrames(t *testing.T) {
 	}
 }
 
-func TestCullRespectsPinsAndRecency(t *testing.T) {
+func TestCullRespectsRecency(t *testing.T) {
 	m, clusters := clusterMap(t, 2, 2, 6, 31)
 	lm := New(Config{MaxKeyFrames: 1}, m, nil, "")
 	now := advance(m, 50)
 
-	pinned := lm.m.Pin([]smap.ID{clusters[0][0]})
-	if len(pinned) != 1 {
-		t.Fatal("pin refused")
-	}
 	m.TouchKeyFrames(clusters[0][1:2]) // hot: touched this tick
 
 	lm.Step(now)
-	if _, ok := m.KeyFrame(clusters[0][0]); !ok {
-		t.Fatal("pinned keyframe was culled")
-	}
 	if _, ok := m.KeyFrame(clusters[0][1]); !ok {
 		t.Fatal("recently touched keyframe was culled")
 	}
-	m.Unpin(pinned)
-	checkClean(t, m, "after pinned cull")
+	checkClean(t, m, "after cull")
 }
 
 func TestSparsifyDeadPoints(t *testing.T) {

@@ -195,9 +195,8 @@ func Redundancy(m *smap.Map, id smap.ID) (score float64, redundant bool) {
 }
 
 // cullKeyFrames erases this client's redundant keyframes in kf's
-// covisibility window, keeping the map compact. It counts a keyframe
-// only once it is gone: a pinned one survives the erase, and a later
-// sweep retries it.
+// covisibility window, keeping the map compact. It counts the erases
+// that removed a keyframe, not those another session beat it to.
 func (mm *Mapper) cullKeyFrames(kf *smap.KeyFrame) int {
 	culled := 0
 	for _, cand := range mm.Map.Covisible(kf.ID, mm.Cfg.BAWindow) {
@@ -207,8 +206,7 @@ func (mm *Mapper) cullKeyFrames(kf *smap.KeyFrame) int {
 		if _, redundant := Redundancy(mm.Map, cand.ID); !redundant {
 			continue
 		}
-		mm.Map.EraseKeyFrame(cand.ID)
-		if _, still := mm.Map.KeyFrame(cand.ID); !still {
+		if mm.Map.EraseKeyFrame(cand.ID) {
 			culled++
 		}
 	}

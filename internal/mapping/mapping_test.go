@@ -330,19 +330,3 @@ func TestRedundancy(t *testing.T) {
 		})
 	}
 }
-
-// TestCullCountsOnlyErasedKeyFrames: a pinned keyframe survives the
-// erase, so it must not count as culled.
-func TestCullCountsOnlyErasedKeyFrames(t *testing.T) {
-	m, subject, next := cullFixture(t, 31, 31)
-	pinned := m.Pin([]smap.ID{subject.ID})
-	defer m.Unpin(pinned)
-	mm := New(m, camera.NewStereoRig(camera.EuRoCIntrinsics(), 0.11), smap.NewIDAllocator(1), 1, DefaultConfig())
-	st := mm.ProcessKeyFrame(next)
-	if _, ok := m.KeyFrame(subject.ID); !ok {
-		t.Fatal("pinned keyframe was erased")
-	}
-	if st.KFsCulled != 0 {
-		t.Fatalf("KFsCulled = %d for a pinned keyframe that is still in the map, want 0", st.KFsCulled)
-	}
-}

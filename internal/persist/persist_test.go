@@ -174,6 +174,48 @@ func TestJournalReplayRebuildsMap(t *testing.T) {
 	mgr.Close()
 }
 
+// TestReplayKeepsBindingPastStaleDetach: a journal may hold a detach
+// whose keypoint the point no longer records — the point was rebound
+// at another keypoint of the same keyframe — since journals written
+// before detaches matched the keypoint index carry such records.
+// Replaying it changes nothing, so the recovered map keeps the
+// rebinding on both sides.
+func TestReplayKeepsBindingPastStaleDetach(t *testing.T) {
+	opts := testOptions(t)
+	rng := rand.New(rand.NewSource(3))
+	m := smap.NewMap(bow.Default())
+	mgr, err := Open(opts, m, holo.NewRegistry(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	alloc := smap.NewIDAllocator(1)
+	kf := randomKeyFrame(rng, alloc, 1, 10, 0)
+	m.AddKeyFrame(kf)
+	mp := randomMapPoint(rng, alloc, 1, kf.ID)
+	m.AddMapPoint(mp)
+	for _, idx := range []int{0, 1} {
+		if err := m.AddObservation(kf.ID, mp.ID, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr.Journal().ObservationDetached(kf.ID, mp.ID, 0)
+	if err := mgr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(opts.Dir, bow.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMapsEqual(t, m, rec.Map)
+	if rep := rec.Map.CheckInvariants(); !rep.OK() {
+		t.Fatalf("recovered map: %s", rep.Summary())
+	}
+	if !rec.Map.HasObservation(mp.ID, kf.ID) {
+		t.Fatal("replayed stale detach dropped the observation")
+	}
+}
+
 func TestCheckpointAndJournalTail(t *testing.T) {
 	opts := testOptions(t)
 	rng := rand.New(rand.NewSource(2))

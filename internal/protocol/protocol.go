@@ -162,11 +162,6 @@ const helloVersion = 2
 // float intrinsics, width, height, baseline, QoS and caps.
 const helloLen = 1 + 4 + 1 + 4*8 + 2*4 + 8 + 1 + 1
 
-// maxRigSide bounds a hello's image width and height: far above any
-// rig the datasets model (KITTI's 1241 px is the widest), far below a
-// size whose per-frame buffers a server could not allocate.
-const maxRigSide = 8192
-
 // Rig materializes the advertised calibration.
 func (m *HelloMsg) Rig() camera.Rig {
 	if m.Mode == camera.Stereo {
@@ -194,9 +189,8 @@ func (m *HelloMsg) Encode() []byte {
 }
 
 // DecodeHelloMsg reverses HelloMsg.Encode. It refuses a foreign
-// version, any other length, an unknown camera mode or QoS class, and a
-// rig no camera has (checkRig), so no session sizes its buffers from a
-// forged calibration.
+// version, any other length, an unknown QoS class, and a rig no camera
+// has (camera.Rig.Validate, which also refuses an unknown camera mode).
 func DecodeHelloMsg(data []byte) (*HelloMsg, error) {
 	r := codec.NewReader(data)
 	if v := r.U8(); v != helloVersion {
@@ -217,36 +211,15 @@ func DecodeHelloMsg(data []byte) (*HelloMsg, error) {
 	switch {
 	case !r.Done():
 		return nil, fmt.Errorf("protocol: hello is %d bytes, want %d", len(data), helloLen)
-	case m.Mode != camera.Mono && m.Mode != camera.Stereo:
-		return nil, fmt.Errorf("protocol: bad hello camera mode %d", m.Mode)
 	case m.QoS > offload.QoSDrone:
 		return nil, fmt.Errorf("protocol: bad hello qos class %d", m.QoS)
 	}
-	if err := checkRig(m); err != nil {
-		return nil, err
+	// The baseline is validated as sent, also on a mono rig.
+	rig := camera.Rig{Intr: m.Intr, Mode: m.Mode, Baseline: m.Baseline}
+	if err := rig.Validate(); err != nil {
+		return nil, fmt.Errorf("protocol: bad hello: %w", err)
 	}
 	return m, nil
-}
-
-// checkRig refuses a calibration no camera has: a side of 0 or past
-// maxRigSide, a focal length that is not finite and positive, a
-// principal point or baseline that is not finite, or a stereo baseline
-// that is not positive.
-func checkRig(m *HelloMsg) error {
-	finite := func(v float64) bool { return math.Abs(v) <= math.MaxFloat64 } // false for NaN
-	positive := func(v float64) bool { return v > 0 && finite(v) }
-	in := &m.Intr
-	switch {
-	case in.Width <= 0 || in.Width > maxRigSide || in.Height <= 0 || in.Height > maxRigSide:
-		return fmt.Errorf("protocol: hello rig is %dx%d pixels", in.Width, in.Height)
-	case !positive(in.Fx) || !positive(in.Fy):
-		return fmt.Errorf("protocol: bad hello focal length %g, %g", in.Fx, in.Fy)
-	case !finite(in.Cx) || !finite(in.Cy):
-		return fmt.Errorf("protocol: bad hello principal point %g, %g", in.Cx, in.Cy)
-	case !finite(m.Baseline) || m.Mode == camera.Stereo && !positive(m.Baseline):
-		return fmt.Errorf("protocol: bad hello %v baseline %g", m.Mode, m.Baseline)
-	}
-	return nil
 }
 
 // UplinkHeader is what every device uplink carries, whichever offload

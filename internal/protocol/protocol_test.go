@@ -233,7 +233,7 @@ func badRigs() map[string]*HelloMsg {
 		"width 0":            func(m *HelloMsg) { m.Intr.Width = 0 },
 		"height 0":           func(m *HelloMsg) { m.Intr.Height = 0 },
 		"2^31 pixels":        func(m *HelloMsg) { m.Intr.Width, m.Intr.Height = 1<<31, 1<<31 },
-		"height past bound":  func(m *HelloMsg) { m.Intr.Height = maxRigSide + 1 },
+		"height past bound":  func(m *HelloMsg) { m.Intr.Height = camera.MaxRigSide + 1 },
 		"fx 0":               func(m *HelloMsg) { m.Intr.Fx = 0 },
 		"fy negative":        func(m *HelloMsg) { m.Intr.Fy = -458 },
 		"fx NaN":             func(m *HelloMsg) { m.Intr.Fx = math.NaN() },
@@ -263,7 +263,7 @@ func TestHelloMsgRejectsBadRig(t *testing.T) {
 		}
 	}
 	edge := testHello(8)
-	edge.Intr.Width, edge.Intr.Height, edge.Intr.Cx = maxRigSide, 1, -3
+	edge.Intr.Width, edge.Intr.Height, edge.Intr.Cx = camera.MaxRigSide, 1, -3
 	mono := testHello(9)
 	mono.Mode, mono.Baseline = camera.Mono, 0
 	for _, m := range []*HelloMsg{edge, mono} {

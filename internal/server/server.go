@@ -615,8 +615,11 @@ type Session struct {
 
 // OpenSession registers a client process. Each session gets a stream
 // on the shared tracking pool (or runs its kernels serially when the
-// pool is disabled).
+// pool is disabled). A rig no camera has is refused (camera.Rig.Validate).
 func (s *Server) OpenSession(clientID uint32, rig camera.Rig) (*Session, error) {
+	if err := rig.Validate(); err != nil {
+		return nil, fmt.Errorf("server: client %d: %w", clientID, err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Admission control: beyond the session ceiling the server refuses

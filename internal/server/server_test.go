@@ -413,6 +413,25 @@ func TestServeRefusesBadRig(t *testing.T) {
 	}
 }
 
+// TestOpenSessionRefusesBadRig: an in-process caller reaches the same
+// rig check as a hello. A session opened on MH04's rig at 2^31 x 2^31
+// pixels would panic sizing its first keyframe's keypoint grid.
+func TestOpenSessionRefusesBadRig(t *testing.T) {
+	srv, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rig := dataset.MH04(camera.Stereo).Rig
+	rig.Intr.Width, rig.Intr.Height = 1<<31, 1<<31
+	if sess, err := srv.OpenSession(3, rig); err == nil {
+		t.Fatalf("session %p opened on a %dx%d rig", sess, rig.Intr.Width, rig.Intr.Height)
+	}
+	if n := srv.NSessions(); n != 0 {
+		t.Fatalf("%d sessions after a bad rig", n)
+	}
+}
+
 // TestServeClosesOnUnknownType: a message type the server does not
 // serve — here 8, the retired keypoint uplink — ends its connection
 // and counts on net.unknown_msgs, where it used to be dropped unseen;

@@ -83,7 +83,6 @@ type checkSnapshot struct {
 	bowIDs     []ID
 	bowOrphans []ID // posting-list entries with no stored vector
 	bowMissing []ID // stored vectors with a word not posted
-	pins       map[ID]int
 	nkf        int
 	nmp        int
 }
@@ -115,7 +114,6 @@ func (m *Map) snapshotForCheck() checkSnapshot {
 	m.rUnlockAll()
 	snap.bowOrphans = append(snap.bowOrphans, orphans...)
 	snap.bowMissing = append(snap.bowMissing, missing...)
-	snap.pins, _ = m.lifecycleSnapshot()
 	return snap
 }
 
@@ -283,8 +281,6 @@ func (r *CheckReport) auditEntities(kfs map[ID]*KeyFrame, mps map[ID]*MapPoint, 
 //   - bow-index-orphan / bow-index-missing: inside the BoW database,
 //     the inverted posting lists and the stored vectors must agree
 //     (erase paths can tear one side without disturbing the id set).
-//   - pin-leak: a lifecycle pin count survives on a keyframe that is
-//     no longer in the map (unbalanced Pin/Unpin).
 //   - order-missing / order-dup: the insertion-order list must contain
 //     every live keyframe exactly once (erased IDs may linger, live
 //     duplicates may not).
@@ -331,14 +327,6 @@ func (m *Map) CheckInvariants() CheckReport {
 		rep.add("bow-index-missing", id, 0, "stored vector with an unposted word")
 	}
 
-	// Pin table: a pin on a missing keyframe means a Pin without a
-	// matching Unpin survived past the entity it protected.
-	for _, id := range sortedIDs(snap.pins) {
-		if _, live := snap.kfs[id]; !live {
-			rep.add("pin-leak", id, 0, "pin count %d on missing keyframe", snap.pins[id])
-		}
-	}
-
 	// Insertion order: every live keyframe exactly once. Erased IDs may
 	// linger in the list by design (lookups skip them).
 	seenOrder := make(map[ID]int, len(snap.order))
@@ -367,8 +355,8 @@ func (m *Map) CheckInvariants() CheckReport {
 // against merges), so only the subgraph this merge inserted or rewrote
 // can be held to the at-rest invariants. It is auditEntities alone:
 // references from a touched entity to an untouched one are checked for
-// existence, and the whole-map rules (BoW, insertion order, counters,
-// pins) are not run.
+// existence, and the whole-map rules (BoW, insertion order, counters)
+// are not run.
 func (m *Map) CheckSubgraph(kfIDs, mpIDs []ID) CheckReport {
 	// Snapshot the touched entities plus the existence of everything
 	// they reference, under every stripe read lock for one consistent

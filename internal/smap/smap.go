@@ -133,6 +133,10 @@ type KeyFrame struct {
 	// Covisible keyframes and their shared-observation counts, by
 	// ascending keyframe ID.
 	Conns []Conn
+	// touched is the activity-clock tick of the keyframe's last insert,
+	// LocalView read or TouchKeyFrames (see region.go), guarded by its
+	// stripe lock: an eviction statistic the entity codec does not carry.
+	touched uint64
 }
 
 // Center returns the camera center in world coordinates.
@@ -252,14 +256,8 @@ type Map struct {
 	vmu   sync.RWMutex
 	views map[viewKey]*LocalView
 
-	// lmu guards the lifecycle tables (see region.go). Leaf lock like
-	// vmu: taken with no stripe locks held, and never held across a
-	// stripe acquisition. tick is the frame-activity clock.
-	lmu       sync.Mutex
-	pins      map[ID]int
-	condemned map[ID]struct{}
-	lastTouch map[ID]uint64
-	tick      atomic.Uint64
+	// tick is the frame-activity clock (see region.go).
+	tick atomic.Uint64
 
 	scratch sync.Pool
 }
@@ -268,13 +266,10 @@ type Map struct {
 // index.
 func NewMap(voc *bow.Vocabulary) *Map {
 	m := &Map{
-		voc:       voc,
-		inOrder:   make(map[ID]struct{}),
-		bowDB:     bow.NewDatabase(),
-		views:     make(map[viewKey]*LocalView),
-		pins:      make(map[ID]int),
-		condemned: make(map[ID]struct{}),
-		lastTouch: make(map[ID]uint64),
+		voc:     voc,
+		inOrder: make(map[ID]struct{}),
+		bowDB:   bow.NewDatabase(),
+		views:   make(map[viewKey]*LocalView),
 	}
 	for i := range m.stripes {
 		m.stripes[i].keyframes = make(map[ID]*KeyFrame)
@@ -396,6 +391,7 @@ func (m *Map) addKeyFrame(kf *KeyFrame, indexBow bool) {
 	_, exists := s.keyframes[kf.ID]
 	s.keyframes[kf.ID] = kf
 	s.kfVer[kf.ID]++
+	kf.touched = m.tick.Load()
 	if m.observer != nil {
 		m.observer.KeyFrameAdded(kf)
 	}
@@ -413,7 +409,6 @@ func (m *Map) addKeyFrame(kf *KeyFrame, indexBow bool) {
 		m.bowDB.Add(kf.ID, kf.Bow)
 	}
 	m.imu.Unlock()
-	m.touchOne(kf.ID)
 }
 
 // AddMapPoint inserts a map point.
@@ -684,21 +679,17 @@ func (m *Map) ReadLocked(id ID, f func()) {
 	s.mu.RUnlock()
 }
 
-// EraseKeyFrame removes a keyframe and its observation links. A
-// pinned keyframe (an in-flight LocalView build or merge window holds
-// it, see region.go) is left alone; callers that cull retry on a later
-// pass.
-func (m *Map) EraseKeyFrame(id ID) {
-	if !m.beginErase(id) {
-		return
-	}
-	defer m.endErase(id)
+// EraseKeyFrame removes a keyframe and its observation links, and
+// reports whether it did: false means the ID was already gone. A
+// LocalView that holds the keyframe goes stale through its tombstone
+// version and is rebuilt on next use.
+func (m *Map) EraseKeyFrame(id ID) bool {
 	s := m.stripe(id)
 	s.mu.Lock()
 	kf, ok := s.keyframes[id]
 	if !ok {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	delete(s.keyframes, id)
 	s.kfVer[id]++ // tombstone: views holding this keyframe go stale
@@ -736,6 +727,7 @@ func (m *Map) EraseKeyFrame(id ID) {
 	m.imu.Lock()
 	m.bowDB.Remove(id)
 	m.imu.Unlock()
+	return true
 }
 
 // EraseMapPoint removes a map point and detaches it from its
@@ -768,7 +760,9 @@ func (m *Map) EraseMapPoint(id ID) {
 }
 
 // AddObservation links keyframe kf's keypoint kpIdx to map point mp
-// and keeps both sides consistent.
+// and keeps both sides consistent. A keypoint another point holds is
+// refused: overwriting it would leave that point's observation
+// pointing at a keypoint that no longer binds it.
 func (m *Map) AddObservation(kfID, mpID ID, kpIdx int) error {
 	unlock := m.lockPair(kfID, mpID)
 	ks, ps := m.stripe(kfID), m.stripe(mpID)
@@ -785,6 +779,10 @@ func (m *Map) AddObservation(kfID, mpID ID, kpIdx int) error {
 	if kpIdx < 0 || kpIdx >= len(kf.MapPoints) {
 		unlock()
 		return fmt.Errorf("smap: keypoint index %d out of range", kpIdx)
+	}
+	if b := kf.MapPoints[kpIdx]; b != 0 && b != mpID {
+		unlock()
+		return fmt.Errorf("smap: keypoint %d of keyframe %d binds map point %d", kpIdx, kfID, b)
 	}
 	// Re-observation: the point is already bound in this keyframe at
 	// another keypoint (e.g. a concurrent fuse redirected it here while
@@ -809,7 +807,9 @@ func (m *Map) AddObservation(kfID, mpID ID, kpIdx int) error {
 
 // DetachObservation severs the keypoint-to-map-point binding if it
 // still matches — local BA uses it to drop outlier edges without
-// touching either entity's lifetime.
+// touching either entity's lifetime. Each side changes only where it
+// records keypoint kpIdx, so a stale triple (the point since rebound
+// at another keypoint) changes nothing.
 func (m *Map) DetachObservation(kfID, mpID ID, kpIdx int) {
 	unlock := m.lockPair(kfID, mpID)
 	ks, ps := m.stripe(kfID), m.stripe(mpID)
@@ -820,7 +820,7 @@ func (m *Map) DetachObservation(kfID, mpID ID, kpIdx int) {
 		changed = true
 	}
 	if mp, ok := ps.points[mpID]; ok {
-		if _, had := find(mp.Obs, kfID); had {
+		if i, had := find(mp.Obs, kfID); had && mp.Obs[i].Idx == kpIdx {
 			mp.Obs = drop(mp.Obs, kfID)
 			changed = true
 		}
@@ -1099,34 +1099,6 @@ func (m *Map) windowIDs(kfID ID, maxKFs int) []ID {
 	return append(m.covisibleIDs(kfID, maxKFs), kfID)
 }
 
-// collectWindow walks the given window members and hands each to
-// visit while its stripe read lock is held; the per-keyframe version
-// at visit time is passed alongside. The seen-set/ID scratch is
-// pooled across calls. Callers that need the window to hold still
-// against concurrent culling pin the IDs first (see region.go).
-func (m *Map) collectWindow(ids []ID, sc *localScratch,
-	visit func(kf *KeyFrame, ver uint64)) {
-	for _, id := range ids {
-		s := m.stripe(id)
-		s.mu.RLock()
-		kf, ok := s.keyframes[id]
-		if ok {
-			visit(kf, s.kfVer[id])
-			for _, mpID := range kf.MapPoints {
-				if mpID == 0 {
-					continue
-				}
-				if _, dup := sc.seen[mpID]; dup {
-					continue
-				}
-				sc.seen[mpID] = struct{}{}
-				sc.ids = append(sc.ids, mpID)
-			}
-		}
-		s.mu.RUnlock()
-	}
-}
-
 // QueryBow returns merge/loop candidates for the given BoW vector,
 // excluding keyframes for which exclude returns true.
 func (m *Map) QueryBow(bv bow.Vec, topN int, exclude func(ID) bool) []bow.Result {
@@ -1166,18 +1138,14 @@ type LocalView struct {
 	// region under active tracking never looks cold to the eviction
 	// policy.
 	touched atomic.Uint64
-	// deps pins the per-keyframe versions of the window members; the
-	// view stays valid while none of them move.
-	deps []viewDep
+	// deps are the window members and vers their per-keyframe versions
+	// at build time; the view stays valid while none of them move.
+	deps []ID
+	vers []uint64
 
 	KFs    []ViewKF
 	Points []ViewPoint
 	index  map[ID]int32
-}
-
-type viewDep struct {
-	id  ID
-	ver uint64
 }
 
 // Valid reports whether the snapshot still reflects every relevant
@@ -1193,8 +1161,8 @@ func (v *LocalView) Valid() bool {
 	if cur == v.version.Load() {
 		return true
 	}
-	for _, d := range v.deps {
-		if v.m.kfVersion(d.id) != d.ver {
+	for i, id := range v.deps {
+		if v.m.kfVersion(id) != v.vers[i] {
 			return false
 		}
 	}
@@ -1207,14 +1175,9 @@ func (v *LocalView) Valid() bool {
 // common case).
 func (v *LocalView) touch() {
 	now := v.m.tick.Load()
-	if v.touched.Swap(now) == now {
-		return
+	if v.touched.Swap(now) != now {
+		v.m.TouchKeyFrames(v.deps)
 	}
-	v.m.lmu.Lock()
-	for _, d := range v.deps {
-		v.m.lastTouch[d.id] = now
-	}
-	v.m.lmu.Unlock()
 }
 
 // Point returns the snapshot copy of a map point by ID.
@@ -1254,21 +1217,27 @@ func (m *Map) buildView(kfID ID, maxKFs int) *LocalView {
 	// instead of being masked.
 	v.version.Store(m.version.Load())
 	sc := m.getScratch()
-	v.deps = make([]viewDep, 0, maxKFs+1)
-	// Pin the window for the duration of the build: a concurrent cull
-	// cannot erase a member mid-walk, so the snapshot is built from a
-	// window that holds still. Anything the pin loses the race to
-	// (already-condemned IDs) is caught by the dep check on next use.
-	ids := m.windowIDs(kfID, maxKFs)
-	pinned := m.Pin(ids)
-	m.collectWindow(ids, sc, func(kf *KeyFrame, ver uint64) {
-		v.KFs = append(v.KFs, ViewKF{ID: kf.ID, Tcw: kf.Tcw})
-		v.deps = append(v.deps, viewDep{kf.ID, ver})
-	})
-	if len(v.deps) == 0 {
-		// Unknown keyframe: depend on it at version 0 so the view
-		// invalidates the moment it appears.
-		v.deps = append(v.deps, viewDep{kfID, 0})
+	// Each member is read whole, with its version, under its stripe
+	// read lock. A member missing here (an unknown keyframe, or one
+	// just erased) is a dependency at its current version too, so the
+	// view invalidates the moment it is inserted; one a concurrent cull
+	// erases after its read fails the check through its tombstone.
+	v.deps = m.windowIDs(kfID, maxKFs)
+	v.vers = make([]uint64, len(v.deps))
+	for i, id := range v.deps {
+		s := m.stripe(id)
+		s.mu.RLock()
+		v.vers[i] = s.kfVer[id]
+		if kf, ok := s.keyframes[id]; ok {
+			v.KFs = append(v.KFs, ViewKF{ID: id, Tcw: kf.Tcw})
+			for _, mpID := range kf.MapPoints {
+				if _, dup := sc.seen[mpID]; mpID != 0 && !dup {
+					sc.seen[mpID] = struct{}{}
+					sc.ids = append(sc.ids, mpID)
+				}
+			}
+		}
+		s.mu.RUnlock()
 	}
 	v.Points = make([]ViewPoint, 0, len(sc.ids))
 	v.index = make(map[ID]int32, len(sc.ids))
@@ -1282,8 +1251,7 @@ func (m *Map) buildView(kfID ID, maxKFs int) *LocalView {
 		}
 		s.mu.RUnlock()
 	}
-	m.Unpin(pinned)
-	m.TouchKeyFrames(ids)
+	m.TouchKeyFrames(v.deps)
 	m.putScratch(sc)
 	return v
 }

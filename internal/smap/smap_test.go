@@ -172,6 +172,69 @@ func TestAddObservationErrors(t *testing.T) {
 	}
 }
 
+// oneKeyFrame returns a map holding keyframe 1 with four keypoints and
+// the given map points, with no vocabulary.
+func oneKeyFrame(mps ...ID) *Map {
+	m := NewMap(nil)
+	m.AddKeyFrame(&KeyFrame{ID: 1, Tcw: geom.IdentitySE3(), Keypoints: make([]feature.Keypoint, 4)})
+	for _, id := range mps {
+		m.AddMapPoint(&MapPoint{ID: id, RefKF: 1})
+	}
+	return m
+}
+
+// TestStaleDetachChangesNothing: a detach whose keypoint the point no
+// longer records (it was rebound at another keypoint of the same
+// keyframe) changes neither side and journals nothing; the live triple
+// still detaches both.
+func TestStaleDetachChangesNothing(t *testing.T) {
+	m := oneKeyFrame(10)
+	mustAdd(t, m, 1, 10, 0)
+	mustAdd(t, m, 1, 10, 1)
+	rec := &recObserver{}
+	m.SetObserver(rec)
+	m.DetachObservation(1, 10, 0)
+	if len(rec.calls) != 0 {
+		t.Errorf("stale detach journaled %q", rec.calls)
+	}
+	if rep := m.CheckInvariants(); !rep.OK() {
+		t.Fatalf("after a stale detach: %s", rep.Summary())
+	}
+	if !m.HasObservation(10, 1) {
+		t.Fatal("stale detach dropped the point's observation")
+	}
+	m.DetachObservation(1, 10, 1)
+	if _, bindings, _ := m.KeyFrameState(1); bindings[1] != 0 || m.HasObservation(10, 1) {
+		t.Errorf("live detach left binding %d, observation %v", bindings[1], m.HasObservation(10, 1))
+	}
+	if want := []string{"detach 1 10 1"}; !slices.Equal(rec.calls, want) {
+		t.Errorf("live detach journaled %q, want %q", rec.calls, want)
+	}
+}
+
+// TestAddObservationRefusesHeldKeypoint: binding a keypoint another
+// point holds is refused and journals nothing, so the holder's
+// observation never names a keypoint that binds something else.
+func TestAddObservationRefusesHeldKeypoint(t *testing.T) {
+	m := oneKeyFrame(11, 12)
+	mustAdd(t, m, 1, 11, 1)
+	rec := &recObserver{}
+	m.SetObserver(rec)
+	if err := m.AddObservation(1, 12, 1); err == nil {
+		t.Error("keypoint held by point 11 rebound to 12")
+	}
+	if len(rec.calls) != 0 {
+		t.Errorf("refused observation journaled %q", rec.calls)
+	}
+	if rep := m.CheckInvariants(); !rep.OK() {
+		t.Fatalf("after a refused observation: %s", rep.Summary())
+	}
+	if _, bindings, _ := m.KeyFrameState(1); bindings[1] != 11 || m.HasObservation(12, 1) {
+		t.Errorf("keypoint 1 binds %d, point 12 observed: %v", bindings[1], m.HasObservation(12, 1))
+	}
+	mustAdd(t, m, 1, 11, 1) // the holder itself may re-add its binding
+}
+
 func TestEraseKeyFrameDetaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewMap(testVoc())
@@ -184,7 +247,9 @@ func TestEraseKeyFrameDetaches(t *testing.T) {
 	mustAdd(t, m, 1, 10, 0)
 	mustAdd(t, m, 2, 10, 0)
 	m.UpdateConnections(1, 1)
-	m.EraseKeyFrame(1)
+	if !m.EraseKeyFrame(1) {
+		t.Fatal("erase reported nothing erased")
+	}
 	if _, ok := m.KeyFrame(1); ok {
 		t.Fatal("keyframe not erased")
 	}
@@ -194,7 +259,9 @@ func TestEraseKeyFrameDetaches(t *testing.T) {
 	if _, ok := find(kf2.Conns, 1); ok {
 		t.Error("covisibility edge not removed")
 	}
-	m.EraseKeyFrame(42) // unknown must be a no-op
+	if m.EraseKeyFrame(1) || m.EraseKeyFrame(42) {
+		t.Error("erase of a missing keyframe reported an erase")
+	}
 }
 
 func TestEraseMapPointDetaches(t *testing.T) {

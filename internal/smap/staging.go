@@ -111,7 +111,6 @@ func (m *Map) RemoveEntities(kfIDs, mpIDs []ID) {
 		m.imu.Unlock()
 	}
 	m.version.Add(1)
-	m.forgetTouch(kfIDs)
 	m.dropViews()
 }
 

@@ -2,6 +2,7 @@ package smap
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -157,6 +158,73 @@ func TestConcurrentViewsAndMutations(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestViewsNeverServeErasedKeyFrame: eight keyframes sharing 30 points
+// form one covisibility window. While three goroutines tick the
+// activity clock, build or hit the cached view and touch the window,
+// the window's members are erased one by one: each erase removes its
+// keyframe, however many views are being built across it, and a view
+// asked for afterwards does not list it.
+func TestViewsNeverServeErasedKeyFrame(t *testing.T) {
+	const nkf, npts = 8, 30
+	for round := int64(0); round < 50; round++ {
+		m := NewMap(nil)
+		ids := make([]ID, nkf)
+		for i := range ids {
+			ids[i] = ID(1 + i)
+			m.AddKeyFrame(&KeyFrame{ID: ids[i], Tcw: geom.IdentitySE3(), Keypoints: make([]feature.Keypoint, npts)})
+		}
+		for p := 0; p < npts; p++ {
+			m.AddMapPoint(&MapPoint{ID: ID(100 + p), RefKF: 1})
+			for _, id := range ids {
+				mustAdd(t, m, id, ID(100+p), p)
+			}
+		}
+		for _, id := range ids {
+			m.UpdateConnections(id, 15)
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					m.Tick()
+					m.LocalView(1, 10).Valid()
+					m.TouchKeyFrames(ids)
+				}
+			}()
+		}
+		rng := rand.New(rand.NewSource(round))
+		for id := ID(nkf); id >= 2; id-- {
+			for n := rng.Intn(50); n > 0; n-- {
+				runtime.Gosched()
+			}
+			m.EraseKeyFrame(id)
+			if _, ok := m.KeyFrame(id); ok {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("round %d: keyframe %d survived its erase", round, id)
+			}
+			for _, vkf := range m.LocalView(1, 10).KFs {
+				if vkf.ID == id {
+					t.Errorf("round %d: a view built after keyframe %d's erase lists it", round, id)
+				}
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if rep := m.CheckInvariants(); !rep.OK() {
+			t.Fatalf("round %d: %s", round, rep.Summary())
+		}
+	}
 }
 
 // TestConcurrentUpdateConnectionsStaysSymmetric: two neighbours
