@@ -11,92 +11,18 @@
 // loses its front presents its session token to any surviving replica,
 // which adopts the session in place — no relocalization, no replayed
 // answers.
+//
+// The flags are cluster.FrontMain's.
 package main
 
 import (
 	"flag"
 	"log"
-	"net"
-	"net/http"
-	"strings"
-	"time"
+	"os"
 
 	"slamshare/internal/cluster"
-	"slamshare/internal/obs"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7006", "listen address devices dial")
-	shards := flag.String("shards", "", "comma-separated shard addresses; index is the shard ID")
-	token := flag.Uint64("token", 0, "shared secret matching the shards' -shard-token")
-	frontID := flag.Uint("front-id", 0, "this front's ID in shard-to-shard sender fields")
-	minX := flag.Float64("min-x", -100, "west edge of the partitioned region (metres, world frame)")
-	maxX := flag.Float64("max-x", 100, "east edge of the partitioned region")
-	hysteresis := flag.Float64("hysteresis", 5, "half-width of the no-handoff band around shard boundaries (metres)")
-	cooldown := flag.Duration("handoff-cooldown", 500*time.Millisecond, "minimum dwell between ownership handoffs per session")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars with the front failover gauges on this address")
-	flag.Parse()
-
-	list := strings.Split(*shards, ",")
-	clean := list[:0]
-	for _, a := range list {
-		if a = strings.TrimSpace(a); a != "" {
-			clean = append(clean, a)
-		}
-	}
-	if len(clean) == 0 {
-		log.Fatal("at least one -shards address is required")
-	}
-
-	front := cluster.NewFront(cluster.FrontConfig{
-		Shards:  clean,
-		Token:   *token,
-		FrontID: uint32(*frontID),
-		Part: cluster.Partition{
-			Min:        *minX,
-			Max:        *maxX,
-			N:          len(clean),
-			Hysteresis: *hysteresis,
-		},
-		HandoffCooldown: *cooldown,
-	})
-
-	if *debugAddr != "" {
-		reg := obs.NewRegistry()
-		front.RegisterDebug(reg)
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("debug endpoint on http://%s/debug/vars", dln.Addr())
-		go http.Serve(dln, obs.Handler(obs.NewTracer(reg, obs.DefaultRingSize)))
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("slamshare-front on %s routing x∈[%v, %v) across %d shards: %v",
-		ln.Addr(), *minX, *maxX, len(clean), clean)
-
-	go func() {
-		seen := 0
-		for range time.Tick(5 * time.Second) {
-			evs := front.Events()
-			for ; seen < len(evs); seen++ {
-				ev := evs[seen]
-				if ev.Committed {
-					log.Printf("handoff: client %d shard %d -> %d (epoch %d)",
-						ev.Client, ev.From, ev.To, ev.Epoch)
-				} else {
-					log.Printf("handoff aborted: client %d shard %d -> %d: %s",
-						ev.Client, ev.From, ev.To, ev.Reason)
-				}
-			}
-		}
-	}()
-
-	if err := front.Serve(ln); err != nil {
-		log.Fatal(err)
-	}
+	log.Fatal(cluster.FrontMain(flag.CommandLine, os.Args[1:], &cluster.FrontConfig{}))
 }

@@ -6,15 +6,19 @@ package chaos
 // byte that was not yet durably in the WAL, which an in-process
 // "kill" cannot reproduce (finalizers, shared memory and page cache
 // all survive). Shards and fronts therefore run as re-exec'd copies of
-// the test binary (TestMain dispatches on SLAMSHARE_PROC) and report
-// their listen address on stdout for the test process to scrape.
+// the test binary: TestMain dispatches on cluster.EnvProc into
+// cluster.ServerMain or cluster.FrontMain — the slamshare-server and
+// slamshare-front programs, flags and log lines included — and the
+// harness reads the listen addresses from the child's start-up log.
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"time"
 
@@ -29,9 +33,9 @@ type ShardSpec struct {
 	Addr    string // listen address; "127.0.0.1:0" picks a port
 	Dir     string // WAL directory (persists across restarts)
 	StallMs int    // import crash-window failpoint, milliseconds
-	// StartDelayMs simulates a slow restart: the child listens (and
-	// reports its address) immediately but kills every accepted
-	// connection for this long before starting the real server.
+	// StartDelayMs simulates a slow restart: the harness holds Addr
+	// for this long, closing every connection it accepts, before it
+	// starts the shard on it.
 	StartDelayMs int
 }
 
@@ -59,49 +63,91 @@ type Proc struct {
 	cmd       *exec.Cmd
 }
 
-// SpawnShard starts a shard child process and waits for its LISTENING
-// line.
+// The start-up log lines that carry a child's addresses, as the
+// benchmark harness (bench/procs.go) reads them.
+var (
+	listenRe = regexp.MustCompile(`(?:listening on|slamshare-front on) (127\.0\.0\.1:\d+)`)
+	debugRe  = regexp.MustCompile(`debug endpoint on http://(127\.0\.0\.1:\d+)/`)
+)
+
+// SpawnShard starts a shard child process and waits until it listens.
+// Its WAL is journal-only: recovery replays it from the last (absent)
+// checkpoint, the hardest recovery path.
 func SpawnShard(spec ShardSpec) (*Proc, error) {
-	return spawn(fmt.Sprintf("shard %d", spec.ID), spec.Bin,
-		cluster.EnvProc+"=shard",
-		fmt.Sprintf("%s=%s", cluster.EnvAddr, spec.Addr),
-		fmt.Sprintf("%s=%d", cluster.EnvShardID, spec.ID),
-		fmt.Sprintf("%s=%d", cluster.EnvToken, spec.Token),
-		fmt.Sprintf("%s=%s", cluster.EnvDir, spec.Dir),
-		fmt.Sprintf("%s=%d", cluster.EnvImportStall, spec.StallMs),
-		fmt.Sprintf("%s=%d", cluster.EnvStartDelay, spec.StartDelayMs),
+	what := fmt.Sprintf("shard %d", spec.ID)
+	if spec.StartDelayMs > 0 {
+		if err := holdAddr(spec.Addr, time.Duration(spec.StartDelayMs)*time.Millisecond); err != nil {
+			return nil, fmt.Errorf("chaos: %s: %w", what, err)
+		}
+	}
+	return spawn(what, spec.Bin, "shard",
+		"-addr", spec.Addr,
+		"-shard-id", fmt.Sprint(spec.ID),
+		"-shard-token", fmt.Sprint(spec.Token),
+		"-checkpoint-dir", spec.Dir,
+		"-checkpoint-every=-1ns",
+		"-import-stall", fmt.Sprintf("%dms", spec.StallMs),
 	)
 }
 
-// SpawnFront starts a front child process and waits for its LISTENING
-// (and, when debug-enabled, DEBUG) lines.
+// SpawnFront starts a front child process and waits until it listens.
 func SpawnFront(spec FrontSpec) (*Proc, error) {
-	env := []string{
-		cluster.EnvProc + "=front",
-		fmt.Sprintf("%s=%s", cluster.EnvAddr, spec.Addr),
-		fmt.Sprintf("%s=%d", cluster.EnvFrontID, spec.ID),
-		fmt.Sprintf("%s=%d", cluster.EnvToken, spec.Token),
-		fmt.Sprintf("%s=%s", cluster.EnvShards, strings.Join(spec.Shards, ",")),
-		fmt.Sprintf("%s=%g,%g,%g", cluster.EnvPartEdges,
-			spec.PartMin, spec.PartMax, spec.PartHysteresis),
-		fmt.Sprintf("%s=%d", cluster.EnvHandoffStall, spec.HandoffStallMs),
+	args := []string{
+		"-addr", spec.Addr,
+		"-shards", strings.Join(spec.Shards, ","),
+		"-token", fmt.Sprint(spec.Token),
+		"-front-id", fmt.Sprint(spec.ID),
+		"-min-x", fmt.Sprint(spec.PartMin),
+		"-max-x", fmt.Sprint(spec.PartMax),
+		"-hysteresis", fmt.Sprint(spec.PartHysteresis),
+		"-handoff-stall", fmt.Sprintf("%dms", spec.HandoffStallMs),
 	}
 	if spec.Debug {
-		env = append(env, fmt.Sprintf("%s=127.0.0.1:0", cluster.EnvDebugAddr))
+		args = append(args, "-debug-addr", "127.0.0.1:0")
 	}
-	return spawn(fmt.Sprintf("front %d", spec.ID), spec.Bin, env...)
+	return spawn(fmt.Sprintf("front %d", spec.ID), spec.Bin, "front", args...)
 }
 
-// spawn starts bin, the child named what, with env added and waits for
-// it to report its address. Respawns after a kill reuse the concrete
-// address, so fronts and peers reconnect without reconfiguration; the
-// retries absorb the window where the killed process's port is still
+// holdAddr stands in for a shard replaying a long WAL on restart: for
+// d it listens on addr and closes every connection it accepts — what a
+// front redialing a recovering shard sees — then frees the address.
+// The retries absorb the window where a killed process's port is still
 // being released.
-func spawn(what, bin string, env ...string) (*Proc, error) {
+func holdAddr(addr string, d time.Duration) error {
+	var (
+		ln  net.Listener
+		err error
+	)
+	for attempt := 0; attempt < 15; attempt++ {
+		if ln, err = net.Listen("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(d))
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return nil // the deadline: the window is over
+		}
+		c.Close()
+	}
+}
+
+// spawn starts bin as the child named what, running proc's main with
+// args, and waits for it to report its address. Respawns after a kill
+// reuse the concrete address, so fronts and peers reconnect without
+// reconfiguration; the retries absorb the window where the killed
+// process's port is still being released.
+func spawn(what, bin, proc string, args ...string) (*Proc, error) {
 	var err error
 	for attempt := 0; attempt < 15; attempt++ {
 		var p *Proc
-		if p, err = trySpawn(bin, env); err == nil {
+		if p, err = trySpawn(what, bin, proc, args); err == nil {
 			return p, nil
 		}
 		time.Sleep(200 * time.Millisecond)
@@ -109,30 +155,48 @@ func spawn(what, bin string, env ...string) (*Proc, error) {
 	return nil, fmt.Errorf("chaos: %s did not come up: %w", what, err)
 }
 
-func trySpawn(bin string, env []string) (*Proc, error) {
-	cmd := exec.Command(bin)
-	cmd.Env = append(os.Environ(), env...)
-	stdout, err := cmd.StdoutPipe()
+func trySpawn(what, bin, proc string, args []string) (*Proc, error) {
+	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), cluster.EnvProc+"="+proc)
+	logR, logW, err := os.Pipe()
 	if err != nil {
 		return nil, err
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
+	cmd.Stderr = logW
+	err = cmd.Start()
+	logW.Close()
+	if err != nil {
+		logR.Close()
 		return nil, err
 	}
+	// The child's log is echoed to ours, prefixed with its name, for as
+	// long as it lives; its start-up lines carry its addresses.
 	repCh := make(chan Proc, 1)
 	go func() {
+		defer logR.Close()
 		var rep Proc
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if a, ok := strings.CutPrefix(sc.Text(), "DEBUG "); ok {
-				rep.DebugAddr = a
-			} else if a, ok := strings.CutPrefix(sc.Text(), "LISTENING "); ok {
-				rep.Addr = a
-				break
+		reported := false
+		rd := bufio.NewReader(logR)
+		for {
+			line, err := rd.ReadString('\n')
+			if line != "" {
+				fmt.Fprintf(os.Stderr, "%s: %s", what, line)
+			}
+			if !reported {
+				if m := debugRe.FindStringSubmatch(line); m != nil {
+					rep.DebugAddr = m[1]
+				}
+				if m := listenRe.FindStringSubmatch(line); m != nil {
+					rep.Addr = m[1]
+				}
+				if reported = rep.Addr != "" || err != nil; reported {
+					repCh <- rep // Addr empty when the log closed before listening
+				}
+			}
+			if err != nil {
+				return
 			}
 		}
-		repCh <- rep // Addr empty when stdout closed before listening
 	}()
 	select {
 	case rep := <-repCh:

@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"flag"
 	"fmt"
+	"log"
 	"net"
 	"os"
 	"sync"
@@ -19,15 +21,22 @@ import (
 )
 
 // TestMain doubles as the shard and front child entrypoint: SpawnShard
-// and SpawnFront re-exec this test binary with SLAMSHARE_PROC set and
-// the child's config in the environment, and the child runs a real
-// shard server or front router instead of the test suite.
+// and SpawnFront re-exec this test binary with cluster.EnvProc set, and
+// the child runs the slamshare-server or slamshare-front main instead
+// of the test suite. Only two things differ from those binaries: shards
+// start from the half-resolution tuning, and each role takes one
+// failpoint flag.
 func TestMain(m *testing.M) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	switch os.Getenv(cluster.EnvProc) {
 	case "shard":
-		cluster.ShardEnvMain() // never returns
+		cfg := cluster.HalfResConfig(true)
+		fs.DurationVar(&cfg.Shard.ImportStall, "import-stall", 0, "hold a cross-shard import's crash window open this long")
+		log.Fatal(cluster.ServerMain(fs, os.Args[1:], &cfg))
 	case "front":
-		cluster.FrontEnvMain() // never returns
+		var cfg cluster.FrontConfig
+		fs.DurationVar(&cfg.HandoffStall, "handoff-stall", 0, "hold every handoff open this long after the boundary export")
+		log.Fatal(cluster.FrontMain(fs, os.Args[1:], &cfg))
 	}
 	os.Exit(m.Run())
 }

@@ -58,7 +58,8 @@ type ClientScript struct {
 	// connection.
 	FreezeAt int
 	ThawAt   int
-	// Fault seeds probabilistic link faults (resets, stalls, reorder).
+	// Fault is the link's scripted write-side fault (a mid-message cut
+	// after a byte budget).
 	Fault netem.FaultConfig
 	// Shape is the netem shaping discipline for the link.
 	Shape netem.Config
@@ -91,8 +92,8 @@ type Expect struct {
 // Scenario is one deterministic chaos run.
 type Scenario struct {
 	Name string
-	// Seed drives every RNG in the scenario (link faults per client are
-	// derived from it).
+	// Seed drives the scenario's randomness: each client's redial
+	// backoff jitter is derived from it.
 	Seed int64
 	// Rounds is the number of lockstep send/reply rounds.
 	Rounds int
@@ -206,7 +207,6 @@ type rclient struct {
 
 	phase      phase
 	link       *netem.FaultConn // newest link the dialer handed out; nil until the first of a life
-	gen        int              // links dialed (seeds the fault RNG per link)
 	stalled    bool             // the next answer is the frame a freeze held back: it does not park
 	answeredOn *netem.FaultConn // link of the latest answer
 
@@ -362,8 +362,7 @@ func (h *harness) dialer(rc *rclient) client.Dialer {
 				return nil, err
 			}
 		}
-		addr, gen := h.addr, rc.gen
-		rc.gen++
+		addr := h.addr
 		b.mu.Unlock()
 
 		raw, err := h.sc.Dial(addr)
@@ -373,9 +372,7 @@ func (h *harness) dialer(rc *rclient) client.Dialer {
 		if rc.sc.Shape != (netem.Config{}) {
 			raw = netem.Wrap(raw, rc.sc.Shape)
 		}
-		fault := rc.sc.Fault
-		fault.Seed = h.sc.Seed*1_000_003 + int64(rc.sc.ID)*8191 + int64(gen)
-		fc := netem.WrapFault(raw, fault)
+		fc := netem.WrapFault(raw, rc.sc.Fault)
 		b.mu.Lock()
 		rc.link = fc
 		b.mu.Unlock()

@@ -91,10 +91,7 @@ func BenchmarkClusterMerge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src, err := NewShard(ShardOptions{ID: 0, Token: testToken}, srcLn)
-	if err != nil {
-		b.Fatal(err)
-	}
+	src := startShard(b, 0, srcLn)
 	defer src.Close()
 	defer srcLn.Close()
 	defer buildSourceMap(b, srcLn.Addr().String(), clientID, 48)()
@@ -109,10 +106,7 @@ func BenchmarkClusterMerge(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tgt, err := NewShard(ShardOptions{ID: 1, Token: testToken}, tgtLn)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tgt := startShard(b, 1, tgtLn)
 		b.StartTimer()
 
 		begin := protocol.HandoffMsg{Phase: protocol.HandoffBegin, ClientID: clientID, Epoch: uint64(i + 1)}

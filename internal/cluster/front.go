@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
+	"flag"
+	"log"
 	"net"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -910,13 +913,74 @@ func readReply(conn net.Conn, want byte, timeout time.Duration) ([]byte, error) 
 	return nil, errors.New("no matching reply")
 }
 
-// ListenAndServe is the cmd/slamshare-front entry: listen on addr and
-// serve until the process dies.
-func (f *Front) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+// FrontMain is the slamshare-front process: it registers the front's
+// flags on fs, bound onto cfg, parses args, and routes devices until
+// the listener fails. A flag sets the field it binds, to its default
+// when absent; Shards, FrontID and Part.N come from the flags too, and
+// every other field is the caller's. The slamshare-front binary starts
+// from a zero FrontConfig; a caller may register flags of its own on fs
+// first.
+func FrontMain(fs *flag.FlagSet, args []string, cfg *FrontConfig) error {
+	addr := fs.String("addr", "127.0.0.1:7006", "listen address devices dial")
+	shards := fs.String("shards", "", "comma-separated shard addresses; index is the shard ID")
+	fs.Uint64Var(&cfg.Token, "token", 0, "shared secret matching the shards' -shard-token")
+	frontID := fs.Uint("front-id", 0, "this front's ID in shard-to-shard sender fields")
+	fs.Float64Var(&cfg.Part.Min, "min-x", -100, "west edge of the partitioned region (metres, world frame)")
+	fs.Float64Var(&cfg.Part.Max, "max-x", 100, "east edge of the partitioned region")
+	fs.Float64Var(&cfg.Part.Hysteresis, "hysteresis", 5, "half-width of the no-handoff band around shard boundaries (metres)")
+	fs.DurationVar(&cfg.HandoffCooldown, "handoff-cooldown", 500*time.Millisecond, "minimum dwell between ownership handoffs per session")
+	debugAddr := fs.String("debug-addr", "", "serve /debug/vars with the front failover gauges on this address")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	cfg.Shards = nil
+	for _, a := range strings.Split(*shards, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			cfg.Shards = append(cfg.Shards, a)
+		}
+	}
+	if len(cfg.Shards) == 0 {
+		return errors.New("at least one -shards address is required")
+	}
+	cfg.FrontID = uint32(*frontID)
+	cfg.Part.N = len(cfg.Shards)
+	front := NewFront(*cfg)
+
+	if *debugAddr != "" {
+		reg := obs.NewRegistry()
+		front.RegisterDebug(reg)
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			return err
+		}
+		log.Printf("debug endpoint on http://%s/debug/vars", dln.Addr())
+		go http.Serve(dln, obs.Handler(obs.NewTracer(reg, obs.DefaultRingSize)))
+	}
+
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("LISTENING %s\n", ln.Addr().String())
-	return f.Serve(ln)
+	log.Printf("slamshare-front on %s routing x∈[%v, %v) across %d shards: %v",
+		ln.Addr(), cfg.Part.Min, cfg.Part.Max, len(cfg.Shards), cfg.Shards)
+
+	go func() {
+		seen := 0
+		for range time.Tick(5 * time.Second) {
+			evs := front.Events()
+			for ; seen < len(evs); seen++ {
+				ev := evs[seen]
+				if ev.Committed {
+					log.Printf("handoff: client %d shard %d -> %d (epoch %d)",
+						ev.Client, ev.From, ev.To, ev.Epoch)
+				} else {
+					log.Printf("handoff aborted: client %d shard %d -> %d: %s",
+						ev.Client, ev.From, ev.To, ev.Reason)
+				}
+			}
+		}
+	}()
+
+	return front.Serve(ln)
 }

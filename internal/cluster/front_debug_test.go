@@ -75,10 +75,7 @@ func BenchmarkFrontAdopt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh, err := NewShard(ShardOptions{ID: 0, Token: testToken}, ln)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sh := startShard(b, 0, ln)
 	defer sh.Close()
 	defer ln.Close()
 	// Give the shard real resume state for the client (the probe answers

@@ -18,6 +18,21 @@ import (
 
 const testToken = 0xC0FFEE
 
+// startShard serves a cluster shard on ln: the half-resolution tuning
+// with the urban profile (cluster tests drive city routes) plus the
+// shard identity.
+func startShard(t testing.TB, id uint32, ln net.Listener) *server.Server {
+	t.Helper()
+	cfg := HalfResConfig(true)
+	cfg.Shard = server.ShardConfig{ID: id, Token: testToken}
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	return srv
+}
+
 // testCluster is an in-process 2-shard cluster behind a front.
 type testCluster struct {
 	shards []*server.Server
@@ -35,10 +50,7 @@ func startCluster(t testing.TB, nShards int, part Partition) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewShard(ShardOptions{ID: uint32(i), Token: testToken}, ln)
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := startShard(t, uint32(i), ln)
 		tc.shards = append(tc.shards, srv)
 		tc.addrs = append(tc.addrs, ln.Addr().String())
 		tc.lns = append(tc.lns, ln)

@@ -1,33 +1,16 @@
 package cluster
 
 import (
+	"flag"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
-	"os"
-	"strconv"
-	"strings"
 	"time"
 
-	"slamshare/internal/obs"
-	"slamshare/internal/persist"
+	"slamshare"
 	"slamshare/internal/server"
 )
-
-// ShardOptions configure one shard server process.
-type ShardOptions struct {
-	// ID is the shard's index in the front's shard table.
-	ID uint32
-	// Token authenticates cluster peers (front, sibling shards, admin
-	// probes) on the shard's listener.
-	Token uint64
-	// Dir, when non-empty, enables WAL persistence rooted there —
-	// required for crash/recovery scenarios.
-	Dir string
-	// ImportStall is the crash-window failpoint passed through to
-	// server.ShardConfig (test harnesses only).
-	ImportStall time.Duration
-}
 
 // HalfResConfig is the pipeline tuning the chaos tier and cluster
 // shards share: half-resolution frames need looser merge gates and a
@@ -51,157 +34,100 @@ func HalfResConfig(urban bool) server.Config {
 	return cfg
 }
 
-// ShardConfig builds the server configuration for a cluster shard:
-// HalfResConfig plus the shard identity. City-grid routes are what
-// cluster scenarios drive, so the urban profile is unconditional here.
-func ShardConfig(opts ShardOptions) server.Config {
-	cfg := HalfResConfig(true)
-	cfg.Shard = server.ShardConfig{
-		ID:          opts.ID,
-		Token:       opts.Token,
-		ImportStall: opts.ImportStall,
-	}
-	if opts.Dir != "" {
-		// Journal-only persistence: recovery replays the WAL from the
-		// last (absent) checkpoint, the hardest recovery path.
-		cfg.Persist = persist.Options{Dir: opts.Dir, CheckpointEvery: -1}
-	}
-	return cfg
-}
+// EnvProc names the environment variable a test binary dispatches on
+// to run ServerMain or FrontMain instead of its tests, so a harness can
+// start real shard and front processes it may SIGKILL.
+const EnvProc = "SLAMSHARE_PROC"
 
-// NewShard builds and starts a shard server on the given listener.
-func NewShard(opts ShardOptions, ln net.Listener) (*server.Server, error) {
-	srv, err := server.New(ShardConfig(opts))
+// ServerMain is the slamshare-server process: it registers the
+// server's flags on fs, bound onto cfg, parses args, and serves devices
+// (with -shard-id and -shard-token, also a front and sibling shards)
+// until the listener fails. Every knob is a field of server.Config: a
+// zero value takes the default server.New fills in; where a negative
+// value means something, the flag says what. A flag sets the field it
+// binds, to its default when absent; every other field is the
+// caller's. The slamshare-server binary starts from
+// server.DefaultConfig; a caller may register flags of its own on fs
+// first.
+func ServerMain(fs *flag.FlagSet, args []string, cfg *server.Config) error {
+	addr := fs.String("addr", "127.0.0.1:7007", "listen address")
+	debugAddr := fs.String("debug-addr", "", "serve live observability (/debug/vars, /debug/spans, /debug/pprof/) on this address (empty = disabled)")
+	fs.IntVar(&cfg.TrackWorkers, "track-workers", 0, "batched tracking pool workers shared by all sessions (0 = GOMAXPROCS, negative = serial tracking, no pool)")
+	fs.StringVar(&cfg.Persist.Dir, "checkpoint-dir", "", "directory for durable map checkpoints + journal (empty = no persistence)")
+	fs.DurationVar(&cfg.Persist.CheckpointEvery, "checkpoint-every", 30*time.Second, "background checkpoint interval")
+	fs.BoolVar(&cfg.Persist.Fsync, "fsync-journal", false, "fsync every journal batch")
+	fs.IntVar(&cfg.Overload.MaxSessions, "max-sessions", 0, "admission ceiling on concurrent device sessions (0 = default 64, negative = unlimited)")
+	fs.IntVar(&cfg.Overload.MaxMergesInFlight, "max-merges", 0, "ceiling on concurrent map merges (0 = default 2, negative = unlimited)")
+	fs.DurationVar(&cfg.Overload.ShedBudget, "shed-budget", 0, "per-session backlog budget before stale frames are shed (0 = shedding disabled)")
+	fs.DurationVar(&cfg.Overload.IdleTimeout, "idle-timeout", 0, "evict connections idle this long (0 = default 2m, negative = never)")
+	fs.DurationVar(&cfg.Overload.ReadTimeout, "read-timeout", 0, "evict peers stalled mid-message this long (0 = default 30s, negative = never)")
+	fs.IntVar(&cfg.Lifecycle.MaxKeyFrames, "max-map-kf", 0, "resident keyframe budget; past it the lifecycle manager culls cold keyframes by the mapper's redundancy rule and sparsifies dead points (0 = unbounded)")
+	fs.Uint64Var(&cfg.Lifecycle.EvictAfter, "evict-after", 0, "evict map regions untouched for this many handled frames to disk, reloading on demand (0 = never; needs -checkpoint-dir)")
+	fs.Float64Var(&cfg.Offload.SplitLoad, "split-load", 0, "server load at which full-offload sessions degrade to split keypoint upload (0 = policy default 2)")
+	fs.Float64Var(&cfg.Offload.ShadowLoad, "shadow-load", 0, "server load at which split sessions degrade to shadow map-only sync; headsets are exempt (0 = policy default 6)")
+	fs.DurationVar(&cfg.Offload.SplitRTT, "split-rtt", 0, "RTT beyond which full offload degrades to split regardless of load (0 = policy default 150ms)")
+	fs.DurationVar(&cfg.Offload.Hysteresis, "mode-hysteresis", 0, "minimum dwell between offload mode switches (0 = policy default 2s)")
+	fs.IntVar(&cfg.TrackReservedSlots, "reserved-slots", 0, "tracking-pool admission slots held back for headset (QoS 0) frames (0 = none)")
+	shardID := fs.Uint("shard-id", 0, "cluster shard ID (used with slamshare-front; 0 is a valid ID)")
+	fs.Uint64Var(&cfg.Shard.Token, "shard-token", 0, "shared secret authenticating shard-to-shard and front-to-shard messages")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	cfg.Shard.ID = uint32(*shardID)
+	srv, err := server.New(*cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	go srv.Serve(ln)
-	return srv, nil
-}
+	defer srv.Close()
 
-// Environment variables the multi-process harness and slamshare-server
-// use to parameterize a shard or front child process.
-const (
-	EnvProc        = "SLAMSHARE_PROC"
-	EnvAddr        = "SLAMSHARE_ADDR"
-	EnvShardID     = "SLAMSHARE_SHARD_ID"
-	EnvToken       = "SLAMSHARE_TOKEN"
-	EnvDir         = "SLAMSHARE_DIR"
-	EnvImportStall = "SLAMSHARE_IMPORT_STALL"
-	// EnvStartDelay (ms) makes ShardEnvMain listen and print its
-	// address immediately but kill every accepted connection for the
-	// delay window before starting the real server — a stand-in for a
-	// shard doing a slow WAL replay on restart.
-	EnvStartDelay = "SLAMSHARE_START_DELAY"
-	// Front child parameters: the comma-separated shard address table,
-	// the front ID, the partition edges, the handoff-stall failpoint,
-	// and the debug (obs.Handler) listen address.
-	EnvShards       = "SLAMSHARE_SHARDS"
-	EnvFrontID      = "SLAMSHARE_FRONT_ID"
-	EnvPartEdges    = "SLAMSHARE_PART_EDGES"
-	EnvHandoffStall = "SLAMSHARE_HANDOFF_STALL"
-	EnvDebugAddr    = "SLAMSHARE_DEBUG_ADDR"
-)
+	if rec := srv.Recovery(); rec != nil {
+		log.Printf("recovered map from %s: %d keyframes, %d map points (checkpoint seq %d + %d journal records in %v)",
+			cfg.Persist.Dir, srv.Global().NKeyFrames(), srv.Global().NMapPoints(),
+			rec.CheckpointSeq, rec.ReplayedRecords, rec.ReplayTime.Round(time.Millisecond))
+	}
 
-// ShardEnvMain runs a shard server parameterized entirely by
-// environment variables and blocks forever. The chaos harness re-execs
-// the (race-instrumented) test binary with SLAMSHARE_PROC=shard to get
-// real multi-process topologies; the harness learns the actual listen
-// address from the "LISTENING <addr>" line on stdout.
-func ShardEnvMain() {
-	addr := os.Getenv(EnvAddr)
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	id, _ := strconv.ParseUint(os.Getenv(EnvShardID), 10, 32)
-	token, _ := strconv.ParseUint(os.Getenv(EnvToken), 10, 64)
-	stallMs, _ := strconv.ParseInt(os.Getenv(EnvImportStall), 10, 64)
-	delayMs, _ := strconv.ParseInt(os.Getenv(EnvStartDelay), 10, 64)
-	opts := ShardOptions{
-		ID:          uint32(id),
-		Token:       token,
-		Dir:         os.Getenv(EnvDir),
-		ImportStall: time.Duration(stallMs) * time.Millisecond,
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shard %d: listen %s: %v\n", opts.ID, addr, err)
-		os.Exit(1)
-	}
-	// The harness scrapes this exact line; keep the format stable.
-	fmt.Printf("LISTENING %s\n", ln.Addr().String())
-	os.Stdout.Sync()
-	if delayMs > 0 {
-		// Slow-restart failpoint: the port is open (the address is
-		// already published) but the server is "replaying its WAL" —
-		// every connection accepted in the window dies immediately,
-		// which is exactly what a front's dial-then-dead reconnect
-		// sees against a recovering shard.
-		deadline := time.Now().Add(time.Duration(delayMs) * time.Millisecond)
-		for time.Now().Before(deadline) {
-			ln.(*net.TCPListener).SetDeadline(deadline)
-			c, err := ln.Accept()
-			if err != nil {
-				break
-			}
-			c.Close()
-		}
-		ln.(*net.TCPListener).SetDeadline(time.Time{})
-	}
-	if _, err := NewShard(opts, ln); err != nil {
-		fmt.Fprintf(os.Stderr, "shard %d: %v\n", opts.ID, err)
-		os.Exit(1)
-	}
-	select {} // killed by the parent (SIGKILL is the point of the tier)
-}
-
-// FrontEnvMain runs a front router parameterized entirely by
-// environment variables and blocks forever — the front-failover chaos
-// tier re-execs the test binary with SLAMSHARE_PROC=front to get a
-// real replicated-front topology it can SIGKILL. EnvShards is the
-// comma-separated shard address table (identical across replicas),
-// EnvPartEdges is "min,max,hysteresis" for the spatial partition, and
-// EnvDebugAddr, when set, serves /debug/vars with the front gauges;
-// its actual address is printed as "DEBUG <addr>" before the
-// "LISTENING <addr>" line the harness scrapes.
-func FrontEnvMain() {
-	addr := os.Getenv(EnvAddr)
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	id, _ := strconv.ParseUint(os.Getenv(EnvFrontID), 10, 32)
-	token, _ := strconv.ParseUint(os.Getenv(EnvToken), 10, 64)
-	stallMs, _ := strconv.ParseInt(os.Getenv(EnvHandoffStall), 10, 64)
-	shards := strings.Split(os.Getenv(EnvShards), ",")
-	cfg := FrontConfig{
-		Shards:       shards,
-		Token:        token,
-		FrontID:      uint32(id),
-		HandoffStall: time.Duration(stallMs) * time.Millisecond,
-		Part:         Partition{N: len(shards)},
-	}
-	if edges := os.Getenv(EnvPartEdges); edges != "" {
-		parts := strings.Split(edges, ",")
-		if len(parts) == 3 {
-			cfg.Part.Min, _ = strconv.ParseFloat(parts[0], 64)
-			cfg.Part.Max, _ = strconv.ParseFloat(parts[1], 64)
-			cfg.Part.Hysteresis, _ = strconv.ParseFloat(parts[2], 64)
-		}
-	}
-	f := NewFront(cfg)
-	if dbgAddr := os.Getenv(EnvDebugAddr); dbgAddr != "" {
-		reg := obs.NewRegistry()
-		f.RegisterDebug(reg)
-		dln, err := net.Listen("tcp", dbgAddr)
+	if *debugAddr != "" {
+		dl, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "front %d: debug listen %s: %v\n", id, dbgAddr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("DEBUG %s\n", dln.Addr().String())
-		go http.Serve(dln, obs.Handler(obs.NewTracer(reg, obs.DefaultRingSize)))
+		log.Printf("debug endpoint on http://%s/debug/", dl.Addr())
+		go func() {
+			if err := http.Serve(dl, srv.DebugHandler()); err != nil {
+				log.Printf("debug endpoint: %v", err)
+			}
+		}()
 	}
-	if err := f.ListenAndServe(addr); err != nil {
-		fmt.Fprintf(os.Stderr, "front %d: %v\n", id, err)
-		os.Exit(1)
+
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
+	backend := "serial, no pool"
+	if p := srv.TrackPool(); p != nil {
+		backend = fmt.Sprintf("pool of %d workers", p.Workers())
+	}
+	log.Printf("%s listening on %s (tracking: %s)", slamshare.String(), l.Addr(), backend)
+
+	go func() {
+		ticker := time.NewTicker(5 * time.Second)
+		defer ticker.Stop()
+		lastMerges := 0
+		for range ticker.C {
+			g := srv.Global()
+			reports := srv.MergeReports()
+			log.Printf("global map: %d keyframes, %d map points, %d merges",
+				g.NKeyFrames(), g.NMapPoints(), len(reports))
+			for ; lastMerges < len(reports); lastMerges++ {
+				r := reports[lastMerges]
+				if r.Alignment != nil {
+					log.Printf("  merge: %d KFs aligned, %d inliers, %v total",
+						r.InsertKFs, r.Alignment.Inliers, r.Total.Round(time.Millisecond))
+				}
+			}
+		}
+	}()
+
+	return srv.Serve(l)
 }

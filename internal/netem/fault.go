@@ -1,55 +1,35 @@
 package netem
 
-// Fault injection: a deterministic, seeded layer under the shaping
-// discipline that emulates the ways real links die — abrupt resets,
-// cuts mid-message after a byte budget, stalls, and reordering. The
-// chaos harness (internal/chaos) scripts scenarios with it; decisions
-// are drawn from a seeded RNG keyed to the write sequence, so a fixed
-// seed and a deterministic byte stream replay the same faults.
+// Fault injection: a layer under the shaping discipline that emulates
+// the ways real links die — abrupt cuts, cuts mid-message after a byte
+// budget, and partitions. The chaos harness (internal/chaos) scripts
+// scenarios with it; every fault is deterministic, so a scripted
+// scenario over a deterministic byte stream replays the same faults.
 
 import (
 	"errors"
-	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // ErrInjectedReset is returned by FaultConn I/O after an injected
 // connection reset.
 var ErrInjectedReset = errors.New("netem: injected connection reset")
 
-// FaultConfig configures the injected faults for one endpoint. All
-// probabilities are per-Write draws from the seeded RNG.
+// FaultConfig configures the injected faults for one endpoint.
 type FaultConfig struct {
-	// Seed drives every probabilistic decision on this endpoint.
-	Seed int64
-	// ResetProb is the per-write probability of resetting the
-	// connection before any bytes of that write reach the wire.
-	ResetProb float64
 	// ResetAfterBytes cuts the connection mid-message once the total
 	// bytes written crosses this threshold (0 = disabled): the write
 	// that crosses it is truncated at the boundary, then the underlying
 	// connection is closed — the peer sees a partial frame.
 	ResetAfterBytes int64
-	// StallProb is the per-write probability of freezing for StallDur
-	// before the bytes go out, emulating a transient partition.
-	StallProb float64
-	// StallDur is how long an injected stall lasts.
-	StallDur time.Duration
-	// ReorderProb is the per-write probability that a write is held
-	// back and emitted after the following write, swapping adjacent
-	// messages on the wire.
-	ReorderProb float64
 }
 
 // FaultStats counts the faults an endpoint has injected, for test
 // assertions.
 type FaultStats struct {
-	Resets   int
-	Stalls   int
-	Reorders int
-	Written  int64
+	Resets  int
+	Written int64
 }
 
 // FaultConn wraps a net.Conn with injected write-side faults. Reads
@@ -62,8 +42,6 @@ type FaultConn struct {
 	mu     sync.Mutex
 	frozen bool
 	thaw   chan struct{}
-	rng    *rand.Rand
-	held   []byte // write held back for reordering
 	failed bool
 	stats  FaultStats
 }
@@ -71,12 +49,7 @@ type FaultConn struct {
 // WrapFault applies fault injection to a connection. Compose with Wrap
 // to get both shaping and faults: WrapFault(Wrap(conn, shape), faults).
 func WrapFault(inner net.Conn, cfg FaultConfig) *FaultConn {
-	return &FaultConn{
-		Conn: inner,
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		thaw: make(chan struct{}),
-	}
+	return &FaultConn{Conn: inner, cfg: cfg, thaw: make(chan struct{})}
 }
 
 // Stats returns a copy of the endpoint's fault counters.
@@ -157,52 +130,12 @@ func (c *FaultConn) Write(p []byte) (int, error) {
 		}
 		return n, err
 	}
-	if c.cfg.ResetProb > 0 && c.rng.Float64() < c.cfg.ResetProb {
-		c.reset()
-		c.mu.Unlock()
-		return 0, ErrInjectedReset
-	}
-	stall := c.cfg.StallProb > 0 && c.rng.Float64() < c.cfg.StallProb
-	if stall {
-		c.stats.Stalls++
-	}
-	// Reordering: hold this write back, or flush a held one after the
-	// current write.
-	var flush []byte
-	hold := false
-	if c.held != nil {
-		flush = c.held
-		c.held = nil
-	} else if c.cfg.ReorderProb > 0 && c.rng.Float64() < c.cfg.ReorderProb {
-		c.held = append([]byte(nil), p...)
-		c.stats.Reorders++
-		hold = true
-	}
 	c.mu.Unlock()
 
-	if stall && c.cfg.StallDur > 0 {
-		time.Sleep(c.cfg.StallDur)
-	}
-	if hold {
-		// Report success now; the bytes ride out with the next write.
-		return len(p), nil
-	}
 	n, err := c.Conn.Write(p)
 	c.mu.Lock()
 	c.stats.Written += int64(n)
 	c.mu.Unlock()
-	if err != nil {
-		return n, err
-	}
-	if flush != nil {
-		m, ferr := c.Conn.Write(flush)
-		c.mu.Lock()
-		c.stats.Written += int64(m)
-		c.mu.Unlock()
-		if ferr != nil {
-			return n, ferr
-		}
-	}
 	return n, err
 }
 

@@ -55,99 +55,6 @@ func TestFaultResetAfterBytesCutsMidMessage(t *testing.T) {
 	}
 }
 
-func TestFaultProbabilisticReset(t *testing.T) {
-	a, b := Pipe(Unlimited)
-	fc := WrapFault(a, FaultConfig{Seed: 7, ResetProb: 0.2})
-	defer fc.Close()
-	defer b.Close()
-	go io.Copy(io.Discard, b)
-
-	// With p=0.2 the reset fires within a handful of writes; the seed
-	// makes the exact count reproducible.
-	var resetAt = -1
-	for i := 0; i < 100; i++ {
-		if _, err := fc.Write([]byte("frame")); err != nil {
-			if !errors.Is(err, ErrInjectedReset) {
-				t.Fatalf("write %d: %v", i, err)
-			}
-			resetAt = i
-			break
-		}
-	}
-	if resetAt < 0 {
-		t.Fatal("no reset injected in 100 writes at p=0.2")
-	}
-	if st := fc.Stats(); st.Resets != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-
-	// Same seed, same byte stream: the fault replays identically.
-	a2, b2 := Pipe(Unlimited)
-	fc2 := WrapFault(a2, FaultConfig{Seed: 7, ResetProb: 0.2})
-	defer fc2.Close()
-	defer b2.Close()
-	go io.Copy(io.Discard, b2)
-	for i := 0; i <= resetAt; i++ {
-		_, err := fc2.Write([]byte("frame"))
-		if i < resetAt && err != nil {
-			t.Fatalf("replay diverged: reset at write %d, not %d", i, resetAt)
-		}
-		if i == resetAt && !errors.Is(err, ErrInjectedReset) {
-			t.Fatalf("replay diverged: no reset at write %d", resetAt)
-		}
-	}
-}
-
-func TestFaultReorderSwapsAdjacentWrites(t *testing.T) {
-	a, b := Pipe(Unlimited)
-	// p=1: every write is either held or flushes the held one, so
-	// adjacent pairs swap deterministically: 1234 -> 2143.
-	fc := WrapFault(a, FaultConfig{ReorderProb: 1})
-	defer fc.Close()
-	defer b.Close()
-
-	var got []byte
-	readDone := make(chan struct{})
-	go func() {
-		buf, _ := io.ReadAll(b)
-		got = buf
-		close(readDone)
-	}()
-	for _, s := range []string{"1", "2", "3", "4"} {
-		if _, err := fc.Write([]byte(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fc.Close()
-	<-readDone
-	if string(got) != "2143" {
-		t.Errorf("wire order %q, want %q", got, "2143")
-	}
-	if st := fc.Stats(); st.Reorders != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestFaultStallDelaysWrite(t *testing.T) {
-	a, b := Pipe(Unlimited)
-	const stall = 60 * time.Millisecond
-	fc := WrapFault(a, FaultConfig{StallProb: 1, StallDur: stall})
-	defer fc.Close()
-	defer b.Close()
-	go io.Copy(io.Discard, b)
-
-	start := time.Now()
-	if _, err := fc.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < stall {
-		t.Errorf("stalled write returned in %v, want >= %v", elapsed, stall)
-	}
-	if st := fc.Stats(); st.Stalls != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
 func TestFaultFreezeThaw(t *testing.T) {
 	a, b := Pipe(Unlimited)
 	fc := WrapFault(a, FaultConfig{})

@@ -1,7 +1,10 @@
 package server_test
 
 import (
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -11,12 +14,16 @@ import (
 	"slamshare/internal/server"
 )
 
-// updateSurface rewrites testdata/config_surface.txt. Do it in the PR
-// that adds or removes an option, so the diff of that file is the list
-// of knobs the PR changes.
-var updateSurface = flag.Bool("update-surface", false, "rewrite testdata/config_surface.txt")
+// updateSurface rewrites testdata/config_surface.txt and
+// testdata/flag_surface.txt. Do it in the change that adds or removes
+// an option or a flag, so the diff of those files is the list of knobs
+// the change touches.
+var updateSurface = flag.Bool("update-surface", false, "rewrite testdata/config_surface.txt and testdata/flag_surface.txt")
 
-const surfacePath = "testdata/config_surface.txt"
+const (
+	surfacePath = "testdata/config_surface.txt"
+	flagsPath   = "testdata/flag_surface.txt"
+)
 
 // surfaceLeaves appends every independently settable value reachable
 // from typ as "path type" lines: struct fields are descended into,
@@ -42,14 +49,48 @@ func TestConfigSurface(t *testing.T) {
 	nServer := len(got)
 	got = surfaceLeaves("cluster.FrontConfig", reflect.TypeOf(cluster.FrontConfig{}), got)
 	t.Logf("%d leaves under server.Config, %d under cluster.FrontConfig", nServer, len(got)-nServer)
+	checkSurface(t, surfacePath, "option", got)
+}
+
+// TestFlagSurface pins the flags of slamshare-server and
+// slamshare-front, name and default, to a reviewed file: bench/ and
+// the README start the programs with them, so one cannot vanish or
+// change its default unseen. The flags are the ones the programs'
+// mains register, asked for -h.
+func TestFlagSurface(t *testing.T) {
+	var got []string
+	record := func(prog string, run func(*flag.FlagSet) error) {
+		fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := run(fs); !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h returned %v, want flag.ErrHelp", prog, err)
+		}
+		fs.VisitAll(func(f *flag.Flag) {
+			got = append(got, fmt.Sprintf("%s -%s %q", prog, f.Name, f.DefValue))
+		})
+	}
+	record("slamshare-server", func(fs *flag.FlagSet) error {
+		cfg := server.DefaultConfig()
+		return cluster.ServerMain(fs, []string{"-h"}, &cfg)
+	})
+	record("slamshare-front", func(fs *flag.FlagSet) error {
+		return cluster.FrontMain(fs, []string{"-h"}, &cluster.FrontConfig{})
+	})
+	checkSurface(t, flagsPath, "flag", got)
+}
+
+// checkSurface compares got, one entry per line, with the reviewed
+// file at path, or rewrites the file under -update-surface.
+func checkSurface(t *testing.T, path, what string, got []string) {
+	t.Helper()
 	body := strings.Join(got, "\n") + "\n"
 	if *updateSurface {
-		if err := os.WriteFile(surfacePath, []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(surfacePath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("surface file: %v (record it with -update-surface)", err)
 	}
@@ -62,15 +103,15 @@ func TestConfigSurface(t *testing.T) {
 	}
 	for _, l := range got {
 		if !have[l] {
-			t.Errorf("new option, not in %s: %s", surfacePath, l)
+			t.Errorf("new %s, not in %s: %s", what, path, l)
 		}
 		delete(have, l)
 	}
 	for l := range have {
-		t.Errorf("option in %s no longer exists: %s", surfacePath, l)
+		t.Errorf("%s in %s no longer exists: %s", what, path, l)
 	}
 	if !t.Failed() {
-		t.Errorf("%s lists the options in a different order than the structs declare them", surfacePath)
+		t.Errorf("%s lists the %ss in a different order", path, what)
 	}
 	t.Log("if the change is intended, re-record with -update-surface and update DESIGN.md's Tunables table")
 }

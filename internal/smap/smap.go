@@ -383,7 +383,9 @@ func (m *Map) AddKeyFrame(kf *KeyFrame) {
 }
 
 // addKeyFrame inserts a keyframe; indexBow=false stages it without
-// place-recognition indexing (see InsertAllStaged).
+// place-recognition indexing (see InsertAllStaged). The keyframe is in
+// the insertion order before the observer sequences its record, so a
+// checkpoint that encodes KeyFrames() after that record cannot miss it.
 func (m *Map) addKeyFrame(kf *KeyFrame, indexBow bool) {
 	m.prepKeyFrame(kf)
 	s := m.stripe(kf.ID)
@@ -392,6 +394,12 @@ func (m *Map) addKeyFrame(kf *KeyFrame, indexBow bool) {
 	s.keyframes[kf.ID] = kf
 	s.kfVer[kf.ID]++
 	kf.touched = m.tick.Load()
+	m.imu.Lock()
+	if _, listed := m.inOrder[kf.ID]; !listed {
+		m.order = append(m.order, kf.ID)
+		m.inOrder[kf.ID] = struct{}{}
+	}
+	m.imu.Unlock()
 	if m.observer != nil {
 		m.observer.KeyFrameAdded(kf)
 	}
@@ -400,15 +408,11 @@ func (m *Map) addKeyFrame(kf *KeyFrame, indexBow bool) {
 	if !exists {
 		m.nkf.Add(1)
 	}
-	m.imu.Lock()
-	if _, listed := m.inOrder[kf.ID]; !listed {
-		m.order = append(m.order, kf.ID)
-		m.inOrder[kf.ID] = struct{}{}
-	}
 	if indexBow {
+		m.imu.Lock()
 		m.bowDB.Add(kf.ID, kf.Bow)
+		m.imu.Unlock()
 	}
-	m.imu.Unlock()
 }
 
 // AddMapPoint inserts a map point.

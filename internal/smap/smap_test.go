@@ -448,6 +448,37 @@ func TestObserverRunsBeforeMutatorReturns(t *testing.T) {
 	}
 }
 
+// orderObserver checks, from inside KeyFrameAdded, that the keyframe is
+// already in the insertion order: a checkpoint sequenced after the
+// record must encode the keyframe, or pruning the record loses it.
+type orderObserver struct {
+	recObserver
+	m        *Map
+	unlisted []ID
+}
+
+func (o *orderObserver) KeyFrameAdded(kf *KeyFrame) {
+	o.m.imu.RLock()
+	if _, ok := o.m.inOrder[kf.ID]; !ok {
+		o.unlisted = append(o.unlisted, kf.ID)
+	}
+	o.m.imu.RUnlock()
+}
+
+func TestKeyFrameListedBeforeRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	m := NewMap(testVoc())
+	obs := &orderObserver{m: m}
+	m.SetObserver(obs)
+	m.AddKeyFrame(newKF(1, 0, rng, 4))
+	src := NewMap(m.voc)
+	src.AddKeyFrame(newKF(2, 0, rng, 4))
+	m.InsertAllStaged(src)
+	if len(obs.unlisted) > 0 {
+		t.Errorf("KeyFrameAdded ran before keyframes %v were in the insertion order", obs.unlisted)
+	}
+}
+
 // lastPoses records, per entity, the value of the last SetPoses batch
 // the observer was handed; SetPoses calls it under stripe locks, so its
 // own mutex is a leaf.
