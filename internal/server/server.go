@@ -22,7 +22,6 @@ import (
 	"slamshare/internal/geom"
 	"slamshare/internal/gpu"
 	"slamshare/internal/holo"
-	"slamshare/internal/img"
 	"slamshare/internal/imu"
 	"slamshare/internal/lifecycle"
 	"slamshare/internal/mapping"
@@ -765,9 +764,7 @@ func (sess *Session) Handle(msg protocol.Uplink, backlog int) (Result, error) {
 		// and the motion model integrates the delta so the next tracked
 		// frame's prior spans the gap.
 		if fm, ok := msg.(*protocol.FrameMsg); ok {
-			if _, err := sess.decL.Decode(fm.Video); err == nil && len(fm.VideoRight) > 0 {
-				sess.decR.Decode(fm.VideoRight)
-			}
+			video.DecodeStereo(sess.decL, sess.decR, fm.Video, fm.VideoRight)
 		}
 		sess.advance(h.Delta, false, geom.SE3{})
 		sess.srv.net.FramesShed.Inc()
@@ -798,22 +795,12 @@ func (sess *Session) HandleFrame(msg *protocol.FrameMsg) (Result, error) {
 	sess.srv.global.Tick()
 
 	dsp := sess.srv.stDecode.Start(sess.ID, ord)
-	left, err := sess.decL.Decode(msg.Video)
-	if err != nil {
-		dsp.End()
-		sess.srv.net.FramesFailed.Inc()
-		return res, fmt.Errorf("server: left video: %w", err)
-	}
-	var rightImg *img.Gray
-	if len(msg.VideoRight) > 0 {
-		rightImg, err = sess.decR.Decode(msg.VideoRight)
-		if err != nil {
-			dsp.End()
-			sess.srv.net.FramesFailed.Inc()
-			return res, fmt.Errorf("server: right video: %w", err)
-		}
-	}
+	left, rightImg, err := video.DecodeStereo(sess.decL, sess.decR, msg.Video, msg.VideoRight)
 	dsp.End()
+	if err != nil {
+		sess.srv.net.FramesFailed.Inc()
+		return res, fmt.Errorf("server: video: %w", err)
+	}
 
 	prior := sess.advance(msg.Delta, msg.HasPrior, msg.Prior)
 	tr := sess.tracker.ProcessFrame(left, rightImg, msg.Stamp, prior)

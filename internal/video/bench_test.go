@@ -94,6 +94,29 @@ func BenchmarkEncodeEye(b *testing.B) {
 	}, func(k int) []byte { return enc.Encode(lefts[k]) })
 }
 
+// BenchmarkDecodeEye measures one eye's P-frame decode of the stream
+// BenchmarkEncodeEye times: the server's work per eye per frame.
+func BenchmarkDecodeEye(b *testing.B) {
+	lefts, _ := mh04Stereo(benchFrames)
+	enc := NewEncoder()
+	payloads := make([][]byte, benchFrames)
+	for k, f := range lefts {
+		payloads[k] = enc.Encode(f)
+	}
+	var dec *Decoder
+	benchPFrames(b, func() {
+		dec = NewDecoder()
+		if _, err := dec.Decode(payloads[0]); err != nil {
+			b.Fatal(err)
+		}
+	}, func(k int) []byte {
+		if _, err := dec.Decode(payloads[k]); err != nil {
+			b.Fatal(err)
+		}
+		return payloads[k]
+	})
+}
+
 // BenchmarkEncodeStereo measures a stereo pair's P-frames, the two
 // eyes overlapped as the client and the front run them.
 func BenchmarkEncodeStereo(b *testing.B) {
