@@ -186,6 +186,8 @@ type stubShard struct {
 	// onFrame, if set, decides for frame idx on connection conn whether
 	// it is answered and whether the shard hangs up after it.
 	onFrame func(conn int, idx uint32) (answer, hangUp bool)
+	// resumeEpoch is what the stub answers a front's resume probe with.
+	resumeEpoch uint64
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -229,6 +231,13 @@ func (sh *stubShard) serveConn(n int, c net.Conn) {
 		if err != nil || mt == protocol.TypeBye {
 			return
 		}
+		if mt == protocol.TypeShardControl {
+			st := protocol.ShardStatusMsg{Op: protocol.ShardOpResume, OK: true, ResumeEpoch: sh.resumeEpoch}
+			if protocol.WriteMessage(c, protocol.TypeShardStatus, st.Encode()) != nil {
+				return
+			}
+			continue
+		}
 		if !isFrame(mt) {
 			continue
 		}
@@ -243,8 +252,7 @@ func (sh *stubShard) serveConn(n int, c net.Conn) {
 			answer, hangUp = sh.onFrame(n, idx)
 		}
 		if answer {
-			pm := protocol.PoseMsg{FrameIdx: idx, Pose: geom.IdentitySE3(), Tracked: true}
-			if protocol.WriteMessage(c, protocol.TypePose, pm.Encode()) != nil {
+			if protocol.WriteMessage(c, protocol.TypePose, stubPose(idx)) != nil {
 				return
 			}
 		}
@@ -252,6 +260,11 @@ func (sh *stubShard) serveConn(n int, c net.Conn) {
 			return
 		}
 	}
+}
+
+// stubPose is the stub shard's answer to frame idx.
+func stubPose(idx uint32) []byte {
+	return (&protocol.PoseMsg{FrameIdx: idx, Pose: geom.IdentitySE3(), Tracked: true}).Encode()
 }
 
 func (sh *stubShard) addr() string { return sh.ln.Addr().String() }

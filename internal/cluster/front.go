@@ -296,11 +296,12 @@ type session struct {
 	// exactly once.
 	unacked []pendingFrame
 
-	// caps are the hello capability bits; token is the session's
-	// resumable state, re-issued on every answered pose when the client
-	// advertised CapResume. Both are owned by the serveSession loop.
+	// caps are the hello capability bits; token is the session token
+	// this front session last attached to a pose (nil before the first),
+	// for clients that advertised CapResume. Both are owned by the
+	// serveSession loop.
 	caps  offload.Caps
-	token protocol.SessionTokenMsg
+	token *protocol.SessionTokenMsg
 
 	// attempt counts the redials spent on the current shard outage and
 	// outageStart marks when it opened (zero while healthy); the first
@@ -441,22 +442,19 @@ func (f *Front) serveSession(client net.Conn) {
 }
 
 // adopt resumes a session from a presented token. The token seeds the
-// routing state (owning shard, handoff epoch, offload mode, partition
-// position) the dead front held in memory; the owning shard's resume
-// probe then continues the epoch sequence past anything the shard saw
-// — including a handoff the dead front had begun but never committed.
-// The unacked ledger starts empty on purpose: the client's own ledger
-// is authoritative (it resends exactly the frames it has no answer
-// for), and the token's marks prove receipt up to the watermark, so
-// every in-flight frame is re-answered once or cleanly superseded.
-// Returns false when the token is unusable.
+// routing state (owning shard and handoff epoch) the dead front held in
+// memory; the owning shard's resume probe then continues the epoch
+// sequence past anything the shard saw — including a handoff the dead
+// front had begun but never committed. The unacked ledger starts empty
+// on purpose: the client's own ledger alone decides what is resent (it
+// resends exactly the frames it has no answer for), so every in-flight
+// frame is answered once. Returns false when the token is unusable.
 func (s *session) adopt(payload []byte) bool {
 	tok, err := protocol.DecodeSessionTokenMsg(payload)
 	if err != nil || tok.ClientID != s.clientID || int(tok.Shard) >= len(s.f.cfg.Shards) {
 		s.f.stats.ResumeFailures.Inc()
 		return false
 	}
-	s.token = *tok
 	s.cur = tok.Shard
 	s.epoch = tok.Epoch
 	// Best-effort epoch continuation: the shard remembers the newest
@@ -520,7 +518,6 @@ func (s *session) uplink(m message) bool {
 		return s.forward(m.mt, m.payload)
 	}
 	if h.HasPrior {
-		s.token.PosX = h.Prior.T.X
 		tgt := s.f.cfg.Part.ShardFrom(s.cur, h.Prior.T.X)
 		if tgt != s.cur && time.Since(s.lastHandoff) >= s.f.cfg.HandoffCooldown {
 			if !s.drain() {
@@ -641,31 +638,19 @@ func (s *session) forward(mt byte, payload []byte) bool {
 }
 
 // downlink forwards one shard message to the client, settles the frame
-// bookkeeping, and (for resume-capable clients) re-issues the session
-// token on the answering pose. Returns false when the client write
+// bookkeeping, and (for resume-capable clients) attaches the session
+// token to a pose when it changed. Returns false when the client write
 // fails.
 func (s *session) downlink(m message) bool {
 	s.attempt, s.outageStart = 0, time.Time{} // the shard answers: outage over
-	switch m.mt {
-	case protocol.TypePose:
+	if m.mt == protocol.TypePose {
 		// Settle the matching ledger entry (not the head — a reconnect
 		// replay can answer out of order).
 		if idx, ok := protocol.PeekFrameIdx(m.mt, m.payload); ok {
 			s.settle(idx)
 			if s.caps&offload.CapResume != 0 {
-				if tagged := s.attachToken(m.payload, idx); tagged != nil {
-					m.payload = tagged
-				}
+				m.payload = s.attachToken(m.payload)
 			}
-		}
-	case protocol.TypeModeSwitch:
-		// Track the offload mode into the token so an adopting front
-		// resumes the session in the mode the client is actually in. In
-		// arrival order, as the client applies them: a shard connection's
-		// downlinks are ordered, and epochs restart with every session.
-		if ms, err := protocol.DecodeModeSwitchMsg(m.payload); err == nil {
-			s.token.Mode = ms.Mode
-			s.token.ModeEpoch = ms.Epoch
 		}
 	}
 	return protocol.WriteMessage(s.client, m.mt, m.payload) == nil
@@ -686,22 +671,21 @@ func (s *session) settle(idx uint32) {
 	}
 }
 
-// attachToken re-issues the session token on an answered pose. The
-// mark for the owning shard is set to this pose's own FrameIdx before
-// encoding, so mark=i rides on answer i: possession of the token
-// proves the client received every answer up to the mark, which makes
-// the mark a sound dedup floor for whoever adopts the session next.
-// Returns nil when the pose payload cannot be decoded (forward as-is).
-func (s *session) attachToken(payload []byte, idx uint32) []byte {
+// attachToken returns the pose to send the client: re-encoded with the
+// session token when (Shard, Epoch) differs from what this front session
+// last attached — always on its first pose — and otherwise the shard's
+// own bytes. A pose that does not decode goes out as it came.
+func (s *session) attachToken(payload []byte) []byte {
+	tok := protocol.SessionTokenMsg{ClientID: s.clientID, Shard: s.cur, Epoch: s.epoch}
+	if s.token != nil && *s.token == tok {
+		return payload
+	}
 	pm, err := protocol.DecodePoseMsg(payload)
 	if err != nil {
-		return nil
+		return payload
 	}
-	s.token.ClientID = s.clientID
-	s.token.Shard = s.cur
-	s.token.Epoch = s.epoch
-	s.token.SetMark(s.cur, idx)
-	pm.Token = s.token.Encode()
+	s.token = &tok
+	pm.Token = tok.Encode()
 	return pm.Encode()
 }
 

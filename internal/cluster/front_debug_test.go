@@ -79,14 +79,11 @@ func BenchmarkFrontAdopt(b *testing.B) {
 	defer sh.Close()
 	defer ln.Close()
 	// Give the shard real resume state for the client (the probe answers
-	// from the per-client answered-frame watermark).
+	// from the per-client handoff epoch).
 	defer buildSourceMap(b, ln.Addr().String(), clientID, 8)()
 
 	f := NewFront(FrontConfig{Shards: []string{ln.Addr().String()}, Token: testToken})
-	tok := protocol.SessionTokenMsg{
-		ClientID: clientID, Shard: 0, Epoch: 2,
-		Marks: []protocol.ShardMark{{Shard: 0, MaxFrame: 28}},
-	}
+	tok := protocol.SessionTokenMsg{ClientID: clientID, Shard: 0, Epoch: 2}
 	payload := tok.Encode()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

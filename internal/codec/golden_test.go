@@ -29,7 +29,10 @@ package codec_test
 // length-prefixed token; the mode switch is its 14-byte form. The
 // shorter forms they replace (a 5-byte or rig-only hello, a tail-less
 // frame, the 133-byte pose and its flag-ordered tails, the 6-byte mode
-// switch) are no longer fixtures, as no decoder accepts them.
+// switch) are no longer fixtures, as no decoder accepts them. The
+// token, pose.all and shard.status fixtures were re-recorded when the
+// session token shrank to client, shard and epoch and the resume probe
+// to the newest epoch, the only fields an adopting front reads.
 
 import (
 	"bufio"
@@ -223,10 +226,7 @@ func TestGoldenProtocol(t *testing.T) {
 		}
 		return m
 	}
-	token := &protocol.SessionTokenMsg{
-		ClientID: 5, Shard: 1, Epoch: 3, Mode: 1, ModeEpoch: 4, PosX: 119.5,
-		Marks: []protocol.ShardMark{{Shard: 0, MaxFrame: 77}, {Shard: 1, MaxFrame: 120}},
-	}
+	token := &protocol.SessionTokenMsg{ClientID: 5, Shard: 1, Epoch: 3}
 	pose := &protocol.PoseMsg{FrameIdx: 321, Pose: poseB, Tracked: true, EchoNanos: 0x0102030405060708}
 	poseAll := &protocol.PoseMsg{FrameIdx: 321, Pose: poseB, Tracked: true, Shed: true,
 		EchoNanos: 0x0102030405060708, Token: token.Encode()}
@@ -243,7 +243,7 @@ func TestGoldenProtocol(t *testing.T) {
 		Op: protocol.ShardOpResume, OK: true, Violations: []string{"kf-binding-dangling 7", "x"},
 		KFIDs: []uint64{3, 1 << 40}, Anchors: []protocol.AnchorState{{ID: 9, Pose: poseA}},
 		Stats:       protocol.ShardStats{KeyFrames: 1, MapPoints: 2, Sessions: 3, ImportsInFlight: 4, Imports: 5, ImportRollbacks: 6, ImportsStalled: 7},
-		ResumeKnown: true, ResumeFrame: 88, ResumeEpoch: 2, ResumeMode: 2,
+		ResumeEpoch: 2,
 	}
 	modeSwitch := &protocol.ModeSwitchMsg{Mode: 2, Epoch: 6, Reason: 1, SentNanos: 0x0A0B0C0D0E0F1011}
 

@@ -108,6 +108,7 @@ func Table3(w io.Writer) ([]Table3Row, error) {
 		enc := video.NewEncoder()
 		encR := video.NewEncoder()
 		dec := video.NewDecoder()
+		decR := video.NewDecoder()
 		var vidBytes, imgBytes int
 		var encDur, decDur, imgDecDur time.Duration
 		frames := 0
@@ -118,18 +119,20 @@ func Table3(w io.Writer) ([]Table3Row, error) {
 			encDur += time.Since(t0)
 			vidBytes += len(payload) + len(payloadR)
 			t1 := time.Now()
-			if _, err := dec.Decode(payload); err != nil {
+			if _, _, err := video.DecodeStereo(dec, decR, payload, payloadR); err != nil {
 				return nil, err
 			}
 			decDur += time.Since(t1)
-			ib := video.EncodeImage(left)
-			imgBytes += len(ib)
+			ibs := [][]byte{video.EncodeImage(left)}
 			if right != nil {
-				imgBytes += len(video.EncodeImage(right))
+				ibs = append(ibs, video.EncodeImage(right))
 			}
 			t2 := time.Now()
-			if _, err := video.DecodeImage(ib); err != nil {
-				return nil, err
+			for _, ib := range ibs {
+				imgBytes += len(ib)
+				if _, err := video.DecodeImage(ib); err != nil {
+					return nil, err
+				}
 			}
 			imgDecDur += time.Since(t2)
 			frames++

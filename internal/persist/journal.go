@@ -255,22 +255,33 @@ func (j *Journal) Flush() error {
 	return j.Err()
 }
 
-// rotate flushes and switches to a fresh journal file based at the
-// current sequence number, returning that base. The checkpointer calls
-// it so the old file can be deleted once the snapshot is durable.
-func (j *Journal) rotate() (uint64, error) {
+// rotate switches to a fresh journal file based at the sequence number
+// of a cut, and returns that base. cut must call seal once: every
+// record sequenced before seal goes to the old file, every later one
+// to the new. The checkpointer seals inside the map's snapshot, so the
+// snapshot holds exactly the records up to the base and the old file
+// can be deleted once the snapshot is durable. The file work runs after
+// cut returns; the writer goroutine stays off the files throughout.
+func (j *Journal) rotate(cut func(seal func())) (uint64, error) {
 	j.wmu.Lock()
 	defer j.wmu.Unlock()
-	j.mu.Lock()
-	base := j.seq
-	if j.closed {
+	var (
+		base   uint64
+		buf    []byte
+		f      *os.File
+		closed bool
+	)
+	cut(func() {
+		j.mu.Lock()
+		base, f, closed = j.seq, j.f, j.closed
+		if !closed {
+			buf, j.pending = j.pending, nil
+		}
 		j.mu.Unlock()
+	})
+	if closed {
 		return base, nil
 	}
-	buf := j.pending
-	j.pending = nil
-	f := j.f
-	j.mu.Unlock()
 	if f != nil {
 		if len(buf) > 0 {
 			if _, err := f.Write(buf); err != nil {

@@ -25,7 +25,8 @@ type Options struct {
 	Fsync bool
 	// Obs, when non-nil, records persistence spans: "wal.append" per
 	// drained journal batch (on the writer goroutine, never the hot
-	// path) and "persist.checkpoint" per snapshot rotation.
+	// path) and "persist.checkpoint" per snapshot: the time its cut
+	// held the map's writers off.
 	Obs *obs.Tracer
 }
 
@@ -133,36 +134,42 @@ func (mgr *Manager) Journal() *Journal { return mgr.journal }
 // Stats returns the persistence counters.
 func (mgr *Manager) Stats() *Stats { return mgr.stats }
 
-// CheckpointNow takes a snapshot: rotate the journal at the current
-// sequence, encode the map and anchors, durably write the checkpoint,
-// then prune journals and checkpoints the snapshot supersedes. Safe to
-// call concurrently with map mutations; callers on the hot path should
-// not call it (the ticker does).
+// CheckpointNow takes a snapshot: copy the map at one cut, rotating
+// the journal inside it, encode the copy and the anchors, durably write
+// the checkpoint, then prune journals and checkpoints the snapshot
+// supersedes. The cut holds every map writer off while the map is
+// copied (the persist.checkpoint span times it), so the snapshot holds
+// exactly the journal records up to the rotation's sequence number.
+// Safe to call concurrently with map mutations; callers on the hot path
+// should not call it (the ticker does).
 func (mgr *Manager) CheckpointNow() error {
 	mgr.cpMu.Lock()
 	defer mgr.cpMu.Unlock()
-	sp := mgr.stCkpt.Start(0, uint64(mgr.stats.Checkpoints.Load()+1))
-	defer sp.End()
 
-	// Rotate first: every record sequenced after seq lands in the new
-	// file, and replaying those over a snapshot that already holds
-	// some of them is idempotent.
-	seq, err := mgr.journal.rotate()
-	if err != nil {
-		return err
-	}
 	if mgr.lock != nil {
 		mgr.lock.RLock()
 	}
-	mapBlob := wire.EncodeMap(mgr.m)
-	var holoBlob []byte
-	if mgr.anchors != nil {
+	var (
+		kfs      []*smap.KeyFrame
+		mps      []*smap.MapPoint
+		holoBlob []byte
+	)
+	seq, err := mgr.journal.rotate(func(seal func()) {
+		sp := mgr.stCkpt.Start(0, uint64(mgr.stats.Checkpoints.Load()+1))
+		kfs, mps = mgr.m.Snapshot(seal)
+		sp.End()
+	})
+	if err == nil && mgr.anchors != nil {
 		holoBlob = mgr.anchors.Encode()
 	}
 	if mgr.lock != nil {
 		mgr.lock.RUnlock()
 	}
+	if err != nil {
+		return err
+	}
 
+	mapBlob := wire.EncodeSnapshot(kfs, mps)
 	n, err := writeCheckpoint(mgr.opts.Dir, seq, mapBlob, holoBlob)
 	if err != nil {
 		return err

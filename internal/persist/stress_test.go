@@ -19,20 +19,19 @@ import (
 // goroutines writing SetPoses batches over the same seed keyframes and
 // points, as two sessions' local BAs do on a merged map, and one
 // detaching seed bindings, as their outlier culls do. One more
-// goroutine rotates the journal in a loop, so a checkpoint's file
-// switch races the in-place observer appends. (It calls rotate, not
-// CheckpointNow: a snapshot encoded while sessions mutate outside the
-// checkpoint lock is not a consistent cut, which is a property of the
-// snapshot, not of the journal hand-off under test.) Run it under
-// -race. It asserts two things no schedule may violate:
+// goroutine checkpoints in a loop, so every snapshot's cut and journal
+// switch races the in-place observer appends, and recovery starts from
+// the newest of those snapshots. Run it under -race. It asserts two
+// things no schedule may violate:
 //
 //  1. Snapshot views never expose a torn pose. Writers only ever store
 //     translations with equal components (k,k,k), so any view keyframe
 //     whose components differ leaked a half-written SE3.
-//  2. WAL replay rebuilds the live map — entities, poses and
-//     positions bit for bit, bindings, observers — i.e. the in-place
-//     journal hand-off loses or reorders no mutation of an entity,
-//     across any number of rotations.
+//  2. Recovery — the newest checkpoint plus the journal after it —
+//     rebuilds the live map: entities, poses and positions bit for
+//     bit, bindings, observers. A snapshot that is not one cut (a
+//     keyframe read before a detach, its point after) comes back with
+//     the binding set, and the journal's detach cannot clear it.
 func TestStressConcurrentMutationWithWAL(t *testing.T) {
 	const (
 		workers  = 8
@@ -164,7 +163,7 @@ func TestStressConcurrentMutationWithWAL(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	rotDone := make(chan error, 1)
-	rotations := 0
+	checkpoints := 0
 	go func() {
 		var err error
 		for err == nil {
@@ -174,17 +173,17 @@ func TestStressConcurrentMutationWithWAL(t *testing.T) {
 				return
 			default:
 			}
-			_, err = mgr.Journal().rotate()
-			rotations++
+			err = mgr.CheckpointNow()
+			checkpoints++
 		}
 		rotDone <- err
 	}()
 	wg.Wait()
 	close(stop)
 	if err := <-rotDone; err != nil {
-		t.Fatalf("rotate during mutation: %v", err)
+		t.Fatalf("checkpoint during mutation: %v", err)
 	}
-	t.Logf("%d journal rotations raced the workers", rotations)
+	t.Logf("%d checkpoints raced the workers", checkpoints)
 	if torn.Load() {
 		t.Fatal("a snapshot view observed a torn pose")
 	}

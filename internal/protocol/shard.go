@@ -206,10 +206,8 @@ func DecodeBoundaryRegionMsg(data []byte) (*BoundaryRegionMsg, error) {
 	return m, nil
 }
 
-// Shard control ops.
+// Shard control ops. Op 1, a liveness ping nothing sent, is retired.
 const (
-	// ShardOpPing checks liveness.
-	ShardOpPing = byte(1)
 	// ShardOpCheck runs smap.CheckInvariants on the shard's map and
 	// returns the violations. Meaningful at quiescent points only.
 	ShardOpCheck = byte(2)
@@ -220,11 +218,10 @@ const (
 	// takes the global-map lock, so a harness can poll it while an
 	// import is stalled under that lock.
 	ShardOpStats = byte(4)
-	// ShardOpResume asks the shard for one client's resume state (the
-	// answered-frame watermark, newest handoff epoch, and last offload
-	// mode it recorded) so an adopting front can validate a presented
-	// session token and continue its epoch sequence. Reads atomically
-	// published per-client state, never the global-map lock.
+	// ShardOpResume asks the shard for the newest handoff epoch it has
+	// seen for one client, so an adopting front continues the session's
+	// epoch sequence past it. Reads per-client state under its own
+	// mutex, never the global-map lock.
 	ShardOpResume = byte(5)
 )
 
@@ -261,7 +258,7 @@ func DecodeShardControlMsg(data []byte) (*ShardControlMsg, error) {
 	m := &ShardControlMsg{}
 	m.Op = r.U8()
 	m.Token = r.U64()
-	if m.Op < ShardOpPing || m.Op > ShardOpResume {
+	if m.Op < ShardOpCheck || m.Op > ShardOpResume {
 		return nil, fmt.Errorf("protocol: bad shard control op %d", m.Op)
 	}
 	if m.Op == ShardOpResume {
@@ -310,14 +307,10 @@ type ShardStatusMsg struct {
 	KFIDs      []uint64
 	Anchors    []AnchorState
 	Stats      ShardStats
-	// Resume section, filled for ShardOpResume: whether the shard has
-	// ever answered this client, the highest answered frame index, the
-	// newest handoff epoch it has seen for the session, and the last
-	// offload mode it recorded. Zero-valued for every other op.
-	ResumeKnown bool
-	ResumeFrame uint32
+	// ResumeEpoch, filled for ShardOpResume, is the newest handoff
+	// epoch the shard has seen for the client (0 if none). Zero for
+	// every other op.
 	ResumeEpoch uint64
-	ResumeMode  byte
 }
 
 // Encode serializes the status answer.
@@ -345,10 +338,7 @@ func (m *ShardStatusMsg) Encode() []byte {
 	w.U64(m.Stats.Imports)
 	w.U64(m.Stats.ImportRollbacks)
 	w.U64(m.Stats.ImportsStalled)
-	w.Bool(m.ResumeKnown)
-	w.U32(m.ResumeFrame)
 	w.U64(m.ResumeEpoch)
-	w.U8(m.ResumeMode)
 	return w.B
 }
 
@@ -363,7 +353,7 @@ func DecodeShardStatusMsg(data []byte) (*ShardStatusMsg, error) {
 	if r.Err() != nil {
 		return nil, errShort
 	}
-	if m.Op < ShardOpPing || m.Op > ShardOpResume {
+	if m.Op < ShardOpCheck || m.Op > ShardOpResume {
 		return nil, fmt.Errorf("protocol: bad shard status op %d", m.Op)
 	}
 	if okFlag > 1 {
@@ -397,19 +387,9 @@ func DecodeShardStatusMsg(data []byte) (*ShardStatusMsg, error) {
 	m.Stats.Imports = r.U64()
 	m.Stats.ImportRollbacks = r.U64()
 	m.Stats.ImportsStalled = r.U64()
-	knownFlag := r.U8()
-	m.ResumeFrame = r.U32()
 	m.ResumeEpoch = r.U64()
-	m.ResumeMode = r.U8()
 	if r.Err() != nil {
 		return nil, errShort
-	}
-	if knownFlag > 1 {
-		return nil, fmt.Errorf("protocol: bad shard status resume flag %d", knownFlag)
-	}
-	m.ResumeKnown = knownFlag == 1
-	if m.ResumeMode > 2 {
-		return nil, fmt.Errorf("protocol: bad shard status resume mode %d", m.ResumeMode)
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("protocol: %d trailing bytes in shard status", r.Len())

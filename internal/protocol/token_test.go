@@ -10,62 +10,34 @@ import (
 func TestSessionTokenRoundTrip(t *testing.T) {
 	for _, m := range []*SessionTokenMsg{
 		{ClientID: 1},
-		{ClientID: 7, Shard: 1, Epoch: 5, Mode: 1, ModeEpoch: 3, PosX: 88.5,
-			Marks: []ShardMark{{Shard: 0, MaxFrame: 41}, {Shard: 1, MaxFrame: 12}}},
-		{ClientID: ^uint32(0), Shard: 63, Epoch: ^uint64(0), Mode: 2,
-			ModeEpoch: ^uint32(0), PosX: -1e9},
+		{ClientID: 7, Shard: 1, Epoch: 5},
+		{ClientID: ^uint32(0), Shard: 63, Epoch: ^uint64(0)},
 	} {
-		got, err := DecodeSessionTokenMsg(m.Encode())
+		data := m.Encode()
+		if len(data) != sessionTokenLen {
+			t.Fatalf("token encodes to %d bytes, want %d", len(data), sessionTokenLen)
+		}
+		got, err := DecodeSessionTokenMsg(data)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if got.ClientID != m.ClientID || got.Shard != m.Shard || got.Epoch != m.Epoch ||
-			got.Mode != m.Mode || got.ModeEpoch != m.ModeEpoch || got.PosX != m.PosX ||
-			len(got.Marks) != len(m.Marks) {
+		if *got != *m {
 			t.Fatalf("round trip: got %+v want %+v", got, m)
 		}
-		for i := range m.Marks {
-			if got.Marks[i] != m.Marks[i] {
-				t.Fatalf("mark %d: got %+v want %+v", i, got.Marks[i], m.Marks[i])
-			}
-		}
 	}
 }
 
+// TestSessionTokenRejects pins the strict 16-byte form: every proper
+// prefix and one extra byte are refused.
 func TestSessionTokenRejects(t *testing.T) {
-	valid := (&SessionTokenMsg{ClientID: 3, Shard: 1, Epoch: 2, Mode: 1,
-		Marks: []ShardMark{{Shard: 1, MaxFrame: 9}}}).Encode()
-	badMode := append([]byte(nil), valid...)
-	badMode[16] = 3 // mode byte past shard+epoch
-	forgedCount := append([]byte(nil), valid...)
-	forgedCount[29] = 0xFF // mark count beyond payload
-	for name, data := range map[string][]byte{
-		"empty":        {},
-		"short":        valid[:len(valid)-1],
-		"trailing":     append(append([]byte(nil), valid...), 0),
-		"bad mode":     badMode,
-		"forged count": forgedCount,
-	} {
-		if _, err := DecodeSessionTokenMsg(data); err == nil {
-			t.Errorf("%s: decoder accepted %x", name, data)
+	valid := (&SessionTokenMsg{ClientID: 3, Shard: 1, Epoch: 2}).Encode()
+	for n := 0; n < len(valid); n++ {
+		if _, err := DecodeSessionTokenMsg(valid[:n]); err == nil {
+			t.Errorf("decoder accepted the %d-byte prefix %x", n, valid[:n])
 		}
 	}
-}
-
-func TestSessionTokenMarks(t *testing.T) {
-	m := &SessionTokenMsg{ClientID: 1}
-	m.SetMark(0, 5)
-	m.SetMark(1, 9)
-	m.SetMark(0, 3) // stale: marks never regress
-	m.SetMark(0, 7)
-	if got := m.Mark(0); got != 7 {
-		t.Errorf("mark 0 = %d, want 7", got)
-	}
-	if got := m.Mark(1); got != 9 {
-		t.Errorf("mark 1 = %d, want 9", got)
-	}
-	if got := m.Mark(2); got != 0 {
-		t.Errorf("unvisited mark = %d, want 0", got)
+	if _, err := DecodeSessionTokenMsg(append(append([]byte(nil), valid...), 0)); err == nil {
+		t.Error("decoder accepted a trailing byte")
 	}
 }
 
@@ -73,8 +45,7 @@ func TestSessionTokenMarks(t *testing.T) {
 // last field: a u32 length (0 for no token) and the blob. A tokened
 // answer decodes the same blob back, and forged lengths are refused.
 func TestPoseMsgTokenTail(t *testing.T) {
-	token := (&SessionTokenMsg{ClientID: 2, Shard: 1, Epoch: 4, Mode: 1,
-		Marks: []ShardMark{{Shard: 1, MaxFrame: 30}}}).Encode()
+	token := (&SessionTokenMsg{ClientID: 2, Shard: 1, Epoch: 4}).Encode()
 	m := &PoseMsg{FrameIdx: 30, Pose: geom.IdentitySE3(), Tracked: true, Token: token}
 	data := m.Encode()
 	if want := poseMsgLen + len(token); len(data) != want {
@@ -88,7 +59,7 @@ func TestPoseMsgTokenTail(t *testing.T) {
 		t.Fatalf("token corrupted: %x -> %x", token, got.Token)
 	}
 	tok, err := DecodeSessionTokenMsg(got.Token)
-	if err != nil || tok.Mark(1) != 30 {
+	if err != nil || tok.Shard != 1 || tok.Epoch != 4 {
 		t.Fatalf("embedded token unusable: %+v (%v)", tok, err)
 	}
 

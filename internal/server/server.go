@@ -230,21 +230,12 @@ type Server struct {
 	importsRolled   atomic.Int64
 	importsStalled  atomic.Int64
 
-	// resume is per-client resume state published for the ShardOpResume
-	// probe: the highest frame index answered on this shard, the newest
-	// handoff epoch seen for the client, and the last offload mode. It
-	// survives session close — that is the point: a replacement front
-	// adopting a session probes it to validate the presented token and
+	// resumeEpoch is the newest handoff epoch seen per client, served
+	// by the ShardOpResume probe. It survives session close — that is
+	// the point: a replacement front adopting a session probes it to
 	// continue the epoch sequence. Its own mutex, never gmu.
-	resumeMu sync.Mutex
-	resume   map[uint32]*resumeState
-}
-
-// resumeState is one client's shard-side resume record.
-type resumeState struct {
-	frame uint32
-	epoch uint64
-	mode  byte
+	resumeMu    sync.Mutex
+	resumeEpoch map[uint32]uint64
 }
 
 // NetStats counts per-connection protocol events on the Serve path.
@@ -306,47 +297,21 @@ func (s *Server) NSessions() int {
 	return len(s.sessions)
 }
 
-// noteAnswered records that a pose for frame was written to clientID's
-// connection, with the session's offload mode at that moment. The
-// watermark is monotone: answers can race only across reconnects, and
-// a stale reconnect must never roll it back.
-func (s *Server) noteAnswered(clientID, frame uint32, mode byte) {
-	s.resumeMu.Lock()
-	defer s.resumeMu.Unlock()
-	st := s.resume[clientID]
-	if st == nil {
-		st = &resumeState{}
-		s.resume[clientID] = st
-	}
-	if frame > st.frame {
-		st.frame = frame
-	}
-	st.mode = mode
-}
-
 // noteHandoffEpoch records the newest handoff epoch seen for a client,
 // from either side of a handoff (export begin or boundary import).
 func (s *Server) noteHandoffEpoch(clientID uint32, epoch uint64) {
 	s.resumeMu.Lock()
 	defer s.resumeMu.Unlock()
-	st := s.resume[clientID]
-	if st == nil {
-		st = &resumeState{}
-		s.resume[clientID] = st
-	}
-	if epoch > st.epoch {
-		st.epoch = epoch
+	if epoch > s.resumeEpoch[clientID] {
+		s.resumeEpoch[clientID] = epoch
 	}
 }
 
-// resumeStateFor answers the ShardOpResume probe.
-func (s *Server) resumeStateFor(clientID uint32) (resumeState, bool) {
+// resumeEpochFor answers the ShardOpResume probe.
+func (s *Server) resumeEpochFor(clientID uint32) uint64 {
 	s.resumeMu.Lock()
 	defer s.resumeMu.Unlock()
-	if st := s.resume[clientID]; st != nil {
-		return *st, true
-	}
-	return resumeState{}, false
+	return s.resumeEpoch[clientID]
 }
 
 // New creates the server around an empty (or, with persistence, the
@@ -408,7 +373,7 @@ func New(cfg Config) (*Server, error) {
 		sessions:       make(map[uint32]*Session),
 		pendingExports: make(map[exportKey]*exportRecord),
 		importBlocked:  make(map[uint32]int),
-		resume:         make(map[uint32]*resumeState),
+		resumeEpoch:    make(map[uint32]uint64),
 		gate:           overload.NewGate(cfg.Overload.MaxMergesInFlight),
 		backoff: overload.Backoff{
 			Base:   retryBase,
@@ -1074,15 +1039,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// uplink's send stamp: the client's round-trip sample) and then runs
 	// the policy step.
 	answer := func(pm protocol.PoseMsg) bool {
-		if !writeMsg(protocol.TypePose, pm.Encode()) {
-			return false
-		}
-		// The answer left this process, so the client (or its front) may
-		// hold it: advance the shard-side resume watermark the adoption
-		// probe reads. Shed answers count — the client's ledger treats
-		// them as answered too.
-		s.noteAnswered(sess.ID, pm.FrameIdx, byte(sess.OffloadMode()))
-		return maybeSwitchMode(len(in))
+		return writeMsg(protocol.TypePose, pm.Encode()) && maybeSwitchMode(len(in))
 	}
 
 	// peer is set once the connection identifies itself as a cluster

@@ -473,7 +473,7 @@ func TestServeClosesOnUnknownType(t *testing.T) {
 	}
 	defer conn2.Close()
 	hello := protocol.HelloMsg{ClientID: 6, Mode: seq.Rig.Mode, Intr: seq.Rig.Intr, Baseline: seq.Rig.Baseline}
-	token := protocol.SessionTokenMsg{ClientID: 6, Marks: []protocol.ShardMark{{Shard: 0, MaxFrame: 3}}}
+	token := protocol.SessionTokenMsg{ClientID: 6, Epoch: 3}
 	for _, m := range []struct {
 		mt      byte
 		payload []byte

@@ -287,8 +287,6 @@ func (s *Server) handleShardControl(payload []byte, writeMsg func(byte, []byte) 
 	}
 	st := &protocol.ShardStatusMsg{Op: msg.Op, OK: true}
 	switch msg.Op {
-	case protocol.ShardOpPing:
-		// Liveness only.
 	case protocol.ShardOpCheck:
 		s.gmu.RLock()
 		rep := s.global.CheckInvariants()
@@ -307,14 +305,9 @@ func (s *Server) handleShardControl(payload []byte, writeMsg func(byte, []byte) 
 			st.Anchors = append(st.Anchors, protocol.AnchorState{ID: a.ID, Pose: a.Pose})
 		}
 	case protocol.ShardOpResume:
-		// Per-client resume state under its own mutex — never gmu, so an
+		// Per-client epoch under its own mutex — never gmu, so an
 		// adopting front can probe while an import stall holds the map.
-		if rs, ok := s.resumeStateFor(msg.ClientID); ok {
-			st.ResumeKnown = true
-			st.ResumeFrame = rs.frame
-			st.ResumeEpoch = rs.epoch
-			st.ResumeMode = rs.mode
-		}
+		st.ResumeEpoch = s.resumeEpochFor(msg.ClientID)
 	case protocol.ShardOpStats:
 		// Atomics and striped counters only — never gmu, so this probe
 		// works while an import stall holds the global-map lock.

@@ -668,21 +668,6 @@ func (m *Map) MapPoints() []*MapPoint {
 	return out
 }
 
-// ReadLocked runs f under id's stripe read lock, or bare on a nil map:
-// an encoder that runs beside mutating sessions (a checkpoint) reads
-// each entity whole, never a relation mid-edit. Like an Observer
-// callback, f must not call into the Map.
-func (m *Map) ReadLocked(id ID, f func()) {
-	if m == nil {
-		f()
-		return
-	}
-	s := m.stripe(id)
-	s.mu.RLock()
-	f()
-	s.mu.RUnlock()
-}
-
 // EraseKeyFrame removes a keyframe and its observation links, and
 // reports whether it did: false means the ID was already gone. A
 // LocalView that holds the keyframe goes stale through its tombstone

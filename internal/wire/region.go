@@ -30,7 +30,7 @@ func EncodeRegion(id uint64, kfs []*smap.KeyFrame, mps []*smap.MapPoint) []byte 
 	w.U32(regionMagic)
 	w.U8(FormatVersion)
 	w.U64(id)
-	appendEntities(&w, nil, kfs, mps)
+	appendEntities(&w, kfs, mps)
 	w.U32(crc32.ChecksumIEEE(w.B))
 	return w.B
 }

@@ -206,17 +206,16 @@ func DecodeMapPoint(data []byte) (*smap.MapPoint, int, error) {
 }
 
 // appendEntities writes the two counted entity lists every container
-// (whole map, evicted region) carries after its header. Entities of a
-// live map m are each read under their stripe lock; a region's are
-// detached (m nil).
-func appendEntities(w *codec.Writer, m *smap.Map, kfs []*smap.KeyFrame, mps []*smap.MapPoint) {
+// (whole map, evicted region) carries after its header. The entities
+// are detached: a snapshot's copies or an evicted region's.
+func appendEntities(w *codec.Writer, kfs []*smap.KeyFrame, mps []*smap.MapPoint) {
 	w.U32(uint32(len(kfs)))
 	for _, kf := range kfs {
-		m.ReadLocked(kf.ID, func() { appendKeyFrame(w, kf) })
+		appendKeyFrame(w, kf)
 	}
 	w.U32(uint32(len(mps)))
 	for _, mp := range mps {
-		m.ReadLocked(mp.ID, func() { appendMapPoint(w, mp) })
+		appendMapPoint(w, mp)
 	}
 }
 
@@ -250,10 +249,16 @@ func readEntities(r *codec.Reader, addKF func(*smap.KeyFrame), addMP func(*smap.
 // (positions, descriptors, observations) — everything the baseline
 // must ship to the server for merging.
 func EncodeMap(m *smap.Map) []byte {
+	return EncodeSnapshot(m.Snapshot(nil))
+}
+
+// EncodeSnapshot serializes a map snapshot — smap.Map.Snapshot's
+// keyframes and map points — in EncodeMap's format.
+func EncodeSnapshot(kfs []*smap.KeyFrame, mps []*smap.MapPoint) []byte {
 	w := codec.Writer{B: make([]byte, 0, 1<<20)}
 	w.U32(mapMagic)
 	w.U8(FormatVersion)
-	appendEntities(&w, m, m.KeyFrames(), m.MapPoints())
+	appendEntities(&w, kfs, mps)
 	return w.B
 }
 

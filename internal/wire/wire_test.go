@@ -239,9 +239,9 @@ func TestEncodeKeyFramePanicsOffGrid(t *testing.T) {
 }
 
 // TestEncodeMapBesideMutations: a checkpoint encodes the live map
-// while sessions keep editing its relations. Each entity is read under
-// its stripe lock, so every encoding decodes: no relation is caught
-// mid-edit, out of order. Run it under -race.
+// while sessions keep editing its relations. The encoder reads a
+// snapshot taken at one cut, so every encoding decodes: no relation is
+// caught mid-edit, out of order. Run it under -race.
 func TestEncodeMapBesideMutations(t *testing.T) {
 	m := randomMap(10, 4, 60, 0)
 	kfs := m.KeyFrames()
