@@ -430,9 +430,9 @@ type PoseMsg struct {
 	// EchoNanos is the SentNanos stamp of the uplink this pose answers,
 	// letting the client measure round-trip time.
 	EchoNanos uint64
-	// Token is the front's updated session token (encoded
-	// SessionTokenMsg bytes), piggybacked so a CapResume client holds a
-	// current token after every answered frame; nil for any other.
+	// Token is the front's session token (encoded SessionTokenMsg
+	// bytes), piggybacked on a CapResume client's first pose and on the
+	// first after its shard or epoch changed; nil on every other pose.
 	Token []byte
 }
 
